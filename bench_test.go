@@ -147,42 +147,6 @@ func BenchmarkTable5Network(b *testing.B) {
 	}
 }
 
-// BenchmarkThroughput compares the serial Process path with the batched
-// parallel ProcessBatch path, reporting packets per second. On a single-core
-// runner the two converge (ProcessBatch degrades to the serial loop); the
-// parallel speedup materializes with GOMAXPROCS > 1.
-func BenchmarkThroughput(b *testing.B) {
-	const batch = 256
-	for _, fn := range bench.ThroughputFunctions() {
-		for _, mode := range []bench.Mode{bench.Native, bench.HyPer4} {
-			sw := benchSwitch(b, fn, mode)
-			pkts := bench.WorkloadPackets(fn)
-			inputs := make([]sim.Input, batch)
-			for i := range inputs {
-				inputs[i] = sim.Input{Data: pkts[i%len(pkts)], Port: 1}
-			}
-			b.Run(fn+"/"+mode.String()+"/serial", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					for _, in := range inputs {
-						if _, _, err := sw.Process(in.Data, in.Port); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "pkts/sec")
-			})
-			b.Run(fn+"/"+mode.String()+"/parallel", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := sw.ProcessBatch(inputs); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "pkts/sec")
-			})
-		}
-	}
-}
-
 // BenchmarkFigure7 generates personas across the paper's sweep corners and
 // reports LoC — Figure 7's y-axis.
 func BenchmarkFigure7(b *testing.B) {

@@ -24,11 +24,6 @@ func main() {
 	runs := flag.Int("runs", 10, "Table 5 repetitions")
 	pings := flag.Int("pings", 1000, "Table 5 ping count")
 	mbytes := flag.Int64("mbytes", 2, "Table 5 iperf megabytes per run")
-	parallel := flag.Bool("parallel", false, "run the batched-throughput experiment (serial vs ProcessBatch pkts/sec)")
-	throughputPkts := flag.Int("throughput-pkts", 4096, "packets per throughput measurement")
-	throughputJSON := flag.String("throughput-json", "BENCH_throughput.json", "write throughput results to this JSON file (empty = stdout only)")
-	faults := flag.Bool("faults", false, "add an hp4-hooks throughput row (armed-but-idle fault injector) and assert it sits within noise of plain hp4")
-	modes := flag.String("modes", "", "comma-separated throughput mode filter (native,hp4,hp4-fused,hp4-ctl,hp4-hooks); empty = all")
 	flag.Parse()
 
 	experiments := []struct {
@@ -52,15 +47,6 @@ func main() {
 				MSS: 1400, SwitchOverhead: 100 * time.Microsecond,
 			})
 		}},
-	}
-	if *parallel || *only == "throughput" {
-		if err := throughput(*throughputPkts, *throughputJSON, *faults, *modes); err != nil {
-			fmt.Fprintf(os.Stderr, "hp4bench throughput: %v\n", err)
-			os.Exit(1)
-		}
-		if *only == "throughput" || *parallel {
-			return
-		}
 	}
 	ran := false
 	for _, e := range experiments {

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
+	"strconv"
 	"strings"
 
 	"hyper4/internal/core/dpmu"
@@ -62,19 +63,38 @@ func newMetricsMux(sw *sim.Switch, d *dpmu.DPMU, iort *pktio.Runtime) *http.Serv
 	return mux
 }
 
-func escapeLabel(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, `"`, `\"`)
-	return strings.ReplaceAll(s, "\n", `\n`)
+// labelEscaper applies the three escapes the exposition format defines for
+// label values.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// sample writes one exposition line, name{label="value",...} v, from
+// alternating label name/value arguments. It is the only place a label
+// value is written: table, action and vdev names come from P4 sources and
+// from unvalidated /v1/write requests, so they are escaped here, once.
+func sample(w io.Writer, name string, v int64, labels ...string) {
+	sep := "{"
+	for i := 0; i+1 < len(labels); i += 2 {
+		name += sep + labels[i] + `="` + labelEscaper.Replace(labels[i+1]) + `"`
+		sep = ","
+	}
+	if sep == "," {
+		name += "}"
+	}
+	fmt.Fprintf(w, "%s %d\n", name, v)
+}
+
+// family writes a metric family's HELP and TYPE lines and returns the
+// function that adds its samples.
+func family(w io.Writer, name, help, typ string) func(v int64, labels ...string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	return func(v int64, labels ...string) { sample(w, name, v, labels...) }
 }
 
 func writeMetrics(w io.Writer, sw *sim.Switch, d *dpmu.DPMU) {
 	snap := sw.Metrics()
 	st := sw.Stats()
 
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
+	counter := func(name, help string, v int64) { family(w, name, help, "counter")(v) }
 	counter("hyper4_packets_in_total", "Packets submitted to the switch.", int64(st.PacketsIn))
 	counter("hyper4_packets_out_total", "Packets emitted by the switch.", int64(st.PacketsOut))
 	counter("hyper4_packets_dropped_total", "Packets that produced no output.", int64(st.PacketsDropped))
@@ -89,9 +109,9 @@ func writeMetrics(w io.Writer, sw *sim.Switch, d *dpmu.DPMU) {
 	}
 	sort.Strings(tables)
 	perTable := func(name, help string, get func(sim.TableCounters) int64, typ string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+		add := family(w, name, help, typ)
 		for _, t := range tables {
-			fmt.Fprintf(w, "%s{table=%q} %d\n", name, escapeLabel(t), get(snap.Tables[t]))
+			add(get(snap.Tables[t]), "table", t)
 		}
 	}
 	perTable("hyper4_table_hits_total", "Lookups that matched an installed entry.",
@@ -108,43 +128,36 @@ func writeMetrics(w io.Writer, sw *sim.Switch, d *dpmu.DPMU) {
 		actions = append(actions, name)
 	}
 	sort.Strings(actions)
-	fmt.Fprintf(w, "# HELP hyper4_action_invocations_total Action executions by name.\n# TYPE hyper4_action_invocations_total counter\n")
+	add := family(w, "hyper4_action_invocations_total", "Action executions by name.", "counter")
 	for _, a := range actions {
-		fmt.Fprintf(w, "hyper4_action_invocations_total{action=%q} %d\n", escapeLabel(a), snap.Actions[a])
+		add(snap.Actions[a], "action", a)
 	}
 
-	fmt.Fprintf(w, "# HELP hyper4_pipeline_passes_total Pipeline passes by bmv2 instance type.\n# TYPE hyper4_pipeline_passes_total counter\n")
-	for _, kv := range []struct {
-		kind string
-		v    int64
-	}{
-		{"normal", snap.Passes.Normal},
-		{"resubmit", snap.Passes.Resubmit},
-		{"recirculate", snap.Passes.Recirculate},
-		{"clone_i2e", snap.Passes.CloneI2E},
-		{"clone_e2e", snap.Passes.CloneE2E},
-	} {
-		fmt.Fprintf(w, "hyper4_pipeline_passes_total{kind=%q} %d\n", kv.kind, kv.v)
-	}
+	add = family(w, "hyper4_pipeline_passes_total", "Pipeline passes by bmv2 instance type.", "counter")
+	add(snap.Passes.Normal, "kind", "normal")
+	add(snap.Passes.Resubmit, "kind", "resubmit")
+	add(snap.Passes.Recirculate, "kind", "recirculate")
+	add(snap.Passes.CloneI2E, "kind", "clone_i2e")
+	add(snap.Passes.CloneE2E, "kind", "clone_e2e")
 
-	fmt.Fprintf(w, "# HELP hyper4_process_latency_seconds Wall time of Process calls.\n# TYPE hyper4_process_latency_seconds histogram\n")
+	const latency = "hyper4_process_latency_seconds"
+	fmt.Fprintf(w, "# HELP %s Wall time of Process calls.\n# TYPE %s histogram\n", latency, latency)
 	var cum int64
 	for i, c := range snap.Latency.Counts {
 		cum += c
+		le := "+Inf"
 		if i < len(snap.Latency.Bounds) {
-			fmt.Fprintf(w, "hyper4_process_latency_seconds_bucket{le=%q} %d\n",
-				fmt.Sprintf("%g", snap.Latency.Bounds[i].Seconds()), cum)
-		} else {
-			fmt.Fprintf(w, "hyper4_process_latency_seconds_bucket{le=\"+Inf\"} %d\n", cum)
+			le = fmt.Sprintf("%g", snap.Latency.Bounds[i].Seconds())
 		}
+		sample(w, latency+"_bucket", cum, "le", le)
 	}
-	fmt.Fprintf(w, "hyper4_process_latency_seconds_sum %g\n", float64(snap.Latency.SumNs)/1e9)
-	fmt.Fprintf(w, "hyper4_process_latency_seconds_count %d\n", snap.Latency.Count)
+	fmt.Fprintf(w, "%s_sum %g\n", latency, float64(snap.Latency.SumNs)/1e9)
+	sample(w, latency+"_count", snap.Latency.Count)
 
-	fmt.Fprintf(w, "# HELP hyper4_packet_faults_total Contained packet faults by kind.\n# TYPE hyper4_packet_faults_total counter\n")
+	add = family(w, "hyper4_packet_faults_total", "Contained packet faults by kind.", "counter")
 	byKind := snap.Faults.ByKind()
 	for _, kind := range sim.FaultKinds() {
-		fmt.Fprintf(w, "hyper4_packet_faults_total{kind=%q} %d\n", string(kind), byKind[kind])
+		add(byKind[kind], "kind", string(kind))
 	}
 	counter("hyper4_quarantine_drops_total", "Passes dropped because their device is quarantined.", snap.Faults.QuarantineDrops)
 
@@ -152,26 +165,24 @@ func writeMetrics(w io.Writer, sw *sim.Switch, d *dpmu.DPMU) {
 		return
 	}
 	all := d.AllStats()
-	fmt.Fprintf(w, "# HELP hyper4_vdev_passes_total Pipeline passes attributed to a virtual device.\n# TYPE hyper4_vdev_passes_total counter\n")
+	add = family(w, "hyper4_vdev_passes_total", "Pipeline passes attributed to a virtual device.", "counter")
 	for _, v := range all {
-		fmt.Fprintf(w, "hyper4_vdev_passes_total{vdev=%q} %d\n", escapeLabel(v.VDev), v.Packets)
+		add(int64(v.Packets), "vdev", v.VDev)
 	}
-	fmt.Fprintf(w, "# HELP hyper4_vdev_bytes_total Bytes attributed to a virtual device.\n# TYPE hyper4_vdev_bytes_total counter\n")
+	add = family(w, "hyper4_vdev_bytes_total", "Bytes attributed to a virtual device.", "counter")
 	for _, v := range all {
-		fmt.Fprintf(w, "hyper4_vdev_bytes_total{vdev=%q} %d\n", escapeLabel(v.VDev), v.Bytes)
+		add(int64(v.Bytes), "vdev", v.VDev)
 	}
-	fmt.Fprintf(w, "# HELP hyper4_vdev_table_hits_total Virtual-table hits per virtual device.\n# TYPE hyper4_vdev_table_hits_total counter\n")
+	add = family(w, "hyper4_vdev_table_hits_total", "Virtual-table hits per virtual device.", "counter")
 	for _, v := range all {
 		for _, ts := range v.Tables {
-			fmt.Fprintf(w, "hyper4_vdev_table_hits_total{vdev=%q,table=%q} %d\n",
-				escapeLabel(v.VDev), escapeLabel(ts.Table), ts.Hits)
+			add(ts.Hits, "vdev", v.VDev, "table", ts.Table)
 		}
 	}
-	fmt.Fprintf(w, "# HELP hyper4_vdev_table_misses_total Virtual-table misses per virtual device.\n# TYPE hyper4_vdev_table_misses_total counter\n")
+	add = family(w, "hyper4_vdev_table_misses_total", "Virtual-table misses per virtual device.", "counter")
 	for _, v := range all {
 		for _, ts := range v.Tables {
-			fmt.Fprintf(w, "hyper4_vdev_table_misses_total{vdev=%q,table=%q} %d\n",
-				escapeLabel(v.VDev), escapeLabel(ts.Table), ts.Misses)
+			add(ts.Misses, "vdev", v.VDev, "table", ts.Table)
 		}
 	}
 
@@ -179,17 +190,17 @@ func writeMetrics(w io.Writer, sw *sim.Switch, d *dpmu.DPMU) {
 	// monitored switch transitions quarantined → probing → healthy without
 	// any other management traffic.
 	health := d.Health()
-	fmt.Fprintf(w, "# HELP hyper4_vdev_health Circuit-breaker state (0 healthy, 1 degraded, 2 probing, 3 quarantined).\n# TYPE hyper4_vdev_health gauge\n")
+	add = family(w, "hyper4_vdev_health", "Circuit-breaker state (0 healthy, 1 degraded, 2 probing, 3 quarantined).", "gauge")
 	for _, v := range health.VDevs {
-		fmt.Fprintf(w, "hyper4_vdev_health{vdev=%q} %d\n", escapeLabel(v.VDev), healthValue(v.State))
+		add(int64(healthValue(v.State)), "vdev", v.VDev)
 	}
-	fmt.Fprintf(w, "# HELP hyper4_vdev_health_trips_total Circuit-breaker trips per virtual device.\n# TYPE hyper4_vdev_health_trips_total counter\n")
+	add = family(w, "hyper4_vdev_health_trips_total", "Circuit-breaker trips per virtual device.", "counter")
 	for _, v := range health.VDevs {
-		fmt.Fprintf(w, "hyper4_vdev_health_trips_total{vdev=%q} %d\n", escapeLabel(v.VDev), v.Trips)
+		add(v.Trips, "vdev", v.VDev)
 	}
-	fmt.Fprintf(w, "# HELP hyper4_vdev_faults_total Packet faults attributed to a virtual device.\n# TYPE hyper4_vdev_faults_total counter\n")
+	add = family(w, "hyper4_vdev_faults_total", "Packet faults attributed to a virtual device.", "counter")
 	for _, v := range health.VDevs {
-		fmt.Fprintf(w, "hyper4_vdev_faults_total{vdev=%q} %d\n", escapeLabel(v.VDev), v.Faults)
+		add(v.Faults, "vdev", v.VDev)
 	}
 	counter("hyper4_unattributed_faults_total", "Packet faults with no owning virtual device.", health.Unattributed)
 }
@@ -197,58 +208,61 @@ func writeMetrics(w io.Writer, sw *sim.Switch, d *dpmu.DPMU) {
 // writeIOMetrics renders the packet I/O runtime families: per-port frame
 // and drop counters, per-ring occupancy, and the global processing counters.
 func writeIOMetrics(w io.Writer, m pktio.Metrics) {
-	fmt.Fprintf(w, "# HELP hyper4_rx_frames_total Frames received on a port's transport.\n# TYPE hyper4_rx_frames_total counter\n")
-	for _, p := range m.Ports {
-		fmt.Fprintf(w, "hyper4_rx_frames_total{port=\"%d\"} %d\n", p.Port, p.RxFrames)
+	perPort := func(name, help string, get func(pktio.PortMetrics) uint64) {
+		add := family(w, name, help, "counter")
+		for _, p := range m.Ports {
+			add(int64(get(p)), "port", strconv.Itoa(p.Port))
+		}
 	}
-	fmt.Fprintf(w, "# HELP hyper4_tx_frames_total Frames transmitted out a port's transport.\n# TYPE hyper4_tx_frames_total counter\n")
+	perPort("hyper4_rx_frames_total", "Frames received on a port's transport.",
+		func(p pktio.PortMetrics) uint64 { return p.RxFrames })
+	perPort("hyper4_tx_frames_total", "Frames transmitted out a port's transport.",
+		func(p pktio.PortMetrics) uint64 { return p.TxFrames })
+	add := family(w, "hyper4_ring_depth", "Current occupancy of a port-worker ring.", "gauge")
 	for _, p := range m.Ports {
-		fmt.Fprintf(w, "hyper4_tx_frames_total{port=\"%d\"} %d\n", p.Port, p.TxFrames)
-	}
-	fmt.Fprintf(w, "# HELP hyper4_ring_depth Current occupancy of a port-worker ring.\n# TYPE hyper4_ring_depth gauge\n")
-	for _, p := range m.Ports {
+		port := strconv.Itoa(p.Port)
 		for wkr, depth := range p.RxDepth {
-			fmt.Fprintf(w, "hyper4_ring_depth{port=\"%d\",worker=\"%d\",dir=\"rx\"} %d\n", p.Port, wkr, depth)
+			add(int64(depth), "port", port, "worker", strconv.Itoa(wkr), "dir", "rx")
 		}
 		for wkr, depth := range p.TxDepth {
-			fmt.Fprintf(w, "hyper4_ring_depth{port=\"%d\",worker=\"%d\",dir=\"tx\"} %d\n", p.Port, wkr, depth)
+			add(int64(depth), "port", port, "worker", strconv.Itoa(wkr), "dir", "tx")
 		}
 	}
-	fmt.Fprintf(w, "# HELP hyper4_ring_drops_total Frames dropped because a ring was full.\n# TYPE hyper4_ring_drops_total counter\n")
+	add = family(w, "hyper4_ring_drops_total", "Frames dropped because a ring was full.", "counter")
 	for _, p := range m.Ports {
-		fmt.Fprintf(w, "hyper4_ring_drops_total{port=\"%d\",dir=\"rx\"} %d\n", p.Port, p.RxDrops)
-		fmt.Fprintf(w, "hyper4_ring_drops_total{port=\"%d\",dir=\"tx\"} %d\n", p.Port, p.TxDrops)
+		port := strconv.Itoa(p.Port)
+		add(int64(p.RxDrops), "port", port, "dir", "rx")
+		add(int64(p.TxDrops), "port", port, "dir", "tx")
 	}
-	fmt.Fprintf(w, "# HELP hyper4_tx_errors_total Transport send failures.\n# TYPE hyper4_tx_errors_total counter\n")
-	for _, p := range m.Ports {
-		fmt.Fprintf(w, "hyper4_tx_errors_total{port=\"%d\"} %d\n", p.Port, p.TxErrors)
-	}
-	fmt.Fprintf(w, "# HELP hyper4_io_processed_total Frames the runtime handed to the switch.\n# TYPE hyper4_io_processed_total counter\nhyper4_io_processed_total %d\n", m.Processed)
-	fmt.Fprintf(w, "# HELP hyper4_io_proc_errors_total Frames the switch failed on.\n# TYPE hyper4_io_proc_errors_total counter\nhyper4_io_proc_errors_total %d\n", m.ProcErrs)
-	fmt.Fprintf(w, "# HELP hyper4_unrouted_frames_total Frames forwarded to a port with no transport attached.\n# TYPE hyper4_unrouted_frames_total counter\nhyper4_unrouted_frames_total %d\n", m.Unrouted)
+	perPort("hyper4_tx_errors_total", "Transport send failures.",
+		func(p pktio.PortMetrics) uint64 { return p.TxErrors })
+	family(w, "hyper4_io_processed_total", "Frames the runtime handed to the switch.", "counter")(int64(m.Processed))
+	family(w, "hyper4_io_proc_errors_total", "Frames the switch failed on.", "counter")(int64(m.ProcErrs))
+	family(w, "hyper4_unrouted_frames_total", "Frames forwarded to a port with no transport attached.", "counter")(int64(m.Unrouted))
 }
 
 // writePortHealthMetrics renders the per-port breaker families. Quarantined
 // ports stay listed even while their transport is detached — that is the
 // alertable state.
 func writePortHealthMetrics(w io.Writer, phs []pktio.PortHealth) {
-	fmt.Fprintf(w, "# HELP hyper4_port_health Port circuit-breaker state (0 healthy, 1 degraded, 2 probing, 3 quarantined).\n# TYPE hyper4_port_health gauge\n")
-	for _, p := range phs {
-		fmt.Fprintf(w, "hyper4_port_health{port=\"%d\"} %d\n", p.Port, portHealthValue(p.State))
+	perPort := func(name, help, typ string, get func(pktio.PortHealth) uint64) {
+		add := family(w, name, help, typ)
+		for _, p := range phs {
+			add(int64(get(p)), "port", strconv.Itoa(p.Port))
+		}
 	}
-	fmt.Fprintf(w, "# HELP hyper4_port_health_trips_total Port circuit-breaker trips.\n# TYPE hyper4_port_health_trips_total counter\n")
+	perPort("hyper4_port_health", "Port circuit-breaker state (0 healthy, 1 degraded, 2 probing, 3 quarantined).", "gauge",
+		func(p pktio.PortHealth) uint64 { return uint64(portHealthValue(p.State)) })
+	perPort("hyper4_port_health_trips_total", "Port circuit-breaker trips.", "counter",
+		func(p pktio.PortHealth) uint64 { return p.Trips })
+	perPort("hyper4_port_reattach_total", "Successful automatic transport reattaches after quarantine.", "counter",
+		func(p pktio.PortHealth) uint64 { return p.Reattaches })
+	add := family(w, "hyper4_port_io_errors_total", "Transport faults charged to a port's breaker window, by kind.", "counter")
 	for _, p := range phs {
-		fmt.Fprintf(w, "hyper4_port_health_trips_total{port=\"%d\"} %d\n", p.Port, p.Trips)
-	}
-	fmt.Fprintf(w, "# HELP hyper4_port_reattach_total Successful automatic transport reattaches after quarantine.\n# TYPE hyper4_port_reattach_total counter\n")
-	for _, p := range phs {
-		fmt.Fprintf(w, "hyper4_port_reattach_total{port=\"%d\"} %d\n", p.Port, p.Reattaches)
-	}
-	fmt.Fprintf(w, "# HELP hyper4_port_io_errors_total Transport faults charged to a port's breaker window, by kind.\n# TYPE hyper4_port_io_errors_total counter\n")
-	for _, p := range phs {
-		fmt.Fprintf(w, "hyper4_port_io_errors_total{port=\"%d\",kind=\"recv\"} %d\n", p.Port, p.RecvErrors)
-		fmt.Fprintf(w, "hyper4_port_io_errors_total{port=\"%d\",kind=\"send\"} %d\n", p.Port, p.SendErrors)
-		fmt.Fprintf(w, "hyper4_port_io_errors_total{port=\"%d\",kind=\"stall\"} %d\n", p.Port, p.Stalls)
+		port := strconv.Itoa(p.Port)
+		add(int64(p.RecvErrors), "port", port, "kind", "recv")
+		add(int64(p.SendErrors), "port", port, "kind", "send")
+		add(int64(p.Stalls), "port", port, "kind", "stall")
 	}
 }
 

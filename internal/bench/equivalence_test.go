@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"hyper4/internal/functions"
@@ -9,11 +10,12 @@ import (
 )
 
 // TestBatchSerialEquivalence drives every function's workload through both
-// the serial Process path and the batched parallel path, in Native and
-// HyPer4 modes, and requires byte-identical per-packet outputs. This is the
-// contract the concurrency rework must preserve: parallelism may reorder
-// cross-packet extern updates, but each packet's forwarding behavior is
-// deterministic.
+// the serial Process path and several goroutines each running ProcessSeq
+// over its own disjoint slice of the batch (the packet I/O runtime with
+// workers > 1), in Native and HyPer4 modes, and requires byte-identical
+// per-packet outputs. This is the contract concurrent ingest must preserve:
+// parallelism may reorder cross-packet extern updates, but each packet's
+// forwarding behavior is deterministic.
 func TestBatchSerialEquivalence(t *testing.T) {
 	type build struct {
 		name string
@@ -47,10 +49,19 @@ func TestBatchSerialEquivalence(t *testing.T) {
 						t.Fatalf("serial packet %d: %v", i, want[i].Err)
 					}
 				}
-				got, err := sw.ProcessBatch(inputs)
-				if err != nil {
-					t.Fatal(err)
+				const workers = 4
+				got := make([]sim.Result, len(inputs))
+				per := len(inputs) / workers
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					lo, hi := w*per, (w+1)*per
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						_ = sw.ProcessSeq(inputs[lo:hi], got[lo:hi]) // per-packet errors checked below
+					}()
 				}
+				wg.Wait()
 				for i := range inputs {
 					w, g := want[i], got[i]
 					if g.Err != nil {
@@ -74,17 +85,5 @@ func TestBatchSerialEquivalence(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestThroughputHelper sanity-checks the measurement helper the benchmark
-// and hp4bench -parallel share.
-func TestThroughputHelper(t *testing.T) {
-	res, err := Throughput(functions.L2Switch, Native, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Packets < 64 || res.SerialPPS <= 0 || res.BatchPPS <= 0 {
-		t.Errorf("implausible result: %+v", res)
 	}
 }

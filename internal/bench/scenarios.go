@@ -22,34 +22,12 @@ type Mode int
 const (
 	Native Mode = iota
 	HyPer4
-	// HyPer4Ctl is HyPer4 emulation configured through the typed
-	// control-plane API — one atomic ctl.WriteBatch of textual ops, the
-	// same wire shape hp4ctl ships — instead of direct DPMU installer
-	// calls. The data path is identical to HyPer4, so its throughput must
-	// sit within noise of the plain HyPer4 measurement.
-	HyPer4Ctl
-	// HyPer4Hooks is HyPer4 emulation with a fault injector attached whose
-	// spec injects nothing: it measures the cost of the armed injection
-	// hooks themselves, which must sit within noise of plain HyPer4 (a nil
-	// injector — the default — costs a single pointer check).
-	HyPer4Hooks
-	// HyPer4Fused is HyPer4 emulation with the DPMU's fused fast path
-	// enabled (DESIGN.md §13): per-vdev compiled dispatch plans replace the
-	// interpreted persona walk for fusable traffic.
-	HyPer4Fused
 )
 
 // String names the mode for labels and sub-benchmarks.
 func (m Mode) String() string {
-	switch m {
-	case Native:
+	if m == Native {
 		return "native"
-	case HyPer4Ctl:
-		return "hp4-ctl"
-	case HyPer4Hooks:
-		return "hp4-hooks"
-	case HyPer4Fused:
-		return "hp4-fused"
 	}
 	return "hp4"
 }
@@ -80,15 +58,6 @@ func compiled(fn string) (*hp4c.Compiled, error) {
 	}
 	compileCache[fn] = c
 	return c, nil
-}
-
-// fuseIf turns the DPMU's fused fast path on when the mode asks for it.
-// Builders call it after their full population so the initial compile sees
-// the final table state.
-func fuseIf(mode Mode, d *dpmu.DPMU) {
-	if mode == HyPer4Fused {
-		d.SetFusion(true)
-	}
 }
 
 // newPersonaSwitch builds a persona switch with a DPMU.
@@ -163,7 +132,6 @@ func l2Switch(name string, mode Mode, hosts []hostEntry) (*sim.Switch, error) {
 			return nil, err
 		}
 	}
-	fuseIf(mode, d)
 	return sw, nil
 }
 
@@ -211,7 +179,6 @@ func firewallSwitch(name string, mode Mode) (*sim.Switch, error) {
 			return nil, err
 		}
 	}
-	fuseIf(mode, d)
 	return sw, nil
 }
 
@@ -325,7 +292,6 @@ func composedSwitch(name string, mode Mode) (*sim.Switch, error) {
 	if err := d.LinkVPorts(owner, functions.Firewall, 10, functions.Router, 1); err != nil {
 		return nil, err
 	}
-	fuseIf(mode, d)
 	return sw, nil
 }
 

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"hyper4/internal/chaos"
 	"hyper4/internal/core/dpmu"
 	"hyper4/internal/functions"
 	"hyper4/internal/pkt"
@@ -67,7 +66,6 @@ func arpSwitch(name string, mode Mode) (*sim.Switch, error) {
 			return nil, err
 		}
 	}
-	fuseIf(mode, d)
 	return sw, nil
 }
 
@@ -142,24 +140,12 @@ func routerSwitch(name string, mode Mode) (*sim.Switch, error) {
 			return nil, err
 		}
 	}
-	fuseIf(mode, d)
 	return sw, nil
 }
 
 // FunctionSwitch builds a configured switch for one of the paper's four
 // functions in either mode.
 func FunctionSwitch(fn string, mode Mode) (*sim.Switch, error) {
-	if mode == HyPer4Ctl {
-		return ctlSwitch("s", fn)
-	}
-	if mode == HyPer4Hooks {
-		sw, err := FunctionSwitch(fn, HyPer4)
-		if err != nil {
-			return nil, err
-		}
-		sw.SetInjector(chaos.New(chaos.Spec{}))
-		return sw, nil
-	}
 	switch fn {
 	case functions.L2Switch:
 		return l2Switch("s", mode, []hostEntry{{h1MAC, 1}, {h2MAC, 2}})
@@ -169,8 +155,6 @@ func FunctionSwitch(fn string, mode Mode) (*sim.Switch, error) {
 		return arpSwitch("s", mode)
 	case functions.Router:
 		return routerSwitch("s", mode)
-	case functions.Composed:
-		return composedSwitch("s", mode)
 	}
 	return nil, fmt.Errorf("bench: unknown function %q", fn)
 }
@@ -206,10 +190,6 @@ func WorkloadPackets(fn string) [][]byte {
 		return [][]byte{udp, tcp}
 	case functions.ARPProxy:
 		return [][]byte{arpProxied, arpOther}
-	case functions.Composed:
-		// The full chain: switched by the ARP proxy, passed by the
-		// firewall, routed — two virtual-link crossings per packet.
-		return [][]byte{tcp, udp}
 	}
 	return nil
 }

@@ -9,7 +9,8 @@
 // interleaving.
 //
 // The zero Spec injects nothing; attaching such an injector still exercises
-// the hook overhead, which is what hp4bench's -faults flag measures.
+// the hook overhead (within noise of no injector: EXPERIMENTS.md, "Retired
+// throughput rows").
 package chaos
 
 import (

@@ -2,8 +2,14 @@ package ctl
 
 import (
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
+
+	"hyper4/internal/core/dpmu"
+	"hyper4/internal/core/hp4c"
+	"hyper4/internal/functions"
+	"hyper4/internal/pkt"
 )
 
 // mustBatch applies a batch that is expected to succeed.
@@ -42,6 +48,80 @@ func TestWriteBatchApplies(t *testing.T) {
 	}
 	if len(outs) != 1 || outs[0].Port != 2 {
 		t.Fatalf("batch-configured forwarding: %+v", outs)
+	}
+}
+
+// TestCtlSwitchMatchesInstaller proves an l2 device configured through one
+// WriteBatch of textual ops — the wire shape hp4ctl ships — is the same
+// device as one configured by direct DPMU installer calls: the full switch
+// dump (persona table contents, defaults, precedence) is identical, and so
+// is forwarding.
+func TestCtlSwitchMatchesInstaller(t *testing.T) {
+	hosts := []struct {
+		mac  pkt.MAC
+		port int
+	}{{mac1, 1}, {mac2, 2}}
+
+	direct := newPersonaCtl(t).D
+	prog, err := functions.Load(functions.L2Switch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := hp4c.Compile(prog, direct.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := direct.Load("l2", comp, "op", 0); err != nil {
+		t.Fatal(err)
+	}
+	l2 := functions.NewL2ControllerFunc(direct.Installer("op", "l2"))
+	for _, h := range hosts {
+		if err := l2.AddHost(h.mac, h.port); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := direct.AssignPort("op", dpmu.Assignment{PhysPort: -1, VDev: "l2", VIngress: 0}); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range hosts {
+		if err := direct.MapVPort("op", "l2", h.port, h.port); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	viaCtl := newPersonaCtl(t)
+	ops := []Op{{Kind: OpLoadVDev, VDev: "l2", Function: functions.L2Switch}}
+	for _, h := range hosts {
+		mac := h.mac.String()
+		ops = append(ops,
+			Op{Kind: OpTableAdd, VDev: "l2", Table: "smac", Action: "_nop", Match: []string{mac}},
+			Op{Kind: OpTableAdd, VDev: "l2", Table: "dmac", Action: "forward", Match: []string{mac}, Args: []string{strconv.Itoa(h.port)}},
+		)
+	}
+	ops = append(ops, Op{Kind: OpAssign, VDev: "l2", PhysPort: -1, VIngress: 0})
+	for _, h := range hosts {
+		ops = append(ops, Op{Kind: OpMapVPort, VDev: "l2", VPort: h.port, PhysPort: h.port})
+	}
+	mustBatch(t, viaCtl, "op", ops)
+
+	if !reflect.DeepEqual(direct.SW.Dump(), viaCtl.D.SW.Dump()) {
+		t.Fatalf("ctl-configured switch differs from installer-configured:\ndirect %+v\nctl    %+v",
+			direct.SW.Dump(), viaCtl.D.SW.Dump())
+	}
+	frame := tcpFrame(80)
+	want, _, err := direct.SW.Process(frame, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := viaCtl.D.SW.Process(frame, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("forwarding differs: direct %+v, ctl %+v", want, got)
+	}
+	if len(got) != 1 || got[0].Port != 2 {
+		t.Fatalf("h1->h2 frame should egress port 2: %+v", got)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"hyper4/internal/bitfield"
-	"hyper4/internal/core/fuse"
 	"hyper4/internal/core/hp4c"
 	"hyper4/internal/core/verify"
 	"hyper4/internal/core/verify/prove"
@@ -196,25 +195,20 @@ func TestProveFuzz(t *testing.T) {
 	}
 }
 
-// TestFusePlanProof enables the fuser's prove mode and requires, for every
-// builtin, that the fused plan's retained rows prove equivalent to the live
-// persona tables (no dropped or misdecoded rows), with the plan actually
-// built (a vacuous pass would hide a fusion refusal).
+// TestFusePlanProof requires, for every builtin, that the fused plan's
+// retained rows prove equivalent to the live persona tables (no dropped or
+// misdecoded rows), with the plan actually built (a vacuous pass would hide
+// a fusion refusal).
 func TestFusePlanProof(t *testing.T) {
-	fuse.SetProveMode(true)
-	defer fuse.SetProveMode(false)
 	for _, fn := range functions.Names() {
 		t.Run(fn, func(t *testing.T) {
 			d, _, _ := proveHarness(t, fn, 7, false)
 			d.SetFusion(true)
-			st := d.FusionStatus()
-			if st.Plans == 0 {
+			if d.FusionStatus().Plans == 0 {
 				t.Fatal("vdev did not fuse; plan proof is vacuous")
 			}
-			for _, f := range st.Findings {
-				if f.Code == verify.CodeProveDiverge || f.Code == verify.CodeProveInconclusive {
-					t.Errorf("plan proof finding: %s", f)
-				}
+			for _, f := range d.fusionEngine.ProvePlans(d.SW, d.cfg) {
+				t.Errorf("plan proof finding: %s", f)
 			}
 		})
 	}

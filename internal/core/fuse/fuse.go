@@ -326,11 +326,6 @@ func Build(sw *sim.Switch, cfg persona.Config, vdevs []VDev) (*Engine, []verify.
 	if len(eng.plans) == 0 {
 		return nil, findings
 	}
-	// Debug/CI plan validation: prove each plan's retained rows induce the
-	// same packet relation as the full live tables (prove.go).
-	if proveMode.Load() {
-		findings = append(findings, provePlans(sw, cfg, eng)...)
-	}
 	return eng, findings
 }
 

@@ -1,17 +1,15 @@
-// Fuse plan validation (debug/CI): after Build compiles its plans, prove
-// mode rebuilds each fused vdev's symbolic persona machine twice — once from
-// the full live tables, once from only the rows the plan retained — and
-// requires the two machines equivalent over the whole modeled packet space.
-// A plan that silently skipped, reordered, or misattributed a row produces a
-// divergent region; the finding names it. The check costs a symbolic proof
-// per plan, so it is off by default and enabled by `make prove-smoke` / the
-// fused differential suite via SetProveMode.
+// Fuse plan validation: ProvePlans rebuilds each fused vdev's symbolic
+// persona machine twice — once from the full live tables, once from only the
+// rows the plan retained — and requires the two machines equivalent over the
+// whole modeled packet space. A plan that silently skipped, reordered, or
+// misattributed a row produces a divergent region; the finding names it. The
+// check costs a symbolic proof per plan, so Build never runs it; dpmu's
+// TestFusePlanProof calls it on every builtin's engine.
 package fuse
 
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"hyper4/internal/bitfield"
 	"hyper4/internal/core/persona"
@@ -19,14 +17,6 @@ import (
 	"hyper4/internal/core/verify/prove"
 	"hyper4/internal/sim"
 )
-
-var proveMode atomic.Bool
-
-// SetProveMode toggles plan proving inside Build.
-func SetProveMode(on bool) { proveMode.Store(on) }
-
-// ProveMode reports whether plan proving is enabled.
-func ProveMode() bool { return proveMode.Load() }
 
 // filteredSource restricts the named tables of a TableSource to retained
 // handles; unfiltered tables pass through.
@@ -53,11 +43,12 @@ func (f filteredSource) TableDefault(name string) (string, []bitfield.Value, err
 	return f.src.TableDefault(name)
 }
 
-// provePlans proves every built plan against the live tables. Divergences
-// surface as prove-diverge warnings (there is no second concrete machine to
-// replay against, so they never reach error severity here); inconclusive
-// regions surface as prove-inconclusive.
-func provePlans(sw *sim.Switch, cfg persona.Config, eng *Engine) []verify.Finding {
+// ProvePlans proves every plan of the engine against the live tables of the
+// switch it was built from. Divergences surface as prove-diverge warnings
+// (there is no second concrete machine to replay against, so they never
+// reach error severity here); inconclusive regions surface as
+// prove-inconclusive.
+func (eng *Engine) ProvePlans(sw *sim.Switch, cfg persona.Config) []verify.Finding {
 	var out []verify.Finding
 	pids := make([]int, 0, len(eng.plans))
 	for pid := range eng.plans {

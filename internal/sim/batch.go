@@ -1,65 +1,17 @@
 package sim
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
-// Input is one packet handed to ProcessBatch.
+// Input is one packet handed to ProcessSeq.
 type Input struct {
 	Data []byte
 	Port int
 }
 
 // Result is the outcome of processing one batched packet. Results are
-// positional: Results[i] corresponds to Inputs[i] regardless of which worker
-// processed it.
+// positional: results[i] corresponds to pkts[i].
 type Result struct {
 	Outputs []Output
 	Trace   *Trace
 	Err     error
-}
-
-// ProcessBatch processes a slice of packets concurrently across up to
-// GOMAXPROCS worker goroutines and returns one Result per input, in input
-// order. Per-packet outputs and traces are byte-identical to serial Process
-// calls; only cross-packet extern ordering (register/counter/meter update
-// interleaving) is scheduling-dependent, exactly as it is for packets
-// arriving on different ports of a hardware switch.
-//
-// The returned error is the first per-packet error encountered (by input
-// index); per-packet errors are also recorded in each Result.
-func (sw *Switch) ProcessBatch(pkts []Input) ([]Result, error) {
-	results := make([]Result, len(pkts))
-	if len(pkts) == 0 {
-		return results, nil
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pkts) {
-		workers = len(pkts)
-	}
-	if workers <= 1 {
-		_ = sw.ProcessSeq(pkts, results)
-		return results, firstError(results)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(pkts) {
-					return
-				}
-				results[i].Outputs, results[i].Trace, results[i].Err = sw.Process(pkts[i].Data, pkts[i].Port)
-			}
-		}()
-	}
-	wg.Wait()
-	return results, firstError(results)
 }
 
 // ProcessSeq processes pkts serially on the calling goroutine, writing into

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -182,121 +180,23 @@ control ingress { apply(rt); }
 	}
 }
 
-// TestProcessBatchMatchesSerial: batched processing must produce per-packet
-// outputs byte-identical to serial Process calls, in input order.
-func TestProcessBatchMatchesSerial(t *testing.T) {
-	sw := load(t, l2Src)
-	for i, port := range []int{3, 4, 5} {
-		mac := pkt.MustMAC(fmt.Sprintf("00:00:00:00:00:%02x", i+2))
-		if _, err := sw.TableAdd("dmac", "forward",
-			[]MatchParam{Exact(bitfield.FromBytes(48, mac[:]))}, Args(9, uint64(port)), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var inputs []Input
-	for i := 0; i < 64; i++ {
-		dst := fmt.Sprintf("00:00:00:00:00:%02x", i%5) // some hit, some miss
-		inputs = append(inputs, Input{
-			Data: ethFrame(dst, "00:00:00:00:00:01", 0x1234, fmt.Sprintf("p%d", i)),
-			Port: i % 4,
-		})
-	}
-	want := make([]Result, len(inputs))
-	for i, in := range inputs {
-		want[i].Outputs, want[i].Trace, want[i].Err = sw.Process(in.Data, in.Port)
-	}
-	got, err := sw.ProcessBatch(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range inputs {
-		if (got[i].Err == nil) != (want[i].Err == nil) {
-			t.Fatalf("packet %d: err %v vs serial %v", i, got[i].Err, want[i].Err)
-		}
-		if len(got[i].Outputs) != len(want[i].Outputs) {
-			t.Fatalf("packet %d: %d outputs vs serial %d", i, len(got[i].Outputs), len(want[i].Outputs))
-		}
-		for j := range got[i].Outputs {
-			if got[i].Outputs[j].Port != want[i].Outputs[j].Port ||
-				!bytes.Equal(got[i].Outputs[j].Data, want[i].Outputs[j].Data) {
-				t.Fatalf("packet %d output %d: %+v vs serial %+v", i, j, got[i].Outputs[j], want[i].Outputs[j])
-			}
-		}
-		if got[i].Trace.Applies != want[i].Trace.Applies || got[i].Trace.Hits != want[i].Trace.Hits {
-			t.Errorf("packet %d trace: %+v vs serial %+v", i, got[i].Trace, want[i].Trace)
-		}
-	}
-}
-
-// TestProcessBatchSerialFallback pins the workers==1 degenerate cases: with
-// GOMAXPROCS=1 (or a single-packet batch) ProcessBatch must take the serial
-// loop rather than paying worker-goroutine setup, and still produce results
-// identical to serial Process calls.
-func TestProcessBatchSerialFallback(t *testing.T) {
-	sw := load(t, l2Src)
-	mac := pkt.MustMAC("00:00:00:00:00:02")
-	if _, err := sw.TableAdd("dmac", "forward",
-		[]MatchParam{Exact(bitfield.FromBytes(48, mac[:]))}, Args(9, 3), 0); err != nil {
-		t.Fatal(err)
-	}
-	frame := ethFrame("00:00:00:00:00:02", "00:00:00:00:00:01", 0x1234, "hi")
-
-	check := func(inputs []Input) {
-		t.Helper()
-		results, err := sw.ProcessBatch(inputs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, r := range results {
-			if len(r.Outputs) != 1 || r.Outputs[0].Port != 3 {
-				t.Fatalf("packet %d: outputs %+v", i, r.Outputs)
-			}
-		}
-	}
-	// Single-packet batch: workers clamps to len(pkts)=1.
-	check([]Input{{Data: frame, Port: 1}})
-
-	// GOMAXPROCS=1: the whole batch runs on the serial loop. The baseline
-	// goroutine count must be unchanged afterwards (no leaked workers), and
-	// per-packet allocation must match plain serial Process — worker setup
-	// (WaitGroup, closures, atomic cursor) would show up here.
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-	inputs := make([]Input, 16)
-	for i := range inputs {
-		inputs[i] = Input{Data: frame, Port: 1}
-	}
-	check(inputs)
-	serial := testing.AllocsPerRun(50, func() {
-		if _, _, err := sw.Process(frame, 1); err != nil {
-			t.Fatal(err)
-		}
-	})
-	batched := testing.AllocsPerRun(50, func() {
-		if _, err := sw.ProcessBatch(inputs); err != nil {
-			t.Fatal(err)
-		}
-	})
-	perPkt := (batched - 1) / float64(len(inputs)) // minus the results slice
-	if perPkt > serial+1 {
-		t.Errorf("workers==1 ProcessBatch allocates %.1f/pkt vs %.1f serial; fallback not serial", perPkt, serial)
-	}
-}
-
-// TestConcurrentBatchAndControlPlane drives ProcessBatch from several
-// goroutines while the control plane adds and deletes entries. Run under
-// -race this checks the locking discipline; functionally each packet must
-// see a consistent table (either port, never a torn entry).
+// TestConcurrentBatchAndControlPlane drives ProcessSeq from several
+// goroutines, each over its own disjoint slice of one shared batch (what the
+// packet I/O runtime's workers do), while the control plane adds and deletes
+// entries. Run under -race this checks the locking discipline; functionally
+// each packet must see a consistent table (either port, never a torn entry).
 func TestConcurrentBatchAndControlPlane(t *testing.T) {
 	sw := load(t, l2Src)
 	mac := pkt.MustMAC("00:00:00:00:00:02")
 	key := []MatchParam{Exact(bitfield.FromBytes(48, mac[:]))}
 	frame := ethFrame("00:00:00:00:00:02", "00:00:00:00:00:01", 0x1234, "hi")
 
+	const workers, rounds = 4, 50
 	inputs := make([]Input, 32)
 	for i := range inputs {
 		inputs[i] = Input{Data: frame, Port: 1}
 	}
+	results := make([]Result, len(inputs))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -319,11 +219,20 @@ func TestConcurrentBatchAndControlPlane(t *testing.T) {
 			}
 		}
 	}()
-	for round := 0; round < 50; round++ {
-		results, err := sw.ProcessBatch(inputs)
-		if err != nil {
-			t.Fatal(err)
+	for round := 0; round < rounds; round++ {
+		var fan sync.WaitGroup
+		per := len(inputs) / workers
+		for w := 0; w < workers; w++ {
+			lo, hi := w*per, (w+1)*per
+			fan.Add(1)
+			go func() {
+				defer fan.Done()
+				if err := sw.ProcessSeq(inputs[lo:hi], results[lo:hi]); err != nil {
+					t.Error(err)
+				}
+			}()
 		}
+		fan.Wait()
 		for _, r := range results {
 			for _, o := range r.Outputs {
 				if o.Port != 3 && o.Port != 4 {
@@ -335,8 +244,8 @@ func TestConcurrentBatchAndControlPlane(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	st := sw.Stats()
-	if st.PacketsIn != 50*len(inputs) {
-		t.Errorf("PacketsIn = %d, want %d", st.PacketsIn, 50*len(inputs))
+	if st.PacketsIn != rounds*len(inputs) {
+		t.Errorf("PacketsIn = %d, want %d", st.PacketsIn, rounds*len(inputs))
 	}
 }
 

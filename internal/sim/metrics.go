@@ -169,25 +169,6 @@ type LatencyHistogram struct {
 	SumNs  int64
 }
 
-// Sub returns the histogram of observations recorded after the prev
-// snapshot was taken — counters only grow, so a plain bucket-wise
-// subtraction isolates one measurement interval (e.g. a benchmark loop).
-func (h LatencyHistogram) Sub(prev LatencyHistogram) LatencyHistogram {
-	d := LatencyHistogram{
-		Bounds: h.Bounds,
-		Counts: make([]int64, len(h.Counts)),
-		Count:  h.Count - prev.Count,
-		SumNs:  h.SumNs - prev.SumNs,
-	}
-	for i := range h.Counts {
-		d.Counts[i] = h.Counts[i]
-		if i < len(prev.Counts) {
-			d.Counts[i] -= prev.Counts[i]
-		}
-	}
-	return d
-}
-
 // Quantile estimates the q-th latency quantile (0 < q <= 1) by linear
 // interpolation within the winning bucket, the way Prometheus's
 // histogram_quantile does. Returns 0 when the histogram is empty.

@@ -9,8 +9,8 @@
 // applied, ternary bits matched, resubmit/recirculate counts). The trace is
 // what the paper's evaluation tables are computed from.
 //
-// Concurrency: Process is safe to call from multiple goroutines, and
-// ProcessBatch fans a packet slice across GOMAXPROCS workers. Control-plane
+// Concurrency: Process is safe to call from multiple goroutines; the packet
+// I/O runtime's workers each hand it bursts through ProcessSeq. Control-plane
 // mutations (TableAdd, TableDelete, SetMirror, ...) serialize against
 // in-flight packets on a switch-wide RWMutex; stateful externs (registers,
 // counters, meters) take fine-grained per-array locks so their updates are
