@@ -24,9 +24,13 @@ lookup-race:
 # The fused-fast-path differential harness, explicitly under the race
 # detector: fused vs interpreted runs must agree on every output byte, every
 # entry hit and vdev counter, and plan invalidation must stay safe while
-# racing live traffic (DESIGN.md §13).
+# racing live traffic (DESIGN.md §13). The fuse package's own TestFused*
+# cases hold the mask-grouped lookup to a first-match scan and its probe
+# count flat as tables grow; one pass of BenchmarkFusedLookup keeps the
+# benchmark compiling and running.
 fuse-diff:
-	$(GO) test -race -run 'TestFused' ./internal/core/dpmu/
+	$(GO) test -race -run 'TestFused' ./internal/core/dpmu/ ./internal/core/fuse/
+	$(GO) test -run '^$$' -bench BenchmarkFusedLookup -benchtime 1x ./internal/core/fuse/
 
 # The end-to-end fault-containment scenario, explicitly under the race
 # detector (concurrent traffic, probes, and management ops on one switch).

@@ -31,6 +31,7 @@ import (
 //	hyper4_vdev_table_{hits,misses}_total{vdev="...",table="..."} (persona mode)
 //	hyper4_vdev_health{vdev="..."} (0 healthy, 1 degraded, 2 probing, 3 quarantined)
 //	hyper4_vdev_health_trips_total / hyper4_vdev_faults_total{vdev="..."} (persona mode)
+//	hyper4_fuse_builds_total / hyper4_fuse_plans (persona mode)
 //	hyper4_rx_frames_total / hyper4_tx_frames_total{port="..."} (I/O runtime)
 //	hyper4_ring_depth{port="...",worker="...",dir="rx"|"tx"}
 //	hyper4_ring_drops_total{port="...",dir="rx"|"tx"}
@@ -203,6 +204,10 @@ func writeMetrics(w io.Writer, sw *sim.Switch, d *dpmu.DPMU) {
 		add(v.Faults, "vdev", v.VDev)
 	}
 	counter("hyper4_unattributed_faults_total", "Packet faults with no owning virtual device.", health.Unattributed)
+
+	fs := d.FusionStatus()
+	counter("hyper4_fuse_builds_total", "Fused-plan compilations (one per write batch that changed state).", int64(fs.Builds))
+	family(w, "hyper4_fuse_plans", "Virtual devices with a fused plan installed.", "gauge")(int64(fs.Plans))
 }
 
 // writeIOMetrics renders the packet I/O runtime families: per-port frame

@@ -58,6 +58,9 @@ func TestMetricsExposition(t *testing.T) {
 	if out, _, err := sw.Process(frame, 1); err != nil || len(out) != 1 || out[0].Port != 2 {
 		t.Fatalf("l2 frame: out=%+v err=%v", out, err)
 	}
+	// One compilation, after the frame: the interpreted pass above is what
+	// the switch-core lines count.
+	d.SetFusion(true)
 
 	for _, tc := range []struct {
 		name   string
@@ -74,6 +77,10 @@ func TestMetricsExposition(t *testing.T) {
 			`hyper4_vdev_table_hits_total{vdev="l2",table="dmac"} 1`,
 			`hyper4_vdev_health{vdev="l2"} 0`,
 			`hyper4_vdev_passes_total{vdev="a\"b\\c\nd"} 0`,
+			"# TYPE hyper4_fuse_builds_total counter",
+			"hyper4_fuse_builds_total 1",
+			"# TYPE hyper4_fuse_plans gauge",
+			"hyper4_fuse_plans 2",
 		}},
 		{"io", func(w io.Writer) {
 			writeIOMetrics(w, pktio.Metrics{Processed: 1, Ports: []pktio.PortMetrics{

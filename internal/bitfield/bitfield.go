@@ -142,15 +142,7 @@ func (v Value) Resize(width int) Value {
 
 // Equal reports whether v and o have the same width and bits.
 func (v Value) Equal(o Value) bool {
-	if v.width != o.width {
-		return false
-	}
-	for i := range v.b {
-		if v.b[i] != o.b[i] {
-			return false
-		}
-	}
-	return true
+	return v.width == o.width && bytes.Equal(v.b, o.b)
 }
 
 // EqualBits reports whether v and o represent the same unsigned integer,

@@ -156,6 +156,12 @@ func (c *Ctl) writeBatchLocked(owner, requestID string, ops []Op) ([]Result, err
 		}
 	}
 	cp := c.D.Checkpoint()
+	// One plan rebuild per batch: the ops (and a rollback) only move the
+	// generation; the release compiles once. It runs before the journal's
+	// fsync so fused forwarding resumes while the disk catches up. The
+	// deferred call only matters if an op panics.
+	release := c.D.HoldFusion()
+	defer release()
 	// Transports live outside the DPMU checkpoint, so port attaches are
 	// compensated rather than rolled back: a failing batch detaches the
 	// ports it attached. A detach consumed by a failing batch is NOT
@@ -167,6 +173,7 @@ func (c *Ctl) writeBatchLocked(owner, requestID string, ops []Op) ([]Result, err
 		res, err := c.applyOp(owner, &ops[i])
 		if err != nil {
 			c.D.Rollback(cp)
+			release()
 			for _, p := range attached {
 				_ = c.IO.Detach(p)
 			}
@@ -177,6 +184,7 @@ func (c *Ctl) writeBatchLocked(owner, requestID string, ops []Op) ([]Result, err
 		}
 		results[i] = res
 	}
+	release()
 	// Durability before ack: the batch journals (append + fsync) after it
 	// applied and before the caller sees success. A journal failure undoes
 	// the batch — an ack must never outrun the log.

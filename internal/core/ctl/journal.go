@@ -321,6 +321,9 @@ func (c *Ctl) compileFunction(name string) (*hp4c.Compiled, error) {
 func (c *Ctl) AttachJournal(j *Journal) (RecoverySummary, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	// The snapshot restore and every replayed batch compile plans once,
+	// together, when recovery ends.
+	defer c.D.HoldFusion()()
 	var sum RecoverySummary
 
 	// 1. Snapshot. Written atomically, so presence means integrity — a

@@ -61,6 +61,7 @@ type DPMU struct {
 	fusionGen    uint64 // switch generation the engine was built against
 	fusionBuilt  bool
 	fusionBuilds uint64
+	fusionHold   int // open HoldFusion scopes; rebuilds wait for the last release
 	fuseFindings []verify.Finding
 }
 

@@ -886,3 +886,150 @@ func TestFusedInvalidationUnderTraffic(t *testing.T) {
 		t.Error("fast path dead after churn")
 	}
 }
+
+// largeHost is l2 station i of loadLargeTables.
+func largeHost(i int) pkt.MAC { return pkt.MAC{0x02, 0, 0, 0, byte(i >> 8), byte(i)} }
+
+// loadLargeTables loads a 256-station l2 switch (512 entries) behind ports
+// 1-2 and a firewall behind ports 3-4 whose tcp/udp/ip filters overlap
+// masks at several priorities, some rows shadowing others — the shapes a
+// mask-grouped lookup must order exactly as the interpreter does.
+func loadLargeTables(t *testing.T, d *DPMU) {
+	t.Helper()
+	const owner = "op"
+	if _, err := d.Load("l2", compileFn(t, functions.L2Switch), owner, 0); err != nil {
+		t.Fatal(err)
+	}
+	l2 := functions.NewL2ControllerFunc(d.Installer(owner, "l2"))
+	for i := 0; i < 256; i++ {
+		if err := l2.AddHost(largeHost(i), 1+i%2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := d.Load("fw", compileFn(t, functions.Firewall), owner, 0); err != nil {
+		t.Fatal(err)
+	}
+	fw := functions.NewFirewallControllerFunc(d.Installer(owner, "fw"))
+	for _, h := range []pkt.MAC{mac1, mac2} {
+		if err := fw.AddHost(h, int(h[5])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add := d.Installer(owner, "fw")
+	tern := func(w int, v, m uint64) sim.MatchParam { return sim.TernaryUint(w, v, m) }
+	rules := []struct {
+		table, action string
+		params        []sim.MatchParam
+		prio          int
+	}{
+		{"tcp_filter", "_drop", []sim.MatchParam{tern(16, 0, 0), tern(16, 5201, 0xffff)}, 1},
+		{"tcp_filter", "_nop", []sim.MatchParam{tern(16, 0, 0), tern(16, 0x1400, 0xff00)}, 3},
+		{"tcp_filter", "_drop", []sim.MatchParam{tern(16, 0, 0), tern(16, 0x1450, 0xfff0)}, 2},
+		// Shares 5201's mask but ranks below the 0x145x row: a packet to
+		// 0x1455 hits this group first, yet the later group's row wins.
+		{"tcp_filter", "_nop", []sim.MatchParam{tern(16, 0, 0), tern(16, 0x1455, 0xffff)}, 5},
+		{"tcp_filter", "_drop", []sim.MatchParam{tern(16, 44444, 0xffff), tern(16, 0, 0)}, 4},
+		{"tcp_filter", "_nop", []sim.MatchParam{tern(16, 44444, 0xffff), tern(16, 80, 0xffff)}, 0},
+		{"udp_filter", "_drop", []sim.MatchParam{tern(16, 0, 0), tern(16, 53, 0xffff)}, 2},
+		{"udp_filter", "_nop", []sim.MatchParam{tern(16, 0, 0), tern(16, 0, 0xffc0)}, 1},
+		{"udp_filter", "_drop", []sim.MatchParam{tern(16, 0, 0), tern(16, 0, 0)}, 5},
+		{"ip_filter", "_drop", []sim.MatchParam{tern(32, 0x0a000042, 0xffffffff), tern(32, 0, 0)}, 2},
+		{"ip_filter", "_nop", []sim.MatchParam{tern(32, 0x0a000000, 0xffffff00), tern(32, 0x0a000002, 0xffffffff)}, 1},
+		{"ip_filter", "_drop", []sim.MatchParam{tern(32, 0x0a000000, 0xffff0000), tern(32, 0x0a000002, 0xffffffff)}, 3},
+	}
+	for _, r := range rules {
+		if err := add(r.table, r.action, r.params, nil, r.prio); err != nil {
+			t.Fatalf("%s %s: %v", r.table, r.action, err)
+		}
+	}
+	for _, as := range []Assignment{
+		{PhysPort: 1, VDev: "l2", VIngress: 1}, {PhysPort: 2, VDev: "l2", VIngress: 2},
+		{PhysPort: 3, VDev: "fw", VIngress: 1}, {PhysPort: 4, VDev: "fw", VIngress: 2},
+	} {
+		if err := d.AssignPort(owner, as); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.MapVPort(owner, as.VDev, as.VIngress, as.PhysPort); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// largeTableFrame is a frame for one of loadLargeTables' ports: l2 frames
+// to known and unknown stations, firewall frames over a small pool of
+// addresses and ports straddling every rule's mask.
+func largeTableFrame(rng *rand.Rand) ([]byte, int) {
+	if port := 1 + rng.Intn(4); port <= 2 {
+		dst := largeHost(rng.Intn(300))
+		return pkt.Pad(pkt.Serialize(
+			&pkt.Ethernet{Dst: dst, Src: largeHost(rng.Intn(256)), EtherType: 0x88b5},
+			pkt.Payload("station"))), port
+	}
+	ips := []pkt.IP4{ip1, ip2, pkt.MustIP4("10.0.0.66"), pkt.MustIP4("10.0.1.7"), pkt.MustIP4("192.168.0.1")}
+	ports := []uint16{53, 80, 5201, 0x1401, 0x1455, 0x14ff, 0x30, 44444, 9999}
+	pick := func() uint16 { return ports[rng.Intn(len(ports))] }
+	ip := &pkt.IPv4{TTL: 64, Src: ips[rng.Intn(len(ips))], Dst: ips[rng.Intn(len(ips))]}
+	eth := &pkt.Ethernet{Dst: []pkt.MAC{mac1, mac2}[rng.Intn(2)], Src: mac1, EtherType: pkt.EtherTypeIPv4}
+	var l4 pkt.Layer
+	switch rng.Intn(3) {
+	case 0:
+		ip.Protocol = pkt.IPProtoTCP
+		l4 = &pkt.TCP{SrcPort: pick(), DstPort: pick()}
+	case 1:
+		ip.Protocol = pkt.IPProtoUDP
+		l4 = &pkt.UDP{SrcPort: pick(), DstPort: pick()}
+	default:
+		ip.Protocol = pkt.IPProtoICMP
+		l4 = &pkt.ICMP{Type: pkt.ICMPEchoRequest, ID: 1, Seq: 1}
+	}
+	return pkt.Pad(pkt.Serialize(eth, ip, l4)), 3 + rng.Intn(2)
+}
+
+// TestFusedLargeTableDifferential runs the fused/interpreted twins over
+// tables large enough that a lookup's cost could depend on them — a
+// 512-entry l2 switch beside a firewall of overlapping mixed-mask rules —
+// and requires identical bytes, ports, entry hits and vdev counters.
+func TestFusedLargeTableDifferential(t *testing.T) {
+	dI := newPersonaDPMU(t)
+	loadLargeTables(t, dI)
+	dF := newPersonaDPMU(t)
+	loadLargeTables(t, dF)
+	dF.SetFusion(true)
+	if st := dF.FusionStatus(); st.Plans != 2 {
+		t.Fatalf("plans = %d, want 2 (%+v)", st.Plans, st.Findings)
+	}
+
+	rng := rand.New(rand.NewSource(512))
+	for i := 0; i < 400; i++ {
+		frame, port := largeTableFrame(rng)
+		iOut, iTr, err := dI.SW.Process(frame, port)
+		if err != nil {
+			t.Fatalf("packet %d interpreted: %v", i, err)
+		}
+		fOut, fTr, err := dF.SW.Process(frame, port)
+		if err != nil {
+			t.Fatalf("packet %d fused: %v", i, err)
+		}
+		if !sameOutputs(iOut, fOut) || iTr.Passes != fTr.Passes {
+			t.Fatalf("packet %d (port %d) diverged:\ninterpreted: %s (%d passes)\nfused:       %s (%d passes)\nframe: %x",
+				i, port, renderOutputs(iOut), iTr.Passes, renderOutputs(fOut), fTr.Passes, frame)
+		}
+	}
+	if hits := dF.FusionStatus().FastHits; hits < 300 {
+		t.Fatalf("fast path took %d of 400 packets; the differential is mostly interpreted", hits)
+	}
+	compareEntryHits(t, dI.SW, dF.SW)
+	for pid := 1; pid <= 2; pid++ {
+		ip, ib, err := dI.SW.CounterRead(persona.CounterVDev, pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, fb, err := dF.SW.CounterRead(persona.CounterVDev, pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ip != fp || ib != fb {
+			t.Errorf("vdev %d counter diverged: interpreted (%d pkts, %d bytes), fused (%d pkts, %d bytes)", pid, ip, ib, fp, fb)
+		}
+	}
+}

@@ -54,6 +54,7 @@ type execState struct {
 	ext  bitfield.Value
 	meta bitfield.Value
 	tmp  bitfield.Value
+	key  []byte // masked lookup key, sized for the widest field so lookups never grow it
 
 	segs  []segment
 	jr    []*sim.Entry // hit journal; segments hold [lo,hi) ranges into it
@@ -66,6 +67,7 @@ func newExecState(ew int) *execState {
 		ext:  bitfield.New(ew),
 		meta: bitfield.New(persona.MetaWidth),
 		tmp:  bitfield.New(ew),
+		key:  make([]byte, 0, (max(ew, persona.MetaWidth)+7)/8+16),
 	}
 }
 
@@ -203,11 +205,9 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 		}
 		st.ext.SetPrefixBytes(job.data[:take])
 		var row *parseRow
-		for i := range p.parse {
-			r := &p.parse[i]
-			if r.state == state && st.ext.MatchTernary(r.val, r.mask) {
-				row = r
-				break
+		if ps := p.parseBy[state]; ps != nil {
+			if r := ps.ix.lookup(&st.key, st.ext, 0, 0); r >= 0 {
+				row = &ps.rows[r]
 			}
 		}
 		if row == nil {
@@ -445,33 +445,15 @@ func (eng *Engine) commit(st *execState, sw *sim.Switch) (sim.FastResult, bool) 
 	return res, true
 }
 
-// lookup scans the slot's rows in match precedence order and returns the
-// first match — by construction the same row the interpreter's lookup
-// would pick.
+// lookup returns the slot's first matching row in precedence order — by
+// construction the same row the interpreter's lookup would pick.
 func (fs *fusedSlot) lookup(st *execState, ving, vport uint64) *frow {
-	switch fs.kind {
-	case matchED:
-		for _, r := range fs.rows {
-			if st.ext.MatchTernary(r.val, r.mask) {
-				return r
-			}
-		}
-	case matchMeta:
-		for _, r := range fs.rows {
-			if st.meta.MatchTernary(r.val, r.mask) {
-				return r
-			}
-		}
-	case matchStd:
-		for _, r := range fs.rows {
-			if ving&r.vinMask == r.vinVal && vport&r.vpMask == r.vpVal {
-				return r
-			}
-		}
-	case matchNone:
-		if len(fs.rows) > 0 {
-			return fs.rows[0]
-		}
+	src := st.ext
+	if fs.kind == matchMeta {
+		src = st.meta
+	}
+	if r := fs.ix.lookup(&st.key, src, ving, vport); r >= 0 {
+		return fs.rows[r]
 	}
 	return nil
 }

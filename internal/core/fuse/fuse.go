@@ -6,10 +6,11 @@
 // loop, a table lookup per stage×primitive, and wide-bitfield action bodies
 // executed one interpreted primitive at a time. All of that is statically
 // determined by the installed entries, so the fuser flattens it once per
-// control-plane write: parse decisions become a precomputed row scan, each
-// virtual table's multi-row persona encoding becomes one fused keyed lookup,
-// and each compound action becomes a pre-decoded micro-op sequence run
-// against pooled scratch bitfields with no per-pass allocation.
+// control-plane write batch: each parse state's decisions and each virtual
+// table's multi-row persona encoding become one mask-grouped hash lookup
+// whose cost does not grow with the entries installed (index.go), and each
+// compound action becomes a pre-decoded micro-op sequence run against
+// pooled scratch bitfields with no per-pass allocation.
 //
 // Plans link across vdevs: a walk that reaches an a_virt_fwd route jumps
 // straight into the target vdev's plan (a fresh parse loop and stage walk
@@ -92,8 +93,8 @@ type plan struct {
 	normBy   map[int]*sim.Entry
 	resizeBy map[int]*sim.Entry
 	wbBy     map[int]*sim.Entry
-	parse    []parseRow
-	vdrop0   *sim.Entry // the (pid, vport=0) drop row, hit on parse misses and parse-more passes
+	parseBy  map[uint64]*parseState // t_parse_ctrl rows by parse state
+	vdrop0   *sim.Entry             // the (pid, vport=0) drop row, hit on parse misses and parse-more passes
 	slots    map[uint32]*fusedSlot
 	vnet     map[uint64]*vnetRow
 	csum     *csumPlan
@@ -121,11 +122,10 @@ func (p *plan) retain(table string, handle int) {
 	m[handle] = true
 }
 
-// parseRow is one decoded t_parse_ctrl entry for this vdev, in match
-// precedence order.
+// parseRow is one decoded t_parse_ctrl entry for this vdev. Its key is a
+// (val, mask) pair over the parse window.
 type parseRow struct {
-	state     uint64
-	val, mask bitfield.Value
+	matchKey
 	entry     *sim.Entry
 	more      bool
 	numBytes  int // a_parse_more: bytes to request on the resubmit pass
@@ -144,23 +144,36 @@ const (
 )
 
 // fusedSlot is one virtual table: the rows of its persona stage table that
-// belong to this vdev and slot, in match precedence order.
+// belong to this vdev and slot, in match precedence order, sealed into a
+// tuple-space index (index.go).
 type fusedSlot struct {
 	stage int // the persona stage the slot's rows are installed in
 	kind  int
 	rows  []*frow
+	ix    tupleIndex
 }
 
-// frow is one decoded virtual entry: its match key, the micro-op sequence
-// of its pre-bound action, its successor, and every persona entry the
-// interpreter would have hit applying it (set_match + per-primitive
-// prep/exec rows).
+// seal indexes the slot's rows; Build calls it once the rows are complete.
+func (fs *fusedSlot) seal() {
+	fs.ix = sealIndex(len(fs.rows), func(i int) *matchKey { return &fs.rows[i].matchKey }, fs.kind == matchStd)
+}
+
+// parseState is one parse state's t_parse_ctrl rows, in precedence order,
+// sealed like a fused table.
+type parseState struct {
+	rows []parseRow
+	ix   tupleIndex
+}
+
+// frow is one decoded virtual entry: its match key (wide for matchED /
+// matchMeta, the std pair for matchStd), the micro-op sequence of its
+// pre-bound action, its successor, and every persona entry the interpreter
+// would have hit applying it (set_match + per-primitive prep/exec rows).
 type frow struct {
-	val, mask                      bitfield.Value // matchED / matchMeta
-	vinVal, vinMask, vpVal, vpMask uint64         // matchStd
-	ops                            []microOp
-	nextKind, nextID               int
-	hits                           []*sim.Entry
+	matchKey
+	ops              []microOp
+	nextKind, nextID int
+	hits             []*sim.Entry
 }
 
 // vnet row kinds.
@@ -237,6 +250,7 @@ type shared struct {
 	mcastClone             map[uint64]*sim.Entry  // t_mcast_clone rows by sequence
 	stageRows              []map[int][]*sim.Entry // 1-based stage → kind code → rows
 	preps                  map[uint64]*sim.Entry  // prepKey(stage, prim, pid, mid)
+	prepTables             [][]string             // 1-based stage → 1-based primitive → prep table name
 	execs                  map[uint64]*sim.Entry  // execKey(stage, prim, opcode)
 	sessionOK              func(int) bool         // mirror-session existence (clone spawn condition)
 }
@@ -408,6 +422,7 @@ func loadShared(sw *sim.Switch, cfg persona.Config) (*shared, error) {
 		return nil, err
 	}
 	sh.stageRows = make([]map[int][]*sim.Entry, cfg.Stages+1)
+	sh.prepTables = make([][]string, cfg.Stages+1)
 	for i := 1; i <= cfg.Stages; i++ {
 		sh.stageRows[i] = map[int][]*sim.Entry{}
 		for _, k := range persona.StageKinds {
@@ -417,8 +432,10 @@ func loadShared(sw *sim.Switch, cfg persona.Config) (*shared, error) {
 			}
 			sh.stageRows[i][k.Code] = rows
 		}
+		sh.prepTables[i] = make([]string, cfg.Primitives+1)
 		for prim := 1; prim <= cfg.Primitives; prim++ {
-			preps, err := sw.TableEntriesOrdered(persona.PrimTable(i, prim, "prep"))
+			sh.prepTables[i][prim] = persona.PrimTable(i, prim, "prep")
+			preps, err := sw.TableEntriesOrdered(sh.prepTables[i][prim])
 			if err != nil {
 				return nil, err
 			}
@@ -479,6 +496,7 @@ func buildPlan(cfg persona.Config, sh *shared, vd VDev) (*plan, []verify.Finding
 		name:         vd.Name,
 		defaultBytes: cfg.ParseDefault,
 		counts:       map[int]bool{},
+		parseBy:      map[uint64]*parseState{},
 		normBy:       sh.normBy,
 		resizeBy:     sh.resizeBy,
 		wbBy:         sh.wbBy,
@@ -498,7 +516,7 @@ func buildPlan(cfg persona.Config, sh *shared, vd VDev) (*plan, []verify.Finding
 		if !ok {
 			return fail(persona.TblParseCtrl, e.Handle, "parse row match is not an %d-bit exact/ternary key", ew)
 		}
-		pr := parseRow{state: e.Params[1].Value.Uint64(), val: val, mask: mask, entry: e}
+		pr := parseRow{matchKey: matchKey{val: val, mask: mask}, entry: e}
 		switch e.Action {
 		case persona.ActParseMore:
 			if len(e.Args) != 2 {
@@ -517,8 +535,17 @@ func buildPlan(cfg persona.Config, sh *shared, vd VDev) (*plan, []verify.Finding
 		default:
 			return fail(persona.TblParseCtrl, e.Handle, "unexpected parse action %q", e.Action)
 		}
-		p.parse = append(p.parse, pr)
+		state := e.Params[1].Value.Uint64()
+		ps := p.parseBy[state]
+		if ps == nil {
+			ps = &parseState{}
+			p.parseBy[state] = ps
+		}
+		ps.rows = append(ps.rows, pr)
 		p.retain(persona.TblParseCtrl, e.Handle)
+	}
+	for _, ps := range p.parseBy {
+		ps.ix = sealIndex(len(ps.rows), func(i int) *matchKey { return &ps.rows[i].matchKey }, false)
 	}
 
 	for _, e := range sh.virtnet {
@@ -591,6 +618,7 @@ func buildPlan(cfg persona.Config, sh *shared, vd VDev) (*plan, []verify.Finding
 
 	for i := 1; i <= cfg.Stages; i++ {
 		for kind, rows := range sh.stageRows[i] {
+			table := persona.StageTable(i, persona.KindName(kind))
 			for _, e := range rows {
 				if len(e.Params) < 2 || e.Params[0].Value.Uint64() != pid {
 					continue
@@ -602,17 +630,19 @@ func buildPlan(cfg persona.Config, sh *shared, vd VDev) (*plan, []verify.Finding
 					fs = &fusedSlot{stage: i, kind: fusedKind(kind)}
 					p.slots[key] = fs
 				} else if fs.stage != i {
-					return fail(persona.StageTable(i, persona.KindName(kind)), e.Handle,
-						"slot %d installed in stages %d and %d", id, fs.stage, i)
+					return fail(table, e.Handle, "slot %d installed in stages %d and %d", id, fs.stage, i)
 				}
 				fr, err := decodeStageRow(cfg, sh, e, kind, i, pid, ew, p.retain)
 				if err != nil {
-					return fail(persona.StageTable(i, persona.KindName(kind)), e.Handle, "%v", err)
+					return fail(table, e.Handle, "%v", err)
 				}
-				p.retain(persona.StageTable(i, persona.KindName(kind)), e.Handle)
+				p.retain(table, e.Handle)
 				fs.rows = append(fs.rows, fr)
 			}
 		}
+	}
+	for _, fs := range p.slots {
+		fs.seal()
 	}
 	return p, findings
 }
@@ -820,23 +850,20 @@ func linkPlans(eng *Engine, maxPasses int) []verify.Finding {
 // parse state 0, mirroring verify's parseDepth (seen-guarded against state
 // cycles; the runtime segment cap still protects adversarial inputs).
 func walkPasses(p *plan) int {
-	more := map[uint64][]uint64{}
-	for i := range p.parse {
-		r := &p.parse[i]
-		if r.more {
-			more[r.state] = append(more[r.state], r.nextState)
-		}
-	}
 	seen := map[uint64]bool{}
 	var deepest func(state uint64) int
 	deepest = func(state uint64) int {
-		if seen[state] {
+		ps := p.parseBy[state]
+		if seen[state] || ps == nil {
 			return 0
 		}
 		seen[state] = true
 		best := 0
-		for _, next := range more[state] {
-			if d := 1 + deepest(next); d > best {
+		for _, r := range ps.rows {
+			if !r.more {
+				continue
+			}
+			if d := 1 + deepest(r.nextState); d > best {
 				best = d
 			}
 		}
@@ -925,7 +952,7 @@ func decodeStageRow(cfg persona.Config, sh *shared, e *sim.Entry, kind, stage in
 		if exec == nil {
 			return nil, fmt.Errorf("missing exec row for opcode %d", code)
 		}
-		retain(persona.PrimTable(stage, prim, "prep"), prep.Handle)
+		retain(sh.prepTables[stage][prim], prep.Handle)
 		fr.hits = append(fr.hits, prep, exec)
 		fr.ops = append(fr.ops, mop)
 	}

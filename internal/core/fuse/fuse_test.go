@@ -1,6 +1,7 @@
 package fuse
 
 import (
+	"math/rand"
 	"testing"
 
 	"hyper4/internal/bitfield"
@@ -21,9 +22,44 @@ func edRow(width, byteOff int, want byte) *frow {
 	mask := bitfield.New(width)
 	val.InsertUint(byteOff*8, 8, uint64(want))
 	mask.InsertUint(byteOff*8, 8, 0xff)
-	return &frow{val: val, mask: mask}
+	return &frow{matchKey: matchKey{val: val, mask: mask}}
 }
 
+// sealed builds a slot through the same seal step Build uses.
+func sealed(kind int, rows ...*frow) *fusedSlot {
+	fs := &fusedSlot{kind: kind, rows: rows}
+	fs.seal()
+	return fs
+}
+
+// scanLookup is the oracle: the first row in precedence order whose key
+// matches, as a linear scan — the lookup the index replaced.
+func scanLookup(fs *fusedSlot, st *execState, ving, vport uint64) *frow {
+	for _, r := range fs.rows {
+		switch fs.kind {
+		case matchED:
+			if st.ext.MatchTernary(r.val, r.mask) {
+				return r
+			}
+		case matchMeta:
+			if st.meta.MatchTernary(r.val, r.mask) {
+				return r
+			}
+		case matchStd:
+			if ving&r.vinMask == r.vinVal && vport&r.vpMask == r.vpVal {
+				return r
+			}
+		case matchNone:
+			return r
+		}
+	}
+	return nil
+}
+
+// TestFusedSlotLookupPrecedence holds the mask-grouped index to the
+// first-match scan it replaced: hand-built cases for each precedence edge,
+// then randomized tables with overlapping masks, duplicate keys inside a
+// group, catch-all rows and std wildcard mixes.
 func TestFusedSlotLookupPrecedence(t *testing.T) {
 	st := testState()
 	st.ext.SetPrefixBytes([]byte{0xaa, 0xbb})
@@ -33,16 +69,26 @@ func TestFusedSlotLookupPrecedence(t *testing.T) {
 		miss := edRow(testExtWidth, 0, 0x01)
 		hit1 := edRow(testExtWidth, 0, 0xaa)
 		hit2 := edRow(testExtWidth, 1, 0xbb)
-		fs := &fusedSlot{kind: matchED, rows: []*frow{miss, hit1, hit2}}
-		if got := fs.lookup(st, 0, 0); got != hit1 {
+		if got := sealed(matchED, miss, hit1, hit2).lookup(st, 0, 0); got != hit1 {
 			t.Errorf("ed lookup = %p, want first matching row %p", got, hit1)
 		}
-		fs.rows = []*frow{miss, hit2, hit1}
-		if got := fs.lookup(st, 0, 0); got != hit2 {
+		// hit2 ranks first: the first group's match ends the probe.
+		if got := sealed(matchED, hit2, miss, hit1).lookup(st, 0, 0); got != hit2 {
 			t.Error("ed lookup did not respect row order")
 		}
-		fs.rows = []*frow{miss}
-		if got := fs.lookup(st, 0, 0); got != nil {
+		later := edRow(testExtWidth, 0, 0xaa)
+		if got := sealed(matchED, edRow(testExtWidth, 0, 0x01), hit2, later).lookup(st, 0, 0); got != hit2 {
+			t.Error("ed lookup let a later row of an earlier group outrank a later group's first row")
+		}
+		dup := edRow(testExtWidth, 0, 0xaa)
+		if got := sealed(matchED, miss, hit1, dup).lookup(st, 0, 0); got != hit1 {
+			t.Error("ed lookup did not pick the first of two rows with one masked key")
+		}
+		catchAll := &frow{matchKey: matchKey{val: bitfield.New(testExtWidth), mask: bitfield.New(testExtWidth)}}
+		if got := sealed(matchED, miss, catchAll, hit1).lookup(st, 0, 0); got != catchAll {
+			t.Error("ed lookup skipped an all-zero catch-all row")
+		}
+		if got := sealed(matchED, miss).lookup(st, 0, 0); got != nil {
 			t.Errorf("ed lookup on all-miss rows = %p, want nil", got)
 		}
 	})
@@ -50,8 +96,7 @@ func TestFusedSlotLookupPrecedence(t *testing.T) {
 	t.Run("meta", func(t *testing.T) {
 		miss := edRow(persona.MetaWidth, 0, 0x41)
 		hit := edRow(persona.MetaWidth, 0, 0x42)
-		fs := &fusedSlot{kind: matchMeta, rows: []*frow{miss, hit}}
-		if got := fs.lookup(st, 0, 0); got != hit {
+		if got := sealed(matchMeta, miss, hit).lookup(st, 0, 0); got != hit {
 			t.Error("meta lookup skipped the matching row")
 		}
 	})
@@ -59,17 +104,17 @@ func TestFusedSlotLookupPrecedence(t *testing.T) {
 	t.Run("std", func(t *testing.T) {
 		// Exact-on-vingress row before a wildcard row: the exact row wins
 		// only when vingress matches.
-		exact := &frow{vinVal: 7, vinMask: ^uint64(0)}
+		exact := &frow{matchKey: matchKey{vinVal: 7, vinMask: ^uint64(0)}}
 		wild := &frow{}
-		fs := &fusedSlot{kind: matchStd, rows: []*frow{exact, wild}}
+		fs := sealed(matchStd, exact, wild)
 		if got := fs.lookup(st, 7, 0); got != exact {
 			t.Error("std lookup missed the exact vingress row")
 		}
 		if got := fs.lookup(st, 8, 0); got != wild {
 			t.Error("std lookup did not fall through to the wildcard row")
 		}
-		vp := &frow{vpVal: 3, vpMask: ^uint64(0)}
-		fs = &fusedSlot{kind: matchStd, rows: []*frow{vp}}
+		vp := &frow{matchKey: matchKey{vpVal: 3, vpMask: ^uint64(0)}}
+		fs = sealed(matchStd, vp)
 		if got := fs.lookup(st, 0, 3); got != vp {
 			t.Error("std lookup missed the vport row")
 		}
@@ -80,15 +125,111 @@ func TestFusedSlotLookupPrecedence(t *testing.T) {
 
 	t.Run("none", func(t *testing.T) {
 		only := &frow{}
-		fs := &fusedSlot{kind: matchNone, rows: []*frow{only}}
-		if got := fs.lookup(st, 0, 0); got != only {
+		if got := sealed(matchNone, only).lookup(st, 0, 0); got != only {
 			t.Error("no-match lookup did not return the single row")
 		}
-		fs.rows = nil
-		if got := fs.lookup(st, 0, 0); got != nil {
+		if got := sealed(matchNone).lookup(st, 0, 0); got != nil {
 			t.Error("no-match lookup on empty slot should miss")
 		}
 	})
+
+	t.Run("random", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(21))
+		for trial := 0; trial < 300; trial++ {
+			kind := []int{matchED, matchMeta, matchStd}[trial%3]
+			fs, keys := randomSlot(rng, kind)
+			for probe := 0; probe < 40; probe++ {
+				ving, vport := randomProbe(rng, st, kind, keys)
+				want, got := scanLookup(fs, st, ving, vport), fs.lookup(st, ving, vport)
+				if got != want {
+					t.Fatalf("trial %d kind %d probe %d: index picked row %d, scan row %d (%d rows, %d groups)",
+						trial, kind, probe, rowIndex(fs, got), rowIndex(fs, want), len(fs.rows), len(fs.ix.groups))
+				}
+			}
+		}
+	})
+}
+
+func rowIndex(fs *fusedSlot, r *frow) int {
+	for i, x := range fs.rows {
+		if x == r {
+			return i
+		}
+	}
+	return -1
+}
+
+// randomSlot builds a sealed slot of 1..24 rows drawing masks from a small
+// pool (overlapping byte ranges, a mask with a ragged bit edge, the
+// all-zero catch-all) and values from a tiny alphabet, so masks are shared,
+// masked keys repeat inside a group, and groups interleave in rank.
+func randomSlot(rng *rand.Rand, kind int) (*fusedSlot, []matchKey) {
+	width := testExtWidth
+	if kind == matchMeta {
+		width = persona.MetaWidth
+	}
+	masks := []bitfield.Value{
+		bitfield.New(width),
+		bitfield.MaskRange(width, 0, 16),
+		bitfield.MaskRange(width, 8, 16),
+		bitfield.MaskRange(width, 3, 10),
+		bitfield.MaskRange(width, width-8, 8),
+		bitfield.MaskRange(width, 0, 8).Or(bitfield.MaskRange(width, 40, 8)),
+	}
+	stdMasks := []uint64{0, ^uint64(0), 0xff, 0xf0}
+	n := 1 + rng.Intn(24)
+	rows := make([]*frow, n)
+	keys := make([]matchKey, n)
+	for i := range rows {
+		var k matchKey
+		if kind == matchStd {
+			k.vinMask = stdMasks[rng.Intn(len(stdMasks))]
+			k.vpMask = stdMasks[rng.Intn(len(stdMasks))]
+			k.vinVal = uint64(rng.Intn(3)) & k.vinMask
+			k.vpVal = uint64(rng.Intn(3)) & k.vpMask
+		} else {
+			k.mask = masks[rng.Intn(len(masks))]
+			k.val = randomWide(rng, width).And(k.mask)
+		}
+		rows[i] = &frow{matchKey: k}
+		keys[i] = k
+	}
+	return sealed(kind, rows...), keys
+}
+
+// randomWide is a value whose bytes come from {0x00, 0x01, 0xff}.
+func randomWide(rng *rand.Rand, width int) bitfield.Value {
+	b := make([]byte, (width+7)/8)
+	for i := range b {
+		b[i] = []byte{0x00, 0x01, 0xff}[rng.Intn(3)]
+	}
+	return bitfield.FromBytes(width, b)
+}
+
+// randomProbe loads st with a packet that, half the time, is built to hit
+// one of the rows (its value with random bits outside its mask), and
+// returns the std key to probe with.
+func randomProbe(rng *rand.Rand, st *execState, kind int, keys []matchKey) (ving, vport uint64) {
+	k := keys[rng.Intn(len(keys))]
+	aim := rng.Intn(2) == 0
+	if kind == matchStd {
+		ving, vport = uint64(rng.Intn(3)), uint64(rng.Intn(3))
+		if aim {
+			ving = k.vinVal | ving&^k.vinMask
+			vport = k.vpVal | vport&^k.vpMask
+		}
+		return ving, vport
+	}
+	dst := &st.ext
+	if kind == matchMeta {
+		dst = &st.meta
+	}
+	v := randomWide(rng, dst.Width())
+	if aim {
+		v = k.val.Or(v.And(k.mask.Not()))
+	}
+	dst.CopyFrom(v)
+	return 0, 0
 }
 
 // TestCopyFieldOverlap checks the wide-copy staging buffer: an ed←ed move

@@ -58,9 +58,11 @@ func (eng *Engine) ProvePlans(sw *sim.Switch, cfg persona.Config) []verify.Findi
 	for _, pid := range pids {
 		p := eng.plans[pid]
 		L := p.defaultBytes
-		for _, pr := range p.parse {
-			if pr.more && pr.numBytes > L {
-				L = pr.numBytes
+		for _, ps := range p.parseBy {
+			for _, pr := range ps.rows {
+				if pr.more && pr.numBytes > L {
+					L = pr.numBytes
+				}
 			}
 		}
 		L += 8
