@@ -60,10 +60,13 @@ chaos-smoke:
 	grep -q 'l2: healthy faults=3 trips=1' /tmp/hp4chaos-ci.h3
 	@echo chaos smoke ok
 
-# Short fuzz run over the management-script parser: no panics, and every
-# rejection is an ErrUnknown / INVALID_ARGUMENT structured error.
+# Short fuzz runs over the management-script parser (no panics, and every
+# rejection is an ErrUnknown / INVALID_ARGUMENT structured error) and over
+# the persona-row decoder (no panics, and every prep row it accepts
+# re-encodes to the same args).
 fuzz-smoke:
 	$(GO) test -run FuzzParseLine -fuzz FuzzParseLine -fuzztime 10s ./internal/core/ctl/
+	$(GO) test -run FuzzDecodeRow -fuzz FuzzDecodeRow -fuzztime 10s ./internal/core/persona/rows/
 
 # API smoke: boot the switch with the management API, configure a virtual
 # device remotely via hp4ctl — the whole setup as ONE atomic batch — then

@@ -8,6 +8,7 @@ import (
 	"hyper4/internal/bitfield"
 	"hyper4/internal/core/hp4c"
 	"hyper4/internal/core/persona"
+	"hyper4/internal/core/persona/rows"
 	"hyper4/internal/p4/ast"
 	"hyper4/internal/p4/hlir"
 	"hyper4/internal/sim"
@@ -134,7 +135,7 @@ func (d *DPMU) installStatic(v *VDev) error {
 			bitfield.FromUint(persona.ShiftWidth, uint64(ew-hoff*8-16)),
 			bitfield.FromUint(persona.ShiftWidth, uint64(ew-csumBit-16)),
 		}
-		if err := d.addRow(&v.static, persona.TblCsum, "a_ipv4_csum", []sim.MatchParam{sim.Exact(pid)}, args, 0); err != nil {
+		if err := d.addRow(&v.static, persona.TblCsum, persona.ActIPv4Csum, []sim.MatchParam{sim.Exact(pid)}, args, 0); err != nil {
 			return err
 		}
 	}
@@ -504,91 +505,30 @@ func (d *DPMU) readGeometry(v *VDev, ref ast.FieldRef, wantMeta bool) (int, int,
 }
 
 // prepFor materializes the a_prep_* action name and arguments for one
-// primitive spec, binding runtime action args. Shift parameters follow the
-// persona's double-shift isolation scheme: a source field at bit offset O,
-// width W inside a field of total width T embedded at the low end of the
-// EW-bit scratch is isolated by tmp = (tmp << (EW-T+O)) >> (EW-W).
+// primitive spec, binding runtime action args. The row format — the
+// persona's double-shift isolation scheme — belongs to the row model
+// (rows.EncodePrep), which also decodes it.
 func (d *DPMU) prepFor(spec hp4c.PrimSpec, args []bitfield.Value) (string, []bitfield.Value, error) {
-	ew := d.cfg.ExtractedWidth()
-	dstTotal := ew
-	srcTotal := ew
-	switch spec.Op {
-	case persona.OpModMetaConst, persona.OpModMetaED, persona.OpModMetaMeta, persona.OpAddMetaConst:
-		dstTotal = persona.MetaWidth
+	oc, ok := persona.OpcodeOf(spec.Op)
+	if !ok {
+		return "", nil, fmt.Errorf("dpmu: opcode %d not installable", spec.Op)
 	}
-	switch spec.Op {
-	case persona.OpModEDMeta, persona.OpModMetaMeta:
-		srcTotal = persona.MetaWidth
+	op := rows.Op{Code: spec.Op, DstOff: spec.DstOff, DstW: spec.DstW, SrcOff: spec.SrcOff, SrcW: spec.SrcW}
+	if oc.HasConst() {
+		switch {
+		case spec.Const != nil:
+			op.Const = bitfield.FromBig(persona.ConstWidth, spec.Const).Uint64()
+		case spec.ArgIndex < 0 || spec.ArgIndex >= len(args):
+			return "", nil, fmt.Errorf("dpmu: primitive needs action argument %d", spec.ArgIndex)
+		default:
+			v := args[spec.ArgIndex].Resize(persona.ConstWidth)
+			if spec.Negate {
+				mod := new(big.Int).Lsh(big.NewInt(1), uint(spec.DstW))
+				x := new(big.Int).Sub(mod, v.Big())
+				v = bitfield.FromBig(persona.ConstWidth, x.Mod(x, mod))
+			}
+			op.Const = v.Uint64()
+		}
 	}
-	cval := func() (bitfield.Value, error) {
-		if spec.Const != nil {
-			return bitfield.FromBig(persona.ConstWidth, spec.Const), nil
-		}
-		if spec.ArgIndex < 0 || spec.ArgIndex >= len(args) {
-			return bitfield.Value{}, fmt.Errorf("dpmu: primitive needs action argument %d", spec.ArgIndex)
-		}
-		v := args[spec.ArgIndex].Resize(persona.ConstWidth)
-		if spec.Negate {
-			mod := new(big.Int).Lsh(big.NewInt(1), uint(spec.DstW))
-			x := new(big.Int).Sub(mod, v.Big())
-			x.Mod(x, mod)
-			v = bitfield.FromBig(persona.ConstWidth, x)
-		}
-		return v, nil
-	}
-	sh := func(n int) bitfield.Value { return bitfield.FromUint(persona.ShiftWidth, uint64(n)) }
-	dmask := func() bitfield.Value {
-		return bitfield.MaskRange(dstTotal, spec.DstOff, spec.DstW).Resize(ew)
-	}
-	dshift := func() bitfield.Value { return sh(dstTotal - spec.DstOff - spec.DstW) }
-
-	switch spec.Op {
-	case persona.OpNoOp:
-		return "a_prep_no_op", nil, nil
-	case persona.OpDrop:
-		return "a_prep_drop", nil, nil
-	case persona.OpModVPortVIngress:
-		return "a_prep_mod_vport_vingress", nil, nil
-	case persona.OpModVPortConst:
-		c, err := cval()
-		if err != nil {
-			return "", nil, err
-		}
-		return "a_prep_mod_vport_const", []bitfield.Value{c}, nil
-	case persona.OpModEDConst, persona.OpModMetaConst:
-		c, err := cval()
-		if err != nil {
-			return "", nil, err
-		}
-		name := "a_prep_mod_ed_const"
-		if spec.Op == persona.OpModMetaConst {
-			name = "a_prep_mod_meta_const"
-		}
-		return name, []bitfield.Value{dmask(), dshift(), c}, nil
-	case persona.OpModEDED, persona.OpModEDMeta, persona.OpModMetaED, persona.OpModMetaMeta:
-		name := map[int]string{
-			persona.OpModEDED:     "a_prep_mod_ed_ed",
-			persona.OpModEDMeta:   "a_prep_mod_ed_meta",
-			persona.OpModMetaED:   "a_prep_mod_meta_ed",
-			persona.OpModMetaMeta: "a_prep_mod_meta_meta",
-		}[spec.Op]
-		slshift := sh(ew - srcTotal + spec.SrcOff)
-		srshift := sh(ew - spec.SrcW)
-		return name, []bitfield.Value{dmask(), dshift(), slshift, srshift}, nil
-	case persona.OpAddEDConst, persona.OpAddMetaConst:
-		c, err := cval()
-		if err != nil {
-			return "", nil, err
-		}
-		name := "a_prep_add_ed_const"
-		if spec.Op == persona.OpAddMetaConst {
-			name = "a_prep_add_meta_const"
-		}
-		// The add reads its own destination: shift params target (DstOff,
-		// DstW) within the destination's total width.
-		slshift := sh(ew - dstTotal + spec.DstOff)
-		srshift := sh(ew - spec.DstW)
-		return name, []bitfield.Value{dmask(), dshift(), slshift, srshift, c}, nil
-	}
-	return "", nil, fmt.Errorf("dpmu: opcode %d not installable", spec.Op)
+	return rows.EncodePrep(op, d.cfg.ExtractedWidth())
 }

@@ -3,11 +3,13 @@ package dpmu
 import (
 	"fmt"
 	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 
 	"hyper4/internal/bitfield"
 	"hyper4/internal/core/hp4c"
+	"hyper4/internal/core/persona"
 	"hyper4/internal/core/verify"
 	"hyper4/internal/core/verify/prove"
 	"hyper4/internal/functions"
@@ -195,21 +197,42 @@ func TestProveFuzz(t *testing.T) {
 	}
 }
 
-// TestFusePlanProof requires, for every builtin, that the fused plan's
-// retained rows prove equivalent to the live persona tables (no dropped or
-// misdecoded rows), with the plan actually built (a vacuous pass would hide
-// a fusion refusal).
-func TestFusePlanProof(t *testing.T) {
+// TestProveMissingExecRow deletes every a_exec_* row the persona's
+// primitive dispatch hits. The persona then drops frames native forwards,
+// so the prover must not report proven, and an inconclusive finding must
+// name the exec table the decode found empty.
+func TestProveMissingExecRow(t *testing.T) {
 	for _, fn := range functions.Names() {
 		t.Run(fn, func(t *testing.T) {
 			d, _, _ := proveHarness(t, fn, 7, false)
-			d.SetFusion(true)
-			if d.FusionStatus().Plans == 0 {
-				t.Fatal("vdev did not fuse; plan proof is vacuous")
+			for stage := 1; stage <= d.cfg.Stages; stage++ {
+				for prim := 1; prim <= d.cfg.Primitives; prim++ {
+					table := persona.PrimTable(stage, prim, "exec")
+					rows, err := d.SW.TableEntriesOrdered(table)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, e := range rows {
+						if err := d.SW.TableDelete(table, e.Handle); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
 			}
-			for _, f := range d.fusionEngine.ProvePlans(d.SW, d.cfg) {
-				t.Errorf("plan proof finding: %s", f)
+			res, err := d.Prove("prover", "dev", prove.Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
+			if res.Proven {
+				t.Fatal("proven with every exec row deleted")
+			}
+			execTable := regexp.MustCompile(`t\d+_p\d+_exec`)
+			for _, f := range res.Findings {
+				if f.Code == verify.CodeProveInconclusive && execTable.MatchString(f.Detail) {
+					return
+				}
+			}
+			t.Fatalf("no inconclusive finding names an exec table: %v", res.Findings)
 		})
 	}
 }

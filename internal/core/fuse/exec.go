@@ -3,6 +3,7 @@ package fuse
 import (
 	"hyper4/internal/bitfield"
 	"hyper4/internal/core/persona"
+	"hyper4/internal/core/persona/rows"
 	"hyper4/internal/sim"
 )
 
@@ -157,11 +158,12 @@ func (eng *Engine) run(pb *portBind, st *execState, sw *sim.Switch, data []byte)
 func (eng *Engine) walk(st *execState, job walkJob) bool {
 	p := job.p
 
-	// Parse loop: each iteration is one pipeline pass. numBytes carries the
-	// a_parse_more request across the (virtual) resubmission.
-	numBytes := 0
+	// Parse loop: each iteration is one pipeline pass. n carries the
+	// a_parse_more request, as the byte count the parser lands on, across
+	// the (virtual) resubmission.
+	n := p.defaultBytes
 	state := uint64(0)
-	var fin *parseRow
+	var fin *rows.ParseRow
 	parsed, consumed := 0, 0
 	inst := job.inst
 	prev, finIdx := -1, -1
@@ -185,15 +187,9 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 		}
 		inst = segResubmit
 
-		// The parser lands in the requested state only when the byte count
-		// is one it supports; anything else falls into the default state.
 		// A supported count whose t_norm row is missing would MISS in the
 		// interpreter (t_norm reads hp4.parsed exact) — decline rather than
 		// silently normalize at the default width.
-		n := p.defaultBytes
-		if numBytes > 0 && p.counts[numBytes] {
-			n = numBytes
-		}
 		ne := p.normBy[n]
 		if ne == nil {
 			return false
@@ -204,7 +200,7 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 			take = n
 		}
 		st.ext.SetPrefixBytes(job.data[:take])
-		var row *parseRow
+		var row *rows.ParseRow
 		if ps := p.parseBy[state]; ps != nil {
 			if r := ps.ix.lookup(&st.key, st.ext, 0, 0); r >= 0 {
 				row = &ps.rows[r]
@@ -216,14 +212,14 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 			st.segs[idx].hi = len(st.jr)
 			return true
 		}
-		st.jr = append(st.jr, row.entry)
-		if row.more {
+		st.jr = append(st.jr, row.Entry)
+		if row.More {
 			// a_parse_more resubmits; this pass still traverses t_virtnet
 			// with vport=0 before the resubmission takes effect.
 			st.jr = append(st.jr, p.vdrop0)
 			st.segs[idx].hi = len(st.jr)
-			numBytes = row.numBytes
-			state = row.nextState
+			n = row.Window
+			state = row.Next
 			prev = idx
 			continue
 		}
@@ -238,7 +234,7 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 	ving := job.ving
 	vport := uint64(0)
 	dropped := false
-	kind, id := fin.kind, fin.id
+	kind, id := fin.Kind, fin.Slot
 	curStage := 0
 	for kind != persona.NTDone {
 		fs := p.slots[slotKey(kind, uint64(id))]
@@ -255,23 +251,23 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 		st.jr = append(st.jr, r.hits...)
 		for i := range r.ops {
 			op := &r.ops[i]
-			switch op.kind {
-			case mopNop:
-			case mopDrop:
+			switch op.Code {
+			case persona.OpNoOp:
+			case persona.OpDrop:
 				dropped = true
 				vport = persona.VPortDrop
-			case mopVPortConst:
-				vport = op.cval & (1<<persona.VPortWidth - 1)
-			case mopVPortVIngress:
+			case persona.OpModVPortConst:
+				vport = op.Const & (1<<persona.VPortWidth - 1)
+			case persona.OpModVPortVIngress:
 				vport = ving
-			case mopSet:
+			case persona.OpModEDConst, persona.OpModMetaConst:
 				st.setConst(op)
-			case mopCopy:
+			case persona.OpModEDED, persona.OpModEDMeta, persona.OpModMetaED, persona.OpModMetaMeta:
 				st.copyField(op)
-			case mopAdd:
-				dst := st.dst(op.dstMeta)
-				x := dst.UintAt(op.dstOff, op.dstW) + op.cval
-				dst.InsertUint(op.dstOff, op.dstW, x)
+			case persona.OpAddEDConst, persona.OpAddMetaConst:
+				dst := st.store(op.Dst)
+				x := dst.UintAt(op.DstOff, op.DstW) + op.Const
+				dst.InsertUint(op.DstOff, op.DstW, x)
 			}
 		}
 		kind, id = r.nextKind, r.nextID
@@ -288,21 +284,21 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 		st.segs[finIdx].hi = len(st.jr)
 		return true
 	}
-	st.jr = append(st.jr, vr.entry)
-	switch vr.kind {
-	case vnetDrop:
+	st.jr = append(st.jr, vr.Entry)
+	switch vr.Kind {
+	case rows.RouteDrop:
 		st.segs[finIdx].hi = len(st.jr)
 		return true
-	case vnetPhys:
+	case rows.RoutePhys:
 		buf, ok := eng.egress(st, p, fin, job.data, parsed, consumed)
 		if !ok {
 			return false
 		}
-		st.segs[finIdx].outPort = vr.port
+		st.segs[finIdx].outPort = vr.Port
 		st.segs[finIdx].outData = buf
 		st.segs[finIdx].hi = len(st.jr)
 		return true
-	case vnetVirt:
+	case rows.RouteVirt:
 		// Cross-plan call: the packet traverses egress (checksum, resize,
 		// writeback), then recirculates into the target plan with the
 		// deparsed bytes and a fresh parse loop — the link-time analysis
@@ -317,11 +313,11 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 		}
 		st.segs[finIdx].hi = len(st.jr)
 		st.jobs = append(st.jobs, walkJob{
-			p: vr.target, ving: vr.nextVIn, data: buf,
+			p: vr.target, ving: vr.VIn, data: buf,
 			inst: segRecirc, parent: finIdx, slot: 1,
 		})
 		return true
-	case vnetMcast:
+	case rows.RouteMcast:
 		// Multicast fan-out: the original pass hits the orig row and
 		// recirculates into the first target; each egress-to-egress clone
 		// re-runs egress on identical bytes (checksum recompute is
@@ -330,8 +326,8 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 		if vr.bad || vr.target == nil {
 			return false
 		}
-		for i := range vr.steps {
-			if vr.steps[i].target == nil {
+		for _, t := range vr.targets {
+			if t == nil {
 				return false
 			}
 		}
@@ -339,15 +335,15 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 		if !ok {
 			return false
 		}
-		st.jr = append(st.jr, vr.orig)
+		st.jr = append(st.jr, vr.Orig)
 		st.segs[finIdx].hi = len(st.jr)
 		st.jobs = append(st.jobs, walkJob{
-			p: vr.target, ving: vr.nextVIn, data: buf,
+			p: vr.target, ving: vr.VIn, data: buf,
 			inst: segRecirc, parent: finIdx, slot: 1,
 		})
 		prevSeg := finIdx
-		for i := range vr.steps {
-			stp := &vr.steps[i]
+		for i := range vr.Steps {
+			stp := &vr.Steps[i]
 			if len(st.segs) >= sim.MaxPasses {
 				return false
 			}
@@ -357,13 +353,13 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 				lo: len(st.jr), child: [2]int{-1, -1},
 			})
 			st.segs[prevSeg].child[0] = cidx
-			if fin.csum && p.csum != nil {
-				st.jr = append(st.jr, p.csum.entry)
+			if fin.Csum && p.csum != nil {
+				st.jr = append(st.jr, p.csum.Entry)
 			}
-			st.jr = append(st.jr, p.resizeBy[parsed], p.wbBy[parsed], stp.entry)
+			st.jr = append(st.jr, p.resizeBy[parsed], p.wbBy[parsed], stp.Entry)
 			st.segs[cidx].hi = len(st.jr)
 			st.jobs = append(st.jobs, walkJob{
-				p: stp.target, ving: stp.vin, data: buf,
+				p: vr.targets[i], ving: stp.VIn, data: buf,
 				inst: segRecirc, parent: cidx, slot: 1,
 			})
 			prevSeg = cidx
@@ -375,17 +371,11 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 
 // egress journals the egress-side hits of a walk's final pass — checksum
 // (when the parse row armed it), resize, writeback — and returns the
-// deparsed bytes, declining when a required row is missing or the checksum
-// row is undecodable.
-func (eng *Engine) egress(st *execState, p *plan, fin *parseRow, data []byte, parsed, consumed int) ([]byte, bool) {
-	if fin.csum {
-		if p.csumBad {
-			return nil, false
-		}
-		if p.csum != nil {
-			st.fixCsum(p.csum)
-			st.jr = append(st.jr, p.csum.entry)
-		}
+// deparsed bytes, declining when a required row is missing.
+func (eng *Engine) egress(st *execState, p *plan, fin *rows.ParseRow, data []byte, parsed, consumed int) ([]byte, bool) {
+	if fin.Csum && p.csum != nil {
+		st.fixCsum(p.csum)
+		st.jr = append(st.jr, p.csum.Entry)
 	}
 	re, wb := p.resizeBy[parsed], p.wbBy[parsed]
 	if re == nil || wb == nil {
@@ -458,8 +448,8 @@ func (fs *fusedSlot) lookup(st *execState, ving, vport uint64) *frow {
 	return nil
 }
 
-func (st *execState) dst(meta bool) *bitfield.Value {
-	if meta {
+func (st *execState) store(s persona.Store) *bitfield.Value {
+	if s == persona.StoreMeta {
 		return &st.meta
 	}
 	return &st.ext
@@ -479,40 +469,40 @@ func zeroRange(v *bitfield.Value, off, w int) {
 }
 
 // setConst writes zext(cval) into dst[off, off+w).
-func (st *execState) setConst(op *microOp) {
-	dst := st.dst(op.dstMeta)
-	if op.dstW <= 64 {
-		dst.InsertUint(op.dstOff, op.dstW, op.cval)
+func (st *execState) setConst(op *rows.Op) {
+	dst := st.store(op.Dst)
+	if op.DstW <= 64 {
+		dst.InsertUint(op.DstOff, op.DstW, op.Const)
 		return
 	}
-	zeroRange(dst, op.dstOff, op.dstW-64)
-	dst.InsertUint(op.dstOff+op.dstW-64, 64, op.cval)
+	zeroRange(dst, op.DstOff, op.DstW-64)
+	dst.InsertUint(op.DstOff+op.DstW-64, 64, op.Const)
 }
 
 // copyField writes zext/truncate of src[srcOff, srcOff+srcW) into
 // dst[dstOff, dstOff+dstW), staging wide copies through tmp so an
 // overlapping ed←ed move cannot corrupt itself.
-func (st *execState) copyField(op *microOp) {
-	if op.dstW <= 64 && op.srcW <= 64 {
-		x := st.dst(op.srcMeta).UintAt(op.srcOff, op.srcW)
-		st.dst(op.dstMeta).InsertUint(op.dstOff, op.dstW, x)
+func (st *execState) copyField(op *rows.Op) {
+	if op.DstW <= 64 && op.SrcW <= 64 {
+		x := st.store(op.Src).UintAt(op.SrcOff, op.SrcW)
+		st.store(op.Dst).InsertUint(op.DstOff, op.DstW, x)
 		return
 	}
-	st.dst(op.srcMeta).SliceInto(&st.tmp, op.srcOff, op.srcW)
-	dst := st.dst(op.dstMeta)
-	if op.dstW <= op.srcW {
-		dst.InsertBits(op.dstOff, st.tmp, op.srcW-op.dstW, op.dstW)
+	st.store(op.Src).SliceInto(&st.tmp, op.SrcOff, op.SrcW)
+	dst := st.store(op.Dst)
+	if op.DstW <= op.SrcW {
+		dst.InsertBits(op.DstOff, st.tmp, op.SrcW-op.DstW, op.DstW)
 		return
 	}
-	zeroRange(dst, op.dstOff, op.dstW-op.srcW)
-	dst.InsertBits(op.dstOff+op.dstW-op.srcW, st.tmp, 0, op.srcW)
+	zeroRange(dst, op.DstOff, op.DstW-op.SrcW)
+	dst.InsertBits(op.DstOff+op.DstW-op.SrcW, st.tmp, 0, op.SrcW)
 }
 
 // fixCsum recomputes the IPv4 header checksum over ten 16-bit words,
 // mirroring a_ipv4_csum: zero the checksum word, sum, fold three times,
 // complement, write back.
-func (st *execState) fixCsum(c *csumPlan) {
-	base := c.hoffBits
+func (st *execState) fixCsum(c *rows.Csum) {
+	base := c.Hdr
 	var sum uint64
 	for k := 0; k < 10; k++ {
 		if k == 5 {

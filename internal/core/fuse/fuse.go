@@ -5,7 +5,8 @@
 // The persona pays an emulation tax on every packet: a resubmitting parse
 // loop, a table lookup per stage×primitive, and wide-bitfield action bodies
 // executed one interpreted primitive at a time. All of that is statically
-// determined by the installed entries, so the fuser flattens it once per
+// determined by the installed entries, which the shared row model
+// (internal/core/persona/rows) decodes, so the fuser flattens it once per
 // control-plane write batch: each parse state's decisions and each virtual
 // table's multi-row persona encoding become one mask-grouped hash lookup
 // whose cost does not grow with the entries installed (index.go), and each
@@ -22,9 +23,11 @@
 //
 // Correctness is anchored on conservation: the fused walk records exactly
 // the entry hits, meter executions, and counter bumps the interpreted
-// pipeline would have produced, and any construct the plan cannot prove
-// equivalent (undecodable rows, unfused chain members, quarantine probing,
-// stale generations) declines the packet to the interpreter untouched. The
+// pipeline would have produced. A vdev with a row the model cannot decode
+// is not fused, and any construct the plan cannot prove equivalent
+// (unfused chain members, undecodable multicast sequences, quarantine
+// probing, stale generations) declines the packet to the interpreter
+// untouched. The
 // differential harness (dpmu's TestFused* suite, `make fuse-diff`)
 // enforces byte-identical behavior.
 package fuse
@@ -35,10 +38,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hyper4/internal/bitfield"
 	"hyper4/internal/core/persona"
+	"hyper4/internal/core/persona/rows"
 	"hyper4/internal/core/verify"
-	"hyper4/internal/p4/ast"
 	"hyper4/internal/sim"
 )
 
@@ -83,12 +85,12 @@ type portBind struct {
 	assign   *sim.Entry
 }
 
-// plan is one vdev's fused dispatch state.
+// plan is one vdev's fused dispatch state, built from its decoded rows
+// (internal/core/persona/rows).
 type plan struct {
 	pid          int
 	name         string
 	defaultBytes int
-	counts       map[int]bool // the persona parser's supported byte counts
 	// Persona-static rows shared across plans (keyed by byte count).
 	normBy   map[int]*sim.Entry
 	resizeBy map[int]*sim.Entry
@@ -97,41 +99,12 @@ type plan struct {
 	vdrop0   *sim.Entry             // the (pid, vport=0) drop row, hit on parse misses and parse-more passes
 	slots    map[uint32]*fusedSlot
 	vnet     map[uint64]*vnetRow
-	csum     *csumPlan
-	csumBad  bool // a csum row exists but could not be decoded: decline packets that set the csum flag
+	csum     *rows.Csum
 	// chain is the set of PIDs a packet entering this plan can visit
 	// (including this one), across virtual links and multicast steps.
 	// RunFast declines when any member is quarantined: containment
 	// accounting belongs to the interpreter.
 	chain []int
-	// retained records, per persona table, the handles of every live row
-	// this plan decoded. Prove mode rebuilds the vdev's symbolic machine
-	// from exactly these rows and requires it equivalent to the machine
-	// built from the full live tables — a plan that silently skipped a row
-	// diverges.
-	retained map[string]map[int]bool
-}
-
-// retain records that a live row was absorbed into the plan.
-func (p *plan) retain(table string, handle int) {
-	m := p.retained[table]
-	if m == nil {
-		m = map[int]bool{}
-		p.retained[table] = m
-	}
-	m[handle] = true
-}
-
-// parseRow is one decoded t_parse_ctrl entry for this vdev. Its key is a
-// (val, mask) pair over the parse window.
-type parseRow struct {
-	matchKey
-	entry     *sim.Entry
-	more      bool
-	numBytes  int // a_parse_more: bytes to request on the resubmit pass
-	nextState uint64
-	kind, id  int // a_parse_done: first stage slot
-	csum      bool
 }
 
 // Fused match kinds (collapsed from the persona's six stage-table kinds:
@@ -155,112 +128,36 @@ type fusedSlot struct {
 
 // seal indexes the slot's rows; Build calls it once the rows are complete.
 func (fs *fusedSlot) seal() {
-	fs.ix = sealIndex(len(fs.rows), func(i int) *matchKey { return &fs.rows[i].matchKey }, fs.kind == matchStd)
+	fs.ix = sealIndex(len(fs.rows), func(i int) *rows.Key { return &fs.rows[i].Key }, fs.kind == matchStd)
 }
 
 // parseState is one parse state's t_parse_ctrl rows, in precedence order,
 // sealed like a fused table.
 type parseState struct {
-	rows []parseRow
+	rows []rows.ParseRow
 	ix   tupleIndex
 }
 
 // frow is one decoded virtual entry: its match key (wide for matchED /
-// matchMeta, the std pair for matchStd), the micro-op sequence of its
-// pre-bound action, its successor, and every persona entry the interpreter
-// would have hit applying it (set_match + per-primitive prep/exec rows).
+// matchMeta, the std pair for matchStd), the micro-ops of its pre-bound
+// action, its successor, and every persona entry the interpreter would have
+// hit applying it (set_match + per-primitive prep/exec rows).
 type frow struct {
-	matchKey
-	ops              []microOp
+	rows.Key
+	ops              []rows.Op
 	nextKind, nextID int
 	hits             []*sim.Entry
 }
 
-// vnet row kinds.
-const (
-	vnetDrop = iota
-	vnetPhys
-	vnetVirt  // virtual link: the walk chains into the target vdev's plan
-	vnetMcast // multicast start: the walk expands the precomputed clone sequence
-)
-
+// vnetRow is one decoded t_virtnet route plus its link-time targets. A
+// virtual or multicast route whose target plan is unresolved (target vdev
+// not fused), or whose clone sequence stays interpreted (bad), declines at
+// runtime.
 type vnetRow struct {
-	entry *sim.Entry
-	kind  int
-	port  int // vnetPhys
-
-	// vnetVirt and vnetMcast: the decoded first target. For multicast this
-	// is the device the original (recirculated) copy enters; steps carries
-	// the remaining targets in clone order. A route whose target plan is
-	// unresolved at link time (target vdev not fused) or whose sequence
-	// could not be decoded (bad=true) declines at runtime.
-	nextPID int
-	nextVIn uint64
-	target  *plan
+	rows.Route
+	target  *plan   // the plan the (first) recirculated copy enters
+	targets []*plan // RouteMcast: each step's plan, in clone order
 	bad     bool
-	orig    *sim.Entry  // vnetMcast: the t_mcast_orig a_mcast_clone row the original pass hits
-	steps   []mcastStep // vnetMcast: targets 1..N-1, one per egress-to-egress clone
-}
-
-// mcastStep is one decoded t_mcast_clone row: the clone that hits it
-// recirculates into (pid, vin) after re-arming the next clone (if any).
-type mcastStep struct {
-	pid    int
-	vin    uint64
-	entry  *sim.Entry
-	target *plan // linked after all plans are built
-}
-
-// csumPlan is the decoded per-vdev a_ipv4_csum row: the bit offset of the
-// IPv4 header within the extracted-data field.
-type csumPlan struct {
-	entry    *sim.Entry
-	hoffBits int
-}
-
-// Micro-op kinds.
-const (
-	mopNop = iota
-	mopDrop
-	mopVPortConst
-	mopVPortVIngress
-	mopSet  // dst[off,w) = zext(cval)
-	mopCopy // dst[off,w) = zext/trunc of src[off,w)
-	mopAdd  // dst[off,w) += cval mod 2^w (w <= 64 enforced at build)
-)
-
-// microOp is one pre-decoded primitive execution.
-type microOp struct {
-	kind             int
-	dstMeta, srcMeta bool
-	dstOff, dstW     int
-	srcOff, srcW     int
-	cval             uint64
-}
-
-// shared holds the persona-static and cross-vdev tables decoded once per
-// Build.
-type shared struct {
-	normBy, resizeBy, wbBy map[int]*sim.Entry
-	assign                 []*sim.Entry
-	parse                  []*sim.Entry
-	virtnet                []*sim.Entry
-	csum                   []*sim.Entry
-	mcastOrig              map[uint64]*sim.Entry  // t_mcast_orig rows by sequence
-	mcastClone             map[uint64]*sim.Entry  // t_mcast_clone rows by sequence
-	stageRows              []map[int][]*sim.Entry // 1-based stage → kind code → rows
-	preps                  map[uint64]*sim.Entry  // prepKey(stage, prim, pid, mid)
-	prepTables             [][]string             // 1-based stage → 1-based primitive → prep table name
-	execs                  map[uint64]*sim.Entry  // execKey(stage, prim, opcode)
-	sessionOK              func(int) bool         // mirror-session existence (clone spawn condition)
-}
-
-func prepKey(stage, prim int, pid, mid uint64) uint64 {
-	return uint64(stage)<<56 | uint64(prim)<<48 | pid<<32 | mid
-}
-
-func execKey(stage, prim int, code uint64) uint64 {
-	return uint64(stage)<<24 | uint64(prim)<<16 | code
 }
 
 func slotKey(kind int, id uint64) uint32 { return uint32(kind)<<16 | uint32(id&0xffff) }
@@ -297,17 +194,17 @@ func Build(sw *sim.Switch, cfg persona.Config, vdevs []VDev) (*Engine, []verify.
 		ports: make([]portBind, MaxPorts),
 	}
 	eng.pool.New = func() any { return newExecState(ew) }
-	sh, err := loadShared(sw, cfg)
+	t, err := rows.Load(sw, cfg)
 	if err != nil {
 		findings = append(findings, unfusable("", "", 0, "persona introspection failed: %v", err))
 		return nil, findings
 	}
-	sh.sessionOK = func(session int) bool {
+	sessionOK := func(session int) bool {
 		_, ok := sw.MirrorPort(session)
 		return ok
 	}
 	for _, vd := range vdevs {
-		p, fs := buildPlan(cfg, sh, vd)
+		p, fs := buildPlan(cfg, t, sessionOK, vd)
 		findings = append(findings, fs...)
 		if p != nil {
 			eng.plans[vd.PID] = p
@@ -318,22 +215,18 @@ func Build(sw *sim.Switch, cfg persona.Config, vdevs []VDev) (*Engine, []verify.
 	// (or sit on a link cycle) are refused here, before port binding.
 	findings = append(findings, linkPlans(eng, sim.MaxPasses)...)
 	// Fuse t_assign into a direct port dispatch: for each physical port,
-	// the first assign row in precedence order that matches it.
+	// the first assign row in precedence order that matches it. A port an
+	// undecodable row might claim stays with the interpreter.
 	for port := 0; port < MaxPorts; port++ {
-		for _, e := range sh.assign {
-			if e.Action != persona.ActSetProgram || len(e.Params) != 1 || len(e.Args) != 2 {
+		for i := range t.Assign {
+			a := &t.Assign[i]
+			if a.Err != nil {
+				break
+			}
+			if uint64(port)&a.Mask != a.Val {
 				continue
 			}
-			val, mask, ok := ternaryUint(e.Params[0])
-			if !ok || uint64(port)&mask != val {
-				continue
-			}
-			pid := int(e.Args[0].Uint64())
-			eng.ports[port] = portBind{
-				plan:     eng.plans[pid],
-				vingress: e.Args[1].Uint64(),
-				assign:   e,
-			}
+			eng.ports[port] = portBind{plan: eng.plans[a.PID], vingress: a.VIngress, assign: a.Entry}
 			break
 		}
 	}
@@ -352,136 +245,11 @@ func (eng *Engine) Fused(pid int) bool { return eng.plans[pid] != nil }
 // BuiltAgainst returns the switch generation the engine was compiled from.
 func (eng *Engine) BuiltAgainst() uint64 { return eng.gen }
 
-func loadShared(sw *sim.Switch, cfg persona.Config) (*shared, error) {
-	sh := &shared{
-		normBy:   map[int]*sim.Entry{},
-		resizeBy: map[int]*sim.Entry{},
-		wbBy:     map[int]*sim.Entry{},
-		preps:    map[uint64]*sim.Entry{},
-		execs:    map[uint64]*sim.Entry{},
-	}
-	byCount := func(table string, nameFor func(int) string, into map[int]*sim.Entry) error {
-		rows, err := sw.TableEntriesOrdered(table)
-		if err != nil {
-			return err
-		}
-		for _, e := range rows {
-			if len(e.Params) != 1 {
-				continue
-			}
-			n := int(e.Params[0].Value.Uint64())
-			if e.Action == nameFor(n) {
-				into[n] = e
-			}
-		}
-		return nil
-	}
-	if err := byCount(persona.TblNorm, persona.NormAction, sh.normBy); err != nil {
-		return nil, err
-	}
-	if err := byCount(persona.TblResize, persona.ResizeAction, sh.resizeBy); err != nil {
-		return nil, err
-	}
-	if err := byCount(persona.TblWriteback, persona.WritebackAction, sh.wbBy); err != nil {
-		return nil, err
-	}
-	var err error
-	if sh.assign, err = sw.TableEntriesOrdered(persona.TblAssign); err != nil {
-		return nil, err
-	}
-	if sh.parse, err = sw.TableEntriesOrdered(persona.TblParseCtrl); err != nil {
-		return nil, err
-	}
-	if sh.virtnet, err = sw.TableEntriesOrdered(persona.TblVirtnet); err != nil {
-		return nil, err
-	}
-	if sh.csum, err = sw.TableEntriesOrdered(persona.TblCsum); err != nil {
-		return nil, err
-	}
-	bySeq := func(table string) (map[uint64]*sim.Entry, error) {
-		rows, err := sw.TableEntriesOrdered(table)
-		if err != nil {
-			return nil, err
-		}
-		out := make(map[uint64]*sim.Entry, len(rows))
-		for _, e := range rows {
-			if len(e.Params) != 1 {
-				continue
-			}
-			seq := e.Params[0].Value.Uint64()
-			if _, dup := out[seq]; !dup { // first row wins, like exact lookup
-				out[seq] = e
-			}
-		}
-		return out, nil
-	}
-	if sh.mcastOrig, err = bySeq(persona.TblMcastOrig); err != nil {
-		return nil, err
-	}
-	if sh.mcastClone, err = bySeq(persona.TblMcastClone); err != nil {
-		return nil, err
-	}
-	sh.stageRows = make([]map[int][]*sim.Entry, cfg.Stages+1)
-	sh.prepTables = make([][]string, cfg.Stages+1)
-	for i := 1; i <= cfg.Stages; i++ {
-		sh.stageRows[i] = map[int][]*sim.Entry{}
-		for _, k := range persona.StageKinds {
-			rows, err := sw.TableEntriesOrdered(persona.StageTable(i, k.Name))
-			if err != nil {
-				return nil, err
-			}
-			sh.stageRows[i][k.Code] = rows
-		}
-		sh.prepTables[i] = make([]string, cfg.Primitives+1)
-		for prim := 1; prim <= cfg.Primitives; prim++ {
-			sh.prepTables[i][prim] = persona.PrimTable(i, prim, "prep")
-			preps, err := sw.TableEntriesOrdered(sh.prepTables[i][prim])
-			if err != nil {
-				return nil, err
-			}
-			for _, e := range preps {
-				if len(e.Params) != 2 {
-					continue
-				}
-				pid := e.Params[0].Value.Uint64()
-				mid := e.Params[1].Value.Uint64()
-				k := prepKey(i, prim, pid, mid)
-				if _, dup := sh.preps[k]; !dup {
-					sh.preps[k] = e
-				}
-			}
-			execs, err := sw.TableEntriesOrdered(persona.PrimTable(i, prim, "exec"))
-			if err != nil {
-				return nil, err
-			}
-			for _, e := range execs {
-				if len(e.Params) != 1 {
-					continue
-				}
-				code := e.Params[0].Value.Uint64()
-				if e.Action == execName(code) {
-					sh.execs[execKey(i, prim, code)] = e
-				}
-			}
-		}
-	}
-	return sh, nil
-}
-
-func execName(code uint64) string {
-	for _, op := range persona.Opcodes {
-		if uint64(op.Code) == code {
-			return "a_exec_" + op.Name
-		}
-	}
-	return ""
-}
-
-// buildPlan fuses one vdev. A nil plan means the vdev stays fully
-// interpreted; the findings say why. A non-nil plan may still carry
-// per-construct runtime fallbacks (virtual links, multicast), reported as
+// buildPlan fuses one vdev from its decoded rows. A nil plan means the vdev
+// stays fully interpreted; the findings say why. A non-nil plan may still
+// carry per-construct runtime fallbacks (multicast sequences), reported as
 // findings too.
-func buildPlan(cfg persona.Config, sh *shared, vd VDev) (*plan, []verify.Finding) {
+func buildPlan(cfg persona.Config, t *rows.Tables, sessionOK func(int) bool, vd VDev) (*plan, []verify.Finding) {
 	var findings []verify.Finding
 	fail := func(table string, handle int, format string, args ...any) (*plan, []verify.Finding) {
 		return nil, append(findings, unfusable(vd.Name, table, handle, format, args...))
@@ -489,156 +257,72 @@ func buildPlan(cfg persona.Config, sh *shared, vd VDev) (*plan, []verify.Finding
 	if vd.PID <= 0 || vd.PID >= meterInstances {
 		return fail("", 0, "pid %d outside the policing meter instance range", vd.PID)
 	}
-	ew := cfg.ExtractedWidth()
-	pid := uint64(vd.PID)
+	m := t.VDev(vd.PID)
+	if len(m.Errs) > 0 {
+		return fail(m.Errs[0].Table, m.Errs[0].Handle, "%s", m.Errs[0].Detail)
+	}
 	p := &plan{
 		pid:          vd.PID,
 		name:         vd.Name,
 		defaultBytes: cfg.ParseDefault,
-		counts:       map[int]bool{},
-		parseBy:      map[uint64]*parseState{},
-		normBy:       sh.normBy,
-		resizeBy:     sh.resizeBy,
-		wbBy:         sh.wbBy,
+		parseBy:      make(map[uint64]*parseState, len(m.Parse)),
+		normBy:       t.Norm,
+		resizeBy:     t.Resize,
+		wbBy:         t.Writeback,
 		slots:        map[uint32]*fusedSlot{},
 		vnet:         map[uint64]*vnetRow{},
-		retained:     map[string]map[int]bool{},
+		csum:         m.Csum,
 	}
-	for _, n := range cfg.ByteCounts() {
-		p.counts[n] = true
-	}
-
-	for _, e := range sh.parse {
-		if len(e.Params) != 3 || e.Params[0].Value.Uint64() != pid {
-			continue
-		}
-		val, mask, ok := ternaryValue(e.Params[2], ew)
-		if !ok {
-			return fail(persona.TblParseCtrl, e.Handle, "parse row match is not an %d-bit exact/ternary key", ew)
-		}
-		pr := parseRow{matchKey: matchKey{val: val, mask: mask}, entry: e}
-		switch e.Action {
-		case persona.ActParseMore:
-			if len(e.Args) != 2 {
-				return fail(persona.TblParseCtrl, e.Handle, "a_parse_more arity")
-			}
-			pr.more = true
-			pr.numBytes = int(e.Args[0].Uint64())
-			pr.nextState = e.Args[1].Uint64()
-		case persona.ActParseDone:
-			if len(e.Args) != 3 {
-				return fail(persona.TblParseCtrl, e.Handle, "a_parse_done arity")
-			}
-			pr.kind = int(e.Args[0].Uint64())
-			pr.id = int(e.Args[1].Uint64())
-			pr.csum = e.Args[2].Uint64() == 1
-		default:
-			return fail(persona.TblParseCtrl, e.Handle, "unexpected parse action %q", e.Action)
-		}
-		state := e.Params[1].Value.Uint64()
-		ps := p.parseBy[state]
-		if ps == nil {
-			ps = &parseState{}
-			p.parseBy[state] = ps
-		}
-		ps.rows = append(ps.rows, pr)
-		p.retain(persona.TblParseCtrl, e.Handle)
-	}
-	for _, ps := range p.parseBy {
-		ps.ix = sealIndex(len(ps.rows), func(i int) *matchKey { return &ps.rows[i].matchKey }, false)
+	for state, prs := range m.Parse {
+		ps := &parseState{rows: prs}
+		ps.ix = sealIndex(len(prs), func(i int) *rows.Key { return &prs[i].Key }, false)
+		p.parseBy[state] = ps
 	}
 
-	for _, e := range sh.virtnet {
-		if len(e.Params) != 2 || e.Params[0].Value.Uint64() != pid {
-			continue
-		}
-		vp := e.Params[1].Value.Uint64()
-		vr := &vnetRow{entry: e}
-		switch e.Action {
-		case persona.ActVDrop:
-			vr.kind = vnetDrop
-		case persona.ActPhysFwd:
-			if len(e.Args) != 1 {
-				return fail(persona.TblVirtnet, e.Handle, "a_phys_fwd arity")
-			}
-			vr.kind = vnetPhys
-			vr.port = int(e.Args[0].Uint64())
-		case persona.ActVirtFwd:
-			if len(e.Args) != 3 {
-				return fail(persona.TblVirtnet, e.Handle, "a_virt_fwd arity")
-			}
-			vr.kind = vnetVirt
-			vr.nextPID = int(e.Args[0].Uint64())
-			vr.nextVIn = e.Args[1].Uint64()
-		case persona.ActMcastStart:
-			if len(e.Args) != 4 {
-				return fail(persona.TblVirtnet, e.Handle, "a_mcast_start arity")
-			}
-			vr.kind = vnetMcast
-			vr.nextPID = int(e.Args[0].Uint64())
-			vr.nextVIn = e.Args[1].Uint64()
-			orig, steps, err := decodeMcast(sh, e.Args[2].Uint64())
-			if err != nil {
+	for i := range m.Routes {
+		r := &m.Routes[i]
+		vr := &vnetRow{Route: *r}
+		if r.Kind == rows.RouteMcast {
+			if err := mcastFusable(r, sessionOK); err != nil {
 				vr.bad = true
-				findings = append(findings, unfusable(vd.Name, persona.TblVirtnet, e.Handle,
-					"vport %d multicast sequence stays interpreted: %v", vp, err))
-			} else {
-				vr.orig, vr.steps = orig, steps
+				findings = append(findings, unfusable(vd.Name, persona.TblVirtnet, r.Entry.Handle,
+					"vport %d multicast sequence stays interpreted: %v", r.VPort, err))
 			}
-		default:
-			return fail(persona.TblVirtnet, e.Handle, "unexpected virtnet action %q", e.Action)
 		}
-		if _, dup := p.vnet[vp]; !dup {
-			p.vnet[vp] = vr
+		if p.vnet[r.VPort] == nil {
+			p.vnet[r.VPort] = vr
 		}
-		if vp == 0 && vr.kind == vnetDrop && p.vdrop0 == nil {
-			p.vdrop0 = e
+		if r.VPort == 0 && r.Kind == rows.RouteDrop && p.vdrop0 == nil {
+			p.vdrop0 = r.Entry
 		}
 	}
 	if p.vdrop0 == nil {
 		return fail(persona.TblVirtnet, 0, "no (pid, vport=0) drop row: vdev not fully assigned")
 	}
 
-	for _, e := range sh.csum {
-		if len(e.Params) != 1 || e.Params[0].Value.Uint64() != pid {
-			continue
+	for _, s := range m.Slots {
+		key := slotKey(s.Kind, uint64(s.ID))
+		fs := p.slots[key]
+		if fs == nil {
+			fs = &fusedSlot{stage: s.Stage, kind: fusedKind(s.Kind)}
+			p.slots[key] = fs
+		} else if fs.stage != s.Stage {
+			return fail(persona.StageTable(s.Stage, persona.KindName(s.Kind)), s.Rows[0].Entry.Handle,
+				"slot %d installed in stages %d and %d", s.ID, fs.stage, s.Stage)
 		}
-		p.retain(persona.TblCsum, e.Handle)
-		cp, err := decodeCsum(e, ew)
-		if err != nil {
-			p.csumBad = true
-			findings = append(findings, unfusable(vd.Name, persona.TblCsum, e.Handle,
-				"checksum row stays interpreted: %v", err))
-			continue
-		}
-		if p.csum == nil && !p.csumBad {
-			p.csum = cp
-		}
-	}
-
-	for i := 1; i <= cfg.Stages; i++ {
-		for kind, rows := range sh.stageRows[i] {
-			table := persona.StageTable(i, persona.KindName(kind))
-			for _, e := range rows {
-				if len(e.Params) < 2 || e.Params[0].Value.Uint64() != pid {
-					continue
+		for j := range s.Rows {
+			r := &s.Rows[j]
+			hits := make([]*sim.Entry, 0, 1+2*len(r.Ops))
+			hits = append(hits, r.Entry)
+			for k := range r.Ops {
+				op := &r.Ops[k]
+				if isAdd(op.Code) && op.DstW > 64 {
+					return fail(persona.PrimTable(s.Stage, k+1, "prep"), op.Prep.Handle,
+						"add over %d-bit destination exceeds the 64-bit fused adder", op.DstW)
 				}
-				id := e.Params[1].Value.Uint64()
-				key := slotKey(kind, id)
-				fs := p.slots[key]
-				if fs == nil {
-					fs = &fusedSlot{stage: i, kind: fusedKind(kind)}
-					p.slots[key] = fs
-				} else if fs.stage != i {
-					return fail(table, e.Handle, "slot %d installed in stages %d and %d", id, fs.stage, i)
-				}
-				fr, err := decodeStageRow(cfg, sh, e, kind, i, pid, ew, p.retain)
-				if err != nil {
-					return fail(table, e.Handle, "%v", err)
-				}
-				p.retain(table, e.Handle)
-				fs.rows = append(fs.rows, fr)
+				hits = append(hits, op.Prep, op.Exec)
 			}
+			fs.rows = append(fs.rows, &frow{Key: r.Key, ops: r.Ops, nextKind: r.NextKind, nextID: r.NextSlot, hits: hits})
 		}
 	}
 	for _, fs := range p.slots {
@@ -647,54 +331,25 @@ func buildPlan(cfg persona.Config, sh *shared, vd VDev) (*plan, []verify.Finding
 	return p, findings
 }
 
-// decodeMcast expands an a_mcast_start row's clone sequence by walking the
-// t_mcast_orig and t_mcast_clone rows the interpreter's egress would hit:
-// the original pass hits the orig row (raising clone 1), clone k hits the
-// step row keyed by its inherited sequence (raising clone k+1 until the
-// last step). Every clone session must have a mirror mapping — without one
-// the interpreter counts the clone but never spawns it, a shape the fused
+func isAdd(code int) bool { return code == persona.OpAddEDConst || code == persona.OpAddMetaConst }
+
+// mcastFusable checks that a multicast route's clone sequence decoded and
+// that every clone session has a mirror mapping — without one the
+// interpreter counts the clone but never spawns it, a shape the fused
 // expansion does not model.
-func decodeMcast(sh *shared, seq uint64) (*sim.Entry, []mcastStep, error) {
-	orig := sh.mcastOrig[seq]
-	if orig == nil || orig.Action != persona.ActMcastClone || len(orig.Args) != 1 {
-		return nil, nil, fmt.Errorf("no decodable %s row for sequence %d", persona.ActMcastClone, seq)
+func mcastFusable(r *rows.Route, sessionOK func(int) bool) error {
+	if r.McastErr != nil {
+		return r.McastErr
 	}
-	if !sh.sessionOK(int(orig.Args[0].Uint64())) {
-		return nil, nil, fmt.Errorf("clone session %d has no mirror mapping", orig.Args[0].Uint64())
+	if !sessionOK(r.Session) {
+		return fmt.Errorf("clone session %d has no mirror mapping", r.Session)
 	}
-	var steps []mcastStep
-	seen := map[uint64]bool{seq: true}
-	cur := seq
-	for {
-		e := sh.mcastClone[cur]
-		if e == nil {
-			return nil, nil, fmt.Errorf("no step row for sequence %d", cur)
-		}
-		switch e.Action {
-		case persona.ActMcastStep:
-			if len(e.Args) != 4 {
-				return nil, nil, fmt.Errorf("%s arity %d", persona.ActMcastStep, len(e.Args))
-			}
-			if !sh.sessionOK(int(e.Args[3].Uint64())) {
-				return nil, nil, fmt.Errorf("clone session %d has no mirror mapping", e.Args[3].Uint64())
-			}
-			steps = append(steps, mcastStep{pid: int(e.Args[0].Uint64()), vin: e.Args[1].Uint64(), entry: e})
-			next := e.Args[2].Uint64()
-			if seen[next] {
-				return nil, nil, fmt.Errorf("multicast sequence cycles at %d", next)
-			}
-			seen[next] = true
-			cur = next
-		case persona.ActMcastLast:
-			if len(e.Args) != 2 {
-				return nil, nil, fmt.Errorf("%s arity %d", persona.ActMcastLast, len(e.Args))
-			}
-			steps = append(steps, mcastStep{pid: int(e.Args[0].Uint64()), vin: e.Args[1].Uint64(), entry: e})
-			return orig, steps, nil
-		default:
-			return nil, nil, fmt.Errorf("unexpected step action %q", e.Action)
+	for _, st := range r.Steps {
+		if st.Session >= 0 && !sessionOK(st.Session) {
+			return fmt.Errorf("clone session %d has no mirror mapping", st.Session)
 		}
 	}
+	return nil
 }
 
 // costUnbounded marks a plan on a virtual-link cycle: its worst-case pass
@@ -712,16 +367,17 @@ const costUnbounded = int(^uint(0) >> 1)
 func linkPlans(eng *Engine, maxPasses int) []verify.Finding {
 	for _, p := range eng.plans {
 		for _, vr := range p.vnet {
-			switch vr.kind {
-			case vnetVirt:
-				vr.target = eng.plans[vr.nextPID]
-			case vnetMcast:
+			switch vr.Kind {
+			case rows.RouteVirt:
+				vr.target = eng.plans[vr.PID]
+			case rows.RouteMcast:
 				if vr.bad {
 					continue
 				}
-				vr.target = eng.plans[vr.nextPID]
-				for i := range vr.steps {
-					vr.steps[i].target = eng.plans[vr.steps[i].pid]
+				vr.target = eng.plans[vr.PID]
+				vr.targets = make([]*plan, len(vr.Steps))
+				for i := range vr.Steps {
+					vr.targets[i] = eng.plans[vr.Steps[i].PID]
 				}
 			}
 		}
@@ -762,12 +418,12 @@ func linkPlans(eng *Engine, maxPasses int) []verify.Finding {
 		for _, vr := range p.vnet {
 			rc := 0
 			switch {
-			case vr.kind == vnetVirt && vr.target != nil:
+			case vr.Kind == rows.RouteVirt && vr.target != nil:
 				rc = cost(vr.target)
-			case vr.kind == vnetMcast && !vr.bad && vr.target != nil:
-				rc = add(len(vr.steps), cost(vr.target)) // one pass per clone
-				for i := range vr.steps {
-					if t := vr.steps[i].target; t != nil {
+			case vr.Kind == rows.RouteMcast && !vr.bad && vr.target != nil:
+				rc = add(len(vr.targets), cost(vr.target)) // one pass per clone
+				for _, t := range vr.targets {
+					if t != nil {
 						rc = add(rc, cost(t))
 					}
 				}
@@ -814,9 +470,9 @@ func linkPlans(eng *Engine, maxPasses int) []verify.Finding {
 			if vr.target != nil && eng.plans[vr.target.pid] != vr.target {
 				vr.target = nil
 			}
-			for i := range vr.steps {
-				if t := vr.steps[i].target; t != nil && eng.plans[t.pid] != t {
-					vr.steps[i].target = nil
+			for i, t := range vr.targets {
+				if t != nil && eng.plans[t.pid] != t {
+					vr.targets[i] = nil
 				}
 			}
 		}
@@ -833,8 +489,8 @@ func linkPlans(eng *Engine, maxPasses int) []verify.Finding {
 			p.chain = append(p.chain, q.pid)
 			for _, vr := range q.vnet {
 				visit(vr.target)
-				for i := range vr.steps {
-					visit(vr.steps[i].target)
+				for _, t := range vr.targets {
+					visit(t)
 				}
 			}
 		}
@@ -860,10 +516,10 @@ func walkPasses(p *plan) int {
 		seen[state] = true
 		best := 0
 		for _, r := range ps.rows {
-			if !r.more {
+			if !r.More {
 				continue
 			}
-			if d := 1 + deepest(r.nextState); d > best {
+			if d := 1 + deepest(r.Next); d > best {
 				best = d
 			}
 		}
@@ -884,272 +540,4 @@ func fusedKind(code int) int {
 	default:
 		return matchNone
 	}
-}
-
-// decodeStageRow inverts one installed a_set_match row back into a fused
-// row: match key, successor, and per-primitive micro-ops with the prep and
-// exec entries the interpreter would hit.
-func decodeStageRow(cfg persona.Config, sh *shared, e *sim.Entry, kind, stage int, pid uint64, ew int, retain func(table string, handle int)) (*frow, error) {
-	if e.Action != persona.ActSetMatch {
-		return nil, fmt.Errorf("unexpected stage action %q", e.Action)
-	}
-	if len(e.Args) != 4 {
-		return nil, fmt.Errorf("a_set_match arity %d", len(e.Args))
-	}
-	fr := &frow{
-		nextKind: int(e.Args[2].Uint64()),
-		nextID:   int(e.Args[3].Uint64()),
-		hits:     []*sim.Entry{e},
-	}
-	var ok bool
-	switch kind {
-	case persona.NTEDExact, persona.NTEDTernary:
-		if len(e.Params) != 3 {
-			return nil, fmt.Errorf("ed row arity")
-		}
-		if fr.val, fr.mask, ok = ternaryValue(e.Params[2], ew); !ok {
-			return nil, fmt.Errorf("ed match key is not a %d-bit exact/ternary", ew)
-		}
-	case persona.NTMetaExact, persona.NTMetaTernary:
-		if len(e.Params) != 3 {
-			return nil, fmt.Errorf("meta row arity")
-		}
-		if fr.val, fr.mask, ok = ternaryValue(e.Params[2], persona.MetaWidth); !ok {
-			return nil, fmt.Errorf("meta match key is not a %d-bit exact/ternary", persona.MetaWidth)
-		}
-	case persona.NTStdMeta:
-		if len(e.Params) != 4 {
-			return nil, fmt.Errorf("stdmeta row arity")
-		}
-		if fr.vinVal, fr.vinMask, ok = ternaryUint(e.Params[2]); !ok {
-			return nil, fmt.Errorf("stdmeta vingress key kind")
-		}
-		if fr.vpVal, fr.vpMask, ok = ternaryUint(e.Params[3]); !ok {
-			return nil, fmt.Errorf("stdmeta vport key kind")
-		}
-	case persona.NTMatchless:
-		if len(e.Params) != 2 {
-			return nil, fmt.Errorf("matchless row arity")
-		}
-	default:
-		return nil, fmt.Errorf("unknown stage kind %d", kind)
-	}
-	mid := e.Args[0].Uint64()
-	nprims := int(e.Args[1].Uint64())
-	if nprims > cfg.Primitives {
-		return nil, fmt.Errorf("row wants %d primitives, persona has %d", nprims, cfg.Primitives)
-	}
-	for prim := 1; prim <= nprims; prim++ {
-		prep := sh.preps[prepKey(stage, prim, pid, mid)]
-		if prep == nil {
-			return nil, fmt.Errorf("missing prep row for match_id %d primitive %d", mid, prim)
-		}
-		code, mop, err := decodePrep(prep, ew)
-		if err != nil {
-			return nil, fmt.Errorf("prep %q: %w", prep.Action, err)
-		}
-		exec := sh.execs[execKey(stage, prim, code)]
-		if exec == nil {
-			return nil, fmt.Errorf("missing exec row for opcode %d", code)
-		}
-		retain(sh.prepTables[stage][prim], prep.Handle)
-		fr.hits = append(fr.hits, prep, exec)
-		fr.ops = append(fr.ops, mop)
-	}
-	return fr, nil
-}
-
-// decodePrep inverts one installed a_prep_* row into a micro-op, verifying
-// every derived shift against the encoding hp4c's prepFor produced. Any
-// mismatch means the row wasn't produced by the compiler we understand, so
-// the vdev stays interpreted rather than risking divergence.
-func decodePrep(e *sim.Entry, ew int) (uint64, microOp, error) {
-	var code int
-	found := false
-	for _, op := range persona.Opcodes {
-		if e.Action == "a_prep_"+op.Name {
-			code = op.Code
-			found = true
-			break
-		}
-	}
-	if !found {
-		return 0, microOp{}, fmt.Errorf("unknown prep action")
-	}
-	arity := func(n int) error {
-		if len(e.Args) != n {
-			return fmt.Errorf("arity %d, want %d", len(e.Args), n)
-		}
-		return nil
-	}
-	mop := microOp{}
-	switch code {
-	case persona.OpNoOp:
-		mop.kind = mopNop
-		return uint64(code), mop, arity(0)
-	case persona.OpDrop:
-		mop.kind = mopDrop
-		return uint64(code), mop, arity(0)
-	case persona.OpModVPortVIngress:
-		mop.kind = mopVPortVIngress
-		return uint64(code), mop, arity(0)
-	case persona.OpModVPortConst:
-		if err := arity(1); err != nil {
-			return 0, mop, err
-		}
-		mop.kind = mopVPortConst
-		mop.cval = e.Args[0].Uint64()
-		return uint64(code), mop, nil
-	}
-
-	dstMeta := code == persona.OpModMetaConst || code == persona.OpModMetaED ||
-		code == persona.OpModMetaMeta || code == persona.OpAddMetaConst
-	srcMeta := code == persona.OpModEDMeta || code == persona.OpModMetaMeta
-	dstTotal, srcTotal := ew, ew
-	if dstMeta {
-		dstTotal = persona.MetaWidth
-	}
-	if srcMeta {
-		srcTotal = persona.MetaWidth
-	}
-	if len(e.Args) < 2 {
-		return 0, mop, fmt.Errorf("missing dmask/dshift")
-	}
-	off, w, err := decodeDstMask(e.Args[0], e.Args[1].Uint64(), dstTotal, ew)
-	if err != nil {
-		return 0, mop, err
-	}
-	mop.dstMeta, mop.srcMeta = dstMeta, srcMeta
-	mop.dstOff, mop.dstW = off, w
-
-	switch code {
-	case persona.OpModEDConst, persona.OpModMetaConst:
-		if err := arity(3); err != nil {
-			return 0, mop, err
-		}
-		mop.kind = mopSet
-		mop.cval = e.Args[2].Uint64()
-	case persona.OpModEDED, persona.OpModEDMeta, persona.OpModMetaED, persona.OpModMetaMeta:
-		if err := arity(4); err != nil {
-			return 0, mop, err
-		}
-		mop.kind = mopCopy
-		mop.srcOff = int(e.Args[2].Uint64()) - ew + srcTotal
-		mop.srcW = ew - int(e.Args[3].Uint64())
-		if mop.srcOff < 0 || mop.srcW <= 0 || mop.srcOff+mop.srcW > srcTotal {
-			return 0, mop, fmt.Errorf("source slice [%d,%d) outside %d-bit field", mop.srcOff, mop.srcOff+mop.srcW, srcTotal)
-		}
-	case persona.OpAddEDConst, persona.OpAddMetaConst:
-		if err := arity(5); err != nil {
-			return 0, mop, err
-		}
-		if w > 64 {
-			return 0, mop, fmt.Errorf("add over %d-bit destination exceeds the 64-bit fused adder", w)
-		}
-		if int(e.Args[2].Uint64()) != ew-dstTotal+off || int(e.Args[3].Uint64()) != ew-w {
-			return 0, mop, fmt.Errorf("add shift encoding mismatch")
-		}
-		mop.kind = mopAdd
-		mop.cval = e.Args[4].Uint64()
-	default:
-		return 0, mop, fmt.Errorf("opcode %d not fusable", code)
-	}
-	return uint64(code), mop, nil
-}
-
-// decodeDstMask inverts prepFor's destination encoding: dmask is
-// MaskRange(dstTotal, off, w) resized (right-aligned) to ew, dshift is
-// dstTotal-off-w. It recovers (off, w) and verifies both encodings agree
-// and the mask is one contiguous run.
-func decodeDstMask(dmask bitfield.Value, dshift uint64, dstTotal, ew int) (int, int, error) {
-	if dmask.Width() != ew {
-		return 0, 0, fmt.Errorf("dmask width %d, want %d", dmask.Width(), ew)
-	}
-	w := dmask.PopCount()
-	if w == 0 {
-		return 0, 0, fmt.Errorf("empty dmask")
-	}
-	f := -1
-	b := dmask.Bytes()
-	for i, by := range b {
-		if by != 0 {
-			for j := 0; j < 8; j++ {
-				if by&(0x80>>j) != 0 {
-					f = i*8 + j
-					break
-				}
-			}
-			break
-		}
-	}
-	off := f - (ew - dstTotal)
-	if off < 0 || off+w > dstTotal {
-		return 0, 0, fmt.Errorf("dmask run [%d,%d) outside %d-bit field", off, off+w, dstTotal)
-	}
-	if !dmask.Equal(bitfield.MaskRange(dstTotal, off, w).Resize(ew)) {
-		return 0, 0, fmt.Errorf("dmask is not one contiguous run")
-	}
-	if int(dshift) != dstTotal-off-w {
-		return 0, 0, fmt.Errorf("dshift %d disagrees with dmask run [%d,%d)", dshift, off, off+w)
-	}
-	return off, w, nil
-}
-
-// decodeCsum inverts an a_ipv4_csum row into the header's bit offset,
-// verifying all three argument encodings agree.
-func decodeCsum(e *sim.Entry, ew int) (*csumPlan, error) {
-	if e.Action != "a_ipv4_csum" {
-		return nil, fmt.Errorf("unexpected csum action %q", e.Action)
-	}
-	if len(e.Args) != 3 {
-		return nil, fmt.Errorf("a_ipv4_csum arity %d", len(e.Args))
-	}
-	shift0 := int(e.Args[1].Uint64())
-	hoffBits := ew - 16 - shift0
-	if hoffBits < 0 || hoffBits%8 != 0 || hoffBits+160 > ew {
-		return nil, fmt.Errorf("header offset %d bits out of range", hoffBits)
-	}
-	if int(e.Args[2].Uint64()) != ew-(hoffBits+80)-16 {
-		return nil, fmt.Errorf("cshift disagrees with shift0")
-	}
-	want := bitfield.MaskRange(ew, hoffBits+80, 16).Not()
-	if e.Args[0].Width() != ew || !e.Args[0].Equal(want) {
-		return nil, fmt.Errorf("ncmask disagrees with shift0")
-	}
-	return &csumPlan{entry: e, hoffBits: hoffBits}, nil
-}
-
-// ternaryValue normalizes an exact or ternary match param of the given
-// width into a premasked (value, mask) pair.
-func ternaryValue(p sim.MatchParam, width int) (val, mask bitfield.Value, ok bool) {
-	if p.Value.Width() != width {
-		return val, mask, false
-	}
-	switch p.Kind {
-	case ast.MatchExact:
-		return p.Value, bitfield.Ones(width), true
-	case ast.MatchTernary:
-		if p.Mask.Width() != width {
-			return val, mask, false
-		}
-		return p.Value.And(p.Mask), p.Mask, true
-	}
-	return val, mask, false
-}
-
-// ternaryUint is ternaryValue for narrow (<=64 bit) keys.
-func ternaryUint(p sim.MatchParam) (val, mask uint64, ok bool) {
-	w := p.Value.Width()
-	if w > 64 {
-		return 0, 0, false
-	}
-	all := uint64(1)<<uint(w) - 1
-	switch p.Kind {
-	case ast.MatchExact:
-		return p.Value.Uint64(), all, true
-	case ast.MatchTernary:
-		m := p.Mask.Uint64()
-		return p.Value.Uint64() & m, m, true
-	}
-	return 0, 0, false
 }

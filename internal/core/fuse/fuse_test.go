@@ -6,6 +6,7 @@ import (
 
 	"hyper4/internal/bitfield"
 	"hyper4/internal/core/persona"
+	"hyper4/internal/core/persona/rows"
 	"hyper4/internal/sim"
 )
 
@@ -22,7 +23,7 @@ func edRow(width, byteOff int, want byte) *frow {
 	mask := bitfield.New(width)
 	val.InsertUint(byteOff*8, 8, uint64(want))
 	mask.InsertUint(byteOff*8, 8, 0xff)
-	return &frow{matchKey: matchKey{val: val, mask: mask}}
+	return &frow{Key: rows.Key{Val: val, Mask: mask}}
 }
 
 // sealed builds a slot through the same seal step Build uses.
@@ -38,15 +39,15 @@ func scanLookup(fs *fusedSlot, st *execState, ving, vport uint64) *frow {
 	for _, r := range fs.rows {
 		switch fs.kind {
 		case matchED:
-			if st.ext.MatchTernary(r.val, r.mask) {
+			if st.ext.MatchTernary(r.Val, r.Mask) {
 				return r
 			}
 		case matchMeta:
-			if st.meta.MatchTernary(r.val, r.mask) {
+			if st.meta.MatchTernary(r.Val, r.Mask) {
 				return r
 			}
 		case matchStd:
-			if ving&r.vinMask == r.vinVal && vport&r.vpMask == r.vpVal {
+			if ving&r.VinMask == r.VinVal && vport&r.VpMask == r.VpVal {
 				return r
 			}
 		case matchNone:
@@ -84,7 +85,7 @@ func TestFusedSlotLookupPrecedence(t *testing.T) {
 		if got := sealed(matchED, miss, hit1, dup).lookup(st, 0, 0); got != hit1 {
 			t.Error("ed lookup did not pick the first of two rows with one masked key")
 		}
-		catchAll := &frow{matchKey: matchKey{val: bitfield.New(testExtWidth), mask: bitfield.New(testExtWidth)}}
+		catchAll := &frow{Key: rows.Key{Val: bitfield.New(testExtWidth), Mask: bitfield.New(testExtWidth)}}
 		if got := sealed(matchED, miss, catchAll, hit1).lookup(st, 0, 0); got != catchAll {
 			t.Error("ed lookup skipped an all-zero catch-all row")
 		}
@@ -104,7 +105,7 @@ func TestFusedSlotLookupPrecedence(t *testing.T) {
 	t.Run("std", func(t *testing.T) {
 		// Exact-on-vingress row before a wildcard row: the exact row wins
 		// only when vingress matches.
-		exact := &frow{matchKey: matchKey{vinVal: 7, vinMask: ^uint64(0)}}
+		exact := &frow{Key: rows.Key{VinVal: 7, VinMask: ^uint64(0)}}
 		wild := &frow{}
 		fs := sealed(matchStd, exact, wild)
 		if got := fs.lookup(st, 7, 0); got != exact {
@@ -113,7 +114,7 @@ func TestFusedSlotLookupPrecedence(t *testing.T) {
 		if got := fs.lookup(st, 8, 0); got != wild {
 			t.Error("std lookup did not fall through to the wildcard row")
 		}
-		vp := &frow{matchKey: matchKey{vpVal: 3, vpMask: ^uint64(0)}}
+		vp := &frow{Key: rows.Key{VpVal: 3, VpMask: ^uint64(0)}}
 		fs = sealed(matchStd, vp)
 		if got := fs.lookup(st, 0, 3); got != vp {
 			t.Error("std lookup missed the vport row")
@@ -163,7 +164,7 @@ func rowIndex(fs *fusedSlot, r *frow) int {
 // pool (overlapping byte ranges, a mask with a ragged bit edge, the
 // all-zero catch-all) and values from a tiny alphabet, so masks are shared,
 // masked keys repeat inside a group, and groups interleave in rank.
-func randomSlot(rng *rand.Rand, kind int) (*fusedSlot, []matchKey) {
+func randomSlot(rng *rand.Rand, kind int) (*fusedSlot, []rows.Key) {
 	width := testExtWidth
 	if kind == matchMeta {
 		width = persona.MetaWidth
@@ -178,23 +179,23 @@ func randomSlot(rng *rand.Rand, kind int) (*fusedSlot, []matchKey) {
 	}
 	stdMasks := []uint64{0, ^uint64(0), 0xff, 0xf0}
 	n := 1 + rng.Intn(24)
-	rows := make([]*frow, n)
-	keys := make([]matchKey, n)
-	for i := range rows {
-		var k matchKey
+	frows := make([]*frow, n)
+	keys := make([]rows.Key, n)
+	for i := range frows {
+		var k rows.Key
 		if kind == matchStd {
-			k.vinMask = stdMasks[rng.Intn(len(stdMasks))]
-			k.vpMask = stdMasks[rng.Intn(len(stdMasks))]
-			k.vinVal = uint64(rng.Intn(3)) & k.vinMask
-			k.vpVal = uint64(rng.Intn(3)) & k.vpMask
+			k.VinMask = stdMasks[rng.Intn(len(stdMasks))]
+			k.VpMask = stdMasks[rng.Intn(len(stdMasks))]
+			k.VinVal = uint64(rng.Intn(3)) & k.VinMask
+			k.VpVal = uint64(rng.Intn(3)) & k.VpMask
 		} else {
-			k.mask = masks[rng.Intn(len(masks))]
-			k.val = randomWide(rng, width).And(k.mask)
+			k.Mask = masks[rng.Intn(len(masks))]
+			k.Val = randomWide(rng, width).And(k.Mask)
 		}
-		rows[i] = &frow{matchKey: k}
+		frows[i] = &frow{Key: k}
 		keys[i] = k
 	}
-	return sealed(kind, rows...), keys
+	return sealed(kind, frows...), keys
 }
 
 // randomWide is a value whose bytes come from {0x00, 0x01, 0xff}.
@@ -209,14 +210,14 @@ func randomWide(rng *rand.Rand, width int) bitfield.Value {
 // randomProbe loads st with a packet that, half the time, is built to hit
 // one of the rows (its value with random bits outside its mask), and
 // returns the std key to probe with.
-func randomProbe(rng *rand.Rand, st *execState, kind int, keys []matchKey) (ving, vport uint64) {
+func randomProbe(rng *rand.Rand, st *execState, kind int, keys []rows.Key) (ving, vport uint64) {
 	k := keys[rng.Intn(len(keys))]
 	aim := rng.Intn(2) == 0
 	if kind == matchStd {
 		ving, vport = uint64(rng.Intn(3)), uint64(rng.Intn(3))
 		if aim {
-			ving = k.vinVal | ving&^k.vinMask
-			vport = k.vpVal | vport&^k.vpMask
+			ving = k.VinVal | ving&^k.VinMask
+			vport = k.VpVal | vport&^k.VpMask
 		}
 		return ving, vport
 	}
@@ -226,7 +227,7 @@ func randomProbe(rng *rand.Rand, st *execState, kind int, keys []matchKey) (ving
 	}
 	v := randomWide(rng, dst.Width())
 	if aim {
-		v = k.val.Or(v.And(k.mask.Not()))
+		v = k.Val.Or(v.And(k.Mask.Not()))
 	}
 	dst.CopyFrom(v)
 	return 0, 0
@@ -245,7 +246,7 @@ func TestCopyFieldOverlap(t *testing.T) {
 
 	// Shift a 128-bit field right by 64 bits: dst [64,192) ← src [0,128),
 	// overlapping on [64,128).
-	st.copyField(&microOp{kind: mopCopy, dstOff: 64, dstW: 128, srcOff: 0, srcW: 128})
+	st.copyField(&rows.Op{Code: persona.OpModEDED, Dst: persona.StoreED, Src: persona.StoreED, DstOff: 64, DstW: 128, SrcOff: 0, SrcW: 128})
 	got := st.ext.Bytes()[:24]
 	want := append(append([]byte{}, src[:8]...), src[:16]...)
 	for i := range want {
@@ -256,7 +257,7 @@ func TestCopyFieldOverlap(t *testing.T) {
 
 	// Widening copy zero-extends: dst is 80 bits, src 16 bits.
 	st.ext.SetPrefixBytes(src)
-	st.copyField(&microOp{kind: mopCopy, dstOff: 256, dstW: 80, srcOff: 0, srcW: 16})
+	st.copyField(&rows.Op{Code: persona.OpModEDED, Dst: persona.StoreED, Src: persona.StoreED, DstOff: 256, DstW: 80, SrcOff: 0, SrcW: 16})
 	if hi := st.ext.UintAt(256, 64); hi != 0 {
 		t.Errorf("widening copy high bits = %#x, want 0", hi)
 	}
@@ -266,7 +267,7 @@ func TestCopyFieldOverlap(t *testing.T) {
 
 	// Narrowing copy truncates to the low source bits.
 	st.ext.SetPrefixBytes(src)
-	st.copyField(&microOp{kind: mopCopy, dstOff: 256, dstW: 16, srcOff: 0, srcW: 128})
+	st.copyField(&rows.Op{Code: persona.OpModEDED, Dst: persona.StoreED, Src: persona.StoreED, DstOff: 256, DstW: 16, SrcOff: 0, SrcW: 128})
 	if got := st.ext.UintAt(256, 16); got != 0x0f10 {
 		t.Errorf("narrowing copy = %#x, want 0x0f10 (low 16 of the 128-bit source)", got)
 	}
@@ -278,7 +279,7 @@ func TestSetConstWide(t *testing.T) {
 	for i := 0; i < testExtWidth; i += 64 {
 		st.ext.InsertUint(i, 64, ^uint64(0))
 	}
-	st.setConst(&microOp{kind: mopSet, dstOff: 8, dstW: 96, cval: 0xdeadbeefcafe})
+	st.setConst(&rows.Op{Code: persona.OpModEDConst, Dst: persona.StoreED, DstOff: 8, DstW: 96, Const: 0xdeadbeefcafe})
 	if hi := st.ext.UintAt(8, 32); hi != 0 {
 		t.Errorf("wide set high bits = %#x, want 0", hi)
 	}
@@ -320,13 +321,13 @@ func TestFixCsum(t *testing.T) {
 	st := testState()
 	frame := append(make([]byte, 14), hdr...)
 	st.ext.SetPrefixBytes(frame)
-	st.fixCsum(&csumPlan{hoffBits: hoff})
+	st.fixCsum(&rows.Csum{Hdr: hoff})
 	if got := uint16(st.ext.UintAt(hoff+80, 16)); got != want {
 		t.Errorf("checksum = %#04x, want %#04x", got, want)
 	}
 	// Idempotent: recomputing over the corrected header yields the same
 	// value (the checksum word is excluded from the sum).
-	st.fixCsum(&csumPlan{hoffBits: hoff})
+	st.fixCsum(&rows.Csum{Hdr: hoff})
 	if got := uint16(st.ext.UintAt(hoff+80, 16)); got != want {
 		t.Errorf("recomputed checksum = %#04x, want %#04x", got, want)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 
 	"hyper4/internal/bitfield"
+	"hyper4/internal/core/persona/rows"
 )
 
 // A fused lookup costs what the key is, not how many rows hold it: Build
@@ -15,15 +16,6 @@ import (
 // below the best match so far, so it returns exactly the row a first-match
 // scan over the precedence-ordered rows would. Exact-match tables are one
 // group however many entries they hold.
-
-// matchKey is one row's match key: a premasked (val, mask) pair over a
-// wide field (extracted data, emulated metadata, or the parse window), or
-// the premasked (vingress, vport) pair of a matchStd row. Matchless rows
-// leave it zero and match everything.
-type matchKey struct {
-	val, mask                      bitfield.Value
-	vinVal, vinMask, vpVal, vpMask uint64
-}
 
 // tupleIndex is a sealed set of rows, grouped by mask.
 type tupleIndex struct {
@@ -46,7 +38,7 @@ type maskGroup struct {
 // sealIndex builds the index over n rows whose keys, key(0)..key(n-1), are
 // in match precedence order. Masks are read as bytes, and only when a row's
 // mask differs from the previous row's.
-func sealIndex(n int, key func(rank int) *matchKey, std bool) tupleIndex {
+func sealIndex(n int, key func(rank int) *rows.Key, std bool) tupleIndex {
 	ix := tupleIndex{std: std}
 	bySig := map[string]int{}
 	groupOf := make([]int, n)
@@ -57,18 +49,18 @@ func sealIndex(n int, key func(rank int) *matchKey, std bool) tupleIndex {
 		if rank == 0 || !sameMask(key(rank-1), k, std) {
 			var sig []byte
 			if std {
-				sig = appendPair(nil, k.vinMask, k.vpMask)
+				sig = appendPair(nil, k.VinMask, k.VpMask)
 			} else {
-				sig = k.mask.Bytes()
+				sig = k.Mask.Bytes()
 			}
 			var ok bool
 			if gi, ok = bySig[string(sig)]; !ok {
 				gi = len(ix.groups)
 				bySig[string(sig)] = gi
-				g := maskGroup{first: rank, vinMask: k.vinMask, vpMask: k.vpMask}
+				g := maskGroup{first: rank, vinMask: k.VinMask, vpMask: k.VpMask}
 				if !std {
-					g.start, g.w = nonZeroSpan(sig, k.mask.Width())
-					g.span = k.mask.AppendSliceTo(nil, g.start, g.w)
+					g.start, g.w = nonZeroSpan(sig, k.Mask.Width())
+					g.span = k.Mask.AppendSliceTo(nil, g.start, g.w)
 				}
 				ix.groups = append(ix.groups, g)
 				sizes = append(sizes, 0)
@@ -85,17 +77,17 @@ func sealIndex(n int, key func(rank int) *matchKey, std bool) tupleIndex {
 	for rank := n - 1; rank >= 0; rank-- {
 		k := key(rank)
 		g := &ix.groups[groupOf[rank]]
-		buf = ix.appendKey(buf[:0], g, k.val, k.vinVal, k.vpVal)
+		buf = ix.appendKey(buf[:0], g, k.Val, k.VinVal, k.VpVal)
 		g.ranks[string(buf)] = rank
 	}
 	return ix
 }
 
-func sameMask(a, b *matchKey, std bool) bool {
+func sameMask(a, b *rows.Key, std bool) bool {
 	if std {
-		return a.vinMask == b.vinMask && a.vpMask == b.vpMask
+		return a.VinMask == b.VinMask && a.VpMask == b.VpMask
 	}
-	return a.mask.Equal(b.mask)
+	return a.Mask.Equal(b.Mask)
 }
 
 // nonZeroSpan returns the bit span covering the non-zero bytes of a mask

@@ -81,29 +81,6 @@ func declsFor(cfg persona.Config) (*declIndex, error) {
 	return idx, nil
 }
 
-// prepShape is the a_prep_* action the DPMU drives for one opcode and the
-// argument count it installs (mirroring dpmu's prepFor); Validate checks
-// the persona declares exactly that shape, catching drift at compile time.
-type prepShape struct {
-	action string
-	args   int
-}
-
-var prepShapes = map[int]prepShape{
-	persona.OpNoOp:             {"a_prep_no_op", 0},
-	persona.OpDrop:             {"a_prep_drop", 0},
-	persona.OpModVPortVIngress: {"a_prep_mod_vport_vingress", 0},
-	persona.OpModVPortConst:    {"a_prep_mod_vport_const", 1},
-	persona.OpModEDConst:       {"a_prep_mod_ed_const", 3},
-	persona.OpModMetaConst:     {"a_prep_mod_meta_const", 3},
-	persona.OpModEDED:          {"a_prep_mod_ed_ed", 4},
-	persona.OpModEDMeta:        {"a_prep_mod_ed_meta", 4},
-	persona.OpModMetaED:        {"a_prep_mod_meta_ed", 4},
-	persona.OpModMetaMeta:      {"a_prep_mod_meta_meta", 4},
-	persona.OpAddEDConst:       {"a_prep_add_ed_const", 5},
-	persona.OpAddMetaConst:     {"a_prep_add_meta_const", 5},
-}
-
 // Validate checks a compiled artifact against the persona declarations for
 // its configuration and returns every mismatch. Compile runs it as its
 // final step and refuses to emit a failing artifact; external callers
@@ -147,7 +124,7 @@ func Validate(comp *Compiled) []Diagnostic {
 	}
 	if comp.NeedsIPv4Csum {
 		wantTable("checksum", persona.TblCsum)
-		wantAction("checksum", "a_ipv4_csum", 3)
+		wantAction("checksum", persona.ActIPv4Csum, 3)
 	}
 	for _, slot := range comp.SlotList {
 		entry := fmt.Sprintf("%s slot %d", slot.Table, slot.ID)
@@ -166,13 +143,13 @@ func Validate(comp *Compiled) []Diagnostic {
 				continue // reported by the verifier's artifact checks
 			}
 			for p, spec := range ca.Prims {
-				shape, known := prepShapes[spec.Op]
+				op, known := persona.OpcodeOf(spec.Op)
 				if !known {
 					add(entry, "undeclared-action", "action %s primitive %d uses opcode %d, which maps to no persona prep action", name, p, spec.Op)
 					continue
 				}
 				wantTable(entry, persona.PrimTable(slot.Stage, p+1, "prep"))
-				wantAction(entry, shape.action, shape.args)
+				wantAction(entry, "a_prep_"+op.Name, op.Arity)
 			}
 		}
 	}

@@ -142,7 +142,7 @@ func (b *builder) csumMachinery() {
 	slshift := fexpr(InstScratch, "slshift")
 
 	a := &ast.Action{
-		Name: "a_ipv4_csum",
+		Name: ActIPv4Csum,
 		// ncmask zeroes the checksum field; shift0 right-aligns word 0 of
 		// the header; cshift left-aligns the result into the checksum field.
 		Params: []string{"ncmask", "shift0", "cshift"},
@@ -179,7 +179,7 @@ func (b *builder) csumMachinery() {
 		Reads: []ast.ReadEntry{
 			{Field: ptr(fref(InstMeta, "program")), Match: ast.MatchExact},
 		},
-		Actions: []string{"a_ipv4_csum"},
+		Actions: []string{ActIPv4Csum},
 		Size:    64,
 	})
 }

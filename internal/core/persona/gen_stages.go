@@ -108,44 +108,26 @@ func (b *builder) primTables(i, p int) {
 }
 
 // prepActions emits one a_prep_<op> per opcode: each loads the primitive's
-// runtime-bound parameters into scratch metadata and sets hp4.prim_type.
+// runtime-bound parameters, in the order its Opcodes shape lays them out,
+// into scratch metadata and sets hp4.prim_type.
 func (b *builder) prepActions() {
-	setType := func(code int) ast.PrimitiveCall {
-		return call("modify_field", fexpr(InstMeta, "prim_type"), cexpr(int64(code)))
+	for _, op := range Opcodes {
+		var params []string
+		if op.Dst != StoreNone {
+			params = append(params, "dmask", "dshift")
+		}
+		if op.Src != StoreNone {
+			params = append(params, "slshift", "srshift")
+		}
+		if op.HasConst() {
+			params = append(params, "cval")
+		}
+		body := []ast.PrimitiveCall{call("modify_field", fexpr(InstMeta, "prim_type"), cexpr(int64(op.Code)))}
+		for _, p := range params {
+			body = append(body, call("modify_field", fexpr(InstScratch, p), pexpr(p)))
+		}
+		b.prog.Actions = append(b.prog.Actions, &ast.Action{Name: "a_prep_" + op.Name, Params: params, Body: body})
 	}
-	mv := func(dst, param string) ast.PrimitiveCall {
-		return call("modify_field", fexpr(InstScratch, dst), pexpr(param))
-	}
-	add := func(name string, params []string, body ...ast.PrimitiveCall) {
-		b.prog.Actions = append(b.prog.Actions, &ast.Action{Name: name, Params: params, Body: body})
-	}
-	constParams := func(code int, name string) {
-		add(name, []string{"dmask", "dshift", "cval"},
-			setType(code), mv("dmask", "dmask"), mv("dshift", "dshift"), mv("cval", "cval"))
-	}
-	copyParams := func(code int, name string) {
-		add(name, []string{"dmask", "dshift", "slshift", "srshift"},
-			setType(code), mv("dmask", "dmask"), mv("dshift", "dshift"),
-			mv("slshift", "slshift"), mv("srshift", "srshift"))
-	}
-	addParams := func(code int, name string) {
-		add(name, []string{"dmask", "dshift", "slshift", "srshift", "cval"},
-			setType(code), mv("dmask", "dmask"), mv("dshift", "dshift"),
-			mv("slshift", "slshift"), mv("srshift", "srshift"), mv("cval", "cval"))
-	}
-	constParams(OpModEDConst, "a_prep_mod_ed_const")
-	copyParams(OpModEDED, "a_prep_mod_ed_ed")
-	copyParams(OpModEDMeta, "a_prep_mod_ed_meta")
-	copyParams(OpModMetaED, "a_prep_mod_meta_ed")
-	constParams(OpModMetaConst, "a_prep_mod_meta_const")
-	copyParams(OpModMetaMeta, "a_prep_mod_meta_meta")
-	add("a_prep_mod_vport_const", []string{"cval"},
-		setType(OpModVPortConst), mv("cval", "cval"))
-	add("a_prep_mod_vport_vingress", nil, setType(OpModVPortVIngress))
-	addParams(OpAddEDConst, "a_prep_add_ed_const")
-	addParams(OpAddMetaConst, "a_prep_add_meta_const")
-	add("a_prep_drop", nil, setType(OpDrop))
-	add("a_prep_no_op", nil, setType(OpNoOp))
 }
 
 // execActions emits one a_exec_<op> per opcode. Each operates on the wide

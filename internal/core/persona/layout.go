@@ -114,23 +114,63 @@ const (
 	OpModMetaMeta      = 12 // emulated metadata ← emulated metadata
 )
 
-// Opcodes lists every opcode with its exec action name.
-var Opcodes = []struct {
-	Code int
-	Name string // suffix shared by a_prep_<Name> and a_exec_<Name>
-}{
-	{OpModEDConst, "mod_ed_const"},
-	{OpModEDED, "mod_ed_ed"},
-	{OpModEDMeta, "mod_ed_meta"},
-	{OpModMetaED, "mod_meta_ed"},
-	{OpModMetaConst, "mod_meta_const"},
-	{OpModVPortConst, "mod_vport_const"},
-	{OpModVPortVIngress, "mod_vport_vingress"},
-	{OpAddEDConst, "add_ed_const"},
-	{OpAddMetaConst, "add_meta_const"},
-	{OpDrop, "drop"},
-	{OpNoOp, "no_op"},
-	{OpModMetaMeta, "mod_meta_meta"},
+// Store names a wide field a primitive reads or writes.
+type Store int
+
+const (
+	StoreNone Store = iota // a virtual port, a constant, or nothing
+	StoreED                // hp4d.extracted (ExtractedWidth bits)
+	StoreMeta              // hp4d.emeta (MetaWidth bits)
+)
+
+// Opcode is one primitive opcode and the shape of its a_prep_<Name> row.
+// The prep args are, in order: the destination geometry (dmask, dshift)
+// when Dst is a wide store, the source geometry (slshift, srshift) when Src
+// is, then the constant (cval) when Arity leaves room for one. An add reads
+// its own destination, so its Src is its Dst.
+type Opcode struct {
+	Code     int
+	Name     string // suffix shared by a_prep_<Name> and a_exec_<Name>
+	Arity    int    // a_prep_<Name> argument count
+	Dst, Src Store
+}
+
+// HasConst reports whether the prep row ends in a constant (cval).
+func (o Opcode) HasConst() bool {
+	n := 0
+	if o.Dst != StoreNone {
+		n += 2
+	}
+	if o.Src != StoreNone {
+		n += 2
+	}
+	return o.Arity > n
+}
+
+// Opcodes lists every opcode with its prep-row shape.
+var Opcodes = []Opcode{
+	{OpModEDConst, "mod_ed_const", 3, StoreED, StoreNone},
+	{OpModEDED, "mod_ed_ed", 4, StoreED, StoreED},
+	{OpModEDMeta, "mod_ed_meta", 4, StoreED, StoreMeta},
+	{OpModMetaED, "mod_meta_ed", 4, StoreMeta, StoreED},
+	{OpModMetaConst, "mod_meta_const", 3, StoreMeta, StoreNone},
+	{OpModVPortConst, "mod_vport_const", 1, StoreNone, StoreNone},
+	{OpModVPortVIngress, "mod_vport_vingress", 0, StoreNone, StoreNone},
+	{OpAddEDConst, "add_ed_const", 5, StoreED, StoreED},
+	{OpAddMetaConst, "add_meta_const", 5, StoreMeta, StoreMeta},
+	{OpDrop, "drop", 0, StoreNone, StoreNone},
+	{OpNoOp, "no_op", 0, StoreNone, StoreNone},
+	{OpModMetaMeta, "mod_meta_meta", 4, StoreMeta, StoreMeta},
+}
+
+// OpcodeOf returns the opcode with the given code.
+func OpcodeOf(code int) (Opcode, bool) {
+	for _, o := range Opcodes {
+		if o.Code == code {
+			return o, true
+		}
+	}
+	return Opcode{}, false
 }
 
 // Next-table codes (hp4.next_table values) selecting the match-table kind of
@@ -210,6 +250,7 @@ const (
 	ActMcastStep  = "a_mcast_step_clone"
 	ActMcastLast  = "a_mcast_step_last"
 	ActPolice     = "a_police"
+	ActIPv4Csum   = "a_ipv4_csum"
 
 	FLResubmit = "fl_resubmit"
 	FLRecirc   = "fl_recirc"

@@ -14,10 +14,14 @@
 // native table state (parse-graph walk, control-flow walk, one world per
 // (entry, earlier-entries-miss) combination in match-precedence order). The
 // persona frontend is deliberately independent of the compiler's bookkeeping:
-// it decodes the persona's own installed rows — t_parse_ctrl walks, stage
-// a_set_match rows, a_prep_* primitive rows (inverting the double-shift
-// geometry), and the te_csum fix-up — so bugs in the hp4c/DPMU translation
-// layer change the decoded model and surface as inequivalence.
+// it walks the persona's own installed rows — t_parse_ctrl walks, stage
+// a_set_match rows, a_prep_* primitive rows, and the te_csum fix-up — as
+// decoded by the row model the fused fast path also builds from
+// (internal/core/persona/rows), so bugs in the hp4c/DPMU translation layer
+// change the decoded model and surface as inequivalence. The proof's
+// independence comes from its two routes, HLIR→native model against
+// hp4c→rows→model, not from decoding the same rows twice; a row the model
+// cannot decode leaves the proof inconclusive.
 //
 // Comparison intersects leaf regions pairwise and compares effects bit by
 // bit. A divergent region is witnessed by a concrete packet (cube-avoidance

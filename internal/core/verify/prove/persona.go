@@ -3,16 +3,16 @@ package prove
 import (
 	"fmt"
 	"math/big"
-	"strings"
 
+	"hyper4/internal/bitfield"
 	"hyper4/internal/core/persona"
-	"hyper4/internal/sim"
+	"hyper4/internal/core/persona/rows"
 )
 
 // pworld is one in-flight symbolic world of the persona walk: the persona's
 // live state for one region of the input space. The walk is row-driven — it
-// decodes the persona's installed table entries rather than trusting the
-// compiler's bookkeeping, so translation bugs change the decoded model.
+// follows the persona's installed table entries rather than trusting the
+// compiler's bookkeeping, so translation bugs change the model.
 type pworld struct {
 	region  Region
 	ext     []bitVal // hp4d.extracted (ExtractedWidth bits)
@@ -37,33 +37,39 @@ func (w pworld) note(s string) pworld {
 
 type personaBuilder struct {
 	cfg  persona.Config
-	src  TableSource
-	pid  uint64
+	v    *rows.VDev
 	L    int
 	ving []bitVal // vdev_ingress: the symbolic ingress port, zero-extended
 	m    *Machine
-	errs []error
 }
 
 // BuildPersona models the persona's emulation of virtual device pid over
 // L-byte packets, assuming the identity port assignment (vdev_ingress equals
 // the physical ingress port). Everything translation-dependent — the parse
 // control walk, stage dispatch, primitive micro-programs and the checksum
-// fix-up — is decoded from the installed rows supplied by src.
+// fix-up — comes from the rows installed in src, decoded by the shared row
+// model (internal/core/persona/rows). A row that does not decode leaves the
+// whole model inconclusive.
 func BuildPersona(cfg persona.Config, src TableSource, pid int, L int) (*Machine, error) {
 	if cfg.FixedParser {
 		return nil, fmt.Errorf("prove: fixed-parser personas are not supported")
 	}
+	if L < cfg.ParseDefault {
+		return nil, fmt.Errorf("prove: modeled length %d is below the persona's default parse window %d", L, cfg.ParseDefault)
+	}
+	t, err := rows.Load(src, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("prove: persona tables: %w", err)
+	}
 	b := &personaBuilder{
 		cfg:  cfg,
-		src:  src,
-		pid:  uint64(pid),
+		v:    t.VDev(pid),
 		L:    L,
 		ving: resizeBits(portInBits(L), persona.VPortWidth),
 		m:    &Machine{Name: "persona", L: L, NBits: L*8 + 9},
 	}
-	if L < cfg.ParseDefault {
-		return nil, fmt.Errorf("prove: modeled length %d is below the persona's default parse window %d", L, cfg.ParseDefault)
+	for _, e := range b.v.Errs {
+		b.m.Inconcl = append(b.m.Inconcl, "persona row does not decode: "+e.Error())
 	}
 	w := pworld{
 		region: fullRegion(),
@@ -72,13 +78,8 @@ func BuildPersona(cfg persona.Config, src TableSource, pid int, L int) (*Machine
 		window: cfg.ParseDefault,
 	}
 	b.parseStep(w, 0)
-	if len(b.errs) > 0 {
-		return nil, b.errs[0]
-	}
 	return b.m, nil
 }
-
-func (b *personaBuilder) fail(err error) { b.errs = append(b.errs, err) }
 
 func (b *personaBuilder) halt(w pworld, reason string) {
 	t := make([]string, len(w.inconcl), len(w.inconcl)+1)
@@ -99,51 +100,6 @@ func (b *personaBuilder) dropLeaf(w pworld) {
 	})
 }
 
-// rows returns a table's entries in match-precedence order, filtered to
-// those whose leading exact parameters equal keys.
-func (b *personaBuilder) rows(table string, keys ...uint64) ([]*sim.Entry, error) {
-	all, err := b.src.TableEntriesOrdered(table)
-	if err != nil {
-		return nil, err
-	}
-	var out []*sim.Entry
-	for _, e := range all {
-		if len(e.Params) < len(keys) {
-			continue
-		}
-		match := true
-		for i, k := range keys {
-			v, ok := exactParam(e.Params[i])
-			if !ok || v.Cmp(new(big.Int).SetUint64(k)) != 0 {
-				match = false
-				break
-			}
-		}
-		if match {
-			out = append(out, e)
-		}
-	}
-	return out, nil
-}
-
-func exactParam(p sim.MatchParam) (*big.Int, bool) {
-	if p.Kind != "exact" {
-		return nil, false
-	}
-	return p.Value.Big(), true
-}
-
-func argU64(e *sim.Entry, i int) (uint64, bool) {
-	if i >= len(e.Args) {
-		return 0, false
-	}
-	v := e.Args[i].Big()
-	if !v.IsUint64() {
-		return 0, false
-	}
-	return v.Uint64(), true
-}
-
 // extWindow is the extracted-data proxy for a parse window: packet bits up
 // to window bytes, zeros above (byte 0 anchored at the MSB end).
 func (b *personaBuilder) extWindow(window int) []bitVal {
@@ -151,18 +107,6 @@ func (b *personaBuilder) extWindow(window int) []bitVal {
 	out := make([]bitVal, ew)
 	copy(out, inBits(0, window*8))
 	return out
-}
-
-// gridWindow mirrors the persona parser's start-state select: an exact
-// supported byte count extracts that count, anything else falls through to
-// the default window.
-func (b *personaBuilder) gridWindow(numbytes uint64) int {
-	for _, n := range b.cfg.ByteCounts() {
-		if uint64(n) == numbytes {
-			return n
-		}
-	}
-	return b.cfg.ParseDefault
 }
 
 // ---- parse control ----
@@ -177,21 +121,16 @@ func (b *personaBuilder) parseStep(w pworld, iter int) {
 		return
 	}
 	ext := b.extWindow(w.window)
-	rows, err := b.rows(persona.TblParseCtrl, b.pid, w.state)
-	if err != nil {
-		b.fail(fmt.Errorf("persona %s: %w", persona.TblParseCtrl, err))
-		return
-	}
 	var negs []Cube
-	for _, e := range rows {
-		if len(e.Params) != 3 || e.Params[2].Kind != "ternary" {
-			b.halt(w, fmt.Sprintf("%s row %d has an unexpected shape", persona.TblParseCtrl, e.Handle))
+	for i := range b.v.Parse[w.state] {
+		r := &b.v.Parse[w.state][i]
+		if r.Err != nil {
+			b.halt(w, r.Err.Error())
 			return
 		}
-		want := new(big.Int).And(e.Params[2].Value.Big(), e.Params[2].Mask.Big())
-		cube, ok, top := matchBig(ext, want, e.Params[2].Mask.Big())
+		cube, ok, top := matchBits(ext, r.Val, r.Mask)
 		if top {
-			b.halt(w, fmt.Sprintf("%s row %d keys on unmodelable bits", persona.TblParseCtrl, e.Handle))
+			b.halt(w, fmt.Sprintf("%s row %d keys on unmodelable bits", persona.TblParseCtrl, r.Entry.Handle))
 			return
 		}
 		if !ok {
@@ -204,7 +143,7 @@ func (b *personaBuilder) parseStep(w pworld, iter int) {
 			for _, n := range negs {
 				we.region = we.region.subtract(n)
 			}
-			b.parseRow(we, e, iter)
+			b.parseRow(we, r, iter)
 		}
 		negs = append(negs, cube)
 	}
@@ -217,35 +156,19 @@ func (b *personaBuilder) parseStep(w pworld, iter int) {
 	b.dropLeaf(wm.note("parse-ctrl miss"))
 }
 
-func (b *personaBuilder) parseRow(w pworld, e *sim.Entry, iter int) {
-	switch e.Action {
-	case persona.ActParseMore:
-		numbytes, ok1 := argU64(e, 0)
-		pstate, ok2 := argU64(e, 1)
-		if !ok1 || !ok2 {
-			b.halt(w, fmt.Sprintf("a_parse_more row %d has malformed args", e.Handle))
-			return
-		}
-		w.window = b.gridWindow(numbytes)
-		w.state = pstate
-		b.parseStep(w.note(fmt.Sprintf("parse more->%dB state %d", w.window, pstate)), iter+1)
-	case persona.ActParseDone:
-		kind, ok1 := argU64(e, 0)
-		slot, ok2 := argU64(e, 1)
-		csum, ok3 := argU64(e, 2)
-		if !ok1 || !ok2 || !ok3 {
-			b.halt(w, fmt.Sprintf("a_parse_done row %d has malformed args", e.Handle))
-			return
-		}
-		w.ext = b.extWindow(w.window)
-		w.wb = w.window
-		w.kind = int(kind)
-		w.slot = slot
-		w.csum = csum != 0
-		b.stageWalk(w.note(fmt.Sprintf("parse done %dB", w.window)), 1)
-	default:
-		b.halt(w, fmt.Sprintf("%s row %d runs unexpected action %q", persona.TblParseCtrl, e.Handle, e.Action))
+func (b *personaBuilder) parseRow(w pworld, r *rows.ParseRow, iter int) {
+	if r.More {
+		w.window = r.Window
+		w.state = r.Next
+		b.parseStep(w.note(fmt.Sprintf("parse more->%dB state %d", w.window, r.Next)), iter+1)
+		return
 	}
+	w.ext = b.extWindow(w.window)
+	w.wb = w.window
+	w.kind = r.Kind
+	w.slot = uint64(r.Slot)
+	w.csum = r.Csum
+	b.stageWalk(w.note(fmt.Sprintf("parse done %dB", w.window)), 1)
 }
 
 // ---- stage walk ----
@@ -261,31 +184,33 @@ func (b *personaBuilder) stageWalk(w pworld, stage int) {
 		return
 	}
 	table := persona.StageTable(stage, kindName)
-	rows, err := b.rows(table, b.pid, w.slot)
-	if err != nil {
-		b.fail(fmt.Errorf("persona %s: %w", table, err))
-		return
-	}
 	var negs []Cube
-	for _, e := range rows {
-		cube, ok, top := b.stageMatch(w, kindName, e)
-		if top {
-			b.halt(w, fmt.Sprintf("%s row %d keys on unmodelable bits", table, e.Handle))
-			return
-		}
-		if !ok {
-			continue
-		}
-		we := w
-		var fits bool
-		we.region, fits = w.region.constrain(cube)
-		if fits {
-			for _, n := range negs {
-				we.region = we.region.subtract(n)
+	if s := b.v.Slot(stage, w.kind, int(w.slot)); s != nil {
+		for i := range s.Rows {
+			r := &s.Rows[i]
+			if r.Err != nil {
+				b.halt(w, r.Err.Error())
+				return
 			}
-			b.stageHit(we.note(fmt.Sprintf("%s hit #%d", table, e.Handle)), stage, e)
+			cube, ok, top := b.stageMatch(w, r)
+			if top {
+				b.halt(w, fmt.Sprintf("%s row %d keys on unmodelable bits", table, r.Entry.Handle))
+				return
+			}
+			if !ok {
+				continue
+			}
+			we := w
+			var fits bool
+			we.region, fits = w.region.constrain(cube)
+			if fits {
+				for _, n := range negs {
+					we.region = we.region.subtract(n)
+				}
+				b.stageHit(we.note(fmt.Sprintf("%s hit #%d", table, r.Entry.Handle)), stage, r)
+			}
+			negs = append(negs, cube)
 		}
-		negs = append(negs, cube)
 	}
 	// A stage miss leaves next_table/next_slot untouched: the same virtual
 	// table is retried at the next physical stage.
@@ -298,210 +223,73 @@ func (b *personaBuilder) stageWalk(w pworld, stage int) {
 
 // stageMatch builds the region constraint for one stage row against the
 // world's symbolic state.
-func (b *personaBuilder) stageMatch(w pworld, kindName string, e *sim.Entry) (Cube, bool, bool) {
-	ternAt := func(i int, bits []bitVal) (Cube, bool, bool) {
-		if i >= len(e.Params) || e.Params[i].Kind != "ternary" {
-			return Cube{}, false, true
-		}
-		mask := e.Params[i].Mask.Big()
-		want := new(big.Int).And(e.Params[i].Value.Big(), mask)
-		return matchBig(bits, want, mask)
-	}
-	switch kindName {
-	case "ed_exact", "ed_ternary":
-		return ternAt(2, w.ext)
-	case "meta_exact", "meta_ternary":
-		return ternAt(2, w.emeta)
-	case "stdmeta":
-		c1, ok, top := ternAt(2, b.ving)
+func (b *personaBuilder) stageMatch(w pworld, r *rows.StageRow) (Cube, bool, bool) {
+	switch w.kind {
+	case persona.NTEDExact, persona.NTEDTernary:
+		return matchBits(w.ext, r.Val, r.Mask)
+	case persona.NTMetaExact, persona.NTMetaTernary:
+		return matchBits(w.emeta, r.Val, r.Mask)
+	case persona.NTStdMeta:
+		vp := func(x uint64) bitfield.Value { return bitfield.FromUint(persona.VPortWidth, x) }
+		c1, ok, top := matchBits(b.ving, vp(r.VinVal), vp(r.VinMask))
 		if !ok || top {
 			return Cube{}, ok, top
 		}
-		c2, ok, top := ternAt(3, w.vport)
+		c2, ok, top := matchBits(w.vport, vp(r.VpVal), vp(r.VpMask))
 		if !ok || top {
 			return Cube{}, ok, top
 		}
 		cube, fits := c1.and(c2)
 		return cube, fits, false
-	case "matchless":
-		return trueCube(), true, false
 	}
-	return Cube{}, false, true
+	return trueCube(), true, false // matchless
 }
 
-// stageHit decodes a_set_match and runs the bound primitive micro-program.
-func (b *personaBuilder) stageHit(w pworld, stage int, e *sim.Entry) {
-	if e.Action != persona.ActSetMatch {
-		b.halt(w, fmt.Sprintf("stage row %d runs unexpected action %q", e.Handle, e.Action))
-		return
-	}
-	mid, ok1 := argU64(e, 0)
-	nprims, ok2 := argU64(e, 1)
-	nkind, ok3 := argU64(e, 2)
-	nslot, ok4 := argU64(e, 3)
-	if !ok1 || !ok2 || !ok3 || !ok4 || nprims > uint64(b.cfg.Primitives) {
-		b.halt(w, fmt.Sprintf("a_set_match row %d has malformed args", e.Handle))
-		return
-	}
-	for p := 1; p <= int(nprims); p++ {
-		prep, err := b.rows(persona.PrimTable(stage, p, "prep"), b.pid, mid)
-		if err != nil {
-			b.fail(fmt.Errorf("persona prep: %w", err))
-			return
-		}
-		if len(prep) != 1 {
-			b.halt(w, fmt.Sprintf("match %d expects one prep row in %s, found %d", mid, persona.PrimTable(stage, p, "prep"), len(prep)))
-			return
-		}
-		var dropped bool
-		w, dropped = b.applyPrim(w, prep[0])
-		if dropped {
+// stageHit runs the row's decoded micro-ops, then moves to its successor.
+func (b *personaBuilder) stageHit(w pworld, stage int, r *rows.StageRow) {
+	for i := range r.Ops {
+		if b.applyOp(&w, &r.Ops[i]) {
 			// a_exec_drop is sticky: the packet bypasses the virtual
 			// network no matter what runs afterwards.
 			b.dropLeaf(w.note("virtual drop"))
 			return
 		}
-		if w.ext == nil {
-			return // applyPrim already finalized an inconclusive leaf
-		}
 	}
-	w.kind = int(nkind)
-	w.slot = nslot
+	w.kind = r.NextKind
+	w.slot = uint64(r.NextSlot)
 	b.stageWalk(w, stage+1)
 }
 
-// ---- primitive decode ----
-
-// applyPrim inverts one prep row's double-shift geometry back into a field
-// effect and applies it. A nil ext in the returned world means the world was
-// finalized as inconclusive.
-func (b *personaBuilder) applyPrim(w pworld, e *sim.Entry) (pworld, bool) {
-	op := strings.TrimPrefix(e.Action, "a_prep_")
-	bad := func(reason string) (pworld, bool) {
-		b.halt(w, fmt.Sprintf("prep row %d (%s): %s", e.Handle, e.Action, reason))
-		w.ext = nil
-		return w, false
-	}
-	ew := b.cfg.ExtractedWidth()
-	arg := func(i int) *big.Int {
-		if i >= len(e.Args) {
-			return nil
+// applyOp applies one decoded primitive to the world's symbolic fields and
+// reports whether it virtually dropped the packet.
+func (b *personaBuilder) applyOp(w *pworld, op *rows.Op) bool {
+	store := func(s persona.Store) *[]bitVal {
+		if s == persona.StoreMeta {
+			return &w.emeta
 		}
-		return e.Args[i].Big()
+		return &w.ext
 	}
-	argInt := func(i int) (int, bool) {
-		v, ok := argU64(e, i)
-		return int(v), ok
-	}
-	// store picks the destination/source wide field by op suffix.
-	store := func(ed bool) ([]bitVal, int) {
-		if ed {
-			return w.ext, ew
-		}
-		return w.emeta, persona.MetaWidth
-	}
-	writeStore := func(ed bool, bits []bitVal) {
-		if ed {
-			w.ext = bits
-		} else {
-			w.emeta = bits
-		}
-	}
-	// decodeDst inverts (dmask, dshift) into a field position within the
-	// destination store.
-	decodeDst := func(dmask *big.Int, dshift, total int) (off, width int, ok bool) {
-		m := new(big.Int).Mod(dmask, new(big.Int).Lsh(big.NewInt(1), uint(total)))
-		if m.Sign() == 0 {
-			return 0, 0, false
-		}
-		a := lowestSetBit(m)
-		run := new(big.Int).Rsh(m, uint(a))
-		width = run.BitLen()
-		allOnes := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), uint(width)), big.NewInt(1))
-		if run.Cmp(allOnes) != 0 || dshift != a {
-			return 0, 0, false
-		}
-		return total - a - width, width, true
-	}
-
-	switch op {
-	case "no_op":
-		return w, false
-	case "drop":
+	c := new(big.Int).SetUint64(op.Const)
+	switch op.Code {
+	case persona.OpDrop:
 		w.vport = bigBits(big.NewInt(persona.VPortDrop), persona.VPortWidth)
-		return w, true
-	case "mod_vport_const":
-		c := arg(0)
-		if c == nil {
-			return bad("missing cval")
-		}
+		return true
+	case persona.OpModVPortConst:
 		w.vport = bigBits(c, persona.VPortWidth)
-		return w, false
-	case "mod_vport_vingress":
+	case persona.OpModVPortVIngress:
 		w.vport = b.ving
-		return w, false
-	case "mod_ed_const", "mod_meta_const":
-		ed := op == "mod_ed_const"
-		dmask := arg(0)
-		dshift, ok := argInt(1)
-		c := arg(2)
-		if dmask == nil || !ok || c == nil {
-			return bad("missing const-op args")
-		}
-		dst, total := store(ed)
-		off, width, ok := decodeDst(dmask, dshift, total)
-		if !ok {
-			return bad("destination mask is not a contiguous run at dshift")
-		}
-		writeStore(ed, writeBits(dst, off, bigBits(c, width)))
-		return w, false
-	case "mod_ed_ed", "mod_ed_meta", "mod_meta_ed", "mod_meta_meta":
-		dstED := op == "mod_ed_ed" || op == "mod_ed_meta"
-		srcED := op == "mod_ed_ed" || op == "mod_meta_ed"
-		dmask := arg(0)
-		dshift, ok1 := argInt(1)
-		slshift, ok2 := argInt(2)
-		srshift, ok3 := argInt(3)
-		if dmask == nil || !ok1 || !ok2 || !ok3 {
-			return bad("missing copy-op args")
-		}
-		dst, dtotal := store(dstED)
-		off, width, ok := decodeDst(dmask, dshift, dtotal)
-		if !ok {
-			return bad("destination mask is not a contiguous run at dshift")
-		}
-		src, stotal := store(srcED)
-		srcW := ew - srshift
-		srcOff := slshift - (ew - stotal)
-		if srcW <= 0 || srcOff < 0 || srcOff+srcW > stotal {
-			return bad("source shifts decode outside the store")
-		}
-		val := resizeBits(src[srcOff:srcOff+srcW], width)
-		writeStore(dstED, writeBits(dst, off, val))
-		return w, false
-	case "add_ed_const", "add_meta_const":
-		ed := op == "add_ed_const"
-		dmask := arg(0)
-		dshift, ok1 := argInt(1)
-		slshift, ok2 := argInt(2)
-		srshift, ok3 := argInt(3)
-		c := arg(4)
-		if dmask == nil || !ok1 || !ok2 || !ok3 || c == nil {
-			return bad("missing add-op args")
-		}
-		dst, total := store(ed)
-		off, width, ok := decodeDst(dmask, dshift, total)
-		if !ok {
-			return bad("destination mask is not a contiguous run at dshift")
-		}
-		if ew-srshift != width || slshift-(ew-total) != off {
-			return bad("add-op source shifts disagree with the destination mask")
-		}
-		cur := dst[off : off+width]
-		writeStore(ed, writeBits(dst, off, addBits(cur, c, "add on non-canonical base")))
-		return w, false
+	case persona.OpModEDConst, persona.OpModMetaConst:
+		dst := store(op.Dst)
+		*dst = writeBits(*dst, op.DstOff, bigBits(c, op.DstW))
+	case persona.OpModEDED, persona.OpModEDMeta, persona.OpModMetaED, persona.OpModMetaMeta:
+		src, dst := *store(op.Src), store(op.Dst)
+		*dst = writeBits(*dst, op.DstOff, resizeBits(src[op.SrcOff:op.SrcOff+op.SrcW], op.DstW))
+	case persona.OpAddEDConst, persona.OpAddMetaConst:
+		dst := store(op.Dst)
+		cur := (*dst)[op.DstOff : op.DstOff+op.DstW]
+		*dst = writeBits(*dst, op.DstOff, addBits(cur, c, "add on non-canonical base"))
 	}
-	return bad("unknown primitive opcode")
+	return false
 }
 
 // ---- egress and finalization ----
@@ -564,53 +352,20 @@ func (b *personaBuilder) deliver(w pworld, pkt []bitVal) {
 	})
 }
 
-// applyCsum decodes the te_csum row's shift geometry and replaces the
-// checksum field with the canonical fix-up term.
+// applyCsum replaces the checksum field with the canonical fix-up term at
+// the te_csum row's decoded geometry.
 func (b *personaBuilder) applyCsum(w pworld) (pworld, bool) {
-	rows, err := b.rows(persona.TblCsum, b.pid)
-	if err != nil {
-		b.fail(fmt.Errorf("persona %s: %w", persona.TblCsum, err))
-		w.ext = nil
-		return w, false
-	}
-	if len(rows) == 0 {
+	c := b.v.Csum
+	if c == nil {
 		// Flag set but no fix-up row installed: the checksum is simply not
 		// recomputed. Row-driven decode keeps that observable.
 		return w.note("csum flag set but no te_csum row"), true
 	}
-	e := rows[0]
-	ew := b.cfg.ExtractedWidth()
-	ncmask := new(big.Int)
-	if len(e.Args) > 0 {
-		ncmask = e.Args[0].Big()
-	}
-	shift0, ok1 := argU64(e, 1)
-	cshift, ok2 := argU64(e, 2)
-	if !ok1 || !ok2 {
-		b.halt(w, fmt.Sprintf("te_csum row %d has malformed args", e.Handle))
-		w.ext = nil
+	if c.Err != nil {
+		b.halt(w, c.Err.Error())
 		return w, false
 	}
-	csumBit := ew - 16 - int(cshift)
-	hdrBit := ew - 16 - int(shift0)
-	// The fix-up hard-codes the IPv4 layout: ten 16-bit words starting at
-	// the header, checksum as word five (bit offset 80).
-	if csumBit < 0 || csumBit+16 > ew || hdrBit < 0 || csumBit != hdrBit+80 {
-		b.halt(w, fmt.Sprintf("te_csum row %d shifts decode to a non-IPv4 geometry", e.Handle))
-		w.ext = nil
-		return w, false
-	}
-	wantMask := new(big.Int)
-	for i := 0; i < ew; i++ {
-		if i < csumBit || i >= csumBit+16 {
-			wantMask.SetBit(wantMask, ew-1-i, 1)
-		}
-	}
-	if ncmask.Cmp(wantMask) != 0 {
-		b.halt(w, fmt.Sprintf("te_csum row %d mask disagrees with its shifts", e.Handle))
-		w.ext = nil
-		return w, false
-	}
+	csumBit := c.Hdr + 80 // the IPv4 checksum is the header's sixth word
 	w.ext = writeBits(w.ext, csumBit, opBits(16, csumKey(csumBit)))
 	return w, true
 }

@@ -22,6 +22,7 @@ import (
 	"hyper4/internal/bitfield"
 	"hyper4/internal/core/hp4c"
 	"hyper4/internal/core/persona"
+	"hyper4/internal/core/persona/rows"
 	"hyper4/internal/sim"
 )
 
@@ -467,15 +468,12 @@ func checkParseRows(src *Source) []Finding {
 	}
 	var out []Finding
 	for _, e := range td.Entries {
-		if e.Action != persona.ActParseMore || len(e.Args) == 0 {
-			continue
-		}
-		n := int(e.Args[0].Uint64())
-		r, fits := src.Cfg.RoundBytes(n)
-		if !fits || r != n {
+		// A request off the grid decodes to the default window instead.
+		pr, err := rows.ParseAction(src.Cfg, e.Action, e.Args)
+		if err == nil && pr.More && pr.Bytes != pr.Window {
 			out = append(out, Finding{
 				Code: CodeParseBytes, Severity: SevError, Table: persona.TblParseCtrl, Handle: e.Handle,
-				Detail: fmt.Sprintf("parse-more row requests %d bytes; persona supports multiples of %d up to %d (first pass %d)", n, src.Cfg.ParseStep, src.Cfg.ParseMax, src.Cfg.ParseDefault),
+				Detail: fmt.Sprintf("parse-more row requests %d bytes; persona supports multiples of %d up to %d (first pass %d)", pr.Bytes, src.Cfg.ParseStep, src.Cfg.ParseMax, src.Cfg.ParseDefault),
 			})
 		}
 	}
