@@ -65,6 +65,7 @@ import (
 
 	"errors"
 
+	"hyper4/internal/breaker"
 	"hyper4/internal/chaos"
 	"hyper4/internal/core/ctl"
 	"hyper4/internal/core/dpmu"
@@ -166,9 +167,7 @@ func main() {
 			os.Exit(1)
 		}
 		d.SetHealthConfig(dpmu.HealthConfig{
-			Window:       *healthWindow,
-			TripFaults:   *healthTrip,
-			OpenFor:      *healthOpen,
+			Config:       breaker.Config{Window: *healthWindow, Trip: *healthTrip, OpenFor: *healthOpen},
 			ProbePackets: *healthProbes,
 			Policy:       quarPolicy,
 		})

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"hyper4/internal/breaker"
 	"hyper4/internal/core/dpmu"
 	pktio "hyper4/internal/runtime"
 	"hyper4/internal/sim"
@@ -257,7 +258,7 @@ func writePortHealthMetrics(w io.Writer, phs []pktio.PortHealth) {
 		}
 	}
 	perPort("hyper4_port_health", "Port circuit-breaker state (0 healthy, 1 degraded, 2 probing, 3 quarantined).", "gauge",
-		func(p pktio.PortHealth) uint64 { return uint64(portHealthValue(p.State)) })
+		func(p pktio.PortHealth) uint64 { return uint64(healthValue(p.State)) })
 	perPort("hyper4_port_health_trips_total", "Port circuit-breaker trips.", "counter",
 		func(p pktio.PortHealth) uint64 { return p.Trips })
 	perPort("hyper4_port_reattach_total", "Successful automatic transport reattaches after quarantine.", "counter",
@@ -271,28 +272,16 @@ func writePortHealthMetrics(w io.Writer, phs []pktio.PortHealth) {
 	}
 }
 
-// portHealthValue mirrors healthValue for the port breaker states.
-func portHealthValue(s pktio.HealthState) int {
+// healthValue encodes a breaker state for the hyper4_vdev_health and
+// hyper4_port_health gauges, ordered by severity so alerts can threshold on
+// it.
+func healthValue(s breaker.State) int {
 	switch s {
-	case pktio.PortDegraded:
+	case breaker.Degraded:
 		return 1
-	case pktio.PortProbing:
+	case breaker.Probing:
 		return 2
-	case pktio.PortQuarantined:
-		return 3
-	}
-	return 0
-}
-
-// healthValue encodes a breaker state for the hyper4_vdev_health gauge,
-// ordered by severity so alerts can threshold on it.
-func healthValue(s dpmu.HealthState) int {
-	switch s {
-	case dpmu.Degraded:
-		return 1
-	case dpmu.Probing:
-		return 2
-	case dpmu.Quarantined:
+	case breaker.Quarantined:
 		return 3
 	}
 	return 0

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"hyper4/internal/breaker"
 	"hyper4/internal/core/ctl"
 	"hyper4/internal/core/dpmu"
 	"hyper4/internal/core/persona"
@@ -95,7 +96,7 @@ func TestMetricsExposition(t *testing.T) {
 			"hyper4_io_processed_total 1",
 		}},
 		{"port health", func(w io.Writer) {
-			writePortHealthMetrics(w, []pktio.PortHealth{{Port: 1, State: pktio.PortQuarantined, Trips: 2, Stalls: 1}})
+			writePortHealthMetrics(w, []pktio.PortHealth{{Port: 1, State: breaker.Quarantined, Trips: 2, Stalls: 1}})
 		}, []string{
 			`hyper4_port_health{port="1"} 3`,
 			`hyper4_port_health_trips_total{port="1"} 2`,

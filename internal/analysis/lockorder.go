@@ -14,17 +14,21 @@ import (
 // Doctrines (each is vacuous in packages that lack its type names, so one
 // analyzer covers dpmu, runtime and ctl without package-specific wiring):
 //
-//   - dpmu (internal/core/dpmu/health.go): while healthTracker.mu is held,
-//     no sim.Switch method calls (a table write needs the switch write lock,
-//     and a faulting packet holds the switch read lock while blocking on
-//     health.mu — the PR-4 bypass-rewire deadlock) except the lock-free
+//   - dpmu (internal/core/dpmu/health.go): healthTracker.mu guards every
+//     vdev's breaker.Breaker (internal/breaker, which has no lock of its
+//     own) together with the PID map and the probe budgets. While it is
+//     held: no sim.Switch method calls (a table write needs the switch write
+//     lock, and a faulting packet holds the switch read lock while blocking
+//     on health.mu — the PR-4 bypass-rewire deadlock) except the lock-free
 //     quarantine accessors, no DPMU mutex acquisition, no re-entry.
 //
-//   - runtime (internal/runtime/health.go): while ioHealth.mu is held, no
-//     Runtime method calls (enforcement needs rt.mu and joins RX/TX
-//     goroutines that may themselves be blocked in noteError — the same
-//     ABBA shape at the I/O layer), no Transport.Close (blocks on socket
-//     teardown), no Runtime mutex acquisition, no re-entry.
+//   - runtime (internal/runtime/health.go): ioHealth.mu guards every port's
+//     breaker.Breaker together with the reattach schedule and the ring
+//     watchdog's cursors. While it is held: no Runtime method calls
+//     (enforcement needs rt.mu and joins RX/TX goroutines that may
+//     themselves be blocked in noteError — the same ABBA shape at the I/O
+//     layer), no Transport.Close (blocks on socket teardown), no Runtime
+//     mutex acquisition, no re-entry.
 //
 //   - ctl (internal/core/ctl): while the event hub's mu is held, no Journal
 //     method calls (appendBatch/snapshot fsync to disk; a slow disk must

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"hyper4/internal/breaker"
 	"hyper4/internal/chaos"
 	"hyper4/internal/core/dpmu"
 	"hyper4/internal/pkt"
@@ -74,9 +75,7 @@ func TestChaosHarness(t *testing.T) {
 	// and probe with 2 clean packets after a 50ms open interval.
 	c := newPersonaCtl(t)
 	c.D.SetHealthConfig(dpmu.HealthConfig{
-		Window:       5 * time.Second,
-		TripFaults:   3,
-		OpenFor:      50 * time.Millisecond,
+		Config:       breaker.Config{Window: 5 * time.Second, Trip: 3, OpenFor: 50 * time.Millisecond},
 		ProbePackets: 2,
 		Policy:       dpmu.PolicyDrop,
 	})
@@ -107,7 +106,7 @@ func TestChaosHarness(t *testing.T) {
 	if alicePID == 0 {
 		t.Fatal("no PID for alice's device")
 	}
-	if got := healthOf(t, aliceClient, alice.vdev); got.State != dpmu.Healthy {
+	if got := healthOf(t, aliceClient, alice.vdev); got.State != breaker.Healthy {
 		t.Fatalf("initial health: %+v", got)
 	}
 
@@ -193,7 +192,7 @@ func TestChaosHarness(t *testing.T) {
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		got := healthOf(t, aliceClient, alice.vdev)
-		if got.State == dpmu.Healthy && got.Trips == 1 {
+		if got.State == breaker.Healthy && got.Trips == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -233,7 +232,7 @@ func TestChaosHarness(t *testing.T) {
 	}
 
 	// Bob never saw a fault and never left Healthy.
-	if got := healthOf(t, bobClient, bob.vdev); got.State != dpmu.Healthy || got.Faults != 0 {
+	if got := healthOf(t, bobClient, bob.vdev); got.State != breaker.Healthy || got.Faults != 0 {
 		t.Errorf("co-tenant health: %+v", got)
 	}
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"hyper4/internal/breaker"
 	"hyper4/internal/core/dpmu"
 	"hyper4/internal/core/verify"
 	"hyper4/internal/core/verify/prove"
@@ -70,7 +71,7 @@ type writeOutcome struct {
 // event stream as "health" events.
 func New(d *dpmu.DPMU) *Ctl {
 	c := &Ctl{D: d, dedup: map[string]*writeOutcome{}, events: newHub()}
-	d.SetHealthNotify(func(vdev string, state dpmu.HealthState) {
+	d.SetHealthNotify(func(vdev string, state breaker.State) {
 		c.events.publish(Event{Kind: "health", VDev: vdev, Msg: string(state)})
 	})
 	return c

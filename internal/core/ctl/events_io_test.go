@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hyper4/internal/breaker"
 	pktio "hyper4/internal/runtime"
 )
 
@@ -68,10 +69,10 @@ func newBreakerInstance(t *testing.T) (*breakerInstance, *Client) {
 	bi.rt = pktio.New(bi.c.D.SW, pktio.Config{
 		Workers: 1,
 		Health: pktio.HealthConfig{
-			Window: time.Hour, TripErrors: 2, OpenFor: time.Second,
+			Config:     breaker.Config{Window: time.Hour, Trip: 2, OpenFor: time.Second},
 			BackoffMax: time.Minute, ProbeFor: time.Second, StallAfter: 1 << 20,
 			RecvErrBase: 50 * time.Microsecond, RecvErrMax: 200 * time.Microsecond,
-			SyncEvery: -1, Seed: 11,
+			SyncEvery: -1,
 		},
 		TransportFactory: factory,
 	})
@@ -137,7 +138,7 @@ func TestEventsPortLifecycleAcrossRestart(t *testing.T) {
 	// The flaky wire's errors trip the breaker; PortHealth() syncs it.
 	waitForCond(t, func() bool {
 		phs := bi.rt.PortHealth()
-		return len(phs) == 1 && phs[0].State == pktio.PortQuarantined && phs[0].Detached
+		return len(phs) == 1 && phs[0].State == breaker.Quarantined && phs[0].Detached
 	}, "breaker to quarantine the port")
 	events, cursor = drain(t, client, cursor)
 	if e := findEvent(events, "port_health", "quarantined"); e == nil || e.Port != 7 || e.Name != "fake:wan" {

@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	pktio "hyper4/internal/runtime"
+	"hyper4/internal/breaker"
 )
 
 // journalScript is the canonical journaled workload: a loaded device,
@@ -337,7 +337,7 @@ func TestJournalSnapshotIncludesParkedPorts(t *testing.T) {
 	}
 	waitForCond(t, func() bool {
 		phs := bi.rt.PortHealth()
-		return len(phs) == 1 && phs[0].State == pktio.PortQuarantined && phs[0].Detached
+		return len(phs) == 1 && phs[0].State == breaker.Quarantined && phs[0].Detached
 	}, "breaker to park the wire port")
 	if n := len(bi.rt.Ports()); n != 0 {
 		t.Fatalf("parked port still on the active list (%d ports)", n)

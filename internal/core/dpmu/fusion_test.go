@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hyper4/internal/bitfield"
+	"hyper4/internal/breaker"
 	"hyper4/internal/chaos"
 	"hyper4/internal/core/persona"
 	"hyper4/internal/core/verify"
@@ -722,7 +723,7 @@ func TestFusedQuarantineHandoff(t *testing.T) {
 		}
 	}
 	d.SW.SetInjector(nil)
-	if got := stateOf(t, d.Health(), "l2"); got.State != Quarantined {
+	if got := stateOf(t, d.Health(), "l2"); got.State != breaker.Quarantined {
 		t.Fatalf("after trip: %+v", got)
 	}
 
@@ -737,12 +738,12 @@ func TestFusedQuarantineHandoff(t *testing.T) {
 
 	// Recover: probes run interpreted; once healthy the fast path resumes.
 	clock.advance(150 * time.Millisecond)
-	for i := 0; i < 5 && stateOf(t, d.Health(), "l2").State == Probing; i++ {
+	for i := 0; i < 5 && stateOf(t, d.Health(), "l2").State == breaker.Probing; i++ {
 		if out, _, err := d.SW.Process(frame, 1); err != nil || len(out) != 1 {
 			t.Fatalf("probe %d: out=%v err=%v", i, out, err)
 		}
 	}
-	if got := stateOf(t, d.Health(), "l2"); got.State != Healthy {
+	if got := stateOf(t, d.Health(), "l2"); got.State != breaker.Healthy {
 		t.Fatalf("after probes: %+v", got)
 	}
 	hits = d.FusionStatus().FastHits
@@ -782,7 +783,7 @@ func TestFusedBypassRewireInvalidates(t *testing.T) {
 		}
 	}
 	d.SW.SetInjector(nil)
-	if got := stateOf(t, d.Health(), "fw"); got.State != Quarantined || !got.Bypassed {
+	if got := stateOf(t, d.Health(), "fw"); got.State != breaker.Quarantined || !got.Bypassed {
 		t.Fatalf("fw after trip: %+v", got)
 	}
 	if gen := d.FusionStatus().Generation; gen <= genBefore {
@@ -799,12 +800,12 @@ func TestFusedBypassRewireInvalidates(t *testing.T) {
 
 	// Recovery restores the chain and enforcement.
 	clock.advance(150 * time.Millisecond)
-	for i := 0; i < 5 && stateOf(t, d.Health(), "fw").State == Probing; i++ {
+	for i := 0; i < 5 && stateOf(t, d.Health(), "fw").State == breaker.Probing; i++ {
 		if out, _, err := d.SW.Process(ping(), 1); err != nil || len(out) != 1 {
 			t.Fatalf("probe ping %d: out=%v err=%v", i, out, err)
 		}
 	}
-	if got := stateOf(t, d.Health(), "fw"); got.State != Healthy {
+	if got := stateOf(t, d.Health(), "fw"); got.State != breaker.Healthy {
 		t.Fatalf("fw after probes: %+v", got)
 	}
 	if out, _, err := d.SW.Process(tcp5201(), 1); err != nil || len(out) != 0 {

@@ -2,19 +2,20 @@ package dpmu
 
 // Per-vdev fault containment: the DPMU subscribes to the persona switch's
 // packet faults (sim.SetFaultHook), attributes each fault to the virtual
-// device whose program ID the packet carried, and runs a circuit breaker per
-// device. Too many faults inside a sliding window trip the breaker: the
-// device is quarantined — its passes dropped lock-free by the sim layer, or
-// its position in a composed chain bypassed, per policy — until a half-open
-// probe phase lets a bounded number of packets through; if they complete
-// cleanly the device is restored automatically.
+// device whose program ID the packet carried, and runs a circuit breaker
+// (internal/breaker) per device. Too many faults inside a sliding window trip
+// the breaker: the device is quarantined — its passes dropped lock-free by
+// the sim layer, or its position in a composed chain bypassed, per policy —
+// for a fixed OpenFor, then a half-open probe phase lets a bounded number of
+// packets through; if they complete cleanly the device is restored
+// automatically.
 //
 // Locking: onFault runs on the packet path while the switch's control-plane
 // read lock is held, so it must never acquire d.mu (management ops hold d.mu
 // while waiting for the switch write lock — a writer waiting on an RWMutex
 // blocks new readers, so hook → d.mu would deadlock). The tracker therefore
-// has its own leaf mutex; everything the hook touches (the pid map, fault
-// windows, the sim quarantine table — the latter lock-free atomics) is
+// has its own leaf mutex; everything the hook touches (the pid map, the
+// breakers, the sim quarantine table — the latter lock-free atomics) is
 // reachable under that mutex alone. Time-based transitions (quarantined →
 // probing → healthy) and bypass rewiring need d.mu and happen in SyncHealth,
 // called from every health query and management surface. Lock order: d.mu
@@ -32,21 +33,8 @@ import (
 	"sync"
 	"time"
 
+	"hyper4/internal/breaker"
 	"hyper4/internal/sim"
-)
-
-// HealthState is a virtual device's breaker state.
-type HealthState string
-
-const (
-	// Healthy: no faults inside the current window.
-	Healthy HealthState = "healthy"
-	// Degraded: faulting, but below the trip threshold.
-	Degraded HealthState = "degraded"
-	// Quarantined: breaker tripped; the device's passes are contained.
-	Quarantined HealthState = "quarantined"
-	// Probing: half-open; a bounded number of probe passes are let through.
-	Probing HealthState = "probing"
 )
 
 // QuarantinePolicy selects what containment does to a quarantined device's
@@ -63,11 +51,10 @@ const (
 	PolicyBypass QuarantinePolicy = "bypass"
 )
 
-// HealthConfig tunes the per-vdev circuit breaker.
+// HealthConfig tunes the per-vdev circuit breaker. OpenFor is a fixed
+// quarantine hold before half-open probing.
 type HealthConfig struct {
-	Window       time.Duration    // sliding fault-rate window
-	TripFaults   int              // faults within Window that trip the breaker
-	OpenFor      time.Duration    // quarantine time before half-open probing
+	breaker.Config
 	ProbePackets int              // clean probe passes required to close
 	Policy       QuarantinePolicy // what quarantine does to traffic
 }
@@ -75,9 +62,7 @@ type HealthConfig struct {
 // DefaultHealthConfig returns the breaker defaults.
 func DefaultHealthConfig() HealthConfig {
 	return HealthConfig{
-		Window:       10 * time.Second,
-		TripFaults:   5,
-		OpenFor:      5 * time.Second,
+		Config:       breaker.Config{Window: 10 * time.Second, Trip: 5, OpenFor: 5 * time.Second},
 		ProbePackets: 10,
 		Policy:       PolicyDrop,
 	}
@@ -94,22 +79,13 @@ func ParseQuarantinePolicy(s string) (QuarantinePolicy, error) {
 	return "", fmt.Errorf("dpmu: unknown quarantine policy %q (want %q or %q)", s, PolicyDrop, PolicyBypass)
 }
 
-// sanitize fills zero fields with defaults so a partially specified config
-// can't divide by zero or trip instantly. Only the empty policy is coerced
+// sanitize fills zero fields with defaults. Only the empty policy is coerced
 // (to the default, drop) — operator-facing strings are validated up front by
 // ParseQuarantinePolicy; an unknown value that slips in programmatically
 // behaves as drop at runtime (only PolicyBypass enables rewiring).
 func (c HealthConfig) sanitize() HealthConfig {
 	def := DefaultHealthConfig()
-	if c.Window <= 0 {
-		c.Window = def.Window
-	}
-	if c.TripFaults <= 0 {
-		c.TripFaults = def.TripFaults
-	}
-	if c.OpenFor <= 0 {
-		c.OpenFor = def.OpenFor
-	}
+	c.Config = c.Config.Or(def.Config)
 	if c.ProbePackets <= 0 {
 		c.ProbePackets = def.ProbePackets
 	}
@@ -122,17 +98,17 @@ func (c HealthConfig) sanitize() HealthConfig {
 // VDevHealth is one device's health, as exposed on /v1/health and the
 // hyper4_vdev_health gauge.
 type VDevHealth struct {
-	VDev         string      `json:"vdev"`
-	PID          int         `json:"pid"`
-	State        HealthState `json:"state"`
-	Faults       int64       `json:"faults"`       // lifetime attributed faults
-	Trips        int64       `json:"trips"`        // lifetime breaker trips
-	WindowFaults int         `json:"windowFaults"` // faults inside the current window
-	LastKind     string      `json:"lastFaultKind,omitempty"`
-	LastFault    string      `json:"lastFault,omitempty"`
-	LastFaultAt  time.Time   `json:"lastFaultAt,omitempty"`
-	ProbesLeft   int64       `json:"probesLeft,omitempty"` // remaining half-open budget
-	Bypassed     bool        `json:"bypassed,omitempty"`   // links rewired around the device
+	VDev         string        `json:"vdev"`
+	PID          int           `json:"pid"`
+	State        breaker.State `json:"state"`
+	Faults       int64         `json:"faults"`       // lifetime attributed faults
+	Trips        int64         `json:"trips"`        // lifetime breaker trips
+	WindowFaults int           `json:"windowFaults"` // faults inside the current window
+	LastKind     string        `json:"lastFaultKind,omitempty"`
+	LastFault    string        `json:"lastFault,omitempty"`
+	LastFaultAt  time.Time     `json:"lastFaultAt,omitempty"`
+	ProbesLeft   int64         `json:"probesLeft,omitempty"` // remaining half-open budget
+	Bypassed     bool          `json:"bypassed,omitempty"`   // links rewired around the device
 }
 
 // HealthSnapshot is the full health report.
@@ -141,43 +117,21 @@ type HealthSnapshot struct {
 	Unattributed int64        `json:"unattributed"` // faults with no owning vdev
 }
 
-// vdevHealth is the tracker's mutable per-device record.
+// vdevHealth is the tracker's mutable per-device record: the breaker plus
+// the vdev policy's attribution and containment state.
 type vdevHealth struct {
+	breaker.Breaker
 	name string
 	pid  uint64
 
-	state  HealthState
-	window []time.Time // attributed fault times inside the sliding window
-
 	faults   int64
-	trips    int64
 	lastKind sim.FaultKind
 	lastMsg  string
 	lastAt   time.Time
 
-	trippedAt   time.Time
-	probeStart  time.Time
 	probeBudget int64
 	probeFresh  bool // probe budget not yet pushed into the sim quarantine table
 	bypassed    bool
-}
-
-func (v *vdevHealth) pruneWindow(now time.Time, window time.Duration) {
-	cut := now.Add(-window)
-	i := 0
-	for i < len(v.window) && !v.window[i].After(cut) {
-		i++
-	}
-	if i > 0 {
-		v.window = append(v.window[:0], v.window[i:]...)
-	}
-}
-
-func (v *vdevHealth) trip(now time.Time) {
-	v.state = Quarantined
-	v.trips++
-	v.trippedAt = now
-	v.window = v.window[:0]
 }
 
 // healthTracker is the DPMU's breaker state, guarded by its own leaf mutex
@@ -190,7 +144,7 @@ type healthTracker struct {
 	byPID  map[uint64]*vdevHealth
 
 	unattributed int64
-	notify       func(vdev string, state HealthState)
+	notify       func(vdev string, state breaker.State)
 }
 
 func (h *healthTracker) init() {
@@ -216,10 +170,10 @@ func (h *healthTracker) sortedLocked() []*vdevHealth {
 func (h *healthTracker) rebuildQuarantineLocked(sw *sim.Switch) {
 	budgets := map[uint64]int64{}
 	for _, v := range h.byName {
-		switch v.state {
-		case Quarantined:
+		switch v.State() {
+		case breaker.Quarantined:
 			budgets[v.pid] = 0
-		case Probing:
+		case breaker.Probing:
 			b := v.probeBudget
 			if !v.probeFresh {
 				if rem, ok := sw.QuarantineRemaining(v.pid); ok {
@@ -241,13 +195,6 @@ func (d *DPMU) SetHealthConfig(cfg HealthConfig) {
 	d.health.mu.Unlock()
 }
 
-// HealthConfigured returns the active breaker configuration.
-func (d *DPMU) HealthConfigured() HealthConfig {
-	d.health.mu.Lock()
-	defer d.health.mu.Unlock()
-	return d.health.cfg
-}
-
 // SetHealthClock overrides the tracker's time source (tests).
 func (d *DPMU) SetHealthClock(now func() time.Time) {
 	d.health.mu.Lock()
@@ -258,7 +205,7 @@ func (d *DPMU) SetHealthClock(now func() time.Time) {
 // SetHealthNotify installs a callback fired on every breaker transition
 // (degraded/quarantined/probing/healthy). It may be invoked from the packet
 // path and must not call back into the DPMU or the switch control plane.
-func (d *DPMU) SetHealthNotify(fn func(vdev string, state HealthState)) {
+func (d *DPMU) SetHealthNotify(fn func(vdev string, state breaker.State)) {
 	d.health.mu.Lock()
 	d.health.notify = fn
 	d.health.mu.Unlock()
@@ -269,7 +216,7 @@ func (d *DPMU) SetHealthNotify(fn func(vdev string, state HealthState)) {
 func (d *DPMU) registerHealth(name string, pid int) {
 	h := &d.health
 	h.mu.Lock()
-	v := &vdevHealth{name: name, pid: uint64(pid), state: Healthy}
+	v := &vdevHealth{name: name, pid: uint64(pid)}
 	h.byName[name] = v
 	h.byPID[v.pid] = v
 	h.mu.Unlock()
@@ -299,7 +246,7 @@ func (d *DPMU) resyncHealth() {
 		pid := uint64(dev.PID)
 		v := h.byName[name]
 		if v == nil || v.pid != pid {
-			v = &vdevHealth{name: name, pid: pid, state: Healthy}
+			v = &vdevHealth{name: name, pid: pid}
 		}
 		v.bypassed = false
 		fresh[name] = v
@@ -325,26 +272,10 @@ func (d *DPMU) onFault(f *sim.PacketFault) {
 	now := h.now()
 	v.faults++
 	v.lastKind, v.lastMsg, v.lastAt = f.Kind, f.Msg, now
-	var transition HealthState
-	switch v.state {
-	case Quarantined:
-		// Already contained; nothing more to do.
-	case Probing:
-		// A fault during half-open probing re-trips immediately.
-		v.trip(now)
+	// A quarantined device is already contained; a probing one re-trips.
+	transition := v.Fault(h.cfg.Config, now)
+	if transition == breaker.Quarantined {
 		h.rebuildQuarantineLocked(d.SW)
-		transition = Quarantined
-	default:
-		v.pruneWindow(now, h.cfg.Window)
-		v.window = append(v.window, now)
-		if len(v.window) >= h.cfg.TripFaults {
-			v.trip(now)
-			h.rebuildQuarantineLocked(d.SW)
-			transition = Quarantined
-		} else if v.state != Degraded {
-			v.state = Degraded
-			transition = Degraded
-		}
 	}
 	notify := h.notify
 	name := v.name
@@ -372,7 +303,7 @@ func (d *DPMU) syncHealthLocked() {
 	now := h.now()
 	type event struct {
 		name  string
-		state HealthState
+		state breaker.State
 	}
 	var events []event
 	// Bypass rewiring writes switch tables, which blocks on the switch write
@@ -383,17 +314,13 @@ func (d *DPMU) syncHealthLocked() {
 	var enforce, undo []string
 	rebuild := false
 	for _, v := range h.sortedLocked() {
-		switch v.state {
-		case Degraded:
-			v.pruneWindow(now, h.cfg.Window)
-			if len(v.window) == 0 {
-				v.state = Healthy
-				events = append(events, event{v.name, Healthy})
+		switch v.State() {
+		case breaker.Degraded:
+			if v.Decay(h.cfg.Config, now) {
+				events = append(events, event{v.name, breaker.Healthy})
 			}
-		case Quarantined:
-			if now.Sub(v.trippedAt) >= h.cfg.OpenFor {
-				v.state = Probing
-				v.probeStart = now
+		case breaker.Quarantined:
+			if now.Sub(v.TrippedAt) >= h.cfg.OpenFor && v.Probe(now) {
 				v.probeBudget = int64(h.cfg.ProbePackets)
 				v.probeFresh = true
 				if v.bypassed {
@@ -403,19 +330,17 @@ func (d *DPMU) syncHealthLocked() {
 					v.bypassed = false
 				}
 				rebuild = true
-				events = append(events, event{v.name, Probing})
+				events = append(events, event{v.name, breaker.Probing})
 			} else if h.cfg.Policy == PolicyBypass && !v.bypassed {
 				enforce = append(enforce, v.name)
 			}
-		case Probing:
+		case breaker.Probing:
 			// A fault during probing re-trips in onFault; here we only
 			// check for a cleanly consumed budget.
 			rem, ok := d.SW.QuarantineRemaining(v.pid)
-			if ok && rem <= 0 && v.lastAt.Before(v.probeStart) {
-				v.state = Healthy
-				v.window = v.window[:0]
+			if ok && rem <= 0 && v.lastAt.Before(v.ProbeStart) && v.Close() {
 				rebuild = true
-				events = append(events, event{v.name, Healthy})
+				events = append(events, event{v.name, breaker.Healthy})
 			}
 		}
 	}
@@ -441,7 +366,7 @@ func (d *DPMU) syncHealthLocked() {
 				// d.mu held throughout keeps the state Quarantined (onFault
 				// never leaves Quarantined; every other transition needs
 				// d.mu), so the record is still the one we decided on.
-				if v := h.byName[name]; v != nil && v.state == Quarantined {
+				if v := h.byName[name]; v != nil && v.State() == breaker.Quarantined {
 					v.bypassed = true
 				}
 			}
@@ -468,21 +393,22 @@ func (d *DPMU) Health() HealthSnapshot {
 	h := &d.health
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	now := h.now()
 	snap := HealthSnapshot{Unattributed: h.unattributed}
 	for _, v := range h.sortedLocked() {
 		vh := VDevHealth{
 			VDev:         v.name,
 			PID:          int(v.pid),
-			State:        v.state,
+			State:        v.State(),
 			Faults:       v.faults,
-			Trips:        v.trips,
-			WindowFaults: len(v.window),
+			Trips:        v.Trips,
+			WindowFaults: v.Count(h.cfg.Config, now),
 			LastKind:     string(v.lastKind),
 			LastFault:    v.lastMsg,
 			LastFaultAt:  v.lastAt,
 			Bypassed:     v.bypassed,
 		}
-		if v.state == Probing {
+		if vh.State == breaker.Probing {
 			if rem, ok := d.SW.QuarantineRemaining(v.pid); ok {
 				vh.ProbesLeft = max(rem, 0)
 			} else {
@@ -514,9 +440,7 @@ func (d *DPMU) ResetHealth(owner, vdev string) error {
 	}
 	wasBypassed := v.bypassed
 	v.bypassed = false
-	v.state = Healthy
-	v.window = v.window[:0]
-	v.probeFresh = false
+	v.Reset()
 	h.rebuildQuarantineLocked(d.SW)
 	notify := h.notify
 	h.mu.Unlock()
@@ -526,7 +450,7 @@ func (d *DPMU) ResetHealth(owner, vdev string) error {
 		d.undoBypassLocked(vdev)
 	}
 	if notify != nil {
-		notify(vdev, Healthy)
+		notify(vdev, breaker.Healthy)
 	}
 	return nil
 }

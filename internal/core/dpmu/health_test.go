@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hyper4/internal/breaker"
 	"hyper4/internal/chaos"
 	"hyper4/internal/pkt"
 )
@@ -21,9 +22,7 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 // testHealthConfig is a tight breaker for unit tests.
 func testHealthConfig(policy QuarantinePolicy) HealthConfig {
 	return HealthConfig{
-		Window:       time.Second,
-		TripFaults:   3,
-		OpenFor:      100 * time.Millisecond,
+		Config:       breaker.Config{Window: time.Second, Trip: 3, OpenFor: 100 * time.Millisecond},
 		ProbePackets: 2,
 		Policy:       policy,
 	}
@@ -52,7 +51,7 @@ func TestBreakerTripQuarantineAndRecover(t *testing.T) {
 	d.SetHealthConfig(testHealthConfig(PolicyDrop))
 	loadL2(t, d, "l2", "alice")
 
-	if got := stateOf(t, d.Health(), "l2"); got.State != Healthy || got.PID != 1 {
+	if got := stateOf(t, d.Health(), "l2"); got.State != breaker.Healthy || got.PID != 1 {
 		t.Fatalf("initial health = %+v", got)
 	}
 
@@ -64,14 +63,14 @@ func TestBreakerTripQuarantineAndRecover(t *testing.T) {
 			t.Fatalf("packet %d should fault", i)
 		}
 	}
-	if got := stateOf(t, d.Health(), "l2"); got.State != Degraded || got.WindowFaults != 2 {
+	if got := stateOf(t, d.Health(), "l2"); got.State != breaker.Degraded || got.WindowFaults != 2 {
 		t.Fatalf("after 2 faults: %+v", got)
 	}
 	if _, _, err := d.SW.Process(frame, 1); err == nil {
 		t.Fatal("third packet should fault")
 	}
 	got := stateOf(t, d.Health(), "l2")
-	if got.State != Quarantined || got.Trips != 1 || got.Faults != 3 {
+	if got.State != breaker.Quarantined || got.Trips != 1 || got.Faults != 3 {
 		t.Fatalf("after trip: %+v", got)
 	}
 	if got.LastKind != "panic" {
@@ -92,7 +91,7 @@ func TestBreakerTripQuarantineAndRecover(t *testing.T) {
 	// half-open and two clean probes restore the device.
 	d.SW.SetInjector(nil)
 	clock.advance(150 * time.Millisecond)
-	if got := stateOf(t, d.Health(), "l2"); got.State != Probing || got.ProbesLeft != 2 {
+	if got := stateOf(t, d.Health(), "l2"); got.State != breaker.Probing || got.ProbesLeft != 2 {
 		t.Fatalf("after open interval: %+v", got)
 	}
 	for i := 0; i < 2; i++ {
@@ -101,7 +100,7 @@ func TestBreakerTripQuarantineAndRecover(t *testing.T) {
 			t.Fatalf("probe %d: out=%v err=%v", i, out, err)
 		}
 	}
-	if got := stateOf(t, d.Health(), "l2"); got.State != Healthy {
+	if got := stateOf(t, d.Health(), "l2"); got.State != breaker.Healthy {
 		t.Fatalf("after clean probes: %+v", got)
 	}
 	// Fully restored: traffic forwards, byte-identical.
@@ -123,18 +122,18 @@ func TestFaultDuringProbingRetrips(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		_, _, _ = d.SW.Process(frame, 1)
 	}
-	if got := stateOf(t, d.Health(), "l2"); got.State != Quarantined {
+	if got := stateOf(t, d.Health(), "l2"); got.State != breaker.Quarantined {
 		t.Fatalf("not tripped: %+v", got)
 	}
 	clock.advance(150 * time.Millisecond)
-	if got := stateOf(t, d.Health(), "l2"); got.State != Probing {
+	if got := stateOf(t, d.Health(), "l2"); got.State != breaker.Probing {
 		t.Fatalf("not probing: %+v", got)
 	}
 	// The defect persists: the first probe faults and re-trips immediately.
 	if _, _, err := d.SW.Process(frame, 1); err == nil {
 		t.Fatal("probe should fault")
 	}
-	if got := stateOf(t, d.Health(), "l2"); got.State != Quarantined || got.Trips != 2 {
+	if got := stateOf(t, d.Health(), "l2"); got.State != breaker.Quarantined || got.Trips != 2 {
 		t.Fatalf("after faulty probe: %+v", got)
 	}
 }
@@ -150,11 +149,11 @@ func TestDegradedDecaysToHealthy(t *testing.T) {
 	if _, _, err := d.SW.Process(l2Frame(), 1); err == nil {
 		t.Fatal("packet should fault")
 	}
-	if got := stateOf(t, d.Health(), "l2"); got.State != Degraded {
+	if got := stateOf(t, d.Health(), "l2"); got.State != breaker.Degraded {
 		t.Fatalf("after 1 fault: %+v", got)
 	}
 	clock.advance(2 * time.Second) // window empties
-	if got := stateOf(t, d.Health(), "l2"); got.State != Healthy || got.Faults != 1 {
+	if got := stateOf(t, d.Health(), "l2"); got.State != breaker.Healthy || got.Faults != 1 {
 		t.Fatalf("after window decay: %+v", got)
 	}
 }
@@ -199,7 +198,7 @@ func TestBypassPolicyRewiresChain(t *testing.T) {
 		}
 	}
 	got := stateOf(t, d.Health(), "fw")
-	if got.State != Quarantined || !got.Bypassed {
+	if got.State != breaker.Quarantined || !got.Bypassed {
 		t.Fatalf("fw after trip: %+v", got)
 	}
 
@@ -217,18 +216,18 @@ func TestBypassPolicyRewiresChain(t *testing.T) {
 	// Half-open: the links are restored so probes traverse the firewall
 	// again; the injector is exhausted (PanicFirst), so probes run clean.
 	clock.advance(150 * time.Millisecond)
-	if got := stateOf(t, d.Health(), "fw"); got.State != Probing || got.Bypassed {
+	if got := stateOf(t, d.Health(), "fw"); got.State != breaker.Probing || got.Bypassed {
 		t.Fatalf("fw probing: %+v", got)
 	}
 	// Each composed ping traverses the firewall in more than one pipeline
 	// pass, so a single ping may use up the whole probe budget; sync health
 	// between packets so a drained budget promotes before the next probe.
-	for i := 0; i < 5 && stateOf(t, d.Health(), "fw").State == Probing; i++ {
+	for i := 0; i < 5 && stateOf(t, d.Health(), "fw").State == breaker.Probing; i++ {
 		if out, _, err := d.SW.Process(ping(), 1); err != nil || len(out) != 1 {
 			t.Fatalf("probe ping %d: out=%v err=%v", i, out, err)
 		}
 	}
-	if got := stateOf(t, d.Health(), "fw"); got.State != Healthy {
+	if got := stateOf(t, d.Health(), "fw"); got.State != breaker.Healthy {
 		t.Fatalf("fw after probes: %+v", got)
 	}
 	// Enforcement is back.
@@ -267,9 +266,7 @@ func launchDelayedFaultingPacket(t *testing.T, d *DPMU) <-chan error {
 func TestHealthSyncBypassConcurrentFaultNoDeadlock(t *testing.T) {
 	d := newPersonaDPMU(t)
 	d.SetHealthConfig(HealthConfig{
-		Window:       time.Second,
-		TripFaults:   2,
-		OpenFor:      time.Hour, // stay quarantined: no probing transition
+		Config:       breaker.Config{Window: time.Second, Trip: 2, OpenFor: time.Hour}, // stay quarantined: no probing transition
 		ProbePackets: 1,
 		Policy:       PolicyBypass,
 	})
@@ -289,7 +286,7 @@ func TestHealthSyncBypassConcurrentFaultNoDeadlock(t *testing.T) {
 	go func() { health <- d.Health() }()
 	select {
 	case snap := <-health:
-		if got := stateOf(t, snap, "fw"); got.State != Quarantined || !got.Bypassed {
+		if got := stateOf(t, snap, "fw"); got.State != breaker.Quarantined || !got.Bypassed {
 			t.Fatalf("fw after sync: %+v", got)
 		}
 	case <-time.After(10 * time.Second):
@@ -305,9 +302,7 @@ func TestHealthSyncBypassConcurrentFaultNoDeadlock(t *testing.T) {
 func TestResetHealthConcurrentFaultNoDeadlock(t *testing.T) {
 	d := newPersonaDPMU(t)
 	d.SetHealthConfig(HealthConfig{
-		Window:       time.Second,
-		TripFaults:   2,
-		OpenFor:      time.Hour,
+		Config:       breaker.Config{Window: time.Second, Trip: 2, OpenFor: time.Hour},
 		ProbePackets: 1,
 		Policy:       PolicyBypass,
 	})
@@ -319,7 +314,7 @@ func TestResetHealthConcurrentFaultNoDeadlock(t *testing.T) {
 			t.Fatalf("packet %d should fault in fw", i)
 		}
 	}
-	if got := stateOf(t, d.Health(), "fw"); got.State != Quarantined || !got.Bypassed {
+	if got := stateOf(t, d.Health(), "fw"); got.State != breaker.Quarantined || !got.Bypassed {
 		t.Fatalf("fw not bypassed: %+v", got)
 	}
 
@@ -337,7 +332,7 @@ func TestResetHealthConcurrentFaultNoDeadlock(t *testing.T) {
 	if err := <-packet; err == nil {
 		t.Fatal("in-flight packet should have faulted")
 	}
-	if got := stateOf(t, d.Health(), "fw"); got.State != Healthy || got.Bypassed {
+	if got := stateOf(t, d.Health(), "fw"); got.State != breaker.Healthy || got.Bypassed {
 		t.Fatalf("fw after reset: %+v", got)
 	}
 }
@@ -368,7 +363,7 @@ func TestResetHealthAuthAndEffect(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		_, _, _ = d.SW.Process(frame, 1)
 	}
-	if got := stateOf(t, d.Health(), "l2"); got.State != Quarantined {
+	if got := stateOf(t, d.Health(), "l2"); got.State != breaker.Quarantined {
 		t.Fatalf("not tripped: %+v", got)
 	}
 
@@ -379,7 +374,7 @@ func TestResetHealthAuthAndEffect(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := stateOf(t, d.Health(), "l2")
-	if got.State != Healthy || got.Trips != 1 {
+	if got.State != breaker.Healthy || got.Trips != 1 {
 		t.Fatalf("after reset: %+v", got)
 	}
 	if out, _, err := d.SW.Process(frame, 1); err != nil || len(out) != 1 {
@@ -407,7 +402,7 @@ func TestRollbackResyncsHealth(t *testing.T) {
 	}
 	d.Rollback(cp)
 	got := stateOf(t, d.Health(), "l2")
-	if got.State != Healthy || got.PID != 1 {
+	if got.State != breaker.Healthy || got.PID != 1 {
 		t.Fatalf("after rollback: %+v", got)
 	}
 	if out, _, err := d.SW.Process(l2Frame(), 1); err != nil || len(out) != 1 {

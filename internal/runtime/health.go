@@ -1,10 +1,10 @@
 package runtime
 
-// Per-port fault containment: the runtime accounts every transport error
+// Per-port fault containment: the runtime charges every transport error
 // (receive errors, send errors, ring stalls detected by a watchdog sampling
-// ring cursors) in a sliding window per port and runs a circuit breaker
-// modeled on the per-vdev one in internal/core/dpmu/health.go:
-// healthy → degraded → quarantined → probing → healthy.
+// ring cursors) to a per-port circuit breaker — the same state machine the
+// DPMU runs per vdev (internal/breaker): healthy → degraded → quarantined →
+// probing → healthy. This file holds only the port policy.
 //
 // Wire ports (attached from a textual spec, i.e. rebuildable) are contained
 // for real: quarantine detaches the port — ingestion stops, the backlog
@@ -29,24 +29,8 @@ import (
 	"sort"
 	"sync"
 	"time"
-)
 
-// HealthState is a port breaker state. The states and their meaning match
-// dpmu.HealthState; the types are distinct because the packages must not
-// depend on each other.
-type HealthState string
-
-const (
-	// PortHealthy: no I/O errors inside the current window.
-	PortHealthy HealthState = "healthy"
-	// PortDegraded: erroring, but below the trip threshold.
-	PortDegraded HealthState = "degraded"
-	// PortQuarantined: breaker tripped; a wire port is detached (or being
-	// detached), an in-process port is flagged but left attached.
-	PortQuarantined HealthState = "quarantined"
-	// PortProbing: half-open; a wire port has been reattached and must stay
-	// clean for the probe interval, an in-process port is past its hold-off.
-	PortProbing HealthState = "probing"
+	"hyper4/internal/breaker"
 )
 
 // Error kinds recorded against a port's window.
@@ -56,16 +40,12 @@ const (
 	errKindStall = "stall"
 )
 
-// HealthConfig tunes the per-port breaker and the RX error backoff.
+// HealthConfig tunes the per-port breaker and the RX error backoff. OpenFor
+// is the base hold time after a trip: the first reattach attempt (wire) or
+// the transition to probing (in-process) happens OpenFor after the trip,
+// doubling per failed recovery cycle up to BackoffMax.
 type HealthConfig struct {
-	// Window is the sliding error-rate window.
-	Window time.Duration
-	// TripErrors is the error count within Window that trips the breaker.
-	TripErrors int
-	// OpenFor is the base hold time after a trip: the first reattach attempt
-	// (wire) or the transition to probing (in-process) happens OpenFor after
-	// the trip, doubling per failed recovery cycle up to BackoffMax.
-	OpenFor time.Duration
+	breaker.Config
 	// BackoffMax caps the exponential reattach backoff.
 	BackoffMax time.Duration
 	// ProbeFor is how long a probing port must stay error-free to close the
@@ -85,16 +65,12 @@ type HealthConfig struct {
 	// Negative disables it (tests drive SyncPortHealth explicitly with a
 	// fake clock); zero means the default.
 	SyncEvery time.Duration
-	// Seed feeds the deterministic reattach jitter.
-	Seed uint64
 }
 
 // DefaultHealthConfig returns the port breaker defaults.
 func DefaultHealthConfig() HealthConfig {
 	return HealthConfig{
-		Window:      10 * time.Second,
-		TripErrors:  8,
-		OpenFor:     1 * time.Second,
+		Config:      breaker.Config{Window: 10 * time.Second, Trip: 8, OpenFor: 1 * time.Second},
 		BackoffMax:  30 * time.Second,
 		ProbeFor:    3 * time.Second,
 		StallAfter:  3,
@@ -108,15 +84,7 @@ func DefaultHealthConfig() HealthConfig {
 // can't trip instantly or divide by zero.
 func (c HealthConfig) sanitize() HealthConfig {
 	def := DefaultHealthConfig()
-	if c.Window <= 0 {
-		c.Window = def.Window
-	}
-	if c.TripErrors <= 0 {
-		c.TripErrors = def.TripErrors
-	}
-	if c.OpenFor <= 0 {
-		c.OpenFor = def.OpenFor
-	}
+	c.Config = c.Config.Or(def.Config)
 	if c.BackoffMax < c.OpenFor {
 		c.BackoffMax = def.BackoffMax
 		if c.BackoffMax < c.OpenFor {
@@ -152,7 +120,7 @@ type PortHealth struct {
 	// Wire reports a spec-built transport: quarantine detaches and
 	// auto-reattach applies. In-process ports report state only.
 	Wire  bool
-	State HealthState
+	State breaker.State
 	// Detached reports a wire port currently parked by quarantine (its
 	// transport is closed; the port is absent from the active port list).
 	Detached bool
@@ -169,31 +137,23 @@ type PortHealth struct {
 	RetryIn time.Duration
 }
 
-// portHealthRec is one port's mutable breaker record, guarded by
-// ioHealth.mu.
+// portHealthRec is one port's mutable record — the breaker plus the port
+// policy's error kinds, reattach schedule and watchdog — guarded by
+// ioHealth.mu. The breaker's Attempts exponentiates the backoff.
 type portHealthRec struct {
+	breaker.Breaker
 	port int
 	spec string
 	wire bool
 
-	state  HealthState
-	window []time.Time
-
 	recvErrs uint64
 	sendErrs uint64
 	stalls   uint64
-	trips    uint64
 	reatt    uint64
 
-	lastErr   string
-	lastErrAt time.Time
+	lastErr string
 
-	trippedAt   time.Time
 	nextAttempt time.Time
-	probeStart  time.Time
-	// attempts counts failed recovery cycles since the port was last
-	// healthy; it exponentiates the backoff.
-	attempts int
 
 	// detached: wire port parked by quarantine (transport closed, spec kept).
 	detached bool
@@ -244,15 +204,13 @@ func (h *ioHealth) onAttach(portNum int, spec string, wire bool) {
 	h.mu.Lock()
 	rec := h.recs[portNum]
 	if rec == nil {
-		rec = &portHealthRec{port: portNum, state: PortHealthy}
+		rec = &portHealthRec{port: portNum}
 		h.recs[portNum] = rec
 	}
 	rec.spec = spec
 	rec.wire = wire
-	rec.state = PortHealthy
-	rec.window = rec.window[:0]
+	rec.Reset()
 	rec.detached = false
-	rec.attempts = 0
 	rec.nextAttempt = time.Time{}
 	rec.rxHeads, rec.txHeads = nil, nil
 	rec.rxStuck, rec.txStuck = nil, nil
@@ -279,9 +237,9 @@ func (h *ioHealth) forgetParked(portNum int) bool {
 	return true
 }
 
-// noteError charges one I/O error to a port's window and advances the
-// breaker. Hot path (RX/TX loops): leaf mutex only; the detach a trip calls
-// for is enforced later by SyncPortHealth.
+// noteError charges one I/O error to a port's breaker. Hot path (RX/TX
+// loops): leaf mutex only; the detach a trip calls for is enforced later by
+// SyncPortHealth.
 func (h *ioHealth) noteError(portNum int, kind string, err error) {
 	h.mu.Lock()
 	rec := h.recs[portNum]
@@ -289,7 +247,20 @@ func (h *ioHealth) noteError(portNum int, kind string, err error) {
 		h.mu.Unlock()
 		return
 	}
-	now := h.now()
+	note := h.charge(rec, kind, err.Error(), h.now())
+	fn := h.notify
+	h.mu.Unlock()
+	if note != nil && fn != nil {
+		fn(*note)
+	}
+}
+
+// charge records one error of kind against rec and advances its breaker: a
+// probing port re-trips with its attempt count raised, a quarantined one
+// only counts. A trip schedules the next recovery attempt one backoff cycle
+// out. It returns the port's fresh snapshot when the state moved, else nil.
+// Caller holds h.mu.
+func (h *ioHealth) charge(rec *portHealthRec, kind, detail string, now time.Time) *PortHealth {
 	switch kind {
 	case errKindRecv:
 		rec.recvErrs++
@@ -298,60 +269,20 @@ func (h *ioHealth) noteError(portNum int, kind string, err error) {
 	case errKindStall:
 		rec.stalls++
 	}
-	rec.lastErr = fmt.Sprintf("%s: %v", kind, err)
-	rec.lastErrAt = now
-	rec.pruneWindow(now, h.cfg.Window)
-	rec.window = append(rec.window, now)
-	var note *PortHealth
-	switch rec.state {
-	case PortHealthy, PortDegraded, PortProbing:
-		if len(rec.window) >= h.cfg.TripErrors || rec.state == PortProbing {
-			// Probing is half-open: any error re-trips immediately and
-			// escalates the backoff.
-			if rec.state == PortProbing {
-				rec.attempts++
-			}
-			rec.trip(now, h)
-			note = rec.snapshotLocked(now)
-		} else if rec.state == PortHealthy {
-			rec.state = PortDegraded
-			note = rec.snapshotLocked(now)
-		}
-	case PortQuarantined:
-		// Counted; containment already in force or pending.
+	rec.lastErr = kind + ": " + detail
+	switch rec.Fault(h.cfg.Config, now) {
+	case "":
+		return nil
+	case breaker.Quarantined:
+		rec.nextAttempt = now.Add(h.backoff(rec.port, rec.Attempts))
 	}
-	fn := h.notify
-	h.mu.Unlock()
-	if note != nil && fn != nil {
-		fn(*note)
-	}
-}
-
-// trip opens the breaker. Caller holds h.mu.
-func (rec *portHealthRec) trip(now time.Time, h *ioHealth) {
-	rec.state = PortQuarantined
-	rec.trips++
-	rec.trippedAt = now
-	rec.probeStart = time.Time{}
-	rec.nextAttempt = now.Add(h.backoff(rec.port, rec.attempts))
-}
-
-// pruneWindow drops window entries older than the sliding window.
-func (rec *portHealthRec) pruneWindow(now time.Time, window time.Duration) {
-	cut := now.Add(-window)
-	i := 0
-	for i < len(rec.window) && !rec.window[i].After(cut) {
-		i++
-	}
-	if i > 0 {
-		rec.window = append(rec.window[:0], rec.window[i:]...)
-	}
+	return rec.snapshotLocked(h.cfg.Config, now)
 }
 
 // backoff is the hold time before recovery cycle n: OpenFor·2ⁿ capped at
 // BackoffMax, plus a deterministic jitter in [0, base/4] derived from the
-// seed, port, and cycle so a fleet of tripped ports doesn't reattach in
-// lockstep yet every run with one seed replays identically.
+// port and cycle so a fleet of tripped ports doesn't reattach in lockstep
+// yet every run replays identically.
 func (h *ioHealth) backoff(portNum, attempts int) time.Duration {
 	if attempts > 16 {
 		attempts = 16
@@ -361,7 +292,7 @@ func (h *ioHealth) backoff(portNum, attempts int) time.Duration {
 		d = h.cfg.BackoffMax
 	}
 	span := uint64(d/4) + 1
-	j := splitmix64(h.cfg.Seed ^ uint64(portNum)<<32 ^ uint64(attempts)) % span
+	j := splitmix64(uint64(portNum)<<32^uint64(attempts)) % span
 	return d + time.Duration(j)
 }
 
@@ -378,22 +309,22 @@ func splitmix64(x uint64) uint64 {
 }
 
 // snapshotLocked builds a PortHealth view. Caller holds h.mu.
-func (rec *portHealthRec) snapshotLocked(now time.Time) *PortHealth {
+func (rec *portHealthRec) snapshotLocked(cfg breaker.Config, now time.Time) *PortHealth {
 	ph := &PortHealth{
 		Port:         rec.port,
 		Spec:         rec.spec,
 		Wire:         rec.wire,
-		State:        rec.state,
+		State:        rec.State(),
 		Detached:     rec.detached,
-		WindowErrors: len(rec.window),
+		WindowErrors: rec.Count(cfg, now),
 		RecvErrors:   rec.recvErrs,
 		SendErrors:   rec.sendErrs,
 		Stalls:       rec.stalls,
-		Trips:        rec.trips,
+		Trips:        uint64(rec.Trips),
 		Reattaches:   rec.reatt,
 		LastError:    rec.lastErr,
 	}
-	if rec.state == PortQuarantined && rec.nextAttempt.After(now) {
+	if ph.State == breaker.Quarantined && rec.nextAttempt.After(now) {
 		ph.RetryIn = rec.nextAttempt.Sub(now)
 	}
 	return ph
@@ -408,8 +339,7 @@ func (rt *Runtime) PortHealth() []PortHealth {
 	now := h.now()
 	out := make([]PortHealth, 0, len(h.recs))
 	for _, rec := range h.recs {
-		rec.pruneWindow(now, h.cfg.Window)
-		out = append(out, *rec.snapshotLocked(now))
+		out = append(out, *rec.snapshotLocked(h.cfg.Config, now))
 	}
 	h.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Port < out[j].Port })
@@ -442,35 +372,18 @@ func (rt *Runtime) SyncPortHealth() {
 		// Watchdog: sample ring consumer cursors of live ports. A ring that
 		// holds frames while its consumer cursor sits still across
 		// StallAfter consecutive samples is charged as a stall error.
-		if p := pm.active[portNum]; p != nil && rec.state != PortQuarantined {
+		if p := pm.active[portNum]; p != nil && rec.State() != breaker.Quarantined {
 			if stalled := rec.sampleRings(p, h.cfg.StallAfter); stalled != "" {
-				rec.stalls++
-				rec.lastErr = "stall: " + stalled
-				rec.lastErrAt = now
-				rec.pruneWindow(now, h.cfg.Window)
-				rec.window = append(rec.window, now)
-				if rec.state == PortProbing {
-					rec.attempts++
-					rec.trip(now, h)
-					notes = append(notes, *rec.snapshotLocked(now))
-				} else if len(rec.window) >= h.cfg.TripErrors {
-					rec.trip(now, h)
-					notes = append(notes, *rec.snapshotLocked(now))
-				} else if rec.state == PortHealthy {
-					rec.state = PortDegraded
-					notes = append(notes, *rec.snapshotLocked(now))
+				if note := h.charge(rec, errKindStall, stalled, now); note != nil {
+					notes = append(notes, *note)
 				}
 			}
 		}
-		switch rec.state {
-		case PortDegraded:
-			rec.pruneWindow(now, h.cfg.Window)
-			if len(rec.window) == 0 {
-				rec.state = PortHealthy
-				rec.attempts = 0
-				notes = append(notes, *rec.snapshotLocked(now))
-			}
-		case PortQuarantined:
+		moved := false
+		switch rec.State() {
+		case breaker.Degraded:
+			moved = rec.Decay(h.cfg.Config, now)
+		case breaker.Quarantined:
 			switch {
 			case rec.wire && !rec.detached && !rec.enforcing:
 				rec.enforcing = true
@@ -479,18 +392,13 @@ func (rt *Runtime) SyncPortHealth() {
 				rec.enforcing = true
 				acts = append(acts, healthAction{port: portNum, spec: rec.spec})
 			case !rec.wire && !now.Before(rec.nextAttempt):
-				rec.state = PortProbing
-				rec.probeStart = now
-				rec.window = rec.window[:0]
-				notes = append(notes, *rec.snapshotLocked(now))
+				moved = rec.Probe(now)
 			}
-		case PortProbing:
-			if now.Sub(rec.probeStart) >= h.cfg.ProbeFor {
-				rec.state = PortHealthy
-				rec.attempts = 0
-				rec.window = rec.window[:0]
-				notes = append(notes, *rec.snapshotLocked(now))
-			}
+		case breaker.Probing:
+			moved = now.Sub(rec.ProbeStart) >= h.cfg.ProbeFor && rec.Close()
+		}
+		if moved {
+			notes = append(notes, *rec.snapshotLocked(h.cfg.Config, now))
 		}
 	}
 	fn := h.notify
@@ -571,7 +479,7 @@ func (rt *Runtime) enforceQuarantine(portNum int) {
 	fn := h.notify
 	var note *PortHealth
 	if rec != nil && err == nil {
-		note = rec.snapshotLocked(h.now())
+		note = rec.snapshotLocked(h.cfg.Config, h.now())
 	}
 	h.mu.Unlock()
 	if note != nil && fn != nil {
@@ -608,20 +516,17 @@ func (rt *Runtime) tryReattach(portNum int, spec string) {
 		if err == nil {
 			rec.detached = false
 			rec.reatt++
-			rec.state = PortProbing
-			rec.probeStart = now
-			rec.window = rec.window[:0]
+			rec.Probe(now)
 			rec.rxHeads, rec.txHeads = nil, nil
 			rec.rxStuck, rec.txStuck = nil, nil
-			note = rec.snapshotLocked(now)
+			note = rec.snapshotLocked(h.cfg.Config, now)
 		} else if errors.Is(err, ErrPortBusy) || errors.Is(err, ErrClosed) {
 			// Operator attached the port themselves (their attach reset the
 			// record) or the runtime is closing; nothing to schedule.
 		} else {
-			rec.attempts++
+			rec.Attempts++
 			rec.lastErr = fmt.Sprintf("reattach: %v", err)
-			rec.lastErrAt = now
-			rec.nextAttempt = now.Add(h.backoff(portNum, rec.attempts))
+			rec.nextAttempt = now.Add(h.backoff(portNum, rec.Attempts))
 		}
 	}
 	fn := h.notify

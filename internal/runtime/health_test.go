@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hyper4/internal/breaker"
 )
 
 // fakeClock is a manually advanced time source for the breaker tracker.
@@ -63,16 +65,13 @@ func (w *fakeWire) Close() error {
 // breakerHealthConfig is the shared aggressive-but-deterministic tuning.
 func breakerHealthConfig() HealthConfig {
 	return HealthConfig{
-		Window:      time.Hour,
-		TripErrors:  4,
-		OpenFor:     time.Second,
+		Config:      breaker.Config{Window: time.Hour, Trip: 4, OpenFor: time.Second},
 		BackoffMax:  time.Minute,
 		ProbeFor:    time.Second,
 		StallAfter:  1 << 20, // watchdog effectively off unless a test wants it
 		RecvErrBase: 50 * time.Microsecond,
 		RecvErrMax:  200 * time.Microsecond,
 		SyncEvery:   -1, // tests drive SyncPortHealth explicitly
-		Seed:        7,
 	}
 }
 
@@ -92,7 +91,7 @@ func TestPortBreakerWalk(t *testing.T) {
 		return w, nil
 	}
 	var nmu sync.Mutex
-	var states []HealthState
+	var states []breaker.State
 	rt := New(&echoProc{}, Config{Workers: 1, Health: breakerHealthConfig(), TransportFactory: factory})
 	rt.SetHealthClock(clk.Now)
 	rt.SetHealthNotify(func(ph PortHealth) {
@@ -115,7 +114,7 @@ func TestPortBreakerWalk(t *testing.T) {
 	// sync (run by PortHealth) detaches the port.
 	waitFor(t, func() bool {
 		phs := rt.PortHealth()
-		return len(phs) == 1 && phs[0].State == PortQuarantined && phs[0].Detached
+		return len(phs) == 1 && phs[0].State == breaker.Quarantined && phs[0].Detached
 	}, "quarantine to detach the wire port")
 	if got := len(rt.Ports()); got != 0 {
 		t.Fatalf("quarantined wire port still on the active list (%d ports)", got)
@@ -130,7 +129,7 @@ func TestPortBreakerWalk(t *testing.T) {
 	clk.Advance(2 * time.Second)
 	rt.SyncPortHealth()
 	phs = rt.PortHealth()
-	if phs[0].State != PortProbing || phs[0].Detached || phs[0].Reattaches != 1 {
+	if phs[0].State != breaker.Probing || phs[0].Detached || phs[0].Reattaches != 1 {
 		t.Fatalf("after backoff: %+v", phs[0])
 	}
 	if got := len(rt.Ports()); got != 1 {
@@ -147,14 +146,14 @@ func TestPortBreakerWalk(t *testing.T) {
 	clk.Advance(time.Second)
 	rt.SyncPortHealth()
 	phs = rt.PortHealth()
-	if phs[0].State != PortHealthy {
+	if phs[0].State != breaker.Healthy {
 		t.Fatalf("after probe interval: %+v", phs[0])
 	}
 
 	// The notify stream saw the walk in order.
 	nmu.Lock()
 	defer nmu.Unlock()
-	idx := func(s HealthState) int {
+	idx := func(s breaker.State) int {
 		for i, st := range states {
 			if st == s {
 				return i
@@ -162,7 +161,7 @@ func TestPortBreakerWalk(t *testing.T) {
 		}
 		return -1
 	}
-	q, p, h := idx(PortQuarantined), idx(PortProbing), idx(PortHealthy)
+	q, p, h := idx(breaker.Quarantined), idx(breaker.Probing), idx(breaker.Healthy)
 	if q < 0 || p < 0 || h < 0 || !(q < p && p < h) {
 		t.Fatalf("notify order: %v", states)
 	}
@@ -190,7 +189,7 @@ func TestPortBreakerReattachFailureEscalatesBackoff(t *testing.T) {
 	}
 	waitFor(t, func() bool {
 		phs := rt.PortHealth()
-		return len(phs) == 1 && phs[0].State == PortQuarantined && phs[0].Detached
+		return len(phs) == 1 && phs[0].State == breaker.Quarantined && phs[0].Detached
 	}, "quarantine to park the port")
 
 	// Cycle 0: OpenFor(1s)+jitter ≤ 1.25s. At t=1.5s the reattach runs and
@@ -201,7 +200,7 @@ func TestPortBreakerReattachFailureEscalatesBackoff(t *testing.T) {
 		t.Fatalf("factory calls after first backoff = %d, want 2", got)
 	}
 	phs := rt.PortHealth()
-	if phs[0].State != PortQuarantined || !phs[0].Detached || phs[0].RetryIn <= 0 {
+	if phs[0].State != breaker.Quarantined || !phs[0].Detached || phs[0].RetryIn <= 0 {
 		t.Fatalf("after failed reattach: %+v", phs[0])
 	}
 
@@ -225,7 +224,7 @@ func TestPortBreakerReattachFailureEscalatesBackoff(t *testing.T) {
 func TestChanPortQuarantineIsAdvisory(t *testing.T) {
 	clk := &fakeClock{}
 	cfg := breakerHealthConfig()
-	cfg.TripErrors = 3
+	cfg.Trip = 3
 	rt := New(&echoProc{}, Config{Workers: 1, Health: cfg})
 	rt.SetHealthClock(clk.Now)
 	rt.Start()
@@ -238,7 +237,7 @@ func TestChanPortQuarantineIsAdvisory(t *testing.T) {
 		rt.health.noteError(1, errKindRecv, errors.New("synthetic"))
 	}
 	phs := rt.PortHealth()
-	if phs[0].State != PortQuarantined || phs[0].Wire || phs[0].Detached {
+	if phs[0].State != breaker.Quarantined || phs[0].Wire || phs[0].Detached {
 		t.Fatalf("after trip: %+v", phs[0])
 	}
 	if got := len(rt.Ports()); got != 1 {
@@ -246,7 +245,7 @@ func TestChanPortQuarantineIsAdvisory(t *testing.T) {
 	}
 	clk.Advance(2 * time.Second) // past OpenFor+jitter
 	rt.SyncPortHealth()
-	if phs = rt.PortHealth(); phs[0].State != PortProbing {
+	if phs = rt.PortHealth(); phs[0].State != breaker.Probing {
 		t.Fatalf("after hold-off: %+v", phs[0])
 	}
 	if got := len(rt.Ports()); got != 1 {
@@ -254,7 +253,7 @@ func TestChanPortQuarantineIsAdvisory(t *testing.T) {
 	}
 	clk.Advance(time.Second)
 	rt.SyncPortHealth()
-	if phs = rt.PortHealth(); phs[0].State != PortHealthy {
+	if phs = rt.PortHealth(); phs[0].State != breaker.Healthy {
 		t.Fatalf("after probe interval: %+v", phs[0])
 	}
 }
@@ -264,7 +263,7 @@ func TestChanPortQuarantineIsAdvisory(t *testing.T) {
 func TestStallWatchdogTripsBreaker(t *testing.T) {
 	clk := &fakeClock{}
 	cfg := breakerHealthConfig()
-	cfg.TripErrors = 1
+	cfg.Trip = 1
 	cfg.StallAfter = 2
 	rt := New(&echoProc{}, Config{Workers: 1, Health: cfg})
 	rt.SetHealthClock(clk.Now)
@@ -296,8 +295,27 @@ func TestStallWatchdogTripsBreaker(t *testing.T) {
 	if phs[0].Stalls == 0 {
 		t.Fatalf("no stall charged: %+v", phs[0])
 	}
-	if phs[0].State != PortQuarantined {
+	if phs[0].State != breaker.Quarantined {
 		t.Fatalf("stall did not trip the breaker: %+v", phs[0])
+	}
+
+	// Past the hold-off the in-process port probes; the ring is still
+	// wedged, so the watchdog's next stall re-trips it and raises the
+	// backoff one cycle, exactly as a recv error during probing does.
+	clk.Advance(2 * time.Second)
+	rt.SyncPortHealth()
+	if phs = rt.PortHealth(); phs[0].State != breaker.Probing {
+		t.Fatalf("after hold-off: %+v", phs[0])
+	}
+	for i := 0; i < 2; i++ {
+		rt.SyncPortHealth()
+	}
+	phs = rt.PortHealth()
+	if phs[0].State != breaker.Quarantined || phs[0].Trips != 2 || phs[0].Stalls != 2 {
+		t.Fatalf("stall during probing did not re-trip: %+v", phs[0])
+	}
+	if phs[0].RetryIn < 2*cfg.OpenFor {
+		t.Fatalf("backoff not raised: retry in %v, want >= %v", phs[0].RetryIn, 2*cfg.OpenFor)
 	}
 }
 
@@ -308,7 +326,7 @@ func TestRecvErrorBackoffBoundsSpin(t *testing.T) {
 	w := newFakeWire()
 	w.fail.Store(true)
 	cfg := breakerHealthConfig()
-	cfg.TripErrors = 1 << 20 // keep the breaker out of the way
+	cfg.Trip = 1 << 20 // keep the breaker out of the way
 	cfg.RecvErrBase = 5 * time.Millisecond
 	cfg.RecvErrMax = 40 * time.Millisecond
 	rt := New(&echoProc{}, Config{
