@@ -61,12 +61,14 @@ chaos-smoke:
 	@echo chaos smoke ok
 
 # Short fuzz runs over the management-script parser (no panics, and every
-# rejection is an ErrUnknown / INVALID_ARGUMENT structured error) and over
+# rejection is an ErrUnknown / INVALID_ARGUMENT structured error), over
 # the persona-row decoder (no panics, and every prep row it accepts
-# re-encodes to the same args).
+# re-encodes to the same args), and over the P4 front end (no panics, and
+# every program it accepts prints to a print/parse fixpoint).
 fuzz-smoke:
 	$(GO) test -run FuzzParseLine -fuzz FuzzParseLine -fuzztime 10s ./internal/core/ctl/
 	$(GO) test -run FuzzDecodeRow -fuzz FuzzDecodeRow -fuzztime 10s ./internal/core/persona/rows/
+	$(GO) test -run FuzzParseP4 -fuzz FuzzParseP4 -fuzztime 10s ./internal/p4/parser/
 
 # API smoke: boot the switch with the management API, configure a virtual
 # device remotely via hp4ctl — the whole setup as ONE atomic batch — then

@@ -162,7 +162,7 @@ func BenchmarkFigure7(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				loc = p.LoC
+				loc = p.LoC()
 			}
 			b.ReportMetric(float64(loc), "LoC")
 		})

@@ -43,7 +43,7 @@ func main() {
 	}
 	if *locOnly {
 		fmt.Printf("stages=%d primitives=%d loc=%d tables=%d actions=%d\n",
-			cfg.Stages, cfg.Primitives, p.LoC, p.TableCount, p.ActionCount)
+			cfg.Stages, cfg.Primitives, p.LoC(), p.TableCount, p.ActionCount)
 		return
 	}
 	if *base != "" {
@@ -53,13 +53,13 @@ func main() {
 		}
 	}
 	if *out == "" {
-		fmt.Print(p.Source)
+		fmt.Print(p.Source())
 		return
 	}
-	if err := os.WriteFile(*out, []byte(p.Source), 0o644); err != nil {
+	if err := os.WriteFile(*out, []byte(p.Source()), 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "hp4gen:", err)
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "hp4gen: wrote %d LoC, %d tables, %d actions to %s\n",
-		p.LoC, p.TableCount, p.ActionCount, *out)
+		p.LoC(), p.TableCount, p.ActionCount, *out)
 }

@@ -23,7 +23,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("generated persona: %d lines of P4, %d tables, %d actions\n",
-		p.LoC, p.TableCount, p.ActionCount)
+		p.LoC(), p.TableCount, p.ActionCount)
 
 	// 2. Configure a P4 target with the persona and attach the DPMU.
 	sw, err := sim.New("s1", p.Program)

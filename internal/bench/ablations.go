@@ -81,7 +81,7 @@ func GridAblation() ([]GridAblationRow, error) {
 		}
 		rows = append(rows, GridAblationRow{
 			Step:         step,
-			PersonaLoC:   p.LoC,
+			PersonaLoC:   p.LoC(),
 			ParserStates: len(cfg.ByteCounts()) + 1,
 			TCPResubmits: tr.Resubmits,
 			TCPBytes:     tcpBytes,

@@ -54,9 +54,9 @@ func FigureSweep() ([]FigurePoint, error) {
 			out = append(out, FigurePoint{
 				Stages:     stages,
 				Primitives: prims,
-				LoC:        p.LoC,
-				DropLoC:    primitiveLoC(p.Source, "drop"),
-				ModLoC:     primitiveLoC(p.Source, "mod_ed_const"),
+				LoC:        p.LoC(),
+				DropLoC:    primitiveLoC(p.Source(), "drop"),
+				ModLoC:     primitiveLoC(p.Source(), "mod_ed_const"),
 				Tables:     p.TableCount,
 				Actions:    p.ActionCount,
 			})
@@ -103,7 +103,7 @@ func Space() (SpaceRow, error) {
 		Tables:         p.TableCount,
 		Actions:        p.ActionCount,
 		ResizeActions:  len(persona.Reference.ByteCounts()),
-		LoC:            p.LoC,
+		LoC:            p.LoC(),
 		EntryBitsED:    2 * persona.Reference.ExtractedWidth(),
 		EntryBitsMeta:  2 * persona.MetaWidth,
 		ExtractedWidth: persona.Reference.ExtractedWidth(),

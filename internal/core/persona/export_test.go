@@ -24,9 +24,9 @@ func TestPersonaSourceInSync(t *testing.T) {
 	}
 	root := filepath.Join("..", "..", "..", "p4src")
 	files := map[string]string{
-		"hyper4_persona.p4":         p.Source,
+		"hyper4_persona.p4":         p.Source(),
 		"hyper4_base_commands.txt":  p.BaseCommands,
-		"hyper4_persona_partial.p4": pp.Source,
+		"hyper4_persona_partial.p4": pp.Source(),
 	}
 	update := os.Getenv("HP4_UPDATE_P4") != ""
 	for name, want := range files {

@@ -3,20 +3,19 @@ package persona
 import (
 	"fmt"
 	"math/big"
+	"sync"
 
 	"hyper4/internal/p4/ast"
 	"hyper4/internal/p4/hlir"
-	"hyper4/internal/p4/parser"
 	"hyper4/internal/p4/pretty"
 )
 
 func sprintf(format string, args ...any) string { return fmt.Sprintf(format, args...) }
 
-// Persona is a generated HyPer4 persona: its P4 source, the resolved
-// program, and the base entries that wire its fixed machinery.
+// Persona is a generated HyPer4 persona: the resolved program, the base
+// entries that wire its fixed machinery, and its P4 source on demand.
 type Persona struct {
 	Config  Config
-	Source  string
 	Program *hlir.Program
 	// BaseCommands is the runtime command script that installs the persona's
 	// static entries (primitive dispatch, byte normalization, resize and
@@ -27,14 +26,41 @@ type Persona struct {
 	// §6.2, §6.5).
 	TableCount  int
 	ActionCount int
-	LoC         int
+
+	source func() string
 }
 
-// Generate builds the persona for a configuration.
+// Source returns the persona's P4_14 source. It is printed on first use
+// from a freshly built AST for p.Config — the builder that produced
+// p.Program — so nothing done to p.Program can change the text.
+func (p *Persona) Source() string { return p.source() }
+
+// LoC returns the persona's source line count (Figure 7, §5.1).
+func (p *Persona) LoC() int { return pretty.CountLoC(p.Source()) }
+
+// Generate builds the persona for a configuration and resolves its AST
+// directly; the source is printed only if Source or LoC asks for it.
 func Generate(c Config) (*Persona, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
+	prog := build(c)
+	resolved, err := hlir.Resolve(prog)
+	if err != nil {
+		return nil, fmt.Errorf("persona: generated program does not resolve: %w", err)
+	}
+	return &Persona{
+		Config:       c,
+		Program:      resolved,
+		BaseCommands: baseCommands(c),
+		TableCount:   len(prog.Tables),
+		ActionCount:  len(prog.Actions),
+		source:       sync.OnceValue(func() string { return pretty.Print(build(c)) }),
+	}, nil
+}
+
+// build runs the generator for a validated configuration.
+func build(c Config) *ast.Program {
 	b := &builder{c: c, prog: &ast.Program{Name: "hyper4_persona"}}
 	b.headers()
 	b.fieldLists()
@@ -49,26 +75,7 @@ func Generate(c Config) (*Persona, error) {
 	b.virtnetAndEgress()
 	b.extensions()
 	b.controls()
-
-	src := pretty.Print(b.prog)
-	parsed, err := parser.Parse("hyper4_persona", src)
-	if err != nil {
-		return nil, fmt.Errorf("persona: generated source does not parse: %w", err)
-	}
-	resolved, err := hlir.Resolve(parsed)
-	if err != nil {
-		return nil, fmt.Errorf("persona: generated source does not resolve: %w", err)
-	}
-	p := &Persona{
-		Config:       c,
-		Source:       src,
-		Program:      resolved,
-		BaseCommands: baseCommands(c),
-		TableCount:   len(parsed.Tables),
-		ActionCount:  len(parsed.Actions),
-		LoC:          pretty.CountLoC(src),
-	}
-	return p, nil
+	return b.prog
 }
 
 func (c Config) validate() error {

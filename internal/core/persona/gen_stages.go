@@ -145,6 +145,11 @@ func (b *builder) execActions() {
 	slshift := fexpr(InstScratch, "slshift")
 	srshift := fexpr(InstScratch, "srshift")
 	cval := fexpr(InstScratch, "cval")
+	// Every writeDest bit_xor shares this *big.Int (as fixed-parser personas
+	// share fixedFamily's field slices), and Generate hands the AST to hlir,
+	// sim, fuse and prove unparsed. That is safe: no consumer writes through
+	// an AST constant or slice (sim and dpmu copy constants with
+	// bitfield.FromBig, prove reads them with Bit, pretty with %x).
 	ones := bexpr(onesConst(ew))
 
 	add := func(name string, body ...ast.PrimitiveCall) {

@@ -13,13 +13,13 @@ func TestGenerateReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.LoC < 3000 {
-		t.Errorf("reference persona LoC = %d, expected thousands (paper: ~6400)", p.LoC)
+	if p.LoC() < 3000 {
+		t.Errorf("reference persona LoC = %d, expected thousands (paper: ~6400)", p.LoC())
 	}
 	if p.TableCount < 100 {
 		t.Errorf("reference persona tables = %d, expected >100 (paper: 346)", p.TableCount)
 	}
-	t.Logf("reference persona: %d LoC, %d tables, %d actions", p.LoC, p.TableCount, p.ActionCount)
+	t.Logf("reference persona: %d LoC, %d tables, %d actions", p.LoC(), p.TableCount, p.ActionCount)
 }
 
 func TestPersonaLoadsAndAcceptsBaseCommands(t *testing.T) {
@@ -102,7 +102,7 @@ func TestFigure7Shape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p.LoC
+		return p.LoC()
 	}
 	l1 := loc(1, 1)
 	l3 := loc(3, 1)
@@ -159,7 +159,7 @@ func TestSourceMentionsKeyTables(t *testing.T) {
 		"table t_virtnet", "table te_resize", "table te_writeback",
 		"resubmit(fl_resubmit)", "recirculate(fl_recirc)",
 	} {
-		if !strings.Contains(p.Source, want) {
+		if !strings.Contains(p.Source(), want) {
 			t.Errorf("persona source missing %q", want)
 		}
 	}

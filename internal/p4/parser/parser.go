@@ -370,6 +370,9 @@ func (p *parser) fieldListCalc(prog *ast.Program) error {
 			return p.errf("unknown field_list_calculation property %q", key)
 		}
 	}
+	if calc.Input == "" || calc.Algorithm == "" {
+		return p.errf("field_list_calculation %s needs an input and an algorithm", name)
+	}
 	p.next() // }
 	prog.FieldListCalcs = append(prog.FieldListCalcs, calc)
 	return nil

@@ -16,8 +16,9 @@ func (p *parser) parserState(prog *ast.Program) error {
 	if err := p.expectPunct("{"); err != nil {
 		return err
 	}
+	// P4_14: extract/set_metadata statements, then exactly one return, last.
 	st := &ast.ParserState{Name: name}
-	for !p.at(lexer.Punct, "}") {
+	for !p.atIdent("return") {
 		switch {
 		case p.atIdent("extract"):
 			p.next()
@@ -58,18 +59,21 @@ func (p *parser) parserState(prog *ast.Program) error {
 				return err
 			}
 			st.Statements = append(st.Statements, ast.ParserStmt{SetField: ref, SetValue: val})
-		case p.atIdent("return"):
-			p.next()
-			ret, err := p.parserReturn()
-			if err != nil {
-				return err
-			}
-			st.Return = ret
+		case p.at(lexer.Punct, "}"):
+			return p.errf("parser state %s has no return statement", name)
 		default:
 			return p.errf("unexpected %s in parser state", p.cur())
 		}
 	}
-	p.next() // }
+	p.next() // return
+	ret, err := p.parserReturn()
+	if err != nil {
+		return err
+	}
+	st.Return = ret
+	if err := p.expectPunct("}"); err != nil {
+		return err
+	}
 	prog.ParserStates = append(prog.ParserStates, st)
 	return nil
 }
@@ -447,7 +451,9 @@ func (p *parser) readEntry() (ast.ReadEntry, error) {
 	}
 	mk := ast.MatchKind(kind)
 	switch mk {
-	case ast.MatchExact, ast.MatchTernary, ast.MatchLPM, ast.MatchRange, ast.MatchValid:
+	case ast.MatchExact, ast.MatchTernary, ast.MatchLPM, ast.MatchRange:
+	case ast.MatchValid:
+		return ast.ReadEntry{}, p.errf("valid match on field %s.%s: write valid(header)", ref.Instance, ref.Field)
 	default:
 		return ast.ReadEntry{}, p.errf("unknown match kind %q", kind)
 	}
@@ -563,6 +569,8 @@ func (p *parser) stmt() (ast.Stmt, error) {
 			}
 		}
 		return s, nil
+	case p.atIdent("else"):
+		return ast.Stmt{}, p.errf("else without if")
 	default:
 		// Control function call: name();
 		name, err := p.expectIdent()
@@ -755,6 +763,9 @@ func (p *parser) counter(prog *ast.Program) error {
 			return err
 		}
 	}
+	if c.Kind == "" {
+		return p.errf("counter %s has no type", name)
+	}
 	p.next() // }
 	prog.Counters = append(prog.Counters, c)
 	return nil
@@ -801,6 +812,9 @@ func (p *parser) meter(prog *ast.Program) error {
 		if err := p.expectPunct(";"); err != nil {
 			return err
 		}
+	}
+	if m.Kind == "" {
+		return p.errf("meter %s has no type", name)
 	}
 	p.next() // }
 	prog.Meters = append(prog.Meters, m)

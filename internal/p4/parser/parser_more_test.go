@@ -83,6 +83,8 @@ func TestParserStateErrors(t *testing.T) {
 	mustFail(t, `parser start { bogus_stmt(h); return ingress; }`)
 	mustFail(t, `parser start { return select(h.v) { zork : ingress; } }`)
 	mustFail(t, `parser start { return select() { } }`)
+	mustFail(t, `parser start { }`)
+	mustFail(t, `parser start { return ingress; extract(h); }`)
 }
 
 func TestSelectKeyCurrentAndErrors(t *testing.T) {
@@ -126,6 +128,7 @@ parser start { extract(h); return ingress; }
 	}
 	mustFail(t, `calculated_field h.c { frobnicate calc; }`)
 	mustFail(t, `field_list_calculation c { bogus : 1; }`)
+	mustFail(t, `field_list_calculation c { output_width : 16; }`)
 }
 
 func TestStatefulDirectBindings(t *testing.T) {
@@ -150,6 +153,8 @@ control ingress { apply(t); }
 	mustFail(t, `counter c { bogus : 1; }`)
 	mustFail(t, `meter m { bogus : 1; }`)
 	mustFail(t, `register r { width : x; }`)
+	mustFail(t, `counter c { instance_count : 4; }`)
+	mustFail(t, `meter m { instance_count : 4; }`)
 }
 
 func TestHeaderRefArgForms(t *testing.T) {
@@ -207,6 +212,8 @@ func TestTableParseErrors(t *testing.T) {
 	mustFail(t, `control ingress { apply(t) { hit } }`)
 	mustFail(t, `control ingress { if (x ~ y) { } }`)
 	mustFail(t, `control ingress { name(; }`)
+	mustFail(t, `table t { reads { h.b : valid; } actions { a; } }`)
+	mustFail(t, `control ingress { if (x == 1) { } else { } else(); }`)
 }
 
 func TestBooleanOperatorSymbols(t *testing.T) {

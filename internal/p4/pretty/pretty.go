@@ -1,7 +1,7 @@
-// Package pretty renders a P4 AST back to P4_14 source text. The persona
-// generator emits its program through this package, which both keeps the
-// generator honest (its output is re-parsed by our own front end) and lets
-// the Figure 7 experiment count generated lines of code.
+// Package pretty renders a P4 AST back to P4_14 source text. The persona's
+// source is printed through this package for hp4gen and for the Figure 7
+// line counts; the persona tests hold that it parses back to the AST the
+// generator built.
 package pretty
 
 import (
