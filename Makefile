@@ -18,8 +18,11 @@ race:
 
 # The fast-path-vs-linear-scan differential property test, explicitly under
 # the race detector (it hammers lookup concurrently-exercised structures).
+# One pass of BenchmarkProcessNative keeps the interpreter's benchmark
+# compiling and running.
 lookup-race:
 	$(GO) test -race -run TestLookupDifferential ./internal/sim/
+	$(GO) test -run '^$$' -bench BenchmarkProcessNative -benchtime 1x ./internal/sim/
 
 # The fused-fast-path differential harness, explicitly under the race
 # detector: fused vs interpreted runs must agree on every output byte, every

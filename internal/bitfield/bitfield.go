@@ -270,6 +270,22 @@ func (v *Value) Zero() {
 	}
 }
 
+// Reset makes v a zero Value of the given width, reusing v's buffer when it
+// is large enough.
+func (v *Value) Reset(width int) {
+	if width < 0 {
+		panic("bitfield: negative width")
+	}
+	n := bytesFor(width)
+	if cap(v.b) < n {
+		v.b = make([]byte, n)
+	} else {
+		v.b = v.b[:n]
+		clear(v.b)
+	}
+	v.width = width
+}
+
 // CopyFrom overwrites v with o's bits in place. Widths must match.
 func (v *Value) CopyFrom(o Value) {
 	v.checkWidth(o)

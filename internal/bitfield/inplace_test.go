@@ -17,6 +17,21 @@ func TestZeroAndCopyFrom(t *testing.T) {
 	}
 }
 
+func TestResetReusesBuffer(t *testing.T) {
+	v := FromUint(32, 0xdeadbeef)
+	v.Reset(12)
+	if !v.Equal(New(12)) {
+		t.Errorf("Reset(12) = %v, want a zero 12-bit value", v)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { v.Reset(20) }); allocs != 0 {
+		t.Errorf("shrinking Reset allocates %.0f", allocs)
+	}
+	v.Reset(48)
+	if !v.Equal(New(48)) {
+		t.Errorf("Reset(48) = %v, want a zero 48-bit value", v)
+	}
+}
+
 func TestSetBytesMatchesFromBytes(t *testing.T) {
 	data := []byte{0xde, 0xad, 0xbe, 0xef}
 	for _, w := range []int{8, 12, 16, 32, 48} {

@@ -63,7 +63,7 @@ func TestEmulatedFirewall(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(out) != 0 {
-		t.Fatalf("blocked TCP should drop: %+v (tables %v)", out, tr.Tables)
+		t.Fatalf("blocked TCP should drop: %+v (tables %v)", out, tr.ApplyLog)
 	}
 	if tr.Resubmits != 2 {
 		t.Errorf("TCP resubmits = %d, want 2 (paper §6.4)", tr.Resubmits)
@@ -76,7 +76,7 @@ func TestEmulatedFirewall(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(out) != 1 || out[0].Port != 2 {
-		t.Fatalf("allowed TCP should pass: %+v (tables %v)", out, tr.Tables)
+		t.Fatalf("allowed TCP should pass: %+v (tables %v)", out, tr.ApplyLog)
 	}
 	if !bytes.Equal(out[0].Data, frame) {
 		t.Errorf("firewall must not modify frames:\n got %x\nwant %x", out[0].Data, frame)
@@ -148,7 +148,7 @@ func TestEmulatedARPProxy(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(out) != 1 || out[0].Port != 1 {
-		t.Fatalf("reply should exit the ingress port: %+v (tables %v)", out, tr.Tables)
+		t.Fatalf("reply should exit the ingress port: %+v (tables %v)", out, tr.ApplyLog)
 	}
 	eth, rest, err := pkt.DecodeEthernet(out[0].Data)
 	if err != nil {
@@ -264,7 +264,7 @@ func TestEmulatedRouter(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(out) != 1 || out[0].Port != 3 {
-		t.Fatalf("outputs: %+v (tables %v)", out, tr.Tables)
+		t.Fatalf("outputs: %+v (tables %v)", out, tr.ApplyLog)
 	}
 	eth, rest, err := pkt.DecodeEthernet(out[0].Data)
 	if err != nil {

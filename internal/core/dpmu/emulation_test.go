@@ -83,7 +83,7 @@ func TestEmulatedL2SwitchForwards(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(out) != 1 || out[0].Port != 2 {
-		t.Fatalf("outputs: %+v (trace tables: %v)", out, tr.Tables)
+		t.Fatalf("outputs: %+v (trace tables: %v)", out, tr.ApplyLog)
 	}
 	if !bytes.Equal(out[0].Data, frame) {
 		t.Errorf("emulated L2 must not modify the frame:\n got %x\nwant %x", out[0].Data, frame)

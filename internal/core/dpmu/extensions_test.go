@@ -57,7 +57,7 @@ func TestVirtualMulticast(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(outs) != 2 {
-		t.Fatalf("want 2 delivered copies, got %d (tables %v)", len(outs), tr.Tables)
+		t.Fatalf("want 2 delivered copies, got %d (tables %v)", len(outs), tr.ApplyLog)
 	}
 	ports := map[int]bool{}
 	for _, o := range outs {

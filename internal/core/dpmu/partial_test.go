@@ -89,7 +89,7 @@ func TestPartialVirtualizationFirewall(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(out) != 0 {
-		t.Fatalf("blocked TCP should drop: %+v (tables %v)", out, tr.Tables)
+		t.Fatalf("blocked TCP should drop: %+v (tables %v)", out, tr.ApplyLog)
 	}
 	if tr.Resubmits != 0 {
 		t.Errorf("partial virtualization resubmits = %d, want 0 (full persona: 2)", tr.Resubmits)
@@ -143,7 +143,7 @@ func TestPartialVirtualizationARP(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(out) != 1 || out[0].Port != 1 {
-		t.Fatalf("reply: %+v (tables %v)", out, tr.Tables)
+		t.Fatalf("reply: %+v (tables %v)", out, tr.ApplyLog)
 	}
 	_, rest, _ := pkt.DecodeEthernet(out[0].Data)
 	reply, err := pkt.DecodeARP(rest)
@@ -195,7 +195,7 @@ func TestPartialVirtualizationRouterChecksum(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(out) != 1 || out[0].Port != 2 {
-		t.Fatalf("route: %+v (tables %v)", out, tr.Tables)
+		t.Fatalf("route: %+v (tables %v)", out, tr.ApplyLog)
 	}
 	_, rest, _ := pkt.DecodeEthernet(out[0].Data)
 	ip, _, err := pkt.DecodeIPv4(rest)

@@ -113,7 +113,7 @@ func TestCompositionPingPassCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(out) != 1 || out[0].Port != 2 {
-		t.Fatalf("ping should route out port 2: %+v (tables %v)", out, tr.Tables)
+		t.Fatalf("ping should route out port 2: %+v (tables %v)", out, tr.ApplyLog)
 	}
 	// §6.4: "pings incur a total of two recirculations and two resubmits".
 	if tr.Recirculates != 2 {

@@ -17,23 +17,15 @@ func (sw *Switch) deparse(ps *packetState) ([]byte, error) {
 	}
 	// Size the output exactly: valid header bytes + remaining payload.
 	size := len(ps.data) - ps.consumed
-	for _, instName := range sw.prog.HeaderOrder {
-		ii := sw.lay.insts[instName]
-		for elem := 0; elem < ii.count; elem++ {
-			if ps.headers[ii.headerBase+elem].valid {
-				size += ii.width / 8
-			}
+	for _, d := range sw.code.deparse {
+		if ps.headers[d.slot].valid {
+			size += d.width / 8
 		}
 	}
 	out := make([]byte, 0, size)
-	for _, instName := range sw.prog.HeaderOrder {
-		ii := sw.lay.insts[instName]
-		for elem := 0; elem < ii.count; elem++ {
-			h := &ps.headers[ii.headerBase+elem]
-			if !h.valid {
-				continue
-			}
-			out = h.value.AppendSliceTo(out, 0, ii.width)
+	for _, d := range sw.code.deparse {
+		if h := &ps.headers[d.slot]; h.valid {
+			out = h.value.AppendSliceTo(out, 0, d.width)
 		}
 	}
 	out = append(out, ps.data[ps.consumed:]...)
@@ -45,106 +37,73 @@ func (sw *Switch) deparse(ps *packetState) ([]byte, error) {
 
 // updateCalculatedFields recomputes checksum fields declared with "update".
 func (sw *Switch) updateCalculatedFields(ps *packetState) error {
-	for _, cf := range sw.prog.AST.CalculatedFields {
-		if cf.Update == "" {
-			continue
-		}
-		guard := ast.HeaderRef{Instance: cf.Field.Instance, Index: cf.Field.Index}
-		if cf.IfValid != nil {
-			guard = *cf.IfValid
-		}
-		slot, err := ps.resolveHeaderRef(guard)
+	for i := range sw.code.calcs {
+		cf := &sw.code.calcs[i]
+		slot, err := ps.slotFor(cf.guard)
 		if err != nil {
 			return err
 		}
 		if !ps.headers[slot].valid {
 			continue
 		}
-		calc := sw.prog.Calcs[cf.Update]
+		if cf.err != nil {
+			return cf.err
+		}
 		// Compute the checksum with the target field zeroed, as checksum
 		// algorithms require.
-		if err := ps.setField(cf.Field, bitfield.New(16)); err != nil {
+		if err := ps.storeUint(cf.target, 0); err != nil {
 			return err
 		}
-		sum, err := sw.computeCalc(calc, ps)
+		data, bits, err := ps.serialize(cf.input)
 		if err != nil {
 			return err
 		}
-		if err := ps.setField(cf.Field, sum); err != nil {
+		if bits%8 != 0 {
+			return fmt.Errorf("sim: field list %s width %d is not byte aligned", cf.calc.Input, bits)
+		}
+		if cf.calc.Algorithm != ast.AlgoCsum16 {
+			return fmt.Errorf("sim: unsupported checksum algorithm %q", cf.calc.Algorithm)
+		}
+		sum := uint64(pkt.Checksum(data))
+		if w := cf.calc.OutputWidth; w < 64 {
+			sum &= 1<<w - 1
+		}
+		if err := ps.storeUint(cf.target, sum); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// computeCalc serializes a field list and applies the checksum algorithm.
-func (sw *Switch) computeCalc(calc *ast.FieldListCalc, ps *packetState) (bitfield.Value, error) {
-	data, bits, err := sw.serializeFieldList(calc.Input, ps)
-	if err != nil {
-		return bitfield.Value{}, err
-	}
-	if bits%8 != 0 {
-		return bitfield.Value{}, fmt.Errorf("sim: field list %s width %d is not byte aligned", calc.Input, bits)
-	}
-	switch calc.Algorithm {
-	case ast.AlgoCsum16:
-		return bitfield.FromUint(calc.OutputWidth, uint64(pkt.Checksum(data))), nil
-	}
-	return bitfield.Value{}, fmt.Errorf("sim: unsupported checksum algorithm %q", calc.Algorithm)
-}
-
-// serializeFieldList concatenates the field values of a (possibly nested)
-// field list into bytes, appending the payload when the list includes the
-// payload token. All fields in checksum inputs are byte-aligned in practice
-// (the csum16 caller rejects unaligned totals), so each field appends whole
-// bytes.
-func (sw *Switch) serializeFieldList(listName string, ps *packetState) ([]byte, int, error) {
-	var out []byte
+// serialize concatenates a flattened field list's values into bytes in the
+// packet state's scratch, appending the payload when the list includes the
+// payload token. Checksum inputs are byte-aligned in practice (the csum16
+// caller rejects unaligned totals), so each field appends whole bytes.
+func (ps *packetState) serialize(fl *fieldList) ([]byte, int, error) {
+	out := ps.serBuf[:0]
 	bits := 0
-	payload := false
-	var walk func(name string) error
-	walk = func(name string) error {
-		fl, ok := sw.prog.FieldLists[name]
-		if !ok {
-			return fmt.Errorf("sim: unknown field list %q", name)
+	for i := range fl.items {
+		it := &fl.items[i]
+		src, err := ps.fieldVal(it.f)
+		if err != nil {
+			return nil, 0, err
 		}
-		for _, e := range fl.Entries {
-			switch {
-			case e.Payload:
-				payload = true
-			case e.SubList != "":
-				if err := walk(e.SubList); err != nil {
-					return err
-				}
-			case e.Field != nil:
-				loc, err := sw.lay.fieldLoc(*e.Field)
-				if err != nil {
-					return err
-				}
-				src, err := ps.fieldSource(loc, e.Field.Index)
-				if err != nil {
-					return err
-				}
-				if bits%8 != 0 || loc.width%8 != 0 {
-					// Unaligned fields fall back to a value round-trip.
-					v := src.Slice(loc.off, loc.width)
-					grown := bitfield.New(bits + v.Width())
-					grown.Insert(0, bitfield.FromBytes(bits, out))
-					grown.Insert(bits, v)
-					out = grown.Bytes()
-				} else {
-					out = src.AppendSliceTo(out, loc.off, loc.width)
-				}
-				bits += loc.width
-			}
+		loc := it.f.loc
+		if it.aligned {
+			out = src.AppendSliceTo(out, loc.off, loc.width)
+		} else {
+			// Unaligned fields fall back to a value round-trip.
+			v := src.Slice(loc.off, loc.width)
+			grown := bitfield.New(bits + v.Width())
+			grown.Insert(0, bitfield.FromBytes(bits, out))
+			grown.Insert(bits, v)
+			out = grown.Bytes()
 		}
-		return nil
+		bits += loc.width
 	}
-	if err := walk(listName); err != nil {
-		return nil, 0, err
-	}
-	if payload {
+	if fl.payload {
 		out = append(out, ps.data[ps.consumed:]...)
 	}
+	ps.serBuf = out
 	return out, bits, nil
 }

@@ -112,6 +112,7 @@ func (sw *Switch) RestoreDump(d *SwitchDump) {
 				Action:   ed.Action,
 				Args:     ed.Args,
 				Priority: ed.Priority,
+				act:      sw.code.byName[ed.Action],
 			}
 			e.prefixSum = e.totalPrefix()
 			e.hits.Store(ed.Hits)
@@ -124,6 +125,7 @@ func (sw *Switch) RestoreDump(d *SwitchDump) {
 		t.rebuildLPM()
 		t.nextHandle = td.NextHandle
 		t.defaultAction = td.DefaultAction
+		t.defaultAct = sw.code.byName[td.DefaultAction]
 		t.defaultArgs = td.DefaultArgs
 	}
 	sw.mirrors = make(map[int]int, len(d.Mirrors))

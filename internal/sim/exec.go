@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"hyper4/internal/bitfield"
@@ -10,50 +11,34 @@ import (
 // maxActionDepth bounds compound-action recursion.
 const maxActionDepth = 32
 
-// actionFrame binds a compound action's parameters to its argument values.
-// It replaces a per-invocation map: parameter lists are tiny, so a linear
-// scan over the shared params slice is both faster and allocation-free.
-type actionFrame struct {
-	params []string
-	args   []bitfield.Value
-}
+var errBadBool = errors.New("bad boolean expression")
 
-func (f actionFrame) lookup(name string) (bitfield.Value, bool) {
-	for i, p := range f.params {
-		if p == name {
-			return f.args[i], true
-		}
-	}
-	return bitfield.Value{}, false
-}
-
-// runStmts executes a control-flow statement list.
-func (sw *Switch) runStmts(stmts []ast.Stmt, ps *packetState, tr *Trace) error {
+// runStmts executes a compiled control-flow statement list.
+func (sw *Switch) runStmts(stmts []stmt, ps *packetState, tr *Trace) error {
 	for i := range stmts {
 		s := &stmts[i]
-		switch s.Kind {
+		switch s.kind {
 		case ast.StmtApply:
-			if err := sw.applyTable(s, ps, tr); err != nil {
+			if err := sw.applyTable(s.apply, ps, tr); err != nil {
 				return err
 			}
 		case ast.StmtIf:
-			ok, err := sw.evalBool(s.Cond, ps)
+			ok, err := ps.test(s.cond)
 			if err != nil {
 				return err
 			}
-			branch := s.Then
+			branch := s.then
 			if !ok {
-				branch = s.Else
+				branch = s.els
 			}
 			if err := sw.runStmts(branch, ps, tr); err != nil {
 				return err
 			}
 		case ast.StmtCall:
-			ctl, ok := sw.prog.Controls[s.Control]
-			if !ok {
-				return fmt.Errorf("sim: call of unknown control %q", s.Control)
+			if s.call == nil {
+				return fmt.Errorf("sim: call of unknown control %q", s.name)
 			}
-			if err := sw.runStmts(ctl.Body, ps, tr); err != nil {
+			if err := sw.runStmts(s.call.body, ps, tr); err != nil {
 				return err
 			}
 		}
@@ -63,57 +48,59 @@ func (sw *Switch) runStmts(stmts []ast.Stmt, ps *packetState, tr *Trace) error {
 
 // applyTable performs one match-action stage: build the key, look up the
 // entry, run the action (or default on miss), then any apply-case blocks.
-func (sw *Switch) applyTable(s *ast.Stmt, ps *packetState, tr *Trace) error {
-	t, err := sw.table(s.Table)
-	if err != nil {
-		return err
+func (sw *Switch) applyTable(a *applyStmt, ps *packetState, tr *Trace) error {
+	t := a.t
+	if t == nil {
+		return fmt.Errorf("sim: no table %q", a.name)
 	}
 	if err := sw.quarCheck(ps); err != nil {
 		return err
 	}
 	sw.stats.tableApplies.Add(1)
 	var entry *Entry
-	if inj := sw.injector; inj != nil && inj.ForceMiss(sw.attrOf(ps), s.Table) {
+	if inj := sw.injector; inj != nil && inj.ForceMiss(sw.attrOf(ps), a.name) {
 		// Injected lookup miss: skip the lookup, run the default action.
-	} else if entry, err = t.lookup(ps); err != nil {
-		return fmt.Errorf("sim: table %s: %w", s.Table, err)
+	} else {
+		var err error
+		if entry, err = t.lookup(ps); err != nil {
+			return fmt.Errorf("sim: table %s: %w", a.name, err)
+		}
 	}
-	tr.recordApply(s.Table, t, entry, ps.inEgress)
+	tr.recordApply(a.name, t, entry, ps.inEgress)
 
-	var actionName string
-	var args []bitfield.Value
 	hit := entry != nil
+	actName, act, args := t.defaultAction, t.defaultAct, t.defaultArgs
 	if hit {
 		t.metrics.hits.Add(1)
 		entry.hits.Add(1)
-		actionName = entry.Action
-		args = entry.Args
+		actName, act, args = entry.Action, entry.act, entry.Args
 	} else {
 		t.metrics.misses.Add(1)
-		if t.defaultAction != "" {
+		if actName != "" {
 			t.metrics.defaults.Add(1)
 		}
-		actionName = t.defaultAction
-		args = t.defaultArgs
 	}
-	if actionName != "" {
-		if err := sw.runAction(actionName, args, ps, tr, entry, t, 0); err != nil {
-			return fmt.Errorf("sim: table %s action %s: %w", s.Table, actionName, err)
+	ran := noAction
+	if actName != "" {
+		if err := sw.runAction(act, actName, args, ps, tr, 0); err != nil {
+			return fmt.Errorf("sim: table %s action %s: %w", a.name, actName, err)
 		}
+		ran = act.id
 	}
 	// Apply-case blocks: hit {} / miss {} / per-action {}.
-	for _, c := range s.ApplyCases {
+	for i := range a.cases {
+		c := &a.cases[i]
 		run := false
 		switch {
-		case c.Hit:
+		case c.hit:
 			run = hit
-		case c.Miss:
+		case c.miss:
 			run = !hit
 		default:
-			run = actionName == c.Action
+			run = ran == c.action
 		}
 		if run {
-			if err := sw.runStmts(c.Body, ps, tr); err != nil {
+			if err := sw.runStmts(c.body, ps, tr); err != nil {
 				return err
 			}
 		}
@@ -122,107 +109,102 @@ func (sw *Switch) applyTable(s *ast.Stmt, ps *packetState, tr *Trace) error {
 }
 
 // runAction executes a compound action with args bound to its parameters.
-func (sw *Switch) runAction(name string, args []bitfield.Value, ps *packetState, tr *Trace, entry *Entry, t *table, depth int) error {
+// act is nil when name is not a declared action.
+func (sw *Switch) runAction(act *action, name string, args []bitfield.Value, ps *packetState, tr *Trace, depth int) error {
 	if depth >= maxActionDepth {
 		return fmt.Errorf("action nesting exceeds %d", maxActionDepth)
 	}
-	act, ok := sw.prog.Actions[name]
-	if !ok {
+	if act == nil {
 		return fmt.Errorf("unknown action %q", name)
 	}
-	if i, ok := sw.metrics.actionIndex[name]; ok {
-		sw.metrics.actionCounts[i].Add(1)
-	}
+	sw.metrics.actionCounts[act.id].Add(1)
 	if inj := sw.injector; inj != nil {
 		// May panic to simulate a defect in the action body; Process
 		// recovers it into a FaultPanic.
-		inj.Action(sw.attrOf(ps), name)
+		inj.Action(sw.attrOf(ps), act.name)
 	}
-	if len(args) != len(act.Params) {
-		return fmt.Errorf("action %s wants %d args, got %d", name, len(act.Params), len(args))
+	if len(args) != act.params {
+		return fmt.Errorf("action %s wants %d args, got %d", act.name, act.params, len(args))
 	}
-	frame := actionFrame{params: act.Params, args: args}
-	for i := range act.Body {
-		if err := sw.runPrimitive(&act.Body[i], frame, ps, tr, entry, t, depth); err != nil {
+	body := sw.actionBody(act)
+	for i := range body {
+		if err := sw.runOp(&body[i], args, ps, tr, depth); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// evalExpr evaluates a data argument to a value. widthHint shapes constants
-// and parameter values; pass 0 to keep natural widths.
-func (sw *Switch) evalExpr(e ast.Expr, frame actionFrame, ps *packetState, widthHint int) (bitfield.Value, error) {
-	switch e.Kind {
-	case ast.ExprConst:
-		w := widthHint
-		if w == 0 {
-			w = max(e.Const.BitLen(), 1)
-		}
-		return bitfield.FromBig(w, e.Const), nil
-	case ast.ExprField:
-		v, err := ps.getField(e.Field)
+// eval evaluates an operand at its width hint (its natural width when the
+// hint is 0). The result may alias a constant, an action argument or tmp, so
+// it is read-only and valid until tmp is reused.
+func (ps *packetState) eval(o *operand, args []bitfield.Value, tmp *bitfield.Value) (bitfield.Value, error) {
+	switch o.kind {
+	case opndConst:
+		return o.c, nil
+	case opndField:
+		f := o.f
+		src, err := ps.fieldVal(f)
 		if err != nil {
 			return bitfield.Value{}, err
 		}
-		if widthHint != 0 {
-			v = v.Resize(widthHint)
+		loc := f.loc
+		switch w := o.width; {
+		case w == 0 || w == loc.width:
+			src.SliceInto(tmp, loc.off, loc.width)
+		case w < loc.width: // keep the low w bits
+			src.SliceInto(tmp, loc.off+loc.width-w, w)
+		default: // zero-extend
+			tmp.Reset(w)
+			tmp.InsertBits(w-loc.width, *src, loc.off, loc.width)
+		}
+		return *tmp, nil
+	case opndParam:
+		v := args[o.param]
+		if w := o.width; w != 0 && v.Width() != w {
+			tmp.Reset(w)
+			tmp.SetFrom(v)
+			return *tmp, nil
 		}
 		return v, nil
-	case ast.ExprParam:
-		v, ok := frame.lookup(e.Param)
-		if !ok {
-			return bitfield.Value{}, fmt.Errorf("unbound parameter %q", e.Param)
-		}
-		if widthHint != 0 {
-			v = v.Resize(widthHint)
-		}
-		return v, nil
-	case ast.ExprName:
-		// A bare name in data position is not a value.
-		return bitfield.Value{}, fmt.Errorf("name %q is not a value", e.Name)
-	default:
-		return bitfield.Value{}, fmt.Errorf("expression kind %d is not a value", e.Kind)
 	}
+	return bitfield.Value{}, o.f.err
 }
 
-// evalBool evaluates an if condition.
-func (sw *Switch) evalBool(b ast.BoolExpr, ps *packetState) (bool, error) {
-	switch b.Kind {
+// test evaluates an if condition.
+func (ps *packetState) test(c *cond) (bool, error) {
+	switch c.kind {
 	case ast.BoolValid:
-		slot, err := ps.resolveHeaderRef(*b.Valid)
+		slot, err := ps.slotFor(c.hdr)
 		if err != nil {
 			return false, err
 		}
 		return ps.headers[slot].valid, nil
 	case ast.BoolAnd:
-		l, err := sw.evalBool(*b.A, ps)
+		l, err := ps.test(c.a)
 		if err != nil || !l {
 			return false, err
 		}
-		return sw.evalBool(*b.B, ps)
+		return ps.test(c.b)
 	case ast.BoolOr:
-		l, err := sw.evalBool(*b.A, ps)
+		l, err := ps.test(c.a)
 		if err != nil || l {
 			return l, err
 		}
-		return sw.evalBool(*b.B, ps)
+		return ps.test(c.b)
 	case ast.BoolNot:
-		v, err := sw.evalBool(*b.A, ps)
+		v, err := ps.test(c.a)
 		return !v, err
 	case ast.BoolCmp:
-		// Width rule: compare at the wider of the two operand widths.
-		lw, rw := sw.exprWidth(*b.Left, ps), sw.exprWidth(*b.Right, ps)
-		w := max(max(lw, rw), 1)
-		l, err := sw.evalExpr(*b.Left, actionFrame{}, ps, w)
+		l, err := ps.eval(&c.l, nil, &ps.tmp[0])
 		if err != nil {
 			return false, err
 		}
-		r, err := sw.evalExpr(*b.Right, actionFrame{}, ps, w)
+		r, err := ps.eval(&c.r, nil, &ps.tmp[1])
 		if err != nil {
 			return false, err
 		}
-		switch b.Op {
+		switch c.op {
 		case ast.OpEq:
 			return l.Equal(r), nil
 		case ast.OpNe:
@@ -237,18 +219,5 @@ func (sw *Switch) evalBool(b ast.BoolExpr, ps *packetState) (bool, error) {
 			return l.Cmp(r) >= 0, nil
 		}
 	}
-	return false, fmt.Errorf("bad boolean expression")
-}
-
-// exprWidth returns the natural width of an expression (0 when unknown).
-func (sw *Switch) exprWidth(e ast.Expr, ps *packetState) int {
-	switch e.Kind {
-	case ast.ExprField:
-		if w, err := ps.fieldWidth(e.Field); err == nil {
-			return w
-		}
-	case ast.ExprConst:
-		return max(e.Const.BitLen(), 1)
-	}
-	return 0
+	return false, errBadBool
 }

@@ -250,8 +250,8 @@ func TestConcurrentBatchAndControlPlane(t *testing.T) {
 }
 
 // TestProcessSteadyStateAllocs guards the zero-alloc fast path: steady-state
-// exact-match processing must stay in single-digit allocations per packet
-// (the seed needed 39).
+// exact-match processing allocates the trace, the output bytes and the
+// output slice, and nothing per field or per lookup (the seed needed 39).
 func TestProcessSteadyStateAllocs(t *testing.T) {
 	sw := load(t, l2Src)
 	mac := pkt.MustMAC("00:00:00:00:00:02")
@@ -269,7 +269,7 @@ func TestProcessSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if avg > 12 {
-		t.Errorf("Process allocates %.1f/op, want <= 12", avg)
+	if avg > 5 {
+		t.Errorf("Process allocates %.1f/op, want <= 5", avg)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"hyper4/internal/bitfield"
 	"hyper4/internal/p4/ast"
 	"hyper4/internal/p4/hlir"
 )
@@ -12,12 +11,10 @@ import (
 // layout is the per-program dense indexing computed once in New: every
 // header instance element and metadata instance gets a small integer slot, so
 // packetState can hold plain slices instead of maps, and every (instance,
-// field) pair resolves to a precomputed (slot, offset, width) triple. This is
-// what makes the steady-state Process path allocation-free: no map churn, no
-// repeated linear scans over header type declarations.
+// field) pair resolves to a precomputed (slot, offset, width) triple. The
+// compiler (compile.go) resolves every reference the program makes against
+// it, so the packet path never consults the name-keyed maps below.
 type layout struct {
-	prog *hlir.Program
-
 	insts map[string]*instInfo
 	// slots maps a header slot id back to its owning instance; element i of a
 	// stack occupies slot headerBase+i.
@@ -33,15 +30,30 @@ type layout struct {
 	// every field of every instance up front.
 	fields map[refKey]fieldLoc
 
-	// Standard metadata fast path.
+	// Standard metadata, by stdField.
 	stdSlot int
-	stdLocs map[string]fieldLoc
+	std     [numStdFields]fieldLoc
+}
 
-	// selects caches per-parser-state select plans (precomputed case
-	// value/mask pairs) for states whose key widths are static. selectList
-	// holds the same plans by id, for sizing per-packet scratch keys.
-	selects    map[string]*selectPlan
-	selectList []*selectPlan
+// stdField names the standard metadata fields the switch itself reads and
+// writes.
+type stdField int
+
+const (
+	stdIngressPort stdField = iota
+	stdPacketLength
+	stdEgressSpec
+	stdEgressPort
+	stdInstanceType
+	numStdFields
+)
+
+var stdFieldNames = [numStdFields]string{
+	stdIngressPort:  hlir.FieldIngressPort,
+	stdPacketLength: hlir.FieldPacketLength,
+	stdEgressSpec:   hlir.FieldEgressSpec,
+	stdEgressPort:   hlir.FieldEgressPort,
+	stdInstanceType: hlir.FieldInstanceType,
 }
 
 // instInfo is the resolved placement of one instance.
@@ -70,27 +82,31 @@ type fieldLoc struct {
 	width int
 }
 
-// selectPlan is a precomputed parser select: the concatenated key width and
-// one (value, mask) pair per case, valid when no key depends on runtime
-// parser state (latest.X).
-type selectPlan struct {
-	id    int // index into packetState.selKeys scratch
-	total int
-	cases []caseVM
+// hdrRef is a compiled header reference. When the element it names is the
+// same on every packet, slot holds it; otherwise (stack [next]/[last], and
+// references that can only fail per packet) slotOf resolves ii and index
+// against the parser state. err is a resolution failure, reported when a
+// packet reaches the reference.
+type hdrRef struct {
+	slot  int
+	index int
+	ii    *instInfo
+	err   error
 }
 
-type caseVM struct {
-	val  bitfield.Value
-	mask bitfield.Value
+// fieldRef is a compiled field reference: its location, plus the header
+// element selection for header fields (slot and index as in hdrRef).
+type fieldRef struct {
+	loc   fieldLoc
+	slot  int
+	index int
+	err   error
 }
 
 func newLayout(prog *hlir.Program) *layout {
 	lay := &layout{
-		prog:    prog,
-		insts:   map[string]*instInfo{},
-		fields:  map[refKey]fieldLoc{},
-		stdLocs: map[string]fieldLoc{},
-		selects: map[string]*selectPlan{},
+		insts:  map[string]*instInfo{},
+		fields: map[refKey]fieldLoc{},
 	}
 	// Deterministic slot assignment: headers in deparse order first, then any
 	// instance not in HeaderOrder, then metadata sorted by name via the
@@ -150,73 +166,11 @@ func newLayout(prog *hlir.Program) *layout {
 		assign(name)
 	}
 
-	std := lay.insts[hlir.StandardMetadata]
-	lay.stdSlot = std.metaSlot
-	for _, f := range std.inst.Type.Fields {
-		lay.stdLocs[f.Name] = lay.fields[refKey{hlir.StandardMetadata, f.Name}]
+	lay.stdSlot = lay.insts[hlir.StandardMetadata].metaSlot
+	for f, name := range stdFieldNames {
+		lay.std[f] = lay.fields[refKey{hlir.StandardMetadata, name}]
 	}
-
-	lay.planSelects()
 	return lay
-}
-
-// planSelects precomputes (value, mask) pairs for every select whose key
-// widths are static (no latest.X keys).
-func (lay *layout) planSelects() {
-	for name, st := range lay.prog.States {
-		if st.Return.Kind != ast.ReturnSelect {
-			continue
-		}
-		widths := make([]int, len(st.Return.SelectKeys))
-		ok := true
-		for i, k := range st.Return.SelectKeys {
-			switch {
-			case k.IsCurrent:
-				widths[i] = k.CurrentWidth
-			case k.Latest != "":
-				ok = false // width depends on the last extracted header
-			default:
-				loc, found := lay.fields[refKey{k.Field.Instance, k.Field.Field}]
-				if !found {
-					ok = false
-				} else {
-					widths[i] = loc.width
-				}
-			}
-			if !ok {
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		total := 0
-		for _, w := range widths {
-			total += w
-		}
-		plan := &selectPlan{id: len(lay.selectList), total: total}
-		for _, c := range st.Return.Cases {
-			if c.Default {
-				plan.cases = append(plan.cases, caseVM{})
-				continue
-			}
-			val := bitfield.New(total)
-			mask := bitfield.New(total)
-			off := 0
-			for i, w := range widths {
-				val.Insert(off, bitfield.FromBig(w, c.Values[i]))
-				if c.Masks[i] != nil {
-					mask.Insert(off, bitfield.FromBig(w, c.Masks[i]))
-				} else {
-					mask.Insert(off, bitfield.Ones(w))
-				}
-				off += w
-			}
-			plan.cases = append(plan.cases, caseVM{val: val, mask: mask})
-		}
-		lay.selects[name] = plan
-		lay.selectList = append(lay.selectList, plan)
-	}
 }
 
 // fieldLoc resolves a field reference against the precomputed index.
@@ -229,4 +183,54 @@ func (lay *layout) fieldLoc(ref ast.FieldRef) (fieldLoc, error) {
 		return fieldLoc{}, fmt.Errorf("sim: %s has no field %q", ref.Instance, ref.Field)
 	}
 	return loc, nil
+}
+
+// hdrRef compiles a header reference.
+func (lay *layout) hdrRef(ref ast.HeaderRef) hdrRef {
+	ii, ok := lay.insts[ref.Instance]
+	if !ok {
+		return hdrRef{slot: -1, err: fmt.Errorf("sim: unknown instance %q", ref.Instance)}
+	}
+	return hdrRef{slot: staticSlot(ii, ref.Index), index: ref.Index, ii: ii}
+}
+
+// fieldRef compiles a field reference.
+func (lay *layout) fieldRef(ref ast.FieldRef) fieldRef {
+	loc, err := lay.fieldLoc(ref)
+	if err != nil {
+		return fieldRef{slot: -1, err: err}
+	}
+	return fieldRef{loc: loc, slot: staticSlot(loc.ii, ref.Index), index: ref.Index}
+}
+
+// hdr compiles a header reference to a new shared reference.
+func (lay *layout) hdr(ref ast.HeaderRef) *hdrRef {
+	h := lay.hdrRef(ref)
+	return &h
+}
+
+// field compiles a field reference to a new shared reference.
+func (lay *layout) field(ref ast.FieldRef) *fieldRef {
+	f := lay.fieldRef(ref)
+	return &f
+}
+
+// staticSlot returns the header slot an (instance, index) reference names on
+// every packet, or -1 when the element depends on parser state, when the
+// reference can fail, or for metadata (which has no header slot).
+func staticSlot(ii *instInfo, index int) int {
+	switch {
+	case ii.metaSlot >= 0:
+		return -1
+	case ii.stackSlot < 0:
+		// A scalar's [next] is element 0 too; [last] fails before any
+		// extraction and a nonzero index is left to slotOf, as before.
+		if index == ast.IndexNone || index == ast.IndexNext || index == 0 {
+			return ii.headerBase
+		}
+		return -1
+	case index >= 0 && index < ii.count:
+		return ii.headerBase + index
+	}
+	return -1
 }

@@ -39,10 +39,10 @@ type switchMetrics struct {
 	passCloneI2E    atomic.Int64
 	passCloneE2E    atomic.Int64
 
-	// actionCounts is indexed by the dense action index assigned in New;
-	// actionIndex maps names to it. Both are immutable after New.
+	// actionCounts is indexed by compiled action id; actionNames names
+	// each id. Both are immutable after New.
 	actionCounts []atomic.Int64
-	actionIndex  map[string]int
+	actionNames  []string
 
 	latCounts [latencyBuckets]atomic.Int64
 	latSumNs  atomic.Int64
@@ -74,11 +74,11 @@ func (m *switchMetrics) recordFault(kind FaultKind) {
 	}
 }
 
-func (m *switchMetrics) init(actionNames []string) {
-	m.actionCounts = make([]atomic.Int64, len(actionNames))
-	m.actionIndex = make(map[string]int, len(actionNames))
-	for i, name := range actionNames {
-		m.actionIndex[name] = i
+func (m *switchMetrics) init(actions []*action) {
+	m.actionCounts = make([]atomic.Int64, len(actions))
+	m.actionNames = make([]string, len(actions))
+	for _, a := range actions {
+		m.actionNames[a.id] = a.name
 	}
 }
 
@@ -228,7 +228,7 @@ func (sw *Switch) Metrics() MetricsSnapshot {
 	defer sw.mu.RUnlock()
 	snap := MetricsSnapshot{
 		Tables:  make(map[string]TableCounters, len(sw.tables)),
-		Actions: make(map[string]int64, len(sw.metrics.actionIndex)),
+		Actions: make(map[string]int64, len(sw.metrics.actionNames)),
 		Passes: PassCounters{
 			Normal:      sw.metrics.passNormal.Load(),
 			Resubmit:    sw.metrics.passResubmit.Load(),
@@ -253,7 +253,7 @@ func (sw *Switch) Metrics() MetricsSnapshot {
 			Entries:  len(t.entries),
 		}
 	}
-	for name, i := range sw.metrics.actionIndex {
+	for i, name := range sw.metrics.actionNames {
 		snap.Actions[name] = sw.metrics.actionCounts[i].Load()
 	}
 	snap.Latency.Bounds = LatencyBucketBounds()

@@ -11,59 +11,66 @@ import (
 // cyclic parse graphs.
 const maxParserStates = 512
 
-// parse runs the parser state machine from "start" until ingress.
+// parse runs the compiled parser state machine from start until ingress.
 func (sw *Switch) parse(ps *packetState, tr *Trace) error {
-	if _, ok := sw.prog.States["start"]; !ok {
+	c := sw.code
+	if c.start < 0 {
 		return nil // programs without a parser accept the packet unparsed
 	}
-	state := "start"
+	cur := c.start
 	for steps := 0; ; steps++ {
 		if steps >= maxParserStates {
 			return fmt.Errorf("sim: parser exceeded %d state transitions", maxParserStates)
 		}
-		if state == ast.StateIngress {
+		if cur == stateAccept {
 			return nil
 		}
-		st, ok := sw.prog.States[state]
-		if !ok {
-			return fmt.Errorf("sim: parser reached unknown state %q", state)
+		st := &c.states[cur]
+		if st.missing {
+			return fmt.Errorf("sim: parser reached unknown state %q", st.name)
 		}
-		for i := range st.Statements {
-			stmt := &st.Statements[i]
-			if stmt.Extract != nil {
-				if err := ps.extract(*stmt.Extract); err != nil {
+		for i := range st.stmts {
+			s := &st.stmts[i]
+			if s.hdr != nil {
+				if err := ps.extract(s.hdr); err != nil {
 					return err
 				}
 				tr.Extracts++
-			} else {
-				val, err := ps.evalParserValue(stmt.SetValue, stmt.SetField)
-				if err != nil {
-					return err
-				}
-				if err := ps.setField(stmt.SetField, val); err != nil {
-					return err
-				}
+				continue
+			}
+			if err := ps.setMetadata(s.set); err != nil {
+				return err
 			}
 		}
-		next, err := ps.parserTransition(st)
+		next, err := ps.transition(st)
 		if err != nil {
 			return err
 		}
-		state = next
+		cur = next
 	}
+}
+
+// setMetadata runs set_metadata: the destination resolves first, as it
+// sizes the value.
+func (ps *packetState) setMetadata(s *setMeta) error {
+	if s.dst.err != nil {
+		return s.dst.err
+	}
+	v, err := ps.eval(&s.val, nil, &ps.tmp[0])
+	if err != nil {
+		return err
+	}
+	return ps.store(s.dst, v)
 }
 
 // extract pulls the next header's bytes off the packet into the instance.
 // A packet shorter than the extraction is zero-filled and flagged.
-func (ps *packetState) extract(ref ast.HeaderRef) error {
-	ii, ok := ps.sw.lay.insts[ref.Instance]
-	if !ok {
-		return fmt.Errorf("sim: unknown instance %q", ref.Instance)
-	}
-	slot, err := ps.slotOf(ii, ref.Index)
+func (ps *packetState) extract(h *hdrRef) error {
+	slot, err := ps.slotFor(h)
 	if err != nil {
 		return err
 	}
+	ii := h.ii
 	nbytes := ii.width / 8
 	avail := len(ps.data) - ps.consumed
 	take := nbytes
@@ -79,186 +86,125 @@ func (ps *packetState) extract(ref ast.HeaderRef) error {
 	for i := take; i < nbytes; i++ {
 		buf[i] = 0
 	}
-	h := &ps.headers[slot]
-	h.value.SetBytes(buf)
-	h.valid = true
+	hs := &ps.headers[slot]
+	hs.value.SetBytes(buf)
+	hs.valid = true
 	ps.consumed += take
-	if ii.stackSlot >= 0 && ref.Index == ast.IndexNext {
+	if ii.stackSlot >= 0 && h.index == ast.IndexNext {
 		ps.stackNext[ii.stackSlot] = (slot - ii.headerBase) + 1
 	}
 	ps.latestSlot = slot
 	return nil
 }
 
-// evalParserValue evaluates a set_metadata value: a constant or a field.
-func (ps *packetState) evalParserValue(e ast.Expr, dst ast.FieldRef) (bitfield.Value, error) {
-	w, err := ps.fieldWidth(dst)
-	if err != nil {
-		return bitfield.Value{}, err
+// transition picks the next state.
+func (ps *packetState) transition(st *pstate) (int, error) {
+	if st.bad {
+		return 0, fmt.Errorf("sim: bad parser return in state %q", st.name)
 	}
-	switch e.Kind {
-	case ast.ExprConst:
-		return bitfield.FromBig(w, e.Const), nil
-	case ast.ExprField:
-		v, err := ps.getField(e.Field)
-		if err != nil {
-			return bitfield.Value{}, err
-		}
-		return v.Resize(w), nil
-	default:
-		return bitfield.Value{}, fmt.Errorf("sim: unsupported set_metadata value kind %d", e.Kind)
+	sel := st.sel
+	if sel == nil {
+		return st.next, nil
 	}
-}
-
-// parserTransition picks the next state.
-func (ps *packetState) parserTransition(st *ast.ParserState) (string, error) {
-	switch st.Return.Kind {
-	case ast.ReturnDirect:
-		return st.Return.State, nil
-	case ast.ReturnSelect:
-		if plan, ok := ps.sw.lay.selects[st.Name]; ok {
-			key, err := ps.selectKeyPlanned(st.Return.SelectKeys, plan)
-			if err != nil {
-				return "", err
-			}
-			for i, c := range st.Return.Cases {
-				if c.Default {
-					return c.State, nil
-				}
-				vm := plan.cases[i]
-				if key.MatchTernary(vm.val, vm.mask) {
-					return c.State, nil
-				}
-			}
-			ps.dropped = true
-			return ast.StateIngress, nil
-		}
-		// Fallback for selects whose key widths depend on runtime parser
-		// state (latest.X): build the key and cases per packet.
-		key, keyWidth, err := ps.selectKeyValue(st.Return.SelectKeys)
-		if err != nil {
-			return "", err
-		}
-		for _, c := range st.Return.Cases {
-			if c.Default {
-				return c.State, nil
-			}
-			val, mask := concatCase(c, ps, keyWidth)
-			if key.MatchTernary(val, mask) {
-				return c.State, nil
-			}
-		}
-		// P4_14: falling off a select without a default is a parser error;
-		// we drop by transitioning to ingress with the packet marked dropped.
-		ps.dropped = true
-		return ast.StateIngress, nil
+	if sel.plan == nil {
+		return ps.transitionLatest(sel)
 	}
-	return "", fmt.Errorf("sim: bad parser return in state %q", st.Name)
-}
-
-// selectKeyPlanned fills the plan's per-packet scratch key: no allocation on
-// the steady-state parse path.
-func (ps *packetState) selectKeyPlanned(keys []ast.SelectKey, plan *selectPlan) (bitfield.Value, error) {
-	key := ps.selKeys[plan.id]
+	key := ps.selKeys[sel.plan.id]
 	key.Zero()
 	off := 0
-	for _, k := range keys {
-		if k.IsCurrent {
-			ps.currentInto(&key, off, k.CurrentOffset, k.CurrentWidth)
-			off += k.CurrentWidth
+	for i := range sel.keys {
+		k := &sel.keys[i]
+		switch k.kind {
+		case keyCurrent:
+			ps.currentInto(&key, off, k.off, k.width)
+			off += k.width
 			continue
-		}
-		loc, err := ps.sw.lay.fieldLoc(*k.Field)
-		if err != nil {
-			return bitfield.Value{}, err
-		}
-		src, err := ps.fieldSource(loc, k.Field.Index)
-		if err != nil {
-			return bitfield.Value{}, err
-		}
-		key.InsertBits(off, *src, loc.off, loc.width)
-		off += loc.width
-	}
-	return key, nil
-}
-
-// selectKeyValue concatenates the select keys into one value (allocating
-// fallback used when the select references latest.X).
-func (ps *packetState) selectKeyValue(keys []ast.SelectKey) (bitfield.Value, []int, error) {
-	widths := make([]int, len(keys))
-	total := 0
-	vals := make([]bitfield.Value, len(keys))
-	for i, k := range keys {
-		var v bitfield.Value
-		switch {
-		case k.IsCurrent:
-			v = ps.current(k.CurrentOffset, k.CurrentWidth)
-		case k.Latest != "":
-			if ps.latestSlot < 0 {
-				return bitfield.Value{}, nil, fmt.Errorf("sim: select(latest.%s) before any extract", k.Latest)
-			}
-			ii := ps.sw.lay.slots[ps.latestSlot]
-			ref := ast.FieldRef{Instance: ii.name, Index: ast.IndexNone, Field: k.Latest}
-			if ii.inst.Decl.IsStack() {
-				ref.Index = ps.latestSlot - ii.headerBase
-			}
-			got, err := ps.getField(ref)
-			if err != nil {
-				return bitfield.Value{}, nil, err
-			}
-			v = got
+		case keyLatestElem:
+			// The stack element this state's [next] extract just filled.
+			key.InsertBits(off, ps.headers[ps.latestSlot].value, k.f.loc.off, k.f.loc.width)
 		default:
-			got, err := ps.getField(*k.Field)
+			src, err := ps.fieldVal(k.f)
 			if err != nil {
-				return bitfield.Value{}, nil, err
+				return 0, err
 			}
-			v = got
+			key.InsertBits(off, *src, k.f.loc.off, k.f.loc.width)
 		}
-		vals[i] = v
-		widths[i] = v.Width()
-		total += v.Width()
+		off += k.f.loc.width
 	}
-	out := bitfield.New(total)
-	off := 0
-	for _, v := range vals {
-		out.Insert(off, v)
-		off += v.Width()
+	for i := range sel.cases {
+		c := &sel.cases[i]
+		if c.dflt {
+			return c.next, nil
+		}
+		vm := &sel.plan.cases[i]
+		if key.MatchTernary(vm.val, vm.mask) {
+			return c.next, nil
+		}
 	}
-	return out, widths, nil
+	// P4_14: falling off a select without a default is a parser error; we
+	// drop by transitioning to ingress with the packet marked dropped.
+	ps.dropped = true
+	return stateAccept, nil
 }
 
-// concatCase builds the (value, mask) pair for one select case across the
-// concatenated key widths.
-func concatCase(c ast.SelectCase, ps *packetState, widths []int) (bitfield.Value, bitfield.Value) {
+// transitionLatest is transition for a select on latest.X where X's header
+// is whichever one an earlier state extracted last: the key width is only
+// known per packet, so the key and the cases are built per packet.
+func (ps *packetState) transitionLatest(sel *selectOp) (int, error) {
+	widths := make([]int, len(sel.keys))
+	vals := make([]bitfield.Value, len(sel.keys))
+	for i := range sel.keys {
+		k := &sel.keys[i]
+		switch k.kind {
+		case keyCurrent:
+			vals[i] = bitfield.New(k.width)
+			ps.currentInto(&vals[i], 0, k.off, k.width)
+		case keyLatestAny:
+			if ps.latestSlot < 0 {
+				return 0, fmt.Errorf("sim: select(latest.%s) before any extract", k.latest)
+			}
+			f := &k.bySlot[ps.latestSlot]
+			src, err := ps.fieldVal(f)
+			if err != nil {
+				return 0, err
+			}
+			vals[i] = src.Slice(f.loc.off, f.loc.width)
+		default:
+			src, err := ps.fieldVal(k.f)
+			if err != nil {
+				return 0, err
+			}
+			vals[i] = src.Slice(k.f.loc.off, k.f.loc.width)
+		}
+		widths[i] = vals[i].Width()
+	}
 	total := 0
 	for _, w := range widths {
 		total += w
 	}
-	val := bitfield.New(total)
-	mask := bitfield.New(total)
+	key := bitfield.New(total)
 	off := 0
-	for i, w := range widths {
-		val.Insert(off, bitfield.FromBig(w, c.Values[i]))
-		if c.Masks[i] != nil {
-			mask.Insert(off, bitfield.FromBig(w, c.Masks[i]))
-		} else {
-			mask.Insert(off, bitfield.Ones(w))
-		}
-		off += w
+	for _, v := range vals {
+		key.Insert(off, v)
+		off += v.Width()
 	}
-	return val, mask
+	for i := range sel.cases {
+		c := &sel.cases[i]
+		if c.dflt {
+			return c.next, nil
+		}
+		val, mask := caseValue(*c.ast, widths)
+		if key.MatchTernary(val, mask) {
+			return c.next, nil
+		}
+	}
+	ps.dropped = true
+	return stateAccept, nil
 }
 
-// current reads unextracted packet bits at the given bit offset/width past
-// the parser's current position, zero-filling past the end of the packet.
-func (ps *packetState) current(bitOff, width int) bitfield.Value {
-	out := bitfield.New(width)
-	ps.currentInto(&out, 0, bitOff, width)
-	return out
-}
-
-// currentInto writes current(bitOff, width) into dst at dstOff. dst bits in
-// the target range must already be zero.
+// currentInto writes the unextracted packet bits at the given bit offset and
+// width past the parser's position into dst at dstOff, zero-filling past the
+// end of the packet. dst bits in the target range must already be zero.
 func (ps *packetState) currentInto(dst *bitfield.Value, dstOff, bitOff, width int) {
 	startBit := ps.consumed*8 + bitOff
 	for i := 0; i < width; i++ {

@@ -4,183 +4,131 @@ import (
 	"fmt"
 
 	"hyper4/internal/bitfield"
-	"hyper4/internal/p4/ast"
 	"hyper4/internal/p4/hlir"
 )
 
-// Argument helpers. These are plain functions rather than closures so a
-// primitive call performs no per-invocation allocation.
-
-// primDstField resolves argument i as a destination field reference.
-func primDstField(call *ast.PrimitiveCall, ps *packetState, i int) (ast.FieldRef, int, error) {
-	if i >= len(call.Args) || call.Args[i].Kind != ast.ExprField {
-		return ast.FieldRef{}, 0, fmt.Errorf("%s: argument %d must be a field", call.Name, i)
-	}
-	ref := call.Args[i].Field
-	w, err := ps.fieldWidth(ref)
-	return ref, w, err
-}
-
-// primVal evaluates argument i as a data value at the given width.
-func (sw *Switch) primVal(call *ast.PrimitiveCall, frame actionFrame, ps *packetState, i, width int) (bitfield.Value, error) {
-	if i >= len(call.Args) {
-		return bitfield.Value{}, fmt.Errorf("%s: missing argument %d", call.Name, i)
-	}
-	return sw.evalExpr(call.Args[i], frame, ps, width)
-}
-
-// primName resolves argument i as a bare name (field list, register, ...).
-func primName(call *ast.PrimitiveCall, i int) (string, error) {
-	if i >= len(call.Args) {
-		return "", fmt.Errorf("%s: missing argument %d", call.Name, i)
-	}
-	switch call.Args[i].Kind {
-	case ast.ExprName:
-		return call.Args[i].Name, nil
-	case ast.ExprParam:
-		return call.Args[i].Param, nil
-	}
-	return "", fmt.Errorf("%s: argument %d must be a name", call.Name, i)
-}
-
-// primHeader resolves argument i as a header slot.
-func primHeader(call *ast.PrimitiveCall, ps *packetState, i int) (int, error) {
-	if i >= len(call.Args) {
-		return 0, fmt.Errorf("%s: missing argument %d", call.Name, i)
-	}
-	var href ast.HeaderRef
-	switch call.Args[i].Kind {
-	case ast.ExprHeader:
-		href = call.Args[i].Header
-	case ast.ExprName:
-		href = ast.HeaderRef{Instance: call.Args[i].Name, Index: ast.IndexNone}
-	default:
-		return 0, fmt.Errorf("%s: argument %d must be a header", call.Name, i)
-	}
-	return ps.resolveHeaderRef(href)
-}
-
-// runPrimitive executes one primitive (or nested compound action) call.
-func (sw *Switch) runPrimitive(call *ast.PrimitiveCall, frame actionFrame, ps *packetState, tr *Trace, entry *Entry, t *table, depth int) error {
-	// Nested compound action.
-	if !hlir.KnownPrimitive(call.Name) {
-		args := make([]bitfield.Value, len(call.Args))
-		for i, a := range call.Args {
-			v, err := sw.evalExpr(a, frame, ps, 0)
+// runOp executes one compiled primitive, or a nested compound action, with
+// args bound to the enclosing action's parameters. Operands evaluate and
+// references resolve in the order the primitive names them: when several
+// are at fault, the packet fails with the first one's error.
+func (sw *Switch) runOp(o *op, args []bitfield.Value, ps *packetState, tr *Trace, depth int) error {
+	opnds, aux, df := o.args, o.aux, o.dst
+	if o.code == opCall {
+		vals := make([]bitfield.Value, len(opnds))
+		for i := range opnds {
+			v, err := ps.eval(&opnds[i], args, &ps.tmp[0])
 			if err != nil {
 				return err
 			}
-			args[i] = v
+			vals[i] = v.Clone()
 		}
-		return sw.runAction(call.Name, args, ps, tr, entry, t, depth+1)
+		return sw.runAction(aux.callee, aux.name, vals, ps, tr, depth+1)
 	}
 
 	tr.Primitives++
+	tmp := &ps.tmp
+	switch o.code {
+	case opFail:
+		return aux.err
 
-	switch call.Name {
-	case "no_op":
+	case opNop:
 		return nil
 
-	case "modify_field":
-		dst, w, err := primDstField(call, ps, 0)
+	case opModify:
+		v, err := ps.eval(&opnds[0], args, &tmp[0])
 		if err != nil {
 			return err
 		}
-		src, err := sw.primVal(call, frame, ps, 1, w)
+		if len(opnds) == 1 {
+			return ps.store(df, v)
+		}
+		mask, err := ps.eval(&opnds[1], args, &tmp[1])
 		if err != nil {
 			return err
 		}
-		if len(call.Args) >= 3 { // masked variant
-			mask, err := sw.primVal(call, frame, ps, 2, w)
-			if err != nil {
-				return err
-			}
-			cur, err := ps.getField(dst)
-			if err != nil {
-				return err
-			}
-			src = src.And(mask).Or(cur.And(mask.Not()))
+		dst, err := ps.fieldVal(df)
+		if err != nil {
+			return err
 		}
-		return ps.setField(dst, src)
+		// dst = v&mask | dst&^mask
+		loc := df.loc
+		v.SliceInto(&tmp[2], 0, loc.width)
+		tmp[2].AndWith(mask)
+		mask.SliceInto(&tmp[3], 0, loc.width)
+		tmp[3].NotSelf()
+		dst.SliceInto(&tmp[4], loc.off, loc.width)
+		tmp[4].AndWith(tmp[3])
+		tmp[2].OrWith(tmp[4])
+		dst.Insert(loc.off, tmp[2])
+		return nil
 
-	case "add_to_field", "subtract_from_field":
-		dst, w, err := primDstField(call, ps, 0)
+	case opAddTo, opSubFrom:
+		amt, err := ps.eval(&opnds[0], args, &tmp[0])
 		if err != nil {
 			return err
 		}
-		amt, err := sw.primVal(call, frame, ps, 1, w)
+		dst, err := ps.fieldVal(df)
 		if err != nil {
 			return err
 		}
-		cur, err := ps.getField(dst)
-		if err != nil {
-			return err
-		}
-		// cur is a fresh copy, so mutate it in place and write it back.
-		if call.Name == "add_to_field" {
-			cur.AddWith(amt)
+		loc := df.loc
+		dst.SliceInto(&tmp[1], loc.off, loc.width)
+		if o.code == opAddTo {
+			tmp[1].AddWith(amt)
 		} else {
-			cur.SubWith(amt)
+			tmp[1].SubWith(amt)
 		}
-		return ps.setField(dst, cur)
+		dst.Insert(loc.off, tmp[1])
+		return nil
 
-	case "add", "subtract", "bit_and", "bit_or", "bit_xor":
-		dst, w, err := primDstField(call, ps, 0)
+	case opAdd, opSub, opAnd, opOr, opXor:
+		a, err := ps.eval(&opnds[0], args, &tmp[0])
 		if err != nil {
 			return err
 		}
-		a, err := sw.primVal(call, frame, ps, 1, w)
+		b, err := ps.eval(&opnds[1], args, &tmp[1])
 		if err != nil {
 			return err
 		}
-		b, err := sw.primVal(call, frame, ps, 2, w)
-		if err != nil {
-			return err
-		}
-		// a may alias an entry argument (Resize fast path), so combine into
-		// a fresh clone rather than mutating a in place.
-		out := a.Clone()
-		switch call.Name {
-		case "add":
+		// a may alias a constant or an entry argument: combine in tmp[2].
+		out := &tmp[2]
+		a.SliceInto(out, 0, a.Width())
+		switch o.code {
+		case opAdd:
 			out.AddWith(b)
-		case "subtract":
+		case opSub:
 			out.SubWith(b)
-		case "bit_and":
+		case opAnd:
 			out.AndWith(b)
-		case "bit_or":
+		case opOr:
 			out.OrWith(b)
-		case "bit_xor":
+		case opXor:
 			out.XorWith(b)
 		}
-		return ps.setField(dst, out)
+		return ps.store(df, *out)
 
-	case "shift_left", "shift_right":
-		dst, w, err := primDstField(call, ps, 0)
+	case opShl, opShr:
+		a, err := ps.eval(&opnds[0], args, &tmp[0])
 		if err != nil {
 			return err
 		}
-		a, err := sw.primVal(call, frame, ps, 1, w)
-		if err != nil {
-			return err
-		}
-		// The shift amount keeps its natural width; it is a count.
-		shv, err := sw.primVal(call, frame, ps, 2, 0)
+		shv, err := ps.eval(&opnds[1], args, &tmp[1])
 		if err != nil {
 			return err
 		}
 		n := int(shv.Uint64())
-		if call.Name == "shift_left" {
-			return ps.setField(dst, a.Shl(n))
+		if o.code == opShl {
+			return ps.store(df, a.Shl(n))
 		}
-		return ps.setField(dst, a.Shr(n))
+		return ps.store(df, a.Shr(n))
 
-	case "drop":
+	case opDrop:
 		ps.dropped = true
-		ps.setStdMeta(hlir.FieldEgressSpec, hlir.DropSpec)
+		ps.setStdMeta(stdEgressSpec, hlir.DropSpec)
 		return nil
 
-	case "add_header":
-		slot, err := primHeader(call, ps, 0)
+	case opAddHeader:
+		slot, err := ps.slotFor(o.hdrs[0])
 		if err != nil {
 			return err
 		}
@@ -191,20 +139,20 @@ func (sw *Switch) runPrimitive(call *ast.PrimitiveCall, frame actionFrame, ps *p
 		}
 		return nil
 
-	case "remove_header":
-		slot, err := primHeader(call, ps, 0)
+	case opRemoveHeader:
+		slot, err := ps.slotFor(o.hdrs[0])
 		if err != nil {
 			return err
 		}
 		ps.headers[slot].valid = false
 		return nil
 
-	case "copy_header":
-		dst, err := primHeader(call, ps, 0)
+	case opCopyHeader:
+		dst, err := ps.slotFor(o.hdrs[0])
 		if err != nil {
 			return err
 		}
-		src, err := primHeader(call, ps, 1)
+		src, err := ps.slotFor(o.hdrs[1])
 		if err != nil {
 			return err
 		}
@@ -214,131 +162,106 @@ func (sw *Switch) runPrimitive(call *ast.PrimitiveCall, frame actionFrame, ps *p
 		dh.value.SetFrom(sh.value)
 		return nil
 
-	case "resubmit":
+	case opResubmit:
 		ps.resubmitRaised = true
-		if len(call.Args) > 0 {
-			fl, err := primName(call, 0)
-			if err != nil {
-				return err
+		if aux != nil {
+			if aux.err != nil {
+				return aux.err
 			}
-			ps.resubmitList = fl
+			ps.resubmitList = aux.list
 		}
 		return nil
 
-	case "recirculate":
+	case opRecirculate:
 		ps.recircRaised = true
-		if len(call.Args) > 0 {
-			fl, err := primName(call, 0)
-			if err != nil {
-				return err
+		if aux != nil {
+			if aux.err != nil {
+				return aux.err
 			}
-			ps.recircList = fl
+			ps.recircList = aux.list
 		}
 		return nil
 
-	case "clone_ingress_pkt_to_egress":
-		sess, err := sw.primVal(call, frame, ps, 0, 32)
+	case opCloneI2E, opCloneE2E:
+		sess, err := ps.eval(&opnds[0], args, &tmp[0])
 		if err != nil {
 			return err
 		}
-		ps.cloneI2ERaised = true
-		ps.cloneI2ESession = int(sess.Uint64())
-		if len(call.Args) > 1 {
-			fl, err := primName(call, 1)
-			if err != nil {
-				return err
-			}
-			ps.cloneI2EList = fl
+		if o.code == opCloneI2E {
+			ps.cloneI2ERaised = true
+			ps.cloneI2ESession = int(sess.Uint64())
+		} else {
+			ps.cloneE2ERaised = true
+			ps.cloneE2ESession = int(sess.Uint64())
+		}
+		// The field list is not consulted: a clone copies all metadata.
+		if aux != nil {
+			return aux.err
 		}
 		return nil
 
-	case "clone_egress_pkt_to_egress":
-		sess, err := sw.primVal(call, frame, ps, 0, 32)
+	case opCount:
+		idx, err := ps.eval(&opnds[0], args, &tmp[0])
 		if err != nil {
 			return err
 		}
-		ps.cloneE2ERaised = true
-		ps.cloneE2ESession = int(sess.Uint64())
-		if len(call.Args) > 1 {
-			fl, err := primName(call, 1)
-			if err != nil {
-				return err
-			}
-			ps.cloneE2EList = fl
+		if aux.ctr == nil {
+			return fmt.Errorf("sim: no counter %q", aux.name)
 		}
-		return nil
+		return aux.ctr.inc(aux.name, int(idx.Uint64()), len(ps.data))
 
-	case "count":
-		cname, err := primName(call, 0)
+	case opMeter:
+		idx, err := ps.eval(&opnds[0], args, &tmp[0])
 		if err != nil {
 			return err
 		}
-		idx, err := sw.primVal(call, frame, ps, 1, 32)
+		if df.err != nil {
+			return df.err
+		}
+		if aux.mtr == nil {
+			return fmt.Errorf("sim: no meter %q", aux.name)
+		}
+		color, err := aux.mtr.execute(aux.name, int(idx.Uint64()), len(ps.data))
 		if err != nil {
 			return err
 		}
-		return sw.countInc(cname, int(idx.Uint64()), len(ps.data))
+		return ps.storeUint(df, uint64(color))
 
-	case "execute_meter":
-		mname, err := primName(call, 0)
+	case opRegRead:
+		idx, err := ps.eval(&opnds[0], args, &tmp[0])
 		if err != nil {
 			return err
 		}
-		idx, err := sw.primVal(call, frame, ps, 1, 32)
-		if err != nil {
+		if aux.reg == nil {
+			return fmt.Errorf("sim: no register %q", aux.name)
+		}
+		tmp[1].Reset(df.loc.width)
+		if err := aux.reg.readInto(aux.name, int(idx.Uint64()), &tmp[1]); err != nil {
 			return err
 		}
-		dst, w, err := primDstField(call, ps, 2)
-		if err != nil {
-			return err
-		}
-		color, err := sw.meterExecute(mname, int(idx.Uint64()), len(ps.data))
-		if err != nil {
-			return err
-		}
-		return ps.setField(dst, bitfield.FromUint(w, uint64(color)))
+		return ps.store(df, tmp[1])
 
-	case "register_read":
-		dst, w, err := primDstField(call, ps, 0)
+	case opRegWrite:
+		idx, err := ps.eval(&opnds[0], args, &tmp[0])
 		if err != nil {
 			return err
 		}
-		rname, err := primName(call, 1)
+		src, err := ps.eval(&opnds[1], args, &tmp[1])
 		if err != nil {
 			return err
 		}
-		idx, err := sw.primVal(call, frame, ps, 2, 32)
-		if err != nil {
-			return err
+		if aux.reg == nil {
+			return fmt.Errorf("sim: no register %q", aux.name)
 		}
-		v, err := sw.RegisterRead(rname, int(idx.Uint64()))
-		if err != nil {
-			return err
-		}
-		return ps.setField(dst, v.Resize(w))
+		return aux.reg.write(aux.name, int(idx.Uint64()), src)
 
-	case "register_write":
-		rname, err := primName(call, 0)
-		if err != nil {
-			return err
-		}
-		idx, err := sw.primVal(call, frame, ps, 1, 32)
-		if err != nil {
-			return err
-		}
-		src, err := sw.primVal(call, frame, ps, 2, 0)
-		if err != nil {
-			return err
-		}
-		return sw.RegisterWrite(rname, int(idx.Uint64()), src)
-
-	case "truncate":
-		n, err := sw.primVal(call, frame, ps, 0, 32)
+	case opTruncate:
+		n, err := ps.eval(&opnds[0], args, &tmp[0])
 		if err != nil {
 			return err
 		}
 		ps.truncateTo = int(n.Uint64())
 		return nil
 	}
-	return fmt.Errorf("primitive %q not implemented", call.Name)
+	return fmt.Errorf("sim: bad opcode %d", o.code)
 }

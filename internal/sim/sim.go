@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"hyper4/internal/bitfield"
-	"hyper4/internal/p4/ast"
 	"hyper4/internal/p4/hlir"
 )
 
@@ -45,6 +44,7 @@ type Switch struct {
 	Name string
 	prog *hlir.Program
 	lay  *layout
+	code *code // the compiled program (compile.go)
 
 	// mu guards control-plane state (table entries, defaults, mirrors)
 	// against in-flight packets: Process holds the read side for the whole
@@ -146,11 +146,11 @@ func New(name string, prog *hlir.Program) (*Switch, error) {
 		}
 		sw.meters[name] = newMeterArray(m.Kind, n)
 	}
-	actionNames := make([]string, 0, len(prog.Actions))
-	for name := range prog.Actions {
-		actionNames = append(actionNames, name)
+	sw.code = sw.compile()
+	for _, t := range sw.tables {
+		t.defaultAct = sw.code.byName[t.defaultAction]
 	}
-	sw.metrics.init(actionNames)
+	sw.metrics.init(sw.code.actions)
 	sw.pool.New = func() any { return newPacketState(sw) }
 	return sw, nil
 }
@@ -183,7 +183,7 @@ func (sw *Switch) SetMirror(session, port int) {
 type pass struct {
 	data         []byte
 	port         int
-	preserved    map[ast.FieldRef]bitfield.Value
+	preserved    []preservedField
 	instanceType uint64
 	// egressOnly passes (clones) skip parser+ingress and carry state.
 	egressOnly bool
@@ -258,7 +258,7 @@ func (sw *Switch) process(data []byte, port int) ([]Output, *Trace, error) {
 		}
 		return res.Outputs, tr, nil
 	}
-	tr := &Trace{}
+	tr := newTrace()
 	var queueArr [2]pass
 	queue := append(queueArr[:0], pass{data: data, port: port, instanceType: instNormal})
 	var outputs []Output
@@ -278,7 +278,7 @@ func (sw *Switch) process(data []byte, port int) ([]Output, *Trace, error) {
 		queue = queue[1:]
 		if p.egressOnly && p.state != nil {
 			// Clone passes carry their instance type in the cloned state.
-			sw.metrics.recordPass(p.state.stdMetaUint(hlir.FieldInstanceType))
+			sw.metrics.recordPass(p.state.stdMetaUint(stdInstanceType))
 		} else {
 			sw.metrics.recordPass(p.instanceType)
 		}
@@ -293,7 +293,11 @@ func (sw *Switch) process(data []byte, port int) ([]Output, *Trace, error) {
 			}
 			return nil, nil, err
 		}
-		outputs = append(outputs, emitted...)
+		if outputs == nil {
+			outputs = emitted
+		} else {
+			outputs = append(outputs, emitted...)
+		}
 		queue = append(queue, next...)
 	}
 	sw.stats.packetsOut.Add(int64(len(outputs)))
@@ -368,22 +372,19 @@ func (sw *Switch) runPass(p pass, tr *Trace, cur **packetState) ([]Output, []pas
 	if p.egressOnly {
 		ps = p.state
 		*cur = ps
-		ps.setStdMeta(hlir.FieldEgressPort, uint64(p.egressPort))
-		ps.setStdMeta(hlir.FieldEgressSpec, uint64(p.egressPort))
+		ps.setStdMeta(stdEgressPort, uint64(p.egressPort))
+		ps.setStdMeta(stdEgressSpec, uint64(p.egressPort))
 	} else {
 		ps = sw.getState(p.data, p.port)
 		*cur = ps
-		ps.setStdMeta(hlir.FieldInstanceType, p.instanceType)
-		if err := ps.restorePreserved(p.preserved); err != nil {
-			attr, f := sw.failPass(ps, FaultPipeline, p.port, err)
-			return nil, nil, attr, f
-		}
+		ps.setStdMeta(stdInstanceType, p.instanceType)
+		ps.restorePreserved(p.preserved)
 		if err := sw.parse(ps, tr); err != nil {
 			attr, f := sw.failPass(ps, FaultParse, p.port, err)
 			return nil, nil, attr, f
 		}
-		if ing, ok := sw.prog.Controls[ast.ControlIngress]; ok {
-			if err := sw.runStmts(ing.Body, ps, tr); err != nil {
+		if ing := sw.code.ingress; ing != nil {
+			if err := sw.runStmts(ing.body, ps, tr); err != nil {
 				if errors.Is(err, errQuarantined) {
 					return nil, nil, sw.dropQuarantined(ps), nil
 				}
@@ -413,23 +414,23 @@ func (sw *Switch) runPass(p pass, tr *Trace, cur **packetState) ([]Output, []pas
 				// mirror copy. bmv2 copies all metadata for i2e clones; we
 				// keep the full copy, matching bmv2.
 				cl := ps.cloneForEgress()
-				cl.setStdMeta(hlir.FieldInstanceType, instCloneI2E)
+				cl.setStdMeta(stdInstanceType, instCloneI2E)
 				followOn = append(followOn, pass{egressOnly: true, state: cl, egressPort: mirrorPort})
 			}
 		}
-		spec := ps.stdMetaUint(hlir.FieldEgressSpec)
+		spec := ps.stdMetaUint(stdEgressSpec)
 		if spec == hlir.DropSpec {
 			attr := sw.attrOf(ps)
 			sw.putState(ps)
 			return nil, followOn, attr, nil
 		}
-		ps.setStdMeta(hlir.FieldEgressPort, spec)
+		ps.setStdMeta(stdEgressPort, spec)
 	}
 
 	// Egress pipeline.
 	ps.inEgress = true
-	if eg, ok := sw.prog.Controls[ast.ControlEgress]; ok {
-		if err := sw.runStmts(eg.Body, ps, tr); err != nil {
+	if eg := sw.code.egress; eg != nil {
+		if err := sw.runStmts(eg.body, ps, tr); err != nil {
 			sw.releaseQueued(followOn)
 			if errors.Is(err, errQuarantined) {
 				return nil, nil, sw.dropQuarantined(ps), nil
@@ -443,7 +444,7 @@ func (sw *Switch) runPass(p pass, tr *Trace, cur **packetState) ([]Output, []pas
 		tr.ClonesE2E++
 		if mirrorPort, ok := sw.mirrors[ps.cloneE2ESession]; ok {
 			cl := ps.cloneForEgress()
-			cl.setStdMeta(hlir.FieldInstanceType, instCloneE2E)
+			cl.setStdMeta(stdInstanceType, instCloneE2E)
 			followOn = append(followOn, pass{egressOnly: true, state: cl, egressPort: mirrorPort})
 		}
 	}
@@ -457,7 +458,7 @@ func (sw *Switch) runPass(p pass, tr *Trace, cur **packetState) ([]Output, []pas
 		sw.stats.recirculates.Add(1)
 		tr.Recirculates++
 		preserved, err := ps.capturePreserved(ps.recircList)
-		port := int(ps.stdMetaUint(hlir.FieldIngressPort))
+		port := int(ps.stdMetaUint(stdIngressPort))
 		attr := sw.attrOf(ps)
 		sw.putState(ps)
 		if err != nil {
@@ -467,7 +468,7 @@ func (sw *Switch) runPass(p pass, tr *Trace, cur **packetState) ([]Output, []pas
 		return nil, append(followOn, pass{data: outBytes, port: port, preserved: preserved, instanceType: instRecirculate}), attr, nil
 	}
 	dropped := ps.dropped
-	port := int(ps.stdMetaUint(hlir.FieldEgressPort))
+	port := int(ps.stdMetaUint(stdEgressPort))
 	attr := sw.attrOf(ps)
 	sw.putState(ps)
 	if dropped {

@@ -36,15 +36,13 @@ type packetState struct {
 
 	// end-of-pipeline requests raised by primitives.
 	dropped         bool
-	resubmitList    string // field list name; "" when no resubmit requested
+	resubmitList    *fieldList // metadata to preserve; nil for none
 	resubmitRaised  bool
-	recircList      string
+	recircList      *fieldList
 	recircRaised    bool
 	cloneI2ESession int
-	cloneI2EList    string
 	cloneI2ERaised  bool
 	cloneE2ESession int
-	cloneE2EList    string
 	cloneE2ERaised  bool
 	truncateTo      int // 0 = no truncation
 
@@ -57,6 +55,9 @@ type packetState struct {
 	keyVals []bitfield.Value // generic lookup key values
 	scratch []byte           // parser extract staging
 	selKeys []bitfield.Value // per-select-plan key scratch, indexed by plan id
+	serBuf  []byte           // checksum field-list serialization
+	// tmp holds the operands and results of the primitive running now.
+	tmp [5]bitfield.Value
 }
 
 // newPacketState allocates a state with every slot's Value pre-sized; it is
@@ -76,9 +77,11 @@ func newPacketState(sw *Switch) *packetState {
 	for i, ii := range lay.metaInsts {
 		ps.meta[i] = bitfield.New(ii.width)
 	}
-	ps.selKeys = make([]bitfield.Value, len(lay.selectList))
-	for _, p := range lay.selectList {
-		ps.selKeys[p.id] = bitfield.New(p.total)
+	ps.selKeys = make([]bitfield.Value, sw.code.selects)
+	for i := range sw.code.states {
+		if sel := sw.code.states[i].sel; sel != nil && sel.plan != nil {
+			ps.selKeys[sel.plan.id] = bitfield.New(sel.plan.total)
+		}
 	}
 	return ps
 }
@@ -104,12 +107,12 @@ func (sw *Switch) getState(data []byte, port int) *packetState {
 	ps.shortExtract = false
 	ps.inEgress = false
 	ps.quarVerdict = quarUnchecked
-	ps.setStdMeta(hlir.FieldIngressPort, uint64(port))
-	ps.setStdMeta(hlir.FieldPacketLength, uint64(len(data)))
+	ps.setStdMeta(stdIngressPort, uint64(port))
+	ps.setStdMeta(stdPacketLength, uint64(len(data)))
 	// Deviation from the P4_14 zero-init rule: egress_spec starts at the
 	// drop value so a packet that no table routes is dropped rather than
 	// emitted on port 0.
-	ps.setStdMeta(hlir.FieldEgressSpec, hlir.DropSpec)
+	ps.setStdMeta(stdEgressSpec, hlir.DropSpec)
 	return ps
 }
 
@@ -126,14 +129,12 @@ func (sw *Switch) putState(ps *packetState) {
 func (ps *packetState) clearPassFlags() {
 	ps.dropped = false
 	ps.resubmitRaised = false
-	ps.resubmitList = ""
+	ps.resubmitList = nil
 	ps.recircRaised = false
-	ps.recircList = ""
+	ps.recircList = nil
 	ps.cloneI2ERaised = false
-	ps.cloneI2EList = ""
 	ps.cloneI2ESession = 0
 	ps.cloneE2ERaised = false
-	ps.cloneE2EList = ""
 	ps.cloneE2ESession = 0
 }
 
@@ -162,159 +163,104 @@ func (ps *packetState) slotOf(ii *instInfo, index int) (int, error) {
 	return ii.headerBase + elem, nil
 }
 
-// resolveHeaderRef maps an ast.HeaderRef to a header slot.
-func (ps *packetState) resolveHeaderRef(ref ast.HeaderRef) (int, error) {
-	ii, ok := ps.sw.lay.insts[ref.Instance]
-	if !ok {
-		return 0, fmt.Errorf("sim: unknown instance %q", ref.Instance)
+// slotFor resolves a compiled header reference to its slot.
+func (ps *packetState) slotFor(h *hdrRef) (int, error) {
+	if h.slot >= 0 {
+		return h.slot, nil
 	}
-	return ps.slotOf(ii, ref.Index)
+	if h.err != nil {
+		return 0, h.err
+	}
+	return ps.slotOf(h.ii, h.index)
 }
 
-// fieldSource locates the Value holding a field: the metadata value or the
-// resolved header element's value.
-func (ps *packetState) fieldSource(loc fieldLoc, index int) (*bitfield.Value, error) {
-	if loc.ii.metaSlot >= 0 {
-		return &ps.meta[loc.ii.metaSlot], nil
+// fieldVal locates the Value holding a compiled field: the metadata value or
+// the resolved header element's value.
+func (ps *packetState) fieldVal(f *fieldRef) (*bitfield.Value, error) {
+	switch {
+	case f.slot >= 0:
+		return &ps.headers[f.slot].value, nil
+	case f.err != nil:
+		return nil, f.err
+	case f.loc.ii.metaSlot >= 0:
+		return &ps.meta[f.loc.ii.metaSlot], nil
 	}
-	slot, err := ps.slotOf(loc.ii, index)
+	slot, err := ps.slotOf(f.loc.ii, f.index)
 	if err != nil {
 		return nil, err
 	}
 	return &ps.headers[slot].value, nil
 }
 
-// getField reads a field value (metadata or header). The returned Value is a
-// fresh copy.
-func (ps *packetState) getField(ref ast.FieldRef) (bitfield.Value, error) {
-	loc, err := ps.sw.lay.fieldLoc(ref)
-	if err != nil {
-		return bitfield.Value{}, err
-	}
-	src, err := ps.fieldSource(loc, ref.Index)
-	if err != nil {
-		return bitfield.Value{}, err
-	}
-	return src.Slice(loc.off, loc.width), nil
-}
-
-// getFieldInto reads a field value into dst, reusing dst's buffer.
-func (ps *packetState) getFieldInto(ref ast.FieldRef, dst *bitfield.Value) error {
-	loc, err := ps.sw.lay.fieldLoc(ref)
+// store writes v, which has f's width, into field f.
+func (ps *packetState) store(f *fieldRef, v bitfield.Value) error {
+	dst, err := ps.fieldVal(f)
 	if err != nil {
 		return err
 	}
-	src, err := ps.fieldSource(loc, ref.Index)
-	if err != nil {
-		return err
-	}
-	src.SliceInto(dst, loc.off, loc.width)
+	dst.Insert(f.loc.off, v)
 	return nil
 }
 
-// setField writes a field value, resizing val to the field's width.
-func (ps *packetState) setField(ref ast.FieldRef, val bitfield.Value) error {
-	loc, err := ps.sw.lay.fieldLoc(ref)
+// storeUint writes x, truncated to f's width, into field f.
+func (ps *packetState) storeUint(f *fieldRef, x uint64) error {
+	dst, err := ps.fieldVal(f)
 	if err != nil {
 		return err
 	}
-	dst, err := ps.fieldSource(loc, ref.Index)
-	if err != nil {
-		return err
+	if f.loc.width <= 64 {
+		dst.InsertUint(f.loc.off, f.loc.width, x)
+	} else {
+		dst.Insert(f.loc.off, bitfield.FromUint(f.loc.width, x))
 	}
-	dst.Insert(loc.off, val.Resize(loc.width))
 	return nil
-}
-
-// fieldWidth returns the declared width of a field reference.
-func (ps *packetState) fieldWidth(ref ast.FieldRef) (int, error) {
-	loc, err := ps.sw.lay.fieldLoc(ref)
-	if err != nil {
-		return 0, err
-	}
-	return loc.width, nil
-}
-
-// stdLoc resolves a standard-metadata field name. Every caller passes an
-// hlir.Field* constant and hlir.Resolve always synthesizes the full
-// standard_metadata instance, so a miss is a true invariant violation, not a
-// state user input can reach — the panic stays (and is contained by the
-// per-packet recovery in any case). User-named fields go through
-// layout.fieldLoc, which returns structured errors.
-func (ps *packetState) stdLoc(field string) fieldLoc {
-	loc, ok := ps.sw.lay.stdLocs[field]
-	if !ok {
-		panic(fmt.Sprintf("sim: invariant violation: unknown standard metadata field %q", field)) //hp4:allow hotpath (invariant panic)
-	}
-	return loc
-}
-
-func (ps *packetState) stdMeta(field string) bitfield.Value {
-	loc := ps.stdLoc(field)
-	return ps.meta[ps.sw.lay.stdSlot].Slice(loc.off, loc.width)
 }
 
 // stdMetaUint reads a standard metadata field as an integer without
 // allocating.
-func (ps *packetState) stdMetaUint(field string) uint64 {
-	loc := ps.stdLoc(field)
+func (ps *packetState) stdMetaUint(f stdField) uint64 {
+	loc := &ps.sw.lay.std[f]
 	return ps.meta[ps.sw.lay.stdSlot].UintAt(loc.off, loc.width)
 }
 
-func (ps *packetState) setStdMeta(field string, val uint64) {
-	loc := ps.stdLoc(field)
+func (ps *packetState) setStdMeta(f stdField, val uint64) {
+	loc := &ps.sw.lay.std[f]
 	ps.meta[ps.sw.lay.stdSlot].InsertUint(loc.off, loc.width, val)
 }
 
+// preservedField is one metadata value carried across a pass boundary.
+type preservedField struct {
+	f *fieldRef
+	v bitfield.Value
+}
+
 // capturePreserved snapshots the metadata fields named by a field list, for
-// resubmit/recirculate/clone semantics. An empty list name preserves nothing.
-func (ps *packetState) capturePreserved(listName string) (map[ast.FieldRef]bitfield.Value, error) {
-	if listName == "" {
+// resubmit/recirculate semantics. A nil list preserves nothing. Header
+// fields are read (a reference that fails, fails the pass) but not kept:
+// they are re-extracted from the wire bytes.
+func (ps *packetState) capturePreserved(fl *fieldList) ([]preservedField, error) {
+	if fl == nil {
 		return nil, nil
 	}
-	out := map[ast.FieldRef]bitfield.Value{} //hp4:allow hotpath (only reached for resubmit/recirculate/clone)
-	var add func(name string) error
-	add = func(name string) error {
-		fl, ok := ps.sw.prog.FieldLists[name]
-		if !ok {
-			return fmt.Errorf("sim: unknown field list %q", name)
+	var out []preservedField
+	for i := range fl.items {
+		f := fl.items[i].f
+		src, err := ps.fieldVal(f)
+		if err != nil {
+			return nil, err
 		}
-		for _, e := range fl.Entries {
-			switch {
-			case e.Field != nil:
-				v, err := ps.getField(*e.Field)
-				if err != nil {
-					return err
-				}
-				out[*e.Field] = v
-			case e.SubList != "":
-				if err := add(e.SubList); err != nil {
-					return err
-				}
-			}
+		if f.loc.ii.metaSlot >= 0 {
+			out = append(out, preservedField{f: f, v: src.Slice(f.loc.off, f.loc.width)})
 		}
-		return nil
-	}
-	if err := add(listName); err != nil {
-		return nil, err
 	}
 	return out, nil
 }
 
 // restorePreserved writes captured metadata values into a fresh pass state.
-// Field lists come from user programs, so a write failure is a structured
-// per-packet error (surfaced as a pipeline fault), not a panic.
-func (ps *packetState) restorePreserved(fields map[ast.FieldRef]bitfield.Value) error {
-	for ref, val := range fields {
-		// Only metadata can survive a pass boundary; header fields are
-		// re-extracted from the wire bytes.
-		if ii, ok := ps.sw.lay.insts[ref.Instance]; ok && ii.metaSlot >= 0 {
-			if err := ps.setField(ref, val); err != nil {
-				return fmt.Errorf("sim: restoring preserved field %s.%s: %w", ref.Instance, ref.Field, err)
-			}
-		}
+func (ps *packetState) restorePreserved(fields []preservedField) {
+	for _, p := range fields {
+		ps.meta[p.f.loc.ii.metaSlot].Insert(p.f.loc.off, p.v)
 	}
-	return nil
 }
 
 // cloneForEgress deep-copies the packet state for clone_i2e / clone_e2e into

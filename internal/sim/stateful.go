@@ -65,13 +65,22 @@ func (sw *Switch) RegisterRead(name string, idx int) (bitfield.Value, error) {
 	if !ok {
 		return bitfield.Value{}, fmt.Errorf("sim: no register %q", name)
 	}
+	v := bitfield.New(r.width)
+	if err := r.readInto(name, idx, &v); err != nil {
+		return bitfield.Value{}, err
+	}
+	return v, nil
+}
+
+// readInto copies one cell into dst, resized to dst's width.
+func (r *registerArray) readInto(name string, idx int, dst *bitfield.Value) error {
 	if idx < 0 || idx >= len(r.cells) {
-		return bitfield.Value{}, fmt.Errorf("sim: register %s index %d out of range", name, idx)
+		return fmt.Errorf("sim: register %s index %d out of range", name, idx)
 	}
 	r.mu.Lock()
-	v := r.cells[idx].Clone()
+	dst.SetFrom(r.cells[idx])
 	r.mu.Unlock()
-	return v, nil
+	return nil
 }
 
 // RegisterWrite stores a value into one register cell, resized to the
@@ -82,6 +91,10 @@ func (sw *Switch) RegisterWrite(name string, idx int, v bitfield.Value) error {
 	if !ok {
 		return fmt.Errorf("sim: no register %q", name)
 	}
+	return r.write(name, idx, v)
+}
+
+func (r *registerArray) write(name string, idx int, v bitfield.Value) error {
 	if idx < 0 || idx >= len(r.cells) {
 		return fmt.Errorf("sim: register %s index %d out of range", name, idx)
 	}
@@ -97,6 +110,10 @@ func (sw *Switch) countInc(name string, idx, packetBytes int) error {
 	if !ok {
 		return fmt.Errorf("sim: no counter %q", name)
 	}
+	return c.inc(name, idx, packetBytes)
+}
+
+func (c *counterArray) inc(name string, idx, packetBytes int) error {
 	if idx < 0 || idx >= len(c.packets) {
 		return fmt.Errorf("sim: counter %s index %d out of range", name, idx)
 	}
@@ -174,6 +191,10 @@ func (sw *Switch) meterExecute(name string, idx, packetBytes int) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("sim: no meter %q", name)
 	}
+	return m.execute(name, idx, packetBytes)
+}
+
+func (m *meterArray) execute(name string, idx, packetBytes int) (int, error) {
 	if idx < 0 || idx >= len(m.cells) {
 		return 0, fmt.Errorf("sim: meter %s index %d out of range", name, idx)
 	}

@@ -31,19 +31,21 @@ type Entry struct {
 	// recomputes it per candidate.
 	prefixSum int
 
+	// act is Action compiled, resolved once under the write lock.
+	act *action
+
 	// hits counts lookups this entry has won. Entries are shared by pointer
 	// (entries slice, exact and LPM indexes), so the counter is atomic; the
 	// struct must not be copied once installed.
 	hits atomic.Int64
 }
 
-// readInfo is one precomputed match key accessor.
+// readInfo is one compiled match key accessor.
 type readInfo struct {
-	kind   ast.MatchKind
-	field  ast.FieldRef  // field reads
-	header ast.HeaderRef // valid reads
-	loc    fieldLoc      // resolved location for field reads
-	width  int
+	kind  ast.MatchKind
+	f     *fieldRef // field reads
+	hdr   *hdrRef   // valid reads
+	width int
 }
 
 // table is the runtime state of one match-action table.
@@ -69,6 +71,7 @@ type table struct {
 	nextHandle int
 
 	defaultAction string
+	defaultAct    *action // defaultAction compiled; nil when undeclared
 	defaultArgs   []bitfield.Value
 
 	// ternaryWidth is the summed width of ternary reads, for Table 4.
@@ -88,16 +91,14 @@ func newTable(lay *layout, decl *ast.Table) (*table, error) {
 	for _, r := range decl.Reads {
 		ri := readInfo{kind: r.Match}
 		if r.Match == ast.MatchValid {
-			ri.header = *r.Header
+			ri.hdr = lay.hdr(*r.Header)
 			ri.width = 1
 		} else {
-			loc, err := lay.fieldLoc(*r.Field)
-			if err != nil {
-				return nil, fmt.Errorf("table %s: %w", decl.Name, err)
+			ri.f = lay.field(*r.Field)
+			if ri.f.err != nil {
+				return nil, fmt.Errorf("table %s: %w", decl.Name, ri.f.err)
 			}
-			ri.field = *r.Field
-			ri.loc = loc
-			ri.width = loc.width
+			ri.width = ri.f.loc.width
 		}
 		t.reads = append(t.reads, ri)
 		t.keyWidths = append(t.keyWidths, ri.width)
@@ -124,7 +125,7 @@ func (t *table) appendKeyBytes(buf []byte, ps *packetState) ([]byte, error) {
 	for i := range t.reads {
 		r := &t.reads[i]
 		if r.kind == ast.MatchValid {
-			slot, err := ps.resolveHeaderRef(r.header)
+			slot, err := ps.slotFor(r.hdr)
 			if err != nil {
 				return nil, err
 			}
@@ -135,11 +136,11 @@ func (t *table) appendKeyBytes(buf []byte, ps *packetState) ([]byte, error) {
 			buf = append(buf, b, 0xfe)
 			continue
 		}
-		src, err := ps.fieldSource(r.loc, r.field.Index)
+		src, err := ps.fieldVal(r.f)
 		if err != nil {
 			return nil, err
 		}
-		buf = src.AppendSliceTo(buf, r.loc.off, r.width)
+		buf = src.AppendSliceTo(buf, r.f.loc.off, r.width)
 		buf = append(buf, 0xfe)
 	}
 	return buf, nil
@@ -155,7 +156,7 @@ func (t *table) keyOf(ps *packetState) ([]bitfield.Value, error) {
 	for i := range t.reads {
 		r := &t.reads[i]
 		if r.kind == ast.MatchValid {
-			slot, err := ps.resolveHeaderRef(r.header)
+			slot, err := ps.slotFor(r.hdr)
 			if err != nil {
 				return nil, err
 			}
@@ -169,11 +170,11 @@ func (t *table) keyOf(ps *packetState) ([]bitfield.Value, error) {
 			}
 			continue
 		}
-		src, err := ps.fieldSource(r.loc, r.field.Index)
+		src, err := ps.fieldVal(r.f)
 		if err != nil {
 			return nil, err
 		}
-		src.SliceInto(&key[i], r.loc.off, r.width)
+		src.SliceInto(&key[i], r.f.loc.off, r.width)
 	}
 	return key, nil
 }
@@ -202,11 +203,11 @@ func (t *table) lookup(ps *packetState) (*Entry, error) {
 	}
 	if t.singleLPM && t.lpm != nil {
 		r := &t.reads[0]
-		src, err := ps.fieldSource(r.loc, r.field.Index)
+		src, err := ps.fieldVal(r.f)
 		if err != nil {
 			return nil, err
 		}
-		buf := src.AppendSliceTo(ps.keyBuf[:0], r.loc.off, r.width)
+		buf := src.AppendSliceTo(ps.keyBuf[:0], r.f.loc.off, r.width)
 		ps.keyBuf = buf
 		pad := len(buf)*8 - r.width
 		// Probe longest prefix first; masking is monotone (lens descend), so
@@ -317,13 +318,29 @@ func entryLess(a, b *Entry) bool {
 
 // --- runtime API ---
 
-// errNoTable formats the common unknown-table error.
+// table resolves a table name for the control plane.
 func (sw *Switch) table(name string) (*table, error) {
 	t, ok := sw.tables[name]
 	if !ok {
 		return nil, fmt.Errorf("sim: no table %q", name)
 	}
 	return t, nil
+}
+
+// allowedAction resolves an action the control plane installs into t: it
+// must be declared, be one t allows, and take len(args) arguments.
+func (sw *Switch) allowedAction(t *table, name string, args []bitfield.Value) (*action, error) {
+	act, ok := sw.code.byName[name]
+	if !ok {
+		return nil, fmt.Errorf("sim: no action %q", name)
+	}
+	if !contains(t.decl.Actions, name) {
+		return nil, fmt.Errorf("sim: table %s does not allow action %q", t.decl.Name, name)
+	}
+	if len(args) != act.params {
+		return nil, fmt.Errorf("sim: action %s wants %d args, got %d", name, act.params, len(args))
+	}
+	return act, nil
 }
 
 // TableAdd installs an entry and returns its handle. The params must line up
@@ -339,15 +356,9 @@ func (sw *Switch) TableAdd(tableName, action string, params []MatchParam, args [
 	if len(params) != len(t.decl.Reads) {
 		return 0, fmt.Errorf("sim: table %s wants %d match params, got %d", tableName, len(t.decl.Reads), len(params))
 	}
-	act, ok := sw.prog.Actions[action]
-	if !ok {
-		return 0, fmt.Errorf("sim: no action %q", action)
-	}
-	if !contains(t.decl.Actions, action) {
-		return 0, fmt.Errorf("sim: table %s does not allow action %q", tableName, action)
-	}
-	if len(args) != len(act.Params) {
-		return 0, fmt.Errorf("sim: action %s wants %d args, got %d", action, len(act.Params), len(args))
+	act, err := sw.allowedAction(t, action, args)
+	if err != nil {
+		return 0, err
 	}
 	for i, p := range params {
 		want := t.decl.Reads[i].Match
@@ -366,7 +377,7 @@ func (sw *Switch) TableAdd(tableName, action string, params []MatchParam, args [
 		}
 	}
 	t.nextHandle++
-	e := &Entry{Handle: t.nextHandle, Params: params, Action: action, Args: args, Priority: priority}
+	e := &Entry{Handle: t.nextHandle, Params: params, Action: action, Args: args, Priority: priority, act: act}
 	e.prefixSum = e.totalPrefix()
 	t.insertSorted(e)
 	if t.allExact {
@@ -460,17 +471,12 @@ func (sw *Switch) TableSetDefault(tableName, action string, args []bitfield.Valu
 	if err != nil {
 		return err
 	}
-	act, ok := sw.prog.Actions[action]
-	if !ok {
-		return fmt.Errorf("sim: no action %q", action)
-	}
-	if !contains(t.decl.Actions, action) {
-		return fmt.Errorf("sim: table %s does not allow action %q", tableName, action)
-	}
-	if len(args) != len(act.Params) {
-		return fmt.Errorf("sim: action %s wants %d args, got %d", action, len(act.Params), len(args))
+	act, err := sw.allowedAction(t, action, args)
+	if err != nil {
+		return err
 	}
 	t.defaultAction = action
+	t.defaultAct = act
 	t.defaultArgs = args
 	sw.bumpGen()
 	return nil
@@ -511,19 +517,14 @@ func (sw *Switch) TableModify(tableName string, handle int, action string, args 
 	if err != nil {
 		return err
 	}
-	act, ok := sw.prog.Actions[action]
-	if !ok {
-		return fmt.Errorf("sim: no action %q", action)
-	}
-	if !contains(t.decl.Actions, action) {
-		return fmt.Errorf("sim: table %s does not allow action %q", tableName, action)
-	}
-	if len(args) != len(act.Params) {
-		return fmt.Errorf("sim: action %s wants %d args, got %d", action, len(act.Params), len(args))
+	act, err := sw.allowedAction(t, action, args)
+	if err != nil {
+		return err
 	}
 	for _, e := range t.entries {
 		if e.Handle == handle {
 			e.Action = action
+			e.act = act
 			e.Args = args
 			sw.bumpGen()
 			return nil

@@ -16,9 +16,8 @@ type TableApply struct {
 type Trace struct {
 	Passes       int
 	Extracts     int
-	Applies      int      // number of match-action stages executed
-	Primitives   int      // primitive invocations
-	Tables       []string // applied tables, in order
+	Applies      int // number of match-action stages executed
+	Primitives   int // primitive invocations
 	ApplyLog     []TableApply
 	Hits, Misses int
 
@@ -34,10 +33,23 @@ type Trace struct {
 	Outputs []Output
 }
 
+// tracedPacket is an interpreted packet's trace with inline ApplyLog
+// backing: a packet of up to len(log) applies costs one allocation for its
+// trace. The fused path, which logs no applies, allocates a bare Trace.
+type tracedPacket struct {
+	tr  Trace
+	log [8]TableApply
+}
+
+func newTrace() *Trace {
+	p := &tracedPacket{}
+	p.tr.ApplyLog = p.log[:0]
+	return &p.tr
+}
+
 // recordApply notes one table application and its match result.
 func (tr *Trace) recordApply(name string, t *table, entry *Entry, egress bool) {
 	tr.Applies++
-	tr.Tables = append(tr.Tables, name)
 	tr.ApplyLog = append(tr.ApplyLog, TableApply{Table: name, Egress: egress, Hit: entry != nil})
 	if entry == nil {
 		tr.Misses++
