@@ -99,7 +99,7 @@ func recv(args []string) {
 		sz, _, err := conn.ReadFromUDP(buf)
 		if err != nil {
 			// A missed deadline is the expected failure shape in scripts
-			// (make io-smoke, crash-smoke): say what was awaited, not just
+			// (make io-smoke) and tests: say what was awaited, not just
 			// the raw "i/o timeout".
 			var nerr net.Error
 			if errors.As(err, &nerr) && nerr.Timeout() {

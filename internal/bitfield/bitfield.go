@@ -14,6 +14,7 @@ package bitfield
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/big"
 	"strings"
@@ -94,6 +95,33 @@ func (v Value) Bytes() []byte {
 	out := make([]byte, len(v.b))
 	copy(out, v.b)
 	return out
+}
+
+// valueJSON is a Value's JSON form: the width, and the big-endian bytes in
+// base64 (omitted when there are none).
+type valueJSON struct {
+	W int    `json:"w"`
+	B []byte `json:"b,omitempty"`
+}
+
+// MarshalJSON encodes v as {"w":width,"b":bytes}.
+func (v Value) MarshalJSON() ([]byte, error) {
+	return json.Marshal(valueJSON{W: v.width, B: v.b})
+}
+
+// UnmarshalJSON decodes the MarshalJSON form. It rejects a negative width
+// and any byte string whose length is not ceil(w/8), so a malformed input
+// can neither panic nor size an allocation beyond its own length.
+func (v *Value) UnmarshalJSON(data []byte) error {
+	var j valueJSON
+	if err := json.Unmarshal(data, &j); err != nil {
+		return err
+	}
+	if j.W < 0 || len(j.B) != bytesFor(j.W) {
+		return fmt.Errorf("bitfield: malformed value: width %d with %d bytes", j.W, len(j.B))
+	}
+	*v = FromBytes(j.W, j.B)
+	return nil
 }
 
 // Uint64 returns the low 64 bits of the value.

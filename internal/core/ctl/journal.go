@@ -14,10 +14,11 @@ package ctl
 // On-disk layout (all records CRC-framed: 4-byte little-endian payload
 // length, 4-byte IEEE CRC32 of the payload, JSON payload):
 //
-//	<dir>/snap.bin   one framed snapshot: DPMU state (dpmu.EncodeState, the
-//	                 Checkpoint/sim.Dump machinery), attached ports, dedup
-//	                 ring, and the sequence number it covers. Replaced
-//	                 atomically (tmp + rename).
+//	<dir>/snap.bin   one framed snapshot: DPMU state (dpmu.EncodeState,
+//	                 the JSON of the same dpmu.Checkpoint a batch rolls
+//	                 back to), attached ports, dedup ring, and the
+//	                 sequence number it covers. Replaced atomically
+//	                 (tmp + rename).
 //	<dir>/wal.log    framed batch records appended since the last snapshot.
 //
 // Rotation: every SnapshotEvery appended batches the journal snapshots and

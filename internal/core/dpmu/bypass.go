@@ -11,26 +11,26 @@ package dpmu
 import "hyper4/internal/core/persona"
 
 // linkSpec records the logical shape of one virtual link (a LinkVPorts
-// call): fromDev's virtual egress fromPort feeds toDev's virtual ingress
-// toPort.
+// call): FromDev's virtual egress FromPort feeds ToDev's virtual ingress
+// ToPort.
 type linkSpec struct {
-	fromDev  string
-	fromPort int
-	toDev    string
-	toPort   int
+	FromDev  string `json:"from_dev"`
+	FromPort int    `json:"from_port"`
+	ToDev    string `json:"to_dev"`
+	ToPort   int    `json:"to_port"`
 }
 
 // setLinkSpec records a link, replacing any previous link from the same
 // (device, port) — mirroring LinkVPorts' replace semantics.
 func (d *DPMU) setLinkSpec(s linkSpec) {
-	d.dropLinkSpec(s.fromDev, s.fromPort)
+	d.dropLinkSpec(s.FromDev, s.FromPort)
 	d.linkSpecs = append(d.linkSpecs, s)
 }
 
 // dropLinkSpec forgets the link from (device, port), if any.
 func (d *DPMU) dropLinkSpec(fromDev string, fromPort int) {
 	for i := range d.linkSpecs {
-		if d.linkSpecs[i].fromDev == fromDev && d.linkSpecs[i].fromPort == fromPort {
+		if d.linkSpecs[i].FromDev == fromDev && d.linkSpecs[i].FromPort == fromPort {
 			d.linkSpecs = append(d.linkSpecs[:i], d.linkSpecs[i+1:]...)
 			return
 		}
@@ -43,7 +43,7 @@ func (d *DPMU) dropLinkSpec(fromDev string, fromPort int) {
 func (d *DPMU) dropLinkSpecsFrom(dev string) {
 	out := d.linkSpecs[:0]
 	for _, s := range d.linkSpecs {
-		if s.fromDev != dev {
+		if s.FromDev != dev {
 			out = append(out, s)
 		}
 	}
@@ -57,10 +57,10 @@ func (d *DPMU) successor(dev string) *linkSpec {
 	var succ *linkSpec
 	for i := range d.linkSpecs {
 		s := &d.linkSpecs[i]
-		if s.fromDev != dev {
+		if s.FromDev != dev {
 			continue
 		}
-		if succ != nil && (succ.toDev != s.toDev || succ.toPort != s.toPort) {
+		if succ != nil && (succ.ToDev != s.ToDev || succ.ToPort != s.ToPort) {
 			return nil
 		}
 		succ = s
@@ -77,16 +77,16 @@ func (d *DPMU) enforceBypassLocked(name string) bool {
 	if succ == nil {
 		return false
 	}
-	to, ok := d.vdevs[succ.toDev]
+	to, ok := d.vdevs[succ.ToDev]
 	if !ok {
 		return false
 	}
 	done := true
 	for _, s := range d.linkSpecs {
-		if s.toDev != name {
+		if s.ToDev != name {
 			continue
 		}
-		if err := d.rewireLinkRow(s.fromDev, s.fromPort, to, succ.toPort); err != nil {
+		if err := d.rewireLinkRow(s.FromDev, s.FromPort, to, succ.ToPort); err != nil {
 			done = false
 		}
 	}
@@ -101,12 +101,12 @@ func (d *DPMU) undoBypassLocked(name string) {
 		return
 	}
 	for _, s := range d.linkSpecs {
-		if s.toDev != name {
+		if s.ToDev != name {
 			continue
 		}
 		// Best effort: the upstream device may have been unloaded while the
 		// bypass was in place.
-		_ = d.rewireLinkRow(s.fromDev, s.fromPort, v, s.toPort)
+		_ = d.rewireLinkRow(s.FromDev, s.FromPort, v, s.ToPort)
 	}
 }
 

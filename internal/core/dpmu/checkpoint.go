@@ -1,115 +1,164 @@
 package dpmu
 
-// Checkpoint/Rollback give the control-plane layer (internal/core/ctl) its
-// batch atomicity: WriteBatch checkpoints the DPMU, applies its ops, and on
-// any failure rolls back so the switch and the DPMU's shadow state are
-// bit-identical to the pre-batch state. The checkpoint deep-copies the DPMU's
-// bookkeeping (virtual devices, their persona-row sets, ID counters,
-// snapshots, assignments) and embeds a sim.SwitchDump of the persona's
-// control-plane state. Compiled programs (VDev.Comp) are immutable after
-// hp4c and are shared, not copied.
+// A Checkpoint is the one form of the DPMU's control-plane state besides the
+// live maps. WriteBatch (internal/core/ctl) checkpoints the DPMU, applies its
+// ops, and on any failure rolls back so the switch and the DPMU's shadow
+// state are bit-identical to the pre-batch state; the journal's snapshots
+// are the same Checkpoint marshalled to JSON (persist.go). Checkpoint is the
+// only live→state conversion and Rollback the only state→live one.
+//
+// Every type in a Checkpoint carries its own JSON form: bitfield.Value
+// encodes as {"w":width,"b":bytes}, sim's dump types and MatchParam are
+// tagged in internal/sim, and the DPMU's row (pentry), entry (ventry),
+// EntrySpec and link records are tagged where they are declared. The field
+// order and tags are the snapshot format, pinned by testdata/state_golden.json.
+//
+// Both directions copy every container the live side mutates in place, so a
+// checkpoint never aliases live state and may be rolled back to more than
+// once. They share what is immutable once installed: compiled programs
+// (hp4c output), entry specs, the persona-row lists of entries and
+// defaults, and the assignment lists of saved snapshots — all replaced,
+// never edited.
 
-import "hyper4/internal/sim"
+import (
+	"maps"
+	"slices"
 
-// Checkpoint is an opaque restore point produced by DPMU.Checkpoint.
+	"hyper4/internal/core/hp4c"
+	"hyper4/internal/sim"
+)
+
+// Checkpoint is the DPMU's full control-plane state: its bookkeeping plus a
+// sim.SwitchDump of the persona's table state.
 type Checkpoint struct {
-	vdevs       map[string]*VDev
-	nextPID     int
-	nextMatchID int
-	nextMcast   int
-	nextSession int
-	snapshots   map[string][]Assignment
-	active      string
-	assignPEs   []pentry
-	assigns     []Assignment
-	linkSpecs   []linkSpec
-	sw          *sim.SwitchDump
+	NextPID     int                     `json:"next_pid"`
+	NextMatchID int                     `json:"next_match_id"`
+	NextMcast   int                     `json:"next_mcast"`
+	NextSession int                     `json:"next_session"`
+	Active      string                  `json:"active,omitempty"`
+	VDevs       []vdevState             `json:"vdevs,omitempty"` // sorted by name
+	Snapshots   map[string][]Assignment `json:"snapshots,omitempty"`
+	Assigns     []Assignment            `json:"assigns,omitempty"`
+	AssignPEs   []pentry                `json:"assign_pes,omitempty"`
+	LinkSpecs   []linkSpec              `json:"link_specs,omitempty"`
+	Switch      sim.SwitchDump          `json:"switch"`
 }
 
-func copyPentries(rows []pentry) []pentry {
-	if rows == nil {
-		return nil
-	}
-	return append([]pentry(nil), rows...)
+// vdevState is one virtual device in a Checkpoint. A vdev serializes its
+// function name; the compiled program beside it is not serialized, and a
+// restore recompiles it by name.
+type vdevState struct {
+	Name       string               `json:"name"`
+	PID        int                  `json:"pid"`
+	Owner      string               `json:"owner,omitempty"`
+	Function   string               `json:"function"`
+	Comp       *hp4c.Compiled       `json:"-"`
+	Quota      int                  `json:"quota,omitempty"`
+	NextHandle int                  `json:"next_handle"`
+	Entries    []ventry             `json:"entries,omitempty"` // sorted by handle
+	Static     []pentry             `json:"static,omitempty"`
+	Defaults   map[string][]pentry  `json:"defaults,omitempty"`
+	DefSpecs   map[string]EntrySpec `json:"def_specs,omitempty"`
+	Links      []pentry             `json:"links,omitempty"`
+	VNet       map[int]pentry       `json:"vnet,omitempty"`
 }
 
-func copyVDev(v *VDev) *VDev {
-	c := &VDev{
-		Name:       v.Name,
-		PID:        v.PID,
-		Owner:      v.Owner,
-		Comp:       v.Comp,
-		Quota:      v.Quota,
-		entries:    make(map[int]*ventry, len(v.entries)),
-		nextHandle: v.nextHandle,
-		static:     copyPentries(v.static),
-		defaults:   make(map[string][]pentry, len(v.defaults)),
-		defSpecs:   make(map[string]EntrySpec, len(v.defSpecs)),
-		links:      copyPentries(v.links),
-		vnet:       make(map[int]pentry, len(v.vnet)),
-	}
-	for h, e := range v.entries {
-		// spec's slices are immutable after install, so a shallow copy is a
-		// faithful checkpoint.
-		c.entries[h] = &ventry{table: e.table, rows: copyPentries(e.rows), spec: e.spec}
-	}
-	for t, rows := range v.defaults {
-		c.defaults[t] = copyPentries(rows)
-	}
-	for t, spec := range v.defSpecs {
-		c.defSpecs[t] = spec
-	}
-	for p, row := range v.vnet {
-		c.vnet[p] = row
-	}
-	return c
+// cloneMap is a shallow map copy that is never nil: the live maps are
+// written to after a Rollback.
+func cloneMap[M ~map[K]V, K comparable, V any](m M) M {
+	out := make(M, len(m))
+	maps.Copy(out, m)
+	return out
 }
 
 // Checkpoint captures the DPMU's full control-plane state (its own
-// bookkeeping plus the persona switch's table state) for a later Rollback.
+// bookkeeping plus the persona switch's table state) for a later Rollback
+// or EncodeState.
 func (d *DPMU) Checkpoint() *Checkpoint {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	cp := &Checkpoint{
-		vdevs:       make(map[string]*VDev, len(d.vdevs)),
-		nextPID:     d.nextPID,
-		nextMatchID: d.nextMatchID,
-		nextMcast:   d.nextMcast,
-		nextSession: d.nextSession,
-		snapshots:   make(map[string][]Assignment, len(d.snapshots)),
-		active:      d.active,
-		assignPEs:   copyPentries(d.assignPEs),
-		assigns:     append([]Assignment(nil), d.assigns...),
-		linkSpecs:   append([]linkSpec(nil), d.linkSpecs...),
-		sw:          d.SW.Dump(),
+		NextPID:     d.nextPID,
+		NextMatchID: d.nextMatchID,
+		NextMcast:   d.nextMcast,
+		NextSession: d.nextSession,
+		Active:      d.active,
+		VDevs:       make([]vdevState, 0, len(d.vdevs)),
+		Snapshots:   cloneMap(d.snapshots),
+		Assigns:     slices.Clone(d.assigns),
+		AssignPEs:   slices.Clone(d.assignPEs),
+		LinkSpecs:   slices.Clone(d.linkSpecs),
+		Switch:      *d.SW.Dump(),
 	}
-	for name, v := range d.vdevs {
-		cp.vdevs[name] = copyVDev(v)
-	}
-	for name, as := range d.snapshots {
-		cp.snapshots[name] = append([]Assignment(nil), as...)
+	for _, name := range d.vdevNames() {
+		v := d.vdevs[name]
+		vs := vdevState{
+			Name:       v.Name,
+			PID:        v.PID,
+			Owner:      v.Owner,
+			Function:   v.Comp.Name,
+			Comp:       v.Comp,
+			Quota:      v.Quota,
+			NextHandle: v.nextHandle,
+			Entries:    make([]ventry, 0, len(v.entries)),
+			Static:     slices.Clone(v.static),
+			Defaults:   cloneMap(v.defaults),
+			DefSpecs:   cloneMap(v.defSpecs),
+			Links:      slices.Clone(v.links),
+			VNet:       cloneMap(v.vnet),
+		}
+		// Sort the handles, not the entries: swapping whole ventry values
+		// costs several times the copy itself.
+		handles := make([]int, 0, len(v.entries))
+		for h := range v.entries {
+			handles = append(handles, h)
+		}
+		slices.Sort(handles)
+		for _, h := range handles {
+			vs.Entries = append(vs.Entries, *v.entries[h])
+		}
+		cp.VDevs = append(cp.VDevs, vs)
 	}
 	return cp
 }
 
 // Rollback rewinds the DPMU and its persona switch to a Checkpoint. The
-// checkpoint's copies become live state, so a checkpoint may only be rolled
-// back once; take a fresh one for each batch.
+// checkpoint itself is left intact.
 func (d *DPMU) Rollback(cp *Checkpoint) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	defer d.rebuildFusionLocked()
-	d.vdevs = cp.vdevs
-	d.nextPID = cp.nextPID
-	d.nextMatchID = cp.nextMatchID
-	d.nextMcast = cp.nextMcast
-	d.nextSession = cp.nextSession
-	d.snapshots = cp.snapshots
-	d.active = cp.active
-	d.assignPEs = cp.assignPEs
-	d.assigns = cp.assigns
-	d.linkSpecs = cp.linkSpecs
-	d.SW.RestoreDump(cp.sw)
+	d.vdevs = make(map[string]*VDev, len(cp.VDevs))
+	for _, vs := range cp.VDevs {
+		v := &VDev{
+			Name:       vs.Name,
+			PID:        vs.PID,
+			Owner:      vs.Owner,
+			Comp:       vs.Comp,
+			Quota:      vs.Quota,
+			entries:    make(map[int]*ventry, len(vs.Entries)),
+			nextHandle: vs.NextHandle,
+			static:     slices.Clone(vs.Static),
+			defaults:   cloneMap(vs.Defaults),
+			defSpecs:   cloneMap(vs.DefSpecs),
+			links:      slices.Clone(vs.Links),
+			vnet:       cloneMap(vs.VNet),
+		}
+		for _, e := range vs.Entries {
+			v.entries[e.Handle] = &e
+		}
+		d.vdevs[v.Name] = v
+	}
+	d.nextPID = cp.NextPID
+	d.nextMatchID = cp.NextMatchID
+	d.nextMcast = cp.NextMcast
+	d.nextSession = cp.NextSession
+	d.snapshots = cloneMap(cp.Snapshots)
+	d.active = cp.Active
+	d.assignPEs = slices.Clone(cp.AssignPEs)
+	d.assigns = slices.Clone(cp.Assigns)
+	d.linkSpecs = slices.Clone(cp.LinkSpecs)
+	d.SW.RestoreDump(&cp.Switch)
 	// The vdev set (and its PIDs) may have changed since the checkpoint;
 	// reconcile the circuit-breaker records with the restored state.
 	d.resyncHealth()

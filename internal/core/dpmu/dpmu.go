@@ -81,7 +81,7 @@ type VDev struct {
 	static     []pentry            // parse/virtnet/csum rows
 	defaults   map[string][]pentry // per-table catch-all rows
 	// defSpecs retains each default as the caller set it (action + args),
-	// control-plane memory like ventry.spec: the equivalence prover rebuilds
+	// control-plane memory like ventry.Spec: the equivalence prover rebuilds
 	// a native twin of the device from specs alone.
 	defSpecs map[string]EntrySpec
 	links    []pentry       // virtual network rows
@@ -91,25 +91,28 @@ type VDev struct {
 // EntryCount returns the number of installed virtual entries.
 func (v *VDev) EntryCount() int { return len(v.entries) }
 
-// ventry is one virtual entry and the persona rows realizing it. spec
+// ventry is one virtual entry and the persona rows realizing it. Spec
 // retains the entry as the caller installed it — control-plane memory only —
 // so the static verifier (internal/core/verify) can re-analyze a device's
 // entry set at the virtual level (shadowing, reachability) without
-// reverse-translating persona rows.
+// reverse-translating persona rows. A ventry is also its own checkpoint
+// form (checkpoint.go): its Rows and Spec are never mutated in place, only
+// replaced, so a copy of the struct is a faithful snapshot.
 type ventry struct {
-	table string
-	rows  []pentry
-	spec  EntrySpec
+	Handle int       `json:"handle"`
+	Table  string    `json:"table"`
+	Rows   []pentry  `json:"rows,omitempty"`
+	Spec   EntrySpec `json:"spec"`
 }
 
-// pentry identifies one persona row. match marks the a_set_match stage-table
+// pentry identifies one persona row. Match marks the a_set_match stage-table
 // row (as opposed to prep rows): its per-entry hit counter is what per-vdev
 // stats attribution sums over, since a packet that matches a virtual entry
 // hits exactly one of its stage rows (the one on its parse path).
 type pentry struct {
-	table  string
-	handle int
-	match  bool
+	Table  string `json:"table"`
+	Handle int    `json:"handle"`
+	Match  bool   `json:"match,omitempty"`
 }
 
 // Assignment binds a physical ingress port (-1 = every port) to a virtual
@@ -230,7 +233,7 @@ func (d *DPMU) Unload(owner, name string) error {
 		return err
 	}
 	for _, e := range v.entries {
-		d.removeRows(e.rows)
+		d.removeRows(e.Rows)
 	}
 	for _, rows := range v.defaults {
 		d.removeRows(rows)
@@ -260,7 +263,7 @@ func (d *DPMU) auth(owner, name string) (*VDev, error) {
 func (d *DPMU) removeRows(rows []pentry) {
 	for _, r := range rows {
 		// Best effort: rows may already be gone during unload cleanup.
-		_ = d.SW.TableDelete(r.table, r.handle)
+		_ = d.SW.TableDelete(r.Table, r.Handle)
 	}
 }
 
@@ -269,6 +272,6 @@ func (d *DPMU) addRow(dst *[]pentry, table, action string, params []sim.MatchPar
 	if err != nil {
 		return fmt.Errorf("dpmu: %s: %w", table, err)
 	}
-	*dst = append(*dst, pentry{table: table, handle: h})
+	*dst = append(*dst, pentry{Table: table, Handle: h})
 	return nil
 }

@@ -19,7 +19,7 @@ var (
 )
 
 // newPersonaDPMU builds a reference persona switch with a DPMU.
-func newPersonaDPMU(t *testing.T) *DPMU {
+func newPersonaDPMU(t testing.TB) *DPMU {
 	t.Helper()
 	p, err := persona.Generate(persona.Reference)
 	if err != nil {

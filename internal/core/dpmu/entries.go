@@ -148,11 +148,11 @@ func (d *DPMU) installStatic(v *VDev) error {
 // arguments lining up with the action's parameters, and a bmv2-style
 // priority (lower wins) for ternary/LPM tables.
 type EntrySpec struct {
-	Table    string
-	Action   string
-	Params   []sim.MatchParam
-	Args     []bitfield.Value
-	Priority int
+	Table    string           `json:"table"`
+	Action   string           `json:"action"`
+	Params   []sim.MatchParam `json:"params,omitempty"`
+	Args     []bitfield.Value `json:"args,omitempty"`
+	Priority int              `json:"priority,omitempty"`
 }
 
 // resolveSpec validates an EntrySpec against a device's compiled program and
@@ -212,13 +212,14 @@ func (d *DPMU) TableAdd(owner, vdev string, spec EntrySpec) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	e := &ventry{table: spec.Table, spec: spec}
-	if err := d.installSpec(v, tbl, ca, spec, &e.rows); err != nil {
+	e := &ventry{Table: spec.Table, Spec: spec}
+	if err := d.installSpec(v, tbl, ca, spec, &e.Rows); err != nil {
 		return 0, err
 	}
 	v.nextHandle++
-	v.entries[v.nextHandle] = e
-	return v.nextHandle, nil
+	e.Handle = v.nextHandle
+	v.entries[e.Handle] = e
+	return e.Handle, nil
 }
 
 // TableDelete removes a virtual entry.
@@ -231,10 +232,10 @@ func (d *DPMU) TableDelete(owner, vdev, table string, handle int) error {
 		return err
 	}
 	e, ok := v.entries[handle]
-	if !ok || e.table != table {
+	if !ok || e.Table != table {
 		return fmt.Errorf("dpmu: device %s table %s has no entry %d: %w", vdev, table, handle, ErrNotFound)
 	}
-	d.removeRows(e.rows)
+	d.removeRows(e.Rows)
 	delete(v.entries, handle)
 	return nil
 }
@@ -253,7 +254,7 @@ func (d *DPMU) TableModify(owner, vdev string, handle int, spec EntrySpec) error
 		return err
 	}
 	e, ok := v.entries[handle]
-	if !ok || e.table != spec.Table {
+	if !ok || e.Table != spec.Table {
 		return fmt.Errorf("dpmu: device %s table %s has no entry %d: %w", vdev, spec.Table, handle, ErrNotFound)
 	}
 	tbl, ca, err := resolveSpec(v, spec)
@@ -264,9 +265,9 @@ func (d *DPMU) TableModify(owner, vdev string, handle int, spec EntrySpec) error
 	if err := d.installSpec(v, tbl, ca, spec, &fresh); err != nil {
 		return err
 	}
-	d.removeRows(e.rows)
-	e.rows = fresh
-	e.spec = spec
+	d.removeRows(e.Rows)
+	e.Rows = fresh
+	e.Spec = spec
 	return nil
 }
 
@@ -380,7 +381,7 @@ func (d *DPMU) installRow(v *VDev, slot *hp4c.Slot, ca *hp4c.CompiledAction, mat
 	if err := d.addRow(rows, stageTable, persona.ActSetMatch, matchParams, setArgs, prio); err != nil {
 		return err
 	}
-	(*rows)[len(*rows)-1].match = true
+	(*rows)[len(*rows)-1].Match = true
 	pid := bitfield.FromUint(persona.ProgramWidth, uint64(v.PID))
 	midVal := bitfield.FromUint(persona.MatchIDWidth, uint64(mid))
 	for p, spec := range ca.Prims {

@@ -599,8 +599,8 @@ func TestFusedRollbackRestoresPlan(t *testing.T) {
 	var dmacHandle int
 	var dmacParams []sim.MatchParam
 	for h, e := range v.entries {
-		if e.table == "dmac" && e.spec.Action == "forward" && e.spec.Args[0].Uint64() == 2 {
-			dmacHandle, dmacParams = h, e.spec.Params
+		if e.Table == "dmac" && e.Spec.Action == "forward" && e.Spec.Args[0].Uint64() == 2 {
+			dmacHandle, dmacParams = h, e.Spec.Params
 		}
 	}
 	if dmacParams == nil {

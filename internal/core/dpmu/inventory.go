@@ -22,7 +22,7 @@ func (d *DPMU) VerifySource() *verify.Source {
 		dev := verify.Device{Name: v.Name, PID: v.PID, Comp: v.Comp}
 		addRows := func(rows []pentry) {
 			for _, r := range rows {
-				dev.Rows = append(dev.Rows, verify.Row{Table: r.table, Handle: r.handle})
+				dev.Rows = append(dev.Rows, verify.Row{Table: r.Table, Handle: r.Handle})
 			}
 		}
 		handles := make([]int, 0, len(v.entries))
@@ -34,13 +34,13 @@ func (d *DPMU) VerifySource() *verify.Source {
 			e := v.entries[h]
 			dev.Entries = append(dev.Entries, verify.Entry{
 				Handle:   h,
-				Table:    e.spec.Table,
-				Action:   e.spec.Action,
-				Params:   e.spec.Params,
-				Args:     e.spec.Args,
-				Priority: e.spec.Priority,
+				Table:    e.Spec.Table,
+				Action:   e.Spec.Action,
+				Params:   e.Spec.Params,
+				Args:     e.Spec.Args,
+				Priority: e.Spec.Priority,
 			})
-			addRows(e.rows)
+			addRows(e.Rows)
 		}
 		addRows(v.static)
 		tables := make([]string, 0, len(v.defaults))
@@ -62,12 +62,12 @@ func (d *DPMU) VerifySource() *verify.Source {
 		sort.Ints(ports)
 		for _, p := range ports {
 			row := v.vnet[p]
-			dev.Rows = append(dev.Rows, verify.Row{Table: row.table, Handle: row.handle})
+			dev.Rows = append(dev.Rows, verify.Row{Table: row.Table, Handle: row.Handle})
 		}
 		src.Devices = append(src.Devices, dev)
 	}
 	for _, l := range d.linkSpecs {
-		src.Links = append(src.Links, verify.Link{FromDev: l.fromDev, FromPort: l.fromPort, ToDev: l.toDev, ToPort: l.toPort})
+		src.Links = append(src.Links, verify.Link{FromDev: l.FromDev, FromPort: l.FromPort, ToDev: l.ToDev, ToPort: l.ToPort})
 	}
 	return src
 }

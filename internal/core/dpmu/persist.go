@@ -1,277 +1,29 @@
 package dpmu
 
 // Serializable control-plane state, for the crash-consistent journal
-// (internal/core/ctl/journal.go). EncodeState flattens exactly what
-// Checkpoint captures — the DPMU's bookkeeping plus a sim.SwitchDump of the
-// persona's table state — into JSON-able mirror structs (bitfield values
-// carry width + raw bytes), and RestoreState rebuilds a Checkpoint from the
-// bytes and rewinds through the existing Rollback machinery, so snapshot
-// restore and batch rollback share one code path. Compiled programs are not
-// serialized: a vdev records its function name and the restorer recompiles
-// through the caller's CompileFunc (the boot environment must offer the
-// same functions and persona config — hp4switch does, deterministically).
+// (internal/core/ctl/journal.go). The serialized form is the Checkpoint
+// itself (checkpoint.go): EncodeState marshals one and RestoreState
+// unmarshals one and rewinds through Rollback, so snapshot restore and batch
+// rollback share one code path. Compiled programs are not serialized: a vdev
+// records its function name and the restorer recompiles through the
+// caller's CompileFunc (the boot environment must offer the same functions
+// and persona config — hp4switch does, deterministically).
 
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
-	"hyper4/internal/bitfield"
 	"hyper4/internal/core/hp4c"
-	"hyper4/internal/p4/ast"
-	"hyper4/internal/sim"
 )
 
 // CompileFunc resolves a function name to its compiled program at restore
 // time.
 type CompileFunc func(function string) (*hp4c.Compiled, error)
 
-// --- JSON mirrors (unexported fields elsewhere force explicit forms) ---
-
-type valueJSON struct {
-	W int    `json:"w"`
-	B []byte `json:"b,omitempty"`
-}
-
-func toValueJSON(v bitfield.Value) valueJSON {
-	return valueJSON{W: v.Width(), B: v.Bytes()}
-}
-
-func (j valueJSON) value() bitfield.Value { return bitfield.FromBytes(j.W, j.B) }
-
-func toValuesJSON(vs []bitfield.Value) []valueJSON {
-	if vs == nil {
-		return nil
-	}
-	out := make([]valueJSON, len(vs))
-	for i, v := range vs {
-		out[i] = toValueJSON(v)
-	}
-	return out
-}
-
-func fromValuesJSON(js []valueJSON) []bitfield.Value {
-	if js == nil {
-		return nil
-	}
-	out := make([]bitfield.Value, len(js))
-	for i, j := range js {
-		out[i] = j.value()
-	}
-	return out
-}
-
-type matchParamJSON struct {
-	Kind      string    `json:"kind"`
-	Value     valueJSON `json:"value"`
-	Mask      valueJSON `json:"mask"`
-	PrefixLen int       `json:"prefix_len,omitempty"`
-	Hi        valueJSON `json:"hi"`
-	ValidWant bool      `json:"valid_want,omitempty"`
-}
-
-func toParamsJSON(ps []sim.MatchParam) []matchParamJSON {
-	if ps == nil {
-		return nil
-	}
-	out := make([]matchParamJSON, len(ps))
-	for i, p := range ps {
-		out[i] = matchParamJSON{
-			Kind:      string(p.Kind),
-			Value:     toValueJSON(p.Value),
-			Mask:      toValueJSON(p.Mask),
-			PrefixLen: p.PrefixLen,
-			Hi:        toValueJSON(p.Hi),
-			ValidWant: p.ValidWant,
-		}
-	}
-	return out
-}
-
-func fromParamsJSON(js []matchParamJSON) []sim.MatchParam {
-	if js == nil {
-		return nil
-	}
-	out := make([]sim.MatchParam, len(js))
-	for i, j := range js {
-		out[i] = sim.MatchParam{
-			Kind:      ast.MatchKind(j.Kind),
-			Value:     j.Value.value(),
-			Mask:      j.Mask.value(),
-			PrefixLen: j.PrefixLen,
-			Hi:        j.Hi.value(),
-			ValidWant: j.ValidWant,
-		}
-	}
-	return out
-}
-
-type entryDumpJSON struct {
-	Handle   int              `json:"handle"`
-	Params   []matchParamJSON `json:"params,omitempty"`
-	Action   string           `json:"action"`
-	Args     []valueJSON      `json:"args,omitempty"`
-	Priority int              `json:"priority,omitempty"`
-	Hits     int64            `json:"hits,omitempty"`
-}
-
-type tableDumpJSON struct {
-	Entries       []entryDumpJSON `json:"entries,omitempty"`
-	NextHandle    int             `json:"next_handle"`
-	DefaultAction string          `json:"default_action,omitempty"`
-	DefaultArgs   []valueJSON     `json:"default_args,omitempty"`
-}
-
-type switchDumpJSON struct {
-	Tables  map[string]tableDumpJSON    `json:"tables"`
-	Mirrors map[int]int                 `json:"mirrors,omitempty"`
-	Meters  map[string][]sim.MeterRates `json:"meters,omitempty"`
-}
-
-func toSwitchJSON(d *sim.SwitchDump) switchDumpJSON {
-	out := switchDumpJSON{
-		Tables:  make(map[string]tableDumpJSON, len(d.Tables)),
-		Mirrors: d.Mirrors,
-		Meters:  d.Meters,
-	}
-	for name, td := range d.Tables {
-		tj := tableDumpJSON{
-			NextHandle:    td.NextHandle,
-			DefaultAction: td.DefaultAction,
-			DefaultArgs:   toValuesJSON(td.DefaultArgs),
-		}
-		for _, e := range td.Entries {
-			tj.Entries = append(tj.Entries, entryDumpJSON{
-				Handle:   e.Handle,
-				Params:   toParamsJSON(e.Params),
-				Action:   e.Action,
-				Args:     toValuesJSON(e.Args),
-				Priority: e.Priority,
-				Hits:     e.Hits,
-			})
-		}
-		out.Tables[name] = tj
-	}
-	return out
-}
-
-func fromSwitchJSON(j switchDumpJSON) *sim.SwitchDump {
-	d := &sim.SwitchDump{
-		Tables:  make(map[string]sim.TableDump, len(j.Tables)),
-		Mirrors: j.Mirrors,
-		Meters:  j.Meters,
-	}
-	if d.Mirrors == nil {
-		d.Mirrors = map[int]int{}
-	}
-	if d.Meters == nil {
-		d.Meters = map[string][]sim.MeterRates{}
-	}
-	for name, tj := range j.Tables {
-		td := sim.TableDump{
-			NextHandle:    tj.NextHandle,
-			DefaultAction: tj.DefaultAction,
-			DefaultArgs:   fromValuesJSON(tj.DefaultArgs),
-		}
-		for _, ej := range tj.Entries {
-			td.Entries = append(td.Entries, sim.EntryDump{
-				Handle:   ej.Handle,
-				Params:   fromParamsJSON(ej.Params),
-				Action:   ej.Action,
-				Args:     fromValuesJSON(ej.Args),
-				Priority: ej.Priority,
-				Hits:     ej.Hits,
-			})
-		}
-		d.Tables[name] = td
-	}
-	return d
-}
-
-type pentryJSON struct {
-	Table  string `json:"table"`
-	Handle int    `json:"handle"`
-	Match  bool   `json:"match,omitempty"`
-}
-
-func toPentriesJSON(rows []pentry) []pentryJSON {
-	if rows == nil {
-		return nil
-	}
-	out := make([]pentryJSON, len(rows))
-	for i, r := range rows {
-		out[i] = pentryJSON{Table: r.table, Handle: r.handle, Match: r.match}
-	}
-	return out
-}
-
-func fromPentriesJSON(js []pentryJSON) []pentry {
-	if js == nil {
-		return nil
-	}
-	out := make([]pentry, len(js))
-	for i, j := range js {
-		out[i] = pentry{table: j.Table, handle: j.Handle, match: j.Match}
-	}
-	return out
-}
-
-type entrySpecJSON struct {
-	Table    string           `json:"table"`
-	Action   string           `json:"action"`
-	Params   []matchParamJSON `json:"params,omitempty"`
-	Args     []valueJSON      `json:"args,omitempty"`
-	Priority int              `json:"priority,omitempty"`
-}
-
-type ventryJSON struct {
-	Handle int           `json:"handle"`
-	Table  string        `json:"table"`
-	Rows   []pentryJSON  `json:"rows,omitempty"`
-	Spec   entrySpecJSON `json:"spec"`
-}
-
-type vdevJSON struct {
-	Name       string                   `json:"name"`
-	PID        int                      `json:"pid"`
-	Owner      string                   `json:"owner,omitempty"`
-	Function   string                   `json:"function"`
-	Quota      int                      `json:"quota,omitempty"`
-	NextHandle int                      `json:"next_handle"`
-	Entries    []ventryJSON             `json:"entries,omitempty"`
-	Static     []pentryJSON             `json:"static,omitempty"`
-	Defaults   map[string][]pentryJSON  `json:"defaults,omitempty"`
-	DefSpecs   map[string]entrySpecJSON `json:"def_specs,omitempty"`
-	Links      []pentryJSON             `json:"links,omitempty"`
-	VNet       map[int]pentryJSON       `json:"vnet,omitempty"`
-}
-
-type linkSpecJSON struct {
-	FromDev  string `json:"from_dev"`
-	FromPort int    `json:"from_port"`
-	ToDev    string `json:"to_dev"`
-	ToPort   int    `json:"to_port"`
-}
-
-// stateJSON is the whole serialized checkpoint.
-type stateJSON struct {
-	NextPID     int                     `json:"next_pid"`
-	NextMatchID int                     `json:"next_match_id"`
-	NextMcast   int                     `json:"next_mcast"`
-	NextSession int                     `json:"next_session"`
-	Active      string                  `json:"active,omitempty"`
-	VDevs       []vdevJSON              `json:"vdevs,omitempty"`
-	Snapshots   map[string][]Assignment `json:"snapshots,omitempty"`
-	Assigns     []Assignment            `json:"assigns,omitempty"`
-	AssignPEs   []pentryJSON            `json:"assign_pes,omitempty"`
-	LinkSpecs   []linkSpecJSON          `json:"link_specs,omitempty"`
-	Switch      switchDumpJSON          `json:"switch"`
-}
-
-// EncodeState serializes the DPMU's full control-plane state — everything
-// Checkpoint captures — for the control-plane journal's snapshots.
+// EncodeState serializes the DPMU's full control-plane state — a Checkpoint
+// — for the control-plane journal's snapshots.
 func (d *DPMU) EncodeState() ([]byte, error) {
-	return json.Marshal(d.buildState())
+	return json.Marshal(d.Checkpoint())
 }
 
 // DumpControl renders the control-plane state as deterministic, indented
@@ -280,100 +32,14 @@ func (d *DPMU) EncodeState() ([]byte, error) {
 // never-crashed twin that applied the same acked batches must render
 // byte-identical dumps even though only one of them carried live traffic.
 func (d *DPMU) DumpControl() (string, error) {
-	st := d.buildState()
-	for name, tj := range st.Switch.Tables {
-		for i := range tj.Entries {
-			tj.Entries[i].Hits = 0
-		}
-		st.Switch.Tables[name] = tj
-	}
-	out, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out), nil
-}
-
-func (d *DPMU) buildState() stateJSON {
 	cp := d.Checkpoint()
-	st := stateJSON{
-		NextPID:     cp.nextPID,
-		NextMatchID: cp.nextMatchID,
-		NextMcast:   cp.nextMcast,
-		NextSession: cp.nextSession,
-		Active:      cp.active,
-		Snapshots:   cp.snapshots,
-		Assigns:     cp.assigns,
-		AssignPEs:   toPentriesJSON(cp.assignPEs),
-		Switch:      toSwitchJSON(cp.sw),
+	for _, td := range cp.Switch.Tables {
+		for i := range td.Entries {
+			td.Entries[i].Hits = 0
+		}
 	}
-	for _, ls := range cp.linkSpecs {
-		st.LinkSpecs = append(st.LinkSpecs, linkSpecJSON{
-			FromDev: ls.fromDev, FromPort: ls.fromPort, ToDev: ls.toDev, ToPort: ls.toPort,
-		})
-	}
-	names := make([]string, 0, len(cp.vdevs))
-	for name := range cp.vdevs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		v := cp.vdevs[name]
-		vj := vdevJSON{
-			Name:       v.Name,
-			PID:        v.PID,
-			Owner:      v.Owner,
-			Function:   v.Comp.Name,
-			Quota:      v.Quota,
-			NextHandle: v.nextHandle,
-			Static:     toPentriesJSON(v.static),
-			Links:      toPentriesJSON(v.links),
-		}
-		if len(v.defaults) > 0 {
-			vj.Defaults = make(map[string][]pentryJSON, len(v.defaults))
-			for t, rows := range v.defaults {
-				vj.Defaults[t] = toPentriesJSON(rows)
-			}
-		}
-		if len(v.defSpecs) > 0 {
-			vj.DefSpecs = make(map[string]entrySpecJSON, len(v.defSpecs))
-			for t, spec := range v.defSpecs {
-				vj.DefSpecs[t] = entrySpecJSON{
-					Table:  spec.Table,
-					Action: spec.Action,
-					Args:   toValuesJSON(spec.Args),
-				}
-			}
-		}
-		if len(v.vnet) > 0 {
-			vj.VNet = make(map[int]pentryJSON, len(v.vnet))
-			for p, row := range v.vnet {
-				vj.VNet[p] = pentryJSON{Table: row.table, Handle: row.handle, Match: row.match}
-			}
-		}
-		handles := make([]int, 0, len(v.entries))
-		for h := range v.entries {
-			handles = append(handles, h)
-		}
-		sort.Ints(handles)
-		for _, h := range handles {
-			e := v.entries[h]
-			vj.Entries = append(vj.Entries, ventryJSON{
-				Handle: h,
-				Table:  e.table,
-				Rows:   toPentriesJSON(e.rows),
-				Spec: entrySpecJSON{
-					Table:    e.spec.Table,
-					Action:   e.spec.Action,
-					Params:   toParamsJSON(e.spec.Params),
-					Args:     toValuesJSON(e.spec.Args),
-					Priority: e.spec.Priority,
-				},
-			})
-		}
-		st.VDevs = append(st.VDevs, vj)
-	}
-	return st
+	out, err := json.MarshalIndent(cp, "", "  ")
+	return string(out), err
 }
 
 // RestoreState rewinds the DPMU to a state EncodeState captured, through the
@@ -383,75 +49,20 @@ func (d *DPMU) buildState() stateJSON {
 // Compiled programs are re-resolved by function name through compile; the
 // persona program must already be loaded into the switch (the normal boot
 // sequence) and the persona config must match the one the snapshot was
-// taken under.
+// taken under. A state that does not decode leaves the DPMU untouched.
 func (d *DPMU) RestoreState(data []byte, compile CompileFunc) error {
-	var st stateJSON
-	if err := json.Unmarshal(data, &st); err != nil {
+	var cp Checkpoint
+	if err := json.Unmarshal(data, &cp); err != nil {
 		return fmt.Errorf("dpmu: decode state: %w", err)
 	}
-	cp := &Checkpoint{
-		vdevs:       make(map[string]*VDev, len(st.VDevs)),
-		nextPID:     st.NextPID,
-		nextMatchID: st.NextMatchID,
-		nextMcast:   st.NextMcast,
-		nextSession: st.NextSession,
-		snapshots:   st.Snapshots,
-		active:      st.Active,
-		assignPEs:   fromPentriesJSON(st.AssignPEs),
-		assigns:     st.Assigns,
-		sw:          fromSwitchJSON(st.Switch),
-	}
-	if cp.snapshots == nil {
-		cp.snapshots = map[string][]Assignment{}
-	}
-	for _, ls := range st.LinkSpecs {
-		cp.linkSpecs = append(cp.linkSpecs, linkSpec{
-			fromDev: ls.FromDev, fromPort: ls.FromPort, toDev: ls.ToDev, toPort: ls.ToPort,
-		})
-	}
-	for _, vj := range st.VDevs {
-		comp, err := compile(vj.Function)
+	for i := range cp.VDevs {
+		v := &cp.VDevs[i]
+		comp, err := compile(v.Function)
 		if err != nil {
-			return fmt.Errorf("dpmu: restore %q: recompile %q: %w", vj.Name, vj.Function, err)
+			return fmt.Errorf("dpmu: restore %q: recompile %q: %w", v.Name, v.Function, err)
 		}
-		v := &VDev{
-			Name:       vj.Name,
-			PID:        vj.PID,
-			Owner:      vj.Owner,
-			Comp:       comp,
-			Quota:      vj.Quota,
-			entries:    make(map[int]*ventry, len(vj.Entries)),
-			nextHandle: vj.NextHandle,
-			static:     fromPentriesJSON(vj.Static),
-			defaults:   make(map[string][]pentry, len(vj.Defaults)),
-			defSpecs:   make(map[string]EntrySpec, len(vj.DefSpecs)),
-			links:      fromPentriesJSON(vj.Links),
-			vnet:       make(map[int]pentry, len(vj.VNet)),
-		}
-		for t, rows := range vj.Defaults {
-			v.defaults[t] = fromPentriesJSON(rows)
-		}
-		for t, sj := range vj.DefSpecs {
-			v.defSpecs[t] = EntrySpec{Table: sj.Table, Action: sj.Action, Args: fromValuesJSON(sj.Args)}
-		}
-		for p, row := range vj.VNet {
-			v.vnet[p] = pentry{table: row.Table, handle: row.Handle, match: row.Match}
-		}
-		for _, ej := range vj.Entries {
-			v.entries[ej.Handle] = &ventry{
-				table: ej.Table,
-				rows:  fromPentriesJSON(ej.Rows),
-				spec: EntrySpec{
-					Table:    ej.Spec.Table,
-					Action:   ej.Spec.Action,
-					Params:   fromParamsJSON(ej.Spec.Params),
-					Args:     fromValuesJSON(ej.Spec.Args),
-					Priority: ej.Spec.Priority,
-				},
-			}
-		}
-		cp.vdevs[vj.Name] = v
+		v.Comp = comp
 	}
-	d.Rollback(cp)
+	d.Rollback(&cp)
 	return nil
 }

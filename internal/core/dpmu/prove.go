@@ -47,7 +47,7 @@ func (d *DPMU) Prove(owner, vdev string, opts prove.Options) (*prove.Result, err
 	sort.Ints(handles)
 	specs := make([]EntrySpec, 0, len(handles))
 	for _, h := range handles {
-		specs = append(specs, v.entries[h].spec)
+		specs = append(specs, v.entries[h].Spec)
 	}
 	defTables := make([]string, 0, len(v.defSpecs))
 	for t := range v.defSpecs {
@@ -119,7 +119,7 @@ func (d *DPMU) identityHarnessLocked(v *VDev) bool {
 		if !ok {
 			return false
 		}
-		e := byHandle[row.handle]
+		e := byHandle[row.Handle]
 		if e == nil || e.Action != persona.ActPhysFwd || len(e.Args) != 1 || e.Args[0].Uint64() != uint64(vp) {
 			return false
 		}

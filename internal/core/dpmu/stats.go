@@ -40,10 +40,10 @@ type VDevStats struct {
 func (d *DPMU) matchRowHits(rows []pentry) int64 {
 	var n int64
 	for _, r := range rows {
-		if !r.match {
+		if !r.Match {
 			continue
 		}
-		if hits, err := d.SW.EntryHits(r.table, r.handle); err == nil {
+		if hits, err := d.SW.EntryHits(r.Table, r.Handle); err == nil {
 			n += hits
 		}
 	}
@@ -61,13 +61,13 @@ func (d *DPMU) statsFor(v *VDev) VDevStats {
 		byTable[table] = &VTableStats{Table: table}
 	}
 	for _, e := range v.entries {
-		ts, ok := byTable[e.table]
+		ts, ok := byTable[e.Table]
 		if !ok { // defensive: entry for a table no longer in Slots
-			ts = &VTableStats{Table: e.table}
-			byTable[e.table] = ts
+			ts = &VTableStats{Table: e.Table}
+			byTable[e.Table] = ts
 		}
 		ts.Entries++
-		ts.Hits += d.matchRowHits(e.rows)
+		ts.Hits += d.matchRowHits(e.Rows)
 	}
 	for table, rows := range v.defaults {
 		ts, ok := byTable[table]

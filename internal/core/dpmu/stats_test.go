@@ -153,7 +153,7 @@ func TestVDevStatsModifyAndDelete(t *testing.T) {
 func vdevEntries(d *DPMU, name string) map[int]string {
 	out := map[int]string{}
 	for h, e := range d.vdevs[name].entries {
-		out[h] = e.table
+		out[h] = e.Table
 	}
 	return out
 }

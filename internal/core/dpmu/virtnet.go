@@ -42,7 +42,7 @@ func (d *DPMU) assignPort(owner string, a Assignment) error {
 	if err != nil {
 		return fmt.Errorf("dpmu: assign: %w", err)
 	}
-	d.assignPEs = append(d.assignPEs, pentry{table: persona.TblAssign, handle: h})
+	d.assignPEs = append(d.assignPEs, pentry{Table: persona.TblAssign, Handle: h})
 	d.assigns = append(d.assigns, a)
 	return nil
 }
@@ -97,7 +97,7 @@ func (d *DPMU) unmapVPort(v *VDev, vport int) {
 		return
 	}
 	delete(v.vnet, vport)
-	_ = d.SW.TableDelete(row.table, row.handle)
+	_ = d.SW.TableDelete(row.Table, row.Handle)
 	for i := range v.links {
 		if v.links[i] == row {
 			v.links = append(v.links[:i], v.links[i+1:]...)
@@ -158,7 +158,7 @@ func (d *DPMU) linkVPorts(owner, fromDev string, fromPort int, toDev string, toP
 		return err
 	}
 	from.vnet[fromPort] = from.links[len(from.links)-1]
-	d.setLinkSpec(linkSpec{fromDev: fromDev, fromPort: fromPort, toDev: toDev, toPort: toPort})
+	d.setLinkSpec(linkSpec{FromDev: fromDev, FromPort: fromPort, ToDev: toDev, ToPort: toPort})
 	return nil
 }
 

@@ -7,26 +7,29 @@ import "hyper4/internal/bitfield"
 // changes. A SwitchDump is the unit of the control-plane API's atomicity
 // protocol (internal/core/ctl): a batch checkpoint takes a Dump, a failed
 // batch rolls back with RestoreDump, and the rollback tests diff two Dumps
-// to prove the switch is bit-identical to its pre-batch state.
+// to prove the switch is bit-identical to its pre-batch state. The JSON
+// tags are part of the control-plane journal's snapshot format (a
+// dpmu.Checkpoint embeds a SwitchDump); renaming one breaks snapshots
+// already on disk.
 
 // EntryDump is one installed entry as captured by Dump. Params and Args are
 // shared with the live entry (both are immutable after install).
 type EntryDump struct {
-	Handle   int
-	Params   []MatchParam
-	Action   string
-	Args     []bitfield.Value
-	Priority int
-	Hits     int64
+	Handle   int              `json:"handle"`
+	Params   []MatchParam     `json:"params,omitempty"`
+	Action   string           `json:"action"`
+	Args     []bitfield.Value `json:"args,omitempty"`
+	Priority int              `json:"priority,omitempty"`
+	Hits     int64            `json:"hits,omitempty"`
 }
 
 // TableDump is one table's control-plane state.
 type TableDump struct {
 	// Entries are in match-precedence order, as the table stores them.
-	Entries       []EntryDump
-	NextHandle    int
-	DefaultAction string
-	DefaultArgs   []bitfield.Value
+	Entries       []EntryDump      `json:"entries,omitempty"`
+	NextHandle    int              `json:"next_handle"`
+	DefaultAction string           `json:"default_action,omitempty"`
+	DefaultArgs   []bitfield.Value `json:"default_args,omitempty"`
 }
 
 // MeterRates is the configured thresholds of one meter cell (usage within
@@ -40,9 +43,9 @@ type MeterRates struct {
 // entries and default action, the clone-session mirror map, and meter
 // thresholds. Registers and counters are traffic state and are excluded.
 type SwitchDump struct {
-	Tables  map[string]TableDump
-	Mirrors map[int]int
-	Meters  map[string][]MeterRates
+	Tables  map[string]TableDump    `json:"tables"`
+	Mirrors map[int]int             `json:"mirrors,omitempty"`
+	Meters  map[string][]MeterRates `json:"meters,omitempty"`
 }
 
 // Dump captures the switch's control-plane state. The result is safe to hold

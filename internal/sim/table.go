@@ -11,12 +11,12 @@ import (
 
 // MatchParam is one match key component of a table entry.
 type MatchParam struct {
-	Kind      ast.MatchKind
-	Value     bitfield.Value
-	Mask      bitfield.Value // ternary
-	PrefixLen int            // lpm
-	Hi        bitfield.Value // range upper bound (Value is the lower)
-	ValidWant bool           // valid matches
+	Kind      ast.MatchKind  `json:"kind"`
+	Value     bitfield.Value `json:"value"`
+	Mask      bitfield.Value `json:"mask"`                 // ternary
+	PrefixLen int            `json:"prefix_len,omitempty"` // lpm
+	Hi        bitfield.Value `json:"hi"`                   // range upper bound (Value is the lower)
+	ValidWant bool           `json:"valid_want,omitempty"` // valid matches
 }
 
 // Entry is one installed table entry.
