@@ -29,11 +29,12 @@ lookup-race:
 # entry hit and vdev counter, and plan invalidation must stay safe while
 # racing live traffic (DESIGN.md §13). The fuse package's own TestFused*
 # cases hold the mask-grouped lookup to a first-match scan and its probe
-# count flat as tables grow; one pass of BenchmarkFusedLookup keeps the
-# benchmark compiling and running.
+# count flat as tables grow; TestFusedOutputsOwnTheirBytes holds outputs
+# clear of the pooled link-hop buffers. One pass each of BenchmarkFusedLookup
+# and BenchmarkRunFastComposed keeps the benchmarks compiling and running.
 fuse-diff:
 	$(GO) test -race -run 'TestFused' ./internal/core/dpmu/ ./internal/core/fuse/
-	$(GO) test -run '^$$' -bench BenchmarkFusedLookup -benchtime 1x ./internal/core/fuse/
+	$(GO) test -run '^$$' -bench 'BenchmarkFusedLookup|BenchmarkRunFastComposed' -benchtime 1x ./internal/core/fuse/
 
 # The end-to-end fault-containment scenario, explicitly under the race
 # detector (concurrent traffic, probes, and management ops on one switch).
@@ -67,16 +68,18 @@ chaos-smoke:
 # rejection is an ErrUnknown / INVALID_ARGUMENT structured error), over
 # the persona-row decoder (no panics, and every prep row it accepts
 # re-encodes to the same args), over the P4 front end (no panics, and
-# every program it accepts prints to a print/parse fixpoint), and over the
+# every program it accepts prints to a print/parse fixpoint), over the
 # journal's snapshot decoder (no panics, and every state it accepts
-# re-encodes to a fixpoint). Seeded with a 170 KB snapshot, the last one
-# bounds minimization: at the default 60 s per new input it would spend the
-# whole run minimizing.
+# re-encodes to a fixpoint), and over the word-wide bit operations (each
+# agrees with a bit-at-a-time Bit/SetBit reference). Seeded with a 170 KB
+# snapshot, the snapshot run bounds minimization: at the default 60 s per
+# new input it would spend the whole run minimizing.
 fuzz-smoke:
 	$(GO) test -run FuzzParseLine -fuzz FuzzParseLine -fuzztime 10s ./internal/core/ctl/
 	$(GO) test -run FuzzDecodeRow -fuzz FuzzDecodeRow -fuzztime 10s ./internal/core/persona/rows/
 	$(GO) test -run FuzzParseP4 -fuzz FuzzParseP4 -fuzztime 10s ./internal/p4/parser/
 	$(GO) test -run FuzzRestoreState -fuzz FuzzRestoreState -fuzztime 10s -fuzzminimizetime 50x ./internal/core/dpmu/
+	$(GO) test -run FuzzBitOps -fuzz FuzzBitOps -fuzztime 10s ./internal/bitfield/
 
 # API smoke: boot the switch with the management API, configure a virtual
 # device remotely via hp4ctl — the whole setup as ONE atomic batch — then

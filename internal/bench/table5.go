@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 )
 
@@ -34,7 +35,8 @@ type Table5Row struct {
 	NativeLat, NativeLatSD time.Duration
 	HP4Lat, HP4LatSD       time.Duration
 
-	// Derived comparisons against the paper's shape.
+	// Derived comparisons against the paper's shape, from each mode's
+	// median over the runs.
 	BandwidthPenalty float64 // 1 - hp4/native (paper: 0.83–0.89)
 	LatencyRatio     float64 // hp4/native (paper: 3.4–4.7)
 
@@ -50,17 +52,21 @@ var paperTable5 = map[string][2]float64{
 }
 
 // Table5 runs the bandwidth and latency measurements for every scenario.
+// Each run measures both modes back to back, so host drift between runs
+// lands on native and HyPer4 alike, and the derived comparisons divide the
+// modes' medians over the runs, so one preempted run cannot swing them.
 func Table5(opts Table5Opts) ([]Table5Row, error) {
 	if opts.Runs < 1 {
 		opts = DefaultTable5Opts
 	}
+	modes := []Mode{Native, HyPer4}
 	var rows []Table5Row
 	for _, sc := range Scenarios() {
 		row := Table5Row{Scenario: sc,
 			PaperPenalty: paperTable5[sc][0], PaperLatency: paperTable5[sc][1]}
-		for _, mode := range []Mode{Native, HyPer4} {
-			var mbps, lat []float64
-			for run := 0; run < opts.Runs; run++ {
+		mbps, lat := make([][]float64, len(modes)), make([][]float64, len(modes))
+		for run := 0; run < opts.Runs; run++ {
+			for i, mode := range modes {
 				n, err := BuildNet(sc, mode)
 				if err != nil {
 					return nil, fmt.Errorf("table5 %s %s: %w", sc, mode, err)
@@ -77,28 +83,41 @@ func Table5(opts Table5Opts) ([]Table5Row, error) {
 				if err != nil {
 					return nil, fmt.Errorf("table5 %s %s ping: %w", sc, mode, err)
 				}
-				mbps = append(mbps, ir.Mbps())
-				lat = append(lat, float64(pr.PerPing()))
-			}
-			mM, mSD := meanSD(mbps)
-			lM, lSD := meanSD(lat)
-			if mode == Native {
-				row.NativeMbps, row.NativeMbpsSD = mM, mSD
-				row.NativeLat, row.NativeLatSD = time.Duration(lM), time.Duration(lSD)
-			} else {
-				row.HP4Mbps, row.HP4MbpsSD = mM, mSD
-				row.HP4Lat, row.HP4LatSD = time.Duration(lM), time.Duration(lSD)
+				mbps[i] = append(mbps[i], ir.Mbps())
+				lat[i] = append(lat[i], float64(pr.PerPing()))
 			}
 		}
-		if row.NativeMbps > 0 {
-			row.BandwidthPenalty = 1 - row.HP4Mbps/row.NativeMbps
+		mM, mSD := meanSD(mbps[0])
+		lM, lSD := meanSD(lat[0])
+		row.NativeMbps, row.NativeMbpsSD = mM, mSD
+		row.NativeLat, row.NativeLatSD = time.Duration(lM), time.Duration(lSD)
+		mM, mSD = meanSD(mbps[1])
+		lM, lSD = meanSD(lat[1])
+		row.HP4Mbps, row.HP4MbpsSD = mM, mSD
+		row.HP4Lat, row.HP4LatSD = time.Duration(lM), time.Duration(lSD)
+		if m := median(mbps[0]); m > 0 {
+			row.BandwidthPenalty = 1 - median(mbps[1])/m
 		}
-		if row.NativeLat > 0 {
-			row.LatencyRatio = float64(row.HP4Lat) / float64(row.NativeLat)
+		if m := median(lat[0]); m > 0 {
+			row.LatencyRatio = median(lat[1]) / m
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// median returns the middle of xs (the mean of the middle two for an even
+// count); xs is sorted in place.
+func median(xs []float64) float64 {
+	n := len(xs)
+	if n == 0 {
+		return 0
+	}
+	sort.Float64s(xs)
+	if n%2 == 0 {
+		return (xs[n/2-1] + xs[n/2]) / 2
+	}
+	return xs[n/2]
 }
 
 func meanSD(xs []float64) (mean, sd float64) {

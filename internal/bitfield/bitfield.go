@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/big"
+	"slices"
 	"strings"
 )
 
@@ -243,45 +244,75 @@ func (v *Value) Insert(start int, src Value) {
 }
 
 // copyBits copies n bits from src starting at absolute bit so into dst
-// starting at absolute bit do (bit 0 = MSB of the first byte). It handles
-// arbitrary misalignment, with a byte-at-a-time fast path once the
-// destination is byte-aligned.
+// starting at absolute bit do (bit 0 = MSB of the first byte). The bits
+// before dst's first byte boundary and after its last go through one masked
+// word read and write each (getBits/putBits); the whole bytes between move
+// with the built-in copy when src is byte-aligned there too, and one
+// shifted byte at a time otherwise. Bits of dst outside [do, do+n) are left
+// as they were.
 func copyBits(dst []byte, do int, src []byte, so, n int) {
-	// Leading bits until the destination is byte-aligned.
-	for n > 0 && do%8 != 0 {
-		copyBit(dst, do, src, so)
-		do++
-		so++
-		n--
+	if lead := min(n, (8-do%8)%8); lead > 0 {
+		putBits(dst, do, lead, getBits(src, so, lead))
+		do += lead
+		so += lead
+		n -= lead
 	}
-	k := uint(so % 8)
-	di, si := do/8, so/8
-	for n >= 8 {
-		b := src[si] << k
-		if k > 0 {
-			b |= src[si+1] >> (8 - k)
+	di, si, whole := do/8, so/8, n/8
+	if k := uint(so % 8); k == 0 {
+		copy(dst[di:di+whole], src[si:si+whole])
+	} else {
+		for i := 0; i < whole; i++ {
+			dst[di+i] = src[si+i]<<k | src[si+i+1]>>(8-k)
 		}
-		dst[di] = b
-		di++
-		si++
-		do += 8
-		so += 8
-		n -= 8
 	}
-	for ; n > 0; n-- {
-		copyBit(dst, do, src, so)
-		do++
-		so++
+	if tail := n % 8; tail > 0 {
+		putBits(dst, do+8*whole, tail, getBits(src, so+8*whole, tail))
 	}
 }
 
-func copyBit(dst []byte, do int, src []byte, so int) {
-	bit := (src[so/8] >> (7 - so%8)) & 1
-	mask := byte(1) << (7 - do%8)
-	if bit == 1 {
-		dst[do/8] |= mask
+// getBits reads the n <= 64 bits of b at absolute bits [off, off+n) as an
+// unsigned integer: the bytes they span — at most 9 — are accumulated whole,
+// then shifted and masked.
+func getBits(b []byte, off, n int) uint64 {
+	if n == 0 {
+		return 0
+	}
+	end := off + n
+	first, last := off/8, (end-1)/8
+	trail := uint(8*last + 8 - end) // bits of the last byte past the field
+	var x uint64
+	for _, c := range b[first+1 : last+1] {
+		x = x<<8 | uint64(c)
+	}
+	if last-first < 8 {
+		x = (uint64(b[first])<<(8*uint(last-first)) | x) >> trail
 	} else {
-		dst[do/8] &^= mask
+		// Nine bytes: the first byte's bits go above the other eight's 64.
+		// A field of at most 64 bits spanning 72 leaves trail >= 1, so the
+		// shift stays below 64.
+		x = x>>trail | uint64(b[first])<<(64-trail)
+	}
+	return x & (^uint64(0) >> (64 - uint(n)))
+}
+
+// putBits writes the low n <= 64 bits of x into absolute bits [off, off+n)
+// of b with one masked read-modify-write per byte, last byte first.
+func putBits(b []byte, off, n int, x uint64) {
+	if n == 0 {
+		return
+	}
+	end := off + n
+	first, last := off/8, (end-1)/8
+	m := ^uint64(0) >> (64 - uint(n))
+	sh := uint(8*last + 8 - end)
+	mk := byte(m << sh)
+	b[last] = b[last]&^mk | byte(x<<sh)&mk
+	x >>= 8 - sh
+	m >>= 8 - sh
+	for i := last - 1; i >= first; i-- {
+		b[i] = b[i]&^byte(m) | byte(x)&byte(m)
+		x >>= 8
+		m >>= 8
 	}
 }
 
@@ -351,9 +382,7 @@ func (v *Value) SetPrefixBytes(data []byte) {
 		panic(fmt.Sprintf("bitfield: SetPrefixBytes %d bytes into width %d", len(data), v.width))
 	}
 	n := copy(v.b, data)
-	for i := n; i < len(v.b); i++ {
-		v.b[i] = 0
-	}
+	clear(v.b[n:])
 }
 
 // SetUint overwrites v in place from an unsigned integer.
@@ -371,15 +400,10 @@ func (v *Value) InsertUint(start, width int, x uint64) {
 	if width > 64 {
 		panic("bitfield: InsertUint width > 64")
 	}
-	if start < 0 || start+width > v.width {
+	if start < 0 || width < 0 || start+width > v.width {
 		panic(fmt.Sprintf("bitfield: insert [%d,%d) out of range for width %d", start, start+width, v.width))
 	}
-	var buf [8]byte
-	for i := 7; i >= 0; i-- {
-		buf[i] = byte(x)
-		x >>= 8
-	}
-	copyBits(v.b, v.padBits()+start, buf[:], 64-width, width)
+	putBits(v.b, v.padBits()+start, width, x)
 }
 
 // UintAt reads bits [start, start+width) of v as an unsigned integer without
@@ -391,12 +415,7 @@ func (v Value) UintAt(start, width int) uint64 {
 	if start < 0 || width < 0 || start+width > v.width {
 		panic(fmt.Sprintf("bitfield: slice [%d,%d) out of range for width %d", start, start+width, v.width))
 	}
-	var x uint64
-	off := v.padBits() + start
-	for i := 0; i < width; i++ {
-		x = x<<1 | uint64((v.b[(off+i)/8]>>(7-(off+i)%8))&1)
-	}
-	return x
+	return getBits(v.b, v.padBits()+start, width)
 }
 
 // SliceInto extracts bits [start, start+width) of v into dst, reusing dst's
@@ -410,9 +429,7 @@ func (v Value) SliceInto(dst *Value, start, width int) {
 		dst.b = make([]byte, n)
 	} else {
 		dst.b = dst.b[:n]
-		for i := range dst.b {
-			dst.b[i] = 0
-		}
+		clear(dst.b)
 	}
 	dst.width = width
 	copyBits(dst.b, dst.padBits(), v.b, v.padBits()+start, width)
@@ -436,9 +453,8 @@ func (v Value) AppendSliceTo(dst []byte, start, width int) []byte {
 	}
 	n := bytesFor(width)
 	base := len(dst)
-	for i := 0; i < n; i++ {
-		dst = append(dst, 0)
-	}
+	dst = slices.Grow(dst, n)[:base+n]
+	clear(dst[base:])
 	copyBits(dst[base:], n*8-width, v.b, v.padBits()+start, width)
 	return dst
 }

@@ -15,7 +15,7 @@ import (
 	"hyper4/internal/sim"
 )
 
-func newDPMU(t *testing.T) *dpmu.DPMU {
+func newDPMU(t testing.TB) *dpmu.DPMU {
 	t.Helper()
 	p, err := persona.Generate(persona.Reference)
 	if err != nil {

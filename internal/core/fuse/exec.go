@@ -49,8 +49,10 @@ type walkJob struct {
 
 // execState is the pooled per-packet scratch: the extracted-data and
 // emulated-metadata wide fields, a staging buffer for overlapping copies,
-// and the segment/journal/job storage the run phase fills and the commit
-// phase replays. Only output buffers escape the packet.
+// the segment/journal/job storage the run phase fills and the commit phase
+// replays, and the link-hop buffers recirculating walks deparse into. Only
+// the bytes of outputs on physical ports escape the packet; they alone are
+// freshly allocated.
 type execState struct {
 	ext  bitfield.Value
 	meta bitfield.Value
@@ -61,6 +63,13 @@ type execState struct {
 	jr    []*sim.Entry // hit journal; segments hold [lo,hi) ranges into it
 	jobs  []walkJob
 	queue []int // commit-phase BFS queue
+
+	// bufs[:nbufs] hold this packet's link-hop bytes, one buffer per walk
+	// that recirculated (a multicast route's leaves share theirs). A buffer
+	// is only read after it is written, by the walks it feeds, so stale
+	// bytes of earlier packets left in bufs are never observed.
+	bufs  [][]byte
+	nbufs int
 }
 
 func newExecState(ew int) *execState {
@@ -74,7 +83,9 @@ func newExecState(ew int) *execState {
 
 // release drops every pointer the packet accumulated — journaled *sim.Entry
 // hits, segment entries, output and job buffers — so pooled state cannot
-// retain deleted entries or packet data across packets.
+// retain deleted entries, outputs or the caller's frame across packets. The
+// link-hop buffers are kept for the next packet, earlier packets' bytes and
+// all: they hold no pointers and are private to the engine.
 func (st *execState) release() {
 	for i := range st.jr {
 		st.jr[i] = nil
@@ -89,6 +100,7 @@ func (st *execState) release() {
 	}
 	st.jobs = st.jobs[:0]
 	st.queue = st.queue[:0]
+	st.nbufs = 0
 }
 
 // RunFast implements sim.FastHandler: it either fully processes the packet
@@ -290,7 +302,7 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 		st.segs[finIdx].hi = len(st.jr)
 		return true
 	case rows.RoutePhys:
-		buf, ok := eng.egress(st, p, fin, job.data, parsed, consumed)
+		buf, ok := eng.egress(st, p, fin, job.data, parsed, consumed, false)
 		if !ok {
 			return false
 		}
@@ -307,7 +319,7 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 		if vr.target == nil {
 			return false
 		}
-		buf, ok := eng.egress(st, p, fin, job.data, parsed, consumed)
+		buf, ok := eng.egress(st, p, fin, job.data, parsed, consumed, true)
 		if !ok {
 			return false
 		}
@@ -331,7 +343,7 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 				return false
 			}
 		}
-		buf, ok := eng.egress(st, p, fin, job.data, parsed, consumed)
+		buf, ok := eng.egress(st, p, fin, job.data, parsed, consumed, true)
 		if !ok {
 			return false
 		}
@@ -371,8 +383,11 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 
 // egress journals the egress-side hits of a walk's final pass — checksum
 // (when the parse row armed it), resize, writeback — and returns the
-// deparsed bytes, declining when a required row is missing.
-func (eng *Engine) egress(st *execState, p *plan, fin *rows.ParseRow, data []byte, parsed, consumed int) ([]byte, bool) {
+// deparsed bytes, declining when a required row is missing. A recirculating
+// walk (hop) deparses into the next pooled link-hop buffer; bytes leaving on
+// a physical port get a fresh allocation, because they escape as a
+// sim.Output.
+func (eng *Engine) egress(st *execState, p *plan, fin *rows.ParseRow, data []byte, parsed, consumed int, hop bool) ([]byte, bool) {
 	if fin.Csum && p.csum != nil {
 		st.fixCsum(p.csum)
 		st.jr = append(st.jr, p.csum.Entry)
@@ -382,10 +397,30 @@ func (eng *Engine) egress(st *execState, p *plan, fin *rows.ParseRow, data []byt
 		return nil, false
 	}
 	st.jr = append(st.jr, re, wb)
-	buf := make([]byte, 0, parsed+len(data)-consumed)
+	n := parsed + len(data) - consumed
+	var buf []byte
+	if hop {
+		buf = st.hopBuf(n)
+	} else {
+		buf = make([]byte, 0, n)
+	}
 	buf = st.ext.AppendSliceTo(buf, 0, parsed*8)
 	buf = append(buf, data[consumed:]...)
 	return buf, true
+}
+
+// hopBuf returns the packet's next link-hop buffer, empty with room for n
+// bytes, growing the pooled buffer when an earlier packet's was smaller.
+func (st *execState) hopBuf(n int) []byte {
+	if st.nbufs == len(st.bufs) {
+		st.bufs = append(st.bufs, nil)
+	}
+	b := &st.bufs[st.nbufs]
+	st.nbufs++
+	if cap(*b) < n {
+		*b = make([]byte, 0, n)
+	}
+	return (*b)[:0]
 }
 
 // commit replays the segment tree in the interpreter's BFS pass order,

@@ -17,7 +17,10 @@
 // straight into the target vdev's plan (a fresh parse loop and stage walk
 // on the deparsed bytes, exactly as the interpreter's recirculation would),
 // and an a_mcast_start route expands into its precomputed clone sequence,
-// one chained walk per leaf. Chain depth is bounded at build time against
+// one chained walk per leaf. The deparsed bytes a walk hands across a link
+// live in pooled per-packet scratch (execState.bufs) that later packets
+// overwrite; only bytes leaving on a physical port are allocated, and
+// they alone become outputs. Chain depth is bounded at build time against
 // sim.MaxPasses — a chain the interpreter would fault on refuses to fuse,
 // so the fault still fires.
 //
