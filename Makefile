@@ -16,20 +16,24 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The fast-path-vs-linear-scan differential property test, explicitly under
-# the race detector (it hammers lookup concurrently-exercised structures).
-# One pass of BenchmarkProcessNative keeps the interpreter's benchmark
-# compiling and running.
+# The interpreter's lookup differential property test, explicitly under the
+# race detector: the shared mask-grouped index (internal/tuple) against a
+# linear scan of the precedence-ordered entries, over exact, LPM, ternary
+# and mixed exact+ternary+LPM+valid tables through adds, deletes, modifies,
+# clears and dump/restore round trips. One pass each of
+# BenchmarkProcessNative and BenchmarkTableLookup keeps the interpreter's
+# benchmarks compiling and running.
 lookup-race:
 	$(GO) test -race -run TestLookupDifferential ./internal/sim/
-	$(GO) test -run '^$$' -bench BenchmarkProcessNative -benchtime 1x ./internal/sim/
+	$(GO) test -run '^$$' -bench 'BenchmarkProcessNative|BenchmarkTableLookup' -benchtime 1x ./internal/sim/
 
 # The fused-fast-path differential harness, explicitly under the race
 # detector: fused vs interpreted runs must agree on every output byte, every
 # entry hit and vdev counter, and plan invalidation must stay safe while
 # racing live traffic (DESIGN.md §13). The fuse package's own TestFused*
-# cases hold the mask-grouped lookup to a first-match scan and its probe
-# count flat as tables grow; TestFusedOutputsOwnTheirBytes holds outputs
+# cases hold its lookups through the shared mask-grouped index
+# (internal/tuple) to a first-match scan and their probe count flat as
+# tables grow; TestFusedOutputsOwnTheirBytes holds outputs
 # clear of the pooled link-hop buffers. One pass each of BenchmarkFusedLookup
 # and BenchmarkRunFastComposed keeps the benchmarks compiling and running.
 fuse-diff:
@@ -70,16 +74,19 @@ chaos-smoke:
 # re-encodes to the same args), over the P4 front end (no panics, and
 # every program it accepts prints to a print/parse fixpoint), over the
 # journal's snapshot decoder (no panics, and every state it accepts
-# re-encodes to a fixpoint), and over the word-wide bit operations (each
-# agrees with a bit-at-a-time Bit/SetBit reference). Seeded with a 170 KB
-# snapshot, the snapshot run bounds minimization: at the default 60 s per
-# new input it would spend the whole run minimizing.
+# re-encodes to a fixpoint), over the word-wide bit operations (each
+# agrees with a bit-at-a-time Bit/SetBit reference), and over the shared
+# first-match index (every lookup through random insert/delete sequences
+# agrees with a first-match scan). Seeded with a 170 KB snapshot, the
+# snapshot run bounds minimization: at the default 60 s per new input it
+# would spend the whole run minimizing.
 fuzz-smoke:
 	$(GO) test -run FuzzParseLine -fuzz FuzzParseLine -fuzztime 10s ./internal/core/ctl/
 	$(GO) test -run FuzzDecodeRow -fuzz FuzzDecodeRow -fuzztime 10s ./internal/core/persona/rows/
 	$(GO) test -run FuzzParseP4 -fuzz FuzzParseP4 -fuzztime 10s ./internal/p4/parser/
 	$(GO) test -run FuzzRestoreState -fuzz FuzzRestoreState -fuzztime 10s -fuzzminimizetime 50x ./internal/core/dpmu/
 	$(GO) test -run FuzzBitOps -fuzz FuzzBitOps -fuzztime 10s ./internal/bitfield/
+	$(GO) test -run FuzzIndex -fuzz FuzzIndex -fuzztime 10s ./internal/tuple/
 
 # API smoke: boot the switch with the management API, configure a virtual
 # device remotely via hp4ctl — the whole setup as ONE atomic batch — then

@@ -98,6 +98,10 @@ func (v Value) Bytes() []byte {
 	return out
 }
 
+// View returns v's big-endian bytes without copying. The caller must not
+// modify them, and they change whenever v does.
+func (v Value) View() []byte { return v.b }
+
 // valueJSON is a Value's JSON form: the width, and the big-endian bytes in
 // base64 (omitted when there are none).
 type valueJSON struct {

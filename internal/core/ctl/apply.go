@@ -2,9 +2,7 @@ package ctl
 
 import (
 	"fmt"
-	"strconv"
 
-	"hyper4/internal/bitfield"
 	"hyper4/internal/core/dpmu"
 	"hyper4/internal/core/hp4c"
 	"hyper4/internal/functions"
@@ -122,8 +120,8 @@ func (c *Ctl) applyOp(owner string, op *Op) (Result, error) {
 		args := op.ArgVals
 		if !op.Parsed {
 			var err error
-			if args, err = parseValueList(op.Args); err != nil {
-				return Result{}, err
+			if args, err = runtime.ParseArgs(op.Args); err != nil {
+				return Result{}, invalidf("%s", err)
 			}
 		}
 		return Result{}, d.SetDefault(owner, op.VDev, op.Table, op.Action, args)
@@ -152,57 +150,18 @@ func (c *Ctl) entrySpec(op *Op) (dpmu.EntrySpec, error) {
 	if !ok {
 		return spec, fmt.Errorf("program %s has no action %q: %w", v.Comp.Name, op.Action, dpmu.ErrNotFound)
 	}
-	if len(op.Match) != len(tbl.Reads) {
-		return spec, invalidf("table %s wants %d match fields, got %d", op.Table, len(tbl.Reads), len(op.Match))
-	}
-	spec.Params = make([]sim.MatchParam, len(tbl.Reads))
-	needsPriority := false
+	reads := make([]sim.ReadSpec, len(tbl.Reads))
 	for i, r := range tbl.Reads {
-		rs := sim.ReadSpec{Kind: r.Match}
+		reads[i] = sim.ReadSpec{Kind: r.Match, Width: 1}
 		if r.Field != nil {
-			w, err := v.Comp.Prog.FieldWidth(*r.Field)
-			if err != nil {
+			if reads[i].Width, err = v.Comp.Prog.FieldWidth(*r.Field); err != nil {
 				return spec, err
 			}
-			rs.Width = w
-		} else {
-			rs.Width = 1
-		}
-		p, err := runtime.ParseMatchToken(op.Match[i], rs)
-		if err != nil {
-			return spec, fmt.Errorf("match %d: %w: %w", i, err, dpmu.ErrInvalid)
-		}
-		spec.Params[i] = p
-		if r.Match == "ternary" || r.Match == "lpm" || r.Match == "range" {
-			needsPriority = true
 		}
 	}
-	argToks := op.Args
-	if needsPriority && len(argToks) == len(act.Params)+1 {
-		p, err := strconv.Atoi(argToks[len(argToks)-1])
-		if err != nil {
-			return spec, invalidf("bad priority %q", argToks[len(argToks)-1])
-		}
-		spec.Priority = p
-		argToks = argToks[:len(argToks)-1]
-	}
-	if len(argToks) != len(act.Params) {
-		return spec, invalidf("action %s wants %d args, got %d", op.Action, len(act.Params), len(argToks))
-	}
-	if spec.Args, err = parseValueList(argToks); err != nil {
-		return spec, err
+	spec.Params, spec.Args, spec.Priority, err = runtime.ParseEntry(op.Table, reads, op.Action, len(act.Params), op.Match, op.Args)
+	if err != nil {
+		return spec, invalidf("%s", err)
 	}
 	return spec, nil
-}
-
-func parseValueList(toks []string) ([]bitfield.Value, error) {
-	out := make([]bitfield.Value, len(toks))
-	for i, tok := range toks {
-		v, err := runtime.ParseValueToken(tok, 0)
-		if err != nil {
-			return nil, fmt.Errorf("arg %d: %w: %w", i, err, dpmu.ErrInvalid)
-		}
-		out[i] = v
-	}
-	return out, nil
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"hyper4/internal/sim/runtime"
 )
 
 // This file is the script dialect: one line, one Op or Query. The grammar is
@@ -329,7 +331,7 @@ func parseTableOp(kind OpKind, vdev string, args []string) (*Op, *Query, error) 
 			return nil, nil, invalidf("table_add wants <table> <action> <match>... => <args>...")
 		}
 		op.Table, op.Action = args[0], args[1]
-		op.Match, op.Args = splitEntry(args[2:])
+		op.Match, op.Args = runtime.SplitEntry(args[2:])
 
 	case OpTableDelete:
 		if len(args) != 2 {
@@ -350,7 +352,7 @@ func parseTableOp(kind OpKind, vdev string, args []string) (*Op, *Query, error) 
 			return nil, nil, invalidf("bad handle %q", args[1])
 		}
 		op.Table, op.Handle, op.Action = args[0], h, args[2]
-		op.Match, op.Args = splitEntry(args[3:])
+		op.Match, op.Args = runtime.SplitEntry(args[3:])
 
 	case OpSetDefault:
 		if len(args) < 2 {
@@ -360,15 +362,4 @@ func parseTableOp(kind OpKind, vdev string, args []string) (*Op, *Query, error) 
 		op.Args = args[2:]
 	}
 	return op, nil, nil
-}
-
-// splitEntry cuts "<match>... => <args>..." at the arrow. Without an arrow
-// every token is a match token.
-func splitEntry(rest []string) (match, args []string) {
-	for i, a := range rest {
-		if a == "=>" {
-			return rest[:i], rest[i+1:]
-		}
-	}
-	return rest, nil
 }

@@ -1,6 +1,7 @@
 package fuse
 
 import (
+	"encoding/binary"
 	"hyper4/internal/bitfield"
 	"hyper4/internal/core/persona"
 	"hyper4/internal/core/persona/rows"
@@ -57,7 +58,8 @@ type execState struct {
 	ext  bitfield.Value
 	meta bitfield.Value
 	tmp  bitfield.Value
-	key  []byte // masked lookup key, sized for the widest field so lookups never grow it
+	key  []byte   // masked lookup key, sized for the widest field so lookups never grow it
+	pair [16]byte // a std lookup's (vingress, vport) key
 
 	segs  []segment
 	jr    []*sim.Entry // hit journal; segments hold [lo,hi) ranges into it
@@ -214,7 +216,7 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 		st.ext.SetPrefixBytes(job.data[:take])
 		var row *rows.ParseRow
 		if ps := p.parseBy[state]; ps != nil {
-			if r := ps.ix.lookup(&st.key, st.ext, 0, 0); r >= 0 {
+			if r, ok := ps.ix.Lookup(st.ext.View(), &st.key); ok {
 				row = &ps.rows[r]
 			}
 		}
@@ -473,11 +475,16 @@ func (eng *Engine) commit(st *execState, sw *sim.Switch) (sim.FastResult, bool) 
 // lookup returns the slot's first matching row in precedence order — by
 // construction the same row the interpreter's lookup would pick.
 func (fs *fusedSlot) lookup(st *execState, ving, vport uint64) *frow {
-	src := st.ext
-	if fs.kind == matchMeta {
-		src = st.meta
+	key := st.ext.View()
+	switch fs.kind {
+	case matchMeta:
+		key = st.meta.View()
+	case matchStd:
+		binary.BigEndian.PutUint64(st.pair[:8], ving)
+		binary.BigEndian.PutUint64(st.pair[8:], vport)
+		key = st.pair[:]
 	}
-	if r := fs.ix.lookup(&st.key, src, ving, vport); r >= 0 {
+	if r, ok := fs.ix.Lookup(key, &st.key); ok {
 		return fs.rows[r]
 	}
 	return nil

@@ -13,7 +13,7 @@ func (eng *Engine) SlotShape(pid, kind, id int) (rows, groups int, ok bool) {
 	if fs == nil {
 		return 0, 0, false
 	}
-	return len(fs.rows), len(fs.ix.groups), true
+	return len(fs.rows), fs.ix.Groups(), true
 }
 
 // PlanEntries returns every persona row pid's plan holds: its parse rows,

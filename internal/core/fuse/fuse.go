@@ -8,8 +8,9 @@
 // determined by the installed entries, which the shared row model
 // (internal/core/persona/rows) decodes, so the fuser flattens it once per
 // control-plane write batch: each parse state's decisions and each virtual
-// table's multi-row persona encoding become one mask-grouped hash lookup
-// whose cost does not grow with the entries installed (index.go), and each
+// table's multi-row persona encoding become one lookup in the mask-grouped
+// first-match index the interpreter also uses (internal/tuple), whose cost
+// does not grow with the entries installed, and each
 // compound action becomes a pre-decoded micro-op sequence run against
 // pooled scratch bitfields with no per-pass allocation.
 //
@@ -36,6 +37,8 @@
 package fuse
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -45,6 +48,7 @@ import (
 	"hyper4/internal/core/persona/rows"
 	"hyper4/internal/core/verify"
 	"hyper4/internal/sim"
+	"hyper4/internal/tuple"
 )
 
 // MaxPorts is the physical ingress port space (9-bit, matching t_assign).
@@ -121,24 +125,40 @@ const (
 
 // fusedSlot is one virtual table: the rows of its persona stage table that
 // belong to this vdev and slot, in match precedence order, sealed into a
-// tuple-space index (index.go).
+// first-match index by rank.
 type fusedSlot struct {
 	stage int // the persona stage the slot's rows are installed in
 	kind  int
 	rows  []*frow
-	ix    tupleIndex
+	ix    *tuple.Index[int]
 }
 
 // seal indexes the slot's rows; Build calls it once the rows are complete.
 func (fs *fusedSlot) seal() {
-	fs.ix = sealIndex(len(fs.rows), func(i int) *rows.Key { return &fs.rows[i].Key }, fs.kind == matchStd)
+	fs.ix = sealRows(len(fs.rows), func(i int) *rows.Key { return &fs.rows[i].Key }, fs.kind == matchStd)
 }
 
 // parseState is one parse state's t_parse_ctrl rows, in precedence order,
 // sealed like a fused table.
 type parseState struct {
 	rows []rows.ParseRow
-	ix   tupleIndex
+	ix   *tuple.Index[int]
+}
+
+// sealRows indexes n rows, key(0)..key(n-1) in match precedence order, by their
+// rank. A wide key is the field's bytes; a std key is the (vingress, vport)
+// pair as two big-endian uint64s, the layout fusedSlot.lookup probes with.
+func sealRows(n int, key func(rank int) *rows.Key, std bool) *tuple.Index[int] {
+	var mask, val []byte
+	return tuple.Build(cmp.Less[int], n, func(rank int) ([]byte, []byte, int) {
+		k := key(rank)
+		if !std {
+			return k.Mask.View(), k.Val.View(), rank
+		}
+		mask = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(mask[:0], k.VinMask), k.VpMask)
+		val = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(val[:0], k.VinVal), k.VpVal)
+		return mask, val, rank
+	})
 }
 
 // frow is one decoded virtual entry: its match key (wide for matchED /
@@ -278,7 +298,7 @@ func buildPlan(cfg persona.Config, t *rows.Tables, sessionOK func(int) bool, vd 
 	}
 	for state, prs := range m.Parse {
 		ps := &parseState{rows: prs}
-		ps.ix = sealIndex(len(prs), func(i int) *rows.Key { return &prs[i].Key }, false)
+		ps.ix = sealRows(len(prs), func(i int) *rows.Key { return &prs[i].Key }, false)
 		p.parseBy[state] = ps
 	}
 

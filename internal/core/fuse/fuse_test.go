@@ -144,7 +144,7 @@ func TestFusedSlotLookupPrecedence(t *testing.T) {
 				want, got := scanLookup(fs, st, ving, vport), fs.lookup(st, ving, vport)
 				if got != want {
 					t.Fatalf("trial %d kind %d probe %d: index picked row %d, scan row %d (%d rows, %d groups)",
-						trial, kind, probe, rowIndex(fs, got), rowIndex(fs, want), len(fs.rows), len(fs.ix.groups))
+						trial, kind, probe, rowIndex(fs, got), rowIndex(fs, want), len(fs.rows), fs.ix.Groups())
 				}
 			}
 		}

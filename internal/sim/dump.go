@@ -107,7 +107,6 @@ func (sw *Switch) RestoreDump(d *SwitchDump) {
 	for name, t := range sw.tables {
 		td := d.Tables[name] // zero value restores an empty table
 		t.entries = make([]*Entry, 0, len(td.Entries))
-		t.exactIndex = map[string]*Entry{}
 		for _, ed := range td.Entries {
 			e := &Entry{
 				Handle:   ed.Handle,
@@ -121,11 +120,8 @@ func (sw *Switch) RestoreDump(d *SwitchDump) {
 			e.hits.Store(ed.Hits)
 			// Dumped order is the table's precedence order; append preserves it.
 			t.entries = append(t.entries, e)
-			if t.allExact {
-				t.exactIndex[exactKeyStringParams(e.Params)] = e
-			}
 		}
-		t.rebuildLPM()
+		t.reindex()
 		t.nextHandle = td.NextHandle
 		t.defaultAction = td.DefaultAction
 		t.defaultAct = sw.code.byName[td.DefaultAction]

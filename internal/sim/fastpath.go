@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"sort"
-
-	"hyper4/internal/bitfield"
-)
+import "hyper4/internal/bitfield"
 
 // This file is the switch half of the fused fast path (DESIGN.md §13).
 // A FastHandler — in practice internal/core/fuse's engine — is installed
@@ -153,23 +149,4 @@ func (sw *Switch) TableDefault(tableName string) (string, []bitfield.Value, erro
 		return "", nil, err
 	}
 	return t.defaultAction, t.defaultArgs, nil
-}
-
-// EntryHandlesByAction returns the handles of entries whose action matches,
-// sorted — a convenience for lint-style introspection.
-func (sw *Switch) EntryHandlesByAction(tableName, action string) ([]int, error) {
-	sw.mu.RLock()
-	defer sw.mu.RUnlock()
-	t, err := sw.table(tableName)
-	if err != nil {
-		return nil, err
-	}
-	var out []int
-	for _, e := range t.entries {
-		if e.Action == action {
-			out = append(out, e.Handle)
-		}
-	}
-	sort.Ints(out)
-	return out, nil
 }

@@ -145,10 +145,10 @@ func TestMixedLPMPrecedenceCached(t *testing.T) {
 	}
 }
 
-// TestSingleLPMMixedPrioritiesFallsBack: the per-prefix-length index assumes
-// uniform priorities; entries at different priorities must still match in
-// priority order (via the sorted scan fallback).
-func TestSingleLPMMixedPrioritiesFallsBack(t *testing.T) {
+// TestLPMPriorityOutranksPrefixLength: priority comes before prefix length
+// in match precedence, so a priority-0 /8 beats a priority-5 /24, and once
+// the /8 is deleted the /24 wins.
+func TestLPMPriorityOutranksPrefixLength(t *testing.T) {
 	sw := load(t, `
 header_type ipv4_t { fields { dst : 32; } }
 header ipv4_t ipv4;
@@ -166,8 +166,9 @@ control ingress { apply(rt); }
 		[]MatchParam{LPM(ip("10.1.2.0"), 24)}, Args(9, 2), 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sw.TableAdd("rt", "route",
-		[]MatchParam{LPM(ip("10.0.0.0"), 8)}, Args(9, 1), 0); err != nil {
+	h8, err := sw.TableAdd("rt", "route",
+		[]MatchParam{LPM(ip("10.0.0.0"), 8)}, Args(9, 1), 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	addr := pkt.MustIP4("10.1.2.3")
@@ -177,6 +178,15 @@ control ingress { apply(rt); }
 	}
 	if len(out) != 1 || out[0].Port != 1 {
 		t.Fatalf("want priority-0 /8 to win, got %+v", out)
+	}
+	if err := sw.TableDelete("rt", h8); err != nil {
+		t.Fatal(err)
+	}
+	if out, _, err = sw.Process(addr[:], 1); err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 1 || out[0].Port != 2 {
+		t.Fatalf("want the /24 to win once the /8 is gone, got %+v", out)
 	}
 }
 

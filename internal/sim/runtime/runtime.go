@@ -28,6 +28,8 @@ import (
 	"bufio"
 	"fmt"
 	"math/big"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -181,56 +183,16 @@ func (r *Runtime) tableAdd(args []string) (string, error) {
 		return "", fmt.Errorf("table_add wants <table> <action> <match>... => <args>...")
 	}
 	tableName, action := args[0], args[1]
-	rest := args[2:]
-	sep := -1
-	for i, a := range rest {
-		if a == "=>" {
-			sep = i
-			break
-		}
-	}
-	var matchToks, argToks []string
-	if sep < 0 {
-		matchToks = rest
-	} else {
-		matchToks = rest[:sep]
-		argToks = rest[sep+1:]
-	}
+	matchToks, argToks := SplitEntry(args[2:])
 	reads, err := r.SW.TableReads(tableName)
 	if err != nil {
 		return "", err
-	}
-	if len(matchToks) != len(reads) {
-		return "", fmt.Errorf("table %s wants %d match fields, got %d", tableName, len(reads), len(matchToks))
-	}
-	params := make([]sim.MatchParam, len(reads))
-	needsPriority := false
-	for i, spec := range reads {
-		p, err := parseMatch(matchToks[i], spec)
-		if err != nil {
-			return "", fmt.Errorf("match %d: %w", i, err)
-		}
-		params[i] = p
-		if spec.Kind == ast.MatchTernary || spec.Kind == ast.MatchRange {
-			needsPriority = true
-		}
 	}
 	actParams, err := r.SW.ActionParams(action)
 	if err != nil {
 		return "", err
 	}
-	priority := 0
-	if needsPriority && len(argToks) == len(actParams)+1 {
-		priority, err = strconv.Atoi(argToks[len(argToks)-1])
-		if err != nil {
-			return "", fmt.Errorf("bad priority %q", argToks[len(argToks)-1])
-		}
-		argToks = argToks[:len(argToks)-1]
-	}
-	if len(argToks) != len(actParams) {
-		return "", fmt.Errorf("action %s wants %d args, got %d", action, len(actParams), len(argToks))
-	}
-	actionArgs, err := parseArgs(argToks)
+	params, actionArgs, priority, err := ParseEntry(tableName, reads, action, len(actParams), matchToks, argToks)
 	if err != nil {
 		return "", err
 	}
@@ -245,7 +207,7 @@ func (r *Runtime) tableSetDefault(args []string) (string, error) {
 	if len(args) < 2 {
 		return "", fmt.Errorf("table_set_default wants <table> <action> [args...]")
 	}
-	actionArgs, err := parseArgs(args[2:])
+	actionArgs, err := ParseArgs(args[2:])
 	if err != nil {
 		return "", err
 	}
@@ -260,14 +222,58 @@ func (r *Runtime) tableModify(args []string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("bad handle %q", args[2])
 	}
-	actionArgs, err := parseArgs(args[3:])
+	actionArgs, err := ParseArgs(args[3:])
 	if err != nil {
 		return "", err
 	}
 	return "", r.SW.TableModify(args[0], h, args[1], actionArgs)
 }
 
-func parseArgs(toks []string) ([]bitfield.Value, error) {
+// SplitEntry cuts "<match>... => <args>..." at the arrow. Without an arrow
+// every token is a match token.
+func SplitEntry(toks []string) (match, args []string) {
+	if i := slices.Index(toks, "=>"); i >= 0 {
+		return toks[:i], toks[i+1:]
+	}
+	return toks, nil
+}
+
+// ParseEntry parses a table_add's match tokens against the table's reads
+// and its argument tokens against an action taking nargs arguments. A table
+// with a ternary, LPM or range read takes an optional priority after the
+// arguments (lower wins); otherwise the priority is 0. The switch CLI and
+// the control plane (internal/core/ctl) both parse entries through it.
+func ParseEntry(table string, reads []sim.ReadSpec, action string, nargs int, matchToks, argToks []string) (params []sim.MatchParam, args []bitfield.Value, priority int, err error) {
+	if len(matchToks) != len(reads) {
+		return nil, nil, 0, fmt.Errorf("table %s wants %d match fields, got %d", table, len(reads), len(matchToks))
+	}
+	params = make([]sim.MatchParam, len(reads))
+	prioritized := false
+	for i, spec := range reads {
+		if params[i], err = parseMatch(matchToks[i], spec); err != nil {
+			return nil, nil, 0, fmt.Errorf("match %d: %w", i, err)
+		}
+		prioritized = prioritized || spec.Kind == ast.MatchTernary || spec.Kind == ast.MatchLPM || spec.Kind == ast.MatchRange
+	}
+	if prioritized && len(argToks) == nargs+1 {
+		last := argToks[nargs]
+		if priority, err = strconv.Atoi(last); err != nil {
+			return nil, nil, 0, fmt.Errorf("bad priority %q", last)
+		}
+		argToks = argToks[:nargs]
+	}
+	if len(argToks) != nargs {
+		return nil, nil, 0, fmt.Errorf("action %s wants %d args, got %d", action, nargs, len(argToks))
+	}
+	if args, err = ParseArgs(argToks); err != nil {
+		return nil, nil, 0, err
+	}
+	return params, args, priority, nil
+}
+
+// ParseArgs parses action argument tokens, each numeric, MAC or IPv4, at
+// its natural width.
+func ParseArgs(toks []string) ([]bitfield.Value, error) {
 	out := make([]bitfield.Value, len(toks))
 	for i, tok := range toks {
 		v, err := parseValue(tok, 0)
@@ -367,6 +373,13 @@ func parseValue(tok string, width int) (bitfield.Value, error) {
 		}
 		return bitfield.FromBytes(w, ip[:]), nil
 	}
+	if x, err := strconv.ParseUint(tok, 0, 64); err == nil {
+		w := width
+		if w == 0 {
+			w = max(bits.Len64(x), 1)
+		}
+		return bitfield.FromUint(w, x), nil
+	}
 	n := new(big.Int)
 	if _, ok := n.SetString(tok, 0); !ok {
 		return bitfield.Value{}, fmt.Errorf("bad value %q", tok)
@@ -382,17 +395,4 @@ func parseValue(tok string, width int) (bitfield.Value, error) {
 		}
 	}
 	return bitfield.FromBig(w, n), nil
-}
-
-// ParseMatchToken parses one match token for a read spec (exported for the
-// DPMU's command interface, which parses virtual entries against the
-// emulated program's tables using the same syntax).
-func ParseMatchToken(tok string, spec sim.ReadSpec) (sim.MatchParam, error) {
-	return parseMatch(tok, spec)
-}
-
-// ParseValueToken parses a numeric, MAC, or IPv4 value token (width 0
-// derives the width from the token).
-func ParseValueToken(tok string, width int) (bitfield.Value, error) {
-	return parseValue(tok, width)
 }

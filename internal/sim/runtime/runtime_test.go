@@ -1,9 +1,11 @@
 package runtime
 
 import (
+	"math/big"
 	"strings"
 	"testing"
 
+	"hyper4/internal/bitfield"
 	"hyper4/internal/p4/hlir"
 	"hyper4/internal/p4/parser"
 	"hyper4/internal/pkt"
@@ -213,6 +215,29 @@ func TestParseValueForms(t *testing.T) {
 	}
 	if _, err := parseValue("-5", 8); err == nil {
 		t.Error("negative should fail")
+	}
+}
+
+// TestParseValueUint64FastPath: a token that fits in 64 bits skips big.Int,
+// and must parse to exactly what the big.Int path gives — width derived
+// from the bit length, prefixes, underscores, truncation — at any width.
+func TestParseValueUint64FastPath(t *testing.T) {
+	for _, tok := range []string{"0", "1", "7", "010", "0x10", "0b101", "0o17", "1_000", "+5",
+		"18446744073709551615", "18446744073709551616", "0xffffffffffffffffff"} {
+		for _, width := range []int{0, 4, 16, 72} {
+			n, ok := new(big.Int).SetString(tok, 0)
+			if !ok {
+				t.Fatalf("reference cannot parse %q", tok)
+			}
+			w := width
+			if w == 0 {
+				w = max(n.BitLen(), 1)
+			}
+			got, err := parseValue(tok, width)
+			if want := bitfield.FromBig(w, n); err != nil || !got.Equal(want) {
+				t.Errorf("parseValue(%q, %d) = %v, %v; want %v", tok, width, got, err, want)
+			}
+		}
 	}
 }
 

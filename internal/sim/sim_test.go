@@ -10,7 +10,7 @@ import (
 	"hyper4/internal/pkt"
 )
 
-func load(t *testing.T, src string) *Switch {
+func load(t testing.TB, src string) *Switch {
 	t.Helper()
 	prog, err := parser.Parse("test", src)
 	if err != nil {

@@ -51,11 +51,12 @@ type packetState struct {
 	quarVerdict  int8 // per-pass quarantine verdict cache (fault.go)
 
 	// Reusable scratch, retained across pooled uses.
-	keyBuf  []byte           // exact/LPM lookup key bytes
-	keyVals []bitfield.Value // generic lookup key values
-	scratch []byte           // parser extract staging
-	selKeys []bitfield.Value // per-select-plan key scratch, indexed by plan id
-	serBuf  []byte           // checksum field-list serialization
+	keyBuf   []byte           // indexed lookup key bytes
+	probeBuf []byte           // one mask group's masked key
+	keyVals  []bitfield.Value // generic lookup key values
+	scratch  []byte           // parser extract staging
+	selKeys  []bitfield.Value // per-select-plan key scratch, indexed by plan id
+	serBuf   []byte           // checksum field-list serialization
 	// tmp holds the operands and results of the primitive running now.
 	tmp [5]bitfield.Value
 }

@@ -2,11 +2,13 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
 	"hyper4/internal/bitfield"
 	"hyper4/internal/p4/ast"
+	"hyper4/internal/tuple"
 )
 
 // MatchParam is one match key component of a table entry.
@@ -35,8 +37,8 @@ type Entry struct {
 	act *action
 
 	// hits counts lookups this entry has won. Entries are shared by pointer
-	// (entries slice, exact and LPM indexes), so the counter is atomic; the
-	// struct must not be copied once installed.
+	// (entries slice and index), so the counter is atomic; the struct must
+	// not be copied once installed.
 	hits atomic.Int64
 }
 
@@ -50,24 +52,22 @@ type readInfo struct {
 
 // table is the runtime state of one match-action table.
 //
-// entries is kept sorted by (Priority asc, prefixSum desc, Handle asc) — the
-// match precedence order — so lookup can return the first matching entry.
-// All-exact tables additionally keep a hash index over concatenated key
-// bytes, and single-field LPM tables (the router's ipv4_lpm shape) keep a
-// per-prefix-length hash index walked longest-prefix-first.
+// entries is kept sorted by entryLess — the match precedence order. Lookup
+// goes through the shared first-match index (internal/tuple): every entry is
+// one (mask, value) over the table's key bytes, each read its own
+// byte-aligned segment, so exact, ternary, LPM and valid reads all become
+// masks and the index returns the entry a scan of entries would. A table
+// with a range read has no index and scans entries: a range is no mask.
 type table struct {
 	decl      *ast.Table
 	lay       *layout
 	reads     []readInfo
 	keyWidths []int // width of each read key
-	allExact  bool
-	singleLPM bool
+	allExact  bool  // exact and valid reads only: duplicate keys are rejected
 
 	entries    []*Entry
-	exactIndex map[string]*Entry // fast path when allExact
-	lpm        *lpmIndex         // non-nil while usable (uniform priorities)
-	lpmPrio    int
-	lpmPrioSet bool
+	ix         *tuple.Index[*Entry] // nil when a read is a range
+	scratch    []byte               // entryKey's output, reused under the write lock
 	nextHandle int
 
 	defaultAction string
@@ -80,14 +80,8 @@ type table struct {
 	metrics tableMetrics
 }
 
-// lpmIndex is a per-prefix-length hash index for single-field LPM tables.
-type lpmIndex struct {
-	byLen map[int]map[string]*Entry
-	lens  []int // sorted descending: longest prefix probed first
-}
-
 func newTable(lay *layout, decl *ast.Table) (*table, error) {
-	t := &table{decl: decl, lay: lay, allExact: true, exactIndex: map[string]*Entry{}}
+	t := &table{decl: decl, lay: lay, allExact: true, ix: tuple.New(entryLess)}
 	for _, r := range decl.Reads {
 		ri := readInfo{kind: r.Match}
 		if r.Match == ast.MatchValid {
@@ -108,10 +102,9 @@ func newTable(lay *layout, decl *ast.Table) (*table, error) {
 		if r.Match == ast.MatchTernary {
 			t.ternaryWidth += ri.width
 		}
-	}
-	t.singleLPM = len(decl.Reads) == 1 && decl.Reads[0].Match == ast.MatchLPM
-	if t.singleLPM {
-		t.lpm = &lpmIndex{byLen: map[int]map[string]*Entry{}}
+		if r.Match == ast.MatchRange {
+			t.ix = nil
+		}
 	}
 	if decl.Default != "" {
 		t.defaultAction = decl.Default
@@ -119,9 +112,9 @@ func newTable(lay *layout, decl *ast.Table) (*table, error) {
 	return t, nil
 }
 
-// appendKeyBytes appends the packet's concatenated key bytes for this table,
-// in the exactKeyString format (component bytes separated by 0xfe).
-func (t *table) appendKeyBytes(buf []byte, ps *packetState) ([]byte, error) {
+// appendKey appends the packet's key bytes for this table: each read's
+// bytes in turn, a valid read as one byte holding 0 or 1.
+func (t *table) appendKey(buf []byte, ps *packetState) ([]byte, error) {
 	for i := range t.reads {
 		r := &t.reads[i]
 		if r.kind == ast.MatchValid {
@@ -133,7 +126,7 @@ func (t *table) appendKeyBytes(buf []byte, ps *packetState) ([]byte, error) {
 			if ps.headers[slot].valid {
 				b = 1
 			}
-			buf = append(buf, b, 0xfe)
+			buf = append(buf, b)
 			continue
 		}
 		src, err := ps.fieldVal(r.f)
@@ -141,9 +134,70 @@ func (t *table) appendKeyBytes(buf []byte, ps *packetState) ([]byte, error) {
 			return nil, err
 		}
 		buf = src.AppendSliceTo(buf, r.f.loc.off, r.width)
-		buf = append(buf, 0xfe)
 	}
 	return buf, nil
+}
+
+// entryKey lays an entry out as the index's (mask, value) over the table's
+// key bytes, the layout appendKey gives a packet: exact reads are all ones,
+// ternary reads their mask, LPM reads their prefix and valid reads one bit.
+// Each read takes its own width whatever the param holds, so a restored
+// entry that does not fit its table cannot shift the reads after it. Both
+// slices live in t.scratch until the next call.
+func (t *table) entryKey(params []MatchParam) (mask, val []byte) {
+	params = params[:min(len(params), len(t.keyWidths))]
+	b := t.scratch[:0]
+	for i := range params {
+		p, w := &params[i], t.keyWidths[i]
+		switch p.Kind {
+		case ast.MatchTernary:
+			b = appendBytes(b, p.Mask.View(), (w+7)/8)
+		case ast.MatchLPM:
+			b = appendPrefixMask(b, w, p.PrefixLen)
+		case ast.MatchValid:
+			b = appendBytes(b, []byte{1}, (w+7)/8)
+		default:
+			b = appendPrefixMask(b, w, w)
+		}
+	}
+	n := len(b)
+	for i := range params {
+		p, w := &params[i], t.keyWidths[i]
+		v := p.Value.View()
+		if p.Kind == ast.MatchValid {
+			v = []byte{0}
+			if p.ValidWant {
+				v[0] = 1
+			}
+		}
+		b = appendBytes(b, v, (w+7)/8)
+	}
+	t.scratch = b
+	return b[:n], b[n:]
+}
+
+// appendBytes appends b right-aligned in exactly n bytes.
+func appendBytes(dst, b []byte, n int) []byte {
+	for ; n > len(b); n-- {
+		dst = append(dst, 0)
+	}
+	return append(dst, b[len(b)-n:]...)
+}
+
+// appendPrefixMask appends the bytes of a w-bit value whose top plen bits
+// are set.
+func appendPrefixMask(dst []byte, w, plen int) []byte {
+	n := (w + 7) / 8
+	from := n*8 - w // the top byte's padding bits stay clear
+	for j := 0; j < n; j++ {
+		lo, hi := max(from-8*j, 0), min(from+plen-8*j, 8)
+		m := byte(0)
+		if hi > lo {
+			m = byte(0xff>>lo) & byte(0xff<<(8-hi))
+		}
+		dst = append(dst, m)
+	}
+	return dst
 }
 
 // keyOf extracts the current packet's key values for this table into the
@@ -179,46 +233,19 @@ func (t *table) keyOf(ps *packetState) ([]bitfield.Value, error) {
 	return key, nil
 }
 
-func exactKeyString(key []bitfield.Value) string {
-	s := make([]byte, 0, 64)
-	for _, v := range key {
-		s = v.AppendSliceTo(s, 0, v.Width())
-		s = append(s, 0xfe) // separator
-	}
-	return string(s)
-}
-
 // lookup finds the highest-precedence matching entry, or nil on miss.
 func (t *table) lookup(ps *packetState) (*Entry, error) {
 	if len(t.entries) == 0 {
 		return nil, nil
 	}
-	if t.allExact {
-		buf, err := t.appendKeyBytes(ps.keyBuf[:0], ps)
+	if t.ix != nil {
+		buf, err := t.appendKey(ps.keyBuf[:0], ps)
 		if err != nil {
 			return nil, err
 		}
 		ps.keyBuf = buf
-		return t.exactIndex[string(buf)], nil
-	}
-	if t.singleLPM && t.lpm != nil {
-		r := &t.reads[0]
-		src, err := ps.fieldVal(r.f)
-		if err != nil {
-			return nil, err
-		}
-		buf := src.AppendSliceTo(ps.keyBuf[:0], r.f.loc.off, r.width)
-		ps.keyBuf = buf
-		pad := len(buf)*8 - r.width
-		// Probe longest prefix first; masking is monotone (lens descend), so
-		// each probe only zeroes a few more tail bits of the same buffer.
-		for _, plen := range t.lpm.lens {
-			zeroTailBits(buf, pad+plen)
-			if e, ok := t.lpm.byLen[plen][string(buf)]; ok {
-				return e, nil
-			}
-		}
-		return nil, nil
+		e, _ := t.ix.Lookup(buf, &ps.probeBuf)
+		return e, nil
 	}
 	key, err := t.keyOf(ps)
 	if err != nil {
@@ -231,21 +258,6 @@ func (t *table) lookup(ps *packetState) (*Entry, error) {
 		}
 	}
 	return nil, nil
-}
-
-// zeroTailBits clears every bit at absolute position >= fromBit.
-func zeroTailBits(buf []byte, fromBit int) {
-	i := fromBit / 8
-	if i >= len(buf) {
-		return
-	}
-	if rem := fromBit % 8; rem > 0 {
-		buf[i] &= 0xff << (8 - rem)
-		i++
-	}
-	for ; i < len(buf); i++ {
-		buf[i] = 0
-	}
 }
 
 func (e *Entry) matches(key []bitfield.Value) bool {
@@ -334,7 +346,7 @@ func (sw *Switch) allowedAction(t *table, name string, args []bitfield.Value) (*
 	if !ok {
 		return nil, fmt.Errorf("sim: no action %q", name)
 	}
-	if !contains(t.decl.Actions, name) {
+	if !slices.Contains(t.decl.Actions, name) {
 		return nil, fmt.Errorf("sim: table %s does not allow action %q", t.decl.Name, name)
 	}
 	if len(args) != act.params {
@@ -369,10 +381,14 @@ func (sw *Switch) TableAdd(tableName, action string, params []MatchParam, args [
 			return 0, fmt.Errorf("sim: table %s param %d width %d, want %d", tableName, i, p.Value.Width(), t.keyWidths[i])
 		}
 	}
-	var exactKey string
+	var mask, val []byte
+	if t.ix != nil {
+		mask, val = t.entryKey(params)
+	}
+	// An all-exact table is one mask group: an entry matching the new key
+	// holds exactly that key.
 	if t.allExact {
-		exactKey = exactKeyStringParams(params)
-		if _, dup := t.exactIndex[exactKey]; dup {
+		if _, dup := t.ix.Lookup(val, new([]byte)); dup {
 			return 0, fmt.Errorf("sim: table %s already has an entry for this key", tableName)
 		}
 	}
@@ -380,10 +396,9 @@ func (sw *Switch) TableAdd(tableName, action string, params []MatchParam, args [
 	e := &Entry{Handle: t.nextHandle, Params: params, Action: action, Args: args, Priority: priority, act: act}
 	e.prefixSum = e.totalPrefix()
 	t.insertSorted(e)
-	if t.allExact {
-		t.exactIndex[exactKey] = e
+	if t.ix != nil {
+		t.ix.Insert(mask, val, e)
 	}
-	t.lpmAdd(e)
 	sw.bumpGen()
 	return e.Handle, nil
 }
@@ -396,70 +411,15 @@ func (t *table) insertSorted(e *Entry) {
 	t.entries[i] = e
 }
 
-// lpmAdd maintains the single-field LPM index for a new entry. Mixed
-// priorities would break the longest-prefix-first probe order, so the index
-// is dropped (falling back to the sorted scan) the first time they appear.
-func (t *table) lpmAdd(e *Entry) {
-	if !t.singleLPM || t.lpm == nil {
+// reindex rebuilds the index from entries, which are in precedence order.
+func (t *table) reindex() {
+	if t.ix == nil {
 		return
 	}
-	if t.lpmPrioSet && e.Priority != t.lpmPrio {
-		t.lpm = nil
-		return
-	}
-	t.lpmPrio, t.lpmPrioSet = e.Priority, true
-	p := e.Params[0]
-	key := lpmKey(p.Value, p.PrefixLen)
-	m := t.lpm.byLen[p.PrefixLen]
-	if m == nil {
-		m = map[string]*Entry{}
-		t.lpm.byLen[p.PrefixLen] = m
-		t.lpm.lens = append(t.lpm.lens, p.PrefixLen)
-		sort.Sort(sort.Reverse(sort.IntSlice(t.lpm.lens)))
-	}
-	// On duplicate (plen, prefix) keys the earlier entry has precedence
-	// (same priority, lower handle), matching the sorted scan.
-	if _, ok := m[key]; !ok {
-		m[key] = e
-	}
-}
-
-// rebuildLPM reconstructs the LPM index from scratch (after deletions).
-func (t *table) rebuildLPM() {
-	if !t.singleLPM {
-		return
-	}
-	t.lpm = &lpmIndex{byLen: map[int]map[string]*Entry{}}
-	t.lpmPrioSet = false
-	for _, e := range t.entries {
-		t.lpmAdd(e)
-		if t.lpm == nil {
-			return
-		}
-	}
-}
-
-// lpmKey renders a value masked to its prefix length as index key bytes.
-func lpmKey(v bitfield.Value, plen int) string {
-	b := v.Bytes()
-	zeroTailBits(b, len(b)*8-v.Width()+plen)
-	return string(b)
-}
-
-func exactKeyStringParams(params []MatchParam) string {
-	key := make([]bitfield.Value, len(params))
-	for i, p := range params {
-		if p.Kind == ast.MatchValid {
-			if p.ValidWant {
-				key[i] = bitfield.FromUint(1, 1)
-			} else {
-				key[i] = bitfield.New(1)
-			}
-		} else {
-			key[i] = p.Value
-		}
-	}
-	return exactKeyString(key)
+	t.ix = tuple.Build(entryLess, len(t.entries), func(i int) ([]byte, []byte, *Entry) {
+		mask, val := t.entryKey(t.entries[i].Params)
+		return mask, val, t.entries[i]
+	})
 }
 
 // TableSetDefault sets the default (miss) action. Like TableAdd — and like
@@ -493,10 +453,10 @@ func (sw *Switch) TableDelete(tableName string, handle int) error {
 	for i, e := range t.entries {
 		if e.Handle == handle {
 			t.entries = append(t.entries[:i], t.entries[i+1:]...)
-			if t.allExact {
-				delete(t.exactIndex, exactKeyStringParams(e.Params))
+			if t.ix != nil {
+				mask, val := t.entryKey(e.Params)
+				t.ix.Delete(mask, val, e)
 			}
-			t.rebuildLPM()
 			sw.bumpGen()
 			return nil
 		}
@@ -542,8 +502,7 @@ func (sw *Switch) TableClear(tableName string) error {
 		return err
 	}
 	t.entries = nil
-	t.exactIndex = map[string]*Entry{}
-	t.rebuildLPM()
+	t.reindex()
 	sw.bumpGen()
 	return nil
 }
@@ -562,13 +521,4 @@ func (sw *Switch) TableEntries(tableName string) ([]int, error) {
 	}
 	sort.Ints(out)
 	return out, nil
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
