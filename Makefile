@@ -34,11 +34,13 @@ lookup-race:
 # cases hold its lookups through the shared mask-grouped index
 # (internal/tuple) to a first-match scan and their probe count flat as
 # tables grow; TestFusedOutputsOwnTheirBytes holds outputs
-# clear of the pooled link-hop buffers. One pass each of BenchmarkFusedLookup
-# and BenchmarkRunFastComposed keeps the benchmarks compiling and running.
+# clear of the pooled link-hop buffers. One pass each of BenchmarkFusedLookup,
+# BenchmarkRunFastComposed and BenchmarkBuild (fuse.Build, the write path's
+# compile step, with its B/op and allocs/op) keeps the benchmarks compiling
+# and running.
 fuse-diff:
 	$(GO) test -race -run 'TestFused' ./internal/core/dpmu/ ./internal/core/fuse/
-	$(GO) test -run '^$$' -bench 'BenchmarkFusedLookup|BenchmarkRunFastComposed' -benchtime 1x ./internal/core/fuse/
+	$(GO) test -run '^$$' -bench 'BenchmarkFusedLookup|BenchmarkRunFastComposed|BenchmarkBuild' -benchmem -benchtime 1x ./internal/core/fuse/
 
 # The end-to-end fault-containment scenario, explicitly under the race
 # detector (concurrent traffic, probes, and management ops on one switch).
@@ -75,9 +77,11 @@ chaos-smoke:
 # every program it accepts prints to a print/parse fixpoint), over the
 # journal's snapshot decoder (no panics, and every state it accepts
 # re-encodes to a fixpoint), over the word-wide bit operations (each
-# agrees with a bit-at-a-time Bit/SetBit reference), and over the shared
+# agrees with a bit-at-a-time Bit/SetBit reference), over the shared
 # first-match index (every lookup through random insert/delete sequences
-# agrees with a first-match scan). Seeded with a 170 KB snapshot, the
+# agrees with a first-match scan), and over the journal's frame reader (no
+# panics, and every payload it returns re-encodes to exactly the bytes it
+# consumed). Seeded with a 170 KB snapshot, the
 # snapshot run bounds minimization: at the default 60 s per new input it
 # would spend the whole run minimizing.
 fuzz-smoke:
@@ -87,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzRestoreState -fuzz FuzzRestoreState -fuzztime 10s -fuzzminimizetime 50x ./internal/core/dpmu/
 	$(GO) test -run FuzzBitOps -fuzz FuzzBitOps -fuzztime 10s ./internal/bitfield/
 	$(GO) test -run FuzzIndex -fuzz FuzzIndex -fuzztime 10s ./internal/tuple/
+	$(GO) test -run FuzzReadFrame -fuzz FuzzReadFrame -fuzztime 10s ./internal/core/ctl/
 
 # API smoke: boot the switch with the management API, configure a virtual
 # device remotely via hp4ctl — the whole setup as ONE atomic batch — then

@@ -43,6 +43,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"hyper4/internal/core/dpmu"
 	"hyper4/internal/core/hp4c"
@@ -152,8 +153,14 @@ func writeFrame(w io.Writer, payload []byte) error {
 // errTorn marks a frame cut short or corrupted — the tail a SIGKILL leaves.
 var errTorn = errors.New("journal: torn record")
 
+// frameChunk is the most readFrame allocates ahead of the bytes it has
+// read: a payload buffer starts at this size and doubles as bytes arrive.
+const frameChunk = 64 << 10
+
 // readFrame reads one framed payload from r. Short reads and CRC mismatches
-// return errTorn; a clean EOF at a frame boundary returns io.EOF.
+// return errTorn; a clean EOF at a frame boundary returns io.EOF. Memory
+// follows the bytes actually present, not the header's claim: a garbage
+// length over a short tail costs at most frameChunk, never the 1 GiB cap.
 func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -162,14 +169,21 @@ func readFrame(r io.Reader) ([]byte, error) {
 		}
 		return nil, errTorn
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
+	n := int(binary.LittleEndian.Uint32(hdr[0:4]))
 	want := binary.LittleEndian.Uint32(hdr[4:8])
 	if n > 1<<30 {
 		return nil, errTorn // length bytes are garbage
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, errTorn
+	payload := make([]byte, 0, min(n, frameChunk))
+	for len(payload) < n {
+		if len(payload) == cap(payload) {
+			payload = slices.Grow(payload, min(n-len(payload), len(payload)))
+		}
+		k, err := io.ReadFull(r, payload[len(payload):min(cap(payload), n)])
+		payload = payload[:len(payload)+k]
+		if err != nil {
+			return nil, errTorn
+		}
 	}
 	if crc32.ChecksumIEEE(payload) != want {
 		return nil, errTorn

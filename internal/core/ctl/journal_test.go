@@ -2,9 +2,11 @@ package ctl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -86,12 +88,79 @@ func TestJournalFraming(t *testing.T) {
 		}
 	}
 
+	// A payload past readFrame's first chunk round-trips; cut short, it
+	// is torn.
+	big := bytes.Repeat([]byte("x"), 3*frameChunk+5)
+	var bigBuf bytes.Buffer
+	if err := writeFrame(&bigBuf, big); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := readFrame(bytes.NewReader(bigBuf.Bytes())); err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("%d-byte frame: %d bytes, %v", len(big), len(got), err)
+	}
+	if _, err := readFrame(bytes.NewReader(bigBuf.Bytes()[:bigBuf.Len()-1])); err != errTorn {
+		t.Fatalf("%d-byte frame cut by one byte: %v, want errTorn", len(big), err)
+	}
+
 	// A flipped payload bit breaks the CRC.
 	corrupt := append([]byte(nil), whole...)
 	corrupt[10] ^= 0x01
 	if _, err := readFrame(bytes.NewReader(corrupt)); err != errTorn {
 		t.Fatalf("corrupted CRC: %v, want errTorn", err)
 	}
+}
+
+// TestReadFrameGarbageLength holds readFrame's memory to the bytes present:
+// a header claiming the 1 GiB cap over a 16-byte tail is torn, and reading
+// it allocates well under 1 MiB.
+func TestReadFrameGarbageLength(t *testing.T) {
+	frame := make([]byte, 8+16)
+	binary.LittleEndian.PutUint32(frame[0:4], 1<<30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(bytes.NewReader(frame))
+	runtime.ReadMemStats(&after)
+	if err != errTorn {
+		t.Fatalf("garbage length: %v, want errTorn", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("reading a 24-byte torn frame allocated %d bytes", d)
+	}
+}
+
+// FuzzReadFrame reads frames from arbitrary bytes until the first error:
+// it must never panic, and every payload it returns must re-encode through
+// writeFrame to exactly the bytes it consumed.
+func FuzzReadFrame(f *testing.F) {
+	var buf bytes.Buffer
+	for _, p := range []string{`{"seq":1}`, `{"seq":2,"ops":[]}`, ""} {
+		if err := writeFrame(&buf, []byte(p)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()-3])
+	f.Add([]byte{0, 0, 0, 0x40, 0, 0, 0, 0, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		for {
+			start := len(data) - r.Len()
+			payload, err := readFrame(r)
+			if err != nil {
+				if err != io.EOF && err != errTorn {
+					t.Fatalf("readFrame error %v, want io.EOF or errTorn", err)
+				}
+				return
+			}
+			var re bytes.Buffer
+			if err := writeFrame(&re, payload); err != nil {
+				t.Fatal(err)
+			}
+			if consumed := data[start : len(data)-r.Len()]; !bytes.Equal(re.Bytes(), consumed) {
+				t.Fatalf("payload %q re-encodes to %x, consumed %x", payload, re.Bytes(), consumed)
+			}
+		}
+	})
 }
 
 // TestJournalKillRecoverDifferential is the crash-consistency acceptance

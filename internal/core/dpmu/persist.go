@@ -49,11 +49,15 @@ func (d *DPMU) DumpControl() (string, error) {
 // Compiled programs are re-resolved by function name through compile; the
 // persona program must already be loaded into the switch (the normal boot
 // sequence) and the persona config must match the one the snapshot was
-// taken under. A state that does not decode leaves the DPMU untouched.
+// taken under. A state that does not decode, or holds a table entry the
+// program would not accept (sim.CheckDump), leaves the DPMU untouched.
 func (d *DPMU) RestoreState(data []byte, compile CompileFunc) error {
 	var cp Checkpoint
 	if err := json.Unmarshal(data, &cp); err != nil {
 		return fmt.Errorf("dpmu: decode state: %w", err)
+	}
+	if err := d.SW.CheckDump(&cp.Switch); err != nil {
+		return fmt.Errorf("dpmu: restore state: %w", err)
 	}
 	for i := range cp.VDevs {
 		v := &cp.VDevs[i]

@@ -2,8 +2,10 @@ package dpmu
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"hyper4/internal/core/hp4c"
 	"hyper4/internal/core/persona"
 	"hyper4/internal/functions"
+	"hyper4/internal/p4/ast"
 	"hyper4/internal/sim"
 )
 
@@ -141,6 +144,65 @@ func TestRestoreStateRejectsMalformedValues(t *testing.T) {
 	}
 	if err := d.RestoreState(golden, func(string) (*hp4c.Compiled, error) { return nil, errors.New("gone") }); err == nil {
 		t.Error("RestoreState with a failing compiler succeeded")
+	}
+}
+
+// TestRestoreStateRejectsMalformedEntries feeds snapshots whose table
+// entries decode but do not fit the program, one per shape sim.TableAdd
+// rejects: RestoreState must return that shape's error, not restore an
+// entry a packet would fault on, and must leave the live state alone.
+func TestRestoreStateRejectsMalformedEntries(t *testing.T) {
+	golden, err := os.ReadFile(goldenStatePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const table = "t1_ed_exact" // (exact, exact, ternary) reads, a_set_match rows
+	for _, tc := range []struct {
+		shape, want string
+		bend        func(e *sim.EntryDump)
+	}{
+		{"unknown action", `no action "a_no_such_action"`, func(e *sim.EntryDump) { e.Action = "a_no_such_action" }},
+		{"disallowed action", "does not allow action", func(e *sim.EntryDump) { e.Action = persona.ActParseMore }},
+		{"arg count", "args, got", func(e *sim.EntryDump) { e.Args = e.Args[:len(e.Args)-1] }},
+		{"param count", "match params, got 2", func(e *sim.EntryDump) { e.Params = e.Params[:2] }},
+		{"param kind", "param 0 is exact, entry has ternary", func(e *sim.EntryDump) { e.Params[0].Kind = ast.MatchTernary }},
+		{"param width", "param 0 width 17, want 16", func(e *sim.EntryDump) { e.Params[0].Value = bitfield.FromUint(17, 1) }},
+	} {
+		t.Run(tc.shape, func(t *testing.T) {
+			var cp Checkpoint
+			if err := json.Unmarshal(golden, &cp); err != nil {
+				t.Fatal(err)
+			}
+			td := cp.Switch.Tables[table]
+			if len(td.Entries) == 0 || len(td.Entries[0].Args) == 0 {
+				t.Fatalf("golden state has no %s entry with args to bend", table)
+			}
+			td.Entries[0].Params = slices.Clone(td.Entries[0].Params)
+			tc.bend(&td.Entries[0])
+			data, err := json.Marshal(&cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := newPersonaDPMU(t)
+			before, err := d.EncodeState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.RestoreState(data, compileReference()); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RestoreState error %v, want one containing %q", err, tc.want)
+			}
+			after, err := d.EncodeState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, before) {
+				t.Error("a rejected restore changed the live state")
+			}
+		})
+	}
+	// The unbent golden state still restores.
+	if err := newPersonaDPMU(t).RestoreState(golden, compileReference()); err != nil {
+		t.Fatalf("golden state: %v", err)
 	}
 }
 

@@ -24,13 +24,13 @@ const (
 // plan — and the commit phase replays it in the interpreter's BFS order so
 // meter executions, entry hits, and emitted outputs interleave identically.
 type segment struct {
-	pid     int  // owning vdev: meter/counter index for parser passes
-	inst    int  // segNormal/segResubmit/segRecirc/segClone
-	parser  bool // parser passes hit t_norm and run the policing meter
-	dataLen int  // this pass's packet byte count (the meter/counter amount)
-	norm    *sim.Entry
-	assign  *sim.Entry // t_assign hit, root pass only
-	lo, hi  int        // post-police hit range into execState.jr
+	pid     int   // owning vdev: meter/counter index for parser passes
+	inst    int   // segNormal/segResubmit/segRecirc/segClone
+	parser  bool  // parser passes hit t_norm and run the policing meter
+	dataLen int   // this pass's packet byte count (the meter/counter amount)
+	norm    int32 // t_norm hit in Engine.entries
+	assign  int32 // t_assign hit, root pass only; 0 elsewhere
+	lo, hi  int   // post-police hit runs: execState.jr[lo:hi]
 	outPort int
 	outData []byte // non-nil: this pass emits an output (unless policed red)
 	child   [2]int // follow-on segments in queue-push order, -1 when absent
@@ -42,18 +42,22 @@ type walkJob struct {
 	p      *plan
 	ving   uint64
 	data   []byte
-	inst   int        // instance kind of the walk's first pass
-	assign *sim.Entry // root walk only
-	parent int        // segment whose child[slot] this walk's first pass becomes
+	inst   int   // instance kind of the walk's first pass
+	assign int32 // root walk only
+	parent int   // segment whose child[slot] this walk's first pass becomes
 	slot   int
 }
+
+// run is one journaled stretch of entry hits: Engine.entries[lo:hi].
+type run struct{ lo, hi int32 }
 
 // execState is the pooled per-packet scratch: the extracted-data and
 // emulated-metadata wide fields, a staging buffer for overlapping copies,
 // the segment/journal/job storage the run phase fills and the commit phase
 // replays, and the link-hop buffers recirculating walks deparse into. Only
 // the bytes of outputs on physical ports escape the packet; they alone are
-// freshly allocated.
+// freshly allocated. The hit journal is pointer-free: a fused row's hits
+// are one run of the engine's entry table, journaled as two indices.
 type execState struct {
 	ext  bitfield.Value
 	meta bitfield.Value
@@ -62,7 +66,7 @@ type execState struct {
 	pair [16]byte // a std lookup's (vingress, vport) key
 
 	segs  []segment
-	jr    []*sim.Entry // hit journal; segments hold [lo,hi) ranges into it
+	jr    []run // hit journal; segments hold [lo,hi) ranges into it
 	jobs  []walkJob
 	queue []int // commit-phase BFS queue
 
@@ -83,15 +87,13 @@ func newExecState(ew int) *execState {
 	}
 }
 
-// release drops every pointer the packet accumulated — journaled *sim.Entry
-// hits, segment entries, output and job buffers — so pooled state cannot
-// retain deleted entries, outputs or the caller's frame across packets. The
-// link-hop buffers are kept for the next packet, earlier packets' bytes and
-// all: they hold no pointers and are private to the engine.
+// release drops every pointer the packet accumulated — output bytes and
+// job buffers — so pooled state cannot retain outputs, plans or the
+// caller's frame across packets. The journal holds indices, not entries,
+// so it is truncated without clearing. The link-hop buffers are kept for
+// the next packet, earlier packets' bytes and all: they hold no pointers
+// and are private to the engine.
 func (st *execState) release() {
-	for i := range st.jr {
-		st.jr[i] = nil
-	}
 	st.jr = st.jr[:0]
 	for i := range st.segs {
 		st.segs[i] = segment{}
@@ -133,12 +135,12 @@ func (eng *Engine) RunFast(sw *sim.Switch, data []byte, port int) (res sim.FastR
 	st := eng.pool.Get().(*execState)
 	// Deferred so a panic inside run (swallowed as a decline by sim.runFast)
 	// cannot leak the scratch state, and so pooled state never retains
-	// journal pointers.
+	// output or job pointers.
 	defer func() {
 		st.release()
 		eng.pool.Put(st)
 	}()
-	res, ok = eng.run(pb, st, sw, data)
+	res, ok = eng.run(pb, st, data)
 	if ok {
 		eng.hits.Add(1)
 	}
@@ -151,7 +153,7 @@ func (eng *Engine) RunFast(sw *sim.Switch, data []byte, port int) (res sim.FastR
 // record. Only when the packet's whole fate is decided does commit apply
 // the journal, so declining at any point before commit is free of side
 // effects.
-func (eng *Engine) run(pb *portBind, st *execState, sw *sim.Switch, data []byte) (sim.FastResult, bool) {
+func (eng *Engine) run(pb *portBind, st *execState, data []byte) (sim.FastResult, bool) {
 	st.jobs = append(st.jobs, walkJob{
 		p: pb.plan, ving: pb.vingress, data: data,
 		inst: segNormal, assign: pb.assign, parent: -1,
@@ -162,7 +164,7 @@ func (eng *Engine) run(pb *portBind, st *execState, sw *sim.Switch, data []byte)
 			return sim.FastResult{}, false
 		}
 	}
-	return eng.commit(st, sw)
+	return eng.commit(st)
 }
 
 // walk simulates one plan traversal: the parse loop, the stage walk, and
@@ -176,8 +178,8 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 	// a_parse_more request, as the byte count the parser lands on, across
 	// the (virtual) resubmission.
 	n := p.defaultBytes
-	state := uint64(0)
-	var fin *rows.ParseRow
+	ps := p.parse0
+	var fin *prow
 	parsed, consumed := 0, 0
 	inst := job.inst
 	prev, finIdx := -1, -1
@@ -204,8 +206,8 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 		// A supported count whose t_norm row is missing would MISS in the
 		// interpreter (t_norm reads hp4.parsed exact) — decline rather than
 		// silently normalize at the default width.
-		ne := p.normBy[n]
-		if ne == nil {
+		ne := at(eng.norm, n)
+		if ne == 0 {
 			return false
 		}
 		st.segs[idx].norm = ne
@@ -214,26 +216,26 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 			take = n
 		}
 		st.ext.SetPrefixBytes(job.data[:take])
-		var row *rows.ParseRow
-		if ps := p.parseBy[state]; ps != nil {
+		var row *prow
+		if ps != nil {
 			if r, ok := ps.ix.Lookup(st.ext.View(), &st.key); ok {
 				row = &ps.rows[r]
 			}
 		}
 		if row == nil {
 			// Parse miss: no stage walk, t_virtnet applied with vport=0.
-			st.jr = append(st.jr, p.vdrop0)
+			st.hit(p.vdrop0)
 			st.segs[idx].hi = len(st.jr)
 			return true
 		}
-		st.jr = append(st.jr, row.Entry)
-		if row.More {
+		st.hit(row.ent)
+		if row.more {
 			// a_parse_more resubmits; this pass still traverses t_virtnet
 			// with vport=0 before the resubmission takes effect.
-			st.jr = append(st.jr, p.vdrop0)
+			st.hit(p.vdrop0)
 			st.segs[idx].hi = len(st.jr)
-			n = row.Window
-			state = row.Next
+			n = row.window
+			ps = row.next
 			prev = idx
 			continue
 		}
@@ -248,21 +250,12 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 	ving := job.ving
 	vport := uint64(0)
 	dropped := false
-	kind, id := fin.Kind, fin.Slot
-	curStage := 0
-	for kind != persona.NTDone {
-		fs := p.slots[slotKey(kind, uint64(id))]
-		// A successor at or before the current stage can never be applied:
-		// the interpreter's remaining stage tables don't hold its rows.
-		if fs == nil || fs.stage <= curStage {
-			break
-		}
-		curStage = fs.stage
+	for fs := fin.first; fs != nil; {
 		r := fs.lookup(st, ving, vport)
 		if r == nil {
 			break
 		}
-		st.jr = append(st.jr, r.hits...)
+		st.jr = append(st.jr, run{r.lo, r.hi})
 		for i := range r.ops {
 			op := &r.ops[i]
 			switch op.Code {
@@ -284,7 +277,7 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 				dst.InsertUint(op.DstOff, op.DstW, x)
 			}
 		}
-		kind, id = r.nextKind, r.nextID
+		fs = r.next
 	}
 
 	// Virtual networking + egress. A vnet miss applies the table default
@@ -298,7 +291,7 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 		st.segs[finIdx].hi = len(st.jr)
 		return true
 	}
-	st.jr = append(st.jr, vr.Entry)
+	st.hit(vr.ent)
 	switch vr.Kind {
 	case rows.RouteDrop:
 		st.segs[finIdx].hi = len(st.jr)
@@ -349,7 +342,7 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 		if !ok {
 			return false
 		}
-		st.jr = append(st.jr, vr.Orig)
+		st.hit(vr.orig)
 		st.segs[finIdx].hi = len(st.jr)
 		st.jobs = append(st.jobs, walkJob{
 			p: vr.target, ving: vr.VIn, data: buf,
@@ -367,10 +360,12 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 				lo: len(st.jr), child: [2]int{-1, -1},
 			})
 			st.segs[prevSeg].child[0] = cidx
-			if fin.Csum && p.csum != nil {
-				st.jr = append(st.jr, p.csum.Entry)
+			if fin.csum && p.csum != nil {
+				st.hit(p.csumEnt)
 			}
-			st.jr = append(st.jr, p.resizeBy[parsed], p.wbBy[parsed], stp.Entry)
+			eg := eng.resize[parsed] // egress above proved the pair present
+			st.jr = append(st.jr, run{eg, eg + 2})
+			st.hit(vr.steps[i])
 			st.segs[cidx].hi = len(st.jr)
 			st.jobs = append(st.jobs, walkJob{
 				p: vr.targets[i], ving: stp.VIn, data: buf,
@@ -389,16 +384,16 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 // walk (hop) deparses into the next pooled link-hop buffer; bytes leaving on
 // a physical port get a fresh allocation, because they escape as a
 // sim.Output.
-func (eng *Engine) egress(st *execState, p *plan, fin *rows.ParseRow, data []byte, parsed, consumed int, hop bool) ([]byte, bool) {
-	if fin.Csum && p.csum != nil {
+func (eng *Engine) egress(st *execState, p *plan, fin *prow, data []byte, parsed, consumed int, hop bool) ([]byte, bool) {
+	if fin.csum && p.csum != nil {
 		st.fixCsum(p.csum)
-		st.jr = append(st.jr, p.csum.Entry)
+		st.hit(p.csumEnt)
 	}
-	re, wb := p.resizeBy[parsed], p.wbBy[parsed]
-	if re == nil || wb == nil {
+	eg := at(eng.resize, parsed)
+	if eg == 0 {
 		return nil, false
 	}
-	st.jr = append(st.jr, re, wb)
+	st.jr = append(st.jr, run{eg, eg + 2})
 	n := parsed + len(data) - consumed
 	var buf []byte
 	if hop {
@@ -409,6 +404,17 @@ func (eng *Engine) egress(st *execState, p *plan, fin *rows.ParseRow, data []byt
 	buf = st.ext.AppendSliceTo(buf, 0, parsed*8)
 	buf = append(buf, data[consumed:]...)
 	return buf, true
+}
+
+// hit journals the single entry eng.entries[i].
+func (st *execState) hit(i int32) { st.jr = append(st.jr, run{i, i + 1}) }
+
+// at returns tab[n], or 0 — no row — when n is out of range.
+func at(tab []int32, n int) int32 {
+	if uint(n) < uint(len(tab)) {
+		return tab[n]
+	}
+	return 0
 }
 
 // hopBuf returns the packet's next link-hop buffer, empty with room for n
@@ -432,7 +438,7 @@ func (st *execState) hopBuf(n int) []byte {
 // rest of the pass. A red verdict prunes that pass's entry hits, output,
 // and every follow-on pass, exactly where the interpreter's policing guard
 // would have; sibling passes already queued continue unaffected.
-func (eng *Engine) commit(st *execState, sw *sim.Switch) (sim.FastResult, bool) {
+func (eng *Engine) commit(st *execState) (sim.FastResult, bool) {
 	var res sim.FastResult
 	st.queue = append(st.queue[:0], 0)
 	for head := 0; head < len(st.queue); head++ {
@@ -446,18 +452,20 @@ func (eng *Engine) commit(st *execState, sw *sim.Switch) (sim.FastResult, bool) 
 			res.Clones++
 		}
 		if s.parser {
-			s.norm.RecordHit()
-			if s.assign != nil {
-				s.assign.RecordHit()
+			eng.entries[s.norm].RecordHit()
+			if s.assign != 0 {
+				eng.entries[s.assign].RecordHit()
 			}
-			color, err := sw.FastMeterExecute(persona.MeterIngress, s.pid, s.dataLen)
-			_ = sw.FastCounterInc(persona.CounterVDev, s.pid, s.dataLen)
-			if err == nil && color == 2 {
+			color, err := eng.meter.Execute(s.pid, s.dataLen)
+			_ = eng.counter.Inc(s.pid, s.dataLen)
+			if err == nil && color == sim.MeterRed {
 				continue
 			}
 		}
-		for _, e := range st.jr[s.lo:s.hi] {
-			e.RecordHit()
+		for _, r := range st.jr[s.lo:s.hi] {
+			for _, e := range eng.entries[r.lo:r.hi] {
+				e.RecordHit()
+			}
 		}
 		if s.outData != nil {
 			res.Outputs = append(res.Outputs, sim.Output{Port: s.outPort, Data: s.outData})

@@ -26,12 +26,12 @@ func (eng *Engine) PlanEntries(pid int) (parse, stage, vnet []*sim.Entry, csum *
 	}
 	for _, ps := range p.parseBy {
 		for i := range ps.rows {
-			parse = append(parse, ps.rows[i].Entry)
+			parse = append(parse, eng.entries[ps.rows[i].ent])
 		}
 	}
 	for _, fs := range p.slots {
 		for _, r := range fs.rows {
-			stage = append(stage, r.hits...)
+			stage = append(stage, eng.entries[r.lo:r.hi]...)
 		}
 	}
 	for _, vr := range p.vnet {

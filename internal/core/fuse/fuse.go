@@ -14,6 +14,15 @@
 // compound action becomes a pre-decoded micro-op sequence run against
 // pooled scratch bitfields with no per-pass allocation.
 //
+// Build links the plan completely: parse rows point at their next parse
+// state or first fused table, fused rows at their successor, the
+// persona-static t_norm and resize/writeback rows sit in slices indexed by
+// byte count, and the policing meter and vdev counter are resolved refs.
+// A walk's only lookups are the index probes and one virtual-network route
+// per walk. Every persona entry a packet can hit lives once in the
+// engine's entry table, each fused row's hits one contiguous run of it, so
+// the per-packet hit journal is a list of index runs with no pointers.
+//
 // Plans link across vdevs: a walk that reaches an a_virt_fwd route jumps
 // straight into the target vdev's plan (a fresh parse loop and stage walk
 // on the deparsed bytes, exactly as the interpreter's recirculation would),
@@ -76,6 +85,20 @@ type Engine struct {
 	ports []portBind
 	pool  sync.Pool
 
+	// entries is every persona row the plans can journal, each fused row's
+	// hits (set_match, then prep and exec per primitive) one contiguous run.
+	// Index 0 is nil and means "no row": a journaled hit is an index range
+	// into entries, so the per-packet journal holds no pointers.
+	entries []*sim.Entry
+	// norm[n] is the t_norm row for a parse of n bytes and resize[n] its
+	// te_resize row, with the te_writeback row next to it, both indexed by
+	// byte count up to cfg.ParseMax. 0 (or a count past the end) is a row
+	// the interpreter would miss: the packet declines.
+	norm, resize []int32
+	// meter and counter are the policing extern arrays, resolved once.
+	meter   sim.MeterRef
+	counter sim.CounterRef
+
 	// hits counts packets fully handled by this engine (since Build);
 	// declined packets don't count. Operator-visible via the ctl fuse read.
 	hits atomic.Uint64
@@ -89,24 +112,26 @@ func (eng *Engine) Hits() uint64 { return eng.hits.Load() }
 type portBind struct {
 	plan     *plan
 	vingress uint64
-	assign   *sim.Entry
+	assign   int32 // t_assign row in Engine.entries
 }
 
 // plan is one vdev's fused dispatch state, built from its decoded rows
-// (internal/core/persona/rows).
+// (internal/core/persona/rows) and linked: a walk follows pointers from
+// parse0 through parse rows and fused rows, and its only map lookup is the
+// vnet route.
 type plan struct {
 	pid          int
 	name         string
 	defaultBytes int
-	// Persona-static rows shared across plans (keyed by byte count).
-	normBy   map[int]*sim.Entry
-	resizeBy map[int]*sim.Entry
-	wbBy     map[int]*sim.Entry
-	parseBy  map[uint64]*parseState // t_parse_ctrl rows by parse state
-	vdrop0   *sim.Entry             // the (pid, vport=0) drop row, hit on parse misses and parse-more passes
-	slots    map[uint32]*fusedSlot
-	vnet     map[uint64]*vnetRow
-	csum     *rows.Csum
+	parse0       *parseState // parse state 0's rows; nil: every packet misses
+	vdrop0       int32       // the (pid, vport=0) drop row, hit on parse misses and parse-more passes
+	vnet         map[uint64]*vnetRow
+	csum         *rows.Csum
+	csumEnt      int32 // csum's row in Engine.entries
+	// parseBy and slots index the plan's parse states and fused tables for
+	// linking; a walk never reads them.
+	parseBy map[uint64]*parseState
+	slots   map[uint32]*fusedSlot
 	// chain is the set of PIDs a packet entering this plan can visit
 	// (including this one), across virtual links and multicast steps.
 	// RunFast declines when any member is quarantined: containment
@@ -141,8 +166,21 @@ func (fs *fusedSlot) seal() {
 // parseState is one parse state's t_parse_ctrl rows, in precedence order,
 // sealed like a fused table.
 type parseState struct {
-	rows []rows.ParseRow
+	rows []prow
 	ix   *tuple.Index[int]
+}
+
+// prow is one linked t_parse_ctrl row. a_parse_more resubmits for window
+// bytes into next (nil: a state with no rows, where every packet misses);
+// a_parse_done starts the stage walk at first (nil: no table applies) and
+// arms the checksum fix-up when csum is set.
+type prow struct {
+	ent    int32 // the row in Engine.entries
+	more   bool
+	window int
+	next   *parseState
+	first  *fusedSlot
+	csum   bool
 }
 
 // sealRows indexes n rows, key(0)..key(n-1) in match precedence order, by their
@@ -163,13 +201,14 @@ func sealRows(n int, key func(rank int) *rows.Key, std bool) *tuple.Index[int] {
 
 // frow is one decoded virtual entry: its match key (wide for matchED /
 // matchMeta, the std pair for matchStd), the micro-ops of its pre-bound
-// action, its successor, and every persona entry the interpreter would have
+// action, its linked successor (nil: the walk ends), and the run
+// Engine.entries[lo:hi] of every persona entry the interpreter would have
 // hit applying it (set_match + per-primitive prep/exec rows).
 type frow struct {
 	rows.Key
-	ops              []rows.Op
-	nextKind, nextID int
-	hits             []*sim.Entry
+	ops    []rows.Op
+	next   *fusedSlot
+	lo, hi int32
 }
 
 // vnetRow is one decoded t_virtnet route plus its link-time targets. A
@@ -178,9 +217,11 @@ type frow struct {
 // runtime.
 type vnetRow struct {
 	rows.Route
-	target  *plan   // the plan the (first) recirculated copy enters
-	targets []*plan // RouteMcast: each step's plan, in clone order
-	bad     bool
+	ent, orig int32   // Entry and (RouteMcast) Orig in Engine.entries
+	steps     []int32 // RouteMcast: each step's Entry in Engine.entries
+	target    *plan   // the plan the (first) recirculated copy enters
+	targets   []*plan // RouteMcast: each step's plan, in clone order
+	bad       bool
 }
 
 func slotKey(kind int, id uint64) uint32 { return uint32(kind)<<16 | uint32(id&0xffff) }
@@ -211,23 +252,51 @@ func Build(sw *sim.Switch, cfg persona.Config, vdevs []VDev) (*Engine, []verify.
 	}
 	ew := cfg.ExtractedWidth()
 	eng := &Engine{
-		gen:   sw.Generation(),
-		ew:    ew,
-		plans: map[int]*plan{},
-		ports: make([]portBind, MaxPorts),
+		gen:    sw.Generation(),
+		ew:     ew,
+		plans:  map[int]*plan{},
+		ports:  make([]portBind, MaxPorts),
+		norm:   make([]int32, cfg.ParseMax+1),
+		resize: make([]int32, cfg.ParseMax+1),
 	}
 	eng.pool.New = func() any { return newExecState(ew) }
-	t, err := rows.Load(sw, cfg)
+	var err error
+	if eng.meter, err = sw.MeterRef(persona.MeterIngress); err == nil {
+		eng.counter, err = sw.CounterRef(persona.CounterVDev)
+	}
+	var t *rows.Tables
+	if err == nil {
+		t, err = rows.Load(sw, cfg)
+	}
 	if err != nil {
 		findings = append(findings, unfusable("", "", 0, "persona introspection failed: %v", err))
 		return nil, findings
+	}
+	// Decode every vdev up front so the entry table is allocated once.
+	models := make([]*rows.VDev, len(vdevs))
+	need := 1 + len(t.Norm) + len(t.Resize) + len(t.Writeback) + len(t.Assign)
+	for i, vd := range vdevs {
+		if vd.PID > 0 && vd.PID < meterInstances {
+			models[i] = t.VDev(vd.PID)
+			need += planEntries(models[i])
+		}
+	}
+	eng.entries = make([]*sim.Entry, 1, need)
+	for n := range eng.norm {
+		if e := t.Norm[n]; e != nil {
+			eng.norm[n] = eng.entry(e)
+		}
+		if re, wb := t.Resize[n], t.Writeback[n]; re != nil && wb != nil {
+			eng.resize[n] = eng.entry(re)
+			eng.entry(wb)
+		}
 	}
 	sessionOK := func(session int) bool {
 		_, ok := sw.MirrorPort(session)
 		return ok
 	}
-	for _, vd := range vdevs {
-		p, fs := buildPlan(cfg, t, sessionOK, vd)
+	for i, vd := range vdevs {
+		p, fs := eng.buildPlan(cfg, models[i], sessionOK, vd)
 		findings = append(findings, fs...)
 		if p != nil {
 			eng.plans[vd.PID] = p
@@ -240,6 +309,7 @@ func Build(sw *sim.Switch, cfg persona.Config, vdevs []VDev) (*Engine, []verify.
 	// Fuse t_assign into a direct port dispatch: for each physical port,
 	// the first assign row in precedence order that matches it. A port an
 	// undecodable row might claim stays with the interpreter.
+	assignEnt := make([]int32, len(t.Assign))
 	for port := 0; port < MaxPorts; port++ {
 		for i := range t.Assign {
 			a := &t.Assign[i]
@@ -249,7 +319,12 @@ func Build(sw *sim.Switch, cfg persona.Config, vdevs []VDev) (*Engine, []verify.
 			if uint64(port)&a.Mask != a.Val {
 				continue
 			}
-			eng.ports[port] = portBind{plan: eng.plans[a.PID], vingress: a.VIngress, assign: a.Entry}
+			if p := eng.plans[a.PID]; p != nil {
+				if assignEnt[i] == 0 {
+					assignEnt[i] = eng.entry(a.Entry)
+				}
+				eng.ports[port] = portBind{plan: p, vingress: a.VIngress, assign: assignEnt[i]}
+			}
 			break
 		}
 	}
@@ -257,6 +332,12 @@ func Build(sw *sim.Switch, cfg persona.Config, vdevs []VDev) (*Engine, []verify.
 		return nil, findings
 	}
 	return eng, findings
+}
+
+// entry appends e to the engine's entry table and returns its index.
+func (eng *Engine) entry(e *sim.Entry) int32 {
+	eng.entries = append(eng.entries, e)
+	return int32(len(eng.entries) - 1)
 }
 
 // Plans reports how many vdevs the engine fused.
@@ -268,11 +349,12 @@ func (eng *Engine) Fused(pid int) bool { return eng.plans[pid] != nil }
 // BuiltAgainst returns the switch generation the engine was compiled from.
 func (eng *Engine) BuiltAgainst() uint64 { return eng.gen }
 
-// buildPlan fuses one vdev from its decoded rows. A nil plan means the vdev
+// buildPlan fuses one vdev from its decoded rows m (nil when its PID is out
+// of range). A nil plan means the vdev
 // stays fully interpreted; the findings say why. A non-nil plan may still
 // carry per-construct runtime fallbacks (multicast sequences), reported as
 // findings too.
-func buildPlan(cfg persona.Config, t *rows.Tables, sessionOK func(int) bool, vd VDev) (*plan, []verify.Finding) {
+func (eng *Engine) buildPlan(cfg persona.Config, m *rows.VDev, sessionOK func(int) bool, vd VDev) (*plan, []verify.Finding) {
 	var findings []verify.Finding
 	fail := func(table string, handle int, format string, args ...any) (*plan, []verify.Finding) {
 		return nil, append(findings, unfusable(vd.Name, table, handle, format, args...))
@@ -280,7 +362,6 @@ func buildPlan(cfg persona.Config, t *rows.Tables, sessionOK func(int) bool, vd 
 	if vd.PID <= 0 || vd.PID >= meterInstances {
 		return fail("", 0, "pid %d outside the policing meter instance range", vd.PID)
 	}
-	m := t.VDev(vd.PID)
 	if len(m.Errs) > 0 {
 		return fail(m.Errs[0].Table, m.Errs[0].Handle, "%s", m.Errs[0].Detail)
 	}
@@ -289,22 +370,17 @@ func buildPlan(cfg persona.Config, t *rows.Tables, sessionOK func(int) bool, vd 
 		name:         vd.Name,
 		defaultBytes: cfg.ParseDefault,
 		parseBy:      make(map[uint64]*parseState, len(m.Parse)),
-		normBy:       t.Norm,
-		resizeBy:     t.Resize,
-		wbBy:         t.Writeback,
 		slots:        map[uint32]*fusedSlot{},
 		vnet:         map[uint64]*vnetRow{},
 		csum:         m.Csum,
 	}
-	for state, prs := range m.Parse {
-		ps := &parseState{rows: prs}
-		ps.ix = sealRows(len(prs), func(i int) *rows.Key { return &prs[i].Key }, false)
-		p.parseBy[state] = ps
+	if m.Csum != nil {
+		p.csumEnt = eng.entry(m.Csum.Entry)
 	}
 
 	for i := range m.Routes {
 		r := &m.Routes[i]
-		vr := &vnetRow{Route: *r}
+		vr := &vnetRow{Route: *r, ent: eng.entry(r.Entry)}
 		if r.Kind == rows.RouteMcast {
 			if err := mcastFusable(r, sessionOK); err != nil {
 				vr.bad = true
@@ -313,45 +389,113 @@ func buildPlan(cfg persona.Config, t *rows.Tables, sessionOK func(int) bool, vd 
 			}
 		}
 		if p.vnet[r.VPort] == nil {
+			if r.Kind == rows.RouteMcast && !vr.bad {
+				vr.orig = eng.entry(r.Orig)
+				vr.steps = make([]int32, len(r.Steps))
+				for k := range r.Steps {
+					vr.steps[k] = eng.entry(r.Steps[k].Entry)
+				}
+			}
 			p.vnet[r.VPort] = vr
 		}
-		if r.VPort == 0 && r.Kind == rows.RouteDrop && p.vdrop0 == nil {
-			p.vdrop0 = r.Entry
+		if r.VPort == 0 && r.Kind == rows.RouteDrop && p.vdrop0 == 0 {
+			p.vdrop0 = vr.ent
 		}
 	}
-	if p.vdrop0 == nil {
+	if p.vdrop0 == 0 {
 		return fail(persona.TblVirtnet, 0, "no (pid, vport=0) drop row: vdev not fully assigned")
 	}
 
+	// rows groups slot rows by (stage, kind, id), so a second slot under
+	// one (kind, id) key is always a second stage.
 	for _, s := range m.Slots {
 		key := slotKey(s.Kind, uint64(s.ID))
-		fs := p.slots[key]
-		if fs == nil {
-			fs = &fusedSlot{stage: s.Stage, kind: fusedKind(s.Kind)}
-			p.slots[key] = fs
-		} else if fs.stage != s.Stage {
+		if fs := p.slots[key]; fs != nil {
 			return fail(persona.StageTable(s.Stage, persona.KindName(s.Kind)), s.Rows[0].Entry.Handle,
 				"slot %d installed in stages %d and %d", s.ID, fs.stage, s.Stage)
 		}
+		fs := &fusedSlot{stage: s.Stage, kind: fusedKind(s.Kind), rows: make([]*frow, len(s.Rows))}
+		p.slots[key] = fs
+		frs := make([]frow, len(s.Rows))
 		for j := range s.Rows {
 			r := &s.Rows[j]
-			hits := make([]*sim.Entry, 0, 1+2*len(r.Ops))
-			hits = append(hits, r.Entry)
 			for k := range r.Ops {
-				op := &r.Ops[k]
-				if isAdd(op.Code) && op.DstW > 64 {
+				if op := &r.Ops[k]; isAdd(op.Code) && op.DstW > 64 {
 					return fail(persona.PrimTable(s.Stage, k+1, "prep"), op.Prep.Handle,
 						"add over %d-bit destination exceeds the 64-bit fused adder", op.DstW)
 				}
-				hits = append(hits, op.Prep, op.Exec)
 			}
-			fs.rows = append(fs.rows, &frow{Key: r.Key, ops: r.Ops, nextKind: r.NextKind, nextID: r.NextSlot, hits: hits})
+			lo := eng.entry(r.Entry)
+			for k := range r.Ops {
+				eng.entry(r.Ops[k].Prep)
+				eng.entry(r.Ops[k].Exec)
+			}
+			frs[j] = frow{Key: r.Key, ops: r.Ops, lo: lo, hi: int32(len(eng.entries))}
+			fs.rows[j] = &frs[j]
+		}
+	}
+	// Link each row to its successor. One applied at or before the row's
+	// own stage never is: the interpreter's remaining stage tables don't
+	// hold its rows, so the walk ends there.
+	for _, s := range m.Slots {
+		fs := p.slots[slotKey(s.Kind, uint64(s.ID))]
+		for j := range s.Rows {
+			fs.rows[j].next = p.stageAfter(s.Rows[j].NextKind, s.Rows[j].NextSlot, s.Stage)
 		}
 	}
 	for _, fs := range p.slots {
 		fs.seal()
 	}
+
+	for state, prs := range m.Parse {
+		ps := &parseState{rows: make([]prow, len(prs))}
+		ps.ix = sealRows(len(prs), func(i int) *rows.Key { return &prs[i].Key }, false)
+		p.parseBy[state] = ps
+	}
+	for state, prs := range m.Parse {
+		ps := p.parseBy[state]
+		for i := range prs {
+			r := &prs[i]
+			ps.rows[i] = prow{ent: eng.entry(r.Entry), more: r.More, window: r.Window, csum: r.Csum}
+			if r.More {
+				ps.rows[i].next = p.parseBy[r.Next]
+			} else {
+				ps.rows[i].first = p.stageAfter(r.Kind, r.Slot, 0)
+			}
+		}
+	}
+	p.parse0 = p.parseBy[0]
 	return p, findings
+}
+
+// planEntries bounds the rows buildPlan adds to the engine's entry table
+// for m.
+func planEntries(m *rows.VDev) int {
+	n := 1
+	for i := range m.Routes {
+		n += 2 + len(m.Routes[i].Steps)
+	}
+	for _, prs := range m.Parse {
+		n += len(prs)
+	}
+	for _, s := range m.Slots {
+		for j := range s.Rows {
+			n += 1 + 2*len(s.Rows[j].Ops)
+		}
+	}
+	return n
+}
+
+// stageAfter links a next-table reference: the fused table (kind, id) when
+// it exists and sits in a stage after stage, else nil.
+func (p *plan) stageAfter(kind, id, stage int) *fusedSlot {
+	if kind == persona.NTDone {
+		return nil
+	}
+	if fs := p.slots[slotKey(kind, uint64(id))]; fs != nil && fs.stage > stage {
+		return fs
+	}
+	return nil
 }
 
 func isAdd(code int) bool { return code == persona.OpAddEDConst || code == persona.OpAddMetaConst }
@@ -529,27 +673,23 @@ func linkPlans(eng *Engine, maxPasses int) []verify.Finding {
 // parse state 0, mirroring verify's parseDepth (seen-guarded against state
 // cycles; the runtime segment cap still protects adversarial inputs).
 func walkPasses(p *plan) int {
-	seen := map[uint64]bool{}
-	var deepest func(state uint64) int
-	deepest = func(state uint64) int {
-		ps := p.parseBy[state]
-		if seen[state] || ps == nil {
+	seen := map[*parseState]bool{}
+	var deepest func(ps *parseState) int
+	deepest = func(ps *parseState) int {
+		if ps == nil || seen[ps] {
 			return 0
 		}
-		seen[state] = true
+		seen[ps] = true
 		best := 0
-		for _, r := range ps.rows {
-			if !r.More {
-				continue
-			}
-			if d := 1 + deepest(r.Next); d > best {
-				best = d
+		for i := range ps.rows {
+			if r := &ps.rows[i]; r.more {
+				best = max(best, 1+deepest(r.next))
 			}
 		}
-		seen[state] = false
+		seen[ps] = false
 		return best
 	}
-	return 1 + deepest(0)
+	return 1 + deepest(p.parse0)
 }
 
 func fusedKind(code int) int {

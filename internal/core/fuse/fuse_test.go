@@ -348,27 +348,36 @@ func TestCommitRedMeterTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	meter, err := sw.MeterRef(persona.MeterIngress)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter, err := sw.CounterRef(persona.CounterVDev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eng *Engine
 	build := func() (*execState, []*sim.Entry) {
 		st := newExecState(64)
 		norm0, norm1 := &sim.Entry{}, &sim.Entry{}
 		stage0, stage1 := &sim.Entry{}, &sim.Entry{}
-		st.jr = []*sim.Entry{stage0, stage1}
+		eng = &Engine{entries: []*sim.Entry{nil, norm0, norm1, stage0, stage1}, meter: meter, counter: counter}
+		st.jr = []run{{3, 4}, {4, 5}}
 		st.segs = []segment{
-			{pid: 1, inst: segNormal, parser: true, dataLen: 64, norm: norm0,
+			{pid: 1, inst: segNormal, parser: true, dataLen: 64, norm: 1,
 				lo: 0, hi: 1, outPort: 5, outData: []byte{1}, child: [2]int{1, -1}},
-			{pid: 1, inst: segRecirc, parser: true, dataLen: 64, norm: norm1,
+			{pid: 1, inst: segRecirc, parser: true, dataLen: 64, norm: 2,
 				lo: 1, hi: 2, outPort: 6, outData: []byte{2}, child: [2]int{-1, -1}},
 		}
 		return st, []*sim.Entry{norm0, norm1, stage0, stage1}
 	}
-	eng := &Engine{}
 
 	// Red at the first pass: the whole tree below it is pruned.
 	if err := sw.MeterSetRates(persona.MeterIngress, 1, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	st, entries := build()
-	res, ok := eng.commit(st, sw)
+	res, ok := eng.commit(st)
 	if !ok {
 		t.Fatal("commit declined")
 	}
@@ -396,7 +405,7 @@ func TestCommitRedMeterTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, entries = build()
-	res, ok = eng.commit(st, sw)
+	res, ok = eng.commit(st)
 	if !ok {
 		t.Fatal("commit declined")
 	}

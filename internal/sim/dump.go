@@ -1,6 +1,11 @@
 package sim
 
-import "hyper4/internal/bitfield"
+import (
+	"fmt"
+	"sort"
+
+	"hyper4/internal/bitfield"
+)
 
 // This file captures and restores the switch's control-plane state — the
 // state management operations can change, as opposed to the state traffic
@@ -91,6 +96,34 @@ func (sw *Switch) Dump() *SwitchDump {
 		d.Meters[name] = rates
 	}
 	return d
+}
+
+// CheckDump holds every entry of a dump to the switch's program with the
+// checks TableAdd makes, so a dump decoded from outside — a journal
+// snapshot — is never restored past its shape: an unknown or disallowed
+// action, a wrong arg count, or a wrong param count, kind or width is an
+// error naming the table and handle. Tables the switch lacks are skipped,
+// as RestoreDump skips them. A Dump the switch took itself always passes.
+func (sw *Switch) CheckDump(d *SwitchDump) error {
+	sw.mu.RLock()
+	defer sw.mu.RUnlock()
+	names := make([]string, 0, len(d.Tables))
+	for name := range d.Tables {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		t, ok := sw.tables[name]
+		if !ok {
+			continue
+		}
+		for _, ed := range d.Tables[name].Entries {
+			if _, err := sw.checkEntry(t, ed.Action, ed.Params, ed.Args); err != nil {
+				return fmt.Errorf("entry %d: %w", ed.Handle, err)
+			}
+		}
+	}
+	return nil
 }
 
 // RestoreDump rewinds the switch's control-plane state to a previous Dump of

@@ -1,6 +1,10 @@
 package sim
 
-import "hyper4/internal/bitfield"
+import (
+	"fmt"
+
+	"hyper4/internal/bitfield"
+)
 
 // This file is the switch half of the fused fast path (DESIGN.md §13).
 // A FastHandler — in practice internal/core/fuse's engine — is installed
@@ -28,9 +32,9 @@ type FastResult struct {
 // FastHandler processes packets without the interpreted pipeline. RunFast
 // is called with the switch's control-plane read lock held: table state
 // cannot change underneath it, and it must not call any Switch method that
-// takes mu (the Fast* helpers and Generation are safe). Returning ok=false
-// declines the packet — for any reason, at any point before side effects —
-// and hands it to the interpreter untouched.
+// takes mu (MeterRef.Execute, CounterRef.Inc and Generation are safe).
+// Returning ok=false declines the packet — for any reason, at any point
+// before side effects — and hands it to the interpreter untouched.
 type FastHandler interface {
 	RunFast(sw *Switch, data []byte, port int) (FastResult, bool)
 }
@@ -85,20 +89,52 @@ func (sw *Switch) runFast(data []byte, port int) (res FastResult, ok bool) {
 }
 
 // --- helpers a fast-path handler may call during its commit phase ---
-// These take only the fine-grained extern locks (never mu), matching the
-// lock order Process established: mu's read side is held outside, leaf
-// locks inside.
+// A handler resolves the extern arrays it drives once, when it is built
+// (MeterRef, CounterRef), so its commit phase pays no name lookup per
+// packet. Execute and Inc take only the array's own fine-grained lock
+// (never mu), matching the lock order Process established: mu's read side
+// is held outside, leaf locks inside. The arrays live as long as the
+// switch, so a ref never goes stale.
 
-// FastCounterInc bumps a counter cell on behalf of a fast-path handler,
-// exactly as the interpreted count() primitive would.
-func (sw *Switch) FastCounterInc(name string, idx, packetBytes int) error {
-	return sw.countInc(name, idx, packetBytes)
+// MeterRef is one meter array resolved by name.
+type MeterRef struct {
+	name string
+	m    *meterArray
 }
 
-// FastMeterExecute records meter usage and returns the color on behalf of
-// a fast-path handler, exactly as execute_meter would.
-func (sw *Switch) FastMeterExecute(name string, idx, packetBytes int) (int, error) {
-	return sw.meterExecute(name, idx, packetBytes)
+// MeterRef resolves a meter array for a fast-path handler.
+func (sw *Switch) MeterRef(name string) (MeterRef, error) {
+	m, ok := sw.meters[name]
+	if !ok {
+		return MeterRef{}, fmt.Errorf("sim: no meter %q", name)
+	}
+	return MeterRef{name: name, m: m}, nil
+}
+
+// Execute records meter usage and returns the color, exactly as
+// execute_meter would.
+func (r MeterRef) Execute(idx, packetBytes int) (int, error) {
+	return r.m.execute(r.name, idx, packetBytes)
+}
+
+// CounterRef is one counter array resolved by name.
+type CounterRef struct {
+	name string
+	c    *counterArray
+}
+
+// CounterRef resolves a counter array for a fast-path handler.
+func (sw *Switch) CounterRef(name string) (CounterRef, error) {
+	c, ok := sw.counters[name]
+	if !ok {
+		return CounterRef{}, fmt.Errorf("sim: no counter %q", name)
+	}
+	return CounterRef{name: name, c: c}, nil
+}
+
+// Inc bumps a counter cell, exactly as the count() primitive would.
+func (r CounterRef) Inc(idx, packetBytes int) error {
+	return r.c.inc(r.name, idx, packetBytes)
 }
 
 // MirrorPort reports the egress port a clone session maps to, and whether

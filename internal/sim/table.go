@@ -355,6 +355,31 @@ func (sw *Switch) allowedAction(t *table, name string, args []bitfield.Value) (*
 	return act, nil
 }
 
+// checkEntry holds one entry to t's shape: its params line up with t's
+// reads in number, match kind and width, and allowedAction accepts its
+// action and args. TableAdd runs it on every add and CheckDump on every
+// entry of a dump before it is restored.
+func (sw *Switch) checkEntry(t *table, action string, params []MatchParam, args []bitfield.Value) (*action, error) {
+	name := t.decl.Name
+	if len(params) != len(t.decl.Reads) {
+		return nil, fmt.Errorf("sim: table %s wants %d match params, got %d", name, len(t.decl.Reads), len(params))
+	}
+	act, err := sw.allowedAction(t, action, args)
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range params {
+		want := t.decl.Reads[i].Match
+		if p.Kind != want {
+			return nil, fmt.Errorf("sim: table %s param %d is %s, entry has %s", name, i, want, p.Kind)
+		}
+		if p.Kind != ast.MatchValid && p.Value.Width() != t.keyWidths[i] {
+			return nil, fmt.Errorf("sim: table %s param %d width %d, want %d", name, i, p.Value.Width(), t.keyWidths[i])
+		}
+	}
+	return act, nil
+}
+
 // TableAdd installs an entry and returns its handle. The params must line up
 // with the table's reads; action args line up with the action's parameters.
 // Inserting a second entry with the same exact-match key is rejected.
@@ -365,21 +390,9 @@ func (sw *Switch) TableAdd(tableName, action string, params []MatchParam, args [
 	if err != nil {
 		return 0, err
 	}
-	if len(params) != len(t.decl.Reads) {
-		return 0, fmt.Errorf("sim: table %s wants %d match params, got %d", tableName, len(t.decl.Reads), len(params))
-	}
-	act, err := sw.allowedAction(t, action, args)
+	act, err := sw.checkEntry(t, action, params, args)
 	if err != nil {
 		return 0, err
-	}
-	for i, p := range params {
-		want := t.decl.Reads[i].Match
-		if p.Kind != want {
-			return 0, fmt.Errorf("sim: table %s param %d is %s, entry has %s", tableName, i, want, p.Kind)
-		}
-		if p.Kind != ast.MatchValid && p.Value.Width() != t.keyWidths[i] {
-			return 0, fmt.Errorf("sim: table %s param %d width %d, want %d", tableName, i, p.Value.Width(), t.keyWidths[i])
-		}
 	}
 	var mask, val []byte
 	if t.ix != nil {
