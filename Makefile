@@ -34,13 +34,15 @@ lookup-race:
 # cases hold its lookups through the shared mask-grouped index
 # (internal/tuple) to a first-match scan and their probe count flat as
 # tables grow; TestFusedOutputsOwnTheirBytes holds outputs
-# clear of the pooled link-hop buffers. One pass each of BenchmarkFusedLookup,
-# BenchmarkRunFastComposed and BenchmarkBuild (fuse.Build, the write path's
-# compile step, with its B/op and allocs/op) keeps the benchmarks compiling
-# and running.
+# clear of the pooled link-hop buffers. The TestFusedBurst* cases replay
+# the differentials through ProcessSeq bursts and race ProcessSeq workers
+# against table writes. One pass each of BenchmarkFusedLookup,
+# BenchmarkRunFastComposed, BenchmarkProcessSeqComposed (64- and 1-frame
+# bursts) and BenchmarkBuild (fuse.Build, the write path's compile step,
+# with its B/op and allocs/op) keeps the benchmarks compiling and running.
 fuse-diff:
 	$(GO) test -race -run 'TestFused' ./internal/core/dpmu/ ./internal/core/fuse/
-	$(GO) test -run '^$$' -bench 'BenchmarkFusedLookup|BenchmarkRunFastComposed|BenchmarkBuild' -benchmem -benchtime 1x ./internal/core/fuse/
+	$(GO) test -run '^$$' -bench 'BenchmarkFusedLookup|BenchmarkRunFastComposed|BenchmarkProcessSeqComposed|BenchmarkBuild' -benchmem -benchtime 1x ./internal/core/fuse/
 
 # The end-to-end fault-containment scenario, explicitly under the race
 # detector (concurrent traffic, probes, and management ops on one switch).

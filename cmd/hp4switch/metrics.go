@@ -143,7 +143,7 @@ func writeMetrics(w io.Writer, sw *sim.Switch, d *dpmu.DPMU) {
 	add(snap.Passes.CloneE2E, "kind", "clone_e2e")
 
 	const latency = "hyper4_process_latency_seconds"
-	fmt.Fprintf(w, "# HELP %s Wall time of Process calls.\n# TYPE %s histogram\n", latency, latency)
+	fmt.Fprintf(w, "# HELP %s Per-packet processing wall time: one sample per packet; a packet of a ProcessSeq burst is filed at the burst's mean.\n# TYPE %s histogram\n", latency, latency)
 	var cum int64
 	for i, c := range snap.Latency.Counts {
 		cum += c

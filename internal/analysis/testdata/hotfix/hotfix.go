@@ -1,5 +1,6 @@
 // Package hotfix is the hotpath analyzer's fixture: a marked hot root, a
-// transitively hot helper, a suppressed exception and cold code.
+// root recognized by name (Switch.ProcessSeq), transitively hot helpers,
+// suppressed exceptions and cold code.
 package hotfix
 
 import (
@@ -12,7 +13,7 @@ import (
 //
 //hp4:hotpath
 func process(p []byte) (int, error) {
-	start := time.Now() // want: time.Now in process
+	start := time.Now()      // want: time.Now in process
 	scratch := map[int]int{} // want: map literal in process
 	scratch[0] = len(p)
 	if err := helper(p); err != nil {
@@ -36,6 +37,25 @@ func helper(p []byte) error {
 	idx := make(map[string]int, len(p)) // want: map allocation in helper
 	_ = idx
 	return nil
+}
+
+// Switch stands in for sim.Switch: its ProcessSeq is a hot root by name,
+// with no directive.
+type Switch struct{}
+
+// ProcessSeq is the fixture's batch entry point.
+func (sw *Switch) ProcessSeq(pkts [][]byte) {
+	start := time.Now() //hp4:allow hotpath (fixture's sanctioned per-burst clock pair)
+	for _, p := range pkts {
+		sw.one(p)
+	}
+	_ = time.Since(start) //hp4:allow hotpath (see above)
+}
+
+// one is hot only because ProcessSeq calls it.
+func (sw *Switch) one(p []byte) {
+	stamp := time.Now() // want: time.Now in Switch.one, reachable from hot path root Switch.ProcessSeq
+	_, _ = stamp, p
 }
 
 // cold is never reached from a hot root; nothing here is flagged.

@@ -5,7 +5,11 @@
 
 package dpmu
 
-import "testing"
+import (
+	"testing"
+
+	"hyper4/internal/sim"
+)
 
 // TestFusedSteadyStateAllocs guards what fusion bought over the interpreter's
 // per-stage allocation (400 per l2 packet, 3000+ across the chain): a fused
@@ -13,7 +17,9 @@ import "testing"
 // crossing the whole arp→fw→router chain costs no more than the l2 packet.
 // Link hops deparse into pooled buffers, so a packet's allocations do not
 // grow with the virtual links it crosses; a return to allocating per hop or
-// per match-action stage fails the comparison.
+// per match-action stage fails the comparison. Through ProcessSeq, the
+// runtime's path, a fused chain packet costs at most 2: its trace lives in
+// the results slot.
 func TestFusedSteadyStateAllocs(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -46,6 +52,34 @@ func TestFusedSteadyStateAllocs(t *testing.T) {
 			t.Logf("fused %s: %.1f allocs/packet", tc.name, allocs[tc.name])
 		})
 	}
+	// The runtime's path: a 64-frame ProcessSeq burst through the chain,
+	// whose fused packets keep their traces inline in the results slots.
+	// What is left per packet is its output bytes and its Outputs slice.
+	t.Run("composed_seq", func(t *testing.T) {
+		d := newPersonaDPMU(t)
+		loadComposition(t, d)
+		d.SetFusion(true)
+		in := make([]sim.Input, 64)
+		for i := range in {
+			in[i] = sim.Input{Data: ping(), Port: 1}
+		}
+		results := make([]sim.Result, len(in))
+		if err := d.SW.ProcessSeq(in, results); err != nil {
+			t.Fatal(err)
+		}
+		if out := results[0].Outputs; len(out) != 1 || out[0].Port != 2 || d.FusionStatus().FastHits != uint64(len(in)) {
+			t.Fatalf("warm-up burst: out=%+v fast hits=%d", out, d.FusionStatus().FastHits)
+		}
+		perPkt := testing.AllocsPerRun(50, func() {
+			if err := d.SW.ProcessSeq(in, results); err != nil {
+				t.Fatal(err)
+			}
+		}) / float64(len(in))
+		t.Logf("fused composed via ProcessSeq: %.2f allocs/packet", perPkt)
+		if perPkt > 2 {
+			t.Errorf("fused composed chain through ProcessSeq allocates %.2f/packet, want <= 2", perPkt)
+		}
+	})
 	l2, okL := allocs["l2"]
 	composed, okC := allocs["composed"]
 	if okL && l2 > 8 {

@@ -88,7 +88,10 @@ type Engine struct {
 	// entries is every persona row the plans can journal, each fused row's
 	// hits (set_match, then prep and exec per primitive) one contiguous run.
 	// Index 0 is nil and means "no row": a journaled hit is an index range
-	// into entries, so the per-packet journal holds no pointers.
+	// into entries, so the per-packet journal holds no pointers. Every
+	// index belongs to exactly one journal unit — a fused row's run, a
+	// resize/writeback pair, or a single row — so a unit is named by its
+	// first index, which is what a burst's tally counts hits by.
 	entries []*sim.Entry
 	// norm[n] is the t_norm row for a parse of n bytes and resize[n] its
 	// te_resize row, with the te_writeback row next to it, both indexed by
@@ -259,7 +262,9 @@ func Build(sw *sim.Switch, cfg persona.Config, vdevs []VDev) (*Engine, []verify.
 		norm:   make([]int32, cfg.ParseMax+1),
 		resize: make([]int32, cfg.ParseMax+1),
 	}
-	eng.pool.New = func() any { return newExecState(ew) }
+	// Burst scratch is built lazily, per burst, once the entry table is
+	// complete: Build pays nothing for it.
+	eng.pool.New = func() any { return newExecState(eng) }
 	var err error
 	if eng.meter, err = sw.MeterRef(persona.MeterIngress); err == nil {
 		eng.counter, err = sw.CounterRef(persona.CounterVDev)

@@ -13,7 +13,7 @@ import (
 const testExtWidth = 512
 
 func testState() *execState {
-	return newExecState(testExtWidth)
+	return newExecState(&Engine{ew: testExtWidth})
 }
 
 // edRow builds a matchED/matchMeta row whose key requires the given byte
@@ -358,10 +358,10 @@ func TestCommitRedMeterTruncation(t *testing.T) {
 	}
 	var eng *Engine
 	build := func() (*execState, []*sim.Entry) {
-		st := newExecState(64)
 		norm0, norm1 := &sim.Entry{}, &sim.Entry{}
 		stage0, stage1 := &sim.Entry{}, &sim.Entry{}
-		eng = &Engine{entries: []*sim.Entry{nil, norm0, norm1, stage0, stage1}, meter: meter, counter: counter}
+		eng = &Engine{ew: 64, entries: []*sim.Entry{nil, norm0, norm1, stage0, stage1}, meter: meter, counter: counter}
+		st := newExecState(eng)
 		st.jr = []run{{3, 4}, {4, 5}}
 		st.segs = []segment{
 			{pid: 1, inst: segNormal, parser: true, dataLen: 64, norm: 1,
@@ -381,6 +381,14 @@ func TestCommitRedMeterTruncation(t *testing.T) {
 	if !ok {
 		t.Fatal("commit declined")
 	}
+	// Hits and counter bumps wait in the burst's tally until Flush.
+	if entries[0].Hits() != 0 {
+		t.Error("commit bumped an entry's hit counter before Flush")
+	}
+	if pkts, _, _ := sw.CounterRead(persona.CounterVDev, 1); pkts != 0 {
+		t.Error("commit bumped the vdev counter before Flush")
+	}
+	st.Flush()
 	if len(res.Outputs) != 0 || res.Recirculates != 0 {
 		t.Fatalf("red pass leaked effects: %+v", res)
 	}
@@ -409,6 +417,7 @@ func TestCommitRedMeterTruncation(t *testing.T) {
 	if !ok {
 		t.Fatal("commit declined")
 	}
+	st.Flush()
 	if len(res.Outputs) != 2 || res.Recirculates != 1 {
 		t.Fatalf("green commit: %+v, want 2 outputs and 1 recirculation", res)
 	}

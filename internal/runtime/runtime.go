@@ -556,15 +556,18 @@ func (rt *Runtime) processBurst(w int, pm *portMap, frames []Frame, in *[]sim.In
 			results[i].Outputs, results[i].Trace, results[i].Err = rt.proc.Process(p.Data, p.Port)
 		}
 	}
+	rt.processed.Add(uint64(len(frames)))
 	for i := range frames {
-		rt.processed.Add(1)
 		if results[i].Err != nil {
 			rt.procErrs.Add(1)
-			continue
+		} else {
+			for _, o := range results[i].Outputs {
+				rt.route(w, pm, o)
+			}
 		}
-		for _, o := range results[i].Outputs {
-			rt.route(w, pm, o)
-		}
+		// Every slot is cleared, faulted ones too: the reused backing must
+		// not pin a packet's outputs, fault or inline trace until the slot
+		// comes round again.
 		results[i] = sim.Result{}
 	}
 }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -392,5 +393,53 @@ func TestBatchProcessorPath(t *testing.T) {
 	}
 	if proc.n.Load() != 10 {
 		t.Fatalf("processed %d", proc.n.Load())
+	}
+}
+
+// faultyBatch fails every odd frame with a fault and a trace, and forwards
+// the rest, the way a switch leaves a burst's results.
+type faultyBatch struct{ echoProc }
+
+func (f *faultyBatch) ProcessSeq(pkts []sim.Input, results []sim.Result) error {
+	var first error
+	for i := range pkts {
+		if i%2 == 1 {
+			results[i].Trace = &sim.Trace{Passes: 1}
+			results[i].Err = &sim.PacketFault{Kind: sim.FaultParse, Port: pkts[i].Port}
+			if first == nil {
+				first = results[i].Err
+			}
+			continue
+		}
+		results[i].Outputs, results[i].Trace, results[i].Err = f.Process(pkts[i].Data, pkts[i].Port)
+		results[i].Trace = &sim.Trace{Passes: 1}
+	}
+	return first
+}
+
+// TestProcessBurstClearsEveryResult runs one burst with faulting frames in
+// it straight through a worker's processBurst: every slot of the reused
+// results backing must come back zero, faulted ones included, so a worker
+// pins no fault, trace or output bytes between bursts. The burst counts
+// every frame as processed and each fault once.
+func TestProcessBurstClearsEveryResult(t *testing.T) {
+	rt := New(&faultyBatch{}, Config{Workers: 1})
+	frames := make([]Frame, 5)
+	for i := range frames {
+		frames[i] = Frame{Data: []byte{byte(i)}, Port: 1}
+	}
+	in := make([]sim.Input, 0, burst)
+	results := make([]sim.Result, burst)
+	rt.processBurst(0, rt.ports.Load(), frames, &in, results)
+	for i := range results {
+		if !reflect.ValueOf(results[i]).IsZero() {
+			t.Errorf("results[%d] not cleared after the burst: %+v", i, results[i])
+		}
+	}
+	if got := rt.processed.Load(); got != uint64(len(frames)) {
+		t.Errorf("processed = %d, want %d", got, len(frames))
+	}
+	if got := rt.procErrs.Load(); got != 2 {
+		t.Errorf("processing errors = %d, want 2", got)
 	}
 }

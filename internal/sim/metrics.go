@@ -14,7 +14,7 @@ import (
 // the same constraint the pooled packet state obeys (DESIGN.md §7, §8).
 
 // latencyBuckets is the number of fixed histogram buckets. Bucket i counts
-// Process calls with latency < 2^(minLatShift+i) ns; the last bucket is the
+// packets with latency < 2^(minLatShift+i) ns; the last bucket is the
 // +Inf overflow. With minLatShift 7 the bounds run 128ns .. ~17s, which spans
 // everything from a native exact-match hit to a pathological recirculation
 // storm.
@@ -82,18 +82,21 @@ func (m *switchMetrics) init(actions []*action) {
 	}
 }
 
-// recordLatency files one Process duration into the histogram.
-func (m *switchMetrics) recordLatency(d time.Duration) {
+// recordLatency files the duration d of n packets into the histogram: one
+// sample per packet, each of d/n, so _count stays the packet count and
+// _sum the time spent. A Process call is n = 1; a ProcessSeq burst files
+// its mean once per packet it ran.
+func (m *switchMetrics) recordLatency(d time.Duration, n int) {
 	ns := uint64(d.Nanoseconds())
-	// bits.Len64(ns>>minLatShift) is 0 for ns < 2^minLatShift, else the
-	// position of the highest set bit above the shift.
-	i := bits.Len64(ns >> minLatShift)
+	// bits.Len64(mean>>minLatShift) is 0 for a mean < 2^minLatShift, else
+	// the position of the highest set bit above the shift.
+	i := bits.Len64(ns / uint64(n) >> minLatShift)
 	if i >= latencyBuckets {
 		i = latencyBuckets - 1
 	}
-	m.latCounts[i].Add(1)
+	m.latCounts[i].Add(int64(n))
 	m.latSumNs.Add(int64(ns))
-	m.latCount.Add(1)
+	m.latCount.Add(int64(n))
 }
 
 // recordPass counts one pipeline pass by instance type.
@@ -159,7 +162,8 @@ type PassCounters struct {
 	CloneE2E    int64
 }
 
-// LatencyHistogram is a fixed-bucket histogram of Process wall time.
+// LatencyHistogram is a fixed-bucket histogram of per-packet wall time: a
+// Process call's own, or the mean of the ProcessSeq burst the packet ran in.
 // Counts[i] is the number of observations with duration < Bounds[i]; the
 // last bucket is unbounded (Bounds holds latencyBuckets-1 finite bounds).
 type LatencyHistogram struct {

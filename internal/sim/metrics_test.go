@@ -118,13 +118,27 @@ func TestRecordLatencyBucketing(t *testing.T) {
 	}
 	for _, c := range cases {
 		before := m.latCounts[c.bucket].Load()
-		m.recordLatency(c.d)
+		m.recordLatency(c.d, 1)
 		if got := m.latCounts[c.bucket].Load(); got != before+1 {
 			t.Errorf("recordLatency(%v) did not land in bucket %d", c.d, c.bucket)
 		}
 	}
 	if m.latCount.Load() != int64(len(cases)) {
 		t.Errorf("latCount = %d", m.latCount.Load())
+	}
+
+	// A burst of n files its mean n times: 4µs over 4 packets is four
+	// 1µs samples, and the sum is the burst's whole duration.
+	before, sum := m.latCounts[3].Load(), m.latSumNs.Load()
+	m.recordLatency(4*time.Microsecond, 4)
+	if got := m.latCounts[3].Load(); got != before+4 {
+		t.Errorf("a 4-packet 4µs burst put %d samples in the 1µs bucket, want 4", got-before)
+	}
+	if got := m.latSumNs.Load() - sum; got != 4000 {
+		t.Errorf("a 4-packet 4µs burst added %dns to the sum, want 4000", got)
+	}
+	if m.latCount.Load() != int64(len(cases))+4 {
+		t.Errorf("latCount = %d after the burst", m.latCount.Load())
 	}
 }
 

@@ -114,12 +114,16 @@ func (sw *Switch) countInc(name string, idx, packetBytes int) error {
 }
 
 func (c *counterArray) inc(name string, idx, packetBytes int) error {
+	return c.add(name, idx, 1, uint64(packetBytes))
+}
+
+func (c *counterArray) add(name string, idx int, packets, bytes uint64) error {
 	if idx < 0 || idx >= len(c.packets) {
 		return fmt.Errorf("sim: counter %s index %d out of range", name, idx)
 	}
 	c.mu.Lock()
-	c.packets[idx]++
-	c.bytes[idx] += uint64(packetBytes)
+	c.packets[idx] += packets
+	c.bytes[idx] += bytes
 	c.mu.Unlock()
 	return nil
 }

@@ -35,7 +35,8 @@ type Trace struct {
 
 // tracedPacket is an interpreted packet's trace with inline ApplyLog
 // backing: a packet of up to len(log) applies costs one allocation for its
-// trace. The fused path, which logs no applies, allocates a bare Trace.
+// trace. The fused path logs no applies: Process allocates it a bare
+// Trace, and ProcessSeq keeps it inline in the packet's Result.
 type tracedPacket struct {
 	tr  Trace
 	log [8]TableApply
