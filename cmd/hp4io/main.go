@@ -1,7 +1,7 @@
 // Command hp4io is a minimal wire-traffic client for exercising a running
 // hp4switch over its UDP transports: it sends raw frames as single datagrams
-// and prints frames it receives as hex, one per line. It is what the io-smoke
-// CI target and the README's "Serving real traffic" walkthrough drive the
+// and prints frames it receives as hex, one per line. It is what the hp4switch
+// wire tests and the README's "Serving real traffic" walkthrough drive the
 // switch with — the role iperf/scapy clients play against a bmv2 deployment.
 //
 // Usage:
@@ -99,7 +99,7 @@ func recv(args []string) {
 		sz, _, err := conn.ReadFromUDP(buf)
 		if err != nil {
 			// A missed deadline is the expected failure shape in scripts
-			// (make io-smoke) and tests: say what was awaited, not just
+			// and tests: say what was awaited, not just
 			// the raw "i/o timeout".
 			var nerr net.Error
 			if errors.As(err, &nerr) && nerr.Timeout() {

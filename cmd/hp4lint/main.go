@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -48,7 +49,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(argv []string, out, errOut *os.File) int {
+func run(argv []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("hp4lint", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	stages := fs.Int("stages", persona.Reference.Stages, "persona stages")
@@ -182,7 +183,7 @@ func compileLenient(prog *hlir.Program, cfg persona.Config) (*hp4c.Compiled, err
 // synthesized entry set plus the identity port window the prover's replay
 // harness expects, and proves native = persona over the whole modeled packet
 // space. skew plants the LPM-priority translation bug first, so the planted
-// run of `make prove-smoke` demonstrates a replay-confirmed counterexample.
+// run of TestProveSmoke demonstrates a replay-confirmed counterexample.
 func proveTarget(label string, comp *hp4c.Compiled, cfg persona.Config, seed int64, skew bool) ([]verify.Finding, error) {
 	pers, err := persona.Generate(cfg)
 	if err != nil {

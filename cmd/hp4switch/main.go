@@ -40,7 +40,9 @@
 // management command (load/assign/map/link/snapshot_…, see
 // internal/core/ctl) and virtual table operations of the form
 // "<vdev> table_add …", so a whole virtualized configuration can be driven
-// interactively or from a -commands script. With -api-addr the same
+// interactively or from a -commands script. The raw internal/sim/runtime
+// writes (table_add, register_write, …) are rejected there with the control
+// form to use instead; its reads still work. With -api-addr the same
 // operations are served remotely as typed, atomically-batched HTTP writes
 // (drive them with hp4ctl), and a failing -commands script exits with the
 // structured code of its first error.
@@ -512,9 +514,15 @@ func handle(sw *sim.Switch, rt *runtime.Runtime, mgmt *ctl.CLI, iort *pktio.Runt
 				return
 			}
 			// Fall through to raw switch commands for anything outside the
-			// control-plane dialect.
+			// control-plane dialect, except those that write persona state.
 			if !errors.Is(err, ctl.ErrUnknown) {
 				fmt.Println("error:", err)
+				return
+			}
+			if form, ok := rawWrites[fields[0]]; ok {
+				fmt.Println("error:", &ctl.Error{Code: ctl.CodeInvalidArgument, Op: -1, Msg: fmt.Sprintf(
+					"raw %s is not allowed in persona mode (it would bypass the journal, ownership checks and the DPMU rebuild); use %s",
+					fields[0], form)})
 				return
 			}
 		}
@@ -527,6 +535,23 @@ func handle(sw *sim.Switch, rt *runtime.Runtime, mgmt *ctl.CLI, iort *pktio.Runt
 			fmt.Println(out)
 		}
 	}
+}
+
+// rawWrites maps each mutating sim/runtime CLI command to the control-plane
+// form that replaces it in persona mode. A raw write to a persona table or
+// extern is never journaled, skips the DPMU's ownership checks, and bumps
+// the switch generation without a DPMU rebuild, so every packet declines
+// to the interpreter until the next DPMU write.
+var rawWrites = map[string]string{
+	"table_add":         `"<vdev> table_add <table> <action> <match>... => <args>..."`,
+	"table_delete":      `"<vdev> table_delete <table> <handle>"`,
+	"table_modify":      `"<vdev> table_modify <table> <handle> <action> <match>... => <args>..."`,
+	"table_set_default": `"<vdev> table_set_default <table> <action> [args...]"`,
+	"table_clear":       `"<vdev> table_delete <table> <handle>" per entry`,
+	"mirroring_add":     `"mcast <vdev> <vport> <vdev:vingress>..."`,
+	"register_write":    `a vdev's own actions, installed with "<vdev> table_add"`,
+	"counter_reset":     `a vdev's own actions, installed with "<vdev> table_add"`,
+	"meter_set_rates":   `"ratelimit <vdev> <yellowAt> <redAt>"`,
 }
 
 // portAttachedWithSpec reports whether the port is already attached with

@@ -116,9 +116,9 @@ func TestPassCounts(t *testing.T) {
 }
 
 // TestTable5Shape runs a reduced Table 5 and asserts the headline claim:
-// HyPer4 costs most of the bandwidth and multiplies latency. Five runs give
-// each mode a median: a single 50-ping run puts the native l2 latency
-// anywhere from 8 to 60 µs when the scheduler preempts it.
+// HyPer4 costs most of the bandwidth and multiplies latency. Five
+// alternating runs give each mode a best run: a single 50-ping run puts the
+// native l2 latency anywhere from 8 to 60 µs when the scheduler preempts it.
 func TestTable5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

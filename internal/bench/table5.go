@@ -3,7 +3,8 @@ package bench
 import (
 	"fmt"
 	"math"
-	"sort"
+	"runtime"
+	"slices"
 	"time"
 )
 
@@ -35,8 +36,8 @@ type Table5Row struct {
 	NativeLat, NativeLatSD time.Duration
 	HP4Lat, HP4LatSD       time.Duration
 
-	// Derived comparisons against the paper's shape, from each mode's
-	// median over the runs.
+	// Derived comparisons against the paper's shape, from each mode's best
+	// run: the highest bandwidth and the lowest latency.
 	BandwidthPenalty float64 // 1 - hp4/native (paper: 0.83–0.89)
 	LatencyRatio     float64 // hp4/native (paper: 3.4–4.7)
 
@@ -52,26 +53,29 @@ var paperTable5 = map[string][2]float64{
 }
 
 // Table5 runs the bandwidth and latency measurements for every scenario.
-// Each run measures both modes back to back, so host drift between runs
-// lands on native and HyPer4 alike, and the derived comparisons divide the
-// modes' medians over the runs, so one preempted run cannot swing them.
+// A run measures every scenario, both modes back to back, so host drift
+// lands on native and HyPer4 alike and a scenario's runs spread over the
+// whole measurement; the derived comparisons divide the modes' best runs,
+// the ones the scheduler disturbed least, so a preempted run cannot swing
+// them.
 func Table5(opts Table5Opts) ([]Table5Row, error) {
 	if opts.Runs < 1 {
 		opts = DefaultTable5Opts
 	}
 	modes := []Mode{Native, HyPer4}
-	var rows []Table5Row
-	for _, sc := range Scenarios() {
-		row := Table5Row{Scenario: sc,
-			PaperPenalty: paperTable5[sc][0], PaperLatency: paperTable5[sc][1]}
-		mbps, lat := make([][]float64, len(modes)), make([][]float64, len(modes))
-		for run := 0; run < opts.Runs; run++ {
+	scenarios := Scenarios()
+	// mbps[s][i] and lat[s][i] hold scenario s's runs in mode i.
+	mbps, lat := make([][2][]float64, len(scenarios)), make([][2][]float64, len(scenarios))
+	for run := 0; run < opts.Runs; run++ {
+		for s, sc := range scenarios {
 			for i, mode := range modes {
 				n, err := BuildNet(sc, mode)
 				if err != nil {
 					return nil, fmt.Errorf("table5 %s %s: %w", sc, mode, err)
 				}
 				n.SwitchOverhead = opts.SwitchOverhead
+				// Collect the build's garbage now, not during the timing.
+				runtime.GC()
 				n.Start()
 				ir, err := n.Iperf("h1", "h2", opts.IperfBytes, opts.MSS)
 				if err != nil {
@@ -83,41 +87,32 @@ func Table5(opts Table5Opts) ([]Table5Row, error) {
 				if err != nil {
 					return nil, fmt.Errorf("table5 %s %s ping: %w", sc, mode, err)
 				}
-				mbps[i] = append(mbps[i], ir.Mbps())
-				lat[i] = append(lat[i], float64(pr.PerPing()))
+				mbps[s][i] = append(mbps[s][i], ir.Mbps())
+				lat[s][i] = append(lat[s][i], float64(pr.PerPing()))
 			}
 		}
-		mM, mSD := meanSD(mbps[0])
-		lM, lSD := meanSD(lat[0])
+	}
+	rows := make([]Table5Row, len(scenarios))
+	for s, sc := range scenarios {
+		row := Table5Row{Scenario: sc,
+			PaperPenalty: paperTable5[sc][0], PaperLatency: paperTable5[sc][1]}
+		mM, mSD := meanSD(mbps[s][0])
+		lM, lSD := meanSD(lat[s][0])
 		row.NativeMbps, row.NativeMbpsSD = mM, mSD
 		row.NativeLat, row.NativeLatSD = time.Duration(lM), time.Duration(lSD)
-		mM, mSD = meanSD(mbps[1])
-		lM, lSD = meanSD(lat[1])
+		mM, mSD = meanSD(mbps[s][1])
+		lM, lSD = meanSD(lat[s][1])
 		row.HP4Mbps, row.HP4MbpsSD = mM, mSD
 		row.HP4Lat, row.HP4LatSD = time.Duration(lM), time.Duration(lSD)
-		if m := median(mbps[0]); m > 0 {
-			row.BandwidthPenalty = 1 - median(mbps[1])/m
+		if m := slices.Max(mbps[s][0]); m > 0 {
+			row.BandwidthPenalty = 1 - slices.Max(mbps[s][1])/m
 		}
-		if m := median(lat[0]); m > 0 {
-			row.LatencyRatio = median(lat[1]) / m
+		if m := slices.Min(lat[s][0]); m > 0 {
+			row.LatencyRatio = slices.Min(lat[s][1]) / m
 		}
-		rows = append(rows, row)
+		rows[s] = row
 	}
 	return rows, nil
-}
-
-// median returns the middle of xs (the mean of the middle two for an even
-// count); xs is sorted in place.
-func median(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	sort.Float64s(xs)
-	if n%2 == 0 {
-		return (xs[n/2-1] + xs[n/2]) / 2
-	}
-	return xs[n/2]
 }
 
 func meanSD(xs []float64) (mean, sd float64) {

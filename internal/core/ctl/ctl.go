@@ -135,12 +135,7 @@ func (c *Ctl) WriteBatchID(owner, requestID string, ops []Op) ([]Result, error) 
 		if err != nil {
 			out.err = asError(err)
 		}
-		if len(c.dedupRing) >= dedupWindow {
-			delete(c.dedup, c.dedupRing[0])
-			c.dedupRing = c.dedupRing[1:]
-		}
-		c.dedup[requestID] = out
-		c.dedupRing = append(c.dedupRing, requestID)
+		c.rememberOutcome(requestID, out)
 	}
 	return results, err
 }

@@ -46,7 +46,7 @@ type DPMU struct {
 
 	// skewLPM, when set, drops the LPM prefix-length priority offset during
 	// entry translation. It exists only to plant a realistic compiler-class
-	// divergence for the equivalence prover's self-tests (prove-smoke):
+	// divergence for the equivalence prover's self-tests (TestProveSmoke):
 	// overlapping prefixes then win in installation order, not longest-first.
 	skewLPM bool
 

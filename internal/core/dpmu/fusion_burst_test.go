@@ -269,7 +269,7 @@ func TestFusedBurstDeclineSplitsBurst(t *testing.T) {
 // TestFusedInvalidationUnderTraffic: ProcessSeq workers drive bursts while
 // the control plane writes and deletes entries, each write rebuilding the
 // engine (and declining the bursts that catch the old one). Run under
-// -race (make fuse-diff) it checks the burst lock discipline; at
+// -race (make race) it checks the burst lock discipline; at
 // quiescence every packet must be accounted for exactly once — served by
 // one of the engines or by the interpreter — and every packet must have
 // hit its port's t_assign row.

@@ -815,7 +815,7 @@ func TestFusedBypassRewireInvalidates(t *testing.T) {
 
 // TestFusedInvalidationUnderTraffic hammers the switch with packets while
 // the control plane mutates tables, checkpoints, rolls back, and toggles
-// fusion. Run under -race (the fuse-diff make target), this is the
+// fusion. Run under -race (make race), this is the
 // plan-lifetime safety net: no packet may fault, and the final state must
 // still forward correctly on the fast path.
 func TestFusedInvalidationUnderTraffic(t *testing.T) {

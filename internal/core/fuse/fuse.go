@@ -41,8 +41,8 @@
 // (unfused chain members, undecodable multicast sequences, quarantine
 // probing, stale generations) declines the packet to the interpreter
 // untouched. The
-// differential harness (dpmu's TestFused* suite, `make fuse-diff`)
-// enforces byte-identical behavior.
+// differential harness (dpmu's TestFused* suite, also run under
+// `make race`) enforces byte-identical behavior.
 package fuse
 
 import (

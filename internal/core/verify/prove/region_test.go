@@ -103,7 +103,7 @@ func TestIdentityPortRegion(t *testing.T) {
 }
 
 // TestSynthesizeDeterministic: the synthesized entry program is a pure
-// function of (program, seed) — `make prove-smoke` reproducibility and the
+// function of (program, seed) — TestProveSmoke's reproducibility (cmd/hp4lint) and the
 // -prove-seed flag depend on it — and never duplicates a match key (the
 // native simulator would reject the row the DPMU accepts, manufacturing a
 // one-sided divergence).

@@ -86,6 +86,9 @@ func TestPortBreakerWalk(t *testing.T) {
 	factory := func(port int, spec string) (Transport, error) {
 		w := newFakeWire()
 		mu.Lock()
+		// The first wire fails from its first Recv: a Recv that started
+		// before a later fail.Store would block for frames and never see it.
+		w.fail.Store(len(wires) == 0)
 		wires = append(wires, w)
 		mu.Unlock()
 		return w, nil
@@ -105,11 +108,6 @@ func TestPortBreakerWalk(t *testing.T) {
 	if err := rt.AttachSpec(1, "fake:flaky"); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	w0 := wires[0]
-	mu.Unlock()
-	w0.fail.Store(true)
-
 	// The RX loop's errors fill the window; the breaker trips and the next
 	// sync (run by PortHealth) detaches the port.
 	waitFor(t, func() bool {

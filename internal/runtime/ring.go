@@ -19,6 +19,10 @@ type ring struct {
 	// monotonically and are compared by difference, so wraparound is free.
 	head atomic.Uint64
 	tail atomic.Uint64
+	// done trails head: the consumer advances it to head once it has
+	// finished with every frame it popped, so a drainer can tell a burst
+	// still in the consumer's hands from one already handled.
+	done atomic.Uint64
 }
 
 // newRing builds a ring with capacity rounded up to a power of two.
@@ -69,3 +73,10 @@ func (r *ring) depth() int {
 
 // empty reports whether the ring held nothing at the moment of the call.
 func (r *ring) empty() bool { return r.head.Load() == r.tail.Load() }
+
+// finish marks every frame popped so far as handled. Consumer-side only.
+func (r *ring) finish() { r.done.Store(r.head.Load()) }
+
+// pending counts frames pushed but not yet handled: still queued, or
+// popped by a consumer that has not called finish.
+func (r *ring) pending() uint64 { return r.tail.Load() - r.done.Load() }

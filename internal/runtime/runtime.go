@@ -305,16 +305,19 @@ func (rt *Runtime) detachPort(portNum int) error {
 	return nil
 }
 
-// drainPortRx waits until a detached port's ingress rings are empty. With
-// workers running they do the draining; before Start the detacher flushes
-// the rings itself (no competing consumer exists yet).
+// drainPortRx waits until a detached port's ingress rings are empty and the
+// workers have handled every frame they popped from them, so the outputs
+// sit in TX rings before the port's TX loop is stopped. With workers
+// running they do the draining; before Start the detacher flushes the rings
+// itself (no competing consumer exists yet).
 //
 // If workers make no progress within the deadline (wedged in the processor),
 // the backlog is abandoned: whatever is left is counted as rx drops so the
 // loss stays attributed, and DrainTimeouts records that it happened. The
 // detacher must not pop the rings itself — workers are their sole consumer —
-// so it counts depths instead; a worker racing the count can only forward a
-// frame that was also counted dropped (overcount), never lose one silently.
+// so it counts pending frames instead; a worker racing the count can only
+// forward a frame that was also counted dropped (overcount), never lose one
+// silently.
 func (rt *Runtime) drainPortRx(p *port, started bool) {
 	if !started {
 		var f Frame
@@ -330,7 +333,7 @@ func (rt *Runtime) drainPortRx(p *port, started bool) {
 	for {
 		empty := true
 		for w := range p.rx {
-			if !p.rx[w].empty() {
+			if p.rx[w].pending() != 0 {
 				empty = false
 				break
 			}
@@ -341,7 +344,7 @@ func (rt *Runtime) drainPortRx(p *port, started bool) {
 		if time.Now().After(deadline) {
 			var left uint64
 			for w := range p.rx {
-				left += uint64(p.rx[w].depth())
+				left += p.rx[w].pending()
 			}
 			p.rxDrops.Add(left)
 			rt.drainTimeouts.Add(1)
@@ -526,6 +529,7 @@ func (rt *Runtime) sweep(w int, in *[]sim.Input, results []sim.Result, frames []
 		if n > 0 {
 			worked = true
 			rt.processBurst(w, pm, frames[:n], in, results)
+			p.rx[w].finish()
 		}
 	}
 	// Draining (detached) ports: their backlog is still forwarded — the
@@ -538,6 +542,7 @@ func (rt *Runtime) sweep(w int, in *[]sim.Input, results []sim.Result, frames []
 		if n > 0 {
 			worked = true
 			rt.processBurst(w, pm, frames[:n], in, results)
+			p.rx[w].finish()
 		}
 	}
 	return worked

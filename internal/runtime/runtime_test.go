@@ -37,6 +37,14 @@ func TestRingPushPop(t *testing.T) {
 	if r.pop(&f) {
 		t.Fatal("pop from empty ring succeeded")
 	}
+	// Popped is not handled: the frames stay pending until finish.
+	if p := r.pending(); p != 4 {
+		t.Fatalf("pending = %d after popping all, want 4", p)
+	}
+	r.finish()
+	if p := r.pending(); p != 0 {
+		t.Fatalf("pending = %d after finish, want 0", p)
+	}
 }
 
 func TestRingRoundsUpToPowerOfTwo(t *testing.T) {
@@ -173,8 +181,25 @@ func TestAttachErrors(t *testing.T) {
 	}
 }
 
+// gatedProc echoes like echoProc, but every Process first reports on
+// entered (when it has room) and then waits for gate to close.
+type gatedProc struct {
+	echoProc
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gatedProc) Process(data []byte, port int) ([]sim.Output, *sim.Trace, error) {
+	select {
+	case g.entered <- struct{}{}:
+	default:
+	}
+	<-g.gate
+	return g.echoProc.Process(data, port)
+}
+
 func TestDetachDrainsBacklog(t *testing.T) {
-	proc := &echoProc{}
+	proc := &gatedProc{entered: make(chan struct{}, 1), gate: make(chan struct{})}
 	rt := New(proc, Config{Workers: 1, Lossless: true})
 	rt.Start()
 	near, far := NewChanPair(64)
@@ -182,11 +207,29 @@ func TestDetachDrainsBacklog(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 50
-	for i := 0; i < n; i++ {
+	// The only worker takes the first frame and blocks in Process; the
+	// other n-1 then sit in its ring once the RX loop has accepted them:
+	// the backlog Detach must drain.
+	near.Send(Frame{Data: []byte{0}})
+	<-proc.entered
+	for i := 1; i < n; i++ {
 		near.Send(Frame{Data: []byte{byte(i)}})
 	}
+	waitFor(t, func() bool {
+		m := rt.Metrics()
+		return len(m.Ports) == 1 && m.Ports[0].RxFrames == n
+	}, "all frames accepted")
 	done := make(chan error, 1)
 	go func() { done <- rt.Detach(1) }()
+	waitFor(t, func() bool {
+		return len(rt.ports.Load().draining) == 1 || len(done) == 1
+	}, "detach to start")
+	select {
+	case err := <-done:
+		t.Fatalf("detach returned (%v) with its backlog unprocessed", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(proc.gate)
 	// Echoed frames keep arriving during the drain.
 	var f Frame
 	got := 0
