@@ -81,6 +81,11 @@ import (
 	"hyper4/internal/sim/runtime"
 )
 
+// readHeaderTimeout bounds how long the API and metrics servers wait for a
+// request's headers, so a client that opens a connection and stalls cannot
+// hold it forever.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	builtin := flag.String("builtin", "", "run a built-in function: "+strings.Join(functions.Names(), ", "))
 	usePersona := flag.Bool("persona", false, "run the HyPer4 persona (reference configuration)")
@@ -299,7 +304,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("management API on http://%s/v1/ (drive with hp4ctl -addr http://%s)\n", ln.Addr(), ln.Addr())
-		apiSrv = &http.Server{Handler: ctl.NewServeMux(cp)}
+		apiSrv = &http.Server{Handler: ctl.NewServeMux(cp), ReadHeaderTimeout: readHeaderTimeout}
 		go func() {
 			if err := apiSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				fmt.Fprintln(os.Stderr, "hp4switch: api:", err)
@@ -313,7 +318,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("metrics on http://%s/metrics (pprof under /debug/pprof/)\n", ln.Addr())
-		metricsSrv = &http.Server{Handler: newMetricsMux(sw, d, iort)}
+		metricsSrv = &http.Server{Handler: newMetricsMux(sw, d, iort), ReadHeaderTimeout: readHeaderTimeout}
 		go func() {
 			if err := metricsSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				fmt.Fprintln(os.Stderr, "hp4switch: metrics:", err)

@@ -117,12 +117,9 @@ func (c *Ctl) applyOp(owner string, op *Op) (Result, error) {
 		return Result{Msg: fmt.Sprintf("port %d detached", op.PhysPort)}, nil
 
 	case OpSetDefault:
-		args := op.ArgVals
-		if !op.Parsed {
-			var err error
-			if args, err = runtime.ParseArgs(op.Args); err != nil {
-				return Result{}, invalidf("%s", err)
-			}
+		args, err := runtime.ParseArgs(op.Args)
+		if err != nil {
+			return Result{}, invalidf("%s", err)
 		}
 		return Result{}, d.SetDefault(owner, op.VDev, op.Table, op.Action, args)
 	}
@@ -131,13 +128,9 @@ func (c *Ctl) applyOp(owner string, op *Op) (Result, error) {
 
 // entrySpec materializes a table_add/table_modify op as a dpmu.EntrySpec,
 // parsing the textual match/argument tokens against the device's compiled
-// program unless the caller pre-parsed them.
+// program.
 func (c *Ctl) entrySpec(op *Op) (dpmu.EntrySpec, error) {
 	spec := dpmu.EntrySpec{Table: op.Table, Action: op.Action}
-	if op.Parsed {
-		spec.Params, spec.Args, spec.Priority = op.Params, op.ArgVals, op.Priority
-		return spec, nil
-	}
 	v, err := c.D.VDev(op.VDev)
 	if err != nil {
 		return spec, err

@@ -145,11 +145,6 @@ func (c *Ctl) writeBatchLocked(owner, requestID string, ops []Op) ([]Result, err
 		if err := validateOp(&ops[i]); err != nil {
 			return nil, wrap(err, i)
 		}
-		if c.journal != nil && ops[i].Parsed {
-			// A pre-parsed op's match/arg values don't serialize (they are
-			// in-process forms); journaling one would replay wrongly.
-			return nil, wrap(invalidf("pre-parsed ops cannot be journaled; send textual match/args"), i)
-		}
 	}
 	cp := c.D.Checkpoint()
 	// One plan rebuild per batch: the ops (and a rollback) only move the

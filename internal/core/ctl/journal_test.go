@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"testing"
 
 	"hyper4/internal/breaker"
@@ -443,23 +442,5 @@ func TestJournalSnapshotIncludesParkedPorts(t *testing.T) {
 	}
 	if out, _ := NewCLI(bi2.c, "op").Exec("vdevs"); out != "l2" {
 		t.Fatalf("vdevs = %q, want l2", out)
-	}
-}
-
-// TestJournalRejectsParsedOps: in-process pre-parsed ops carry values that
-// don't serialize; a journaled control plane must refuse them up front
-// rather than journal a record that would replay wrongly.
-func TestJournalRejectsParsedOps(t *testing.T) {
-	dir := t.TempDir()
-	c, _ := journaledCtl(t, dir, 1000)
-	if _, err := NewCLI(c, "op").Exec("load l2 l2_switch"); err != nil {
-		t.Fatal(err)
-	}
-	_, err := c.WriteBatch("op", []Op{{Kind: OpTableAdd, VDev: "l2", Table: "smac", Action: "_nop", Parsed: true}})
-	if err == nil {
-		t.Fatal("journaled ctl accepted a pre-parsed op")
-	}
-	if CodeOf(err) != CodeInvalidArgument || !strings.Contains(err.Error(), "journal") {
-		t.Fatalf("wrong rejection: %v", err)
 	}
 }

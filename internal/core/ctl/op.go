@@ -1,10 +1,5 @@
 package ctl
 
-import (
-	"hyper4/internal/bitfield"
-	"hyper4/internal/sim"
-)
-
 // OpKind discriminates the Op union.
 type OpKind string
 
@@ -60,8 +55,7 @@ type Assignment struct {
 // Table-op match and argument tokens travel textually (Match/Args, in the
 // emulated program's own bmv2-style dialect) and are parsed server-side
 // against the device's compiled program, so remote clients need no program
-// knowledge. In-process callers that already hold parsed values set
-// Params/ArgVals (plus Parsed) and skip the text path.
+// knowledge.
 type Op struct {
 	Kind OpKind `json:"kind"`
 	VDev string `json:"vdev,omitempty"`
@@ -97,12 +91,6 @@ type Op struct {
 	// Args holds the action arguments and, for tables that take one, an
 	// optional trailing priority token — exactly the tokens after "=>".
 	Args []string `json:"args,omitempty"`
-
-	// Pre-parsed in-process forms; never serialized.
-	Parsed   bool             `json:"-"`
-	Params   []sim.MatchParam `json:"-"`
-	ArgVals  []bitfield.Value `json:"-"`
-	Priority int              `json:"-"`
 }
 
 // Result is one op's success payload.

@@ -3,6 +3,9 @@ package ctl
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -76,6 +79,11 @@ type EventsResponse struct {
 	Head   int64   `json:"head"`
 }
 
+// maxWriteBody caps a /v1/write request body at 4 MiB, gRPC's default
+// maximum message size. A larger body is refused whole: none of its ops
+// apply.
+const maxWriteBody = 4 << 20
+
 // maxWait bounds the /v1/events long poll.
 const maxWait = 30 * time.Second
 
@@ -119,8 +127,17 @@ func (c *Ctl) handleWrite(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxWriteBody))
+	if err != nil {
+		e := invalidf("reading request body: %v", err)
+		if errors.As(err, new(*http.MaxBytesError)) {
+			e = &Error{Code: CodeExhausted, Op: -1, Msg: fmt.Sprintf("request body exceeds %d bytes", maxWriteBody)}
+		}
+		writeJSON(w, httpStatus(e.Code), WriteResponse{Error: e})
+		return
+	}
 	var req WriteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		e := invalidf("bad request body: %v", err)
 		writeJSON(w, httpStatus(e.Code), WriteResponse{Error: e})
 		return

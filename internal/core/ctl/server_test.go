@@ -1,6 +1,9 @@
 package ctl
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -106,6 +109,42 @@ func TestServerErrorCodes(t *testing.T) {
 	_, err = mallory.Read(&Query{Kind: "stats", VDev: "l2"})
 	if ce, ok := err.(*Error); !ok || ce.Code != CodePermissionDenied {
 		t.Errorf("foreign stats error = %v, want PERMISSION_DENIED", err)
+	}
+}
+
+// TestServerWriteBodyCap: a /v1/write body one byte over the cap is refused
+// with RESOURCE_EXHAUSTED before any op applies, even though its ops are
+// valid.
+func TestServerWriteBodyCap(t *testing.T) {
+	_, client := serveCtl(t)
+	before, err := client.Read(&Query{Kind: "dump"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := json.Marshal(WriteRequest{Owner: "op", Ops: []Op{{Kind: OpLoadVDev, VDev: "l2", Function: "l2_switch"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pad with whitespace after the value so only the size is wrong.
+	body := append(req, bytes.Repeat([]byte(" "), maxWriteBody+1-len(req))...)
+	resp, err := http.Post(client.Base+"/v1/write", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var wr WriteResponse
+	if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusTooManyRequests || wr.Error == nil || wr.Error.Code != CodeExhausted {
+		t.Fatalf("oversized write: HTTP %d, %+v; want 429 RESOURCE_EXHAUSTED", resp.StatusCode, wr)
+	}
+	after, err := client.Read(&Query{Kind: "dump"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Dump != before.Dump {
+		t.Errorf("oversized write changed state:\nbefore: %s\nafter:  %s", before.Dump, after.Dump)
 	}
 }
 

@@ -202,26 +202,7 @@ func driveBursts(t *testing.T, twin func(*testing.T) *DPMU, in []sim.Input, size
 		t.Fatal("the fused twin never took the fast path; the differential was vacuous")
 	}
 	compareEntryHits(t, dI.SW, dF.SW)
-	for _, pid := range pids {
-		ip, ib, err := dI.SW.CounterRead(persona.CounterVDev, pid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fp, fb, err := dF.SW.CounterRead(persona.CounterVDev, pid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ip != fp || ib != fb {
-			t.Errorf("vdev %d counter diverged: interpreted (%d pkts, %d bytes), burst (%d pkts, %d bytes)", pid, ip, ib, fp, fb)
-		}
-	}
-	// TableApplies counts interpreter table applications, which a fused
-	// packet does not perform; every other stat must agree.
-	si, sf := dI.SW.Stats(), dF.SW.Stats()
-	si.TableApplies, sf.TableApplies = 0, 0
-	if si != sf {
-		t.Errorf("stats diverged: interpreted %+v, burst %+v", si, sf)
-	}
+	compareCounters(t, dI.SW, dF.SW, pids...)
 	mi, mf := dI.SW.Metrics(), dF.SW.Metrics()
 	if mi.Passes != mf.Passes {
 		t.Errorf("pass counters diverged: interpreted %+v, burst %+v", mi.Passes, mf.Passes)

@@ -43,15 +43,6 @@ func chainFrames(rng *rand.Rand, n int) [][]byte {
 	return frames
 }
 
-// mcastFrames is fan-out traffic for loadMulticastPair's source switch.
-func mcastFrames(rng *rand.Rand, n int) [][]byte {
-	frames := make([][]byte, n)
-	for i := range frames {
-		frames[i] = pkt.Pad(pkt.Serialize(&pkt.Ethernet{Dst: mac2, Src: mac1, EtherType: 0x0800}, pkt.Payload(payloadFor(rng, i))))
-	}
-	return frames
-}
-
 // newTwin is a fresh fused persona switch loaded by load.
 func newTwin(t *testing.T, load func(*testing.T, *DPMU)) *DPMU {
 	d := newPersonaDPMU(t)
@@ -64,8 +55,7 @@ func newTwin(t *testing.T, load func(*testing.T, *DPMU)) *DPMU {
 // executor's pooled link-hop buffers: a walk that crosses a virtual link
 // deparses into scratch the next packet reuses, so only bytes leaving on a
 // physical port may become an output, and they must be the caller's to
-// keep. On the composed chain (two hops to a physical port) and on the
-// multicast fixture (one shared hop buffer per fan-out), the outputs of
+// keep. On the composed chain (two hops to a physical port), the outputs of
 // packets 1–8 must stay byte-identical while 256 more packets run through
 // the buffers packet 0 grew to the largest size (several packets are kept
 // because the race detector makes sync.Pool drop some puts); and 4
@@ -80,7 +70,6 @@ func TestFusedOutputsOwnTheirBytes(t *testing.T) {
 		outs   int
 	}{
 		{"composed", loadComposition, chainFrames, func(i int) int { return 1 + i%2 }, 1},
-		{"multicast", loadMulticastPair, mcastFrames, func(int) int { return 1 }, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

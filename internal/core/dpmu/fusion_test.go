@@ -117,6 +117,31 @@ func compareEntryHits(t *testing.T, a, b *sim.Switch) {
 	}
 }
 
+// compareCounters requires the two switches to agree on the CounterVDev
+// cells of pids and on Stats() but for TableApplies, which counts
+// interpreter table applications a fused packet does not perform.
+func compareCounters(t *testing.T, a, b *sim.Switch, pids ...int) {
+	t.Helper()
+	for _, pid := range pids {
+		ap, ab, err := a.CounterRead(persona.CounterVDev, pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp, bb, err := b.CounterRead(persona.CounterVDev, pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ap != bp || ab != bb {
+			t.Errorf("vdev %d counter diverged: interpreted (%d pkts, %d bytes), fused (%d pkts, %d bytes)", pid, ap, ab, bp, bb)
+		}
+	}
+	sa, sb := a.Stats(), b.Stats()
+	sa.TableApplies, sb.TableApplies = 0, 0
+	if sa != sb {
+		t.Errorf("stats diverged: interpreted %+v, fused %+v", sa, sb)
+	}
+}
+
 // TestFusedComposedDifferential runs the chained arp→fw→router composition
 // through twin switches, one interpreted and one fused. Cross-plan chaining
 // means the fused twin must walk the whole virtual chain in one fast-path
@@ -163,27 +188,7 @@ func TestFusedComposedDifferential(t *testing.T) {
 		t.Logf("fast path handled %d composed packets", hits)
 	}
 	compareEntryHits(t, dI.SW, dF.SW)
-
-	si, sf := dI.SW.Stats(), dF.SW.Stats()
-	if si.PacketsIn != sf.PacketsIn || si.PacketsOut != sf.PacketsOut ||
-		si.PacketsDropped != sf.PacketsDropped || si.Resubmits != sf.Resubmits ||
-		si.Recirculates != sf.Recirculates {
-		t.Errorf("stats diverged: interpreted %+v, fused %+v", si, sf)
-	}
-	for pid := 1; pid <= 3; pid++ {
-		ip, ib, err := dI.SW.CounterRead(persona.CounterVDev, pid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fp, fb, err := dF.SW.CounterRead(persona.CounterVDev, pid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ip != fp || ib != fb {
-			t.Errorf("vdev %d counter diverged: interpreted (%d pkts, %d bytes), fused (%d pkts, %d bytes)",
-				pid, ip, ib, fp, fb)
-		}
-	}
+	compareCounters(t, dI.SW, dF.SW, 1, 2, 3)
 
 	// Virtual links are no longer a fallback: the fuse report must not
 	// blame them, and every vdev in the chain must hold a plan.
@@ -239,9 +244,12 @@ func loadMulticastPair(t *testing.T, d *DPMU) {
 	}
 }
 
-// TestFusedMulticastDifferential checks the fused multicast fan-out against
-// the interpreter: one packet in, one copy per target out, with clone and
-// recirculation accounting, entry hits, and per-vdev counters conserved.
+// TestFusedMulticastDifferential checks multicast against the interpreter
+// on a fused switch. Fused plans carry unicast only, so every fan-out frame
+// must decline to the interpreter (FastHits unchanged) while every other
+// frame on the same switch still fuses; outputs, pass accounting, entry
+// hits, Stats() and per-vdev counters must match the interpreted twin, and
+// the fuse read must list the multicast route as one unfusable finding.
 func TestFusedMulticastDifferential(t *testing.T) {
 	dI := newPersonaDPMU(t)
 	loadMulticastPair(t, dI)
@@ -257,11 +265,13 @@ func TestFusedMulticastDifferential(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		frames = append(frames, randomFrame(rng))
 	}
+	fanouts, fused := 0, 0
 	for i, frame := range frames {
 		iOut, iTr, err := dI.SW.Process(frame, 1)
 		if err != nil {
 			t.Fatalf("frame %d interpreted: %v", i, err)
 		}
+		hits := dF.FusionStatus().FastHits
 		fOut, fTr, err := dF.SW.Process(frame, 1)
 		if err != nil {
 			t.Fatalf("frame %d fused: %v", i, err)
@@ -270,23 +280,35 @@ func TestFusedMulticastDifferential(t *testing.T) {
 			t.Fatalf("frame %d diverged:\ninterpreted: %s\nfused:       %s",
 				i, renderOutputs(iOut), renderOutputs(fOut))
 		}
-		if iTr.Passes != fTr.Passes || iTr.Recirculates != fTr.Recirculates || iTr.ClonesE2E != fTr.ClonesE2E {
-			t.Fatalf("frame %d pass accounting diverged: interpreted passes=%d recircs=%d clones=%d, fused passes=%d recircs=%d clones=%d",
-				i, iTr.Passes, iTr.Recirculates, iTr.ClonesE2E, fTr.Passes, fTr.Recirculates, fTr.ClonesE2E)
+		if iTr.Passes != fTr.Passes || iTr.Resubmits != fTr.Resubmits ||
+			iTr.Recirculates != fTr.Recirculates || iTr.ClonesE2E != fTr.ClonesE2E {
+			t.Fatalf("frame %d pass accounting diverged: interpreted passes=%d resubmits=%d recircs=%d clones=%d, fused passes=%d resubmits=%d recircs=%d clones=%d",
+				i, iTr.Passes, iTr.Resubmits, iTr.Recirculates, iTr.ClonesE2E, fTr.Passes, fTr.Resubmits, fTr.Recirculates, fTr.ClonesE2E)
 		}
+		took := dF.FusionStatus().FastHits - hits
+		if iTr.ClonesE2E > 0 {
+			fanouts++
+			if took != 0 {
+				t.Fatalf("fan-out frame %d took the fast path", i)
+			}
+			continue
+		}
+		if took != 1 {
+			t.Fatalf("frame %d (no fan-out) declined to the interpreter", i)
+		}
+		fused++
 	}
+	if fanouts == 0 || fused == 0 {
+		t.Fatalf("%d fan-out and %d fused frames; the differential needs both", fanouts, fused)
+	}
+	t.Logf("%d fan-out frames declined, %d frames fused", fanouts, fused)
 
-	// The known-good fan-out frame must take the fast path and deliver to
-	// both targets.
-	hits := dF.FusionStatus().FastHits
-	if hits == 0 {
-		t.Fatal("multicast never took the fast path; differential was vacuous")
-	}
-	if _, _, err := dI.SW.Process(frames[0], 1); err != nil {
-		t.Fatal(err)
-	}
+	// The known-good fan-out frame delivers to both targets.
 	out, tr, err := dF.SW.Process(frames[0], 1)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := dI.SW.Process(frames[0], 1); err != nil {
 		t.Fatal(err)
 	}
 	ports := map[int]bool{}
@@ -294,19 +316,25 @@ func TestFusedMulticastDifferential(t *testing.T) {
 		ports[o.Port] = true
 	}
 	if len(out) != 2 || !ports[5] || !ports[6] {
-		t.Fatalf("fused fan-out: %s, want ports 5 and 6", renderOutputs(out))
+		t.Fatalf("fan-out: %s, want ports 5 and 6", renderOutputs(out))
 	}
 	if tr.ClonesE2E != 1 || tr.Recirculates != 2 {
-		t.Errorf("fused fan-out: clones=%d recircs=%d, want 1 and 2", tr.ClonesE2E, tr.Recirculates)
-	}
-	if got := dF.FusionStatus().FastHits; got <= hits {
-		t.Error("fan-out frame fell off the fast path")
+		t.Errorf("fan-out: clones=%d recircs=%d, want 1 and 2", tr.ClonesE2E, tr.Recirculates)
 	}
 	compareEntryHits(t, dI.SW, dF.SW)
+	compareCounters(t, dI.SW, dF.SW, 1, 2, 3)
 
-	si, sf := dI.SW.Stats(), dF.SW.Stats()
-	if si.PacketsOut != sf.PacketsOut || si.Clones != sf.Clones || si.Recirculates != sf.Recirculates {
-		t.Errorf("stats diverged: interpreted %+v, fused %+v", si, sf)
+	var mcast []verify.Finding
+	for _, f := range dF.FuseReport() {
+		if f.Code == verify.CodeUnfusable {
+			mcast = append(mcast, f)
+		}
+	}
+	if len(mcast) != 1 || mcast[0].Severity != verify.SevInfo || mcast[0].VDev != "src" || mcast[0].Table != persona.TblVirtnet {
+		t.Errorf("fuse read: %+v, want one unfusable info finding on src's %s route", mcast, persona.TblVirtnet)
+	}
+	if st := dF.FusionStatus(); st.Plans != 3 {
+		t.Errorf("plans = %d, want 3: a multicast route must not cost its vdev its plan", st.Plans)
 	}
 }
 
@@ -353,6 +381,78 @@ func TestFusedPolicingDifferential(t *testing.T) {
 		t.Fatal("policed vdev never took the fast path")
 	}
 	compareEntryHits(t, dI.SW, dF.SW)
+}
+
+// TestFusedChainPolicingDifferential rate-limits the firewall in the middle
+// of the composed arp→fw→router chain. The firewall resubmits to parse, so
+// its meter goes red on the first, second or third of its passes, after the
+// ARP proxy's passes of the same packet: red verdicts land on later passes
+// of multi-pass fused packets, and commit must stop there. The meter window
+// restarts every few packets so the verdict keeps moving. Fused and
+// interpreted twins must agree packet by packet on outputs and pass
+// accounting, and in the end on entry hits, stats and per-vdev counters;
+// an unpoliced twin shows that some packets were cut short after their
+// first pass, so the test is not vacuous.
+func TestFusedChainPolicingDifferential(t *testing.T) {
+	dI, dF, dU := newPersonaDPMU(t), newPersonaDPMU(t), newPersonaDPMU(t)
+	for _, d := range []*DPMU{dI, dF, dU} {
+		loadComposition(t, d)
+	}
+	dF.SetFusion(true)
+	for _, d := range []*DPMU{dI, dF} {
+		if err := d.SetRateLimit("op", "fw", 4, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	frames := chainFrames(rand.New(rand.NewSource(8)), 60)
+	for i := 0; i < len(frames); i += 7 {
+		frames[i] = tcp5201()
+		frames[i+1] = ping()
+	}
+	cutLate := 0
+	for i, frame := range frames {
+		if i%3 == 0 {
+			for _, d := range []*DPMU{dI, dF} {
+				if err := d.TickMeters(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		port := 1 + i%2
+		iOut, iTr, err := dI.SW.Process(frame, port)
+		if err != nil {
+			t.Fatalf("packet %d interpreted: %v", i, err)
+		}
+		fOut, fTr, err := dF.SW.Process(frame, port)
+		if err != nil {
+			t.Fatalf("packet %d fused: %v", i, err)
+		}
+		_, uTr, err := dU.SW.Process(frame, port)
+		if err != nil {
+			t.Fatalf("packet %d unpoliced: %v", i, err)
+		}
+		if !sameOutputs(iOut, fOut) {
+			t.Fatalf("packet %d diverged under chain policing:\ninterpreted: %s\nfused:       %s",
+				i, renderOutputs(iOut), renderOutputs(fOut))
+		}
+		if iTr.Passes != fTr.Passes || iTr.Resubmits != fTr.Resubmits || iTr.Recirculates != fTr.Recirculates {
+			t.Fatalf("packet %d pass accounting diverged: interpreted passes=%d resubmits=%d recircs=%d, fused passes=%d resubmits=%d recircs=%d",
+				i, iTr.Passes, iTr.Resubmits, iTr.Recirculates, fTr.Passes, fTr.Resubmits, fTr.Recirculates)
+		}
+		if fTr.Passes > 1 && fTr.Passes < uTr.Passes {
+			cutLate++
+		}
+	}
+	if cutLate == 0 {
+		t.Fatal("no red verdict landed on a later pass; the differential was vacuous")
+	}
+	if got := dF.FusionStatus().FastHits; got != uint64(len(frames)) {
+		t.Fatalf("%d of %d policed chain packets took the fast path, want all", got, len(frames))
+	}
+	t.Logf("%d packets cut short after their first pass", cutLate)
+	compareEntryHits(t, dI.SW, dF.SW)
+	compareCounters(t, dI.SW, dF.SW, 1, 2, 3)
 }
 
 // TestFusedNormMissDeclines pins the t_norm fallback semantics: the

@@ -14,38 +14,33 @@ const (
 	segNormal = iota
 	segResubmit
 	segRecirc
-	segClone
 )
 
-// segment is one journaled pipeline pass. The run phase builds a tree of
-// segments shaped exactly like the interpreter's pass graph — parser passes
-// chain through child[0] (resubmission), a final pass's child[0] is its
-// egress-to-egress clone and child[1] its recirculation into the next
-// plan — and the commit phase replays it in the interpreter's BFS order so
-// meter executions, entry hits, and emitted outputs interleave identically.
+// segment is one journaled pipeline pass. A fused packet's passes form a
+// chain — parse resubmissions, then a recirculation into the next plan —
+// so the run phase appends them in the interpreter's pass order, and the
+// commit phase replays them in that order, so meter executions, entry
+// hits, and the emitted output interleave identically.
 type segment struct {
-	pid     int   // owning vdev: meter/counter index for parser passes
-	inst    int   // segNormal/segResubmit/segRecirc/segClone
-	parser  bool  // parser passes hit t_norm and run the policing meter
+	pid     int   // owning vdev: meter/counter index
+	inst    int   // segNormal/segResubmit/segRecirc
 	dataLen int   // this pass's packet byte count (the meter/counter amount)
 	norm    int32 // t_norm hit in Engine.entries
 	assign  int32 // t_assign hit, root pass only; 0 elsewhere
 	lo, hi  int   // post-police hit runs: execState.jr[lo:hi]
 	outPort int
 	outData []byte // non-nil: this pass emits an output (unless policed red)
-	child   [2]int // follow-on segments in queue-push order, -1 when absent
 }
 
-// walkJob is one pending walk: a packet entering a plan, either from a
-// physical port (the root) or recirculated across a virtual link.
+// walkJob is one walk: a packet entering a plan, either from a physical
+// port (the root) or recirculated across a virtual link. A nil p is no
+// walk: the packet's last walk ended.
 type walkJob struct {
 	p      *plan
 	ving   uint64
 	data   []byte
 	inst   int   // instance kind of the walk's first pass
 	assign int32 // root walk only
-	parent int   // segment whose child[slot] this walk's first pass becomes
-	slot   int
 }
 
 // run is one journaled stretch of entry hits: Engine.entries[lo:hi], a
@@ -54,7 +49,7 @@ type run struct{ lo, hi int32 }
 
 // execState is the pooled scratch of one burst: the extracted-data and
 // emulated-metadata wide fields, a staging buffer for overlapping copies,
-// the segment/journal/job storage a packet's run phase fills and its commit
+// the segment/journal storage a packet's run phase fills and its commit
 // phase replays, the link-hop buffers recirculating walks deparse into, and
 // the tally the burst's commits write into. Only the bytes of outputs on
 // physical ports escape a packet; they alone are freshly allocated. The
@@ -71,15 +66,13 @@ type execState struct {
 	key  []byte   // masked lookup key, sized for the widest field so lookups never grow it
 	pair [16]byte // a std lookup's (vingress, vport) key
 
-	segs  []segment
-	jr    []run // hit journal; segments hold [lo,hi) ranges into it
-	jobs  []walkJob
-	queue []int // commit-phase BFS queue
+	segs []segment
+	jr   []run // hit journal; segments hold [lo,hi) ranges into it
 
 	// bufs[:nbufs] hold this packet's link-hop bytes, one buffer per walk
-	// that recirculated (a multicast route's leaves share theirs). A buffer
-	// is only read after it is written, by the walks it feeds, so stale
-	// bytes of earlier packets left in bufs are never observed.
+	// that recirculated. A buffer is only read after it is written, by the
+	// walk it feeds, so stale bytes of earlier packets left in bufs are
+	// never observed.
 	bufs  [][]byte
 	nbufs int
 
@@ -91,7 +84,7 @@ type execState struct {
 // shared state, and Flush applies the whole burst at once: one atomic add
 // per entry the burst hit, one counter update per touched PID, one add to
 // the engine's hit count. Meter executions are not deferred: a red verdict
-// prunes the rest of a pass, so they run in commit, in BFS order.
+// prunes the rest of the packet, so they run in commit, in pass order.
 type tally struct {
 	// touched lists the journal units the burst hit, once each, at their
 	// first hit; hits counts a unit's hits at the unit's first index in
@@ -134,24 +127,18 @@ func (t *tally) count(pid, bytes int) {
 	c.bytes += uint64(bytes)
 }
 
-// release drops every pointer the packet accumulated — output bytes and
-// job buffers — so pooled state cannot retain outputs, plans or the
-// caller's frame across packets. The journal holds indices, not entries,
-// so it is truncated without clearing. The link-hop buffers are kept for
-// the next packet, earlier packets' bytes and all: they hold no pointers
-// and are private to the engine. The tally is the burst's, not the
-// packet's: Flush empties it.
+// release drops every pointer the packet accumulated — its output bytes —
+// so pooled state cannot retain outputs across packets. The journal holds
+// indices, not entries, so it is truncated without clearing. The link-hop
+// buffers are kept for the next packet, earlier packets' bytes and all:
+// they hold no pointers and are private to the engine. The tally is the
+// burst's, not the packet's: Flush empties it.
 func (st *execState) release() {
 	st.jr = st.jr[:0]
 	for i := range st.segs {
 		st.segs[i] = segment{}
 	}
 	st.segs = st.segs[:0]
-	for i := range st.jobs {
-		st.jobs[i] = walkJob{}
-	}
-	st.jobs = st.jobs[:0]
-	st.queue = st.queue[:0]
 	st.nbufs = 0
 }
 
@@ -238,19 +225,15 @@ func (st *execState) Flush() {
 }
 
 // run is the pure phase: it simulates every pass of the packet — including
-// walks chained across virtual links and multicast clone expansions —
-// without touching shared state, journaling the entry hits each pass would
-// record. Only when the packet's whole fate is decided does commit apply
-// the journal, so declining at any point before commit is free of side
-// effects.
+// walks chained across virtual links — without touching shared state,
+// journaling the entry hits each pass would record. Only when the packet's
+// whole fate is decided does commit apply the journal, so declining at any
+// point before commit is free of side effects.
 func (eng *Engine) run(pb *portBind, st *execState, data []byte) (sim.FastResult, bool) {
-	st.jobs = append(st.jobs, walkJob{
-		p: pb.plan, ving: pb.vingress, data: data,
-		inst: segNormal, assign: pb.assign, parent: -1,
-	})
-	for j := 0; j < len(st.jobs); j++ {
-		job := st.jobs[j] // copy: walk may append and reallocate st.jobs
-		if !eng.walk(st, job) {
+	job := walkJob{p: pb.plan, ving: pb.vingress, data: data, inst: segNormal, assign: pb.assign}
+	for job.p != nil {
+		var ok bool
+		if job, ok = eng.walk(st, job); !ok {
 			return sim.FastResult{}, false
 		}
 	}
@@ -258,10 +241,10 @@ func (eng *Engine) run(pb *portBind, st *execState, data []byte) (sim.FastResult
 }
 
 // walk simulates one plan traversal: the parse loop, the stage walk, and
-// the virtual-network dispatch. Crossing a virtual link enqueues a new walk
-// against the target plan; a multicast route additionally synthesizes the
-// clone-pass segments. Returns false to decline the whole packet.
-func (eng *Engine) walk(st *execState, job walkJob) bool {
+// the virtual-network dispatch. It returns the walk a crossed virtual link
+// starts in the target plan, or a zero walkJob when the packet's walks
+// end; false declines the whole packet.
+func (eng *Engine) walk(st *execState, job walkJob) (walkJob, bool) {
 	p := job.p
 
 	// Parse loop: each iteration is one pipeline pass. n carries the
@@ -271,36 +254,24 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 	ps := p.parse0
 	var fin *prow
 	parsed, consumed := 0, 0
-	inst := job.inst
-	prev, finIdx := -1, -1
+	seg := segment{pid: p.pid, inst: job.inst, dataLen: len(job.data), assign: job.assign}
+	var cur *segment // the walk's latest pass, the last segment
 	for {
 		if len(st.segs) >= sim.MaxPasses {
 			// The interpreter faults at the pass bound; let it.
-			return false
+			return walkJob{}, false
 		}
-		idx := len(st.segs)
-		st.segs = append(st.segs, segment{
-			pid: p.pid, inst: inst, parser: true, dataLen: len(job.data),
-			lo: len(st.jr), child: [2]int{-1, -1},
-		})
-		if prev < 0 {
-			st.segs[idx].assign = job.assign
-			if job.parent >= 0 {
-				st.segs[job.parent].child[job.slot] = idx
-			}
-		} else {
-			st.segs[prev].child[0] = idx
-		}
-		inst = segResubmit
-
 		// A supported count whose t_norm row is missing would MISS in the
 		// interpreter (t_norm reads hp4.parsed exact) — decline rather than
 		// silently normalize at the default width.
-		ne := at(eng.norm, n)
-		if ne == 0 {
-			return false
+		if seg.norm = at(eng.norm, n); seg.norm == 0 {
+			return walkJob{}, false
 		}
-		st.segs[idx].norm = ne
+		seg.lo = len(st.jr)
+		st.segs = append(st.segs, seg)
+		cur = &st.segs[len(st.segs)-1]
+		seg.inst, seg.assign = segResubmit, 0
+
 		take := len(job.data)
 		if take > n {
 			take = n
@@ -315,23 +286,21 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 		if row == nil {
 			// Parse miss: no stage walk, t_virtnet applied with vport=0.
 			st.journal(p.vdrop0)
-			st.segs[idx].hi = len(st.jr)
-			return true
+			cur.hi = len(st.jr)
+			return walkJob{}, true
 		}
 		st.journal(row.ent)
 		if row.more {
 			// a_parse_more resubmits; this pass still traverses t_virtnet
 			// with vport=0 before the resubmission takes effect.
 			st.journal(p.vdrop0)
-			st.segs[idx].hi = len(st.jr)
+			cur.hi = len(st.jr)
 			n = row.window
 			ps = row.next
-			prev = idx
 			continue
 		}
 		fin = row
 		parsed, consumed = n, take
-		finIdx = idx
 		break
 	}
 
@@ -372,100 +341,39 @@ func (eng *Engine) walk(st *execState, job walkJob) bool {
 
 	// Virtual networking + egress. A vnet miss applies the table default
 	// (a_vdrop, no entry hit).
-	if dropped {
-		st.segs[finIdx].hi = len(st.jr)
-		return true
-	}
-	vr := p.vnet[vport]
-	if vr == nil {
-		st.segs[finIdx].hi = len(st.jr)
-		return true
-	}
-	st.journal(vr.ent)
-	switch vr.Kind {
-	case rows.RouteDrop:
-		st.segs[finIdx].hi = len(st.jr)
-		return true
-	case rows.RoutePhys:
-		buf, ok := eng.egress(st, p, fin, job.data, parsed, consumed, false)
-		if !ok {
-			return false
-		}
-		st.segs[finIdx].outPort = vr.Port
-		st.segs[finIdx].outData = buf
-		st.segs[finIdx].hi = len(st.jr)
-		return true
-	case rows.RouteVirt:
-		// Cross-plan call: the packet traverses egress (checksum, resize,
-		// writeback), then recirculates into the target plan with the
-		// deparsed bytes and a fresh parse loop — the link-time analysis
-		// already bounded the chain. An unresolved target (vdev not fused)
-		// declines before any side effect.
-		if vr.target == nil {
-			return false
-		}
-		buf, ok := eng.egress(st, p, fin, job.data, parsed, consumed, true)
-		if !ok {
-			return false
-		}
-		st.segs[finIdx].hi = len(st.jr)
-		st.jobs = append(st.jobs, walkJob{
-			p: vr.target, ving: vr.VIn, data: buf,
-			inst: segRecirc, parent: finIdx, slot: 1,
-		})
-		return true
-	case rows.RouteMcast:
-		// Multicast fan-out: the original pass hits the orig row and
-		// recirculates into the first target; each egress-to-egress clone
-		// re-runs egress on identical bytes (checksum recompute is
-		// idempotent), hits its step row, and recirculates into its own
-		// target. One chained walk per leaf.
-		if vr.bad || vr.target == nil {
-			return false
-		}
-		for _, t := range vr.targets {
-			if t == nil {
-				return false
+	var next walkJob
+	if vr := p.vnet[vport]; !dropped && vr != nil {
+		st.journal(vr.ent)
+		switch vr.Kind {
+		case rows.RouteDrop:
+		case rows.RoutePhys:
+			buf, ok := eng.egress(st, p, fin, job.data, parsed, consumed, false)
+			if !ok {
+				return walkJob{}, false
 			}
-		}
-		buf, ok := eng.egress(st, p, fin, job.data, parsed, consumed, true)
-		if !ok {
-			return false
-		}
-		st.journal(vr.orig)
-		st.segs[finIdx].hi = len(st.jr)
-		st.jobs = append(st.jobs, walkJob{
-			p: vr.target, ving: vr.VIn, data: buf,
-			inst: segRecirc, parent: finIdx, slot: 1,
-		})
-		prevSeg := finIdx
-		for i := range vr.Steps {
-			stp := &vr.Steps[i]
-			if len(st.segs) >= sim.MaxPasses {
-				return false
+			cur.outPort, cur.outData = vr.Port, buf
+		case rows.RouteVirt:
+			// Cross-plan call: the packet traverses egress (checksum,
+			// resize, writeback), then recirculates into the target plan
+			// with the deparsed bytes and a fresh parse loop — the
+			// link-time analysis already bounded the chain. An unresolved
+			// target (vdev not fused) declines before any side effect.
+			if vr.target == nil {
+				return walkJob{}, false
 			}
-			cidx := len(st.segs)
-			st.segs = append(st.segs, segment{
-				pid: p.pid, inst: segClone,
-				lo: len(st.jr), child: [2]int{-1, -1},
-			})
-			st.segs[prevSeg].child[0] = cidx
-			if fin.csum && p.csum != nil {
-				st.journal(p.csumEnt)
+			buf, ok := eng.egress(st, p, fin, job.data, parsed, consumed, true)
+			if !ok {
+				return walkJob{}, false
 			}
-			eg := eng.resize[parsed] // egress above proved the pair present
-			st.jr = append(st.jr, run{eg, eg + 2})
-			st.journal(vr.steps[i])
-			st.segs[cidx].hi = len(st.jr)
-			st.jobs = append(st.jobs, walkJob{
-				p: vr.targets[i], ving: stp.VIn, data: buf,
-				inst: segRecirc, parent: cidx, slot: 1,
-			})
-			prevSeg = cidx
+			next = walkJob{p: vr.target, ving: vr.VIn, data: buf, inst: segRecirc}
+		default:
+			// A multicast route declines: its clone-and-recirculate
+			// fan-out runs in the interpreter only.
+			return walkJob{}, false
 		}
-		return true
 	}
-	return false
+	cur.hi = len(st.jr)
+	return next, true
 }
 
 // egress journals the egress-side hits of a walk's final pass — checksum
@@ -521,50 +429,38 @@ func (st *execState) hopBuf(n int) []byte {
 	return (*b)[:0]
 }
 
-// commit replays the segment tree in the interpreter's BFS pass order,
-// interleaved with the policing meter exactly as the interpreted ingress
-// runs it: t_norm (and, on the root pass, t_assign) hit first, then
-// a_police's meter + counter, then — only if the verdict isn't red — the
-// rest of the pass. A red verdict prunes that pass's entry hits, output,
-// and every follow-on pass, exactly where the interpreter's policing guard
-// would have; sibling passes already queued continue unaffected. The
-// meter runs here, per pass; the entry hits and counter bumps go into the
+// commit replays the packet's passes in order, interleaved with the
+// policing meter exactly as the interpreted ingress runs it: t_norm (and,
+// on the root pass, t_assign) hit first, then a_police's meter + counter,
+// then — only if the verdict isn't red — the rest of the pass. A red
+// verdict prunes that pass's entry hits and output and every later pass,
+// exactly where the interpreter's policing guard would have. The meter
+// runs here, per pass; the entry hits and counter bumps go into the
 // burst's tally, which Flush applies.
 func (eng *Engine) commit(st *execState) (sim.FastResult, bool) {
 	var res sim.FastResult
-	st.queue = append(st.queue[:0], 0)
-	for head := 0; head < len(st.queue); head++ {
-		s := &st.segs[st.queue[head]]
+	for i := range st.segs {
+		s := &st.segs[i]
 		switch s.inst {
 		case segResubmit:
 			res.Resubmits++
 		case segRecirc:
 			res.Recirculates++
-		case segClone:
-			res.Clones++
 		}
-		if s.parser {
-			st.hit(run{s.norm, s.norm + 1})
-			if s.assign != 0 {
-				st.hit(run{s.assign, s.assign + 1})
-			}
-			color, err := eng.meter.Execute(s.pid, s.dataLen)
-			st.count(s.pid, s.dataLen)
-			if err == nil && color == sim.MeterRed {
-				continue
-			}
+		st.hit(run{s.norm, s.norm + 1})
+		if s.assign != 0 {
+			st.hit(run{s.assign, s.assign + 1})
+		}
+		color, err := eng.meter.Execute(s.pid, s.dataLen)
+		st.count(s.pid, s.dataLen)
+		if err == nil && color == sim.MeterRed {
+			break
 		}
 		for _, r := range st.jr[s.lo:s.hi] {
 			st.hit(r)
 		}
 		if s.outData != nil {
 			res.Outputs = append(res.Outputs, sim.Output{Port: s.outPort, Data: s.outData})
-		}
-		if s.child[0] >= 0 {
-			st.queue = append(st.queue, s.child[0])
-		}
-		if s.child[1] >= 0 {
-			st.queue = append(st.queue, s.child[1])
 		}
 	}
 	return res, true

@@ -26,23 +26,25 @@
 // Plans link across vdevs: a walk that reaches an a_virt_fwd route jumps
 // straight into the target vdev's plan (a fresh parse loop and stage walk
 // on the deparsed bytes, exactly as the interpreter's recirculation would),
-// and an a_mcast_start route expands into its precomputed clone sequence,
-// one chained walk per leaf. The deparsed bytes a walk hands across a link
-// live in pooled per-packet scratch (execState.bufs) that later packets
-// overwrite; only bytes leaving on a physical port are allocated, and
-// they alone become outputs. Chain depth is bounded at build time against
-// sim.MaxPasses — a chain the interpreter would fault on refuses to fuse,
-// so the fault still fires.
+// so a fused packet's passes form one chain, committed in order. The
+// deparsed bytes a walk hands across a link live in pooled per-packet
+// scratch (execState.bufs) that later packets overwrite; only bytes leaving
+// on a physical port are allocated, and they alone become outputs. Chain
+// depth is bounded at build time against sim.MaxPasses — a chain the
+// interpreter would fault on refuses to fuse, so the fault still fires.
+//
+// Plans carry unicast only. A packet that reaches an a_mcast_start route
+// declines: the §4.6 clone-and-recirculate fan-out runs in the interpreter,
+// and Build reports each such route as an unfusable info finding.
 //
 // Correctness is anchored on conservation: the fused walk records exactly
 // the entry hits, meter executions, and counter bumps the interpreted
 // pipeline would have produced. A vdev with a row the model cannot decode
-// is not fused, and any construct the plan cannot prove equivalent
-// (unfused chain members, undecodable multicast sequences, quarantine
-// probing, stale generations) declines the packet to the interpreter
-// untouched. The
-// differential harness (dpmu's TestFused* suite, also run under
-// `make race`) enforces byte-identical behavior.
+// is not fused, and any construct the plan does not carry (unfused chain
+// members, multicast routes, quarantine probing, stale generations)
+// declines the packet to the interpreter untouched. The differential
+// harness (dpmu's TestFused* suite, also run under `make race`) enforces
+// byte-identical behavior.
 package fuse
 
 import (
@@ -136,7 +138,7 @@ type plan struct {
 	parseBy map[uint64]*parseState
 	slots   map[uint32]*fusedSlot
 	// chain is the set of PIDs a packet entering this plan can visit
-	// (including this one), across virtual links and multicast steps.
+	// (including this one), across virtual links.
 	// RunFast declines when any member is quarantined: containment
 	// accounting belongs to the interpreter.
 	chain []int
@@ -214,17 +216,13 @@ type frow struct {
 	lo, hi int32
 }
 
-// vnetRow is one decoded t_virtnet route plus its link-time targets. A
-// virtual or multicast route whose target plan is unresolved (target vdev
-// not fused), or whose clone sequence stays interpreted (bad), declines at
-// runtime.
+// vnetRow is one decoded t_virtnet route plus its link-time target. A
+// virtual route whose target plan is unresolved (target vdev not fused)
+// declines at runtime, as does every multicast route.
 type vnetRow struct {
 	rows.Route
-	ent, orig int32   // Entry and (RouteMcast) Orig in Engine.entries
-	steps     []int32 // RouteMcast: each step's Entry in Engine.entries
-	target    *plan   // the plan the (first) recirculated copy enters
-	targets   []*plan // RouteMcast: each step's plan, in clone order
-	bad       bool
+	ent    int32 // Entry in Engine.entries
+	target *plan // RouteVirt: the plan the recirculated packet enters
 }
 
 func slotKey(kind int, id uint64) uint32 { return uint32(kind)<<16 | uint32(id&0xffff) }
@@ -296,12 +294,8 @@ func Build(sw *sim.Switch, cfg persona.Config, vdevs []VDev) (*Engine, []verify.
 			eng.entry(wb)
 		}
 	}
-	sessionOK := func(session int) bool {
-		_, ok := sw.MirrorPort(session)
-		return ok
-	}
 	for i, vd := range vdevs {
-		p, fs := eng.buildPlan(cfg, models[i], sessionOK, vd)
+		p, fs := eng.buildPlan(cfg, models[i], vd)
 		findings = append(findings, fs...)
 		if p != nil {
 			eng.plans[vd.PID] = p
@@ -357,9 +351,9 @@ func (eng *Engine) BuiltAgainst() uint64 { return eng.gen }
 // buildPlan fuses one vdev from its decoded rows m (nil when its PID is out
 // of range). A nil plan means the vdev
 // stays fully interpreted; the findings say why. A non-nil plan may still
-// carry per-construct runtime fallbacks (multicast sequences), reported as
+// carry per-construct runtime fallbacks (multicast routes), reported as
 // findings too.
-func (eng *Engine) buildPlan(cfg persona.Config, m *rows.VDev, sessionOK func(int) bool, vd VDev) (*plan, []verify.Finding) {
+func (eng *Engine) buildPlan(cfg persona.Config, m *rows.VDev, vd VDev) (*plan, []verify.Finding) {
 	var findings []verify.Finding
 	fail := func(table string, handle int, format string, args ...any) (*plan, []verify.Finding) {
 		return nil, append(findings, unfusable(vd.Name, table, handle, format, args...))
@@ -387,20 +381,10 @@ func (eng *Engine) buildPlan(cfg persona.Config, m *rows.VDev, sessionOK func(in
 		r := &m.Routes[i]
 		vr := &vnetRow{Route: *r, ent: eng.entry(r.Entry)}
 		if r.Kind == rows.RouteMcast {
-			if err := mcastFusable(r, sessionOK); err != nil {
-				vr.bad = true
-				findings = append(findings, unfusable(vd.Name, persona.TblVirtnet, r.Entry.Handle,
-					"vport %d multicast sequence stays interpreted: %v", r.VPort, err))
-			}
+			findings = append(findings, unfusable(vd.Name, persona.TblVirtnet, r.Entry.Handle,
+				"vport %d multicast fan-out stays interpreted", r.VPort))
 		}
 		if p.vnet[r.VPort] == nil {
-			if r.Kind == rows.RouteMcast && !vr.bad {
-				vr.orig = eng.entry(r.Orig)
-				vr.steps = make([]int32, len(r.Steps))
-				for k := range r.Steps {
-					vr.steps[k] = eng.entry(r.Steps[k].Entry)
-				}
-			}
 			p.vnet[r.VPort] = vr
 		}
 		if r.VPort == 0 && r.Kind == rows.RouteDrop && p.vdrop0 == 0 {
@@ -476,10 +460,7 @@ func (eng *Engine) buildPlan(cfg persona.Config, m *rows.VDev, sessionOK func(in
 // planEntries bounds the rows buildPlan adds to the engine's entry table
 // for m.
 func planEntries(m *rows.VDev) int {
-	n := 1
-	for i := range m.Routes {
-		n += 2 + len(m.Routes[i].Steps)
-	}
+	n := 1 + len(m.Routes)
 	for _, prs := range m.Parse {
 		n += len(prs)
 	}
@@ -505,25 +486,6 @@ func (p *plan) stageAfter(kind, id, stage int) *fusedSlot {
 
 func isAdd(code int) bool { return code == persona.OpAddEDConst || code == persona.OpAddMetaConst }
 
-// mcastFusable checks that a multicast route's clone sequence decoded and
-// that every clone session has a mirror mapping — without one the
-// interpreter counts the clone but never spawns it, a shape the fused
-// expansion does not model.
-func mcastFusable(r *rows.Route, sessionOK func(int) bool) error {
-	if r.McastErr != nil {
-		return r.McastErr
-	}
-	if !sessionOK(r.Session) {
-		return fmt.Errorf("clone session %d has no mirror mapping", r.Session)
-	}
-	for _, st := range r.Steps {
-		if st.Session >= 0 && !sessionOK(st.Session) {
-			return fmt.Errorf("clone session %d has no mirror mapping", st.Session)
-		}
-	}
-	return nil
-}
-
 // costUnbounded marks a plan on a virtual-link cycle: its worst-case pass
 // count has no static bound (the interpreter's pass-bound fault is what
 // stops such packets).
@@ -531,7 +493,7 @@ const costUnbounded = int(^uint(0) >> 1)
 
 // linkPlans resolves every cross-plan route against the built plan set,
 // bounds each plan's worst-case total pass count (parse resubmissions plus
-// chained walks plus multicast clones) against the interpreter's budget,
+// chained walks) against the interpreter's budget,
 // and precomputes the reachable-PID chain used for quarantine checks. Plans
 // whose bound is exceeded — or which sit on a link cycle — are refused with
 // an informational chain-depth finding: their packets stay interpreted, so
@@ -539,18 +501,8 @@ const costUnbounded = int(^uint(0) >> 1)
 func linkPlans(eng *Engine, maxPasses int) []verify.Finding {
 	for _, p := range eng.plans {
 		for _, vr := range p.vnet {
-			switch vr.Kind {
-			case rows.RouteVirt:
+			if vr.Kind == rows.RouteVirt {
 				vr.target = eng.plans[vr.PID]
-			case rows.RouteMcast:
-				if vr.bad {
-					continue
-				}
-				vr.target = eng.plans[vr.PID]
-				vr.targets = make([]*plan, len(vr.Steps))
-				for i := range vr.Steps {
-					vr.targets[i] = eng.plans[vr.Steps[i].PID]
-				}
 			}
 		}
 	}
@@ -588,20 +540,8 @@ func linkPlans(eng *Engine, maxPasses int) []verify.Finding {
 		c := walkPasses(p)
 		extra := 0
 		for _, vr := range p.vnet {
-			rc := 0
-			switch {
-			case vr.Kind == rows.RouteVirt && vr.target != nil:
-				rc = cost(vr.target)
-			case vr.Kind == rows.RouteMcast && !vr.bad && vr.target != nil:
-				rc = add(len(vr.targets), cost(vr.target)) // one pass per clone
-				for _, t := range vr.targets {
-					if t != nil {
-						rc = add(rc, cost(t))
-					}
-				}
-			}
-			if rc > extra {
-				extra = rc
+			if vr.target != nil {
+				extra = max(extra, cost(vr.target))
 			}
 		}
 		state[p] = done
@@ -642,11 +582,6 @@ func linkPlans(eng *Engine, maxPasses int) []verify.Finding {
 			if vr.target != nil && eng.plans[vr.target.pid] != vr.target {
 				vr.target = nil
 			}
-			for i, t := range vr.targets {
-				if t != nil && eng.plans[t.pid] != t {
-					vr.targets[i] = nil
-				}
-			}
 		}
 	}
 	// Reachable-PID chains for the quarantine check.
@@ -661,9 +596,6 @@ func linkPlans(eng *Engine, maxPasses int) []verify.Finding {
 			p.chain = append(p.chain, q.pid)
 			for _, vr := range q.vnet {
 				visit(vr.target)
-				for _, t := range vr.targets {
-					visit(t)
-				}
 			}
 		}
 		p.chain = p.chain[:0]

@@ -364,15 +364,15 @@ func TestCommitRedMeterTruncation(t *testing.T) {
 		st := newExecState(eng)
 		st.jr = []run{{3, 4}, {4, 5}}
 		st.segs = []segment{
-			{pid: 1, inst: segNormal, parser: true, dataLen: 64, norm: 1,
-				lo: 0, hi: 1, outPort: 5, outData: []byte{1}, child: [2]int{1, -1}},
-			{pid: 1, inst: segRecirc, parser: true, dataLen: 64, norm: 2,
-				lo: 1, hi: 2, outPort: 6, outData: []byte{2}, child: [2]int{-1, -1}},
+			{pid: 1, inst: segNormal, dataLen: 64, norm: 1,
+				lo: 0, hi: 1, outPort: 5, outData: []byte{1}},
+			{pid: 1, inst: segRecirc, dataLen: 64, norm: 2,
+				lo: 1, hi: 2, outPort: 6, outData: []byte{2}},
 		}
 		return st, []*sim.Entry{norm0, norm1, stage0, stage1}
 	}
 
-	// Red at the first pass: the whole tree below it is pruned.
+	// Red at the first pass: it and every later pass are pruned.
 	if err := sw.MeterSetRates(persona.MeterIngress, 1, 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestCommitRedMeterTruncation(t *testing.T) {
 		t.Errorf("vdev counter = (%d, %d), want (1, 64): red packets still count", pkts, bytes)
 	}
 
-	// Green: the full tree replays.
+	// Green: every pass replays.
 	if err := sw.MeterSetRates(persona.MeterIngress, 1, 1<<40, 1<<40); err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestCommitRedMeterTruncation(t *testing.T) {
 		t.Fatalf("green commit: %+v, want 2 outputs and 1 recirculation", res)
 	}
 	if res.Outputs[0].Port != 5 || res.Outputs[1].Port != 6 {
-		t.Errorf("outputs out of BFS order: %+v", res.Outputs)
+		t.Errorf("outputs out of pass order: %+v", res.Outputs)
 	}
 	for i, e := range entries {
 		if e.Hits() != 1 {

@@ -113,34 +113,20 @@ const (
 	RouteDrop  = iota // a_vdrop
 	RoutePhys         // a_phys_fwd: out physical Port
 	RouteVirt         // a_virt_fwd: recirculate into (PID, VIn)
-	RouteMcast        // a_mcast_start: into (PID, VIn), then one clone per step
+	RouteMcast        // a_mcast_start: the §4.6 clone-and-recirculate fan-out
 )
 
-// Route is one t_virtnet row. For RouteMcast the clone sequence is decoded
-// from te_mcast_orig / te_mcast_clone: the original pass hits Orig (cloning
-// to Session), and each step's clone recirculates into its own target. A
-// sequence that does not decode sets McastErr and leaves the route in place.
+// Route is one t_virtnet row. A RouteMcast row's clone sequence (its
+// te_mcast_orig and te_mcast_clone rows) is not decoded: only the
+// interpreter runs multicast.
 type Route struct {
-	Entry    *sim.Entry
-	VPort    uint64
-	Kind     int
-	Port     int
-	PID      int
-	VIn      uint64
-	Orig     *sim.Entry
-	Session  int
-	Steps    []McastStep
-	McastErr error
-	Err      *Error
-}
-
-// McastStep is one te_mcast_clone row of a sequence. Session is the next
-// clone's session; the last step clones no further and carries -1.
-type McastStep struct {
-	PID     int
-	VIn     uint64
-	Session int
-	Entry   *sim.Entry
+	Entry *sim.Entry
+	VPort uint64
+	Kind  int
+	Port  int
+	PID   int
+	VIn   uint64
+	Err   *Error
 }
 
 // Assign is one t_assign row: physical ports p with p&Mask == Val enter
@@ -184,14 +170,13 @@ type Tables struct {
 	Norm, Resize, Writeback map[int]*sim.Entry
 	Assign                  []Assign // precedence order
 
-	parse, virtnet, csum  []*sim.Entry
-	stages                [][][]*sim.Entry // [stage][persona.StageKinds index]
-	stageNames            [][]string
-	prepNames, execNames  [][]string // [stage][prim]
-	preps                 map[uint64]*sim.Entry
-	dupPreps              map[uint64]bool
-	execs                 map[uint64]*sim.Entry
-	mcastOrig, mcastClone map[uint64]*sim.Entry
+	parse, virtnet, csum []*sim.Entry
+	stages               [][][]*sim.Entry // [stage][persona.StageKinds index]
+	stageNames           [][]string
+	prepNames, execNames [][]string // [stage][prim]
+	preps                map[uint64]*sim.Entry
+	dupPreps             map[uint64]bool
+	execs                map[uint64]*sim.Entry
 }
 
 func prepKey(stage, prim int, pid, mid uint64) uint64 {
@@ -205,15 +190,13 @@ func execKey(stage, prim, code int) uint64 {
 // Load reads every persona table the decoder needs from src.
 func Load(src Source, cfg persona.Config) (*Tables, error) {
 	t := &Tables{
-		cfg:        cfg,
-		counts:     cfg.ByteCounts(),
-		Norm:       map[int]*sim.Entry{},
-		Resize:     map[int]*sim.Entry{},
-		Writeback:  map[int]*sim.Entry{},
-		preps:      map[uint64]*sim.Entry{},
-		execs:      map[uint64]*sim.Entry{},
-		mcastOrig:  map[uint64]*sim.Entry{},
-		mcastClone: map[uint64]*sim.Entry{},
+		cfg:       cfg,
+		counts:    cfg.ByteCounts(),
+		Norm:      map[int]*sim.Entry{},
+		Resize:    map[int]*sim.Entry{},
+		Writeback: map[int]*sim.Entry{},
+		preps:     map[uint64]*sim.Entry{},
+		execs:     map[uint64]*sim.Entry{},
 	}
 	var err error
 	load := func(table string) []*sim.Entry {
@@ -236,17 +219,6 @@ func Load(src Source, cfg persona.Config) (*Tables, error) {
 	byCount(persona.TblNorm, persona.NormAction, t.Norm)
 	byCount(persona.TblResize, persona.ResizeAction, t.Resize)
 	byCount(persona.TblWriteback, persona.WritebackAction, t.Writeback)
-	bySeq := func(table string, into map[uint64]*sim.Entry) {
-		for _, e := range load(table) {
-			if len(e.Params) == 1 {
-				if seq := e.Params[0].Value.Uint64(); into[seq] == nil { // first row wins, like exact lookup
-					into[seq] = e
-				}
-			}
-		}
-	}
-	bySeq(persona.TblMcastOrig, t.mcastOrig)
-	bySeq(persona.TblMcastClone, t.mcastClone)
 	for _, e := range load(persona.TblAssign) {
 		t.Assign = append(t.Assign, decodeAssign(e))
 	}
@@ -356,7 +328,7 @@ func (t *Tables) VDev(pid int) *VDev {
 	}
 	for _, e := range t.virtnet {
 		if owned(e, id) {
-			v.Routes = append(v.Routes, t.route(v, e))
+			v.Routes = append(v.Routes, route(v, e))
 		}
 	}
 	return v
@@ -577,7 +549,7 @@ func (t *Tables) decodeCsum(e *sim.Entry) (int, error) {
 	return hdr, nil
 }
 
-func (t *Tables) route(v *VDev, e *sim.Entry) Route {
+func route(v *VDev, e *sim.Entry) Route {
 	r := Route{Entry: e}
 	err := func() error {
 		if len(e.Params) != 2 || !exactLead(e, 2) {
@@ -601,12 +573,7 @@ func (t *Tables) route(v *VDev, e *sim.Entry) Route {
 			return err
 		case persona.ActMcastStart:
 			r.Kind = RouteMcast
-			if err := smallArgs(e, a[:4]); err != nil {
-				return err
-			}
-			r.PID, r.VIn = int(a[0]), a[1]
-			r.McastErr = t.mcast(&r, a[2])
-			return nil
+			return smallArgs(e, a[:4])
 		}
 		return fmt.Errorf("unexpected virtnet action %q", e.Action)
 	}()
@@ -614,45 +581,6 @@ func (t *Tables) route(v *VDev, e *sim.Entry) Route {
 		r.Err = v.fail(persona.TblVirtnet, e.Handle, "%v", err)
 	}
 	return r
-}
-
-// mcast decodes a multicast sequence by walking the rows the interpreter's
-// egress would hit: the original pass hits the te_mcast_orig row (raising
-// clone 1), and clone k hits the te_mcast_clone row keyed by its inherited
-// sequence (raising clone k+1 until the last step).
-func (t *Tables) mcast(r *Route, seq uint64) error {
-	orig := t.mcastOrig[seq]
-	var a [4]uint64
-	if orig == nil || orig.Action != persona.ActMcastClone || smallArgs(orig, a[:1]) != nil {
-		return fmt.Errorf("no decodable %s row for sequence %d", persona.ActMcastClone, seq)
-	}
-	r.Orig, r.Session = orig, int(a[0])
-	seen := map[uint64]bool{seq: true}
-	for cur := seq; ; {
-		e := t.mcastClone[cur]
-		if e == nil {
-			return fmt.Errorf("no step row for sequence %d", cur)
-		}
-		switch e.Action {
-		case persona.ActMcastStep:
-			if err := smallArgs(e, a[:4]); err != nil {
-				return err
-			}
-			r.Steps = append(r.Steps, McastStep{PID: int(a[0]), VIn: a[1], Session: int(a[3]), Entry: e})
-			if cur = a[2]; seen[cur] {
-				return fmt.Errorf("multicast sequence cycles at %d", cur)
-			}
-			seen[cur] = true
-		case persona.ActMcastLast:
-			if err := smallArgs(e, a[:2]); err != nil {
-				return err
-			}
-			r.Steps = append(r.Steps, McastStep{PID: int(a[0]), VIn: a[1], Session: -1, Entry: e})
-			return nil
-		default:
-			return fmt.Errorf("unexpected step action %q", e.Action)
-		}
-	}
 }
 
 func decodeAssign(e *sim.Entry) Assign {

@@ -8,155 +8,6 @@ import (
 	"hyper4/internal/sim"
 )
 
-// ARPProxySource is the ARP proxy (§3.1 function 3): it answers ARP requests
-// on behalf of the IPv4 hosts they target, and switches all other traffic at
-// layer 2. Its proxy_reply action uses nine primitives to turn the request
-// into a reply in place — the paper calls this out as the reason the
-// emulated ARP proxy costs 12x (Table 1) and it is the program with the most
-// unique persona tables (Table 3).
-const ARPProxySource = `
-header_type ethernet_t {
-    fields {
-        dstAddr : 48;
-        srcAddr : 48;
-        etherType : 16;
-    }
-}
-
-header_type arp_t {
-    fields {
-        htype : 16;
-        ptype : 16;
-        hlen : 8;
-        plen : 8;
-        oper : 16;
-        sha : 48;
-        spa : 32;
-        tha : 48;
-        tpa : 32;
-    }
-}
-
-header_type arp_metadata_t {
-    fields {
-        tmp_ip : 32;
-        is_request : 8;
-    }
-}
-
-header ethernet_t ethernet;
-header arp_t arp;
-metadata arp_metadata_t arp_meta;
-
-parser start {
-    extract(ethernet);
-    return select(latest.etherType) {
-        0x0806 : parse_arp;
-        default : ingress;
-    }
-}
-
-parser parse_arp {
-    extract(arp);
-    return ingress;
-}
-
-action _nop() {
-    no_op();
-}
-
-action _drop() {
-    drop();
-}
-
-action mark_request() {
-    modify_field(arp_meta.is_request, 1);
-}
-
-// proxy_reply rewrites the request into a reply for the proxied host:
-// nine primitives, as in the paper.
-action proxy_reply(mac) {
-    modify_field(arp_meta.tmp_ip, arp.tpa);
-    modify_field(arp.tpa, arp.spa);
-    modify_field(arp.spa, arp_meta.tmp_ip);
-    modify_field(arp.tha, arp.sha);
-    modify_field(arp.sha, mac);
-    modify_field(arp.oper, 2);
-    modify_field(ethernet.dstAddr, arp.tha);
-    modify_field(ethernet.srcAddr, mac);
-    modify_field(standard_metadata.egress_spec, standard_metadata.ingress_port);
-}
-
-action forward(port) {
-    modify_field(standard_metadata.egress_spec, port);
-}
-
-// check_arp classifies the packet: is it an ARP request?
-table check_arp {
-    reads {
-        valid(arp) : exact;
-        arp.oper : exact;
-    }
-    actions {
-        mark_request;
-        _nop;
-    }
-    default_action : _nop;
-    size : 2;
-}
-
-// arp_resp answers requests whose target IP the proxy serves.
-table arp_resp {
-    reads {
-        arp.tpa : exact;
-    }
-    actions {
-        proxy_reply;
-        _nop;
-    }
-    default_action : _nop;
-    size : 256;
-}
-
-table smac {
-    reads {
-        ethernet.srcAddr : exact;
-    }
-    actions {
-        _nop;
-        _drop;
-    }
-    size : 512;
-}
-
-table dmac {
-    reads {
-        ethernet.dstAddr : exact;
-    }
-    actions {
-        forward;
-        _drop;
-    }
-    size : 512;
-}
-
-control ingress {
-    apply(check_arp);
-    if (arp_meta.is_request == 1) {
-        apply(arp_resp) {
-            _nop {
-                // Request for an IP we do not proxy: switch it onward.
-                apply(smac);
-                apply(dmac);
-            }
-        }
-    } else {
-        apply(smac);
-        apply(dmac);
-    }
-}
-`
-
 // ARPController populates the ARP proxy's tables.
 type ARPController struct {
 	add func(table, action string, params []sim.MatchParam, args []bitfield.Value, prio int) error

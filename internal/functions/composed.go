@@ -1,367 +1,34 @@
 package functions
 
-import (
-	"fmt"
-
-	"hyper4/internal/bitfield"
-	"hyper4/internal/pkt"
-	"hyper4/internal/sim"
-)
+import "hyper4/internal/sim"
 
 // Composed is the native sequential composition of the ARP proxy, firewall,
 // and IPv4 router — the program a §7.2-style composition compiler would
 // emit, and the native baseline for the paper's "Ex. 1 C" row in Table 5.
+// It merges arp_proxy → firewall → router into one P4 program.
 const Composed = "composed"
 
-// ComposedSource merges arp_proxy → firewall → router into one P4 program.
-const ComposedSource = `
-header_type ethernet_t {
-    fields {
-        dstAddr : 48;
-        srcAddr : 48;
-        etherType : 16;
-    }
-}
-
-header_type arp_t {
-    fields {
-        htype : 16;
-        ptype : 16;
-        hlen : 8;
-        plen : 8;
-        oper : 16;
-        sha : 48;
-        spa : 32;
-        tha : 48;
-        tpa : 32;
-    }
-}
-
-header_type ipv4_t {
-    fields {
-        verIhl : 8;
-        diffserv : 8;
-        totalLen : 16;
-        identification : 16;
-        flagsFrag : 16;
-        ttl : 8;
-        protocol : 8;
-        hdrChecksum : 16;
-        srcAddr : 32;
-        dstAddr : 32;
-    }
-}
-
-header_type tcp_t {
-    fields {
-        srcPort : 16;
-        dstPort : 16;
-        seqNo : 32;
-        ackNo : 32;
-        dataOffset : 4;
-        res : 4;
-        flags : 8;
-        window : 16;
-        checksum : 16;
-        urgentPtr : 16;
-    }
-}
-
-header_type udp_t {
-    fields {
-        srcPort : 16;
-        dstPort : 16;
-        length_ : 16;
-        checksum : 16;
-    }
-}
-
-header_type composed_meta_t {
-    fields {
-        tmp_ip : 32;
-        is_request : 8;
-        nhop_ipv4 : 32;
-    }
-}
-
-header ethernet_t ethernet;
-header arp_t arp;
-header ipv4_t ipv4;
-header tcp_t tcp;
-header udp_t udp;
-metadata composed_meta_t cmeta;
-
-field_list ipv4_checksum_list {
-    ipv4.verIhl;
-    ipv4.diffserv;
-    ipv4.totalLen;
-    ipv4.identification;
-    ipv4.flagsFrag;
-    ipv4.ttl;
-    ipv4.protocol;
-    ipv4.srcAddr;
-    ipv4.dstAddr;
-}
-
-field_list_calculation ipv4_checksum {
-    input {
-        ipv4_checksum_list;
-    }
-    algorithm : csum16;
-    output_width : 16;
-}
-
-calculated_field ipv4.hdrChecksum {
-    update ipv4_checksum if (valid(ipv4));
-}
-
-parser start {
-    extract(ethernet);
-    return select(latest.etherType) {
-        0x0806 : parse_arp;
-        0x0800 : parse_ipv4;
-        default : ingress;
-    }
-}
-
-parser parse_arp {
-    extract(arp);
-    return ingress;
-}
-
-parser parse_ipv4 {
-    extract(ipv4);
-    return select(latest.protocol) {
-        6 : parse_tcp;
-        17 : parse_udp;
-        default : ingress;
-    }
-}
-
-parser parse_tcp {
-    extract(tcp);
-    return ingress;
-}
-
-parser parse_udp {
-    extract(udp);
-    return ingress;
-}
-
-action _nop() {
-    no_op();
-}
-
-action _drop() {
-    drop();
-}
-
-action mark_request() {
-    modify_field(cmeta.is_request, 1);
-}
-
-action proxy_reply(mac) {
-    modify_field(cmeta.tmp_ip, arp.tpa);
-    modify_field(arp.tpa, arp.spa);
-    modify_field(arp.spa, cmeta.tmp_ip);
-    modify_field(arp.tha, arp.sha);
-    modify_field(arp.sha, mac);
-    modify_field(arp.oper, 2);
-    modify_field(ethernet.dstAddr, arp.tha);
-    modify_field(ethernet.srcAddr, mac);
-    modify_field(standard_metadata.egress_spec, standard_metadata.ingress_port);
-}
-
-action set_nhop(nhop_ipv4, port) {
-    modify_field(cmeta.nhop_ipv4, nhop_ipv4);
-    modify_field(standard_metadata.egress_spec, port);
-    subtract_from_field(ipv4.ttl, 1);
-}
-
-action set_dmac(dmac) {
-    modify_field(ethernet.dstAddr, dmac);
-}
-
-action rewrite_mac(smac) {
-    modify_field(ethernet.srcAddr, smac);
-}
-
-table check_arp {
-    reads {
-        valid(arp) : exact;
-        arp.oper : exact;
-    }
-    actions {
-        mark_request;
-        _nop;
-    }
-    default_action : _nop;
-    size : 2;
-}
-
-table arp_resp {
-    reads {
-        arp.tpa : exact;
-    }
-    actions {
-        proxy_reply;
-        _drop;
-    }
-    default_action : _drop;
-    size : 256;
-}
-
-table ip_filter {
-    reads {
-        ipv4.srcAddr : ternary;
-        ipv4.dstAddr : ternary;
-    }
-    actions {
-        _nop;
-        _drop;
-    }
-    default_action : _nop;
-    size : 256;
-}
-
-table tcp_filter {
-    reads {
-        tcp.srcPort : ternary;
-        tcp.dstPort : ternary;
-    }
-    actions {
-        _nop;
-        _drop;
-    }
-    default_action : _nop;
-    size : 256;
-}
-
-table udp_filter {
-    reads {
-        udp.srcPort : ternary;
-        udp.dstPort : ternary;
-    }
-    actions {
-        _nop;
-        _drop;
-    }
-    default_action : _nop;
-    size : 256;
-}
-
-table ipv4_lpm {
-    reads {
-        ipv4.dstAddr : lpm;
-    }
-    actions {
-        set_nhop;
-        _drop;
-    }
-    size : 1024;
-}
-
-table forward {
-    reads {
-        cmeta.nhop_ipv4 : exact;
-    }
-    actions {
-        set_dmac;
-        _drop;
-    }
-    size : 512;
-}
-
-table send_frame {
-    reads {
-        standard_metadata.egress_port : exact;
-    }
-    actions {
-        rewrite_mac;
-        _nop;
-    }
-    default_action : _nop;
-    size : 256;
-}
-
-control ingress {
-    apply(check_arp);
-    if (cmeta.is_request == 1) {
-        apply(arp_resp);
-    } else {
-        if (valid(ipv4)) {
-            apply(ip_filter);
-        }
-        if (valid(tcp)) {
-            apply(tcp_filter);
-        } else {
-            if (valid(udp)) {
-                apply(udp_filter);
-            }
-        }
-        if (valid(ipv4)) {
-            apply(ipv4_lpm);
-            apply(forward);
-        }
-    }
-}
-
-control egress {
-    if (valid(ipv4)) {
-        apply(send_frame);
-    }
-}
-`
-
-// ComposedController populates the composed program's tables.
+// ComposedController populates the composed program's tables. Its tables
+// are the ARP proxy's, the firewall's and the router's under their own
+// names, so it is those three controllers over one installer. AddHost and
+// Init are ambiguous between them and so not promoted: the composed program
+// has no L2 tables, and its one initial row is the ARP proxy's check_arp.
 type ComposedController struct {
-	add func(table, action string, params []sim.MatchParam, args []bitfield.Value, prio int) error
+	*ARPController
+	*FirewallController
+	*RouterController
 }
 
 // NewComposedController installs entries directly on a native switch and
 // marks ARP requests.
 func NewComposedController(sw *sim.Switch) (*ComposedController, error) {
-	c := &ComposedController{add: func(table, action string, params []sim.MatchParam, args []bitfield.Value, prio int) error {
-		_, err := sw.TableAdd(table, action, params, args, prio)
-		return err
-	}}
-	if err := c.add("check_arp", "mark_request",
-		[]sim.MatchParam{sim.Valid(true), sim.ExactUint(16, pkt.ARPRequest)}, nil, 0); err != nil {
-		return nil, fmt.Errorf("composed check_arp: %w", err)
+	arp, err := NewARPController(sw)
+	if err != nil {
+		return nil, err
 	}
-	return c, nil
-}
-
-// AddProxiedHost answers ARP requests for ip with mac.
-func (c *ComposedController) AddProxiedHost(ip pkt.IP4, mac pkt.MAC) error {
-	return c.add("arp_resp", "proxy_reply",
-		[]sim.MatchParam{sim.Exact(bitfield.FromBytes(32, ip[:]))},
-		[]bitfield.Value{bitfield.FromBytes(48, mac[:])}, 0)
-}
-
-// BlockTCPDstPort drops TCP traffic to a destination port.
-func (c *ComposedController) BlockTCPDstPort(port uint16) error {
-	return c.add("tcp_filter", "_drop",
-		[]sim.MatchParam{sim.TernaryUint(16, 0, 0), sim.TernaryUint(16, uint64(port), 0xffff)}, nil, 1)
-}
-
-// AddRoute installs a prefix route.
-func (c *ComposedController) AddRoute(prefix pkt.IP4, plen int, nhop pkt.IP4, port int) error {
-	return c.add("ipv4_lpm", "set_nhop",
-		[]sim.MatchParam{sim.LPM(bitfield.FromBytes(32, prefix[:]), plen)},
-		[]bitfield.Value{bitfield.FromBytes(32, nhop[:]), bitfield.FromUint(9, uint64(port))}, 0)
-}
-
-// AddNextHop binds a next-hop IP to a MAC.
-func (c *ComposedController) AddNextHop(nhop pkt.IP4, mac pkt.MAC) error {
-	return c.add("forward", "set_dmac",
-		[]sim.MatchParam{sim.Exact(bitfield.FromBytes(32, nhop[:]))},
-		[]bitfield.Value{bitfield.FromBytes(48, mac[:])}, 0)
-}
-
-// AddPortMAC sets the egress source MAC for a port.
-func (c *ComposedController) AddPortMAC(port int, mac pkt.MAC) error {
-	return c.add("send_frame", "rewrite_mac",
-		[]sim.MatchParam{sim.ExactUint(9, uint64(port))},
-		[]bitfield.Value{bitfield.FromBytes(48, mac[:])}, 0)
+	return &ComposedController{
+		ARPController:      arp,
+		FirewallController: NewFirewallControllerFunc(arp.add),
+		RouterController:   NewRouterControllerFunc(arp.add),
+	}, nil
 }

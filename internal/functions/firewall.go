@@ -8,167 +8,6 @@ import (
 	"hyper4/internal/sim"
 )
 
-// FirewallSource is the firewall (§3.1 function 4): it filters traffic by
-// IPv4 source/destination and TCP/UDP source/destination ports, and switches
-// allowed traffic at layer 2. The most complex path (a TCP or UDP packet)
-// applies three tables, matching the native count in Table 1.
-const FirewallSource = `
-header_type ethernet_t {
-    fields {
-        dstAddr : 48;
-        srcAddr : 48;
-        etherType : 16;
-    }
-}
-
-header_type ipv4_t {
-    fields {
-        verIhl : 8;
-        diffserv : 8;
-        totalLen : 16;
-        identification : 16;
-        flagsFrag : 16;
-        ttl : 8;
-        protocol : 8;
-        hdrChecksum : 16;
-        srcAddr : 32;
-        dstAddr : 32;
-    }
-}
-
-header_type tcp_t {
-    fields {
-        srcPort : 16;
-        dstPort : 16;
-        seqNo : 32;
-        ackNo : 32;
-        dataOffset : 4;
-        res : 4;
-        flags : 8;
-        window : 16;
-        checksum : 16;
-        urgentPtr : 16;
-    }
-}
-
-header_type udp_t {
-    fields {
-        srcPort : 16;
-        dstPort : 16;
-        length_ : 16;
-        checksum : 16;
-    }
-}
-
-header ethernet_t ethernet;
-header ipv4_t ipv4;
-header tcp_t tcp;
-header udp_t udp;
-
-parser start {
-    extract(ethernet);
-    return select(latest.etherType) {
-        0x0800 : parse_ipv4;
-        default : ingress;
-    }
-}
-
-parser parse_ipv4 {
-    extract(ipv4);
-    return select(latest.protocol) {
-        6 : parse_tcp;
-        17 : parse_udp;
-        default : ingress;
-    }
-}
-
-parser parse_tcp {
-    extract(tcp);
-    return ingress;
-}
-
-parser parse_udp {
-    extract(udp);
-    return ingress;
-}
-
-action _nop() {
-    no_op();
-}
-
-action _drop() {
-    drop();
-}
-
-action forward(port) {
-    modify_field(standard_metadata.egress_spec, port);
-}
-
-table ip_filter {
-    reads {
-        ipv4.srcAddr : ternary;
-        ipv4.dstAddr : ternary;
-    }
-    actions {
-        _nop;
-        _drop;
-    }
-    default_action : _nop;
-    size : 256;
-}
-
-table tcp_filter {
-    reads {
-        tcp.srcPort : ternary;
-        tcp.dstPort : ternary;
-    }
-    actions {
-        _nop;
-        _drop;
-    }
-    default_action : _nop;
-    size : 256;
-}
-
-table udp_filter {
-    reads {
-        udp.srcPort : ternary;
-        udp.dstPort : ternary;
-    }
-    actions {
-        _nop;
-        _drop;
-    }
-    default_action : _nop;
-    size : 256;
-}
-
-table dmac {
-    reads {
-        ethernet.dstAddr : exact;
-    }
-    actions {
-        forward;
-        _drop;
-    }
-    size : 512;
-}
-
-control ingress {
-    if (valid(ipv4)) {
-        apply(ip_filter);
-    }
-    if (valid(tcp)) {
-        apply(tcp_filter);
-    } else {
-        if (valid(udp)) {
-            apply(udp_filter);
-        }
-    }
-    apply(dmac);
-}
-`
-
 // FirewallController populates the firewall's tables.
 type FirewallController struct {
 	add func(table, action string, params []sim.MatchParam, args []bitfield.Value, prio int) error

@@ -8,67 +8,6 @@ import (
 	"hyper4/internal/sim"
 )
 
-// L2SwitchSource is the layer-2 Ethernet switch (§3.1 function 1). The most
-// complex path applies two tables (smac check, dmac forward), matching the
-// native count in Table 1.
-const L2SwitchSource = `
-header_type ethernet_t {
-    fields {
-        dstAddr : 48;
-        srcAddr : 48;
-        etherType : 16;
-    }
-}
-
-header ethernet_t ethernet;
-
-parser start {
-    extract(ethernet);
-    return ingress;
-}
-
-action _nop() {
-    no_op();
-}
-
-action _drop() {
-    drop();
-}
-
-action forward(port) {
-    modify_field(standard_metadata.egress_spec, port);
-}
-
-// Source-MAC check: a hit means the address is known; a miss would be the
-// hook for learning (flagged to the controller in a full deployment).
-table smac {
-    reads {
-        ethernet.srcAddr : exact;
-    }
-    actions {
-        _nop;
-        _drop;
-    }
-    size : 512;
-}
-
-table dmac {
-    reads {
-        ethernet.dstAddr : exact;
-    }
-    actions {
-        forward;
-        _drop;
-    }
-    size : 512;
-}
-
-control ingress {
-    apply(smac);
-    apply(dmac);
-}
-`
-
 // L2Controller populates the L2 switch's tables.
 type L2Controller struct {
 	add func(table, action string, params []sim.MatchParam, args []bitfield.Value, prio int) error

@@ -8,164 +8,6 @@ import (
 	"hyper4/internal/sim"
 )
 
-// RouterSource is the IPv4 router (§3.1 function 2): TTL validation, LPM
-// route lookup, next-hop MAC rewrite, and egress source-MAC rewrite, with
-// the IPv4 header checksum recomputed. The most complex path applies four
-// tables, matching the native count in Table 1.
-const RouterSource = `
-header_type ethernet_t {
-    fields {
-        dstAddr : 48;
-        srcAddr : 48;
-        etherType : 16;
-    }
-}
-
-header_type ipv4_t {
-    fields {
-        verIhl : 8;
-        diffserv : 8;
-        totalLen : 16;
-        identification : 16;
-        flagsFrag : 16;
-        ttl : 8;
-        protocol : 8;
-        hdrChecksum : 16;
-        srcAddr : 32;
-        dstAddr : 32;
-    }
-}
-
-header_type routing_metadata_t {
-    fields {
-        nhop_ipv4 : 32;
-    }
-}
-
-header ethernet_t ethernet;
-header ipv4_t ipv4;
-metadata routing_metadata_t routing_metadata;
-
-field_list ipv4_checksum_list {
-    ipv4.verIhl;
-    ipv4.diffserv;
-    ipv4.totalLen;
-    ipv4.identification;
-    ipv4.flagsFrag;
-    ipv4.ttl;
-    ipv4.protocol;
-    ipv4.srcAddr;
-    ipv4.dstAddr;
-}
-
-field_list_calculation ipv4_checksum {
-    input {
-        ipv4_checksum_list;
-    }
-    algorithm : csum16;
-    output_width : 16;
-}
-
-calculated_field ipv4.hdrChecksum {
-    update ipv4_checksum if (valid(ipv4));
-}
-
-parser start {
-    extract(ethernet);
-    return select(latest.etherType) {
-        0x0800 : parse_ipv4;
-        default : ingress;
-    }
-}
-
-parser parse_ipv4 {
-    extract(ipv4);
-    return ingress;
-}
-
-action _nop() {
-    no_op();
-}
-
-action _drop() {
-    drop();
-}
-
-action set_nhop(nhop_ipv4, port) {
-    modify_field(routing_metadata.nhop_ipv4, nhop_ipv4);
-    modify_field(standard_metadata.egress_spec, port);
-    subtract_from_field(ipv4.ttl, 1);
-}
-
-action set_dmac(dmac) {
-    modify_field(ethernet.dstAddr, dmac);
-}
-
-action rewrite_mac(smac) {
-    modify_field(ethernet.srcAddr, smac);
-}
-
-// TTL validation: entries for ttl 0 and 1 drop; everything else passes.
-table validate_ttl {
-    reads {
-        ipv4.ttl : exact;
-    }
-    actions {
-        _drop;
-        _nop;
-    }
-    default_action : _nop;
-    size : 4;
-}
-
-table ipv4_lpm {
-    reads {
-        ipv4.dstAddr : lpm;
-    }
-    actions {
-        set_nhop;
-        _drop;
-    }
-    size : 1024;
-}
-
-table forward {
-    reads {
-        routing_metadata.nhop_ipv4 : exact;
-    }
-    actions {
-        set_dmac;
-        _drop;
-    }
-    size : 512;
-}
-
-table send_frame {
-    reads {
-        standard_metadata.egress_port : exact;
-    }
-    actions {
-        rewrite_mac;
-        _drop;
-    }
-    size : 256;
-}
-
-control ingress {
-    if (valid(ipv4)) {
-        apply(validate_ttl);
-        apply(ipv4_lpm);
-        apply(forward);
-    }
-}
-
-control egress {
-    if (valid(ipv4)) {
-        apply(send_frame);
-    }
-}
-`
-
 // RouterController populates the router's tables.
 type RouterController struct {
 	add func(table, action string, params []sim.MatchParam, args []bitfield.Value, prio int) error

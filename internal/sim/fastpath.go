@@ -20,16 +20,15 @@ import (
 
 // FastResult is a fast-path handler's account of one fully processed
 // packet. Outputs carries the emitted packets (empty means dropped);
-// Resubmits, Recirculates and Clones are the number of resubmission,
-// recirculation and egress-to-egress clone passes the packet incurred
-// beyond its first pass, so the switch can keep its pass-type metrics
-// conserved with the interpreted path even when the handler walks a
-// composed chain or expands a multicast fan-out.
+// Resubmits and Recirculates are the number of resubmission and
+// recirculation passes the packet incurred beyond its first pass, so the
+// switch can keep its pass-type metrics conserved with the interpreted
+// path even when the handler walks a composed chain. A handler runs no
+// clone pass: a packet that would clone declines to the interpreter.
 type FastResult struct {
 	Outputs      []Output
 	Resubmits    int
 	Recirculates int
-	Clones       int
 }
 
 // FastHandler processes packets without the interpreted pipeline. The
@@ -108,11 +107,11 @@ func (sw *Switch) runFast(bt FastBurst, data []byte, port int) (res FastResult, 
 // fastSums is the switch's accounting of fused packets, summed locally and
 // added to the shared stats and pass counters once per burst. It keeps them
 // conserved with the interpreted path: one normal pass per packet, one
-// resubmit pass per parse resubmission, one recirculate pass per crossed
-// virtual link, and one egress-to-egress clone pass per multicast step.
+// resubmit pass per parse resubmission, and one recirculate pass per
+// crossed virtual link.
 type fastSums struct {
-	packets, out, dropped           int64
-	resubmits, recirculates, clones int64
+	packets, out, dropped   int64
+	resubmits, recirculates int64
 }
 
 // add counts one fused packet and writes its trace into tr.
@@ -124,12 +123,10 @@ func (s *fastSums) add(res FastResult, tr *Trace) {
 	}
 	s.resubmits += int64(res.Resubmits)
 	s.recirculates += int64(res.Recirculates)
-	s.clones += int64(res.Clones)
 	*tr = Trace{
-		Passes:       1 + res.Resubmits + res.Recirculates + res.Clones,
+		Passes:       1 + res.Resubmits + res.Recirculates,
 		Resubmits:    res.Resubmits,
 		Recirculates: res.Recirculates,
-		ClonesE2E:    res.Clones,
 		Outputs:      res.Outputs,
 	}
 }
@@ -149,10 +146,6 @@ func (s *fastSums) flush(sw *Switch) {
 	if s.recirculates > 0 {
 		sw.stats.recirculates.Add(s.recirculates)
 		sw.metrics.passRecirculate.Add(s.recirculates)
-	}
-	if s.clones > 0 {
-		sw.stats.clones.Add(s.clones)
-		sw.metrics.passCloneE2E.Add(s.clones)
 	}
 }
 
@@ -204,16 +197,6 @@ func (sw *Switch) CounterRef(name string) (CounterRef, error) {
 // lock: what packets count() calls over bytes in all would leave.
 func (r CounterRef) Add(idx int, packets, bytes uint64) error {
 	return r.c.add(r.name, idx, packets, bytes)
-}
-
-// MirrorPort reports the egress port a clone session maps to, and whether
-// the session is configured at all. SetMirror bumps the write generation,
-// so a plan compiled against the current mirror table is staleness-safe.
-func (sw *Switch) MirrorPort(session int) (int, bool) {
-	sw.mu.RLock()
-	defer sw.mu.RUnlock()
-	p, ok := sw.mirrors[session]
-	return p, ok
 }
 
 // RecordHits adds n to the entry's hit counter. Fast-path handlers call
