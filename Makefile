@@ -30,11 +30,13 @@ race:
 # One pass of each interpreter and fuse benchmark keeps them compiling and
 # running: BenchmarkProcessNative, BenchmarkTableLookup, BenchmarkFusedLookup,
 # BenchmarkRunFastComposed, BenchmarkProcessSeqComposed (64- and 1-frame
-# bursts) and BenchmarkBuild (fuse.Build, the write path's compile step,
-# with its B/op and allocs/op).
+# bursts), BenchmarkBuild (fuse.Build, the write path's compile step,
+# with its B/op and allocs/op) and BenchmarkWriteBatchUnderTraffic (a
+# 16-op ctl batch on a fused l2 device while ProcessSeq runs beside it).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkProcessNative|BenchmarkTableLookup' -benchtime 1x ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkFusedLookup|BenchmarkRunFastComposed|BenchmarkProcessSeqComposed|BenchmarkBuild' -benchmem -benchtime 1x ./internal/core/fuse/
+	$(GO) test -run '^$$' -bench 'BenchmarkWriteBatchUnderTraffic' -benchtime 1x ./internal/core/ctl/
 
 # Short fuzz runs over the management-script parser (no panics, and every
 # rejection is an ErrUnknown / INVALID_ARGUMENT structured error), over

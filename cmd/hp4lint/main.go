@@ -17,8 +17,8 @@
 // installed entries and topology, so shadowed entries, virtual-network
 // cycles, pass-bound overruns and tenancy violations surface too — plus the
 // fuser's "unfusable" report: informational findings naming the constructs
-// (virtual links, multicast, checksum shapes) that keep each vdev off the
-// fused fast path (DESIGN.md §13).
+// (multicast, checksum shapes) that keep each vdev off the fused fast path
+// (DESIGN.md §13).
 //
 // Exit status: 0 when no warning-or-worse finding was reported
 // (informational findings, like unfusable, don't fail the lint), 1 when any

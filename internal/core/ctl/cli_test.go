@@ -19,7 +19,7 @@ var (
 )
 
 // newPersonaCtl builds a control plane over a reference persona switch.
-func newPersonaCtl(t *testing.T) *Ctl {
+func newPersonaCtl(t testing.TB) *Ctl {
 	t.Helper()
 	p, err := persona.Generate(persona.Reference)
 	if err != nil {

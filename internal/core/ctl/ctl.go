@@ -97,7 +97,16 @@ func (c *Ctl) Apply(owner string, op *Op) (Result, error) {
 		}
 		return results[0], nil
 	}
-	res, err := c.applyOp(owner, op)
+	var res Result
+	var err error
+	if isPortOp(op.Kind) {
+		res, err = c.applyPortOp(op)
+	} else {
+		err = c.D.Update(func(t *dpmu.Tx) error {
+			res, err = c.applyOp(t, owner, op)
+			return err
+		})
+	}
 	if err != nil {
 		return Result{}, wrap(err, -1)
 	}
@@ -108,8 +117,11 @@ func (c *Ctl) Apply(owner string, op *Op) (Result, error) {
 // WriteBatch applies ops atomically as owner: each op is validated
 // structurally up front, the DPMU is checkpointed, and the first failure
 // rolls everything back so the switch and the DPMU's bookkeeping are
-// bit-identical to the pre-batch state. The returned error carries the
-// failing op's index and code; on success one Result per op is returned.
+// bit-identical to the pre-batch state. A batch without port ops is one
+// DPMU Update, rollback included, so it is atomic against packets too:
+// each packet sees the pre-batch tables or the post-batch ones. The
+// returned error carries the failing op's index and code; on success one
+// Result per op is returned.
 func (c *Ctl) WriteBatch(owner string, ops []Op) ([]Result, error) {
 	return c.WriteBatchID(owner, "", ops)
 }
@@ -147,44 +159,67 @@ func (c *Ctl) writeBatchLocked(owner, requestID string, ops []Op) ([]Result, err
 		}
 	}
 	cp := c.D.Checkpoint()
-	// One plan rebuild per batch: the ops (and a rollback) only move the
-	// generation; the release compiles once. It runs before the journal's
-	// fsync so fused forwarding resumes while the disk catches up. The
-	// deferred call only matters if an op panics.
-	release := c.D.HoldFusion()
-	defer release()
 	// Transports live outside the DPMU checkpoint, so port attaches are
 	// compensated rather than rolled back: a failing batch detaches the
 	// ports it attached. A detach consumed by a failing batch is NOT
 	// restored (the transport is gone); batches mixing detaches with
 	// fallible ops should order the detach last.
 	var attached []int
-	results := make([]Result, len(ops))
-	for i := range ops {
-		res, err := c.applyOp(owner, &ops[i])
-		if err != nil {
-			c.D.Rollback(cp)
-			release()
-			for _, p := range attached {
-				_ = c.IO.Detach(p)
-			}
-			return nil, wrap(err, i)
+	undoPorts := func() {
+		for _, p := range attached {
+			_ = c.IO.Detach(p)
 		}
-		if ops[i].Kind == OpPortAttach {
-			attached = append(attached, ops[i].PhysPort)
-		}
-		results[i] = res
 	}
-	release()
+	results := make([]Result, len(ops))
+	for i := 0; i < len(ops); {
+		if isPortOp(ops[i].Kind) {
+			res, err := c.applyPortOp(&ops[i])
+			if err != nil {
+				c.D.Rollback(cp)
+				undoPorts()
+				return nil, wrap(err, i)
+			}
+			if ops[i].Kind == OpPortAttach {
+				attached = append(attached, ops[i].PhysPort)
+			}
+			results[i] = res
+			i++
+			continue
+		}
+		// Each run of DPMU ops between port ops is one Update: one switch
+		// write lock, one generation bump and one plan compile, which runs
+		// before the journal's fsync so fused forwarding resumes while the
+		// disk catches up. A failure rolls back inside the same Update, so
+		// packets never see the failed op's predecessors.
+		j, failed := i, -1
+		for j < len(ops) && !isPortOp(ops[j].Kind) {
+			j++
+		}
+		err := c.D.Update(func(t *dpmu.Tx) error {
+			for k := i; k < j; k++ {
+				res, err := c.applyOp(t, owner, &ops[k])
+				if err != nil {
+					t.Rollback(cp)
+					failed = k
+					return err
+				}
+				results[k] = res
+			}
+			return nil
+		})
+		if err != nil {
+			undoPorts()
+			return nil, wrap(err, failed)
+		}
+		i = j
+	}
 	// Durability before ack: the batch journals (append + fsync) after it
 	// applied and before the caller sees success. A journal failure undoes
 	// the batch — an ack must never outrun the log.
 	if c.journal != nil {
 		if jerr := c.journalAppliedLocked(owner, requestID, ops, results); jerr != nil {
 			c.D.Rollback(cp)
-			for _, p := range attached {
-				_ = c.IO.Detach(p)
-			}
+			undoPorts()
 			return nil, &Error{Code: CodeInternal, Op: -1, Msg: jerr.Error()}
 		}
 	}

@@ -50,6 +50,25 @@ func TestBatchRebuildsFusionOnce(t *testing.T) {
 	requireFusedAgain(t, c)
 }
 
+// A 16-op batch of 8 adds and 8 deletes writes 32 persona rows under one
+// switch write lock: the generation, which every row used to move, moves
+// once.
+func TestBatchBumpsGenerationOnce(t *testing.T) {
+	c := configuredCtl(t, 0)
+	c.D.SetFusion(true)
+	res := mustBatch(t, c, "op", dmacAdds(8))
+	ops := dmacAdds(16)[8:]
+	for _, r := range res {
+		ops = append(ops, Op{Kind: OpTableDelete, VDev: "l2", Table: "dmac", Handle: r.Handle})
+	}
+	gen := c.D.SW.Generation()
+	mustBatch(t, c, "op", ops)
+	if got := c.D.SW.Generation() - gen; got != 1 {
+		t.Fatalf("16-op batch moved the generation by %d, want 1", got)
+	}
+	requireFusedAgain(t, c)
+}
+
 func TestFailedBatchRebuildsFusionOnce(t *testing.T) {
 	for _, k := range []int{0, 7, 15} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
@@ -69,9 +88,9 @@ func TestFailedBatchRebuildsFusionOnce(t *testing.T) {
 	}
 }
 
-// A journal append failure rolls back after the hold was released — the
-// release deliberately precedes the fsync — so it may compile twice: once
-// at the release, once for the rollback.
+// A journal append failure rolls back after the batch's Update committed —
+// its compile deliberately precedes the fsync — so it may compile twice:
+// once at the commit, once for the rollback.
 func TestJournalFailureRebuildsFusion(t *testing.T) {
 	c, _ := journaledCtl(t, t.TempDir(), 1000)
 	mustBatch(t, c, "op", []Op{

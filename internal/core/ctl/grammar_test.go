@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"hyper4/internal/core/dpmu"
 	"hyper4/internal/functions"
 	"hyper4/internal/sim"
 	"hyper4/internal/sim/runtime"
@@ -68,7 +69,12 @@ func TestTableAddGrammarsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: ParseLine: %v", tc.line, err)
 		}
-		s, cerr := c.entrySpec(op)
+		var s dpmu.EntrySpec
+		var cerr error
+		_ = c.D.Update(func(tx *dpmu.Tx) error {
+			s, cerr = c.entrySpec(tx, op)
+			return nil
+		})
 		if (cerr == nil) != tc.ok || (nerr == nil) != tc.ok {
 			t.Fatalf("%q: native err %v, ctl err %v; want ok=%v", tc.line, nerr, cerr, tc.ok)
 		}

@@ -336,9 +336,13 @@ func (c *Ctl) compileFunction(name string) (*hp4c.Compiled, error) {
 func (c *Ctl) AttachJournal(j *Journal) (RecoverySummary, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	// The snapshot restore and every replayed batch compile plans once,
-	// together, when recovery ends.
-	defer c.D.HoldFusion()()
+	// The snapshot restore and every replayed batch would each compile the
+	// fused plan at commit; with the fast path off until recovery ends,
+	// the plan compiles once, after the whole replay.
+	if c.D.FusionEnabled() {
+		c.D.SetFusion(false)
+		defer c.D.SetFusion(true)
+	}
 	var sum RecoverySummary
 
 	// 1. Snapshot. Written atomically, so presence means integrity — a

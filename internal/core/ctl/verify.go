@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"hyper4/internal/core/dpmu"
 	"hyper4/internal/core/verify"
 )
 
@@ -17,13 +18,14 @@ import (
 //	                  configuration verifies clean, or none of it applies.
 //	lint [vdev]     — a Query: the same findings, read-only, never gating.
 //
-// Both run on a snapshot (DPMU.VerifySource copies state out under a read
-// lock), so neither touches the packet path: the hot-path cost of admission
-// verification is zero.
+// Both run on a snapshot. lint's is copied out under read locks, so it
+// never delays a packet. verify's is copied inside the batch's write
+// (Tx.VerifySource), so it sees the batch's earlier ops, and packets wait
+// for it like for any other op of the batch.
 
 // applyVerify executes the verify op against the DPMU's current state.
-func (c *Ctl) applyVerify(op *Op) (Result, error) {
-	findings := filterFindings(verify.Check(c.D.VerifySource()), op.VDev)
+func (c *Ctl) applyVerify(t *dpmu.Tx, op *Op) (Result, error) {
+	findings := filterFindings(verify.Check(t.VerifySource()), op.VDev)
 	errs, warns := 0, 0
 	for _, f := range findings {
 		if f.Severity == verify.SevError {

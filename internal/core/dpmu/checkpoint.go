@@ -124,10 +124,8 @@ func (d *DPMU) Checkpoint() *Checkpoint {
 
 // Rollback rewinds the DPMU and its persona switch to a Checkpoint. The
 // checkpoint itself is left intact.
-func (d *DPMU) Rollback(cp *Checkpoint) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.rebuildFusionLocked()
+func (t *Tx) Rollback(cp *Checkpoint) {
+	d := t.d
 	d.vdevs = make(map[string]*VDev, len(cp.VDevs))
 	for _, vs := range cp.VDevs {
 		v := &VDev{
@@ -158,7 +156,7 @@ func (d *DPMU) Rollback(cp *Checkpoint) {
 	d.assignPEs = slices.Clone(cp.AssignPEs)
 	d.assigns = slices.Clone(cp.Assigns)
 	d.linkSpecs = slices.Clone(cp.LinkSpecs)
-	d.SW.RestoreDump(&cp.Switch)
+	d.tx.RestoreDump(&cp.Switch)
 	// The vdev set (and its PIDs) may have changed since the checkpoint;
 	// reconcile the circuit-breaker records with the restored state.
 	d.resyncHealth()

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"hyper4/internal/bitfield"
 	"hyper4/internal/core/fuse"
@@ -30,7 +31,7 @@ type DPMU struct {
 	// mu guards the DPMU's own bookkeeping (vdevs, their row sets,
 	// snapshots, ID counters) so the metrics exporter can read stats while a
 	// management session mutates devices. The persona switch has its own
-	// lock; this one only serializes the control plane's shadow state.
+	// lock, always taken after this one (Update).
 	mu sync.RWMutex
 
 	vdevs       map[string]*VDev
@@ -55,13 +56,21 @@ type DPMU struct {
 	// packet path, where taking d.mu would deadlock.
 	health healthTracker
 
+	// tx is the switch transaction every persona-row write goes through
+	// (tx.go); non-nil only inside inTx. Guarded by mu.
+	tx *sim.Tx
+
+	// ports is the port→PID table PIDForPort answers from, republished
+	// after every Update so the packet I/O runtime's shard key never waits
+	// on mu.
+	ports atomic.Pointer[portPIDs]
+
 	// Fused fast-path cache lifecycle (fusion.go). Guarded by mu.
 	fusion       bool
 	fusionEngine *fuse.Engine
 	fusionGen    uint64 // switch generation the engine was built against
 	fusionBuilt  bool
 	fusionBuilds uint64
-	fusionHold   int // open HoldFusion scopes; rebuilds wait for the last release
 	fuseFindings []verify.Finding
 }
 
@@ -172,6 +181,13 @@ func (d *DPMU) vdevNames() []string {
 func (d *DPMU) VDev(name string) (*VDev, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	return d.vdev(name)
+}
+
+// VDev is DPMU.VDev inside the transaction: it sees devices the tx loaded.
+func (t *Tx) VDev(name string) (*VDev, error) { return t.d.vdev(name) }
+
+func (d *DPMU) vdev(name string) (*VDev, error) {
 	v, ok := d.vdevs[name]
 	if !ok {
 		return nil, fmt.Errorf("dpmu: no virtual device %q: %w", name, ErrNotFound)
@@ -181,10 +197,8 @@ func (d *DPMU) VDev(name string) (*VDev, error) {
 
 // Load instantiates a compiled program as a new virtual device owned by
 // owner. quota bounds its virtual entries (0 = unlimited).
-func (d *DPMU) Load(name string, comp *hp4c.Compiled, owner string, quota int) (*VDev, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.rebuildFusionLocked()
+func (t *Tx) Load(name string, comp *hp4c.Compiled, owner string, quota int) (*VDev, error) {
+	d := t.d
 	if _, dup := d.vdevs[name]; dup {
 		return nil, fmt.Errorf("dpmu: virtual device %q already loaded: %w", name, ErrExists)
 	}
@@ -224,10 +238,8 @@ func (d *DPMU) Load(name string, comp *hp4c.Compiled, owner string, quota int) (
 // Unload removes a virtual device and every persona row it owns. Live
 // traffic of other devices is unaffected — this is the paper's
 // modify-the-program-set-at-runtime property.
-func (d *DPMU) Unload(owner, name string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.rebuildFusionLocked()
+func (t *Tx) Unload(owner, name string) error {
+	d := t.d
 	v, err := d.auth(owner, name)
 	if err != nil {
 		return err
@@ -263,12 +275,12 @@ func (d *DPMU) auth(owner, name string) (*VDev, error) {
 func (d *DPMU) removeRows(rows []pentry) {
 	for _, r := range rows {
 		// Best effort: rows may already be gone during unload cleanup.
-		_ = d.SW.TableDelete(r.Table, r.Handle)
+		_ = d.tx.TableDelete(r.Table, r.Handle)
 	}
 }
 
 func (d *DPMU) addRow(dst *[]pentry, table, action string, params []sim.MatchParam, args []bitfield.Value, prio int) error {
-	h, err := d.SW.TableAdd(table, action, params, args, prio)
+	h, err := d.tx.TableAdd(table, action, params, args, prio)
 	if err != nil {
 		return fmt.Errorf("dpmu: %s: %w", table, err)
 	}

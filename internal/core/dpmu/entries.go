@@ -197,10 +197,8 @@ func (d *DPMU) installSpec(v *VDev, tbl *ast.Table, ca *hp4c.CompiledAction, spe
 // stage slot of the target table (with the slot's parse-path constraints
 // folded in), and each replica gets a fresh match ID plus the primitive-spec
 // rows realizing the bound action.
-func (d *DPMU) TableAdd(owner, vdev string, spec EntrySpec) (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.rebuildFusionLocked()
+func (t *Tx) TableAdd(owner, vdev string, spec EntrySpec) (int, error) {
+	d := t.d
 	v, err := d.auth(owner, vdev)
 	if err != nil {
 		return 0, err
@@ -223,10 +221,8 @@ func (d *DPMU) TableAdd(owner, vdev string, spec EntrySpec) (int, error) {
 }
 
 // TableDelete removes a virtual entry.
-func (d *DPMU) TableDelete(owner, vdev, table string, handle int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.rebuildFusionLocked()
+func (t *Tx) TableDelete(owner, vdev, table string, handle int) error {
+	d := t.d
 	v, err := d.auth(owner, vdev)
 	if err != nil {
 		return err
@@ -245,10 +241,8 @@ func (d *DPMU) TableDelete(owner, vdev, table string, handle int) error {
 // replaced atomically from the caller's perspective: the new rows are
 // installed under fresh match IDs before the old rows are removed, so live
 // traffic never sees a gap.
-func (d *DPMU) TableModify(owner, vdev string, handle int, spec EntrySpec) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.rebuildFusionLocked()
+func (t *Tx) TableModify(owner, vdev string, handle int, spec EntrySpec) error {
+	d := t.d
 	v, err := d.auth(owner, vdev)
 	if err != nil {
 		return err
@@ -273,10 +267,8 @@ func (d *DPMU) TableModify(owner, vdev string, handle int, spec EntrySpec) error
 
 // SetDefault binds a table's miss behavior: one catch-all row per slot,
 // below every real entry of that slot's path band.
-func (d *DPMU) SetDefault(owner, vdev, table, action string, args []bitfield.Value) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.rebuildFusionLocked()
+func (t *Tx) SetDefault(owner, vdev, table, action string, args []bitfield.Value) error {
+	d := t.d
 	v, err := d.auth(owner, vdev)
 	if err != nil {
 		return err

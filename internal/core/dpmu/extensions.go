@@ -21,10 +21,8 @@ type VPortRef struct {
 // ports fan out to several virtual devices — the §4.6 virtual multicast.
 // Each delivery consumes one recirculation; the sequence is walked by
 // egress-to-egress clones carrying the hp4.mcast loop counter.
-func (d *DPMU) MulticastGroup(owner, vdev string, vport int, targets []VPortRef) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.rebuildFusionLocked()
+func (t *Tx) MulticastGroup(owner, vdev string, vport int, targets []VPortRef) error {
+	d := t.d
 	from, err := d.auth(owner, vdev)
 	if err != nil {
 		return err
@@ -42,7 +40,7 @@ func (d *DPMU) MulticastGroup(owner, vdev string, vport int, targets []VPortRef)
 	}
 	if len(targets) == 1 {
 		// Degenerate group: a plain virtual link.
-		return d.linkVPorts(owner, vdev, vport, targets[0].VDev, targets[0].VIngress)
+		return t.LinkVPorts(owner, vdev, vport, targets[0].VDev, targets[0].VIngress)
 	}
 
 	// One sequence ID per step and one clone session shared by the group.
@@ -53,7 +51,7 @@ func (d *DPMU) MulticastGroup(owner, vdev string, vport int, targets []VPortRef)
 	}
 	d.nextSession++
 	session := d.nextSession
-	d.SW.SetMirror(session, 0)
+	d.tx.SetMirror(session, 0)
 
 	var rows []pentry
 	fail := func(err error) error {
@@ -113,9 +111,8 @@ func (d *DPMU) MulticastGroup(owner, vdev string, vport int, targets []VPortRef)
 // above yellowAt packets per window the device's traffic is marked yellow,
 // above redAt it is dropped before it can consume further pipeline passes.
 // Windows advance with TickMeters.
-func (d *DPMU) SetRateLimit(owner, vdev string, yellowAt, redAt uint64) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+func (t *Tx) SetRateLimit(owner, vdev string, yellowAt, redAt uint64) error {
+	d := t.d
 	v, err := d.auth(owner, vdev)
 	if err != nil {
 		return err

@@ -3,14 +3,13 @@ package dpmu
 // The DPMU owns the fused fast path's cache lifecycle (DESIGN.md §13):
 // every control-plane mutation that can change what a compiled plan would
 // do — table writes, loads/unloads, assignment changes, snapshot
-// activation, checkpoint rollback, health-driven bypass rewiring — ends in
-// rebuildFusionLocked, which recompiles the engine against the switch's
-// current write generation and atomically swaps it in. Inside a HoldFusion
-// scope (a ctl write batch) those rebuilds wait, and the scope's release
-// compiles once for the whole batch. The engine itself records the
-// generation it was built from and declines any packet once the live value
-// differs, so a held or missed rebuild degrades to the interpreter, never
-// to divergence.
+// activation, checkpoint rollback, health-driven bypass rewiring — runs in
+// an Update (or, for bypass rewiring, a health query), which ends in
+// rebuildFusionLocked once its switch transaction has committed: one
+// compile per Update, however many ops and rows it wrote. The engine
+// records the generation it was built from and declines any packet once
+// the live value differs, so a missed rebuild degrades to the interpreter,
+// never to divergence.
 
 import (
 	"sort"
@@ -63,35 +62,13 @@ func (d *DPMU) FusionEnabled() bool {
 	return d.fusion
 }
 
-// HoldFusion defers plan rebuilds until the returned release runs, so a
-// multi-op write compiles once instead of once per op. It covers every
-// mutator, not just table writes. Holds nest; the last release rebuilds if
-// the generation moved, and calling a release again is a no-op. Packets
-// arriving meanwhile see a stale engine and take the interpreter.
-func (d *DPMU) HoldFusion() (release func()) {
-	d.mu.Lock()
-	d.fusionHold++
-	d.mu.Unlock()
-	held := true
-	return func() {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		if !held {
-			return
-		}
-		held = false
-		d.fusionHold--
-		d.rebuildFusionLocked()
-	}
-}
-
 // rebuildFusionLocked recompiles the fused engine if the switch's write
-// generation moved since the last build, unless a HoldFusion scope is
-// open. Callers hold d.mu; every DPMU mutator defers this right after
-// taking the lock, so the check must stay cheap when nothing changed (one
-// atomic load and a compare).
+// generation moved since the last build. Callers hold d.mu and no switch
+// transaction (fuse.Build reads the tables under the switch's read lock);
+// every Update ends here, so the check must stay cheap when nothing
+// changed (one atomic load and a compare).
 func (d *DPMU) rebuildFusionLocked() {
-	if !d.fusion || d.fusionHold > 0 {
+	if !d.fusion {
 		return
 	}
 	gen := d.SW.Generation()

@@ -309,8 +309,9 @@ func (d *DPMU) syncHealthLocked() {
 	// Bypass rewiring writes switch tables, which blocks on the switch write
 	// lock; a faulting packet holds the switch read lock while blocked on
 	// health.mu in onFault. Collect the decisions here and rewire only after
-	// health.mu is released (d.mu, which we hold, serializes the rewiring
-	// and pins every breaker state transition meanwhile).
+	// health.mu is released, in one switch transaction (d.mu, which we hold,
+	// serializes the rewiring and pins every breaker state transition
+	// meanwhile).
 	var enforce, undo []string
 	rebuild := false
 	for _, v := range h.sortedLocked() {
@@ -350,28 +351,31 @@ func (d *DPMU) syncHealthLocked() {
 	notify := h.notify
 	h.mu.Unlock()
 
-	for _, name := range undo {
-		d.undoBypassLocked(name)
-	}
-	if len(enforce) > 0 {
-		bypassed := enforce[:0]
-		for _, name := range enforce {
-			if d.enforceBypassLocked(name) {
-				bypassed = append(bypassed, name)
+	var bypassed []string
+	if len(undo)+len(enforce) > 0 {
+		_ = d.inTx(func() error {
+			for _, name := range undo {
+				d.undoBypassLocked(name)
 			}
-		}
-		if len(bypassed) > 0 {
-			h.mu.Lock()
-			for _, name := range bypassed {
-				// d.mu held throughout keeps the state Quarantined (onFault
-				// never leaves Quarantined; every other transition needs
-				// d.mu), so the record is still the one we decided on.
-				if v := h.byName[name]; v != nil && v.State() == breaker.Quarantined {
-					v.bypassed = true
+			for _, name := range enforce {
+				if d.enforceBypassLocked(name) {
+					bypassed = append(bypassed, name)
 				}
 			}
-			h.mu.Unlock()
+			return nil
+		})
+	}
+	if len(bypassed) > 0 {
+		h.mu.Lock()
+		for _, name := range bypassed {
+			// d.mu held throughout keeps the state Quarantined (onFault
+			// never leaves Quarantined; every other transition needs
+			// d.mu), so the record is still the one we decided on.
+			if v := h.byName[name]; v != nil && v.State() == breaker.Quarantined {
+				v.bypassed = true
+			}
 		}
+		h.mu.Unlock()
 	}
 
 	if notify != nil {
@@ -424,10 +428,8 @@ func (d *DPMU) Health() HealthSnapshot {
 // unowned device) forces the device back to healthy, undoing quarantine and
 // bypass. Trip and fault totals are kept — reset clears containment, not
 // history.
-func (d *DPMU) ResetHealth(owner, vdev string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.rebuildFusionLocked()
+func (t *Tx) ResetHealth(owner, vdev string) error {
+	d := t.d
 	if _, err := d.auth(owner, vdev); err != nil {
 		return err
 	}
@@ -444,8 +446,8 @@ func (d *DPMU) ResetHealth(owner, vdev string) error {
 	h.rebuildQuarantineLocked(d.SW)
 	notify := h.notify
 	h.mu.Unlock()
-	// Same rule as syncHealthLocked: the link rewiring blocks on the switch
-	// write lock and must not run with health.mu held.
+	// Same shape as syncHealthLocked: rewire only after health.mu is
+	// released.
 	if wasBypassed {
 		d.undoBypassLocked(vdev)
 	}

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"hyper4/internal/core/verify"
+	"hyper4/internal/sim"
 )
 
 // VerifySource exports the DPMU's control-plane state as a verification
@@ -16,7 +17,15 @@ import (
 func (d *DPMU) VerifySource() *verify.Source {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	src := &verify.Source{Cfg: d.cfg, Dump: d.SW.Dump()}
+	return d.verifySource(d.SW.Dump())
+}
+
+// VerifySource is DPMU.VerifySource inside the transaction: the snapshot
+// holds the tx's writes so far.
+func (t *Tx) VerifySource() *verify.Source { return t.d.verifySource(t.d.tx.Dump()) }
+
+func (d *DPMU) verifySource(dump *sim.SwitchDump) *verify.Source {
+	src := &verify.Source{Cfg: d.cfg, Dump: dump}
 	for _, name := range d.vdevNames() {
 		v := d.vdevs[name]
 		dev := verify.Device{Name: v.Name, PID: v.PID, Comp: v.Comp}

@@ -13,14 +13,8 @@ import (
 // virtual device, presenting it as the device's virtual ingress port. Pass
 // physPort = -1 to assign every port (slicing assigns disjoint port sets to
 // different devices, §3.3).
-func (d *DPMU) AssignPort(owner string, a Assignment) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.rebuildFusionLocked()
-	return d.assignPort(owner, a)
-}
-
-func (d *DPMU) assignPort(owner string, a Assignment) error {
+func (t *Tx) AssignPort(owner string, a Assignment) error {
+	d := t.d
 	v, err := d.auth(owner, a.VDev)
 	if err != nil {
 		return err
@@ -37,7 +31,7 @@ func (d *DPMU) assignPort(owner string, a Assignment) error {
 		bitfield.FromUint(persona.ProgramWidth, uint64(v.PID)),
 		bitfield.FromUint(persona.VPortWidth, uint64(a.VIngress)),
 	}
-	h, err := d.SW.TableAdd(persona.TblAssign, persona.ActSetProgram,
+	h, err := d.tx.TableAdd(persona.TblAssign, persona.ActSetProgram,
 		[]sim.MatchParam{sim.Ternary(val, mask)}, args, prio)
 	if err != nil {
 		return fmt.Errorf("dpmu: assign: %w", err)
@@ -52,37 +46,51 @@ func (d *DPMU) assignPort(owner string, a Assignment) error {
 // assignment beats the "any port" wildcard; within a tier the newest
 // assignment wins, matching replace-by-reinstall usage. -1 means no
 // assignment covers the port. The packet I/O runtime uses this as its shard
-// key so every frame of one virtual device lands on one worker.
+// key so every frame of one virtual device lands on one worker; it reads
+// the table publishPorts last stored and takes no lock.
 func (d *DPMU) PIDForPort(port int) int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	wildcard := -1
+	pt := d.ports.Load()
+	if pt == nil {
+		return -1
+	}
+	if pid, ok := pt.byPort[port]; ok {
+		return pid
+	}
+	return pt.wildcard
+}
+
+// portPIDs is PIDForPort's answer for every port, immutable once published.
+type portPIDs struct {
+	byPort   map[int]int
+	wildcard int
+}
+
+// publishPorts recomputes the port→PID table from the assignments and the
+// loaded devices (an assignment to an unloaded device covers nothing) and
+// swaps it in. Callers hold d.mu.
+func (d *DPMU) publishPorts() {
+	pt := &portPIDs{byPort: map[int]int{}, wildcard: -1}
 	for i := len(d.assigns) - 1; i >= 0; i-- {
 		a := d.assigns[i]
 		v, ok := d.vdevs[a.VDev]
 		if !ok {
 			continue
 		}
-		if a.PhysPort == port {
-			return v.PID
-		}
-		if a.PhysPort == -1 && wildcard == -1 {
-			wildcard = v.PID
+		if a.PhysPort == -1 {
+			if pt.wildcard == -1 {
+				pt.wildcard = v.PID
+			}
+		} else if _, seen := pt.byPort[a.PhysPort]; !seen {
+			pt.byPort[a.PhysPort] = v.PID
 		}
 	}
-	return wildcard
+	d.ports.Store(pt)
 }
 
 // ClearAssignments removes every port-to-device assignment (used when
 // switching snapshots).
-func (d *DPMU) ClearAssignments() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.rebuildFusionLocked()
-	d.clearAssignments()
-}
-
-func (d *DPMU) clearAssignments() {
+func (t *Tx) ClearAssignments() {
+	d := t.d
 	d.removeRows(d.assignPEs)
 	d.assignPEs = nil
 	d.assigns = nil
@@ -97,7 +105,7 @@ func (d *DPMU) unmapVPort(v *VDev, vport int) {
 		return
 	}
 	delete(v.vnet, vport)
-	_ = d.SW.TableDelete(row.Table, row.Handle)
+	_ = d.tx.TableDelete(row.Table, row.Handle)
 	for i := range v.links {
 		if v.links[i] == row {
 			v.links = append(v.links[:i], v.links[i+1:]...)
@@ -108,10 +116,8 @@ func (d *DPMU) unmapVPort(v *VDev, vport int) {
 
 // MapVPort maps a virtual egress port of a device to a physical port.
 // Re-mapping an already-mapped port replaces the previous route.
-func (d *DPMU) MapVPort(owner, vdev string, vport, physPort int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.rebuildFusionLocked()
+func (t *Tx) MapVPort(owner, vdev string, vport, physPort int) error {
+	d := t.d
 	v, err := d.auth(owner, vdev)
 	if err != nil {
 		return err
@@ -136,14 +142,8 @@ func (d *DPMU) MapVPort(owner, vdev string, vport, physPort int) error {
 // fromDev recirculate and re-enter the pipeline as toDev's traffic on its
 // virtual port toPort. The link is one-directional; call twice for a duplex
 // link.
-func (d *DPMU) LinkVPorts(owner, fromDev string, fromPort int, toDev string, toPort int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.rebuildFusionLocked()
-	return d.linkVPorts(owner, fromDev, fromPort, toDev, toPort)
-}
-
-func (d *DPMU) linkVPorts(owner, fromDev string, fromPort int, toDev string, toPort int) error {
+func (t *Tx) LinkVPorts(owner, fromDev string, fromPort int, toDev string, toPort int) error {
+	d := t.d
 	from, err := d.auth(owner, fromDev)
 	if err != nil {
 		return err
@@ -185,9 +185,8 @@ func linkArgs(to *VDev, toPort int) []bitfield.Value {
 // port-to-device assignments that should be active together. All referenced
 // devices stay loaded (HyPer4 logically stores every program); activating a
 // snapshot only changes the assignment entries.
-func (d *DPMU) SaveSnapshot(name string, assignments []Assignment) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+func (t *Tx) SaveSnapshot(name string, assignments []Assignment) error {
+	d := t.d
 	for _, a := range assignments {
 		if _, ok := d.vdevs[a.VDev]; !ok {
 			return fmt.Errorf("dpmu: snapshot %q references unloaded device %q: %w", name, a.VDev, ErrNotFound)
@@ -201,21 +200,19 @@ func (d *DPMU) SaveSnapshot(name string, assignments []Assignment) error {
 // transition is a small, constant set of assignment-table updates; table
 // state of every virtual device is untouched, so the swap does not disturb
 // other devices' entries.
-func (d *DPMU) ActivateSnapshot(name string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.rebuildFusionLocked()
+func (t *Tx) ActivateSnapshot(name string) error {
+	d := t.d
 	snap, ok := d.snapshots[name]
 	if !ok {
 		return fmt.Errorf("dpmu: no snapshot %q: %w", name, ErrNotFound)
 	}
-	d.clearAssignments()
+	t.ClearAssignments()
 	for _, a := range snap {
 		v := d.vdevs[a.VDev]
 		if v == nil {
 			return fmt.Errorf("dpmu: snapshot %q references unloaded device %q: %w", name, a.VDev, ErrNotFound)
 		}
-		if err := d.assignPort(v.Owner, a); err != nil {
+		if err := t.AssignPort(v.Owner, a); err != nil {
 			return err
 		}
 	}

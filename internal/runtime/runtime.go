@@ -42,7 +42,8 @@ type Config struct {
 	// key%Workers. The default is the port number itself. Persona switches
 	// pass the DPMU's port→PID resolution so every frame of one virtual
 	// device lands on one worker and its breaker/health/metrics state stays
-	// worker-local.
+	// worker-local. It runs on the RX loop for every frame, so it must not
+	// wait on a lock a control-plane write holds.
 	ShardKey func(port int) int
 	// Health tunes the per-port circuit breakers (health.go). Zero fields
 	// take defaults.

@@ -59,6 +59,14 @@ type SwitchDump struct {
 func (sw *Switch) Dump() *SwitchDump {
 	sw.mu.RLock()
 	defer sw.mu.RUnlock()
+	return sw.dump()
+}
+
+// Dump is Switch.Dump inside the transaction: it sees the tx's own writes.
+func (tx *Tx) Dump() *SwitchDump { return tx.sw.dump() }
+
+// dump is Dump's body. Callers hold mu, either side.
+func (sw *Switch) dump() *SwitchDump {
 	d := &SwitchDump{
 		Tables:  make(map[string]TableDump, len(sw.tables)),
 		Mirrors: make(map[int]int, len(sw.mirrors)),
@@ -131,12 +139,11 @@ func (sw *Switch) CheckDump(d *SwitchDump) error {
 // counters), handle counters, default actions, mirrors and meter thresholds
 // all return to their captured values. Traffic state (registers, counters,
 // meter window usage, lifetime stats) is left alone.
-func (sw *Switch) RestoreDump(d *SwitchDump) {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
+func (tx *Tx) RestoreDump(d *SwitchDump) {
+	sw := tx.sw
 	// A restore replaces table contents wholesale; any compiled fast-path
 	// plan built against the pre-restore state must stop matching.
-	sw.bumpGen()
+	tx.changed = true
 	for name, t := range sw.tables {
 		td := d.Tables[name] // zero value restores an empty table
 		t.entries = make([]*Entry, 0, len(td.Entries))

@@ -81,14 +81,12 @@ func (sw *Switch) FastPath() FastHandler {
 }
 
 // Generation returns the control-plane write generation: a counter bumped
-// by every table mutation (add, delete, modify, default, clear) under the
-// write lock. A compiled plan records the generation it was built against
+// once by every Update transaction that changed table state (add, delete,
+// modify, default, clear, restore, mirror), before its write lock is
+// released. A compiled plan records the generation it was built against
 // and declines any packet once the live value differs, so a stale plan can
 // never act on state it no longer reflects.
 func (sw *Switch) Generation() uint64 { return sw.gen.Load() }
-
-// bumpGen marks a control-plane mutation. Callers hold mu's write side.
-func (sw *Switch) bumpGen() { sw.gen.Add(1) }
 
 // runFast hands one packet to an open burst. Called with the read lock
 // held, before any interpreted work. A panic inside the handler is

@@ -12,7 +12,8 @@
 // Concurrency: Process is safe to call from multiple goroutines; the packet
 // I/O runtime's workers each hand it bursts through ProcessSeq. Control-plane
 // mutations (TableAdd, TableDelete, SetMirror, ...) serialize against
-// in-flight packets on a switch-wide RWMutex; stateful externs (registers,
+// in-flight packets on a switch-wide RWMutex, one Update transaction of any
+// number of them per hold of the write side; stateful externs (registers,
 // counters, meters) take fine-grained per-array locks so their updates are
 // serialized exactly as bmv2 serializes extern access. A packet holds the
 // read side for its whole run, except that ProcessSeq runs a run of packets
@@ -50,8 +51,8 @@ type Switch struct {
 
 	// mu guards control-plane state (table entries, defaults, mirrors)
 	// against in-flight packets: Process holds the read side for the whole
-	// packet (ProcessSeq for a whole run of fused packets), control-plane
-	// mutators take the write side.
+	// packet (ProcessSeq for a whole run of fused packets), and Update holds
+	// the write side for a whole transaction of control-plane writes.
 	mu      sync.RWMutex
 	tables  map[string]*table
 	mirrors map[int]int // clone session ID -> egress port
@@ -176,11 +177,9 @@ func (sw *Switch) Stats() Stats {
 }
 
 // SetMirror maps a clone session ID to an egress port.
-func (sw *Switch) SetMirror(session, port int) {
-	sw.mu.Lock()
-	sw.mirrors[session] = port
-	sw.bumpGen()
-	sw.mu.Unlock()
+func (tx *Tx) SetMirror(session, port int) {
+	tx.sw.mirrors[session] = port
+	tx.changed = true
 }
 
 // pass describes one trip through (parser →) ingress/egress.

@@ -383,9 +383,8 @@ func (sw *Switch) checkEntry(t *table, action string, params []MatchParam, args 
 // TableAdd installs an entry and returns its handle. The params must line up
 // with the table's reads; action args line up with the action's parameters.
 // Inserting a second entry with the same exact-match key is rejected.
-func (sw *Switch) TableAdd(tableName, action string, params []MatchParam, args []bitfield.Value, priority int) (int, error) {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
+func (tx *Tx) TableAdd(tableName, action string, params []MatchParam, args []bitfield.Value, priority int) (int, error) {
+	sw := tx.sw
 	t, err := sw.table(tableName)
 	if err != nil {
 		return 0, err
@@ -412,7 +411,7 @@ func (sw *Switch) TableAdd(tableName, action string, params []MatchParam, args [
 	if t.ix != nil {
 		t.ix.Insert(mask, val, e)
 	}
-	sw.bumpGen()
+	tx.changed = true
 	return e.Handle, nil
 }
 
@@ -437,9 +436,8 @@ func (t *table) reindex() {
 
 // TableSetDefault sets the default (miss) action. Like TableAdd — and like
 // bmv2 — the action must be one the table declares.
-func (sw *Switch) TableSetDefault(tableName, action string, args []bitfield.Value) error {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
+func (tx *Tx) TableSetDefault(tableName, action string, args []bitfield.Value) error {
+	sw := tx.sw
 	t, err := sw.table(tableName)
 	if err != nil {
 		return err
@@ -451,14 +449,13 @@ func (sw *Switch) TableSetDefault(tableName, action string, args []bitfield.Valu
 	t.defaultAction = action
 	t.defaultAct = act
 	t.defaultArgs = args
-	sw.bumpGen()
+	tx.changed = true
 	return nil
 }
 
 // TableDelete removes an entry by handle.
-func (sw *Switch) TableDelete(tableName string, handle int) error {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
+func (tx *Tx) TableDelete(tableName string, handle int) error {
+	sw := tx.sw
 	t, err := sw.table(tableName)
 	if err != nil {
 		return err
@@ -470,7 +467,7 @@ func (sw *Switch) TableDelete(tableName string, handle int) error {
 				mask, val := t.entryKey(e.Params)
 				t.ix.Delete(mask, val, e)
 			}
-			sw.bumpGen()
+			tx.changed = true
 			return nil
 		}
 	}
@@ -483,9 +480,8 @@ func errNoEntry(tableName string, handle int) error {
 
 // TableModify replaces the action and args of an existing entry. The new
 // action must be one the table declares, exactly as TableAdd requires.
-func (sw *Switch) TableModify(tableName string, handle int, action string, args []bitfield.Value) error {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
+func (tx *Tx) TableModify(tableName string, handle int, action string, args []bitfield.Value) error {
+	sw := tx.sw
 	t, err := sw.table(tableName)
 	if err != nil {
 		return err
@@ -499,7 +495,7 @@ func (sw *Switch) TableModify(tableName string, handle int, action string, args 
 			e.Action = action
 			e.act = act
 			e.Args = args
-			sw.bumpGen()
+			tx.changed = true
 			return nil
 		}
 	}
@@ -507,16 +503,15 @@ func (sw *Switch) TableModify(tableName string, handle int, action string, args 
 }
 
 // TableClear removes every entry from a table.
-func (sw *Switch) TableClear(tableName string) error {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
+func (tx *Tx) TableClear(tableName string) error {
+	sw := tx.sw
 	t, err := sw.table(tableName)
 	if err != nil {
 		return err
 	}
 	t.entries = nil
 	t.reindex()
-	sw.bumpGen()
+	tx.changed = true
 	return nil
 }
 
