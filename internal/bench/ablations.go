@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"hyper4/internal/core/dpmu"
-	"hyper4/internal/core/hp4c"
 	"hyper4/internal/core/persona"
 	"hyper4/internal/functions"
 	"hyper4/internal/pkt"
@@ -36,40 +35,22 @@ func GridAblation() ([]GridAblationRow, error) {
 			ParseStep:    step,
 			ParseMax:     100,
 		}
-		p, err := persona.Generate(cfg)
+		d, p, err := newDPMU("s", cfg)
 		if err != nil {
 			return nil, fmt.Errorf("grid ablation step=%d: %w", step, err)
 		}
-		prog, err := functions.Load(functions.Firewall)
-		if err != nil {
-			return nil, err
+		fw := func(add functions.Installer) error {
+			return functions.NewFirewallControllerFunc(add).AddHost(h2MAC, 2)
 		}
-		comp, err := hp4c.Compile(prog, cfg)
-		if err != nil {
+		if err := install(d, vdev{name: "fw", fn: functions.Firewall,
+			populate: fw, assigns: anyPort(1), ports: []int{2}}); err != nil {
 			return nil, fmt.Errorf("grid ablation step=%d: %w", step, err)
 		}
-		sw, err := sim.New("s", p.Program)
+		comp, err := compiled(functions.Firewall, cfg)
 		if err != nil {
 			return nil, err
 		}
-		d, err := dpmu.New(sw, p)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := d.Load("fw", comp, "ab", 0); err != nil {
-			return nil, err
-		}
-		fc := functions.NewFirewallControllerFunc(d.Installer("ab", "fw"))
-		if err := fc.AddHost(h2MAC, 2); err != nil {
-			return nil, err
-		}
-		if err := d.AssignPort("ab", dpmu.Assignment{PhysPort: -1, VDev: "fw", VIngress: 1}); err != nil {
-			return nil, err
-		}
-		if err := d.MapVPort("ab", "fw", 2, 2); err != nil {
-			return nil, err
-		}
-		_, tr, err := sw.Process(WorkloadPackets(functions.Firewall)[0], 1)
+		_, tr, err := d.SW.Process(WorkloadPackets(functions.Firewall)[0], 1)
 		if err != nil {
 			return nil, fmt.Errorf("grid ablation step=%d: %w", step, err)
 		}
@@ -109,36 +90,23 @@ func DeviceDensity(counts []int) ([]DensityRow, error) {
 	sws := make([]*sim.Switch, len(counts))
 	frame := pkt.Pad(pkt.Serialize(&pkt.Ethernet{Dst: h2MAC, Src: h1MAC, EtherType: 0x0800}))
 	for k, n := range counts {
-		sw, d, err := newPersonaSwitch("s")
-		if err != nil {
-			return nil, err
-		}
-		comp, err := compiled(functions.L2Switch)
+		d, _, err := newDPMU("s", persona.Reference)
 		if err != nil {
 			return nil, err
 		}
 		for i := 0; i < n; i++ {
-			name := fmt.Sprintf("l2_%d", i)
-			if _, err := d.Load(name, comp, "ab", 0); err != nil {
-				return nil, err
-			}
-			c := functions.NewL2ControllerFunc(d.Installer("ab", name))
 			base := i*2 + 1
-			if err := c.AddHost(h1MAC, base); err != nil {
+			if err := install(d, vdev{
+				name:     fmt.Sprintf("l2_%d", i),
+				fn:       functions.L2Switch,
+				populate: addHosts([]hostEntry{{h1MAC, base}, {h2MAC, base + 1}}),
+				assigns:  []dpmu.Assignment{{PhysPort: base, VIngress: base}, {PhysPort: base + 1, VIngress: base + 1}},
+				ports:    []int{base, base + 1},
+			}); err != nil {
 				return nil, err
-			}
-			if err := c.AddHost(h2MAC, base+1); err != nil {
-				return nil, err
-			}
-			for _, port := range []int{base, base + 1} {
-				if err := d.AssignPort("ab", dpmu.Assignment{PhysPort: port, VDev: name, VIngress: port}); err != nil {
-					return nil, err
-				}
-				if err := d.MapVPort("ab", name, port, port); err != nil {
-					return nil, err
-				}
 			}
 		}
+		sw := d.SW
 		_, tr, err := sw.Process(frame, 1) // also the warm-up
 		if err != nil {
 			return nil, err
@@ -215,61 +183,38 @@ var partialCfg = persona.Config{
 // router (the two functions whose parse paths need resubmission under full
 // virtualization). The two personas are timed in alternating rounds.
 func PartialVirtualization() ([]PartialRow, error) {
-	build := func(fn string, cfg persona.Config) (*sim.Switch, error) {
-		p, err := persona.Generate(cfg)
-		if err != nil {
-			return nil, err
-		}
-		sw, err := sim.New("s", p.Program)
-		if err != nil {
-			return nil, err
-		}
-		d, err := dpmu.New(sw, p)
-		if err != nil {
-			return nil, err
-		}
-		prog, err := functions.Load(fn)
-		if err != nil {
-			return nil, err
-		}
-		comp, err := hp4c.Compile(prog, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := d.Load("dev", comp, "ab", 0); err != nil {
-			return nil, err
-		}
-		switch fn {
-		case functions.Firewall:
-			c := functions.NewFirewallControllerFunc(d.Installer("ab", "dev"))
+	populate := map[string]func(functions.Installer) error{
+		functions.Firewall: func(add functions.Installer) error {
+			c := functions.NewFirewallControllerFunc(add)
 			if err := c.AddHost(h2MAC, 2); err != nil {
-				return nil, err
+				return err
 			}
-			if err := c.BlockTCPDstPort(9999); err != nil {
-				return nil, err
-			}
-		case functions.Router:
-			c := functions.NewRouterControllerFunc(d.Installer("ab", "dev"))
+			return c.BlockTCPDstPort(9999)
+		},
+		functions.Router: func(add functions.Installer) error {
+			c := functions.NewRouterControllerFunc(add)
 			if err := c.Init(); err != nil {
-				return nil, err
+				return err
 			}
 			if err := c.AddRoute(h2IP, 32, h2IP, 2); err != nil {
-				return nil, err
+				return err
 			}
 			if err := c.AddNextHop(h2IP, h2MAC); err != nil {
-				return nil, err
+				return err
 			}
-			if err := c.AddPortMAC(2, s2MAC); err != nil {
-				return nil, err
-			}
-		}
-		if err := d.AssignPort("ab", dpmu.Assignment{PhysPort: -1, VDev: "dev", VIngress: 1}); err != nil {
+			return c.AddPortMAC(2, s2MAC)
+		},
+	}
+	build := func(fn string, cfg persona.Config) (*sim.Switch, error) {
+		d, _, err := newDPMU("s", cfg)
+		if err != nil {
 			return nil, err
 		}
-		if err := d.MapVPort("ab", "dev", 2, 2); err != nil {
+		if err := install(d, vdev{name: "dev", fn: fn,
+			populate: populate[fn], assigns: anyPort(1), ports: []int{2}}); err != nil {
 			return nil, err
 		}
-		return sw, nil
+		return d.SW, nil
 	}
 	var rows []PartialRow
 	for _, fn := range []string{functions.Firewall, functions.Router} {

@@ -3,7 +3,7 @@ package bench
 import (
 	"testing"
 
-	"hyper4/internal/core/dpmu"
+	"hyper4/internal/core/persona"
 	"hyper4/internal/functions"
 	"hyper4/internal/netsim"
 )
@@ -12,36 +12,27 @@ import (
 // emulated ARP proxy: the host broadcasts a who-has, the persona answers on
 // behalf of the proxied address, and the host's stack receives the reply.
 func TestEndToEndARPThroughPersona(t *testing.T) {
-	sw, d, err := newPersonaSwitch("s1")
+	d, _, err := newDPMU("s1", persona.Reference)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := compiled(functions.ARPProxy)
-	if err != nil {
-		t.Fatal(err)
+	populate := func(add functions.Installer) error {
+		c := functions.NewARPControllerFunc(add)
+		if err := c.Init(); err != nil {
+			return err
+		}
+		if err := c.AddProxiedHost(h2IP, h2MAC); err != nil {
+			return err
+		}
+		return c.AddHost(h1MAC, 1)
 	}
-	if _, err := d.Load("arp", comp, "it", 0); err != nil {
-		t.Fatal(err)
-	}
-	c := functions.NewARPControllerFunc(d.Installer("it", "arp"))
-	if err := c.Init(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddProxiedHost(h2IP, h2MAC); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddHost(h1MAC, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.AssignPort("it", dpmu.Assignment{PhysPort: -1, VDev: "arp", VIngress: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.MapVPort("it", "arp", 1, 1); err != nil {
+	if err := install(d, vdev{name: "arp", fn: functions.ARPProxy,
+		populate: populate, assigns: anyPort(1), ports: []int{1}}); err != nil {
 		t.Fatal(err)
 	}
 
 	n := netsim.New()
-	n.AddSwitch("s1", sw)
+	n.AddSwitch("s1", d.SW)
 	n.AddHost("h1", h1MAC, h1IP)
 	if err := n.Connect("s1", 1, "h1"); err != nil {
 		t.Fatal(err)

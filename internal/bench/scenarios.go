@@ -41,28 +41,36 @@ var (
 	s2MAC = pkt.MustMAC("aa:aa:aa:aa:aa:02")
 )
 
-// compileCache avoids recompiling functions for every scenario.
-var compileCache = map[string]*hp4c.Compiled{}
+// compileKey names one compilation: a function for a persona configuration.
+type compileKey struct {
+	fn  string
+	cfg persona.Config
+}
 
-func compiled(fn string) (*hp4c.Compiled, error) {
-	if c, ok := compileCache[fn]; ok {
+// compileCache avoids recompiling functions for every scenario.
+var compileCache = map[compileKey]*hp4c.Compiled{}
+
+func compiled(fn string, cfg persona.Config) (*hp4c.Compiled, error) {
+	key := compileKey{fn, cfg}
+	if c, ok := compileCache[key]; ok {
 		return c, nil
 	}
 	prog, err := functions.Load(fn)
 	if err != nil {
 		return nil, err
 	}
-	c, err := hp4c.Compile(prog, persona.Reference)
+	c, err := hp4c.Compile(prog, cfg)
 	if err != nil {
 		return nil, err
 	}
-	compileCache[fn] = c
+	compileCache[key] = c
 	return c, nil
 }
 
-// newPersonaSwitch builds a persona switch with a DPMU.
-func newPersonaSwitch(name string) (*sim.Switch, *dpmu.DPMU, error) {
-	p, err := persona.Generate(persona.Reference)
+// newDPMU builds a switch named name running the persona for cfg and
+// returns its DPMU (the switch is d.SW) and the persona.
+func newDPMU(name string, cfg persona.Config) (*dpmu.DPMU, *persona.Persona, error) {
+	p, err := persona.Generate(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -74,7 +82,77 @@ func newPersonaSwitch(name string) (*sim.Switch, *dpmu.DPMU, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return sw, d, nil
+	return d, p, nil
+}
+
+// owner owns every virtual device a scenario installs.
+const owner = "bench"
+
+// vdev is one function a scenario configures: its population, written once
+// against an installer, and — when emulated — the virtual device's name,
+// the assignments that steer physical ports to it (VDev is filled in), and
+// the virtual ports it maps one to one onto physical ports.
+type vdev struct {
+	name     string
+	fn       string
+	populate func(functions.Installer) error
+	assigns  []dpmu.Assignment
+	ports    []int
+}
+
+// anyPort assigns every physical port to a vdev at virtual ingress port vin.
+func anyPort(vin int) []dpmu.Assignment {
+	return []dpmu.Assignment{{PhysPort: -1, VIngress: vin}}
+}
+
+// install loads v on d and populates it through its installer, then
+// assigns its ports and maps its virtual ports.
+func install(d *dpmu.DPMU, v vdev) error {
+	comp, err := compiled(v.fn, d.Config())
+	if err != nil {
+		return err
+	}
+	if _, err := d.Load(v.name, comp, owner, 0); err != nil {
+		return err
+	}
+	if err := v.populate(d.Installer(owner, v.name)); err != nil {
+		return err
+	}
+	for _, a := range v.assigns {
+		a.VDev = v.name
+		if err := d.AssignPort(owner, a); err != nil {
+			return err
+		}
+	}
+	for _, port := range v.ports {
+		if err := d.MapVPort(owner, v.name, port, port); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// deploy builds switch name running v: natively, populated through
+// functions.Native, or as the one virtual device on a reference persona.
+func deploy(name string, mode Mode, v vdev) (*sim.Switch, error) {
+	if mode == Native {
+		sw, err := functions.NewSwitch(name, v.fn)
+		if err != nil {
+			return nil, err
+		}
+		if err := v.populate(functions.Native(sw)); err != nil {
+			return nil, err
+		}
+		return sw, nil
+	}
+	d, _, err := newDPMU(name, persona.Reference)
+	if err != nil {
+		return nil, err
+	}
+	if err := install(d, v); err != nil {
+		return nil, err
+	}
+	return d.SW, nil
 }
 
 // hostEntry binds a MAC to an egress port of an L2 switch.
@@ -83,62 +161,41 @@ type hostEntry struct {
 	port int
 }
 
+// addHosts populates an L2 switch with hosts.
+func addHosts(hosts []hostEntry) func(functions.Installer) error {
+	return func(add functions.Installer) error {
+		c := functions.NewL2ControllerFunc(add)
+		for _, h := range hosts {
+			if err := c.AddHost(h.mac, h.port); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 // l2Switch builds a (native or emulated) L2 switch with the given
 // forwarding entries.
 func l2Switch(name string, mode Mode, hosts []hostEntry) (*sim.Switch, error) {
-	if mode == Native {
-		sw, err := functions.NewSwitch(name, functions.L2Switch)
-		if err != nil {
-			return nil, err
-		}
-		c := functions.NewL2Controller(sw)
-		for _, h := range hosts {
-			if err := c.AddHost(h.mac, h.port); err != nil {
-				return nil, err
-			}
-		}
-		return sw, nil
-	}
-	sw, d, err := newPersonaSwitch(name)
-	if err != nil {
-		return nil, err
-	}
-	comp, err := compiled(functions.L2Switch)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := d.Load("l2", comp, "bench", 0); err != nil {
-		return nil, err
-	}
-	c := functions.NewL2ControllerFunc(d.Installer("bench", "l2"))
 	// Ports are mapped in host order (deduplicated) so repeated builds
 	// install virtual-network rows deterministically and dump identically.
 	seen := map[int]bool{}
 	var ports []int
 	for _, h := range hosts {
-		if err := c.AddHost(h.mac, h.port); err != nil {
-			return nil, err
-		}
 		if !seen[h.port] {
 			seen[h.port] = true
 			ports = append(ports, h.port)
 		}
 	}
-	if err := d.AssignPort("bench", dpmu.Assignment{PhysPort: -1, VDev: "l2", VIngress: 0}); err != nil {
-		return nil, err
-	}
-	for _, port := range ports {
-		if err := d.MapVPort("bench", "l2", port, port); err != nil {
-			return nil, err
-		}
-	}
-	return sw, nil
+	return deploy(name, mode, vdev{name: "l2", fn: functions.L2Switch,
+		populate: addHosts(hosts), assigns: anyPort(0), ports: ports})
 }
 
 // firewallSwitch builds a (native or emulated) firewall blocking TCP port
 // 9999 with hosts h1@1, h2@2.
 func firewallSwitch(name string, mode Mode) (*sim.Switch, error) {
-	populate := func(c *functions.FirewallController) error {
+	populate := func(add functions.Installer) error {
+		c := functions.NewFirewallControllerFunc(add)
 		if err := c.AddHost(h1MAC, 1); err != nil {
 			return err
 		}
@@ -147,52 +204,22 @@ func firewallSwitch(name string, mode Mode) (*sim.Switch, error) {
 		}
 		return c.BlockTCPDstPort(9999)
 	}
-	if mode == Native {
-		sw, err := functions.NewSwitch(name, functions.Firewall)
-		if err != nil {
-			return nil, err
-		}
-		if err := populate(functions.NewFirewallController(sw)); err != nil {
-			return nil, err
-		}
-		return sw, nil
-	}
-	sw, d, err := newPersonaSwitch(name)
-	if err != nil {
-		return nil, err
-	}
-	comp, err := compiled(functions.Firewall)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := d.Load("fw", comp, "bench", 0); err != nil {
-		return nil, err
-	}
-	if err := populate(functions.NewFirewallControllerFunc(d.Installer("bench", "fw"))); err != nil {
-		return nil, err
-	}
-	if err := d.AssignPort("bench", dpmu.Assignment{PhysPort: -1, VDev: "fw", VIngress: 0}); err != nil {
-		return nil, err
-	}
-	for _, port := range []int{1, 2} {
-		if err := d.MapVPort("bench", "fw", port, port); err != nil {
-			return nil, err
-		}
-	}
-	return sw, nil
+	return deploy(name, mode, vdev{name: "fw", fn: functions.Firewall,
+		populate: populate, assigns: anyPort(0), ports: []int{1, 2}})
 }
 
 // composedSwitch builds the middle switch of Example 1 C: the sequential
 // composition arp_proxy → firewall → router. Trunk ports 1 (toward h1) and
-// 2 (toward h2).
+// 2 (toward h2). Natively it is one program, composed.p4, which has no L2
+// tables; emulated it is three virtual devices linked in a chain.
 func composedSwitch(name string, mode Mode) (*sim.Switch, error) {
 	if mode == Native {
 		sw, err := functions.NewSwitch(name, functions.Composed)
 		if err != nil {
 			return nil, err
 		}
-		c, err := functions.NewComposedController(sw)
-		if err != nil {
+		c := functions.NewComposedControllerFunc(functions.Native(sw))
+		if err := c.Init(); err != nil {
 			return nil, err
 		}
 		if err := c.AddProxiedHost(h2IP, h2MAC); err != nil {
@@ -201,88 +228,54 @@ func composedSwitch(name string, mode Mode) (*sim.Switch, error) {
 		if err := c.BlockTCPDstPort(9999); err != nil {
 			return nil, err
 		}
-		for _, r := range []struct {
-			ip   pkt.IP4
-			port int
-			mac  pkt.MAC
-		}{{h1IP, 1, h1MAC}, {h2IP, 2, h2MAC}} {
-			if err := c.AddRoute(r.ip, 32, r.ip, r.port); err != nil {
-				return nil, err
-			}
-			if err := c.AddNextHop(r.ip, r.mac); err != nil {
-				return nil, err
-			}
-			if err := c.AddPortMAC(r.port, s2MAC); err != nil {
-				return nil, err
-			}
+		if err := addRoutes(c.RouterController); err != nil {
+			return nil, err
 		}
 		return sw, nil
 	}
 
-	sw, d, err := newPersonaSwitch(name)
+	d, _, err := newDPMU(name, persona.Reference)
 	if err != nil {
-		return nil, err
-	}
-	const owner = "bench"
-	for _, fn := range []string{functions.ARPProxy, functions.Firewall, functions.Router} {
-		comp, err := compiled(fn)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := d.Load(fn, comp, owner, 0); err != nil {
-			return nil, err
-		}
-	}
-	ac := functions.NewARPControllerFunc(d.Installer(owner, functions.ARPProxy))
-	if err := ac.Init(); err != nil {
-		return nil, err
-	}
-	if err := ac.AddProxiedHost(h2IP, h2MAC); err != nil {
 		return nil, err
 	}
 	// All switched traffic — including replies addressed to the router's
 	// own MAC — continues to the next function in the chain.
-	for _, mac := range []pkt.MAC{h1MAC, h2MAC, s2MAC} {
-		if err := ac.AddHost(mac, 10); err != nil {
-			return nil, err
+	chained := []hostEntry{{h1MAC, 10}, {h2MAC, 10}, {s2MAC, 10}}
+	arp := func(add functions.Installer) error {
+		c := functions.NewARPControllerFunc(add)
+		if err := c.Init(); err != nil {
+			return err
 		}
+		if err := c.AddProxiedHost(h2IP, h2MAC); err != nil {
+			return err
+		}
+		for _, h := range chained {
+			if err := c.AddHost(h.mac, h.port); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	fc := functions.NewFirewallControllerFunc(d.Installer(owner, functions.Firewall))
-	if err := fc.BlockTCPDstPort(9999); err != nil {
-		return nil, err
+	fw := func(add functions.Installer) error {
+		c := functions.NewFirewallControllerFunc(add)
+		if err := c.BlockTCPDstPort(9999); err != nil {
+			return err
+		}
+		for _, h := range chained {
+			if err := c.AddHost(h.mac, h.port); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	for _, mac := range []pkt.MAC{h1MAC, h2MAC, s2MAC} {
-		if err := fc.AddHost(mac, 10); err != nil {
-			return nil, err
-		}
-	}
-	rc := functions.NewRouterControllerFunc(d.Installer(owner, functions.Router))
-	if err := rc.Init(); err != nil {
-		return nil, err
-	}
-	for _, r := range []struct {
-		ip   pkt.IP4
-		port int
-		mac  pkt.MAC
-	}{{h1IP, 1, h1MAC}, {h2IP, 2, h2MAC}} {
-		if err := rc.AddRoute(r.ip, 32, r.ip, r.port); err != nil {
-			return nil, err
-		}
-		if err := rc.AddNextHop(r.ip, r.mac); err != nil {
-			return nil, err
-		}
-		if err := rc.AddPortMAC(r.port, s2MAC); err != nil {
-			return nil, err
-		}
-	}
-	for _, port := range []int{1, 2} {
-		if err := d.AssignPort(owner, dpmu.Assignment{PhysPort: port, VDev: functions.ARPProxy, VIngress: port}); err != nil {
-			return nil, err
-		}
-		if err := d.MapVPort(owner, functions.ARPProxy, port, port); err != nil {
-			return nil, err
-		}
-		if err := d.MapVPort(owner, functions.Router, port, port); err != nil {
+	for _, v := range []vdev{
+		{name: functions.ARPProxy, fn: functions.ARPProxy, populate: arp,
+			assigns: []dpmu.Assignment{{PhysPort: 1, VIngress: 1}, {PhysPort: 2, VIngress: 2}},
+			ports:   []int{1, 2}},
+		{name: functions.Firewall, fn: functions.Firewall, populate: fw},
+		{name: functions.Router, fn: functions.Router, populate: router, ports: []int{1, 2}},
+	} {
+		if err := install(d, v); err != nil {
 			return nil, err
 		}
 	}
@@ -292,7 +285,7 @@ func composedSwitch(name string, mode Mode) (*sim.Switch, error) {
 	if err := d.LinkVPorts(owner, functions.Firewall, 10, functions.Router, 1); err != nil {
 		return nil, err
 	}
-	return sw, nil
+	return d.SW, nil
 }
 
 // Scenario names for Table 5.

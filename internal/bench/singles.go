@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"hyper4/internal/core/dpmu"
 	"hyper4/internal/functions"
 	"hyper4/internal/pkt"
 	"hyper4/internal/sim"
@@ -12,7 +11,8 @@ import (
 // arpSwitch builds a (native or emulated) ARP proxy answering for h2,
 // switching h1/h2 at ports 1/2.
 func arpSwitch(name string, mode Mode) (*sim.Switch, error) {
-	populate := func(c *functions.ARPController) error {
+	populate := func(add functions.Installer) error {
+		c := functions.NewARPControllerFunc(add)
 		if err := c.Init(); err != nil {
 			return err
 		}
@@ -24,123 +24,43 @@ func arpSwitch(name string, mode Mode) (*sim.Switch, error) {
 		}
 		return c.AddHost(h2MAC, 2)
 	}
-	if mode == Native {
-		sw, err := functions.NewSwitch(name, functions.ARPProxy)
-		if err != nil {
-			return nil, err
+	return deploy(name, mode, vdev{name: "arp", fn: functions.ARPProxy,
+		populate: populate, assigns: anyPort(1), ports: []int{1, 2}})
+}
+
+// addRoutes routes h1 and h2 out ports 1 and 2 with s2's source MAC.
+func addRoutes(c *functions.RouterController) error {
+	for _, r := range []struct {
+		ip   pkt.IP4
+		port int
+		mac  pkt.MAC
+	}{{h1IP, 1, h1MAC}, {h2IP, 2, h2MAC}} {
+		if err := c.AddRoute(r.ip, 32, r.ip, r.port); err != nil {
+			return err
 		}
-		nc, err := functions.NewARPController(sw)
-		if err != nil {
-			return nil, err
+		if err := c.AddNextHop(r.ip, r.mac); err != nil {
+			return err
 		}
-		if err := nc.AddProxiedHost(h2IP, h2MAC); err != nil {
-			return nil, err
-		}
-		if err := nc.AddHost(h1MAC, 1); err != nil {
-			return nil, err
-		}
-		if err := nc.AddHost(h2MAC, 2); err != nil {
-			return nil, err
-		}
-		return sw, nil
-	}
-	sw, d, err := newPersonaSwitch(name)
-	if err != nil {
-		return nil, err
-	}
-	comp, err := compiled(functions.ARPProxy)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := d.Load("arp", comp, "bench", 0); err != nil {
-		return nil, err
-	}
-	if err := populate(functions.NewARPControllerFunc(d.Installer("bench", "arp"))); err != nil {
-		return nil, err
-	}
-	if err := d.AssignPort("bench", dpmu.Assignment{PhysPort: -1, VDev: "arp", VIngress: 1}); err != nil {
-		return nil, err
-	}
-	for _, port := range []int{1, 2} {
-		if err := d.MapVPort("bench", "arp", port, port); err != nil {
-			return nil, err
+		if err := c.AddPortMAC(r.port, s2MAC); err != nil {
+			return err
 		}
 	}
-	return sw, nil
+	return nil
+}
+
+// router populates a router with its TTL checks and addRoutes' routes.
+func router(add functions.Installer) error {
+	c := functions.NewRouterControllerFunc(add)
+	if err := c.Init(); err != nil {
+		return err
+	}
+	return addRoutes(c)
 }
 
 // routerSwitch builds a (native or emulated) router with routes for h1/h2.
 func routerSwitch(name string, mode Mode) (*sim.Switch, error) {
-	populate := func(c *functions.RouterController) error {
-		if err := c.Init(); err != nil {
-			return err
-		}
-		for _, r := range []struct {
-			ip   pkt.IP4
-			port int
-			mac  pkt.MAC
-		}{{h1IP, 1, h1MAC}, {h2IP, 2, h2MAC}} {
-			if err := c.AddRoute(r.ip, 32, r.ip, r.port); err != nil {
-				return err
-			}
-			if err := c.AddNextHop(r.ip, r.mac); err != nil {
-				return err
-			}
-			if err := c.AddPortMAC(r.port, s2MAC); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if mode == Native {
-		sw, err := functions.NewSwitch(name, functions.Router)
-		if err != nil {
-			return nil, err
-		}
-		c, err := functions.NewRouterController(sw)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range []struct {
-			ip   pkt.IP4
-			port int
-			mac  pkt.MAC
-		}{{h1IP, 1, h1MAC}, {h2IP, 2, h2MAC}} {
-			if err := c.AddRoute(r.ip, 32, r.ip, r.port); err != nil {
-				return nil, err
-			}
-			if err := c.AddNextHop(r.ip, r.mac); err != nil {
-				return nil, err
-			}
-			if err := c.AddPortMAC(r.port, s2MAC); err != nil {
-				return nil, err
-			}
-		}
-		return sw, nil
-	}
-	sw, d, err := newPersonaSwitch(name)
-	if err != nil {
-		return nil, err
-	}
-	comp, err := compiled(functions.Router)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := d.Load("r", comp, "bench", 0); err != nil {
-		return nil, err
-	}
-	if err := populate(functions.NewRouterControllerFunc(d.Installer("bench", "r"))); err != nil {
-		return nil, err
-	}
-	if err := d.AssignPort("bench", dpmu.Assignment{PhysPort: -1, VDev: "r", VIngress: 1}); err != nil {
-		return nil, err
-	}
-	for _, port := range []int{1, 2} {
-		if err := d.MapVPort("bench", "r", port, port); err != nil {
-			return nil, err
-		}
-	}
-	return sw, nil
+	return deploy(name, mode, vdev{name: "r", fn: functions.Router,
+		populate: router, assigns: anyPort(1), ports: []int{1, 2}})
 }
 
 // FunctionSwitch builds a configured switch for one of the paper's four

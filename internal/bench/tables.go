@@ -119,7 +119,7 @@ func Table23() ([]Table23Cell, error) {
 	names := functions.Names()
 	refs := map[string]map[string]bool{}
 	for _, fn := range names {
-		comp, err := compiled(fn)
+		comp, err := compiled(fn, persona.Reference)
 		if err != nil {
 			return nil, err
 		}

@@ -29,7 +29,7 @@ func TestDifferentialRandomPopulation(t *testing.T) {
 			if _, err := d.Load("fw", comp, "fuzz", 0); err != nil {
 				t.Fatal(err)
 			}
-			nc := functions.NewFirewallController(native)
+			nc := functions.NewFirewallControllerFunc(functions.Native(native))
 			ec := functions.NewFirewallControllerFunc(d.Installer("fuzz", "fw"))
 
 			// Random stations.

@@ -57,7 +57,7 @@ func differentialPair(t *testing.T, fn string) (*sim.Switch, *DPMU) {
 	install := d.Installer("diff", "dev")
 	switch fn {
 	case functions.L2Switch:
-		nc := functions.NewL2Controller(native)
+		nc := functions.NewL2ControllerFunc(functions.Native(native))
 		ec := functions.NewL2ControllerFunc(install)
 		for _, c := range []*functions.L2Controller{nc, ec} {
 			if err := c.AddHost(mac1, 1); err != nil {
@@ -68,7 +68,7 @@ func differentialPair(t *testing.T, fn string) (*sim.Switch, *DPMU) {
 			}
 		}
 	case functions.Firewall:
-		nc := functions.NewFirewallController(native)
+		nc := functions.NewFirewallControllerFunc(functions.Native(native))
 		ec := functions.NewFirewallControllerFunc(install)
 		for _, c := range []*functions.FirewallController{nc, ec} {
 			if err := c.AddHost(mac1, 1); err != nil {
@@ -88,8 +88,8 @@ func differentialPair(t *testing.T, fn string) (*sim.Switch, *DPMU) {
 			}
 		}
 	case functions.Router:
-		nc, err := functions.NewRouterController(native)
-		if err != nil {
+		nc := functions.NewRouterControllerFunc(functions.Native(native))
+		if err := nc.Init(); err != nil {
 			t.Fatal(err)
 		}
 		ec := functions.NewRouterControllerFunc(install)
@@ -117,8 +117,8 @@ func differentialPair(t *testing.T, fn string) (*sim.Switch, *DPMU) {
 			}
 		}
 	case functions.ARPProxy:
-		nc, err := functions.NewARPController(native)
-		if err != nil {
+		nc := functions.NewARPControllerFunc(functions.Native(native))
+		if err := nc.Init(); err != nil {
 			t.Fatal(err)
 		}
 		ec := functions.NewARPControllerFunc(install)
@@ -266,7 +266,7 @@ func TestPriorityOrderPreserved(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	nc := functions.NewFirewallController(native)
+	nc := functions.NewFirewallControllerFunc(functions.Native(native))
 	ec := functions.NewFirewallControllerFunc(d.Installer("p", "fw"))
 	add(nc)
 	add(ec)

@@ -175,8 +175,8 @@ func TestEmulatedARPProxy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nc, err := functions.NewARPController(native)
-	if err != nil {
+	nc := functions.NewARPControllerFunc(functions.Native(native))
+	if err := nc.Init(); err != nil {
 		t.Fatal(err)
 	}
 	if err := nc.AddProxiedHost(ip2, mac2); err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"hyper4/internal/bitfield"
 	"hyper4/internal/core/persona"
+	"hyper4/internal/functions"
 	"hyper4/internal/sim"
 )
 
@@ -239,10 +240,9 @@ func (d *DPMU) Snapshots() []string {
 	return out
 }
 
-// Installer returns a function with the signature the functions package
-// controllers expect, routing their table population through the DPMU as
-// virtual operations (Figure 2(c)).
-func (d *DPMU) Installer(owner, vdev string) func(table, action string, params []sim.MatchParam, args []bitfield.Value, prio int) error {
+// Installer routes a functions package controller's table population
+// through the DPMU as virtual operations (Figure 2(c)).
+func (d *DPMU) Installer(owner, vdev string) functions.Installer {
 	return func(table, action string, params []sim.MatchParam, args []bitfield.Value, prio int) error {
 		_, err := d.TableAdd(owner, vdev, EntrySpec{
 			Table: table, Action: action, Params: params, Args: args, Priority: prio,

@@ -10,24 +10,12 @@ import (
 
 // ARPController populates the ARP proxy's tables.
 type ARPController struct {
-	add func(table, action string, params []sim.MatchParam, args []bitfield.Value, prio int) error
+	add Installer
 }
 
-// NewARPController installs entries directly on a native switch and marks
-// ARP requests.
-func NewARPController(sw *sim.Switch) (*ARPController, error) {
-	c := &ARPController{add: func(table, action string, params []sim.MatchParam, args []bitfield.Value, prio int) error {
-		_, err := sw.TableAdd(table, action, params, args, prio)
-		return err
-	}}
-	if err := c.Init(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// NewARPControllerFunc routes entries through an arbitrary installer.
-func NewARPControllerFunc(add func(table, action string, params []sim.MatchParam, args []bitfield.Value, prio int) error) *ARPController {
+// NewARPControllerFunc returns a controller that writes through add. It
+// installs nothing; Init marks ARP requests.
+func NewARPControllerFunc(add Installer) *ARPController {
 	return &ARPController{add: add}
 }
 

@@ -14,8 +14,8 @@ func composedSwitch(t *testing.T) (*ComposedController, *sim.Switch) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewComposedController(sw)
-	if err != nil {
+	c := NewComposedControllerFunc(Native(sw))
+	if err := c.Init(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AddProxiedHost(ip2, mac2); err != nil {

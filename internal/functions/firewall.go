@@ -10,19 +10,11 @@ import (
 
 // FirewallController populates the firewall's tables.
 type FirewallController struct {
-	add func(table, action string, params []sim.MatchParam, args []bitfield.Value, prio int) error
+	add Installer
 }
 
-// NewFirewallController installs entries directly on a native switch.
-func NewFirewallController(sw *sim.Switch) *FirewallController {
-	return &FirewallController{add: func(table, action string, params []sim.MatchParam, args []bitfield.Value, prio int) error {
-		_, err := sw.TableAdd(table, action, params, args, prio)
-		return err
-	}}
-}
-
-// NewFirewallControllerFunc routes entries through an arbitrary installer.
-func NewFirewallControllerFunc(add func(table, action string, params []sim.MatchParam, args []bitfield.Value, prio int) error) *FirewallController {
+// NewFirewallControllerFunc returns a controller that writes through add.
+func NewFirewallControllerFunc(add Installer) *FirewallController {
 	return &FirewallController{add: add}
 }
 

@@ -31,7 +31,7 @@ func TestL2SwitchForwardsAndCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewL2Controller(sw)
+	c := NewL2ControllerFunc(Native(sw))
 	if err := c.AddHost(mac1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +60,8 @@ func TestRouterRoutesAndRewrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewRouterController(sw)
-	if err != nil {
+	c := NewRouterControllerFunc(Native(sw))
+	if err := c.Init(); err != nil {
 		t.Fatal(err)
 	}
 	nhop := pkt.MustIP4("192.168.1.1")
@@ -113,8 +113,8 @@ func TestRouterDropsExpiredTTL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewRouterController(sw)
-	if err != nil {
+	c := NewRouterControllerFunc(Native(sw))
+	if err := c.Init(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AddRoute(pkt.MustIP4("0.0.0.0"), 0, pkt.MustIP4("192.168.1.1"), 2); err != nil {
@@ -139,8 +139,8 @@ func TestARPProxyAnswersRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewARPController(sw)
-	if err != nil {
+	c := NewARPControllerFunc(Native(sw))
+	if err := c.Init(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AddProxiedHost(ip2, mac2); err != nil {
@@ -185,8 +185,8 @@ func TestARPProxyMostComplexPathIsFour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewARPController(sw)
-	if err != nil {
+	c := NewARPControllerFunc(Native(sw))
+	if err := c.Init(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AddHost(mac2, 2); err != nil {
@@ -214,8 +214,8 @@ func TestARPProxySwitchesNonARP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewARPController(sw)
-	if err != nil {
+	c := NewARPControllerFunc(Native(sw))
+	if err := c.Init(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AddHost(mac2, 2); err != nil {
@@ -237,7 +237,7 @@ func firewallWithHosts(t *testing.T) (*sim.Switch, *FirewallController) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewFirewallController(sw)
+	c := NewFirewallControllerFunc(Native(sw))
 	if err := c.AddHost(mac1, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -10,21 +10,11 @@ import (
 
 // L2Controller populates the L2 switch's tables.
 type L2Controller struct {
-	add func(table, action string, params []sim.MatchParam, args []bitfield.Value, prio int) error
+	add Installer
 }
 
-// NewL2Controller returns a controller that installs entries directly on a
-// native switch.
-func NewL2Controller(sw *sim.Switch) *L2Controller {
-	return &L2Controller{add: func(table, action string, params []sim.MatchParam, args []bitfield.Value, prio int) error {
-		_, err := sw.TableAdd(table, action, params, args, prio)
-		return err
-	}}
-}
-
-// NewL2ControllerFunc returns a controller that routes entries through an
-// arbitrary installer (used to drive the same population through the DPMU).
-func NewL2ControllerFunc(add func(table, action string, params []sim.MatchParam, args []bitfield.Value, prio int) error) *L2Controller {
+// NewL2ControllerFunc returns a controller that writes through add.
+func NewL2ControllerFunc(add Installer) *L2Controller {
 	return &L2Controller{add: add}
 }
 

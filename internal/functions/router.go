@@ -10,25 +10,12 @@ import (
 
 // RouterController populates the router's tables.
 type RouterController struct {
-	add func(table, action string, params []sim.MatchParam, args []bitfield.Value, prio int) error
+	add Installer
 }
 
-// NewRouterController installs entries directly on a native switch and sets
-// the TTL-expiry drops.
-func NewRouterController(sw *sim.Switch) (*RouterController, error) {
-	c := &RouterController{add: func(table, action string, params []sim.MatchParam, args []bitfield.Value, prio int) error {
-		_, err := sw.TableAdd(table, action, params, args, prio)
-		return err
-	}}
-	if err := c.Init(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// NewRouterControllerFunc routes entries through an arbitrary installer
-// without initializing defaults (the DPMU path calls Init separately).
-func NewRouterControllerFunc(add func(table, action string, params []sim.MatchParam, args []bitfield.Value, prio int) error) *RouterController {
+// NewRouterControllerFunc returns a controller that writes through add. It
+// installs nothing; Init sets the TTL-expiry drops.
+func NewRouterControllerFunc(add Installer) *RouterController {
 	return &RouterController{add: add}
 }
 

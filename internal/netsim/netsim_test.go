@@ -35,7 +35,7 @@ func l2Net(t *testing.T) *Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := functions.NewL2Controller(sw)
+	c := functions.NewL2ControllerFunc(functions.Native(sw))
 	if err := c.AddHost(mac1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestMultiSwitchLine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := functions.NewL2Controller(sw)
+		c := functions.NewL2ControllerFunc(functions.Native(sw))
 		if err := c.AddHost(hostMAC, hostPort); err != nil {
 			t.Fatal(err)
 		}

@@ -31,8 +31,8 @@ func nativeComposed(tb testing.TB) *sim.Switch {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	c, err := functions.NewComposedController(sw)
-	if err != nil {
+	c := functions.NewComposedControllerFunc(functions.Native(sw))
+	if err := c.Init(); err != nil {
 		tb.Fatal(err)
 	}
 	must := func(err error) {
