@@ -118,10 +118,10 @@ func checkEntry(comp *hp4c.Compiled, e Entry) (fs []Finding, ok bool) {
 // Precedence mirrors the DPMU's translation: effective priority is the
 // bmv2 priority (lower wins) plus, per LPM read, width−prefixLen (§5.3's
 // ternary-with-managed-priorities scheme). A shadows B when A covers B's
-// entire match space and A strictly precedes B — or the two are the same
-// match and A was installed first. Equal-priority entries with different
-// masks are NOT shadows: the persona tie-breaks on mask specificity, so
-// the narrower entry still wins its own traffic.
+// entire match space and A precedes B: a lower effective priority, or an
+// equal one and an earlier install (the earlier handle, then the earlier
+// position in a proposed batch). Ties go to install order, not to mask
+// specificity, in both the persona and a native switch.
 func checkShadow(comp *hp4c.Compiled, table string, entries []Entry) []Finding {
 	if len(entries) < 2 {
 		return nil
@@ -157,13 +157,8 @@ func checkShadow(comp *hp4c.Compiled, table string, entries []Entry) []Finding {
 				continue
 			}
 			ea, eb := eff(a), eff(b)
-			shadowed := ea < eb
-			if ea == eb && sameMatch(a.Params, b.Params) {
-				// Identical matches: earlier handle (or earlier position in
-				// a proposed batch) wins the tie.
-				shadowed = a.Handle < b.Handle || (a.Handle == b.Handle && ai < bi)
-			}
-			if shadowed {
+			earlier := a.Handle < b.Handle || (a.Handle == b.Handle && ai < bi)
+			if ea < eb || (ea == eb && earlier) {
 				out = append(out, Finding{
 					Code: CodeShadowed, Severity: SevError, Table: table, Handle: b.Handle,
 					Detail: fmt.Sprintf("entry is fully covered by higher-precedence entry %d (priority %d vs %d) and can never match", a.Handle, ea, eb),
@@ -215,36 +210,6 @@ func covers(a, b sim.MatchParam, width int) bool {
 		return a.ValidWant == b.ValidWant
 	}
 	return false
-}
-
-// sameMatch reports whether two entries have bit-identical match params.
-func sameMatch(a, b []sim.MatchParam) bool {
-	for i := range a {
-		p, q := a[i], b[i]
-		switch p.Kind {
-		case ast.MatchExact:
-			if !p.Value.EqualBits(q.Value) {
-				return false
-			}
-		case ast.MatchTernary:
-			if !p.Mask.EqualBits(q.Mask) || !p.Value.And(p.Mask).EqualBits(q.Value.And(q.Mask)) {
-				return false
-			}
-		case ast.MatchLPM:
-			if p.PrefixLen != q.PrefixLen || !p.Value.EqualBits(q.Value) {
-				return false
-			}
-		case ast.MatchRange:
-			if p.Value.Cmp(q.Value) != 0 || p.Hi.Cmp(q.Hi) != 0 {
-				return false
-			}
-		case ast.MatchValid:
-			if p.ValidWant != q.ValidWant {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // sortFindings orders findings deterministically: table, handle, code.
