@@ -31,12 +31,15 @@ race:
 # running: BenchmarkProcessNative, BenchmarkTableLookup, BenchmarkFusedLookup,
 # BenchmarkRunFastComposed, BenchmarkProcessSeqComposed (64- and 1-frame
 # bursts), BenchmarkBuild (fuse.Build, the write path's compile step,
-# with its B/op and allocs/op) and BenchmarkWriteBatchUnderTraffic (a
-# 16-op ctl batch on a fused l2 device while ProcessSeq runs beside it).
+# with its B/op and allocs/op), BenchmarkWriteBatchUnderTraffic (a
+# 16-op ctl batch on a fused l2 device while ProcessSeq runs beside it)
+# and BenchmarkAllStats (one per-vdev stats scrape of an l2 device with
+# 64, 512 and 2048 stations).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkProcessNative|BenchmarkTableLookup' -benchtime 1x ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkFusedLookup|BenchmarkRunFastComposed|BenchmarkProcessSeqComposed|BenchmarkBuild' -benchmem -benchtime 1x ./internal/core/fuse/
 	$(GO) test -run '^$$' -bench 'BenchmarkWriteBatchUnderTraffic' -benchtime 1x ./internal/core/ctl/
+	$(GO) test -run '^$$' -bench 'BenchmarkAllStats' -benchtime 1x ./internal/core/dpmu/
 
 # Short fuzz runs over the management-script parser (no panics, and every
 # rejection is an ErrUnknown / INVALID_ARGUMENT structured error), over

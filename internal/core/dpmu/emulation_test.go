@@ -36,7 +36,7 @@ func newPersonaDPMU(t testing.TB) *DPMU {
 	return d
 }
 
-func compileFn(t *testing.T, name string) *hp4c.Compiled {
+func compileFn(t testing.TB, name string) *hp4c.Compiled {
 	t.Helper()
 	prog, err := functions.Load(name)
 	if err != nil {

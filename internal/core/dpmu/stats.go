@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"hyper4/internal/core/persona"
+	"hyper4/internal/sim"
 )
 
 // This file translates persona-level counters back into per-virtual-device,
@@ -35,23 +36,47 @@ type VDevStats struct {
 	Tables  []VTableStats // sorted by table name
 }
 
-// matchRowHits sums the persona per-entry hit counters of the a_set_match
-// rows in a row set. Rows that vanished (mid-unload) count zero.
-func (d *DPMU) matchRowHits(rows []pentry) int64 {
+// rowHits reads persona per-entry hit counters a table at a time: the
+// first row looked up in a table reads every entry's hits in it under one
+// switch read lock, so a stats call scans each persona table once rather
+// than once per row.
+type rowHits struct {
+	sw     *sim.Switch
+	tables map[string][]int64 // table → hits indexed by handle
+}
+
+func newRowHits(sw *sim.Switch) *rowHits {
+	return &rowHits{sw: sw, tables: map[string][]int64{}}
+}
+
+// sum totals the hits of the a_set_match rows in a row set. Rows that
+// vanished (mid-unload) count zero.
+func (h *rowHits) sum(rows []pentry) int64 {
 	var n int64
 	for _, r := range rows {
 		if !r.Match {
 			continue
 		}
-		if hits, err := d.SW.EntryHits(r.Table, r.Handle); err == nil {
-			n += hits
+		hits, ok := h.tables[r.Table]
+		if !ok {
+			entries, _ := h.sw.TableEntriesOrdered(r.Table)
+			for _, e := range entries {
+				if e.Handle >= len(hits) {
+					hits = append(hits, make([]int64, e.Handle+1-len(hits))...)
+				}
+				hits[e.Handle] = e.Hits()
+			}
+			h.tables[r.Table] = hits
+		}
+		if r.Handle < len(hits) {
+			n += hits[r.Handle]
 		}
 	}
 	return n
 }
 
 // statsFor builds the per-virtual-table view for one device.
-func (d *DPMU) statsFor(v *VDev) VDevStats {
+func (d *DPMU) statsFor(v *VDev, hits *rowHits) VDevStats {
 	st := VDevStats{VDev: v.Name, Owner: v.Owner}
 	st.Packets, st.Bytes, _ = d.SW.CounterRead(persona.CounterVDev, v.PID)
 
@@ -67,7 +92,7 @@ func (d *DPMU) statsFor(v *VDev) VDevStats {
 			byTable[e.Table] = ts
 		}
 		ts.Entries++
-		ts.Hits += d.matchRowHits(e.Rows)
+		ts.Hits += hits.sum(e.Rows)
 	}
 	for table, rows := range v.defaults {
 		ts, ok := byTable[table]
@@ -75,7 +100,7 @@ func (d *DPMU) statsFor(v *VDev) VDevStats {
 			ts = &VTableStats{Table: table}
 			byTable[table] = ts
 		}
-		ts.Misses += d.matchRowHits(rows)
+		ts.Misses += hits.sum(rows)
 	}
 	for _, ts := range byTable {
 		st.Tables = append(st.Tables, *ts)
@@ -94,7 +119,7 @@ func (d *DPMU) StatsForVDev(owner, vdev string) (VDevStats, error) {
 	if err != nil {
 		return VDevStats{}, err
 	}
-	return d.statsFor(v), nil
+	return d.statsFor(v, newRowHits(d.SW)), nil
 }
 
 // AllStats returns every device's statistics, sorted by device name. This is
@@ -104,8 +129,9 @@ func (d *DPMU) AllStats() []VDevStats {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	out := make([]VDevStats, 0, len(d.vdevs))
+	hits := newRowHits(d.SW)
 	for _, name := range d.vdevNames() {
-		out = append(out, d.statsFor(d.vdevs[name]))
+		out = append(out, d.statsFor(d.vdevs[name], hits))
 	}
 	return out
 }

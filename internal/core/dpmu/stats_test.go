@@ -1,6 +1,7 @@
 package dpmu
 
 import (
+	"fmt"
 	"testing"
 
 	"hyper4/internal/functions"
@@ -156,4 +157,30 @@ func vdevEntries(d *DPMU, name string) map[int]string {
 		out[h] = e.Table
 	}
 	return out
+}
+
+// BenchmarkAllStats is the cost of one /metrics scrape of a single l2
+// device holding n stations (two virtual entries each). Its growth from
+// 512 to 2048 stations shows whether reading hits scales with the rows.
+func BenchmarkAllStats(b *testing.B) {
+	for _, n := range []int{64, 512, 2048} {
+		b.Run(fmt.Sprintf("stations=%d", n), func(b *testing.B) {
+			d := newPersonaDPMU(b)
+			if _, err := d.Load("l2", compileFn(b, functions.L2Switch), "op", 0); err != nil {
+				b.Fatal(err)
+			}
+			c := functions.NewL2ControllerFunc(d.Installer("op", "l2"))
+			for i := 0; i < n; i++ {
+				if err := c.AddHost(pkt.MAC{2, 0, 0, 0, byte(i >> 8), byte(i)}, 2); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if st := d.AllStats(); len(st) != 1 {
+					b.Fatalf("stats for %d devices", len(st))
+				}
+			}
+		})
+	}
 }
