@@ -124,27 +124,3 @@ func (t *Tx) SetRateLimit(owner, vdev string, yellowAt, redAt uint64) error {
 func (d *DPMU) TickMeters() error {
 	return d.SW.MeterTick(persona.MeterIngress)
 }
-
-// TrafficStats reports the pipeline passes and bytes a virtual device has
-// consumed (each resubmission and recirculation counts — the quantity that
-// matters for fair sharing of the ingress buffer, §4.5).
-func (d *DPMU) TrafficStats(owner, vdev string) (packets, bytes uint64, err error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	v, err := d.auth(owner, vdev)
-	if err != nil {
-		return 0, 0, err
-	}
-	return d.SW.CounterRead(persona.CounterVDev, v.PID)
-}
-
-// ResetTrafficStats zeroes a device's traffic counters.
-func (d *DPMU) ResetTrafficStats(owner, vdev string) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	v, err := d.auth(owner, vdev)
-	if err != nil {
-		return err
-	}
-	return d.SW.CounterReset(persona.CounterVDev, v.PID)
-}

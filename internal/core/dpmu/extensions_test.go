@@ -283,31 +283,24 @@ func TestTrafficStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fwPkts, fwBytes, err := d.TrafficStats("op", "fw")
+	fw, err := d.StatsForVDev("op", "fw")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fwPkts != 9 {
-		t.Errorf("fw passes = %d, want 9 (3 packets x 3 passes)", fwPkts)
+	if fw.Packets != 9 {
+		t.Errorf("fw passes = %d, want 9 (3 packets x 3 passes)", fw.Packets)
 	}
-	if fwBytes == 0 {
+	if fw.Bytes == 0 {
 		t.Error("fw bytes should be counted")
 	}
-	l2Pkts, _, err := d.TrafficStats("op", "l2")
+	l2, err := d.StatsForVDev("op", "l2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l2Pkts != 0 {
-		t.Errorf("l2 passes = %d, want 0 (no traffic assigned)", l2Pkts)
+	if l2.Packets != 0 {
+		t.Errorf("l2 passes = %d, want 0 (no traffic assigned)", l2.Packets)
 	}
-	if err := d.ResetTrafficStats("op", "fw"); err != nil {
-		t.Fatal(err)
-	}
-	fwPkts, _, _ = d.TrafficStats("op", "fw")
-	if fwPkts != 0 {
-		t.Errorf("after reset = %d", fwPkts)
-	}
-	if _, _, err := d.TrafficStats("mallory", "fw"); err == nil {
+	if _, err := d.StatsForVDev("mallory", "fw"); err == nil {
 		t.Error("foreign stats read should be rejected")
 	}
 }
