@@ -82,36 +82,16 @@ func New(d *dpmu.DPMU) *Ctl {
 // keep working (shutdown drains them separately).
 func (c *Ctl) Close() { c.events.close() }
 
-// Apply validates and applies one op as owner. Single ops need no
-// checkpoint: every DPMU operation already cleans up its own partial rows on
-// failure, so the op is atomic by itself. With a journal attached the op
-// routes through the batch path instead, so it is journaled (and rolled
-// back if the journal append fails) exactly like a one-op WriteBatch.
+// Apply validates and applies one op as owner: a one-op batch, journaled
+// when a journal is attached, whose error names no batch position.
 func (c *Ctl) Apply(owner string, op *Op) (Result, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if c.journal != nil {
-		results, err := c.writeBatchLocked(owner, "", []Op{*op})
-		if err != nil {
-			return Result{}, err
-		}
-		return results[0], nil
-	}
-	var res Result
-	var err error
-	if isPortOp(op.Kind) {
-		res, err = c.applyPortOp(op)
-	} else {
-		err = c.D.Update(func(t *dpmu.Tx) error {
-			res, err = c.applyOp(t, owner, op)
-			return err
-		})
-	}
+	results, err := c.writeBatchLocked(owner, "", []Op{*op})
 	if err != nil {
 		return Result{}, wrap(err, -1)
 	}
-	c.publishOp(op, res)
-	return res, nil
+	return results[0], nil
 }
 
 // WriteBatch applies ops atomically as owner: each op is validated
@@ -158,7 +138,12 @@ func (c *Ctl) writeBatchLocked(owner, requestID string, ops []Op) ([]Result, err
 			return nil, wrap(err, i)
 		}
 	}
-	cp := c.D.Checkpoint()
+	// A lone op needs a checkpoint only if a journal failure may have to
+	// undo it: a failing DPMU operation already cleans up its own rows.
+	var cp *dpmu.Checkpoint
+	if len(ops) > 1 || c.journal != nil {
+		cp = c.D.Checkpoint()
+	}
 	// Transports live outside the DPMU checkpoint, so port attaches are
 	// compensated rather than rolled back: a failing batch detaches the
 	// ports it attached. A detach consumed by a failing batch is NOT
@@ -175,7 +160,9 @@ func (c *Ctl) writeBatchLocked(owner, requestID string, ops []Op) ([]Result, err
 		if isPortOp(ops[i].Kind) {
 			res, err := c.applyPortOp(&ops[i])
 			if err != nil {
-				c.D.Rollback(cp)
+				if cp != nil {
+					c.D.Rollback(cp)
+				}
 				undoPorts()
 				return nil, wrap(err, i)
 			}
@@ -199,7 +186,9 @@ func (c *Ctl) writeBatchLocked(owner, requestID string, ops []Op) ([]Result, err
 			for k := i; k < j; k++ {
 				res, err := c.applyOp(t, owner, &ops[k])
 				if err != nil {
-					t.Rollback(cp)
+					if cp != nil {
+						t.Rollback(cp)
+					}
 					failed = k
 					return err
 				}

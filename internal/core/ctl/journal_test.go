@@ -444,3 +444,20 @@ func TestJournalSnapshotIncludesParkedPorts(t *testing.T) {
 		t.Fatalf("vdevs = %q, want l2", out)
 	}
 }
+
+// TestApplyErrorSameWithJournal: a failing line reports the same error,
+// with no batch position, whether or not a journal is attached.
+func TestApplyErrorSameWithJournal(t *testing.T) {
+	journaled, _ := journaledCtl(t, t.TempDir(), 1000)
+	for _, line := range []string{
+		"nosuch table_add dmac forward 00:00:00:00:00:01 => 1",
+		"load l2 no_such_function",
+		"assign 1 nosuch 1",
+	} {
+		_, bare := NewCLI(newPersonaCtl(t), "op").Exec(line)
+		_, withJournal := NewCLI(journaled, "op").Exec(line)
+		if bare == nil || withJournal == nil || bare.Error() != withJournal.Error() {
+			t.Errorf("%q: without journal %v, with journal %v", line, bare, withJournal)
+		}
+	}
+}
