@@ -199,8 +199,8 @@ func (r CounterRef) Add(idx int, packets, bytes uint64) error {
 
 // RecordHits adds n to the entry's hit counter. Fast-path handlers call
 // it for every installed entry the fused walk matched — once per entry per
-// burst, with the burst's total — so EntryHits, and everything built on
-// it like the DPMU's per-vdev stats, stays conserved between the fused and
+// burst, with the burst's total — so Hits, and everything built on it
+// like the DPMU's per-vdev stats, stays conserved between the fused and
 // interpreted paths.
 func (e *Entry) RecordHits(n int64) { e.hits.Add(n) }
 

@@ -286,24 +286,6 @@ func (sw *Switch) TableMetrics(name string) (TableCounters, error) {
 	}, nil
 }
 
-// EntryHits returns the number of lookups a specific installed entry has won.
-// This is what lets a hypervisor attribute a shared table's traffic back to
-// whoever installed each row (the DPMU's per-vdev stats are built on it).
-func (sw *Switch) EntryHits(tableName string, handle int) (int64, error) {
-	sw.mu.RLock()
-	defer sw.mu.RUnlock()
-	t, err := sw.table(tableName)
-	if err != nil {
-		return 0, err
-	}
-	for _, e := range t.entries {
-		if e.Handle == handle {
-			return e.hits.Load(), nil
-		}
-	}
-	return 0, errNoEntry(tableName, handle)
-}
-
 // sortedNames returns map keys in sorted order (shared by exposition code).
 func sortedNames[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))

@@ -56,11 +56,9 @@ func TestMetricsTableCounters(t *testing.T) {
 	if _, err := sw.TableMetrics("nope"); err == nil {
 		t.Error("TableMetrics on unknown table should error")
 	}
-	if n, err := sw.EntryHits("dmac", h); err != nil || n != 1 {
-		t.Errorf("EntryHits = %d, %v", n, err)
-	}
-	if _, err := sw.EntryHits("dmac", h+99); err == nil {
-		t.Error("EntryHits on unknown handle should error")
+	entries, err := sw.TableEntriesOrdered("dmac")
+	if err != nil || len(entries) != 1 || entries[0].Handle != h || entries[0].Hits() != 1 {
+		t.Errorf("dmac entries = %v, %v; want handle %d with 1 hit", entries, err, h)
 	}
 }
 
