@@ -50,11 +50,12 @@ bench-smoke:
 # re-encodes to a fixpoint), over the word-wide bit operations (each
 # agrees with a bit-at-a-time Bit/SetBit reference), over the shared
 # first-match index (every lookup through random insert/delete sequences
-# agrees with a first-match scan), and over the journal's frame reader (no
+# agrees with a first-match scan), over the journal's frame reader (no
 # panics, and every payload it returns re-encodes to exactly the bytes it
-# consumed). Seeded with a 170 KB snapshot, the
-# snapshot run bounds minimization: at the default 60 s per new input it
-# would spend the whole run minimizing.
+# consumed), and over table-entry admission (the DPMU accepts an entry iff
+# native sim.TableAdd does and its priority is in [0, sim.MaxPriority]).
+# Seeded with a 170 KB snapshot, the snapshot run bounds minimization: at
+# the default 60 s per new input it would spend the whole run minimizing.
 fuzz-smoke:
 	$(GO) test -run FuzzParseLine -fuzz FuzzParseLine -fuzztime 10s ./internal/core/ctl/
 	$(GO) test -run FuzzDecodeRow -fuzz FuzzDecodeRow -fuzztime 10s ./internal/core/persona/rows/
@@ -63,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzBitOps -fuzz FuzzBitOps -fuzztime 10s ./internal/bitfield/
 	$(GO) test -run FuzzIndex -fuzz FuzzIndex -fuzztime 10s ./internal/tuple/
 	$(GO) test -run FuzzReadFrame -fuzz FuzzReadFrame -fuzztime 10s ./internal/core/ctl/
+	$(GO) test -run FuzzEntryAdmission -fuzz FuzzEntryAdmission -fuzztime 10s ./internal/core/dpmu/
 
 # benchmark/ is its own module importing hyper4/internal/...; the bench
 # driver builds it from source, so a PR that deletes or renames a symbol it

@@ -93,9 +93,6 @@ func (t *transportInjectorRC) CloseRecv() error {
 	return t.inner.(pktio.RecvCloser).CloseRecv()
 }
 
-// Inner returns the wrapped transport (tests reach through for LocalAddr).
-func (t *TransportInjector) Inner() pktio.Transport { return t.inner }
-
 // Recv applies the RX-side schedule: stall, injected error, pending
 // duplicate, then the real receive, which may be dropped (swallowed, next
 // frame awaited) or marked for duplication.

@@ -1,6 +1,7 @@
 package ctl
 
 import (
+	"errors"
 	"fmt"
 
 	"hyper4/internal/core/dpmu"
@@ -133,33 +134,19 @@ func (c *Ctl) applyPortOp(op *Op) (Result, error) {
 
 // entrySpec materializes a table_add/table_modify op as a dpmu.EntrySpec,
 // parsing the textual match/argument tokens against the device's compiled
-// program.
+// program: an undeclared table or action is NOT_FOUND.
 func (c *Ctl) entrySpec(t *dpmu.Tx, op *Op) (dpmu.EntrySpec, error) {
 	spec := dpmu.EntrySpec{Table: op.Table, Action: op.Action}
 	v, err := t.VDev(op.VDev)
 	if err != nil {
 		return spec, err
 	}
-	tbl, ok := v.Comp.Prog.Tables[op.Table]
-	if !ok {
-		return spec, fmt.Errorf("program %s has no table %q: %w", v.Comp.Name, op.Table, dpmu.ErrNotFound)
+	spec.Params, spec.Args, spec.Priority, err = runtime.ParseEntry(v.Comp.Prog, op.Table, op.Action, op.Match, op.Args)
+	if err == nil {
+		return spec, nil
 	}
-	act, ok := v.Comp.Actions[op.Action]
-	if !ok {
-		return spec, fmt.Errorf("program %s has no action %q: %w", v.Comp.Name, op.Action, dpmu.ErrNotFound)
+	if ee := (*sim.EntryError)(nil); errors.As(err, &ee) && ee.Undeclared() {
+		return spec, fmt.Errorf("%w: %w", err, dpmu.ErrNotFound)
 	}
-	reads := make([]sim.ReadSpec, len(tbl.Reads))
-	for i, r := range tbl.Reads {
-		reads[i] = sim.ReadSpec{Kind: r.Match, Width: 1}
-		if r.Field != nil {
-			if reads[i].Width, err = v.Comp.Prog.FieldWidth(*r.Field); err != nil {
-				return spec, err
-			}
-		}
-	}
-	spec.Params, spec.Args, spec.Priority, err = runtime.ParseEntry(op.Table, reads, op.Action, len(act.Params), op.Match, op.Args)
-	if err != nil {
-		return spec, invalidf("%s", err)
-	}
-	return spec, nil
+	return spec, invalidf("%s", err)
 }

@@ -106,11 +106,20 @@ func (c *Ctl) WriteBatch(owner string, ops []Op) ([]Result, error) {
 	return c.WriteBatchID(owner, "", ops)
 }
 
+// maxBatchOps caps a batch's op count: packets wait for a whole batch, and
+// its WAL frame stays small. Replay is uncapped, so older logs recover.
+const maxBatchOps = 1024
+
 // WriteBatchID is WriteBatch with idempotency: a non-empty requestID that
 // matches a recently applied batch replays that batch's outcome — results or
 // error — without touching the DPMU, so a client retrying after a lost
-// response applies its ops exactly once. An empty requestID never dedups.
+// response applies its ops exactly once. An empty requestID never dedups. A
+// batch of more than maxBatchOps ops is RESOURCE_EXHAUSTED and changes
+// nothing.
 func (c *Ctl) WriteBatchID(owner, requestID string, ops []Op) ([]Result, error) {
+	if len(ops) > maxBatchOps {
+		return nil, &Error{Code: CodeExhausted, Op: -1, Msg: fmt.Sprintf("batch of %d ops exceeds %d", len(ops), maxBatchOps)}
+	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if requestID != "" {
@@ -324,9 +333,9 @@ func (c *Ctl) Read(owner string, q *Query) (*ReadResult, error) {
 		}
 		return &ReadResult{Stats: &st}, nil
 	case "health":
-		// Querying advances the breaker state machine (SyncHealth runs
-		// inside Health), so polling health is also what drives time-based
-		// quarantine → probing → healthy transitions.
+		// Querying advances the breaker state machine (Health runs its
+		// time-based transitions first), so polling health is also what
+		// drives quarantine → probing → healthy.
 		snap := c.D.Health()
 		if q.VDev != "" {
 			for _, v := range snap.VDevs {

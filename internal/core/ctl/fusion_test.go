@@ -17,7 +17,7 @@ func dmacAdds(n int) []Op {
 	ops := make([]Op, n)
 	for i := range ops {
 		ops[i] = Op{Kind: OpTableAdd, VDev: "l2", Table: "dmac", Action: "forward",
-			Match: []string{fmt.Sprintf("02:01:00:00:00:%02x", i)}, Args: []string{"2"}}
+			Match: []string{fmt.Sprintf("02:01:00:00:%02x:%02x", i>>8, i&0xff)}, Args: []string{"2"}}
 	}
 	return ops
 }

@@ -253,6 +253,29 @@ func TestJournalRetryAfterCrashAppliesOnce(t *testing.T) {
 	}
 }
 
+// TestJournalReplaysBatchOverCap: replay is not held to maxBatchOps, so a
+// log holding a larger batch, written before the cap, still recovers.
+func TestJournalReplaysBatchOverCap(t *testing.T) {
+	dir := t.TempDir()
+	victim, _ := journaledCtl(t, dir, 1000)
+	if _, err := victim.WriteBatch("op", []Op{{Kind: OpLoadVDev, VDev: "l2", Function: "l2_switch"}}); err != nil {
+		t.Fatal(err)
+	}
+	victim.wmu.Lock()
+	_, err := victim.writeBatchLocked("op", "", dmacAdds(maxBatchOps+1))
+	victim.wmu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered, sum := journaledCtl(t, dir, 1000)
+	if sum.Replayed != 2 {
+		t.Fatalf("replayed %d batches, want 2", sum.Replayed)
+	}
+	if mustDump(t, recovered) != mustDump(t, victim) {
+		t.Error("recovered state differs from the state the log recorded")
+	}
+}
+
 // TestJournalSnapshotRotation: with snapshotEvery=2 a 7-op workload rotates
 // into a snapshot plus a short tail, and recovery = snapshot restore + tail
 // replay, byte-identical to the twin.

@@ -271,3 +271,34 @@ func TestLocalRemoteParity(t *testing.T) {
 		t.Fatalf("forwarding differs: local %+v (%v) remote %+v (%v)", lOuts, lErr, rOuts, rErr)
 	}
 }
+
+// TestWriteBatchOpCap: a batch of maxBatchOps ops applies, and one op more
+// is RESOURCE_EXHAUSTED, in process and through /v1/write, with the state
+// unchanged by the rejection.
+func TestWriteBatchOpCap(t *testing.T) {
+	c, client := serveCtl(t)
+	if _, err := client.Write([]Op{{Kind: OpLoadVDev, VDev: "l2", Function: "l2_switch"}}); err != nil {
+		t.Fatal(err)
+	}
+	adds := dmacAdds(2 * maxBatchOps)
+	writes := []struct {
+		name  string
+		write func([]Op) ([]Result, error)
+	}{
+		{"WriteBatch", func(ops []Op) ([]Result, error) { return c.WriteBatch("op", ops) }},
+		{"/v1/write", client.Write},
+	}
+	for i, w := range writes {
+		before := mustDump(t, c)
+		if _, err := w.write(adds[:maxBatchOps+1]); CodeOf(err) != CodeExhausted {
+			t.Errorf("%s: %d ops: %v, want RESOURCE_EXHAUSTED", w.name, maxBatchOps+1, err)
+		}
+		if mustDump(t, c) != before {
+			t.Errorf("%s: the rejected batch changed state", w.name)
+		}
+		results, err := w.write(adds[i*maxBatchOps : (i+1)*maxBatchOps])
+		if err != nil || len(results) != maxBatchOps {
+			t.Fatalf("%s: %d ops: %d results, %v", w.name, maxBatchOps, len(results), err)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package dpmu
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"hyper4/internal/core/hp4c"
 	"hyper4/internal/core/persona"
 	"hyper4/internal/core/persona/rows"
+	"hyper4/internal/core/verify"
 	"hyper4/internal/p4/ast"
 	"hyper4/internal/p4/hlir"
 	"hyper4/internal/sim"
@@ -155,31 +157,36 @@ type EntrySpec struct {
 	Priority int              `json:"priority,omitempty"`
 }
 
-// resolveSpec validates an EntrySpec against a device's compiled program and
-// returns the table declaration and compiled action it names.
+// resolveSpec holds an EntrySpec to the entry contract (sim.CheckEntry and
+// sim.CheckPriority) and to the DPMU's own rule, a table the program
+// applies, and returns the table declaration and compiled action it names.
 func resolveSpec(v *VDev, spec EntrySpec) (*ast.Table, *hp4c.CompiledAction, error) {
-	slots, ok := v.Comp.Slots[spec.Table]
-	if !ok || len(slots) == 0 {
-		return nil, nil, fmt.Errorf("dpmu: program %s has no (reachable) table %q: %w", v.Comp.Name, spec.Table, ErrNotFound)
+	err := sim.CheckEntry(v.Comp.Prog, spec.Table, spec.Action, spec.Params, len(spec.Args))
+	if err == nil {
+		err = sim.CheckPriority(spec.Priority)
 	}
-	tbl := v.Comp.Prog.Tables[spec.Table]
-	if len(spec.Params) != len(tbl.Reads) {
-		return nil, nil, fmt.Errorf("dpmu: table %s wants %d match params, got %d: %w", spec.Table, len(tbl.Reads), len(spec.Params), ErrInvalid)
+	if err != nil {
+		return nil, nil, contractErr(err)
 	}
-	ca, ok := v.Comp.Actions[spec.Action]
-	if !ok {
-		return nil, nil, fmt.Errorf("dpmu: program %s has no action %q: %w", v.Comp.Name, spec.Action, ErrNotFound)
+	if len(v.Comp.Slots[spec.Table]) == 0 {
+		return nil, nil, fmt.Errorf("dpmu: program %s never applies table %q: %w", v.Comp.Name, spec.Table, ErrNotFound)
 	}
-	if len(spec.Args) != len(ca.Params) {
-		return nil, nil, fmt.Errorf("dpmu: action %s wants %d args, got %d: %w", spec.Action, len(ca.Params), len(spec.Args), ErrInvalid)
+	return v.Comp.Prog.Tables[spec.Table], v.Comp.Actions[spec.Action], nil
+}
+
+// contractErr classifies an entry-contract error: an undeclared table or
+// action is ErrNotFound, any other breach ErrInvalid.
+func contractErr(err error) error {
+	if ee := (*sim.EntryError)(nil); errors.As(err, &ee) && ee.Undeclared() {
+		return fmt.Errorf("dpmu: %w: %w", err, ErrNotFound)
 	}
-	return tbl, ca, nil
+	return fmt.Errorf("dpmu: %w: %w", err, ErrInvalid)
 }
 
 // installSpec installs the stage-replica rows realizing one EntrySpec.
 func (d *DPMU) installSpec(v *VDev, tbl *ast.Table, ca *hp4c.CompiledAction, spec EntrySpec, rows *[]pentry) error {
 	for _, slot := range v.Comp.Slots[spec.Table] {
-		if !slotAcceptsEntry(v.Comp, tbl, slot, spec.Params) {
+		if !verify.SlotAccepts(tbl, slot, spec.Params) {
 			continue
 		}
 		if err := d.installReplica(v, slot, tbl, ca, spec.Params, spec.Args, spec.Priority, rows); err != nil {
@@ -273,17 +280,14 @@ func (t *Tx) SetDefault(owner, vdev, table, action string, args []bitfield.Value
 	if err != nil {
 		return err
 	}
+	if err := sim.CheckAction(v.Comp.Prog, table, action, len(args)); err != nil {
+		return contractErr(err)
+	}
 	slots, ok := v.Comp.Slots[table]
 	if !ok {
-		return fmt.Errorf("dpmu: program %s has no table %q: %w", v.Comp.Name, table, ErrNotFound)
+		return fmt.Errorf("dpmu: program %s never applies table %q: %w", v.Comp.Name, table, ErrNotFound)
 	}
-	ca, ok := v.Comp.Actions[action]
-	if !ok {
-		return fmt.Errorf("dpmu: program %s has no action %q: %w", v.Comp.Name, action, ErrNotFound)
-	}
-	if len(args) != len(ca.Params) {
-		return fmt.Errorf("dpmu: action %s wants %d args, got %d: %w", action, len(ca.Params), len(args), ErrInvalid)
-	}
+	ca := v.Comp.Actions[action]
 	if old, ok := v.defaults[table]; ok {
 		d.removeRows(old)
 		delete(v.defaults, table)
@@ -304,22 +308,6 @@ func (t *Tx) SetDefault(owner, vdev, table, action string, args []bitfield.Value
 	v.defaults[table] = rows
 	v.defSpecs[table] = EntrySpec{Table: table, Action: action, Args: args}
 	return nil
-}
-
-// slotAcceptsEntry reports whether a valid()-matching entry belongs on a
-// slot's parse path (a valid=1 entry cannot live on a path where the header
-// was never extracted, and vice versa).
-func slotAcceptsEntry(comp *hp4c.Compiled, tbl *ast.Table, slot *hp4c.Slot, params []sim.MatchParam) bool {
-	for i, r := range tbl.Reads {
-		if r.Match != ast.MatchValid {
-			continue
-		}
-		isValid := slot.Path.Valid[r.Header.Instance]
-		if params[i].ValidWant != isValid {
-			return false
-		}
-	}
-	return true
 }
 
 // installReplica installs the match row + primitive rows for one slot.
@@ -435,8 +423,6 @@ func (d *DPMU) matchFor(v *VDev, slot *hp4c.Slot, tbl *ast.Table, params []sim.M
 				if !d.skewLPM {
 					extraPrio += w - p.PrefixLen
 				}
-			default:
-				return nil, 0, fmt.Errorf("dpmu: match kind %s not translatable: %w", p.Kind, ErrInvalid)
 			}
 		}
 		return []sim.MatchParam{sim.Exact(pid), sim.Exact(bitfield.FromUint(persona.SlotWidth, uint64(slot.ID))), sim.Ternary(value, mask)}, extraPrio, nil
@@ -445,9 +431,6 @@ func (d *DPMU) matchFor(v *VDev, slot *hp4c.Slot, tbl *ast.Table, params []sim.M
 		ving := sim.Ternary(bitfield.New(persona.VPortWidth), bitfield.New(persona.VPortWidth))
 		vport := sim.Ternary(bitfield.New(persona.VPortWidth), bitfield.New(persona.VPortWidth))
 		for i, r := range tbl.Reads {
-			if r.Field == nil || r.Field.Instance != hlir.StandardMetadata {
-				return nil, 0, fmt.Errorf("dpmu: stdmeta slot with non-stdmeta read")
-			}
 			p := params[i]
 			val, m := p.Value, p.Mask
 			if p.Kind == ast.MatchExact {
@@ -465,8 +448,6 @@ func (d *DPMU) matchFor(v *VDev, slot *hp4c.Slot, tbl *ast.Table, params []sim.M
 		}
 		return []sim.MatchParam{sim.Exact(pid), sim.Exact(bitfield.FromUint(persona.SlotWidth, uint64(slot.ID))), ving, vport}, 0, nil
 
-	case persona.NTMatchless:
-		return nil, 0, fmt.Errorf("dpmu: table %s takes no entries; use SetDefault: %w", tbl.Name, ErrInvalid)
 	}
 	return nil, 0, fmt.Errorf("dpmu: bad slot kind %d", slot.Kind)
 }

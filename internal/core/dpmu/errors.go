@@ -12,8 +12,8 @@ var (
 	ErrNotFound = errors.New("not found")
 	// ErrPermission: the requester is not authorized for the device (§4.5).
 	ErrPermission = errors.New("permission denied")
-	// ErrInvalid: the operation is malformed — wrong arity, untranslatable
-	// match kind, entry on a matchless table, or similar.
+	// ErrInvalid: the operation is malformed — an entry the table does not
+	// admit (sim.CheckEntry), an entry no parse path takes, or similar.
 	ErrInvalid = errors.New("invalid argument")
 	// ErrExhausted: the device's entry quota (memory isolation, §4.5) is
 	// spent.

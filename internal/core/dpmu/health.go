@@ -17,8 +17,8 @@ package dpmu
 // has its own leaf mutex; everything the hook touches (the pid map, the
 // breakers, the sim quarantine table — the latter lock-free atomics) is
 // reachable under that mutex alone. Time-based transitions (quarantined →
-// probing → healthy) and bypass rewiring need d.mu and happen in SyncHealth,
-// called from every health query and management surface. Lock order: d.mu
+// probing → healthy) and bypass rewiring need d.mu and happen in
+// syncHealthLocked, which every health query runs first. Lock order: d.mu
 // before health.mu, never the reverse — and, for the same reason the hook
 // cannot take d.mu, the switch write lock must never be requested while
 // health.mu is held: a faulting packet holds the switch read lock and blocks
@@ -236,7 +236,7 @@ func (d *DPMU) unregisterHealth(name string) {
 // resyncHealth reconciles the tracker with the live vdev set after a
 // rollback: records for vanished devices are dropped, new devices start
 // healthy, surviving devices keep their breaker state. Bypass flags reset so
-// the next SyncHealth re-enforces rewiring against the restored rows.
+// the next syncHealthLocked re-enforces rewiring against the restored rows.
 func (d *DPMU) resyncHealth() {
 	h := &d.health
 	h.mu.Lock()
@@ -285,18 +285,12 @@ func (d *DPMU) onFault(f *sim.PacketFault) {
 	}
 }
 
-// SyncHealth advances time-based breaker transitions: degraded devices whose
-// windows emptied become healthy, quarantined devices past OpenFor enter
-// half-open probing, probing devices that consumed their whole budget
-// cleanly are restored. Bypass rewiring is enforced/undone here (it needs
-// d.mu). Every health query calls this, so the state machine advances
-// whenever anyone looks.
-func (d *DPMU) SyncHealth() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.syncHealthLocked()
-}
-
+// syncHealthLocked advances time-based breaker transitions: degraded
+// devices whose windows emptied become healthy, quarantined devices past
+// OpenFor enter half-open probing, probing devices that consumed their whole
+// budget cleanly are restored. Bypass rewiring is enforced/undone here (it
+// needs d.mu, which the caller holds). Every health query calls this, so the
+// state machine advances whenever anyone looks.
 func (d *DPMU) syncHealthLocked() {
 	h := &d.health
 	h.mu.Lock()

@@ -345,9 +345,6 @@ func (eng *Engine) Plans() int { return len(eng.plans) }
 // Fused reports whether the given PID has a fused plan.
 func (eng *Engine) Fused(pid int) bool { return eng.plans[pid] != nil }
 
-// BuiltAgainst returns the switch generation the engine was compiled from.
-func (eng *Engine) BuiltAgainst() uint64 { return eng.gen }
-
 // buildPlan fuses one vdev from its decoded rows m (nil when its PID is out
 // of range). A nil plan means the vdev
 // stays fully interpreted; the findings say why. A non-nil plan may still

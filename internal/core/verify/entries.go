@@ -1,8 +1,10 @@
 package verify
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 
 	"hyper4/internal/bitfield"
@@ -25,12 +27,10 @@ func Entries(comp *hp4c.Compiled, entries []Entry) []Finding {
 	var out []Finding
 	byTable := map[string][]Entry{}
 	for _, e := range entries {
-		f, ok := checkEntry(comp, e)
-		if !ok {
-			out = append(out, f...)
+		if f, bad := checkEntry(comp, e); bad {
+			out = append(out, f)
 			continue
 		}
-		out = append(out, f...)
 		byTable[e.Table] = append(byTable[e.Table], e)
 	}
 	tables := make([]string, 0, len(byTable))
@@ -45,73 +45,51 @@ func Entries(comp *hp4c.Compiled, entries []Entry) []Finding {
 	return out
 }
 
-// checkEntry validates one entry's declarations. ok reports whether the
-// entry is well-formed enough to participate in shadow analysis.
-func checkEntry(comp *hp4c.Compiled, e Entry) (fs []Finding, ok bool) {
+// entryCodes names each breach of the entry contract (sim.CheckEntry,
+// sim.CheckPriority) as a finding code.
+var entryCodes = map[sim.EntryReason]string{
+	sim.NoTable:     CodeUndeclaredTable,
+	sim.NoAction:    CodeUndeclaredAction,
+	sim.NotAllowed:  CodeUndeclaredAction,
+	sim.BadShape:    CodeArity,
+	sim.BadPriority: CodePriorityRange,
+}
+
+// checkEntry reports an entry's first violation of the rules the DPMU
+// admits it by: the entry contract, a table the program applies, and a
+// parse-path slot its valid() params fit.
+func checkEntry(comp *hp4c.Compiled, e Entry) (f Finding, bad bool) {
+	f = Finding{Severity: SevError, Table: e.Table, Handle: e.Handle}
+	err := sim.CheckEntry(comp.Prog, e.Table, e.Action, e.Params, len(e.Args))
+	if err == nil {
+		err = sim.CheckPriority(e.Priority)
+	}
 	slots := comp.Slots[e.Table]
-	if len(slots) == 0 {
-		return []Finding{{
-			Code: CodeUndeclaredTable, Severity: SevError, Table: e.Table, Handle: e.Handle,
-			Detail: fmt.Sprintf("program %s has no (reachable) table %q", comp.Name, e.Table),
-		}}, false
+	var ee *sim.EntryError
+	switch {
+	case errors.As(err, &ee):
+		f.Code, f.Detail = entryCodes[ee.Reason], ee.Msg
+	case len(slots) == 0:
+		f.Code, f.Detail = CodeUndeclaredTable, fmt.Sprintf("program %s never applies table %q", comp.Name, e.Table)
+	case !slices.ContainsFunc(slots, func(s *hp4c.Slot) bool { return SlotAccepts(comp.Prog.Tables[e.Table], s, e.Params) }):
+		f.Code, f.Detail = CodeUnreachable, fmt.Sprintf("entry's valid() constraints match no parse path of table %s", e.Table)
+	default:
+		return Finding{}, false
 	}
-	tbl := comp.Prog.Tables[e.Table]
-	if len(e.Params) != len(tbl.Reads) {
-		return []Finding{{
-			Code: CodeArity, Severity: SevError, Table: e.Table, Handle: e.Handle,
-			Detail: fmt.Sprintf("table %s wants %d match params, entry has %d", e.Table, len(tbl.Reads), len(e.Params)),
-		}}, false
-	}
+	return f, true
+}
+
+// SlotAccepts reports whether an entry's valid() params fit a slot's parse
+// path: a valid=1 entry cannot live on a path that never extracts the
+// header, nor a valid=0 entry on one that does. The DPMU installs an entry
+// on the slots it accepts, and verify finds an entry no slot accepts.
+func SlotAccepts(tbl *ast.Table, slot *hp4c.Slot, params []sim.MatchParam) bool {
 	for i, r := range tbl.Reads {
-		if e.Params[i].Kind != r.Match {
-			fs = append(fs, Finding{
-				Code: CodeArity, Severity: SevError, Table: e.Table, Handle: e.Handle,
-				Detail: fmt.Sprintf("match param %d is %s, table read is %s", i, e.Params[i].Kind, r.Match),
-			})
+		if r.Match == ast.MatchValid && params[i].ValidWant != slot.Path.Valid[r.Header.Instance] {
+			return false
 		}
 	}
-	ca, declared := comp.Actions[e.Action]
-	if !declared {
-		fs = append(fs, Finding{
-			Code: CodeUndeclaredAction, Severity: SevError, Table: e.Table, Handle: e.Handle,
-			Detail: fmt.Sprintf("program %s has no action %q", comp.Name, e.Action),
-		})
-	} else if len(e.Args) != len(ca.Params) {
-		fs = append(fs, Finding{
-			Code: CodeArity, Severity: SevError, Table: e.Table, Handle: e.Handle,
-			Detail: fmt.Sprintf("action %s wants %d args, entry has %d", e.Action, len(ca.Params), len(e.Args)),
-		})
-	}
-	if len(fs) > 0 {
-		return fs, false
-	}
-	// Reachability: a valid()-matching entry must land on at least one
-	// parse-path slot (mirrors the DPMU's slot filter, which would reject
-	// the install at runtime; here it is an admission finding).
-	reachable := false
-	for _, slot := range slots {
-		accepts := true
-		for i, r := range tbl.Reads {
-			if r.Match != ast.MatchValid {
-				continue
-			}
-			if e.Params[i].ValidWant != slot.Path.Valid[r.Header.Instance] {
-				accepts = false
-				break
-			}
-		}
-		if accepts {
-			reachable = true
-			break
-		}
-	}
-	if !reachable {
-		return []Finding{{
-			Code: CodeUnreachable, Severity: SevError, Table: e.Table, Handle: e.Handle,
-			Detail: fmt.Sprintf("entry's valid() constraints match no parse path of table %s", e.Table),
-		}}, false
-	}
-	return nil, true
+	return true
 }
 
 // checkShadow reports entries that can never win a lookup in one table.
@@ -126,21 +104,12 @@ func checkShadow(comp *hp4c.Compiled, table string, entries []Entry) []Finding {
 	if len(entries) < 2 {
 		return nil
 	}
-	tbl := comp.Prog.Tables[table]
-	widths := make([]int, len(tbl.Reads))
-	for i, r := range tbl.Reads {
-		widths[i] = 1
-		if r.Field != nil {
-			if w, err := comp.Prog.FieldWidth(*r.Field); err == nil {
-				widths[i] = w
-			}
-		}
-	}
+	reads, _ := sim.TableReads(comp.Prog, table)
 	eff := func(e Entry) int {
 		p := e.Priority
-		for i, r := range tbl.Reads {
-			if r.Match == ast.MatchLPM {
-				p += widths[i] - e.Params[i].PrefixLen
+		for i, r := range reads {
+			if r.Kind == ast.MatchLPM {
+				p += r.Width - e.Params[i].PrefixLen
 			}
 		}
 		return p
@@ -153,7 +122,7 @@ func checkShadow(comp *hp4c.Compiled, table string, entries []Entry) []Finding {
 				continue
 			}
 			a := entries[ai]
-			if !coversAll(a.Params, b.Params, widths) {
+			if !coversAll(a.Params, b.Params, reads) {
 				continue
 			}
 			ea, eb := eff(a), eff(b)
@@ -172,9 +141,9 @@ func checkShadow(comp *hp4c.Compiled, table string, entries []Entry) []Finding {
 
 // coversAll reports whether entry A's match space contains entry B's: every
 // packet matching B also matches A, read by read.
-func coversAll(a, b []sim.MatchParam, widths []int) bool {
+func coversAll(a, b []sim.MatchParam, reads []sim.ReadSpec) bool {
 	for i := range a {
-		if !covers(a[i], b[i], widths[i]) {
+		if !covers(a[i], b[i], reads[i].Width) {
 			return false
 		}
 	}

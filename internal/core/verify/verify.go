@@ -46,11 +46,15 @@ const (
 	// declare (or one compiled away as unreachable).
 	CodeUndeclaredTable = "undeclared-table"
 	// CodeUndeclaredAction: an entry or compiled artifact names an action
-	// the program (or persona) doesn't declare.
+	// the program (or persona) doesn't declare, or an entry names one its
+	// table doesn't list.
 	CodeUndeclaredAction = "undeclared-action"
 	// CodeArity: match params or action args don't line up with the
-	// declaration (count or kind).
+	// declaration (count, kind, key width or LPM prefix length).
 	CodeArity = "bad-arity"
+	// CodePriorityRange: an entry's priority lies outside [0,
+	// sim.MaxPriority], where the DPMU's path bands would misorder it.
+	CodePriorityRange = "priority-range"
 	// CodeShadowed: an entry can never win a lookup because an
 	// earlier/higher-precedence entry covers its entire match space.
 	CodeShadowed = "shadowed-entry"

@@ -102,7 +102,7 @@ func AnalyzePHV(p *hlir.Program, spec Spec) PHVUsage {
 func AnalyzeTrace(sw *sim.Switch, tr *sim.Trace, spec Spec) (*Analysis, error) {
 	a := &Analysis{Spec: spec, PHV: AnalyzePHV(sw.Program(), spec)}
 	for _, ap := range tr.ApplyLog {
-		reads, err := sw.TableReads(ap.Table)
+		reads, err := sim.TableReads(sw.Program(), ap.Table)
 		if err != nil {
 			return nil, fmt.Errorf("rmt: %w", err)
 		}

@@ -106,8 +106,8 @@ func (sw *Switch) dump() *SwitchDump {
 	return d
 }
 
-// CheckDump holds every entry of a dump to the switch's program with the
-// checks TableAdd makes, so a dump decoded from outside — a journal
+// CheckDump holds every entry of a dump to the entry contract TableAdd
+// holds it to (CheckEntry), so a dump decoded from outside — a journal
 // snapshot — is never restored past its shape: an unknown or disallowed
 // action, a wrong arg count, or a wrong param count, kind or width is an
 // error naming the table and handle. Tables the switch lacks are skipped,
@@ -121,12 +121,11 @@ func (sw *Switch) CheckDump(d *SwitchDump) error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		t, ok := sw.tables[name]
-		if !ok {
+		if _, ok := sw.tables[name]; !ok {
 			continue
 		}
 		for _, ed := range d.Tables[name].Entries {
-			if _, err := sw.checkEntry(t, ed.Action, ed.Params, ed.Args); err != nil {
+			if err := CheckEntry(sw.prog, name, ed.Action, ed.Params, len(ed.Args)); err != nil {
 				return fmt.Errorf("entry %d: %w", ed.Handle, err)
 			}
 		}

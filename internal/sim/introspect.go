@@ -1,39 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"sort"
-
-	"hyper4/internal/p4/ast"
-)
-
-// ReadSpec describes one match key of a table: its kind and bit width.
-type ReadSpec struct {
-	Kind  ast.MatchKind
-	Width int
-}
-
-// TableReads returns the match key specification of a table.
-func (sw *Switch) TableReads(name string) ([]ReadSpec, error) {
-	t, err := sw.table(name)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ReadSpec, len(t.decl.Reads))
-	for i, r := range t.decl.Reads {
-		out[i] = ReadSpec{Kind: r.Match, Width: t.keyWidths[i]}
-	}
-	return out, nil
-}
-
-// ActionParams returns the parameter names of an action.
-func (sw *Switch) ActionParams(name string) ([]string, error) {
-	a, ok := sw.prog.Actions[name]
-	if !ok {
-		return nil, fmt.Errorf("sim: no action %q", name)
-	}
-	return append([]string(nil), a.Params...), nil
-}
+import "sort"
 
 // TableNames returns all table names, sorted.
 func (sw *Switch) TableNames() []string {

@@ -35,6 +35,7 @@ import (
 
 	"hyper4/internal/bitfield"
 	"hyper4/internal/p4/ast"
+	"hyper4/internal/p4/hlir"
 	"hyper4/internal/pkt"
 	"hyper4/internal/sim"
 )
@@ -184,15 +185,7 @@ func (r *Runtime) tableAdd(args []string) (string, error) {
 	}
 	tableName, action := args[0], args[1]
 	matchToks, argToks := SplitEntry(args[2:])
-	reads, err := r.SW.TableReads(tableName)
-	if err != nil {
-		return "", err
-	}
-	actParams, err := r.SW.ActionParams(action)
-	if err != nil {
-		return "", err
-	}
-	params, actionArgs, priority, err := ParseEntry(tableName, reads, action, len(actParams), matchToks, argToks)
+	params, actionArgs, priority, err := ParseEntry(r.SW.Program(), tableName, action, matchToks, argToks)
 	if err != nil {
 		return "", err
 	}
@@ -238,12 +231,22 @@ func SplitEntry(toks []string) (match, args []string) {
 	return toks, nil
 }
 
-// ParseEntry parses a table_add's match tokens against the table's reads
-// and its argument tokens against an action taking nargs arguments. A table
+// ParseEntry parses a table_add's match tokens against the reads of prog's
+// table and its argument tokens against the action's parameters. A table
 // with a ternary, LPM or range read takes an optional priority after the
-// arguments (lower wins); otherwise the priority is 0. The switch CLI and
-// the control plane (internal/core/ctl) both parse entries through it.
-func ParseEntry(table string, reads []sim.ReadSpec, action string, nargs int, matchToks, argToks []string) (params []sim.MatchParam, args []bitfield.Value, priority int, err error) {
+// arguments (lower wins), held to [0, sim.MaxPriority]; otherwise the
+// priority is 0. An undeclared table or action is a *sim.EntryError. The
+// switch CLI and the control plane (internal/core/ctl) both parse entries
+// through it.
+func ParseEntry(prog *hlir.Program, table, action string, matchToks, argToks []string) (params []sim.MatchParam, args []bitfield.Value, priority int, err error) {
+	reads, err := sim.TableReads(prog, table)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	nargs, err := sim.ActionArity(prog, action)
+	if err != nil {
+		return nil, nil, 0, err
+	}
 	if len(matchToks) != len(reads) {
 		return nil, nil, 0, fmt.Errorf("table %s wants %d match fields, got %d", table, len(reads), len(matchToks))
 	}
@@ -259,6 +262,9 @@ func ParseEntry(table string, reads []sim.ReadSpec, action string, nargs int, ma
 		last := argToks[nargs]
 		if priority, err = strconv.Atoi(last); err != nil {
 			return nil, nil, 0, fmt.Errorf("bad priority %q", last)
+		}
+		if err = sim.CheckPriority(priority); err != nil {
+			return nil, nil, 0, err
 		}
 		argToks = argToks[:nargs]
 	}

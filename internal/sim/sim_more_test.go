@@ -95,21 +95,20 @@ control ingress { apply(t); }
 
 func TestIntrospection(t *testing.T) {
 	sw := load(t, l2Src)
-	reads, err := sw.TableReads("dmac")
+	reads, err := TableReads(sw.Program(), "dmac")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(reads) != 1 || reads[0].Kind != ast.MatchExact || reads[0].Width != 48 {
 		t.Errorf("reads: %+v", reads)
 	}
-	if _, err := sw.TableReads("ghost"); err == nil {
+	if _, err := TableReads(sw.Program(), "ghost"); err == nil {
 		t.Error("unknown table should error")
 	}
-	params, err := sw.ActionParams("forward")
-	if err != nil || len(params) != 1 || params[0] != "port" {
-		t.Errorf("params: %v, %v", params, err)
+	if n, err := ActionArity(sw.Program(), "forward"); err != nil || n != 1 {
+		t.Errorf("arity: %d, %v", n, err)
 	}
-	if _, err := sw.ActionParams("ghost"); err == nil {
+	if _, err := ActionArity(sw.Program(), "ghost"); err == nil {
 		t.Error("unknown action should error")
 	}
 	names := sw.TableNames()

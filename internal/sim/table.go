@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -59,11 +58,11 @@ type readInfo struct {
 // masks and the index returns the entry a scan of entries would. A table
 // with a range read has no index and scans entries: a range is no mask.
 type table struct {
-	decl      *ast.Table
-	lay       *layout
-	reads     []readInfo
-	keyWidths []int // width of each read key
-	allExact  bool  // exact and valid reads only: duplicate keys are rejected
+	decl     *ast.Table
+	lay      *layout
+	reads    []readInfo
+	spec     []ReadSpec // each read's kind and key width
+	allExact bool       // exact and valid reads only: duplicate keys are rejected
 
 	entries    []*Entry
 	ix         *tuple.Index[*Entry] // nil when a read is a range
@@ -95,7 +94,7 @@ func newTable(lay *layout, decl *ast.Table) (*table, error) {
 			ri.width = ri.f.loc.width
 		}
 		t.reads = append(t.reads, ri)
-		t.keyWidths = append(t.keyWidths, ri.width)
+		t.spec = append(t.spec, ReadSpec{Kind: r.Match, Width: ri.width})
 		if r.Match != ast.MatchExact && r.Match != ast.MatchValid {
 			t.allExact = false
 		}
@@ -145,10 +144,10 @@ func (t *table) appendKey(buf []byte, ps *packetState) ([]byte, error) {
 // entry that does not fit its table cannot shift the reads after it. Both
 // slices live in t.scratch until the next call.
 func (t *table) entryKey(params []MatchParam) (mask, val []byte) {
-	params = params[:min(len(params), len(t.keyWidths))]
+	params = params[:min(len(params), len(t.spec))]
 	b := t.scratch[:0]
 	for i := range params {
-		p, w := &params[i], t.keyWidths[i]
+		p, w := &params[i], t.spec[i].Width
 		switch p.Kind {
 		case ast.MatchTernary:
 			b = appendBytes(b, p.Mask.View(), (w+7)/8)
@@ -162,7 +161,7 @@ func (t *table) entryKey(params []MatchParam) (mask, val []byte) {
 	}
 	n := len(b)
 	for i := range params {
-		p, w := &params[i], t.keyWidths[i]
+		p, w := &params[i], t.spec[i].Width
 		v := p.Value.View()
 		if p.Kind == ast.MatchValid {
 			v = []byte{0}
@@ -334,63 +333,21 @@ func entryLess(a, b *Entry) bool {
 func (sw *Switch) table(name string) (*table, error) {
 	t, ok := sw.tables[name]
 	if !ok {
-		return nil, fmt.Errorf("sim: no table %q", name)
+		return nil, entryErr(NoTable, "no table %q", name)
 	}
 	return t, nil
 }
 
-// allowedAction resolves an action the control plane installs into t: it
-// must be declared, be one t allows, and take len(args) arguments.
-func (sw *Switch) allowedAction(t *table, name string, args []bitfield.Value) (*action, error) {
-	act, ok := sw.code.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("sim: no action %q", name)
-	}
-	if !slices.Contains(t.decl.Actions, name) {
-		return nil, fmt.Errorf("sim: table %s does not allow action %q", t.decl.Name, name)
-	}
-	if len(args) != act.params {
-		return nil, fmt.Errorf("sim: action %s wants %d args, got %d", name, act.params, len(args))
-	}
-	return act, nil
-}
-
-// checkEntry holds one entry to t's shape: its params line up with t's
-// reads in number, match kind and width, and allowedAction accepts its
-// action and args. TableAdd runs it on every add and CheckDump on every
-// entry of a dump before it is restored.
-func (sw *Switch) checkEntry(t *table, action string, params []MatchParam, args []bitfield.Value) (*action, error) {
-	name := t.decl.Name
-	if len(params) != len(t.decl.Reads) {
-		return nil, fmt.Errorf("sim: table %s wants %d match params, got %d", name, len(t.decl.Reads), len(params))
-	}
-	act, err := sw.allowedAction(t, action, args)
-	if err != nil {
-		return nil, err
-	}
-	for i, p := range params {
-		want := t.decl.Reads[i].Match
-		if p.Kind != want {
-			return nil, fmt.Errorf("sim: table %s param %d is %s, entry has %s", name, i, want, p.Kind)
-		}
-		if p.Kind != ast.MatchValid && p.Value.Width() != t.keyWidths[i] {
-			return nil, fmt.Errorf("sim: table %s param %d width %d, want %d", name, i, p.Value.Width(), t.keyWidths[i])
-		}
-	}
-	return act, nil
-}
-
-// TableAdd installs an entry and returns its handle. The params must line up
-// with the table's reads; action args line up with the action's parameters.
-// Inserting a second entry with the same exact-match key is rejected.
+// TableAdd installs an entry the table admits (CheckEntry; any priority)
+// and returns its handle. Inserting a second entry with the same
+// exact-match key is rejected.
 func (tx *Tx) TableAdd(tableName, action string, params []MatchParam, args []bitfield.Value, priority int) (int, error) {
 	sw := tx.sw
-	t, err := sw.table(tableName)
-	if err != nil {
+	if err := CheckAction(sw.prog, tableName, action, len(args)); err != nil {
 		return 0, err
 	}
-	act, err := sw.checkEntry(t, action, params, args)
-	if err != nil {
+	t := sw.tables[tableName]
+	if err := checkParams(tableName, t.spec, params); err != nil {
 		return 0, err
 	}
 	var mask, val []byte
@@ -405,7 +362,7 @@ func (tx *Tx) TableAdd(tableName, action string, params []MatchParam, args []bit
 		}
 	}
 	t.nextHandle++
-	e := &Entry{Handle: t.nextHandle, Params: params, Action: action, Args: args, Priority: priority, act: act}
+	e := &Entry{Handle: t.nextHandle, Params: params, Action: action, Args: args, Priority: priority, act: sw.code.byName[action]}
 	e.prefixSum = e.totalPrefix()
 	t.insertSorted(e)
 	if t.ix != nil {
@@ -438,16 +395,12 @@ func (t *table) reindex() {
 // bmv2 — the action must be one the table declares.
 func (tx *Tx) TableSetDefault(tableName, action string, args []bitfield.Value) error {
 	sw := tx.sw
-	t, err := sw.table(tableName)
-	if err != nil {
+	if err := CheckAction(sw.prog, tableName, action, len(args)); err != nil {
 		return err
 	}
-	act, err := sw.allowedAction(t, action, args)
-	if err != nil {
-		return err
-	}
+	t := sw.tables[tableName]
 	t.defaultAction = action
-	t.defaultAct = act
+	t.defaultAct = sw.code.byName[action]
 	t.defaultArgs = args
 	tx.changed = true
 	return nil
@@ -482,18 +435,14 @@ func errNoEntry(tableName string, handle int) error {
 // action must be one the table declares, exactly as TableAdd requires.
 func (tx *Tx) TableModify(tableName string, handle int, action string, args []bitfield.Value) error {
 	sw := tx.sw
-	t, err := sw.table(tableName)
-	if err != nil {
+	if err := CheckAction(sw.prog, tableName, action, len(args)); err != nil {
 		return err
 	}
-	act, err := sw.allowedAction(t, action, args)
-	if err != nil {
-		return err
-	}
+	t := sw.tables[tableName]
 	for _, e := range t.entries {
 		if e.Handle == handle {
 			e.Action = action
-			e.act = act
+			e.act = sw.code.byName[action]
 			e.Args = args
 			tx.changed = true
 			return nil
