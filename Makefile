@@ -32,7 +32,8 @@ race:
 # BenchmarkRunFastComposed, BenchmarkProcessSeqComposed (64- and 1-frame
 # bursts), BenchmarkBuild (fuse.Build, the write path's compile step,
 # with its B/op and allocs/op), BenchmarkWriteBatchUnderTraffic (a
-# 16-op ctl batch on a fused l2 device while ProcessSeq runs beside it)
+# 16-op ctl batch on a fused l2 device while ProcessSeq runs beside it,
+# without and with the journal, reporting plan compiles per batch)
 # and BenchmarkAllStats (one per-vdev stats scrape of an l2 device with
 # 64, 512 and 2048 stations).
 bench-smoke:

@@ -83,8 +83,24 @@ import (
 
 // readHeaderTimeout bounds how long the API and metrics servers wait for a
 // request's headers, so a client that opens a connection and stalls cannot
-// hold it forever.
-const readHeaderTimeout = 10 * time.Second
+// hold it forever; idleTimeout bounds how long they keep an idle keep-alive
+// connection open between requests.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 60 * time.Second
+)
+
+// serveHTTP serves h on ln in the background with both timeouts set; the
+// management API and the metrics endpoint are each one of these.
+func serveHTTP(name string, ln net.Listener, h http.Handler) *http.Server {
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	go func() {
+		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			fmt.Fprintf(os.Stderr, "hp4switch: %s: %v\n", name, err)
+		}
+	}()
+	return srv
+}
 
 func main() {
 	builtin := flag.String("builtin", "", "run a built-in function: "+strings.Join(functions.Names(), ", "))
@@ -304,12 +320,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("management API on http://%s/v1/ (drive with hp4ctl -addr http://%s)\n", ln.Addr(), ln.Addr())
-		apiSrv = &http.Server{Handler: ctl.NewServeMux(cp), ReadHeaderTimeout: readHeaderTimeout}
-		go func() {
-			if err := apiSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fmt.Fprintln(os.Stderr, "hp4switch: api:", err)
-			}
-		}()
+		apiSrv = serveHTTP("api", ln, ctl.NewServeMux(cp))
 	}
 	if *metricsAddr != "" {
 		ln, err := net.Listen("tcp", *metricsAddr)
@@ -318,12 +329,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("metrics on http://%s/metrics (pprof under /debug/pprof/)\n", ln.Addr())
-		metricsSrv = &http.Server{Handler: newMetricsMux(sw, d, iort), ReadHeaderTimeout: readHeaderTimeout}
-		go func() {
-			if err := metricsSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fmt.Fprintln(os.Stderr, "hp4switch: metrics:", err)
-			}
-		}()
+		metricsSrv = serveHTTP("metrics", ln, newMetricsMux(sw, d, iort))
 	}
 
 	// Graceful shutdown on SIGINT/SIGTERM: stop accepting API writes, let

@@ -73,20 +73,6 @@ func FromBig(width int, x *big.Int) Value {
 	return FromBytes(width, x.Bytes())
 }
 
-// ParseHex parses strings like "0x0a0b" or "a0b" into a Value of the given
-// width. An empty string yields zero.
-func ParseHex(width int, s string) (Value, error) {
-	s = strings.TrimPrefix(strings.TrimPrefix(s, "0x"), "0X")
-	if s == "" {
-		return New(width), nil
-	}
-	x, ok := new(big.Int).SetString(s, 16)
-	if !ok {
-		return Value{}, fmt.Errorf("bitfield: bad hex %q", s)
-	}
-	return FromBig(width, x), nil
-}
-
 // Width returns the width in bits.
 func (v Value) Width() int { return v.width }
 
@@ -144,16 +130,6 @@ func (v Value) Uint64() uint64 {
 
 // Big returns the value as a big.Int.
 func (v Value) Big() *big.Int { return new(big.Int).SetBytes(v.b) }
-
-// IsZero reports whether every bit is zero.
-func (v Value) IsZero() bool {
-	for _, c := range v.b {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
 
 // Clone returns a deep copy.
 func (v Value) Clone() Value {

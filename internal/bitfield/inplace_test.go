@@ -8,7 +8,7 @@ import (
 func TestZeroAndCopyFrom(t *testing.T) {
 	v := FromUint(16, 0xabcd)
 	v.Zero()
-	if !v.IsZero() {
+	if !isZero(v) {
 		t.Errorf("Zero: %v", v)
 	}
 	v.CopyFrom(FromUint(16, 0x1234))
@@ -145,7 +145,7 @@ func TestMutatingOpsMatchFunctional(t *testing.T) {
 	// Wrap-around still clamps the top pad bits.
 	v = FromUint(12, 0xfff)
 	v.AddWith(FromUint(12, 1))
-	if !v.IsZero() {
+	if !isZero(v) {
 		t.Errorf("AddWith wrap: %v", v)
 	}
 }

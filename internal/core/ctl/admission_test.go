@@ -6,8 +6,11 @@ import (
 
 	"hyper4/internal/bitfield"
 	"hyper4/internal/core/dpmu"
+	"hyper4/internal/core/hp4c"
 	"hyper4/internal/core/verify"
 	"hyper4/internal/functions"
+	"hyper4/internal/p4/hlir"
+	"hyper4/internal/p4/parser"
 	"hyper4/internal/sim"
 	"hyper4/internal/sim/runtime"
 )
@@ -48,6 +51,8 @@ func admissionCases() []admissionCase {
 			text: "dmac ghost 00:00:00:00:00:02 => 1"},
 		{name: "undeclared table", vdev: "l2", table: "ghost", action: "forward", params: mac(48), args: port,
 			text: "ghost forward 00:00:00:00:00:02 => 1"},
+		{name: "unapplied table", vdev: "l2x", table: "spare", action: "forward", params: mac(48), args: port,
+			text: "spare forward 00:00:00:00:00:02 => 1"},
 	}
 	for _, p := range []int{-5, 99_995, 100_001, 250_000, 1, sim.MaxPriority} {
 		cases = append(cases, admissionCase{
@@ -60,22 +65,58 @@ func admissionCases() []admissionCase {
 	return cases
 }
 
+// spareL2 is l2_switch plus a table its control flow never applies.
+const spareL2 = `
+table spare {
+    reads {
+        ethernet.dstAddr : exact;
+    }
+    actions {
+        forward;
+    }
+}
+`
+
+// admissionProgram resolves a case's device program: l2_switch, firewall,
+// or l2x, which is l2_switch with spareL2 appended.
+func admissionProgram(t *testing.T, vdev string) *hlir.Program {
+	t.Helper()
+	fns := map[string]string{"l2": functions.L2Switch, "l2x": functions.L2Switch, "fw": functions.Firewall}
+	src := functions.Sources[fns[vdev]]
+	if vdev == "l2x" {
+		src += spareL2
+	}
+	parsed, err := parser.Parse(vdev, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := hlir.Resolve(parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
 // TestAdmissionParity holds every surface that admits a table entry to one
 // answer per case: native sim, dpmu.Tx.TableAdd, ctl text on a persona,
 // sim/runtime text on a native switch and verify over the entry. ctl never
 // answers INTERNAL. An accepted tcp_filter _drop for TCP/6000 drops the
 // frame natively and on the persona alike.
 func TestAdmissionParity(t *testing.T) {
-	fns := map[string]string{"l2": functions.L2Switch, "fw": functions.Firewall}
 	for _, tc := range admissionCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			native, err := functions.NewSwitch("native", fns[tc.vdev])
+			prog := admissionProgram(t, tc.vdev)
+			native, err := sim.New("native", prog)
 			if err != nil {
 				t.Fatal(err)
 			}
 			c := newPersonaCtl(t)
 			cli := NewCLI(c, "op")
-			if _, err := cli.Exec("load " + tc.vdev + " " + fns[tc.vdev]); err != nil {
+			comp, err := hp4c.Compile(prog, c.D.Config())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.D.Load(tc.vdev, comp, "op", 0); err != nil {
 				t.Fatal(err)
 			}
 			check := func(surface string, err error) {

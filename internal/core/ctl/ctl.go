@@ -183,10 +183,11 @@ func (c *Ctl) writeBatchLocked(owner, requestID string, ops []Op) ([]Result, err
 			continue
 		}
 		// Each run of DPMU ops between port ops is one Update: one switch
-		// write lock, one generation bump and one plan compile, which runs
-		// before the journal's fsync so fused forwarding resumes while the
-		// disk catches up. A failure rolls back inside the same Update, so
-		// packets never see the failed op's predecessors.
+		// write lock and one generation bump. The Update requests the plan
+		// compile and returns, so the compile runs beside the journal's
+		// fsync and the ack does not wait for it; packets take the
+		// interpreter until it lands. A failure rolls back inside the same
+		// Update, so packets never see the failed op's predecessors.
 		j, failed := i, -1
 		for j < len(ops) && !isPortOp(ops[j].Kind) {
 			j++

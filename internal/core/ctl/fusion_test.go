@@ -3,11 +3,15 @@ package ctl
 import (
 	"fmt"
 	"testing"
+
+	"hyper4/internal/pkt"
 )
 
-// The batch scope: a ctl write compiles the fused plans once, however many
-// ops it carries and however it ends, and leaves an engine built against
-// the switch's live generation so the next packet is fused again.
+// The batch scope: a ctl write requests one fused-plan compile, however
+// many ops it carries and however it ends, and once that compile settles
+// the engine is built against the switch's live generation, so the next
+// packet is fused again. The compile runs after the ack, so every check
+// below waits for it first (FusionStatus waits through Settle).
 
 func fusionBuilds(c *Ctl) uint64 { return c.D.FusionStatus().Builds }
 
@@ -22,10 +26,12 @@ func dmacAdds(n int) []Op {
 	return ops
 }
 
-// requireFusedAgain checks the engine matches the live generation and the
-// next packet takes the fast path.
+// requireFusedAgain waits for the compile the last write requested, then
+// checks the engine matches the live generation and the next packet takes
+// the fast path.
 func requireFusedAgain(t *testing.T, c *Ctl) {
 	t.Helper()
+	c.D.Settle()
 	if st := c.D.FusionStatus(); st.Generation != c.D.SW.Generation() {
 		t.Fatalf("engine built against generation %d, switch is at %d", st.Generation, c.D.SW.Generation())
 	}
@@ -88,9 +94,9 @@ func TestFailedBatchRebuildsFusionOnce(t *testing.T) {
 	}
 }
 
-// A journal append failure rolls back after the batch's Update committed —
-// its compile deliberately precedes the fsync — so it may compile twice:
-// once at the commit, once for the rollback.
+// A journal append failure rolls back after the batch's Update committed,
+// so it may compile twice: once for the commit, once for the rollback (or
+// once, when the rollback's request finds the commit's still pending).
 func TestJournalFailureRebuildsFusion(t *testing.T) {
 	c, _ := journaledCtl(t, t.TempDir(), 1000)
 	mustBatch(t, c, "op", []Op{
@@ -160,4 +166,78 @@ func TestDirectDPMUCallRebuildsFusion(t *testing.T) {
 		t.Fatalf("direct DPMU call compiled %d times, want 1", got)
 	}
 	requireFusedAgain(t, c)
+}
+
+// Eight batches written back to back, each acked before its compile lands,
+// settle to one plan at the switch's generation after at most eight
+// compiles, and that plan forwards exactly as an interpreted twin does.
+func TestBackToBackBatchesSettleToOnePlan(t *testing.T) {
+	live, twin := configuredCtl(t, 0), configuredCtl(t, 0)
+	live.D.SetFusion(true)
+	before := fusionBuilds(live)
+	station := func(i int) string { return fmt.Sprintf("02:02:00:00:00:%02x", i) }
+	const batches = 8
+	for i := 0; i < batches; i++ {
+		ops := []Op{{Kind: OpTableAdd, VDev: "l2", Table: "dmac", Action: "forward", Match: []string{station(i)}, Args: []string{"2"}}}
+		mustBatch(t, live, "op", ops)
+		mustBatch(t, twin, "op", ops)
+	}
+	live.D.Settle()
+	st := live.D.FusionStatus()
+	if st.Generation != live.D.SW.Generation() {
+		t.Fatalf("settled engine built against generation %d, switch is at %d", st.Generation, live.D.SW.Generation())
+	}
+	if got := st.Builds - before; got < 1 || got > batches {
+		t.Fatalf("%d back-to-back batches compiled %d times, want 1..%d", batches, got, batches)
+	}
+	if st.Plans != 1 {
+		t.Fatalf("settled engine has %d plans, want 1", st.Plans)
+	}
+	// Every station the batches added, one nobody added, and the
+	// configured one.
+	var frames [][]byte
+	for i := 0; i <= batches; i++ {
+		frames = append(frames, pkt.Pad(pkt.Serialize(
+			&pkt.Ethernet{Dst: pkt.MustMAC(station(i)), Src: mac1, EtherType: pkt.EtherTypeIPv4},
+			&pkt.IPv4{TTL: 64, Protocol: pkt.IPProtoUDP, Src: ip1, Dst: ip2},
+			&pkt.UDP{SrcPort: 1000, DstPort: 2000},
+			pkt.Payload("data"),
+		)))
+	}
+	frames = append(frames, tcpFrame(80))
+	for i, f := range frames {
+		fused, _, ferr := live.D.SW.Process(f, 1)
+		interp, _, ierr := twin.D.SW.Process(f, 1)
+		if got, want := outputKey(fused, ferr), outputKey(interp, ierr); got != want {
+			t.Errorf("frame %d: fused %s, interpreted %s", i, got, want)
+		}
+	}
+	if hits := live.D.FusionStatus().FastHits; hits != uint64(len(frames)) {
+		t.Fatalf("settled plan fused %d of %d frames", hits, len(frames))
+	}
+}
+
+// A batch whose journal append fails is rolled back after its commit; the
+// plan still settles at the generation the rollback left, without the
+// rolled-back device.
+func TestJournalFailureSettlesAtRolledBackGeneration(t *testing.T) {
+	c, _ := journaledCtl(t, t.TempDir(), 1000)
+	cli := NewCLI(c, "op")
+	if _, err := cli.Exec("load l2 l2_switch"); err != nil {
+		t.Fatal(err)
+	}
+	c.D.SetFusion(true)
+	gen := c.D.SW.Generation()
+	c.journal.wal.Close() // the append's write and the undo's truncate fail
+	if _, err := cli.Exec("load fw firewall"); err == nil {
+		t.Fatal("acked a batch the journal could not append")
+	}
+	c.D.Settle()
+	st := c.D.FusionStatus()
+	if live := c.D.SW.Generation(); live <= gen || st.Generation != live {
+		t.Fatalf("plan at generation %d, switch at %d (was %d before the batch)", st.Generation, live, gen)
+	}
+	if len(st.VDevs) != 1 || st.VDevs[0].Name != "l2" || !st.VDevs[0].Fused {
+		t.Fatalf("settled plan covers %+v, want only l2, fused", st.VDevs)
+	}
 }

@@ -336,9 +336,9 @@ func (c *Ctl) compileFunction(name string) (*hp4c.Compiled, error) {
 func (c *Ctl) AttachJournal(j *Journal) (RecoverySummary, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	// The snapshot restore and every replayed batch would each compile the
-	// fused plan at commit; with the fast path off until recovery ends,
-	// the plan compiles once, after the whole replay.
+	// The snapshot restore and every replayed batch would each request a
+	// plan compile; with the fast path off until recovery ends, the plan
+	// compiles once, after the whole replay and before recovery returns.
 	if c.D.FusionEnabled() {
 		c.D.SetFusion(false)
 		defer c.D.SetFusion(true)

@@ -13,10 +13,28 @@ import (
 // BenchmarkWriteBatchUnderTraffic is the write path's apply layer under
 // load: one op is a 16-op batch (8 dmac adds, 8 deletes of the previous
 // batch's adds) on a fused 256-station l2 device, while a goroutine drives
-// ProcessSeq bursts at the stations. No journal: the number is checkpoint,
-// apply (including waits for the switch write lock) and plan compile.
+// ProcessSeq bursts at the stations. The nojournal case times checkpoint
+// and apply (including waits for the switch write lock, and for a compile
+// the previous batch left in flight); the journal case adds the WAL append
+// and fsync. builds/op is plan compiles per batch: below 1 when compiles
+// coalesce.
 func BenchmarkWriteBatchUnderTraffic(b *testing.B) {
+	b.Run("nojournal", func(b *testing.B) { benchWriteBatch(b, false) })
+	b.Run("journal", func(b *testing.B) { benchWriteBatch(b, true) })
+}
+
+func benchWriteBatch(b *testing.B, journaled bool) {
 	p := newPersonaCtl(b)
+	if journaled {
+		j, err := OpenJournal(b.TempDir(), DefaultSnapshotEvery)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer j.Close()
+		if _, err := p.AttachJournal(j); err != nil {
+			b.Fatal(err)
+		}
+	}
 	const stations = 256
 	station := func(i int) string { return fmt.Sprintf("02:00:00:00:%02x:%02x", i>>8, i&0xff) }
 	setup := []Op{
@@ -71,6 +89,7 @@ func BenchmarkWriteBatchUnderTraffic(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	builds0 := p.D.FusionStatus().Builds
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ops := adds()
@@ -83,4 +102,7 @@ func BenchmarkWriteBatchUnderTraffic(b *testing.B) {
 		}
 		prev = res[:8]
 	}
+	b.StopTimer()
+	builds := p.D.FusionStatus().Builds - builds0
+	b.ReportMetric(float64(builds)/float64(b.N), "builds/op")
 }

@@ -1,6 +1,7 @@
 package dpmu
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -57,8 +58,9 @@ func TestDifferentialRandomPopulation(t *testing.T) {
 					case 1:
 						err = c.BlockUDPDstPort(port)
 					default:
-						src := pkt.IP4FromUint32(rng.Uint32())
-						dst := pkt.IP4FromUint32(rng.Uint32())
+						var src, dst pkt.IP4
+						binary.BigEndian.PutUint32(src[:], rng.Uint32())
+						binary.BigEndian.PutUint32(dst[:], rng.Uint32())
 						err = c.BlockIPPair(src, dst)
 					}
 					if err != nil {

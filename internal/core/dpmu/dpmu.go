@@ -69,9 +69,11 @@ type DPMU struct {
 	fusion       bool
 	fusionEngine *fuse.Engine
 	fusionGen    uint64 // switch generation the engine was built against
-	fusionBuilt  bool
 	fusionBuilds uint64
 	fuseFindings []verify.Finding
+	// compiling is closed when the background compile in flight ends; nil
+	// when none is (requestCompileLocked).
+	compiling chan struct{}
 }
 
 // VDev is one loaded virtual device: a compiled program bound to a program
@@ -96,9 +98,6 @@ type VDev struct {
 	links    []pentry       // virtual network rows
 	vnet     map[int]pentry // t_virtnet routing row per virtual egress port
 }
-
-// EntryCount returns the number of installed virtual entries.
-func (v *VDev) EntryCount() int { return len(v.entries) }
 
 // ventry is one virtual entry and the persona rows realizing it. Spec
 // retains the entry as the caller installed it — control-plane memory only —

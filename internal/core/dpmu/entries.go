@@ -158,8 +158,9 @@ type EntrySpec struct {
 }
 
 // resolveSpec holds an EntrySpec to the entry contract (sim.CheckEntry and
-// sim.CheckPriority) and to the DPMU's own rule, a table the program
-// applies, and returns the table declaration and compiled action it names.
+// sim.CheckPriority) and to the DPMU's own rule, a table some parse path
+// reaches (hp4c gave it slots), and returns the table declaration and
+// compiled action it names.
 func resolveSpec(v *VDev, spec EntrySpec) (*ast.Table, *hp4c.CompiledAction, error) {
 	err := sim.CheckEntry(v.Comp.Prog, spec.Table, spec.Action, spec.Params, len(spec.Args))
 	if err == nil {
@@ -169,7 +170,7 @@ func resolveSpec(v *VDev, spec EntrySpec) (*ast.Table, *hp4c.CompiledAction, err
 		return nil, nil, contractErr(err)
 	}
 	if len(v.Comp.Slots[spec.Table]) == 0 {
-		return nil, nil, fmt.Errorf("dpmu: program %s never applies table %q: %w", v.Comp.Name, spec.Table, ErrNotFound)
+		return nil, nil, fmt.Errorf("dpmu: program %s reaches table %q on no parse path: %w", v.Comp.Name, spec.Table, ErrNotFound)
 	}
 	return v.Comp.Prog.Tables[spec.Table], v.Comp.Actions[spec.Action], nil
 }
@@ -285,7 +286,7 @@ func (t *Tx) SetDefault(owner, vdev, table, action string, args []bitfield.Value
 	}
 	slots, ok := v.Comp.Slots[table]
 	if !ok {
-		return fmt.Errorf("dpmu: program %s never applies table %q: %w", v.Comp.Name, table, ErrNotFound)
+		return fmt.Errorf("dpmu: program %s reaches table %q on no parse path: %w", v.Comp.Name, table, ErrNotFound)
 	}
 	ca := v.Comp.Actions[action]
 	if old, ok := v.defaults[table]; ok {

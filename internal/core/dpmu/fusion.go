@@ -4,12 +4,13 @@ package dpmu
 // every control-plane mutation that can change what a compiled plan would
 // do — table writes, loads/unloads, assignment changes, snapshot
 // activation, checkpoint rollback, health-driven bypass rewiring — runs in
-// an Update (or, for bypass rewiring, a health query), which ends in
-// rebuildFusionLocked once its switch transaction has committed: one
-// compile per Update, however many ops and rows it wrote. The engine
-// records the generation it was built from and declines any packet once
-// the live value differs, so a missed rebuild degrades to the interpreter,
-// never to divergence.
+// an Update (or, for bypass rewiring, a health query), which requests a
+// compile once its switch transaction has committed. The compile runs in
+// the background and coalesces: requests that arrive while one is pending
+// share it, so a burst of Updates costs at most one compile each and often
+// fewer. The engine records the generation it was built from and declines
+// any packet once the live value differs, so a stale or missing plan
+// degrades to the interpreter, never to divergence.
 
 import (
 	"sort"
@@ -38,8 +39,8 @@ type FusionStatus struct {
 }
 
 // SetFusion enables or disables the fused fast path. Enabling compiles
-// plans for every loaded vdev immediately; disabling uninstalls the engine
-// so every packet takes the interpreted pipeline again.
+// plans for every loaded vdev before it returns; disabling uninstalls the
+// engine so every packet takes the interpreted pipeline again.
 func (d *DPMU) SetFusion(on bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -47,11 +48,9 @@ func (d *DPMU) SetFusion(on bool) {
 	if !on {
 		d.SW.SetFastPath(nil)
 		d.fusionEngine = nil
-		d.fusionBuilt = false
 		d.fuseFindings = nil
 		return
 	}
-	d.fusionBuilt = false // force a rebuild even at an unchanged generation
 	d.rebuildFusionLocked()
 }
 
@@ -62,24 +61,58 @@ func (d *DPMU) FusionEnabled() bool {
 	return d.fusion
 }
 
-// rebuildFusionLocked recompiles the fused engine if the switch's write
-// generation moved since the last build. Callers hold d.mu and no switch
-// transaction (fuse.Build reads the tables under the switch's read lock);
-// every Update ends here, so the check must stay cheap when nothing
-// changed (one atomic load and a compare).
+// fusionCurrentLocked reports whether no compile is needed: fusion is off,
+// or the plan was built against the live switch generation (SetFusion(true)
+// always builds one). Callers hold d.mu; every Update asks, so it stays one
+// atomic load and a compare.
+func (d *DPMU) fusionCurrentLocked() bool {
+	return !d.fusion || d.fusionGen == d.SW.Generation()
+}
+
+// requestCompileLocked starts a background compile unless the plan is
+// current or one is already in flight; the one in flight takes d.mu after
+// the caller releases it, so it compiles the caller's writes too. Callers
+// hold d.mu.
+func (d *DPMU) requestCompileLocked() {
+	if d.compiling != nil || d.fusionCurrentLocked() {
+		return
+	}
+	done := make(chan struct{})
+	d.compiling = done
+	go func() {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		// Writes through the DPMU wait for d.mu, but a raw switch write
+		// may land during fuse.Build; compile again until the plan holds.
+		for !d.fusionCurrentLocked() {
+			d.rebuildFusionLocked()
+		}
+		d.compiling = nil
+		close(done)
+	}()
+}
+
+// Settle blocks until no compile is in flight, so the plan then matches
+// every write that returned before the call (unless a later write raced
+// it). Callers must not hold d.mu.
+func (d *DPMU) Settle() {
+	d.mu.RLock()
+	done := d.compiling
+	d.mu.RUnlock()
+	if done != nil {
+		<-done
+	}
+}
+
+// rebuildFusionLocked compiles the fused engine against the live switch
+// generation. Callers hold d.mu and no switch transaction (fuse.Build reads
+// the tables under the switch's read lock).
 func (d *DPMU) rebuildFusionLocked() {
-	if !d.fusion {
-		return
-	}
 	gen := d.SW.Generation()
-	if d.fusionBuilt && d.fusionGen == gen {
-		return
-	}
 	eng, findings := fuse.Build(d.SW, d.cfg, d.fuseVDevsLocked())
 	d.fusionEngine = eng
 	d.fuseFindings = findings
 	d.fusionGen = gen
-	d.fusionBuilt = true
 	d.fusionBuilds++
 	if eng == nil {
 		d.SW.SetFastPath(nil)
@@ -96,8 +129,10 @@ func (d *DPMU) fuseVDevsLocked() []fuse.VDev {
 	return vds
 }
 
-// FusionStatus reports the fast path's current state.
+// FusionStatus reports the fast path's state once any compile in flight
+// has finished, so it describes the plan for every write already acked.
 func (d *DPMU) FusionStatus() FusionStatus {
+	d.Settle()
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	st := FusionStatus{

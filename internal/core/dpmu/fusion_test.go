@@ -720,6 +720,7 @@ func TestFusedRollbackRestoresPlan(t *testing.T) {
 	mustForward("mid-batch (fused plan must track the write)", 1)
 
 	d.Rollback(cp)
+	d.Settle() // the rollback's compile runs in the background
 	mustForward("post-rollback (fused plan must serve restored state)", 2)
 
 	st := d.FusionStatus()
@@ -985,6 +986,83 @@ func TestFusedInvalidationUnderTraffic(t *testing.T) {
 	}
 	if got := d.FusionStatus().FastHits; got <= hits {
 		t.Error("fast path dead after churn")
+	}
+}
+
+// TestSettleUnderConcurrentWriters races three writers, a reader polling
+// FusionStatus and Settle, and traffic against the background compile:
+// once the writers stop, one Settle leaves a plan at the switch's
+// generation that fuses the next packet.
+func TestSettleUnderConcurrentWriters(t *testing.T) {
+	d := newPersonaDPMU(t)
+	loadL2(t, d, "l2", "alice")
+	d.SetFusion(true)
+
+	stop := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	readers.Add(2)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			d.Settle()
+			_ = d.FusionStatus()
+		}
+	}()
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if out, _, err := d.SW.Process(l2Frame(), 1); err != nil || len(out) != 1 {
+				t.Errorf("forward under churn: out=%v err=%v", out, err)
+				return
+			}
+		}
+	}()
+	for w := 0; w < 3; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			spec := EntrySpec{
+				Table:  "dmac",
+				Action: "forward",
+				Params: []sim.MatchParam{sim.ExactUint(48, uint64(0x020000001000+w))},
+				Args:   sim.Args(9, 2),
+			}
+			for i := 0; i < 20; i++ {
+				h, err := d.TableAdd("alice", "l2", spec)
+				if err == nil {
+					err = d.TableDelete("alice", "l2", "dmac", h)
+				}
+				if err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+
+	d.Settle()
+	st := d.FusionStatus()
+	if st.Generation != d.SW.Generation() {
+		t.Fatalf("settled plan at generation %d, switch at %d", st.Generation, d.SW.Generation())
+	}
+	if out, _, err := d.SW.Process(l2Frame(), 1); err != nil || len(out) != 1 || out[0].Port != 2 {
+		t.Fatalf("post-churn forward: out=%v err=%v", out, err)
+	}
+	if got := d.FusionStatus().FastHits; got != st.FastHits+1 {
+		t.Fatal("the packet after Settle was not fused")
 	}
 }
 

@@ -377,10 +377,11 @@ func (d *DPMU) syncHealthLocked() {
 			notify(e.name, e.state)
 		}
 	}
-	// Bypass rewiring rewrote virtnet rows; recompile the fused plans so a
-	// bypassed vdev's stale plan can't keep serving its old links. A no-op
-	// when no rewiring happened (the switch generation is unchanged).
-	d.rebuildFusionLocked()
+	// Bypass rewiring rewrote virtnet rows; the generation check already
+	// keeps a bypassed vdev's stale plan off its old links, and the
+	// requested compile brings the fast path back. A no-op when no
+	// rewiring happened (the switch generation is unchanged).
+	d.requestCompileLocked()
 }
 
 // Health advances the breaker state machine and returns the health report.

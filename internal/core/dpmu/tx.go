@@ -19,7 +19,8 @@ type Tx struct{ d *DPMU }
 // write lock (sim.Switch.Update), held together for the whole of fn, so a
 // packet sees the persona tables as they were before fn or as fn left
 // them. After the switch transaction commits, still under d.mu, Update
-// republishes the port→PID table and compiles the fused plan once.
+// republishes the port→PID table and requests a fused-plan compile, which
+// runs after Update returns (fusion.go); Settle waits for it.
 //
 // Like sim.Switch.Update, Update does not undo: a Tx method that fails
 // removes the rows it wrote itself, and a caller that must undo earlier
@@ -31,7 +32,7 @@ func (d *DPMU) Update(fn func(t *Tx) error) error {
 	defer d.mu.Unlock()
 	err := d.inTx(func() error { return fn(&Tx{d: d}) })
 	d.publishPorts()
-	d.rebuildFusionLocked()
+	d.requestCompileLocked()
 	return err
 }
 

@@ -351,8 +351,8 @@ func TestIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.EntryCount() != 2 {
-		t.Errorf("entry count = %d", v.EntryCount())
+	if len(v.entries) != 2 {
+		t.Errorf("entry count = %d", len(v.entries))
 	}
 }
 

@@ -70,7 +70,7 @@ func checkEntry(comp *hp4c.Compiled, e Entry) (f Finding, bad bool) {
 	case errors.As(err, &ee):
 		f.Code, f.Detail = entryCodes[ee.Reason], ee.Msg
 	case len(slots) == 0:
-		f.Code, f.Detail = CodeUndeclaredTable, fmt.Sprintf("program %s never applies table %q", comp.Name, e.Table)
+		f.Code, f.Detail = CodeUndeclaredTable, fmt.Sprintf("program %s reaches table %q on no parse path", comp.Name, e.Table)
 	case !slices.ContainsFunc(slots, func(s *hp4c.Slot) bool { return SlotAccepts(comp.Prog.Tables[e.Table], s, e.Params) }):
 		f.Code, f.Detail = CodeUnreachable, fmt.Sprintf("entry's valid() constraints match no parse path of table %s", e.Table)
 	default:

@@ -70,6 +70,10 @@ type Program struct {
 
 	// TableOrder preserves declaration order for deterministic iteration.
 	TableOrder []string
+	// Applied holds every table an apply statement reachable from the
+	// ingress or egress control names: the only tables a packet can meet,
+	// and so the only ones that take entries.
+	Applied map[string]bool
 	// HeaderOrder is the deparse order: header instances in the order they
 	// are first extracted on a DFS of the parse graph, stacks expanded.
 	HeaderOrder []string
@@ -156,7 +160,40 @@ func Resolve(prog *ast.Program) (*Program, error) {
 		return nil, fmt.Errorf("%s: %w", prog.Name, err)
 	}
 	p.HeaderOrder = p.computeHeaderOrder()
+	p.Applied = p.appliedTables()
 	return p, nil
+}
+
+// appliedTables walks the control flow from ingress and egress, through
+// calls, collecting the tables it applies.
+func (p *Program) appliedTables() map[string]bool {
+	applied, called := map[string]bool{}, map[string]bool{}
+	var walk func(stmts []ast.Stmt)
+	call := func(name string) {
+		if c, ok := p.Controls[name]; ok && !called[name] {
+			called[name] = true
+			walk(c.Body)
+		}
+	}
+	walk = func(stmts []ast.Stmt) {
+		for _, s := range stmts {
+			switch s.Kind {
+			case ast.StmtApply:
+				applied[s.Table] = true
+				for _, c := range s.ApplyCases {
+					walk(c.Body)
+				}
+			case ast.StmtIf:
+				walk(s.Then)
+				walk(s.Else)
+			case ast.StmtCall:
+				call(s.Control)
+			}
+		}
+	}
+	call(ast.ControlIngress)
+	call(ast.ControlEgress)
+	return applied
 }
 
 // FieldWidth returns the bit width of a field reference.

@@ -126,16 +126,6 @@ func DecodeIPv4(b []byte) (*IPv4, []byte, error) {
 	return ip, b[ihl:], nil
 }
 
-// HeaderChecksum computes the correct header checksum for ip (with the
-// checksum field treated as zero).
-func (ip *IPv4) HeaderChecksum() uint16 {
-	saved := ip.Checksum
-	ip.Checksum = 0
-	hdr := ip.Serialize(nil)
-	ip.Checksum = saved
-	return Checksum(hdr)
-}
-
 // ICMP is an ICMP echo message header.
 type ICMP struct {
 	Type     uint8

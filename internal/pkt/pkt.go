@@ -67,11 +67,6 @@ func (m MAC) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
 }
 
-// IsBroadcast reports whether m is ff:ff:ff:ff:ff:ff.
-func (m MAC) IsBroadcast() bool {
-	return m == MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-}
-
 // Broadcast is the all-ones MAC address.
 var Broadcast = MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 
@@ -109,13 +104,6 @@ func (ip IP4) String() string {
 
 // Uint32 returns the address as a big-endian integer.
 func (ip IP4) Uint32() uint32 { return binary.BigEndian.Uint32(ip[:]) }
-
-// IP4FromUint32 builds an address from a big-endian integer.
-func IP4FromUint32(x uint32) IP4 {
-	var ip IP4
-	binary.BigEndian.PutUint32(ip[:], x)
-	return ip
-}
 
 // Checksum computes the RFC 1071 internet checksum over data.
 func Checksum(data []byte) uint16 {

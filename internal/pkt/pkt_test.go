@@ -20,12 +20,6 @@ func TestMACParse(t *testing.T) {
 	if _, err := ParseMAC("nope"); err == nil {
 		t.Error("bad MAC should error")
 	}
-	if !Broadcast.IsBroadcast() {
-		t.Error("Broadcast.IsBroadcast")
-	}
-	if m.IsBroadcast() {
-		t.Error("unicast IsBroadcast")
-	}
 }
 
 func TestIP4Parse(t *testing.T) {
@@ -38,9 +32,6 @@ func TestIP4Parse(t *testing.T) {
 	}
 	if ip.Uint32() != 0x0a000102 {
 		t.Errorf("Uint32 = %#x", ip.Uint32())
-	}
-	if IP4FromUint32(0x0a000102) != ip {
-		t.Error("IP4FromUint32 round trip")
 	}
 	for _, bad := range []string{"nope", "::1", "1.2.3.4.5"} {
 		if _, err := ParseIP4(bad); err == nil {
@@ -142,8 +133,7 @@ func TestIPv4RoundTrip(t *testing.T) {
 func TestIPv4HeaderChecksumValid(t *testing.T) {
 	ip := &IPv4{TTL: 64, Protocol: IPProtoUDP, TotalLen: 28,
 		Src: MustIP4("10.0.0.1"), Dst: MustIP4("10.0.0.2")}
-	ip.Checksum = ip.HeaderChecksum()
-	hdr := ip.Serialize(nil)
+	hdr := Serialize(ip) // fills the zero checksum
 	if got := Checksum(hdr); got != 0 {
 		t.Errorf("checksum over checksummed header = %#x, want 0", got)
 	}

@@ -17,7 +17,7 @@ const MaxPriority = 1<<16 - 1
 type EntryReason uint8
 
 const (
-	NoTable     EntryReason = iota + 1 // the program declares no such table
+	NoTable     EntryReason = iota + 1 // the program declares or applies no such table
 	NoAction                           // the program declares no such action
 	NotAllowed                         // the table does not list the action
 	BadShape                           // param count, kind, width or prefix, or arg count
@@ -72,13 +72,16 @@ func ActionArity(prog *hlir.Program, action string) (int, error) {
 }
 
 // CheckAction admits an action into a table, as a default or an entry's:
-// both are declared, the table lists the action, and it takes nargs args.
+// both are declared, the control flow applies the table, the table lists
+// the action, and it takes nargs args.
 func CheckAction(prog *hlir.Program, table, action string, nargs int) error {
 	want, err := ActionArity(prog, action)
 	t, ok := prog.Tables[table]
 	switch {
 	case !ok:
 		return entryErr(NoTable, "no table %q", table)
+	case !prog.Applied[table]:
+		return entryErr(NoTable, "program never applies table %q", table)
 	case err != nil:
 		return err
 	case !slices.Contains(t.Actions, action):

@@ -12,12 +12,6 @@ func (sw *Switch) TableNames() []string {
 	return out
 }
 
-// HasTable reports whether the program declares the table.
-func (sw *Switch) HasTable(name string) bool {
-	_, ok := sw.tables[name]
-	return ok
-}
-
 // TableEntryCount returns the number of installed entries.
 func (sw *Switch) TableEntryCount(name string) (int, error) {
 	sw.mu.RLock()

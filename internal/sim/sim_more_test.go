@@ -115,8 +115,8 @@ func TestIntrospection(t *testing.T) {
 	if len(names) != 1 || names[0] != "dmac" {
 		t.Errorf("names: %v", names)
 	}
-	if !sw.HasTable("dmac") || sw.HasTable("ghost") {
-		t.Error("HasTable wrong")
+	if _, err := sw.TableEntryCount("ghost"); err == nil {
+		t.Error("unknown table should error")
 	}
 	if n, err := sw.TableEntryCount("dmac"); err != nil || n != 0 {
 		t.Errorf("count: %d, %v", n, err)

@@ -463,19 +463,3 @@ func (tx *Tx) TableClear(tableName string) error {
 	tx.changed = true
 	return nil
 }
-
-// TableEntries returns the handles of installed entries, sorted.
-func (sw *Switch) TableEntries(tableName string) ([]int, error) {
-	sw.mu.RLock()
-	defer sw.mu.RUnlock()
-	t, err := sw.table(tableName)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, 0, len(t.entries))
-	for _, e := range t.entries {
-		out = append(out, e.Handle)
-	}
-	sort.Ints(out)
-	return out, nil
-}
