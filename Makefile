@@ -53,8 +53,11 @@ bench-smoke:
 # first-match index (every lookup through random insert/delete sequences
 # agrees with a first-match scan), over the journal's frame reader (no
 # panics, and every payload it returns re-encodes to exactly the bytes it
-# consumed), and over table-entry admission (the DPMU accepts an entry iff
-# native sim.TableAdd does and its priority is in [0, sim.MaxPriority]).
+# consumed), over table-entry admission (the DPMU accepts an entry iff
+# native sim.TableAdd does and its priority is in [0, sim.MaxPriority]),
+# and over port ownership (after every step of a random assign, clear,
+# load/unload, snapshot and rollback sequence, PIDForPort, the interpreter
+# and the fused port dispatch name one owner for every port).
 # Seeded with a 170 KB snapshot, the snapshot run bounds minimization: at
 # the default 60 s per new input it would spend the whole run minimizing.
 fuzz-smoke:
@@ -66,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzIndex -fuzz FuzzIndex -fuzztime 10s ./internal/tuple/
 	$(GO) test -run FuzzReadFrame -fuzz FuzzReadFrame -fuzztime 10s ./internal/core/ctl/
 	$(GO) test -run FuzzEntryAdmission -fuzz FuzzEntryAdmission -fuzztime 10s ./internal/core/dpmu/
+	$(GO) test -run FuzzPortOwner -fuzz FuzzPortOwner -fuzztime 10s ./internal/core/dpmu/
 
 # benchmark/ is its own module importing hyper4/internal/...; the bench
 # driver builds it from source, so a PR that deletes or renames a symbol it

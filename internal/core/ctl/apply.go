@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"hyper4/internal/core/dpmu"
-	"hyper4/internal/core/hp4c"
-	"hyper4/internal/functions"
 	"hyper4/internal/sim"
 	"hyper4/internal/sim/runtime"
 )
@@ -16,11 +14,7 @@ import (
 func (c *Ctl) applyOp(t *dpmu.Tx, owner string, op *Op) (Result, error) {
 	switch op.Kind {
 	case OpLoadVDev:
-		prog, err := functions.Load(op.Function)
-		if err != nil {
-			return Result{}, fmt.Errorf("%w: %w", err, dpmu.ErrNotFound)
-		}
-		comp, err := hp4c.Compile(prog, c.D.Config())
+		comp, err := c.compileFunction(op.Function)
 		if err != nil {
 			return Result{}, err
 		}

@@ -318,8 +318,8 @@ type RecoverySummary struct {
 	Warnings []string
 }
 
-// compileFunction is the restore-time CompileFunc: the same
-// functions.Load + hp4c.Compile path OpLoadVDev uses.
+// compileFunction compiles a named function for the DPMU's persona: the
+// compile OpLoadVDev runs, and the restore-time CompileFunc.
 func (c *Ctl) compileFunction(name string) (*hp4c.Compiled, error) {
 	prog, err := functions.Load(name)
 	if err != nil {

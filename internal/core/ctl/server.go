@@ -91,10 +91,10 @@ const maxWait = 30 * time.Second
 func NewServeMux(c *Ctl) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/write", c.handleWrite)
-	mux.HandleFunc("/v1/read", c.handleRead)
+	mux.HandleFunc("/v1/read", c.handleRead(""))
 	mux.HandleFunc("/v1/stats", c.handleStats)
-	mux.HandleFunc("/v1/health", c.handleHealth)
-	mux.HandleFunc("/v1/lint", c.handleLint)
+	mux.HandleFunc("/v1/health", c.handleRead("health"))
+	mux.HandleFunc("/v1/lint", c.handleRead("lint"))
 	mux.HandleFunc("/v1/events", c.handleEvents)
 	return mux
 }
@@ -151,42 +151,26 @@ func (c *Ctl) handleWrite(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, WriteResponse{Results: results})
 }
 
-func (c *Ctl) handleRead(w http.ResponseWriter, r *http.Request) {
-	q := &Query{Kind: r.URL.Query().Get("kind"), VDev: r.URL.Query().Get("vdev")}
-	res, err := c.Read(r.URL.Query().Get("owner"), q)
-	if err != nil {
-		ce := wrap(err, -1)
-		writeJSON(w, httpStatus(ce.Code), ReadResponse{Error: ce})
-		return
+// handleRead serves /v1/read (kind "": the query names the kind and the
+// owner) and the dedicated routes for one read kind, which answer as
+// /v1/read?kind=<kind> does for no owner, so monitors (/v1/health; hitting
+// it advances the breaker state machine) and CI gates (/v1/lint) need no
+// query grammar.
+func (c *Ctl) handleRead(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		args := r.URL.Query()
+		q, owner := &Query{Kind: kind, VDev: args.Get("vdev")}, ""
+		if kind == "" {
+			q.Kind, owner = args.Get("kind"), args.Get("owner")
+		}
+		res, err := c.Read(owner, q)
+		if err != nil {
+			ce := wrap(err, -1)
+			writeJSON(w, httpStatus(ce.Code), ReadResponse{Error: ce})
+			return
+		}
+		writeJSON(w, http.StatusOK, ReadResponse{Result: res})
 	}
-	writeJSON(w, http.StatusOK, ReadResponse{Result: res})
-}
-
-// handleHealth is the dedicated health route: the same payload as
-// /v1/read?kind=health, as its own endpoint so monitors need no query
-// grammar. Hitting it advances the breaker state machine.
-func (c *Ctl) handleHealth(w http.ResponseWriter, r *http.Request) {
-	q := &Query{Kind: "health", VDev: r.URL.Query().Get("vdev")}
-	res, err := c.Read("", q)
-	if err != nil {
-		ce := wrap(err, -1)
-		writeJSON(w, httpStatus(ce.Code), ReadResponse{Error: ce})
-		return
-	}
-	writeJSON(w, http.StatusOK, ReadResponse{Result: res})
-}
-
-// handleLint is the dedicated verifier route: the same payload as
-// /v1/read?kind=lint, as its own endpoint so CI gates can curl it directly.
-func (c *Ctl) handleLint(w http.ResponseWriter, r *http.Request) {
-	q := &Query{Kind: "lint", VDev: r.URL.Query().Get("vdev")}
-	res, err := c.Read("", q)
-	if err != nil {
-		ce := wrap(err, -1)
-		writeJSON(w, httpStatus(ce.Code), ReadResponse{Error: ce})
-		return
-	}
-	writeJSON(w, http.StatusOK, ReadResponse{Result: res})
 }
 
 func (c *Ctl) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -60,10 +60,10 @@ type DPMU struct {
 	// (tx.go); non-nil only inside inTx. Guarded by mu.
 	tx *sim.Tx
 
-	// ports is the port→PID table PIDForPort answers from, republished
-	// after every Update so the packet I/O runtime's shard key never waits
-	// on mu.
-	ports atomic.Pointer[portPIDs]
+	// ports is each physical port's t_assign owner, indexed by port, that
+	// PIDForPort answers from; republished after every Update so the packet
+	// I/O runtime's shard key never waits on mu.
+	ports atomic.Pointer[[]portOwner]
 
 	// Fused fast-path cache lifecycle (fusion.go). Guarded by mu.
 	fusion       bool

@@ -380,13 +380,13 @@ func (d *DPMU) installRow(v *VDev, slot *hp4c.Slot, ca *hp4c.CompiledAction, mat
 }
 
 // matchFor translates the virtual match params into the slot's persona
-// match params, folding in parse-path constraints. The extra priority
-// reflects LPM prefix lengths (§5.3's second option: "use ternary matching,
-// but have the DPMU identify and manage the priorities of match entries").
+// match params, folding in parse-path constraints. The extra priority is
+// hp4c.PrefixPriority: LPM prefix lengths (§5.3's second option: "use
+// ternary matching, but have the DPMU identify and manage the priorities of
+// match entries").
 func (d *DPMU) matchFor(v *VDev, slot *hp4c.Slot, tbl *ast.Table, params []sim.MatchParam) ([]sim.MatchParam, int, error) {
 	pid := bitfield.FromUint(persona.ProgramWidth, uint64(v.PID))
 	ew := d.cfg.ExtractedWidth()
-	extraPrio := 0
 	switch slot.Kind {
 	case persona.NTEDExact, persona.NTEDTernary, persona.NTMetaExact, persona.NTMetaTernary:
 		width := ew
@@ -421,10 +421,11 @@ func (d *DPMU) matchFor(v *VDev, slot *hp4c.Slot, tbl *ast.Table, params []sim.M
 				}
 				value.Insert(off, p.Value.And(m).Resize(w))
 				mask.Insert(off, m)
-				if !d.skewLPM {
-					extraPrio += w - p.PrefixLen
-				}
 			}
+		}
+		extraPrio := 0
+		if !d.skewLPM {
+			extraPrio = hp4c.PrefixPriority(v.Comp.Prog, tbl, params)
 		}
 		return []sim.MatchParam{sim.Exact(pid), sim.Exact(bitfield.FromUint(persona.SlotWidth, uint64(slot.ID))), sim.Ternary(value, mask)}, extraPrio, nil
 

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"hyper4/internal/core/persona"
+	"hyper4/internal/core/persona/rows"
 	"hyper4/internal/core/verify/prove"
 	"hyper4/internal/sim"
 )
@@ -97,55 +97,26 @@ func (d *DPMU) Prove(owner, vdev string, opts prove.Options) (*prove.Result, err
 }
 
 // identityHarnessLocked reports whether the identity proof harness is live
-// for device v: every physical port in 8..15 is effectively assigned to v
-// with a matching virtual ingress, and every virtual port 1..15 routes to
-// its physical namesake.
+// for device v: t_assign gives it every physical port in 8..15 at the
+// matching virtual ingress, and t_virtnet routes each of its virtual ports
+// 1..15 to its physical namesake.
 func (d *DPMU) identityHarnessLocked(v *VDev) bool {
 	for p := 8; p < 16; p++ {
-		if !d.effectiveAssignIs(p, v.Name) {
+		if o := d.portOwner(p); o.pid != v.PID || o.vin != uint64(p) {
 			return false
 		}
 	}
-	rows, err := d.SW.TableEntriesOrdered(persona.TblVirtnet)
+	t, err := rows.Load(d.SW, d.cfg)
 	if err != nil {
 		return false
 	}
-	byHandle := make(map[int]*sim.Entry, len(rows))
-	for _, e := range rows {
-		byHandle[e.Handle] = e
-	}
-	for vp := 1; vp < 16; vp++ {
-		row, ok := v.vnet[vp]
-		if !ok {
-			return false
-		}
-		e := byHandle[row.Handle]
-		if e == nil || e.Action != persona.ActPhysFwd || len(e.Args) != 1 || e.Args[0].Uint64() != uint64(vp) {
-			return false
+	// (pid, vport) is an exact key: the switch holds at most one route per
+	// virtual port.
+	phys := 0
+	for _, r := range t.VDev(v.PID).Routes {
+		if r.Err == nil && r.Kind == rows.RoutePhys && r.VPort >= 1 && r.VPort < 16 && uint64(r.Port) == r.VPort {
+			phys++
 		}
 	}
-	return true
-}
-
-// effectiveAssignIs mirrors t_assign precedence (PIDForPort): the newest
-// port-specific assignment wins, then the newest wildcard.
-func (d *DPMU) effectiveAssignIs(port int, vdev string) bool {
-	wildcard := -1
-	for i := len(d.assigns) - 1; i >= 0; i-- {
-		a := d.assigns[i]
-		if _, ok := d.vdevs[a.VDev]; !ok {
-			continue
-		}
-		if a.PhysPort == port {
-			return a.VDev == vdev && a.VIngress == port
-		}
-		if a.PhysPort == -1 && wildcard == -1 {
-			if a.VDev == vdev && a.VIngress == port {
-				wildcard = 1
-			} else {
-				wildcard = 0
-			}
-		}
-	}
-	return wildcard == 1
+	return phys == 15
 }

@@ -3,8 +3,8 @@ package dpmu
 import "testing"
 
 // TestPIDForPort pins the shard-key resolution the packet I/O runtime uses:
-// it must mirror t_assign's priority order (port-specific beats wildcard,
-// newest wins within a tier) and track assignment churn, checkpoints, and
+// it must follow t_assign's match order (port-specific beats wildcard; the
+// older row wins a tie) and track assignment churn, checkpoints, and
 // snapshot switches.
 func TestPIDForPort(t *testing.T) {
 	d := newPersonaDPMU(t)

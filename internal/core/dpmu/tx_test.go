@@ -30,23 +30,35 @@ func TestPIDForPortWhileWriteLockHeld(t *testing.T) {
 	}
 }
 
-// Assignments to an unloaded device cover nothing, and reloading the name
-// brings them back under the new PID, as t_assign's rows do.
+// An assignment outlives its device: t_assign's row keeps naming the
+// unloaded PID, so frames on its port drop and PIDForPort names that PID,
+// through a reload (a new PID) too, until the row is cleared.
 func TestPIDForPortFollowsLoads(t *testing.T) {
 	d := newPersonaDPMU(t)
 	loadL2(t, d, "l2", "op")
+	old := d.vdevs["l2"].PID
 	if err := d.Unload("op", "l2"); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.PIDForPort(1); got != -1 {
-		t.Fatalf("port of an unloaded device: pid %d, want -1", got)
+	if got := d.PIDForPort(1); got != old {
+		t.Fatalf("port of an unloaded device: pid %d, want its row's %d", got, old)
+	}
+	if out, _, err := d.SW.Process(l2Frame(), 1); err != nil || len(out) != 0 {
+		t.Fatalf("frame on an unloaded device's port: %d outputs, err %v; want a drop", len(out), err)
 	}
 	v, err := d.Load("l2", compileFn(t, "l2_switch"), "op", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := d.PIDForPort(1); got != old {
+		t.Fatalf("after reload: pid %d, want the row's %d", got, old)
+	}
+	d.ClearAssignments()
+	if err := d.AssignPort("op", Assignment{PhysPort: 1, VDev: "l2", VIngress: 1}); err != nil {
+		t.Fatal(err)
+	}
 	if got := d.PIDForPort(1); got != v.PID {
-		t.Fatalf("after reload: pid %d, want %d", got, v.PID)
+		t.Fatalf("after reassigning: pid %d, want %d", got, v.PID)
 	}
 }
 

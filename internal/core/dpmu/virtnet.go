@@ -5,7 +5,9 @@ import (
 	"sort"
 
 	"hyper4/internal/bitfield"
+	"hyper4/internal/core/fuse"
 	"hyper4/internal/core/persona"
+	"hyper4/internal/core/persona/rows"
 	"hyper4/internal/functions"
 	"hyper4/internal/sim"
 )
@@ -42,50 +44,42 @@ func (t *Tx) AssignPort(owner string, a Assignment) error {
 	return nil
 }
 
-// PIDForPort resolves the program ID traffic on a physical ingress port is
-// steered to, mirroring t_assign's priority order: a port-specific
-// assignment beats the "any port" wildcard; within a tier the newest
-// assignment wins, matching replace-by-reinstall usage. -1 means no
-// assignment covers the port. The packet I/O runtime uses this as its shard
-// key so every frame of one virtual device lands on one worker; it reads
-// the table publishPorts last stored and takes no lock.
-func (d *DPMU) PIDForPort(port int) int {
-	pt := d.ports.Load()
-	if pt == nil {
-		return -1
-	}
-	if pid, ok := pt.byPort[port]; ok {
-		return pid
-	}
-	return pt.wildcard
+// PIDForPort is the program ID of the device t_assign's rows steer a
+// physical ingress port to, read in the switch's match order: the first
+// matching row in precedence order owns the port, even when its device has
+// since been unloaded (frames on the port then drop). -1 means no row
+// covers the port, or an undecodable row might. The packet I/O runtime uses
+// this as its shard key so every frame of one virtual device lands on one
+// worker; it reads the table publishPorts last stored and takes no lock.
+func (d *DPMU) PIDForPort(port int) int { return d.portOwner(port).pid }
+
+// portOwner is t_assign's owner of one physical port: the device's PID
+// (-1: none or unknown) and the virtual ingress the port enters it at.
+type portOwner struct {
+	pid int
+	vin uint64
 }
 
-// portPIDs is PIDForPort's answer for every port, immutable once published.
-type portPIDs struct {
-	byPort   map[int]int
-	wildcard int
+func (d *DPMU) portOwner(port int) portOwner {
+	if pt := d.ports.Load(); pt != nil && port >= 0 && port < len(*pt) {
+		return (*pt)[port]
+	}
+	return portOwner{pid: -1}
 }
 
-// publishPorts recomputes the port→PID table from the assignments and the
-// loaded devices (an assignment to an unloaded device covers nothing) and
-// swaps it in. Callers hold d.mu.
+// publishPorts reads t_assign's rows back from the switch and stores each
+// port's owner as rows.PortOwner decides it, the same decision the fused
+// port dispatch makes. Callers hold d.mu and no switch transaction.
 func (d *DPMU) publishPorts() {
-	pt := &portPIDs{byPort: map[int]int{}, wildcard: -1}
-	for i := len(d.assigns) - 1; i >= 0; i-- {
-		a := d.assigns[i]
-		v, ok := d.vdevs[a.VDev]
-		if !ok {
-			continue
-		}
-		if a.PhysPort == -1 {
-			if pt.wildcard == -1 {
-				pt.wildcard = v.PID
-			}
-		} else if _, seen := pt.byPort[a.PhysPort]; !seen {
-			pt.byPort[a.PhysPort] = v.PID
+	as, _ := rows.LoadAssign(d.SW) // the persona always declares t_assign
+	pt := make([]portOwner, fuse.MaxPorts)
+	for port := range pt {
+		pt[port].pid = -1
+		if i, ok := rows.PortOwner(as, port); ok && i >= 0 {
+			pt[port] = portOwner{pid: as[i].PID, vin: as[i].VIngress}
 		}
 	}
-	d.ports.Store(pt)
+	d.ports.Store(&pt)
 }
 
 // ClearAssignments removes every port-to-device assignment (used when

@@ -305,26 +305,21 @@ func Build(sw *sim.Switch, cfg persona.Config, vdevs []VDev) (*Engine, []verify.
 	// count against the interpreter's budget; plans that would exceed it
 	// (or sit on a link cycle) are refused here, before port binding.
 	findings = append(findings, linkPlans(eng, sim.MaxPasses)...)
-	// Fuse t_assign into a direct port dispatch: for each physical port,
-	// the first assign row in precedence order that matches it. A port an
-	// undecodable row might claim stays with the interpreter.
+	// Fuse t_assign into a direct port dispatch: each physical port goes
+	// to its owning row's plan (rows.PortOwner). A port an undecodable row
+	// might claim stays with the interpreter.
 	assignEnt := make([]int32, len(t.Assign))
 	for port := 0; port < MaxPorts; port++ {
-		for i := range t.Assign {
-			a := &t.Assign[i]
-			if a.Err != nil {
-				break
+		i, ok := rows.PortOwner(t.Assign, port)
+		if !ok || i < 0 {
+			continue
+		}
+		a := &t.Assign[i]
+		if p := eng.plans[a.PID]; p != nil {
+			if assignEnt[i] == 0 {
+				assignEnt[i] = eng.entry(a.Entry)
 			}
-			if uint64(port)&a.Mask != a.Val {
-				continue
-			}
-			if p := eng.plans[a.PID]; p != nil {
-				if assignEnt[i] == 0 {
-					assignEnt[i] = eng.entry(a.Entry)
-				}
-				eng.ports[port] = portBind{plan: p, vingress: a.VIngress, assign: assignEnt[i]}
-			}
-			break
+			eng.ports[port] = portBind{plan: p, vingress: a.VIngress, assign: assignEnt[i]}
 		}
 	}
 	if len(eng.plans) == 0 {

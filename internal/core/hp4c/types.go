@@ -13,7 +13,9 @@ import (
 	"math/big"
 
 	"hyper4/internal/core/persona"
+	"hyper4/internal/p4/ast"
 	"hyper4/internal/p4/hlir"
+	"hyper4/internal/sim"
 )
 
 // Compiled is the compilation artifact for one target program. It is
@@ -146,4 +148,21 @@ type CompiledAction struct {
 	Name   string
 	Params []string
 	Prims  []PrimSpec
+}
+
+// PrefixPriority is the persona's precedence term for an entry of prog's
+// table tbl: Σ(width − prefixLen) over its LPM reads. The persona matches
+// LPM keys as ternary (§5.3: "the DPMU identify and manage the priorities
+// of match entries"), so the DPMU adds this term to each translated row's
+// priority and a longer prefix wins; verify's shadow analysis adds it to
+// each entry's priority to order entries as the persona will.
+func PrefixPriority(prog *hlir.Program, tbl *ast.Table, params []sim.MatchParam) int {
+	n := 0
+	for i, r := range tbl.Reads {
+		if r.Match == ast.MatchLPM {
+			w, _ := prog.FieldWidth(*r.Field) // hlir.Resolve checked it
+			n += w - params[i].PrefixLen
+		}
+	}
+	return n
 }

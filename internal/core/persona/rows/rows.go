@@ -199,6 +199,9 @@ func Load(src Source, cfg persona.Config) (*Tables, error) {
 		execs:     map[uint64]*sim.Entry{},
 	}
 	var err error
+	if t.Assign, err = LoadAssign(src); err != nil {
+		return nil, err
+	}
 	load := func(table string) []*sim.Entry {
 		if err != nil {
 			return nil
@@ -219,9 +222,6 @@ func Load(src Source, cfg persona.Config) (*Tables, error) {
 	byCount(persona.TblNorm, persona.NormAction, t.Norm)
 	byCount(persona.TblResize, persona.ResizeAction, t.Resize)
 	byCount(persona.TblWriteback, persona.WritebackAction, t.Writeback)
-	for _, e := range load(persona.TblAssign) {
-		t.Assign = append(t.Assign, decodeAssign(e))
-	}
 	t.parse = load(persona.TblParseCtrl)
 	t.virtnet = load(persona.TblVirtnet)
 	t.csum = load(persona.TblCsum)
@@ -581,6 +581,38 @@ func route(v *VDev, e *sim.Entry) Route {
 		r.Err = v.fail(persona.TblVirtnet, e.Handle, "%v", err)
 	}
 	return r
+}
+
+// LoadAssign reads and decodes t_assign's rows from src, in precedence
+// order.
+func LoadAssign(src Source) ([]Assign, error) {
+	es, err := src.TableEntriesOrdered(persona.TblAssign)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Assign, len(es))
+	for i, e := range es {
+		out[i] = decodeAssign(e)
+	}
+	return out, nil
+}
+
+// PortOwner is t_assign's decision for one physical ingress port, as the
+// switch makes it: the index in as (precedence order) of the first row
+// that matches port, or -1 when no row does. ok is false when an
+// undecodable row comes first: it might claim the port, so the owner is
+// unknown. The fused port dispatch and the DPMU's PIDForPort both ask it.
+func PortOwner(as []Assign, port int) (i int, ok bool) {
+	for i := range as {
+		a := &as[i]
+		if a.Err != nil {
+			return -1, false
+		}
+		if uint64(port)&a.Mask == a.Val {
+			return i, true
+		}
+	}
+	return -1, true
 }
 
 func decodeAssign(e *sim.Entry) Assign {

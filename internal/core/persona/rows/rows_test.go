@@ -63,3 +63,40 @@ func FuzzDecodeRow(f *testing.F) {
 		_, _ = tbl.decodeCsum(e)
 	})
 }
+
+// PortOwner takes the first matching t_assign row in precedence order, and
+// answers "unknown" once an undecodable row, which might claim any port,
+// comes first.
+func TestPortOwner(t *testing.T) {
+	row := func(val, mask uint64, pid int, args ...bitfield.Value) Assign {
+		if args == nil {
+			args = []bitfield.Value{bitfield.FromUint(persona.ProgramWidth, uint64(pid)), bitfield.FromUint(persona.VPortWidth, 1)}
+		}
+		return decodeAssign(&sim.Entry{
+			Params: []sim.MatchParam{sim.Ternary(bitfield.FromUint(9, val), bitfield.FromUint(9, mask))},
+			Action: persona.ActSetProgram, Args: args,
+		})
+	}
+	bad := row(0, 0, 0, bitfield.FromUint(8, 1)) // one arg of two
+	if bad.Err == nil {
+		t.Fatal("a one-arg set_program row decoded")
+	}
+	for _, tc := range []struct {
+		name   string
+		as     []Assign
+		port   int
+		want   int
+		wantOK bool
+	}{
+		{"specific", []Assign{row(3, 0x1ff, 1), row(0, 0, 2)}, 3, 0, true},
+		{"wildcard", []Assign{row(3, 0x1ff, 1), row(0, 0, 2)}, 4, 1, true},
+		{"first of equals", []Assign{row(0, 0, 2), row(0, 0, 1)}, 4, 0, true},
+		{"none", []Assign{row(3, 0x1ff, 1)}, 4, -1, true},
+		{"undecodable first", []Assign{bad, row(4, 0x1ff, 1)}, 4, -1, false},
+		{"undecodable after the owner", []Assign{row(4, 0x1ff, 1), bad}, 4, 0, true},
+	} {
+		if got, ok := PortOwner(tc.as, tc.port); got != tc.want || ok != tc.wantOK {
+			t.Errorf("%s: PortOwner = %d, %v; want %d, %v", tc.name, got, ok, tc.want, tc.wantOK)
+		}
+	}
+}

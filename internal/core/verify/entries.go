@@ -94,7 +94,7 @@ func SlotAccepts(tbl *ast.Table, slot *hp4c.Slot, params []sim.MatchParam) bool 
 
 // checkShadow reports entries that can never win a lookup in one table.
 // Precedence mirrors the DPMU's translation: effective priority is the
-// bmv2 priority (lower wins) plus, per LPM read, width−prefixLen (§5.3's
+// bmv2 priority (lower wins) plus hp4c.PrefixPriority (§5.3's
 // ternary-with-managed-priorities scheme). A shadows B when A covers B's
 // entire match space and A precedes B: a lower effective priority, or an
 // equal one and an earlier install (the earlier handle, then the earlier
@@ -105,15 +105,8 @@ func checkShadow(comp *hp4c.Compiled, table string, entries []Entry) []Finding {
 		return nil
 	}
 	reads, _ := sim.TableReads(comp.Prog, table)
-	eff := func(e Entry) int {
-		p := e.Priority
-		for i, r := range reads {
-			if r.Kind == ast.MatchLPM {
-				p += r.Width - e.Params[i].PrefixLen
-			}
-		}
-		return p
-	}
+	tbl := comp.Prog.Tables[table]
+	eff := func(e Entry) int { return e.Priority + hp4c.PrefixPriority(comp.Prog, tbl, e.Params) }
 	var out []Finding
 	for bi := range entries {
 		b := entries[bi]
