@@ -75,6 +75,23 @@ func TestBatchBumpsGenerationOnce(t *testing.T) {
 	requireFusedAgain(t, c)
 }
 
+// A clear_assignments with none installed changes no row: the switch
+// generation stays put, and so does the plan compiled against it.
+func TestEmptyClearAssignmentsKeepsGeneration(t *testing.T) {
+	c := configuredCtl(t, 0)
+	c.D.SetFusion(true)
+	clear := []Op{{Kind: OpClearAssignments}}
+	mustBatch(t, c, "op", clear)
+	gen := c.D.FusionStatus().Generation
+	if gen != c.D.SW.Generation() {
+		t.Fatalf("engine built against generation %d, switch is at %d", gen, c.D.SW.Generation())
+	}
+	mustBatch(t, c, "op", clear)
+	if got := c.D.FusionStatus().Generation; got != gen || c.D.SW.Generation() != gen {
+		t.Fatalf("an empty clear_assignments moved the generation %d -> engine %d, switch %d", gen, got, c.D.SW.Generation())
+	}
+}
+
 func TestFailedBatchRebuildsFusionOnce(t *testing.T) {
 	for _, k := range []int{0, 7, 15} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"hyper4/internal/core/dpmu"
 )
 
 // The HTTP surface, stdlib-only JSON over five routes:
@@ -47,23 +49,7 @@ type ReadResponse struct {
 
 // StatsResponse is the body of GET /v1/stats.
 type StatsResponse struct {
-	VDevs []statsEntry `json:"vdevs"`
-}
-
-// statsEntry mirrors dpmu.VDevStats with JSON tags.
-type statsEntry struct {
-	VDev    string       `json:"vdev"`
-	Owner   string       `json:"owner,omitempty"`
-	Packets uint64       `json:"packets"`
-	Bytes   uint64       `json:"bytes"`
-	Tables  []tableEntry `json:"tables,omitempty"`
-}
-
-type tableEntry struct {
-	Table   string `json:"table"`
-	Hits    int64  `json:"hits"`
-	Misses  int64  `json:"misses"`
-	Entries int    `json:"entries"`
+	VDevs []dpmu.VDevStats `json:"vdevs"`
 }
 
 // EventsResponse is the body of GET /v1/events. Next is the cursor to pass
@@ -174,16 +160,7 @@ func (c *Ctl) handleRead(kind string) http.HandlerFunc {
 }
 
 func (c *Ctl) handleStats(w http.ResponseWriter, r *http.Request) {
-	all := c.Stats()
-	resp := StatsResponse{VDevs: make([]statsEntry, len(all))}
-	for i, st := range all {
-		e := statsEntry{VDev: st.VDev, Owner: st.Owner, Packets: st.Packets, Bytes: st.Bytes}
-		for _, ts := range st.Tables {
-			e.Tables = append(e.Tables, tableEntry{Table: ts.Table, Hits: ts.Hits, Misses: ts.Misses, Entries: ts.Entries})
-		}
-		resp.VDevs[i] = e
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, StatsResponse{VDevs: c.Stats()})
 }
 
 func (c *Ctl) handleEvents(w http.ResponseWriter, r *http.Request) {

@@ -118,12 +118,7 @@ func (d *DPMU) rewireLinkRow(fromDev string, fromPort int, to *VDev, toPort int)
 	if !ok {
 		return ErrNotFound
 	}
-	params := linkMatch(from, fromPort)
-	args := linkArgs(to, toPort)
 	d.unmapVPort(from, fromPort)
-	if err := d.addRow(&from.links, persona.TblVirtnet, persona.ActVirtFwd, params, args, 0); err != nil {
-		return err
-	}
-	from.vnet[fromPort] = from.links[len(from.links)-1]
-	return nil
+	return d.addRow(&from.links, persona.TblVirtnet, persona.ActVirtFwd,
+		linkMatch(from, fromPort), linkArgs(to, toPort), 0)
 }

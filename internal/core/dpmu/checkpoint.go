@@ -19,6 +19,12 @@ package dpmu
 // (hp4c output), entry specs, the persona-row lists of entries and
 // defaults, and the assignment lists of saved snapshots — all replaced,
 // never edited.
+//
+// Port assignments and virtual-port routes are not DPMU bookkeeping: they
+// are t_assign and t_virtnet rows, held only in the switch dump. A snapshot
+// that still carries the DPMU's old copies of them ("assigns", "assign_pes",
+// a vdev's "vnet") restores all the same: JSON skips the unknown keys
+// (testdata/state_legacy.json).
 
 import (
 	"maps"
@@ -38,8 +44,6 @@ type Checkpoint struct {
 	Active      string                  `json:"active,omitempty"`
 	VDevs       []vdevState             `json:"vdevs,omitempty"` // sorted by name
 	Snapshots   map[string][]Assignment `json:"snapshots,omitempty"`
-	Assigns     []Assignment            `json:"assigns,omitempty"`
-	AssignPEs   []pentry                `json:"assign_pes,omitempty"`
 	LinkSpecs   []linkSpec              `json:"link_specs,omitempty"`
 	Switch      sim.SwitchDump          `json:"switch"`
 }
@@ -60,7 +64,6 @@ type vdevState struct {
 	Defaults   map[string][]pentry  `json:"defaults,omitempty"`
 	DefSpecs   map[string]EntrySpec `json:"def_specs,omitempty"`
 	Links      []pentry             `json:"links,omitempty"`
-	VNet       map[int]pentry       `json:"vnet,omitempty"`
 }
 
 // cloneMap is a shallow map copy that is never nil: the live maps are
@@ -85,8 +88,6 @@ func (d *DPMU) Checkpoint() *Checkpoint {
 		Active:      d.active,
 		VDevs:       make([]vdevState, 0, len(d.vdevs)),
 		Snapshots:   cloneMap(d.snapshots),
-		Assigns:     slices.Clone(d.assigns),
-		AssignPEs:   slices.Clone(d.assignPEs),
 		LinkSpecs:   slices.Clone(d.linkSpecs),
 		Switch:      *d.SW.Dump(),
 	}
@@ -105,7 +106,6 @@ func (d *DPMU) Checkpoint() *Checkpoint {
 			Defaults:   cloneMap(v.defaults),
 			DefSpecs:   cloneMap(v.defSpecs),
 			Links:      slices.Clone(v.links),
-			VNet:       cloneMap(v.vnet),
 		}
 		// Sort the handles, not the entries: swapping whole ventry values
 		// costs several times the copy itself.
@@ -140,7 +140,6 @@ func (t *Tx) Rollback(cp *Checkpoint) {
 			defaults:   cloneMap(vs.Defaults),
 			defSpecs:   cloneMap(vs.DefSpecs),
 			links:      slices.Clone(vs.Links),
-			vnet:       cloneMap(vs.VNet),
 		}
 		for _, e := range vs.Entries {
 			v.entries[e.Handle] = &e
@@ -153,8 +152,6 @@ func (t *Tx) Rollback(cp *Checkpoint) {
 	d.nextSession = cp.NextSession
 	d.snapshots = cloneMap(cp.Snapshots)
 	d.active = cp.Active
-	d.assignPEs = slices.Clone(cp.AssignPEs)
-	d.assigns = slices.Clone(cp.Assigns)
 	d.linkSpecs = slices.Clone(cp.LinkSpecs)
 	d.tx.RestoreDump(&cp.Switch)
 	// The vdev set (and its PIDs) may have changed since the checkpoint;

@@ -41,9 +41,7 @@ type DPMU struct {
 	nextSession int
 	snapshots   map[string][]Assignment
 	active      string
-	assignPEs   []pentry     // installed t_assign entries
-	assigns     []Assignment // the assignments behind assignPEs, same order
-	linkSpecs   []linkSpec   // logical virtual-link topology (bypass.go)
+	linkSpecs   []linkSpec // logical virtual-link topology (bypass.go)
 
 	// skewLPM, when set, drops the LPM prefix-length priority offset during
 	// entry translation. It exists only to plant a realistic compiler-class
@@ -95,8 +93,7 @@ type VDev struct {
 	// control-plane memory like ventry.Spec: the equivalence prover rebuilds
 	// a native twin of the device from specs alone.
 	defSpecs map[string]EntrySpec
-	links    []pentry       // virtual network rows
-	vnet     map[int]pentry // t_virtnet routing row per virtual egress port
+	links    []pentry // virtual network rows
 }
 
 // ventry is one virtual entry and the persona rows realizing it. Spec
@@ -220,7 +217,6 @@ func (t *Tx) Load(name string, comp *hp4c.Compiled, owner string, quota int) (*V
 		entries:  map[int]*ventry{},
 		defaults: map[string][]pentry{},
 		defSpecs: map[string]EntrySpec{},
-		vnet:     map[int]pentry{},
 	}
 	if err := d.installStatic(v); err != nil {
 		d.removeRows(v.static)

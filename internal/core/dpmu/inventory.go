@@ -61,18 +61,6 @@ func (d *DPMU) verifySource(dump *sim.SwitchDump) *verify.Source {
 			addRows(v.defaults[t])
 		}
 		addRows(v.links)
-		// vnet rows replace entries in v.links over time; the row set is a
-		// set, so re-adding the live ones is harmless and covers rows that
-		// were replaced in place.
-		ports := make([]int, 0, len(v.vnet))
-		for p := range v.vnet {
-			ports = append(ports, p)
-		}
-		sort.Ints(ports)
-		for _, p := range ports {
-			row := v.vnet[p]
-			dev.Rows = append(dev.Rows, verify.Row{Table: row.Table, Handle: row.Handle})
-		}
 		src.Devices = append(src.Devices, dev)
 	}
 	for _, l := range d.linkSpecs {

@@ -18,8 +18,9 @@ import (
 )
 
 // goldenStatePath pins the snapshot format: EncodeState of goldenScript's
-// state, as written before Checkpoint became the serialized form. A change
-// that moves a single byte of it breaks every snap.bin already on disk.
+// state. A change that moves a single byte of it changes what every new
+// snap.bin holds, and the snap.bin files already on disk must still restore
+// (legacyStatePath).
 const goldenStatePath = "testdata/state_golden.json"
 
 // goldenScript builds a DPMU state that touches every part of a checkpoint:
@@ -55,6 +56,61 @@ func goldenScript(t *testing.T) *DPMU {
 	must(d.SaveSnapshot("chain", []Assignment{{PhysPort: 1, VDev: "arp", VIngress: 1}, {PhysPort: 2, VDev: "arp", VIngress: 2}}))
 	must(d.ActivateSnapshot("chain"))
 	return d
+}
+
+// legacyStatePath is goldenScript's state in the older snapshot format,
+// which also held the DPMU's own copies of the t_assign rows ("assigns",
+// "assign_pes") and of each device's t_virtnet routes ("vnet"). Those rows
+// are in its switch dump too, and a restore reads them from there.
+const legacyStatePath = "testdata/state_legacy.json"
+
+// TestLegacyStateRestores restores the older format to the control state of
+// the scripted twin, and the two stay equal through re-mapping and re-linking
+// a routed port and activating another snapshot, which look the routes and
+// assignments up in the restored rows.
+func TestLegacyStateRestores(t *testing.T) {
+	legacy, err := os.ReadFile(legacyStatePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := newPersonaDPMU(t)
+	if err := restored.RestoreState(legacy, compileReference()); err != nil {
+		t.Fatal(err)
+	}
+	twin := goldenScript(t)
+	same := func(step string) {
+		t.Helper()
+		want, err := twin.DumpControl()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := restored.DumpControl()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%s: restored control state differs from the scripted twin:\n got %s\nwant %s", step, got, want)
+		}
+	}
+	same("restore")
+	for _, d := range []*DPMU{twin, restored} {
+		if err := d.MapVPort("op", "r", 1, 3); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.LinkVPorts("op", "arp", 10, "r", 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.MapVPort("op", "fw", 10, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("map and link")
+	for _, d := range []*DPMU{twin, restored} {
+		if err := d.ActivateSnapshot("all_l2"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("activate")
 }
 
 // compileReference is the restore-time CompileFunc of these tests: the

@@ -21,19 +21,19 @@ import (
 // VTableStats is one virtual table's match statistics, in the emulated
 // program's terms.
 type VTableStats struct {
-	Table   string
-	Hits    int64 // packets that matched an installed virtual entry
-	Misses  int64 // packets that fell through to the default / catch-all
-	Entries int   // installed virtual entries
+	Table   string `json:"table"`
+	Hits    int64  `json:"hits"`    // packets that matched an installed virtual entry
+	Misses  int64  `json:"misses"`  // packets that fell through to the default / catch-all
+	Entries int    `json:"entries"` // installed virtual entries
 }
 
 // VDevStats aggregates one virtual device's traffic and table statistics.
 type VDevStats struct {
-	VDev    string
-	Owner   string
-	Packets uint64 // pipeline passes attributed to this device
-	Bytes   uint64
-	Tables  []VTableStats // sorted by table name
+	VDev    string        `json:"vdev"`
+	Owner   string        `json:"owner,omitempty"`
+	Packets uint64        `json:"packets"` // pipeline passes attributed to this device
+	Bytes   uint64        `json:"bytes"`
+	Tables  []VTableStats `json:"tables,omitempty"` // sorted by table name
 }
 
 // rowHits reads persona per-entry hit counters a table at a time: the

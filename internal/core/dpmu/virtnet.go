@@ -2,6 +2,7 @@ package dpmu
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hyper4/internal/bitfield"
@@ -34,13 +35,10 @@ func (t *Tx) AssignPort(owner string, a Assignment) error {
 		bitfield.FromUint(persona.ProgramWidth, uint64(v.PID)),
 		bitfield.FromUint(persona.VPortWidth, uint64(a.VIngress)),
 	}
-	h, err := d.tx.TableAdd(persona.TblAssign, persona.ActSetProgram,
-		[]sim.MatchParam{sim.Ternary(val, mask)}, args, prio)
-	if err != nil {
+	if _, err := d.tx.TableAdd(persona.TblAssign, persona.ActSetProgram,
+		[]sim.MatchParam{sim.Ternary(val, mask)}, args, prio); err != nil {
 		return fmt.Errorf("dpmu: assign: %w", err)
 	}
-	d.assignPEs = append(d.assignPEs, pentry{Table: persona.TblAssign, Handle: h})
-	d.assigns = append(d.assigns, a)
 	return nil
 }
 
@@ -83,30 +81,26 @@ func (d *DPMU) publishPorts() {
 }
 
 // ClearAssignments removes every port-to-device assignment (used when
-// switching snapshots).
+// switching snapshots). Every t_assign row is one: the persona installs
+// none of its own there.
 func (t *Tx) ClearAssignments() {
-	d := t.d
-	d.removeRows(d.assignPEs)
-	d.assignPEs = nil
-	d.assigns = nil
+	_ = t.d.tx.TableClear(persona.TblAssign) // the persona always declares t_assign
 }
 
-// unmapVPort removes any existing virtnet routing row for a virtual egress
-// port. MapVPort and LinkVPorts have replace semantics: re-mapping a port
-// re-routes it rather than hitting the duplicate-key rejection in TableAdd.
+// unmapVPort removes the t_virtnet routing row (a physical or virtual
+// forward) of a virtual egress port, if it has one. MapVPort and LinkVPorts
+// have replace semantics: re-mapping a port re-routes it rather than hitting
+// the duplicate-key rejection in TableAdd. A drop or multicast row on the
+// port stays, and the add that follows is rejected.
 func (d *DPMU) unmapVPort(v *VDev, vport int) {
-	row, ok := v.vnet[vport]
-	if !ok {
+	e, _ := d.tx.Entry(persona.TblVirtnet, linkMatch(v, vport)) // t_virtnet is all exact
+	if e == nil || (e.Action != persona.ActPhysFwd && e.Action != persona.ActVirtFwd) {
 		return
 	}
-	delete(v.vnet, vport)
-	_ = d.tx.TableDelete(row.Table, row.Handle)
-	for i := range v.links {
-		if v.links[i] == row {
-			v.links = append(v.links[:i], v.links[i+1:]...)
-			break
-		}
-	}
+	_ = d.tx.TableDelete(persona.TblVirtnet, e.Handle)
+	v.links = slices.DeleteFunc(v.links, func(r pentry) bool {
+		return r.Table == persona.TblVirtnet && r.Handle == e.Handle
+	})
 }
 
 // MapVPort maps a virtual egress port of a device to a physical port.
@@ -117,16 +111,11 @@ func (t *Tx) MapVPort(owner, vdev string, vport, physPort int) error {
 	if err != nil {
 		return err
 	}
-	params := []sim.MatchParam{
-		sim.ExactUint(persona.ProgramWidth, uint64(v.PID)),
-		sim.ExactUint(persona.VPortWidth, uint64(vport)),
-	}
 	d.unmapVPort(v, vport)
-	if err := d.addRow(&v.links, persona.TblVirtnet, persona.ActPhysFwd, params,
+	if err := d.addRow(&v.links, persona.TblVirtnet, persona.ActPhysFwd, linkMatch(v, vport),
 		[]bitfield.Value{bitfield.FromUint(9, uint64(physPort))}, 0); err != nil {
 		return err
 	}
-	v.vnet[vport] = v.links[len(v.links)-1]
 	// The port now routes to a physical port; it no longer feeds a device.
 	d.dropLinkSpec(vdev, vport)
 	return nil
@@ -152,7 +141,6 @@ func (t *Tx) LinkVPorts(owner, fromDev string, fromPort int, toDev string, toPor
 		linkMatch(from, fromPort), linkArgs(to, toPort), 0); err != nil {
 		return err
 	}
-	from.vnet[fromPort] = from.links[len(from.links)-1]
 	d.setLinkSpec(linkSpec{FromDev: fromDev, FromPort: fromPort, ToDev: toDev, ToPort: toPort})
 	return nil
 }

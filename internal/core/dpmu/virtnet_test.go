@@ -2,9 +2,11 @@ package dpmu
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"hyper4/internal/bitfield"
+	"hyper4/internal/core/persona"
 	"hyper4/internal/functions"
 	"hyper4/internal/pkt"
 	"hyper4/internal/sim"
@@ -512,5 +514,33 @@ func TestVirtualNetworkLoopIsBounded(t *testing.T) {
 	}
 	if len(out) != 1 || out[0].Port != 2 {
 		t.Fatalf("switch should keep working after the loop error: %+v", out)
+	}
+}
+
+// Re-mapping or re-linking a virtual port replaces only its route: a port
+// that drops (0, VPortDrop) or starts a multicast keeps its row, and the
+// map or link onto it is refused.
+func TestRemapKeepsDropAndMulticastRows(t *testing.T) {
+	d := newPersonaDPMU(t)
+	comp := compileFn(t, functions.L2Switch)
+	for _, name := range []string{"src", "tgt"} {
+		if _, err := d.Load(name, comp, "op", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.MulticastGroup("op", "src", 10, []VPortRef{{VDev: "tgt", VIngress: 1}, {VDev: "tgt", VIngress: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	before := d.SW.Dump().Tables[persona.TblVirtnet]
+	for _, vport := range []int{0, persona.VPortDrop, 10} {
+		if err := d.MapVPort("op", "src", vport, 3); err == nil {
+			t.Errorf("MapVPort onto vport %d succeeded", vport)
+		}
+		if err := d.LinkVPorts("op", "src", vport, "tgt", 1); err == nil {
+			t.Errorf("LinkVPorts from vport %d succeeded", vport)
+		}
+	}
+	if after := d.SW.Dump().Tables[persona.TblVirtnet]; !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused maps changed t_virtnet:\n got %+v\nwant %+v", after, before)
 	}
 }

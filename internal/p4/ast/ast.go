@@ -242,14 +242,6 @@ type Expr struct {
 	Name      string
 }
 
-// ConstExpr builds a constant expression.
-func ConstExpr(x int64) Expr { return Expr{Kind: ExprConst, Const: big.NewInt(x)} }
-
-// FieldExpr builds a field reference expression.
-func FieldExpr(inst, field string) Expr {
-	return Expr{Kind: ExprField, Field: FieldRef{Instance: inst, Index: IndexNone, Field: field}}
-}
-
 // MatchKind is a table read match type.
 type MatchKind string
 

@@ -354,10 +354,8 @@ func (tx *Tx) TableAdd(tableName, action string, params []MatchParam, args []bit
 	if t.ix != nil {
 		mask, val = t.entryKey(params)
 	}
-	// An all-exact table is one mask group: an entry matching the new key
-	// holds exactly that key.
 	if t.allExact {
-		if _, dup := t.ix.Lookup(val, new([]byte)); dup {
+		if _, dup := t.ix.Get(mask, val); dup {
 			return 0, fmt.Errorf("sim: table %s already has an entry for this key", tableName)
 		}
 	}
@@ -458,8 +456,29 @@ func (tx *Tx) TableClear(tableName string) error {
 	if err != nil {
 		return err
 	}
+	if len(t.entries) == 0 {
+		return nil
+	}
 	t.entries = nil
 	t.reindex()
 	tx.changed = true
 	return nil
+}
+
+// Entry returns the highest-precedence entry installed under exactly the key
+// params describe, or nil if there is none. A table with a range read has
+// no index to ask and returns an error.
+func (tx *Tx) Entry(tableName string, params []MatchParam) (*Entry, error) {
+	t, err := tx.sw.table(tableName)
+	if err != nil {
+		return nil, err
+	}
+	if t.ix == nil {
+		return nil, fmt.Errorf("sim: table %s has a range read and no key index", tableName)
+	}
+	if err := checkParams(tableName, t.spec, params); err != nil {
+		return nil, err
+	}
+	e, _ := t.ix.Get(t.entryKey(params))
+	return e, nil
 }

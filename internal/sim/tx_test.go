@@ -7,12 +7,15 @@ import (
 	"hyper4/internal/bitfield"
 )
 
-// An Update that writes nothing, or whose every write is rejected, leaves
-// the generation alone: compiled plans stay valid.
+// An Update that writes nothing, clears an empty table, or whose every write
+// is rejected, leaves the generation alone: compiled plans stay valid.
 func TestUpdateNoOpKeepsGeneration(t *testing.T) {
 	sw := newDumpSwitch(t)
 	gen := sw.Generation()
 	if err := sw.Update(func(*Tx) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.TableClear("dmac"); err != nil {
 		t.Fatal(err)
 	}
 	errBoom := errors.New("boom")
@@ -78,5 +81,62 @@ func TestUpdateSeesOwnWrites(t *testing.T) {
 	outs, _, err := sw.Process(append(make([]byte, 5), 2, 0, 0, 0, 0, 0, 0, 0, 0), 1)
 	if err != nil || len(outs) != 1 || outs[0].Port != 5 {
 		t.Fatalf("forwarding after the tx: %+v %v", outs, err)
+	}
+}
+
+// Tx.Entry finds the highest-precedence entry under exactly a key: a
+// same-key entry of lower precedence takes over when the first is deleted,
+// and an entry under another mask or value is not under that key.
+func TestTxEntry(t *testing.T) {
+	sw := newDumpSwitch(t)
+	arp := Ternary(bitfield.FromUint(16, 0x0806), bitfield.Ones(16))
+	wide := Ternary(bitfield.FromUint(16, 0x0800), bitfield.FromUint(16, 0xff00))
+	entry := func(table string, p MatchParam) *Entry {
+		t.Helper()
+		var e *Entry
+		if err := sw.Update(func(tx *Tx) (err error) {
+			e, err = tx.Entry(table, []MatchParam{p})
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	if e := entry("filter", arp); e != nil {
+		t.Fatalf("empty table: Entry = %+v", e)
+	}
+	late, err := sw.TableAdd("filter", "_nop", []MatchParam{arp}, nil, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := sw.TableAdd("filter", "_drop", []MatchParam{arp}, nil, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sw.TableAdd("filter", "_drop", []MatchParam{wide}, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if e := entry("filter", arp); e == nil || e.Handle != first {
+		t.Fatalf("Entry = %+v, want handle %d", e, first)
+	}
+	if err := sw.TableDelete("filter", first); err != nil {
+		t.Fatal(err)
+	}
+	if e := entry("filter", arp); e == nil || e.Handle != late {
+		t.Fatalf("after delete: Entry = %+v, want handle %d", e, late)
+	}
+	gen := sw.Generation()
+	if e := entry("dmac", Exact(bitfield.FromUint(48, 2))); e != nil {
+		t.Fatalf("Entry on an empty exact table = %+v", e)
+	}
+	if got := sw.Generation(); got != gen {
+		t.Fatalf("Entry moved the generation %d -> %d", gen, got)
+	}
+	err = sw.Update(func(tx *Tx) error {
+		_, err := tx.Entry("dmac", nil)
+		return err
+	})
+	if err == nil {
+		t.Fatal("Entry with no match params succeeded")
 	}
 }

@@ -168,6 +168,19 @@ func (ix *Index[R]) Delete(mask, val []byte, r R) bool {
 	return true
 }
 
+// Get returns the first row, in precedence order, filed under exactly
+// (mask, val); val need not be masked. It shares the writes' scratch, so it
+// needs their exclusion too.
+func (ix *Index[R]) Get(mask, val []byte) (r R, found bool) {
+	g := ix.find(mask)
+	if g == nil {
+		return r, false
+	}
+	ix.scratch = g.masked(ix.scratch[:0], val)
+	r, found = g.first[string(ix.scratch)]
+	return r, found
+}
+
 // dropRest removes rs[i] from the rows behind the first under k.
 func (g *group[R]) dropRest(k []byte, rs []R, i int) {
 	if len(rs) == 1 {

@@ -49,6 +49,31 @@ func scan(rows []*row, key []byte) *row {
 	return nil
 }
 
+// checkGet fails unless Get(mask, val) is the first row, in precedence
+// order, filed under exactly that mask and masked value.
+func checkGet(t *testing.T, op int, ix *Index[*row], rows []*row, mask, val []byte) {
+	t.Helper()
+	var want *row
+	for _, r := range sorted(rows) {
+		if slices.Equal(r.mask, mask) && slices.Equal(and(r.val, mask), and(val, mask)) {
+			want = r
+			break
+		}
+	}
+	if got, ok := ix.Get(mask, val); ok != (want != nil) || got != want {
+		t.Fatalf("op %d Get(%x, %x): index gave %+v, scan %+v", op, mask, val, got, want)
+	}
+}
+
+// and returns b masked.
+func and(b, mask []byte) []byte {
+	out := make([]byte, len(b))
+	for i := range b {
+		out[i] = b[i] & mask[i]
+	}
+	return out
+}
+
 // keyLen is the key width the op-driven tests use: wide enough for masks
 // whose non-zero spans differ, narrow enough that keys collide.
 const keyLen = 3
@@ -102,17 +127,21 @@ func drive(t *testing.T, ops []byte) {
 			live = slices.Delete(live, i, i+1)
 		case 3:
 			key := small()
+			mask := masks[int(key[0]+key[2])%len(masks)]
 			if len(live) > 0 && next()%2 == 0 {
 				// Probe near an installed row: its value, one bit flipped.
 				r := live[int(next())%len(live)]
 				key = slices.Clone(r.val)
 				key[int(next())%keyLen] ^= 1 << (next() % 8)
+				mask = r.mask
+				checkGet(t, id, ix, live, r.mask, r.val)
 			}
 			want := scan(live, key)
 			got, ok := ix.Lookup(key, new([]byte))
 			if ok != (want != nil) || got != want {
 				t.Fatalf("op %d key %x: index picked %+v, scan %+v (%d rows, %d groups)", id, key, got, want, len(live), ix.Groups())
 			}
+			checkGet(t, id, ix, live, mask, key)
 		case 4:
 			rows := sorted(live)
 			ix = Build(before, len(rows), func(i int) ([]byte, []byte, *row) { return rows[i].mask, rows[i].val, rows[i] })
