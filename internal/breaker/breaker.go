@@ -141,10 +141,11 @@ func (b *Breaker) Close() bool {
 }
 
 // Reset forces the breaker healthy from any state. Trips is kept: a reset
-// clears containment, not history.
+// clears containment, not history. The window starts a new array, so a copy
+// of the breaker taken before the reset keeps its faults.
 func (b *Breaker) Reset() {
 	b.state = Healthy
-	b.window = b.window[:0]
+	b.window = nil
 	b.Attempts = 0
 }
 

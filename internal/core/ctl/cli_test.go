@@ -168,8 +168,11 @@ mcast src 10 a:1 b:1
 func TestCLIErrorCodes(t *testing.T) {
 	c := newPersonaCtl(t)
 	cli := NewCLI(c, "op")
-	if _, err := cli.Exec("load l2 l2_switch"); err != nil {
-		t.Fatal(err)
+	// vport 11 is mapped, vport 12 carries a multicast group.
+	for _, line := range []string{"load l2 l2_switch", "map l2 11 3", "mcast l2 12 l2:1 l2:2"} {
+		if _, err := cli.Exec(line); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cases := []struct {
 		cmd  string
@@ -193,6 +196,9 @@ func TestCLIErrorCodes(t *testing.T) {
 		{"l2 table_delete dmac x", CodeInvalidArgument},       // bad handle token
 		{"l2 table_delete dmac 999", CodeNotFound},            // unknown handle
 		{"l2 bogus_op", CodeInvalidArgument},                  // unknown table op
+		{"mcast l2 11 l2:1 l2:2", CodeAlreadyExists},          // a route holds the vport
+		{"map l2 12 1", CodeAlreadyExists},                    // a group holds the vport
+		{"link l2 12 l2 1", CodeAlreadyExists},
 	}
 	for _, tc := range cases {
 		_, err := cli.Exec(tc.cmd)

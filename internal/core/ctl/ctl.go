@@ -10,6 +10,7 @@ import (
 	"hyper4/internal/core/verify"
 	"hyper4/internal/core/verify/prove"
 	pktio "hyper4/internal/runtime"
+	"hyper4/internal/sim"
 )
 
 // PortIO is the packet I/O runtime surface the control plane manages:
@@ -37,10 +38,10 @@ type Ctl struct {
 	// no I/O runtime. Set once at wiring time, before the Ctl serves traffic.
 	IO PortIO
 
-	// wmu serializes writes: a batch's checkpoint-apply-rollback span must
-	// not interleave with another writer (readers are unaffected — the DPMU
-	// and switch have their own locks, and rollback restores a consistent
-	// snapshot). It also guards the request-ID dedup ring below.
+	// wmu serializes writes: a batch's apply-journal-undo span must not
+	// interleave with another writer, whose writes a replayed write set
+	// would not know (readers are unaffected — the DPMU and switch have
+	// their own locks). It also guards the request-ID dedup ring below.
 	wmu sync.Mutex
 
 	// Request-ID dedup (idempotent retries): a retried WriteBatch carrying
@@ -95,13 +96,15 @@ func (c *Ctl) Apply(owner string, op *Op) (Result, error) {
 }
 
 // WriteBatch applies ops atomically as owner: each op is validated
-// structurally up front, the DPMU is checkpointed, and the first failure
-// rolls everything back so the switch and the DPMU's bookkeeping are
-// bit-identical to the pre-batch state. A batch without port ops is one
-// DPMU Update, rollback included, so it is atomic against packets too:
-// each packet sees the pre-batch tables or the post-batch ones. The
-// returned error carries the failing op's index and code; on success one
-// Result per op is returned.
+// structurally up front, and the first failure undoes everything the batch
+// wrote, so the switch and the DPMU's bookkeeping are bit-identical to the
+// pre-batch state. The undo replays write sets: a failing DPMU op's Update
+// undoes its own, and the batch replays those of its committed Updates
+// (before a failing port op, or when the journal append fails). No write
+// copies the installed state. A batch without port ops is one DPMU
+// Update, so it is atomic against packets too: each packet sees the
+// pre-batch tables or the post-batch ones. The returned error carries the
+// failing op's index and code; on success one Result per op is returned.
 func (c *Ctl) WriteBatch(owner string, ops []Op) ([]Result, error) {
 	return c.WriteBatchID(owner, "", ops)
 }
@@ -147,19 +150,16 @@ func (c *Ctl) writeBatchLocked(owner, requestID string, ops []Op) ([]Result, err
 			return nil, wrap(err, i)
 		}
 	}
-	// A lone op needs a checkpoint only if a journal failure may have to
-	// undo it: a failing DPMU operation already cleans up its own rows.
-	var cp *dpmu.Checkpoint
-	if len(ops) > 1 || c.journal != nil {
-		cp = c.D.Checkpoint()
-	}
-	// Transports live outside the DPMU checkpoint, so port attaches are
-	// compensated rather than rolled back: a failing batch detaches the
-	// ports it attached. A detach consumed by a failing batch is NOT
-	// restored (the transport is gone); batches mixing detaches with
-	// fallible ops should order the detach last.
+	// A failure undoes the Updates the batch committed by replaying their
+	// write sets, newest first. Transports live outside the DPMU, so port
+	// attaches are compensated instead: a failing batch detaches the ports
+	// it attached. A detach consumed by a failing batch is NOT restored
+	// (the transport is gone); batches mixing detaches with fallible ops
+	// should order the detach last.
+	var committed []sim.WriteSet
 	var attached []int
-	undoPorts := func() {
+	undo := func() {
+		c.D.Undo(committed...)
 		for _, p := range attached {
 			_ = c.IO.Detach(p)
 		}
@@ -169,10 +169,7 @@ func (c *Ctl) writeBatchLocked(owner, requestID string, ops []Op) ([]Result, err
 		if isPortOp(ops[i].Kind) {
 			res, err := c.applyPortOp(&ops[i])
 			if err != nil {
-				if cp != nil {
-					c.D.Rollback(cp)
-				}
-				undoPorts()
+				undo()
 				return nil, wrap(err, i)
 			}
 			if ops[i].Kind == OpPortAttach {
@@ -186,8 +183,8 @@ func (c *Ctl) writeBatchLocked(owner, requestID string, ops []Op) ([]Result, err
 		// write lock and one generation bump. The Update requests the plan
 		// compile and returns, so the compile runs beside the journal's
 		// fsync and the ack does not wait for it; packets take the
-		// interpreter until it lands. A failure rolls back inside the same
-		// Update, so packets never see the failed op's predecessors.
+		// interpreter until it lands. A failing op makes the Update undo
+		// its own write set, so packets never see the op's predecessors.
 		j, failed := i, -1
 		for j < len(ops) && !isPortOp(ops[j].Kind) {
 			j++
@@ -196,18 +193,16 @@ func (c *Ctl) writeBatchLocked(owner, requestID string, ops []Op) ([]Result, err
 			for k := i; k < j; k++ {
 				res, err := c.applyOp(t, owner, &ops[k])
 				if err != nil {
-					if cp != nil {
-						t.Rollback(cp)
-					}
 					failed = k
 					return err
 				}
 				results[k] = res
 			}
+			committed = append(committed, t.WriteSet())
 			return nil
 		})
 		if err != nil {
-			undoPorts()
+			undo()
 			return nil, wrap(err, failed)
 		}
 		i = j
@@ -217,8 +212,7 @@ func (c *Ctl) writeBatchLocked(owner, requestID string, ops []Op) ([]Result, err
 	// the batch — an ack must never outrun the log.
 	if c.journal != nil {
 		if jerr := c.journalAppliedLocked(owner, requestID, ops, results); jerr != nil {
-			c.D.Rollback(cp)
-			undoPorts()
+			undo()
 			return nil, &Error{Code: CodeInternal, Op: -1, Msg: jerr.Error()}
 		}
 	}
@@ -231,7 +225,7 @@ func (c *Ctl) writeBatchLocked(owner, requestID string, ops []Op) ([]Result, err
 // validateOp rejects structurally malformed ops before any state changes.
 // Program-dependent validation (does the table exist, do the tokens parse
 // against its reads) happens at apply time — a batch may load the device an
-// op later in the same batch targets — and is covered by rollback.
+// op later in the same batch targets — and a failure there is undone.
 func validateOp(op *Op) error {
 	switch op.Kind {
 	case OpLoadVDev:

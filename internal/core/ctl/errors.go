@@ -1,7 +1,7 @@
 // Package ctl is the typed control plane over the DPMU: a P4Runtime-inspired
 // operation model (one Op union type covering device lifecycle, virtual
 // networking and table writes), structured error codes, atomic batched
-// writes with checkpoint/rollback, and a remote management surface (an HTTP
+// writes undone from their write sets, and a remote management surface (an HTTP
 // service plus a client speaking the same script dialect as the REPL). The
 // dpmu package stays the mechanism — translation, authorization, quotas —
 // while ctl is the policy-free protocol layer every management path

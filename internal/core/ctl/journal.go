@@ -15,10 +15,9 @@ package ctl
 // length, 4-byte IEEE CRC32 of the payload, JSON payload):
 //
 //	<dir>/snap.bin   one framed snapshot: DPMU state (dpmu.EncodeState,
-//	                 the JSON of the same dpmu.Checkpoint a batch rolls
-//	                 back to), attached ports, dedup ring, and the
-//	                 sequence number it covers. Replaced atomically
-//	                 (tmp + rename).
+//	                 the JSON of a dpmu.Checkpoint), attached ports,
+//	                 dedup ring, and the sequence number it covers.
+//	                 Replaced atomically (tmp + rename).
 //	<dir>/wal.log    framed batch records appended since the last snapshot.
 //
 // Rotation: every SnapshotEvery appended batches the journal snapshots and

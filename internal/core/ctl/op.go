@@ -23,12 +23,12 @@ const (
 	// OpPortAttach / OpPortDetach manage the packet I/O runtime's physical
 	// ports: attach binds a transport (built from a textual spec like
 	// "udp:0.0.0.0:9000") to a port, detach drains and closes it. Unlike
-	// table state, transports live outside the DPMU checkpoint; WriteBatch
+	// table state, transports live outside the DPMU's write sets; WriteBatch
 	// compensates by detaching ports a failed batch attached.
 	OpPortAttach OpKind = "port_attach"
 	OpPortDetach OpKind = "port_detach"
 	// OpVerify runs the static verifier over the current state; error
-	// findings fail the op (and roll its batch back), making it a dry-run
+	// findings fail the op (and undo its batch), making it a dry-run
 	// admission gate when appended to a batch. VDev optionally scopes the
 	// findings.
 	OpVerify OpKind = "verify"

@@ -12,18 +12,21 @@ import (
 
 // BenchmarkWriteBatchUnderTraffic is the write path's apply layer under
 // load: one op is a 16-op batch (8 dmac adds, 8 deletes of the previous
-// batch's adds) on a fused 256-station l2 device, while a goroutine drives
-// ProcessSeq bursts at the stations. The nojournal case times checkpoint
-// and apply (including waits for the switch write lock, and for a compile
-// the previous batch left in flight); the journal case adds the WAL append
-// and fsync. builds/op is plan compiles per batch: below 1 when compiles
-// coalesce.
+// batch's adds) on a fused l2 device of 64, 512 or 2048 stations, while a
+// goroutine drives ProcessSeq bursts at the stations. The nojournal case
+// times apply (including waits for the switch write lock, and for a
+// compile the previous batch left in flight); the journal case adds the
+// WAL append and fsync. The stations dimension shows what a write's cost
+// does as installed state grows. builds/op is plan compiles per batch:
+// below 1 when compiles coalesce.
 func BenchmarkWriteBatchUnderTraffic(b *testing.B) {
-	b.Run("nojournal", func(b *testing.B) { benchWriteBatch(b, false) })
-	b.Run("journal", func(b *testing.B) { benchWriteBatch(b, true) })
+	for _, stations := range []int{64, 512, 2048} {
+		b.Run(fmt.Sprintf("stations=%d/nojournal", stations), func(b *testing.B) { benchWriteBatch(b, stations, false) })
+		b.Run(fmt.Sprintf("stations=%d/journal", stations), func(b *testing.B) { benchWriteBatch(b, stations, true) })
+	}
 }
 
-func benchWriteBatch(b *testing.B, journaled bool) {
+func benchWriteBatch(b *testing.B, stations int, journaled bool) {
 	p := newPersonaCtl(b)
 	if journaled {
 		j, err := OpenJournal(b.TempDir(), DefaultSnapshotEvery)
@@ -35,7 +38,6 @@ func benchWriteBatch(b *testing.B, journaled bool) {
 			b.Fatal(err)
 		}
 	}
-	const stations = 256
 	station := func(i int) string { return fmt.Sprintf("02:00:00:00:%02x:%02x", i>>8, i&0xff) }
 	setup := []Op{
 		{Kind: OpLoadVDev, VDev: "l2", Function: "l2_switch"},
@@ -45,8 +47,12 @@ func benchWriteBatch(b *testing.B, journaled bool) {
 	for i := 0; i < stations; i++ {
 		setup = append(setup, Op{Kind: OpTableAdd, VDev: "l2", Table: "dmac", Action: "forward", Match: []string{station(i)}, Args: []string{"2"}})
 	}
-	if _, err := p.WriteBatch("op", setup); err != nil {
-		b.Fatal(err)
+	for len(setup) > 0 {
+		n := min(len(setup), maxBatchOps)
+		if _, err := p.WriteBatch("op", setup[:n]); err != nil {
+			b.Fatal(err)
+		}
+		setup = setup[n:]
 	}
 	p.D.SetFusion(true)
 

@@ -8,7 +8,11 @@ package dpmu
 // original links for half-open probing or reset. All functions here are
 // called with d.mu held.
 
-import "hyper4/internal/core/persona"
+import (
+	"slices"
+
+	"hyper4/internal/core/persona"
+)
 
 // linkSpec records the logical shape of one virtual link (a LinkVPorts
 // call): FromDev's virtual egress FromPort feeds ToDev's virtual ingress
@@ -27,8 +31,16 @@ func (d *DPMU) setLinkSpec(s linkSpec) {
 	d.linkSpecs = append(d.linkSpecs, s)
 }
 
+// editLinkSpecs keeps linkSpecs' old value in the write set and gives the
+// edit that follows a copy to change in place.
+func (d *DPMU) editLinkSpecs() {
+	keepVal(d.tx, &d.linkSpecs)
+	d.linkSpecs = slices.Clone(d.linkSpecs)
+}
+
 // dropLinkSpec forgets the link from (device, port), if any.
 func (d *DPMU) dropLinkSpec(fromDev string, fromPort int) {
+	d.editLinkSpecs()
 	for i := range d.linkSpecs {
 		if d.linkSpecs[i].FromDev == fromDev && d.linkSpecs[i].FromPort == fromPort {
 			d.linkSpecs = append(d.linkSpecs[:i], d.linkSpecs[i+1:]...)
@@ -41,6 +53,7 @@ func (d *DPMU) dropLinkSpec(fromDev string, fromPort int) {
 // deleted on unload). Links pointing at the device are kept, matching the
 // persona rows, which also survive and dead-end.
 func (d *DPMU) dropLinkSpecsFrom(dev string) {
+	d.editLinkSpecs()
 	out := d.linkSpecs[:0]
 	for _, s := range d.linkSpecs {
 		if s.FromDev != dev {

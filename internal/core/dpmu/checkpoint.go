@@ -1,11 +1,11 @@
 package dpmu
 
 // A Checkpoint is the one form of the DPMU's control-plane state besides the
-// live maps. WriteBatch (internal/core/ctl) checkpoints the DPMU, applies its
-// ops, and on any failure rolls back so the switch and the DPMU's shadow
-// state are bit-identical to the pre-batch state; the journal's snapshots
-// are the same Checkpoint marshalled to JSON (persist.go). Checkpoint is the
-// only live→state conversion and Rollback the only state→live one.
+// live maps: the snapshot format. The journal's snapshots are a Checkpoint
+// marshalled to JSON (persist.go), DumpControl renders one, and tests diff
+// them. Checkpoint is the only live→state conversion and Rollback the only
+// state→live one. A failed write does not use them: it is undone from its
+// own write set (tx.go), so no write copies the installed state.
 //
 // Every type in a Checkpoint carries its own JSON form: bitfield.Value
 // encodes as {"w":width,"b":bytes}, sim's dump types and MatchParam are
@@ -123,9 +123,18 @@ func (d *DPMU) Checkpoint() *Checkpoint {
 }
 
 // Rollback rewinds the DPMU and its persona switch to a Checkpoint. The
-// checkpoint itself is left intact.
+// checkpoint itself is left intact. It builds new containers beside the
+// live ones, so its step in the write set puts the live ones back.
 func (t *Tx) Rollback(cp *Checkpoint) {
 	d := t.d
+	d.tx.OnUndo(d.resyncHealth) // recorded first, so it runs last
+	keepVal(d.tx, &d.vdevs)
+	keepVal(d.tx, &d.snapshots)
+	keepVal(d.tx, &d.linkSpecs)
+	keepVal(d.tx, &d.active)
+	for _, id := range []*int{&d.nextPID, &d.nextMatchID, &d.nextMcast, &d.nextSession} {
+		keepVal(d.tx, id)
+	}
 	d.vdevs = make(map[string]*VDev, len(cp.VDevs))
 	for _, vs := range cp.VDevs {
 		v := &VDev{

@@ -8,6 +8,7 @@
 package dpmu
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -207,10 +208,9 @@ func (t *Tx) Load(name string, comp *hp4c.Compiled, owner string, quota int) (*V
 	if fs := verify.Program(comp); verify.HasErrors(fs) {
 		return nil, fmt.Errorf("dpmu: program %s fails verification (%d findings), first: %s: %w", comp.Name, len(fs), fs[0], ErrInvalid)
 	}
-	d.nextPID++
 	v := &VDev{
 		Name:     name,
-		PID:      d.nextPID,
+		PID:      d.newID(&d.nextPID),
 		Owner:    owner,
 		Comp:     comp,
 		Quota:    quota,
@@ -219,12 +219,9 @@ func (t *Tx) Load(name string, comp *hp4c.Compiled, owner string, quota int) (*V
 		defSpecs: map[string]EntrySpec{},
 	}
 	if err := d.installStatic(v); err != nil {
-		d.removeRows(v.static)
-		for _, rows := range v.defaults {
-			d.removeRows(rows)
-		}
 		return nil, err
 	}
+	keep(d.tx, d.vdevs, name)
 	d.vdevs[name] = v
 	d.registerHealth(name, v.PID)
 	return v, nil
@@ -247,6 +244,7 @@ func (t *Tx) Unload(owner, name string) error {
 	}
 	d.removeRows(v.links)
 	d.removeRows(v.static)
+	keep(d.tx, d.vdevs, name)
 	delete(d.vdevs, name)
 	d.dropLinkSpecsFrom(name)
 	d.unregisterHealth(name)
@@ -276,6 +274,9 @@ func (d *DPMU) removeRows(rows []pentry) {
 
 func (d *DPMU) addRow(dst *[]pentry, table, action string, params []sim.MatchParam, args []bitfield.Value, prio int) error {
 	h, err := d.tx.TableAdd(table, action, params, args, prio)
+	if errors.Is(err, sim.ErrDuplicateKey) {
+		return fmt.Errorf("dpmu: %s: %w: %w", table, err, ErrExists)
+	}
 	if err != nil {
 		return fmt.Errorf("dpmu: %s: %w", table, err)
 	}

@@ -122,7 +122,6 @@ func (d *DPMU) installStatic(v *VDev) error {
 		for _, slot := range slots {
 			prio := pathBase(slot.Path) + catchAllOff
 			if err := d.installSlotRow(v, slot, ca, nil, prio, slot.Miss, &rows); err != nil {
-				d.removeRows(rows)
 				return err
 			}
 		}
@@ -191,7 +190,6 @@ func (d *DPMU) installSpec(v *VDev, tbl *ast.Table, ca *hp4c.CompiledAction, spe
 			continue
 		}
 		if err := d.installReplica(v, slot, tbl, ca, spec.Params, spec.Args, spec.Priority, rows); err != nil {
-			d.removeRows(*rows)
 			return err
 		}
 	}
@@ -222,8 +220,8 @@ func (t *Tx) TableAdd(owner, vdev string, spec EntrySpec) (int, error) {
 	if err := d.installSpec(v, tbl, ca, spec, &e.Rows); err != nil {
 		return 0, err
 	}
-	v.nextHandle++
-	e.Handle = v.nextHandle
+	e.Handle = d.newID(&v.nextHandle)
+	keep(d.tx, v.entries, e.Handle)
 	v.entries[e.Handle] = e
 	return e.Handle, nil
 }
@@ -240,15 +238,15 @@ func (t *Tx) TableDelete(owner, vdev, table string, handle int) error {
 		return fmt.Errorf("dpmu: device %s table %s has no entry %d: %w", vdev, table, handle, ErrNotFound)
 	}
 	d.removeRows(e.Rows)
+	keep(d.tx, v.entries, handle)
 	delete(v.entries, handle)
 	return nil
 }
 
 // TableModify rebinds an existing virtual entry to a new action (or new
-// action arguments), preserving the virtual handle. The persona rows are
-// replaced atomically from the caller's perspective: the new rows are
-// installed under fresh match IDs before the old rows are removed, so live
-// traffic never sees a gap.
+// action arguments), preserving the virtual handle: new rows under fresh
+// match IDs replace the old rows. The write holds the switch's write lock,
+// so packets see the old rows or the new ones.
 func (t *Tx) TableModify(owner, vdev string, handle int, spec EntrySpec) error {
 	d := t.d
 	v, err := d.auth(owner, vdev)
@@ -263,13 +261,13 @@ func (t *Tx) TableModify(owner, vdev string, handle int, spec EntrySpec) error {
 	if err != nil {
 		return err
 	}
-	var fresh []pentry
-	if err := d.installSpec(v, tbl, ca, spec, &fresh); err != nil {
+	fresh := &ventry{Handle: handle, Table: spec.Table, Spec: spec}
+	if err := d.installSpec(v, tbl, ca, spec, &fresh.Rows); err != nil {
 		return err
 	}
 	d.removeRows(e.Rows)
-	e.Rows = fresh
-	e.Spec = spec
+	keep(d.tx, v.entries, handle)
+	v.entries[handle] = fresh
 	return nil
 }
 
@@ -289,23 +287,19 @@ func (t *Tx) SetDefault(owner, vdev, table, action string, args []bitfield.Value
 		return fmt.Errorf("dpmu: program %s reaches table %q on no parse path: %w", v.Comp.Name, table, ErrNotFound)
 	}
 	ca := v.Comp.Actions[action]
-	if old, ok := v.defaults[table]; ok {
-		d.removeRows(old)
-		delete(v.defaults, table)
-		delete(v.defSpecs, table)
-	}
+	d.removeRows(v.defaults[table])
 	var rows []pentry
 	for _, slot := range slots {
 		if slot.MissAction != "" && slot.MissAction != action {
-			d.removeRows(rows)
 			return fmt.Errorf("dpmu: table %s compiled with default %q; cannot set %q (successor stages differ): %w", table, slot.MissAction, action, ErrInvalid)
 		}
 		prio := pathBase(slot.Path) + catchAllOff
 		if err := d.installSlotRow(v, slot, ca, args, prio, slot.Miss, &rows); err != nil {
-			d.removeRows(rows)
 			return err
 		}
 	}
+	keep(d.tx, v.defaults, table)
+	keep(d.tx, v.defSpecs, table)
 	v.defaults[table] = rows
 	v.defSpecs[table] = EntrySpec{Table: table, Action: action, Args: args}
 	return nil
@@ -350,8 +344,7 @@ func (d *DPMU) installSlotRow(v *VDev, slot *hp4c.Slot, ca *hp4c.CompiledAction,
 
 // installRow adds the a_set_match row and the per-primitive prep rows.
 func (d *DPMU) installRow(v *VDev, slot *hp4c.Slot, ca *hp4c.CompiledAction, matchParams []sim.MatchParam, args []bitfield.Value, prio int, next hp4c.Succ, rows *[]pentry) error {
-	d.nextMatchID++
-	mid := d.nextMatchID
+	mid := d.newID(&d.nextMatchID)
 	stageTable := persona.StageTable(slot.Stage, persona.KindName(slot.Kind))
 	setArgs := []bitfield.Value{
 		bitfield.FromUint(persona.MatchIDWidth, uint64(mid)),

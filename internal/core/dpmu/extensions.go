@@ -46,18 +46,12 @@ func (t *Tx) MulticastGroup(owner, vdev string, vport int, targets []VPortRef) e
 	// One sequence ID per step and one clone session shared by the group.
 	seqs := make([]uint64, len(targets))
 	for i := range seqs {
-		d.nextMcast++
-		seqs[i] = uint64(d.nextMcast)
+		seqs[i] = uint64(d.newID(&d.nextMcast))
 	}
-	d.nextSession++
-	session := d.nextSession
+	session := d.newID(&d.nextSession)
 	d.tx.SetMirror(session, 0)
 
 	var rows []pentry
-	fail := func(err error) error {
-		d.removeRows(rows)
-		return err
-	}
 	// Entry point: virtnet routes (pid, vport) to the first target and arms
 	// sequence step 1.
 	params := []sim.MatchParam{
@@ -71,13 +65,13 @@ func (t *Tx) MulticastGroup(owner, vdev string, vport int, targets []VPortRef) e
 		bitfield.FromUint(9, 0),
 	}
 	if err := d.addRow(&rows, persona.TblVirtnet, persona.ActMcastStart, params, args, 0); err != nil {
-		return fail(err)
+		return err
 	}
 	// The original of the first egress pass just spawns the clone.
 	if err := d.addRow(&rows, persona.TblMcastOrig, persona.ActMcastClone,
 		[]sim.MatchParam{sim.ExactUint(persona.McastWidth, seqs[0])},
 		[]bitfield.Value{bitfield.FromUint(32, uint64(session))}, 0); err != nil {
-		return fail(err)
+		return err
 	}
 	// Each clone pass steps the sequence to the next target; the final step
 	// stops cloning.
@@ -91,7 +85,7 @@ func (t *Tx) MulticastGroup(owner, vdev string, vport int, targets []VPortRef) e
 				bitfield.FromUint(32, uint64(session)),
 			}
 			if err := d.addRow(&rows, persona.TblMcastClone, persona.ActMcastStep, key, args, 0); err != nil {
-				return fail(err)
+				return err
 			}
 		} else {
 			args := []bitfield.Value{
@@ -99,10 +93,11 @@ func (t *Tx) MulticastGroup(owner, vdev string, vport int, targets []VPortRef) e
 				bitfield.FromUint(persona.VPortWidth, uint64(targets[i].VIngress)),
 			}
 			if err := d.addRow(&rows, persona.TblMcastClone, persona.ActMcastLast, key, args, 0); err != nil {
-				return fail(err)
+				return err
 			}
 		}
 	}
+	keepVal(d.tx, &from.links)
 	from.links = append(from.links, rows...)
 	return nil
 }
@@ -117,7 +112,7 @@ func (t *Tx) SetRateLimit(owner, vdev string, yellowAt, redAt uint64) error {
 	if err != nil {
 		return err
 	}
-	return d.SW.MeterSetRates(persona.MeterIngress, v.PID, yellowAt, redAt)
+	return d.tx.MeterSetRates(persona.MeterIngress, v.PID, yellowAt, redAt)
 }
 
 // TickMeters starts a new metering window for every virtual device.

@@ -212,25 +212,48 @@ func (d *DPMU) SetHealthNotify(fn func(vdev string, state breaker.State)) {
 }
 
 // registerHealth / unregisterHealth track vdev lifecycle (called with d.mu
-// held from Load/Unload/rollback).
+// held and a write open, from Load and Unload). Each records its inverse in
+// the write set: an undone unload gets its old record back, breaker state
+// and all.
 func (d *DPMU) registerHealth(name string, pid int) {
-	h := &d.health
-	h.mu.Lock()
-	v := &vdevHealth{name: name, pid: uint64(pid)}
-	h.byName[name] = v
-	h.byPID[v.pid] = v
-	h.mu.Unlock()
+	d.setHealth(name, &vdevHealth{name: name, pid: uint64(pid)})
 }
 
-func (d *DPMU) unregisterHealth(name string) {
-	h := &d.health
-	h.mu.Lock()
-	if v, ok := h.byName[name]; ok {
+func (d *DPMU) unregisterHealth(name string) { d.setHealth(name, nil) }
+
+// setHealth installs v as the named device's record, or drops the record
+// when v is nil.
+func (d *DPMU) setHealth(name string, v *vdevHealth) {
+	d.health.mu.Lock()
+	old := d.health.putLocked(d.SW, name, v)
+	d.health.mu.Unlock()
+	d.keepHealth(name, old)
+}
+
+// keepHealth records the step that puts old back as the named device's
+// record. Callers do not hold health.mu.
+func (d *DPMU) keepHealth(name string, old *vdevHealth) {
+	d.tx.OnUndo(func() {
+		d.health.mu.Lock()
+		d.health.putLocked(d.SW, name, old)
+		d.health.mu.Unlock()
+	})
+}
+
+// putLocked replaces the named record (nil: none), pushes the breaker
+// states to the switch, and returns the record it replaced.
+func (h *healthTracker) putLocked(sw *sim.Switch, name string, v *vdevHealth) *vdevHealth {
+	old := h.byName[name]
+	if old != nil {
 		delete(h.byName, name)
-		delete(h.byPID, v.pid)
-		h.rebuildQuarantineLocked(d.SW)
+		delete(h.byPID, old.pid)
 	}
-	h.mu.Unlock()
+	if v != nil {
+		h.byName[name] = v
+		h.byPID[v.pid] = v
+	}
+	h.rebuildQuarantineLocked(sw)
+	return old
 }
 
 // resyncHealth reconciles the tracker with the live vdev set after a
@@ -436,11 +459,15 @@ func (t *Tx) ResetHealth(owner, vdev string) error {
 		return fmt.Errorf("dpmu: no health record for %q: %w", vdev, ErrNotFound)
 	}
 	wasBypassed := v.bypassed
-	v.bypassed = false
-	v.Reset()
-	h.rebuildQuarantineLocked(d.SW)
+	// The reset record replaces v, which the write set keeps: an undone
+	// reset brings back the containment its undone rows belong to.
+	reset := *v
+	reset.bypassed = false
+	reset.Reset()
+	h.putLocked(d.SW, vdev, &reset)
 	notify := h.notify
 	h.mu.Unlock()
+	d.keepHealth(vdev, v)
 	// Same shape as syncHealthLocked: rewire only after health.mu is
 	// released.
 	if wasBypassed {

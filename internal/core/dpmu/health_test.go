@@ -409,3 +409,38 @@ func TestRollbackResyncsHealth(t *testing.T) {
 		t.Fatalf("traffic after rollback: out=%v err=%v", out, err)
 	}
 }
+
+// A health reset in a write that then fails is undone with the rest of the
+// write: the firewall is quarantined and bypassed again, as its restored
+// link rows say, and the blocked flow still takes the bypass.
+func TestFailedWriteUndoesHealthReset(t *testing.T) {
+	d := newPersonaDPMU(t)
+	clock := newFakeClock()
+	d.SetHealthClock(clock.now)
+	d.SetHealthConfig(testHealthConfig(PolicyBypass))
+	loadComposition(t, d) // arp(1) → fw(2) → r(3)
+	d.SW.SetInjector(chaos.New(chaos.Spec{Seed: 1, Attr: 2, PanicEvery: 1, PanicFirst: 3}))
+	for i := 0; i < 3; i++ {
+		_, _, _ = d.SW.Process(ping(), 1)
+	}
+	before := stateOf(t, d.Health(), "fw")
+	if before.State != breaker.Quarantined || !before.Bypassed {
+		t.Fatalf("fw after trip: %+v", before)
+	}
+	errBoom := errors.New("boom")
+	err := d.Update(func(tx *Tx) error {
+		if err := tx.ResetHealth("op", "fw"); err != nil {
+			return err
+		}
+		return errBoom
+	})
+	if !errors.Is(err, errBoom) {
+		t.Fatalf("Update returned %v, want fn's error", err)
+	}
+	if got := stateOf(t, d.Health(), "fw"); got.State != breaker.Quarantined || !got.Bypassed || got.Faults != before.Faults {
+		t.Fatalf("fw after an undone reset: %+v, want %+v", got, before)
+	}
+	if out, _, err := d.SW.Process(tcp5201(), 1); err != nil || len(out) != 1 {
+		t.Fatalf("blocked flow after an undone reset: out=%v err=%v; want the bypass", out, err)
+	}
+}

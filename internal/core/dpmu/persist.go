@@ -3,11 +3,11 @@ package dpmu
 // Serializable control-plane state, for the crash-consistent journal
 // (internal/core/ctl/journal.go). The serialized form is the Checkpoint
 // itself (checkpoint.go): EncodeState marshals one and RestoreState
-// unmarshals one and rewinds through Rollback, so snapshot restore and batch
-// rollback share one code path. Compiled programs are not serialized: a vdev
-// records its function name and the restorer recompiles through the
-// caller's CompileFunc (the boot environment must offer the same functions
-// and persona config — hp4switch does, deterministically).
+// unmarshals one and rewinds through Rollback. A failed batch does not come
+// this way: it replays its write sets (tx.go). Compiled programs are not
+// serialized: a vdev records its function name and the restorer recompiles
+// through the caller's CompileFunc (the boot environment must offer the same
+// functions and persona config — hp4switch does, deterministically).
 
 import (
 	"encoding/json"
@@ -42,10 +42,10 @@ func (d *DPMU) DumpControl() (string, error) {
 	return string(out), err
 }
 
-// RestoreState rewinds the DPMU to a state EncodeState captured, through the
-// same Rollback machinery batch atomicity uses: DPMU bookkeeping, persona
-// table state (entries with their handles, precedence and hit counters),
-// mirrors and meter thresholds all return to their snapshotted values.
+// RestoreState rewinds the DPMU to a state EncodeState captured, through
+// Rollback: DPMU bookkeeping, persona table state (entries with their
+// handles, precedence and hit counters), mirrors and meter thresholds all
+// return to their snapshotted values.
 // Compiled programs are re-resolved by function name through compile; the
 // persona program must already be loaded into the switch (the normal boot
 // sequence) and the persona config must match the one the snapshot was

@@ -179,16 +179,21 @@ const (
 	opActivate
 	opCheckpoint
 	opRollback
+	opMap
+	opLink
+	opMcast
 	numPortOps
 )
 
 // FuzzPortOwner drives random sequences of specific and wildcard
 // assignments, clears, loads and unloads, snapshot saves and activations,
-// and checkpoint rollbacks over three devices (two l2_switch, one
-// firewall), and after every step holds PIDForPort, the interpreter and
-// the fused dispatch to one owner per port (checkPortOwners). Ops a DPMU
-// refuses (an unloaded device, a missing snapshot) are part of the
-// sequence too.
+// checkpoint rollbacks, and vport maps, links and multicast groups over
+// three devices (two l2_switch, one firewall), and after every step holds
+// PIDForPort, the interpreter and the fused dispatch to one owner per port
+// (checkPortOwners). Ops a DPMU refuses (an unloaded device, a missing
+// snapshot, a snapshot naming an unloaded device, a group or route onto a
+// vport something else holds) are part of the sequence too, and each must
+// leave DumpControl as it was.
 func FuzzPortOwner(f *testing.F) {
 	const owner = "fz"
 	names := []string{"a", "b", "c"}
@@ -210,6 +215,7 @@ func FuzzPortOwner(f *testing.F) {
 	f.Add([]byte{opAssign, 0x10, opUnload, 0, opLoad, 0, opAssign, 0x10}) // reload under a new PID
 	f.Add([]byte{opAssign, 0x11, opCheckpoint, 0, opClear, 0, opAssignAll, 2, opRollback, 0})
 	f.Add([]byte{opSave, 0x22, opSave, 5, opActivate, 0, opAssign, 0x03, opActivate, 1})
+	f.Add([]byte{opAssign, 0x11, opMap, 0x30, opMcast, 0x30, opLink, 0x31, opMap, 0x00}) // group onto a mapped vport
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 24 {
 			ops = ops[:24]
@@ -219,29 +225,40 @@ func FuzzPortOwner(f *testing.F) {
 		for i := 0; i+1 < len(ops); i += 2 {
 			arg := int(ops[i+1])
 			dev := names[arg%3]
+			before, _ := d.DumpControl()
+			var err error
 			switch ops[i] % numPortOps {
 			case opAssign:
-				_ = d.AssignPort(owner, Assignment{PhysPort: arg >> 4, VDev: names[arg%16%3], VIngress: arg >> 4})
+				err = d.AssignPort(owner, Assignment{PhysPort: arg >> 4, VDev: names[arg%16%3], VIngress: arg >> 4})
 			case opAssignAll:
-				_ = d.AssignPort(owner, Assignment{PhysPort: -1, VDev: dev, VIngress: arg / 3 % 16})
+				err = d.AssignPort(owner, Assignment{PhysPort: -1, VDev: dev, VIngress: arg / 3 % 16})
 			case opClear:
 				d.ClearAssignments()
 			case opLoad:
-				_, _ = d.Load(dev, comps[arg%3], owner, 0)
+				_, err = d.Load(dev, comps[arg%3], owner, 0)
 			case opUnload:
-				_ = d.Unload(owner, dev)
+				err = d.Unload(owner, dev)
 			case opSave:
-				_ = d.SaveSnapshot(fmt.Sprint("s", arg%2), []Assignment{
+				err = d.SaveSnapshot(fmt.Sprint("s", arg%2), []Assignment{
 					{PhysPort: arg/2%17 - 1, VDev: names[arg/34%3], VIngress: 1},
 				})
 			case opActivate:
-				_ = d.ActivateSnapshot(fmt.Sprint("s", arg%2))
+				err = d.ActivateSnapshot(fmt.Sprint("s", arg%2))
 			case opCheckpoint:
 				cp = d.Checkpoint()
 			case opRollback:
 				if cp != nil {
 					d.Rollback(cp)
 				}
+			case opMap:
+				err = d.MapVPort(owner, dev, arg>>4, arg>>4)
+			case opLink:
+				err = d.LinkVPorts(owner, dev, arg>>4, names[arg/3%3], 1)
+			case opMcast:
+				err = d.MulticastGroup(owner, dev, arg>>4, []VPortRef{{VDev: names[0], VIngress: 1}, {VDev: names[1], VIngress: 2}})
+			}
+			if after, _ := d.DumpControl(); err != nil && after != before {
+				t.Fatalf("op %d (kind %d, arg %#x) was refused (%v) and changed the control state", i/2, ops[i]%numPortOps, arg, err)
 			}
 			checkPortOwners(t, d, frame)
 		}

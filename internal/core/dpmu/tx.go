@@ -22,11 +22,17 @@ type Tx struct{ d *DPMU }
 // republishes the port→PID table and requests a fused-plan compile, which
 // runs after Update returns (fusion.go); Settle waits for it.
 //
-// Like sim.Switch.Update, Update does not undo: a Tx method that fails
-// removes the rows it wrote itself, and a caller that must undo earlier
-// successful ops rolls back to a Checkpoint inside the same fn
-// (Tx.Rollback). fn must not block on packets: a port detach, which drains
-// rings whose workers need the switch's read lock, runs outside Update.
+// The write set is the undo: every persona row a Tx method writes is
+// recorded by the switch transaction, and every bookkeeping edit (devices,
+// their entries, defaults and links, link specs, snapshots, the active
+// snapshot, the ID counters, health records) records its inverse in
+// the same record. If fn returns an error, Update replays the record
+// backward, so a failed op, or an op that fails after others succeeded,
+// leaves the DPMU and the switch as they were. A Tx method that fails may
+// leave partial writes until its Update returns the error. A committed
+// record (WriteSet) can be replayed in a later Update (Undo). fn must not
+// block on packets: a port detach, which drains rings whose workers need
+// the switch's read lock, runs outside Update.
 func (d *DPMU) Update(fn func(t *Tx) error) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -48,6 +54,45 @@ func (d *DPMU) inTx(fn func() error) error {
 		defer func() { d.tx = nil }()
 		return fn()
 	})
+}
+
+// WriteSet returns the write set the Update has recorded so far: called at
+// the end of fn, all of it.
+func (t *Tx) WriteSet() sim.WriteSet { return t.d.tx.WriteSet() }
+
+// Undo replays committed Updates' write sets backward, newest first
+// (sim.Tx.Undo).
+func (t *Tx) Undo(sets ...sim.WriteSet) {
+	for i := len(sets) - 1; i >= 0; i-- {
+		t.d.tx.Undo(sets[i])
+	}
+}
+
+// keep records, in the open write set, the step that restores m[k] to what
+// it holds now: a value, or no key.
+func keep[K comparable, V any](tx *sim.Tx, m map[K]V, k K) {
+	old, had := m[k]
+	tx.OnUndo(func() {
+		if had {
+			m[k] = old
+		} else {
+			delete(m, k)
+		}
+	})
+}
+
+// keepVal records, in the open write set, the step that restores *p to what
+// it holds now.
+func keepVal[T any](tx *sim.Tx, p *T) {
+	old := *p
+	tx.OnUndo(func() { *p = old })
+}
+
+// newID advances one of the DPMU's ID counters and returns the new ID.
+func (d *DPMU) newID(ctr *int) int {
+	keepVal(d.tx, ctr)
+	*ctr++
+	return *ctr
 }
 
 // Load is Tx.Load as a one-op Update.
@@ -131,6 +176,11 @@ func (d *DPMU) SaveSnapshot(name string, assignments []Assignment) error {
 // ActivateSnapshot is Tx.ActivateSnapshot as a one-op Update.
 func (d *DPMU) ActivateSnapshot(name string) error {
 	return d.Update(func(t *Tx) error { return t.ActivateSnapshot(name) })
+}
+
+// Undo is Tx.Undo as a one-op Update.
+func (d *DPMU) Undo(sets ...sim.WriteSet) {
+	_ = d.Update(func(t *Tx) error { t.Undo(sets...); return nil })
 }
 
 // Rollback is Tx.Rollback as a one-op Update.

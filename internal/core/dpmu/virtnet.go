@@ -93,6 +93,11 @@ func (t *Tx) ClearAssignments() {
 // the duplicate-key rejection in TableAdd. A drop or multicast row on the
 // port stays, and the add that follows is rejected.
 func (d *DPMU) unmapVPort(v *VDev, vport int) {
+	// Every route edit starts here, so this is where v.links' old value is
+	// kept, before the delete below edits a copy of it and the add that
+	// follows appends to that copy.
+	keepVal(d.tx, &v.links)
+	v.links = slices.Clone(v.links)
 	e, _ := d.tx.Entry(persona.TblVirtnet, linkMatch(v, vport)) // t_virtnet is all exact
 	if e == nil || (e.Action != persona.ActPhysFwd && e.Action != persona.ActVirtFwd) {
 		return
@@ -175,6 +180,7 @@ func (t *Tx) SaveSnapshot(name string, assignments []Assignment) error {
 			return fmt.Errorf("dpmu: snapshot %q references unloaded device %q: %w", name, a.VDev, ErrNotFound)
 		}
 	}
+	keep(d.tx, d.snapshots, name)
 	d.snapshots[name] = append([]Assignment(nil), assignments...)
 	return nil
 }
@@ -199,6 +205,7 @@ func (t *Tx) ActivateSnapshot(name string) error {
 			return err
 		}
 	}
+	keepVal(d.tx, &d.active)
 	d.active = name
 	return nil
 }

@@ -9,10 +9,11 @@ import (
 
 // This file captures and restores the switch's control-plane state — the
 // state management operations can change, as opposed to the state traffic
-// changes. A SwitchDump is the unit of the control-plane API's atomicity
-// protocol (internal/core/ctl): a batch checkpoint takes a Dump, a failed
-// batch rolls back with RestoreDump, and the rollback tests diff two Dumps
-// to prove the switch is bit-identical to its pre-batch state. The JSON
+// changes. A SwitchDump is the persona half of a DPMU snapshot
+// (internal/core/dpmu): the journal snapshot encodes one, a restore replays
+// one with RestoreDump, and the rollback tests diff two Dumps to prove a
+// failed write left the switch bit-identical to its state before. (A failed
+// write itself is undone from its write set, tx.go, not from a Dump.) The JSON
 // tags are part of the control-plane journal's snapshot format (a
 // dpmu.Checkpoint embeds a SwitchDump); renaming one breaks snapshots
 // already on disk.
@@ -95,15 +96,30 @@ func (sw *Switch) dump() *SwitchDump {
 		d.Mirrors[sess] = port
 	}
 	for name, m := range sw.meters {
-		m.mu.Lock()
-		rates := make([]MeterRates, len(m.cells))
-		for i, c := range m.cells {
-			rates[i] = MeterRates{YellowAt: c.yellowAt, RedAt: c.redAt}
-		}
-		m.mu.Unlock()
-		d.Meters[name] = rates
+		d.Meters[name] = m.rates()
 	}
 	return d
+}
+
+// rates is every cell's thresholds.
+func (m *meterArray) rates() []MeterRates {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	rates := make([]MeterRates, len(m.cells))
+	for i, c := range m.cells {
+		rates[i] = MeterRates{YellowAt: c.yellowAt, RedAt: c.redAt}
+	}
+	return rates
+}
+
+// setRates sets the thresholds of the leading cells rates covers.
+func (m *meterArray) setRates(rates []MeterRates) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := range min(len(rates), len(m.cells)) {
+		m.cells[i].yellowAt = rates[i].YellowAt
+		m.cells[i].redAt = rates[i].RedAt
+	}
 }
 
 // CheckDump holds every entry of a dump to the entry contract TableAdd
@@ -137,13 +153,20 @@ func (sw *Switch) CheckDump(d *SwitchDump) error {
 // the same switch: entries (with their handles, precedence positions and hit
 // counters), handle counters, default actions, mirrors and meter thresholds
 // all return to their captured values. Traffic state (registers, counters,
-// meter window usage, lifetime stats) is left alone.
+// meter window usage, lifetime stats) is left alone. The restore builds new
+// tables beside the old ones, so its undo step puts the old ones back.
 func (tx *Tx) RestoreDump(d *SwitchDump) {
 	sw := tx.sw
 	// A restore replaces table contents wholesale; any compiled fast-path
 	// plan built against the pre-restore state must stop matching.
 	tx.changed = true
 	for name, t := range sw.tables {
+		entries, ix, next := t.entries, t.ix, t.nextHandle
+		action, act, args := t.defaultAction, t.defaultAct, t.defaultArgs
+		tx.OnUndo(func() {
+			t.entries, t.ix, t.nextHandle = entries, ix, next
+			t.defaultAction, t.defaultAct, t.defaultArgs = action, act, args
+		})
 		td := d.Tables[name] // zero value restores an empty table
 		t.entries = make([]*Entry, 0, len(td.Entries))
 		for _, ed := range td.Entries {
@@ -166,6 +189,8 @@ func (tx *Tx) RestoreDump(d *SwitchDump) {
 		t.defaultAct = sw.code.byName[td.DefaultAction]
 		t.defaultArgs = td.DefaultArgs
 	}
+	mirrors := sw.mirrors
+	tx.OnUndo(func() { sw.mirrors = mirrors })
 	sw.mirrors = make(map[int]int, len(d.Mirrors))
 	for sess, port := range d.Mirrors {
 		sw.mirrors[sess] = port
@@ -175,13 +200,8 @@ func (tx *Tx) RestoreDump(d *SwitchDump) {
 		if !ok {
 			continue
 		}
-		m.mu.Lock()
-		for i := range m.cells {
-			if i < len(rates) {
-				m.cells[i].yellowAt = rates[i].YellowAt
-				m.cells[i].redAt = rates[i].RedAt
-			}
-		}
-		m.mu.Unlock()
+		old := m.rates()
+		tx.OnUndo(func() { m.setRates(old) })
+		m.setRates(rates)
 	}
 }

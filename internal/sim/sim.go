@@ -178,8 +178,17 @@ func (sw *Switch) Stats() Stats {
 
 // SetMirror maps a clone session ID to an egress port.
 func (tx *Tx) SetMirror(session, port int) {
-	tx.sw.mirrors[session] = port
+	mirrors := tx.sw.mirrors
+	old, had := mirrors[session]
+	mirrors[session] = port
 	tx.changed = true
+	tx.OnUndo(func() {
+		if had {
+			mirrors[session] = old
+		} else {
+			delete(mirrors, session)
+		}
+	})
 }
 
 // pass describes one trip through (parser →) ingress/egress.

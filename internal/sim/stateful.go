@@ -159,9 +159,11 @@ func (sw *Switch) CounterReset(name string, idx int) error {
 }
 
 // MeterSetRates configures the yellow and red thresholds (in packets or
-// bytes per window, per the meter's kind) for one meter cell.
-func (sw *Switch) MeterSetRates(name string, idx int, yellowAt, redAt uint64) error {
-	m, ok := sw.meters[name]
+// bytes per window, per the meter's kind) for one meter cell. Packets read
+// thresholds live, under the meter's own lock, so no compiled plan holds
+// them and the generation does not move.
+func (tx *Tx) MeterSetRates(name string, idx int, yellowAt, redAt uint64) error {
+	m, ok := tx.sw.meters[name]
 	if !ok {
 		return fmt.Errorf("sim: no meter %q", name)
 	}
@@ -169,9 +171,15 @@ func (sw *Switch) MeterSetRates(name string, idx int, yellowAt, redAt uint64) er
 		return fmt.Errorf("sim: meter %s index %d out of range", name, idx)
 	}
 	m.mu.Lock()
-	m.cells[idx].yellowAt = yellowAt
-	m.cells[idx].redAt = redAt
+	c := &m.cells[idx]
+	oldYellow, oldRed := c.yellowAt, c.redAt
+	c.yellowAt, c.redAt = yellowAt, redAt
 	m.mu.Unlock()
+	tx.OnUndo(func() {
+		m.mu.Lock()
+		c.yellowAt, c.redAt = oldYellow, oldRed
+		m.mu.Unlock()
+	})
 	return nil
 }
 

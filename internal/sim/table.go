@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -338,6 +340,10 @@ func (sw *Switch) table(name string) (*table, error) {
 	return t, nil
 }
 
+// ErrDuplicateKey is TableAdd's refusal of a second entry under an exact
+// key the table already holds.
+var ErrDuplicateKey = errors.New("already has an entry for this key")
+
 // TableAdd installs an entry the table admits (CheckEntry; any priority)
 // and returns its handle. Inserting a second entry with the same
 // exact-match key is rejected.
@@ -356,7 +362,7 @@ func (tx *Tx) TableAdd(tableName, action string, params []MatchParam, args []bit
 	}
 	if t.allExact {
 		if _, dup := t.ix.Get(mask, val); dup {
-			return 0, fmt.Errorf("sim: table %s already has an entry for this key", tableName)
+			return 0, fmt.Errorf("sim: table %s: %w", tableName, ErrDuplicateKey)
 		}
 	}
 	t.nextHandle++
@@ -367,6 +373,12 @@ func (tx *Tx) TableAdd(tableName, action string, params []MatchParam, args []bit
 		t.ix.Insert(mask, val, e)
 	}
 	tx.changed = true
+	tx.OnUndo(func() {
+		if i := slices.Index(t.entries, e); i >= 0 {
+			t.removeAt(i)
+		}
+		t.nextHandle = e.Handle - 1
+	})
 	return e.Handle, nil
 }
 
@@ -376,6 +388,25 @@ func (t *table) insertSorted(e *Entry) {
 	t.entries = append(t.entries, nil)
 	copy(t.entries[i+1:], t.entries[i:])
 	t.entries[i] = e
+}
+
+// insert puts an entry back: at its precedence position and in the index.
+func (t *table) insert(e *Entry) {
+	t.insertSorted(e)
+	if t.ix != nil {
+		mask, val := t.entryKey(e.Params)
+		t.ix.Insert(mask, val, e)
+	}
+}
+
+// removeAt takes entries[i] out of entries and the index.
+func (t *table) removeAt(i int) {
+	e := t.entries[i]
+	t.entries = slices.Delete(t.entries, i, i+1)
+	if t.ix != nil {
+		mask, val := t.entryKey(e.Params)
+		t.ix.Delete(mask, val, e)
+	}
 }
 
 // reindex rebuilds the index from entries, which are in precedence order.
@@ -397,10 +428,12 @@ func (tx *Tx) TableSetDefault(tableName, action string, args []bitfield.Value) e
 		return err
 	}
 	t := sw.tables[tableName]
+	oldAction, oldAct, oldArgs := t.defaultAction, t.defaultAct, t.defaultArgs
 	t.defaultAction = action
 	t.defaultAct = sw.code.byName[action]
 	t.defaultArgs = args
 	tx.changed = true
+	tx.OnUndo(func() { t.defaultAction, t.defaultAct, t.defaultArgs = oldAction, oldAct, oldArgs })
 	return nil
 }
 
@@ -413,12 +446,9 @@ func (tx *Tx) TableDelete(tableName string, handle int) error {
 	}
 	for i, e := range t.entries {
 		if e.Handle == handle {
-			t.entries = append(t.entries[:i], t.entries[i+1:]...)
-			if t.ix != nil {
-				mask, val := t.entryKey(e.Params)
-				t.ix.Delete(mask, val, e)
-			}
+			t.removeAt(i)
 			tx.changed = true
+			tx.OnUndo(func() { t.insert(e) })
 			return nil
 		}
 	}
@@ -439,10 +469,12 @@ func (tx *Tx) TableModify(tableName string, handle int, action string, args []bi
 	t := sw.tables[tableName]
 	for _, e := range t.entries {
 		if e.Handle == handle {
+			oldAction, oldAct, oldArgs := e.Action, e.act, e.Args
 			e.Action = action
 			e.act = sw.code.byName[action]
 			e.Args = args
 			tx.changed = true
+			tx.OnUndo(func() { e.Action, e.act, e.Args = oldAction, oldAct, oldArgs })
 			return nil
 		}
 	}
@@ -459,9 +491,11 @@ func (tx *Tx) TableClear(tableName string) error {
 	if len(t.entries) == 0 {
 		return nil
 	}
+	old, oldIx := t.entries, t.ix
 	t.entries = nil
 	t.reindex()
 	tx.changed = true
+	tx.OnUndo(func() { t.entries, t.ix = old, oldIx })
 	return nil
 }
 

@@ -6,27 +6,43 @@ import "hyper4/internal/bitfield"
 // the switch's only control-plane mutators; each Switch mutator of the same
 // name is a one-op Update around it. A Tx is valid only inside the Update
 // callback that received it.
+//
+// A Tx records its write set: for every write it makes, the step that
+// undoes it, in write order. Bookkeeping kept beside the switch (the DPMU's
+// devices and ID counters) joins the same record through OnUndo, so one
+// replay undoes both.
 type Tx struct {
 	sw      *Switch
 	changed bool
+	undo    []func()
 }
+
+// A WriteSet is a committed transaction's write set: the steps that undo
+// its writes, oldest first. Tx.Undo replays it in a later transaction.
+type WriteSet struct{ undo []func() }
 
 // Update runs fn under one hold of the switch's write lock, so packets see
 // the state before every write fn makes or after all of them, never a mix.
 // Writes made through tx are visible to later ones in the same fn. The
 // generation bumps once, at commit, and only if fn changed something; a
 // compiled plan therefore goes stale once per transaction, not once per
-// row. Update does not undo: writes fn made before returning an error
-// stand, and fn rewinds them itself (RestoreDump) if it must.
+// row. If fn returns an error, Update first replays tx's write set
+// backward, so the switch (and whatever OnUndo recorded) is as it was
+// before fn. Undone entries are the entry objects themselves, put back, so
+// their hit counters keep counting.
 func (sw *Switch) Update(fn func(tx *Tx) error) error {
 	tx := sw.begin()
 	defer tx.commit()
-	return fn(tx)
+	err := fn(tx)
+	if err != nil {
+		rewind(tx.undo)
+	}
+	return err
 }
 
 // begin takes the write lock and opens a transaction; commit ends it. The
-// one-op wrappers below use the pair directly, so a single write costs no
-// closure.
+// one-op wrappers below use the pair directly: a sim write checks before it
+// writes, so a one-op write that fails has nothing to undo.
 func (sw *Switch) begin() *Tx {
 	sw.mu.Lock()
 	return &Tx{sw: sw}
@@ -37,6 +53,32 @@ func (tx *Tx) commit() {
 		tx.sw.gen.Add(1)
 	}
 	tx.sw.mu.Unlock()
+}
+
+// OnUndo appends fn to the write set as the step that undoes a write the
+// caller just made outside the switch. fn runs under the switch's write
+// lock, after every later step has run; it must not write through a Tx.
+func (tx *Tx) OnUndo(fn func()) { tx.undo = append(tx.undo, fn) }
+
+// WriteSet returns the steps recorded so far.
+func (tx *Tx) WriteSet() WriteSet { return WriteSet{undo: tx.undo} }
+
+// Undo reverses a committed transaction's writes inside this one, newest
+// first. It holds only if nothing written since ws committed depends on
+// ws's writes. The undoing is not itself recorded, so a transaction that
+// calls Undo should make no further writes.
+func (tx *Tx) Undo(ws WriteSet) {
+	if len(ws.undo) > 0 {
+		tx.changed = true
+	}
+	rewind(ws.undo)
+}
+
+// rewind runs undo steps newest first.
+func rewind(steps []func()) {
+	for i := len(steps) - 1; i >= 0; i-- {
+		steps[i]()
+	}
 }
 
 // TableAdd is Tx.TableAdd as a one-op Update.
@@ -86,4 +128,11 @@ func (sw *Switch) SetMirror(session, port int) {
 	tx := sw.begin()
 	defer tx.commit()
 	tx.SetMirror(session, port)
+}
+
+// MeterSetRates is Tx.MeterSetRates as a one-op Update.
+func (sw *Switch) MeterSetRates(name string, idx int, yellowAt, redAt uint64) error {
+	tx := sw.begin()
+	defer tx.commit()
+	return tx.MeterSetRates(name, idx, yellowAt, redAt)
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"hyper4/internal/bitfield"
@@ -138,5 +139,92 @@ func TestTxEntry(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("Entry with no match params succeeded")
+	}
+}
+
+// A failed Update undoes every write it made, and a committed one's write
+// set undoes it from a later Update: either way the dump is as before,
+// hit counters included, because the undone entries are the old objects.
+func TestUpdateUndoesWriteSet(t *testing.T) {
+	mac := func(b uint64) []MatchParam { return []MatchParam{Exact(bitfield.FromUint(48, b))} }
+	errBoom := errors.New("boom")
+	writes := func(tx *Tx) error {
+		es := tx.Dump().Tables["dmac"].Entries
+		if err := tx.TableDelete("dmac", es[1].Handle); err != nil {
+			return err
+		}
+		if err := tx.TableModify("dmac", es[0].Handle, "_drop", nil); err != nil {
+			return err
+		}
+		if _, err := tx.TableAdd("dmac", "_nop", mac(9), nil, 0); err != nil {
+			return err
+		}
+		if err := tx.TableSetDefault("dmac", "_nop", nil); err != nil {
+			return err
+		}
+		if err := tx.TableClear("filter"); err != nil {
+			return err
+		}
+		tx.SetMirror(7, 5)
+		tx.SetMirror(8, 4)
+		tx.RestoreDump(&SwitchDump{})
+		_, err := tx.TableAdd("dmac", "forward", mac(1), Args(9, 6), 0)
+		return err
+	}
+	for _, committed := range []bool{false, true} {
+		sw := newDumpSwitch(t)
+		for b := uint64(1); b <= 2; b++ {
+			if _, err := sw.TableAdd("dmac", "forward", mac(b), Args(9, b), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := sw.TableAdd("filter", "_drop",
+			[]MatchParam{Ternary(bitfield.FromUint(16, 0x0806), bitfield.Ones(16))}, nil, 5); err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.TableSetDefault("dmac", "_drop", nil); err != nil {
+			t.Fatal(err)
+		}
+		sw.SetMirror(7, 3)
+		frame := make([]byte, 14)
+		frame[5] = 1 // dst 00:00:00:00:00:01
+		if _, _, err := sw.Process(frame, 1); err != nil {
+			t.Fatal(err)
+		}
+		before := sw.Dump()
+		if before.Tables["dmac"].Entries[0].Hits != 1 {
+			t.Fatalf("setup: dmac hits %+v", before.Tables["dmac"].Entries)
+		}
+		if committed {
+			var ws WriteSet
+			if err := sw.Update(func(tx *Tx) error {
+				err := writes(tx)
+				ws = tx.WriteSet()
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if reflect.DeepEqual(before, sw.Dump()) {
+				t.Fatal("the writes changed nothing")
+			}
+			_ = sw.Update(func(tx *Tx) error { tx.Undo(ws); return nil })
+		} else if err := sw.Update(func(tx *Tx) error {
+			if err := writes(tx); err != nil {
+				return err
+			}
+			return errBoom
+		}); !errors.Is(err, errBoom) {
+			t.Fatalf("Update returned %v, want fn's error", err)
+		}
+		if after := sw.Dump(); !reflect.DeepEqual(before, after) {
+			t.Fatalf("committed=%v: undone writes left\n%+v\nwant\n%+v", committed, after, before)
+		}
+		// The restored entry is the counted one: the next hit makes two.
+		if _, _, err := sw.Process(frame, 1); err != nil {
+			t.Fatal(err)
+		}
+		if hits := sw.Dump().Tables["dmac"].Entries[0].Hits; hits != 2 {
+			t.Fatalf("committed=%v: restored entry counts %d hits, want 2", committed, hits)
+		}
 	}
 }
