@@ -38,10 +38,11 @@ type Ctl struct {
 	// no I/O runtime. Set once at wiring time, before the Ctl serves traffic.
 	IO PortIO
 
-	// wmu serializes writes: a batch's apply-journal-undo span must not
-	// interleave with another writer, whose writes a replayed write set
-	// would not know (readers are unaffected — the DPMU and switch have
-	// their own locks). It also guards the request-ID dedup ring below.
+	// wmu serializes writes through the Ctl, so no other batch commits
+	// between a batch's Updates and its undo (readers are unaffected — the
+	// DPMU and switch have their own locks). A health query's bypass
+	// rewiring writes outside it; the undo detects that and refuses
+	// (writeBatchLocked). It also guards the request-ID dedup ring below.
 	wmu sync.Mutex
 
 	// Request-ID dedup (idempotent retries): a retried WriteBatch carrying
@@ -101,7 +102,10 @@ func (c *Ctl) Apply(owner string, op *Op) (Result, error) {
 // pre-batch state. The undo replays write sets: a failing DPMU op's Update
 // undoes its own, and the batch replays those of its committed Updates
 // (before a failing port op, or when the journal append fails). No write
-// copies the installed state. A batch without port ops is one DPMU
+// copies the installed state. If a bypass rewiring committed after the
+// batch's Updates, their write sets no longer apply: the batch's writes
+// stay, the error is INTERNAL, and an attached journal fail-stops. A batch
+// without port ops is one DPMU
 // Update, so it is atomic against packets too: each packet sees the
 // pre-batch tables or the post-batch ones. The returned error carries the
 // failing op's index and code; on success one Result per op is returned.
@@ -150,27 +154,20 @@ func (c *Ctl) writeBatchLocked(owner, requestID string, ops []Op) ([]Result, err
 			return nil, wrap(err, i)
 		}
 	}
-	// A failure undoes the Updates the batch committed by replaying their
-	// write sets, newest first. Transports live outside the DPMU, so port
-	// attaches are compensated instead: a failing batch detaches the ports
-	// it attached. A detach consumed by a failing batch is NOT restored
+	// A failure undoes the batch (undoBatch). Transports live outside the
+	// DPMU, so port attaches are compensated instead: a failing batch
+	// detaches the ports it attached. A detach consumed by a failing batch is NOT restored
 	// (the transport is gone); batches mixing detaches with fallible ops
 	// should order the detach last.
 	var committed []sim.WriteSet
 	var attached []int
-	undo := func() {
-		c.D.Undo(committed...)
-		for _, p := range attached {
-			_ = c.IO.Detach(p)
-		}
-	}
+	fail := func(cause *Error) error { return c.undoBatch(cause, committed, attached) }
 	results := make([]Result, len(ops))
 	for i := 0; i < len(ops); {
 		if isPortOp(ops[i].Kind) {
 			res, err := c.applyPortOp(&ops[i])
 			if err != nil {
-				undo()
-				return nil, wrap(err, i)
+				return nil, fail(wrap(err, i))
 			}
 			if ops[i].Kind == OpPortAttach {
 				attached = append(attached, ops[i].PhysPort)
@@ -202,8 +199,7 @@ func (c *Ctl) writeBatchLocked(owner, requestID string, ops []Op) ([]Result, err
 			return nil
 		})
 		if err != nil {
-			undo()
-			return nil, wrap(err, failed)
+			return nil, fail(wrap(err, failed))
 		}
 		i = j
 	}
@@ -212,14 +208,36 @@ func (c *Ctl) writeBatchLocked(owner, requestID string, ops []Op) ([]Result, err
 	// the batch — an ack must never outrun the log.
 	if c.journal != nil {
 		if jerr := c.journalAppliedLocked(owner, requestID, ops, results); jerr != nil {
-			undo()
-			return nil, &Error{Code: CodeInternal, Op: -1, Msg: jerr.Error()}
+			return nil, fail(&Error{Code: CodeInternal, Op: -1, Msg: jerr.Error()})
 		}
 	}
 	for i := range ops {
 		c.publishOp(&ops[i], results[i])
 	}
 	return results, nil
+}
+
+// undoBatch undoes a failing batch: it replays the write sets of the
+// batch's committed Updates, newest first, detaches the ports the batch
+// attached, and returns cause. If another write committed after the batch's
+// (a health query's bypass rewiring), it may rest on them, so they stay and
+// the error is INTERNAL. The journal lacks them and must not order later
+// batches behind them: it fail-stops, as when it cannot remove a torn append.
+func (c *Ctl) undoBatch(cause *Error, committed []sim.WriteSet, attached []int) error {
+	var err error
+	if len(committed) > 0 {
+		err = c.D.Undo(committed...)
+	}
+	for _, p := range attached {
+		_ = c.IO.Detach(p)
+	}
+	if err == nil {
+		return cause
+	}
+	if c.journal != nil && c.journal.failed == nil {
+		c.journal.failed = fmt.Errorf("journal: fail-stop: a failed batch could not be undone: %v", err)
+	}
+	return &Error{Code: CodeInternal, Op: cause.Op, Msg: fmt.Sprintf("%s; the batch's committed writes stay: %v", cause.Msg, err)}
 }
 
 // validateOp rejects structurally malformed ops before any state changes.

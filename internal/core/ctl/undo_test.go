@@ -4,8 +4,13 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
+	"hyper4/internal/breaker"
+	"hyper4/internal/chaos"
 	"hyper4/internal/core/dpmu"
+	"hyper4/internal/core/persona"
+	pktio "hyper4/internal/runtime"
 	"hyper4/internal/sim"
 )
 
@@ -123,6 +128,105 @@ func TestFailedWriteUndoesItsWriteSet(t *testing.T) {
 				requireForwards(t, c)
 			})
 		}
+	}
+}
+
+// rewireIO is a PortIO whose attach runs a health query, which rewires a
+// quarantined device's links, and then fails.
+type rewireIO struct {
+	PortIO
+	c *Ctl
+}
+
+func (io rewireIO) AttachSpec(int, string) error {
+	io.c.D.Health()
+	return pktio.ErrBadSpec
+}
+
+// TestUndoRefusedAfterBypassRewire: a health query that rewires bypass links
+// between a batch's committed Update and its failing port op commits writes
+// the batch's write set does not know. The undo refuses rather than replay
+// over them: the batch's writes and the rewiring both stay, consistent, the
+// error is INTERNAL, and a journal fail-stops.
+func TestUndoRefusedAfterBypassRewire(t *testing.T) {
+	for _, journaled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("journaled=%v", journaled), func(t *testing.T) {
+			var c *Ctl
+			if journaled {
+				c, _ = journaledCtl(t, t.TempDir(), 1000)
+			} else {
+				c = newPersonaCtl(t)
+			}
+			c.D.SetHealthConfig(dpmu.HealthConfig{
+				Config:       breaker.Config{Window: time.Second, Trip: 2, OpenFor: time.Hour},
+				ProbePackets: 1,
+				Policy:       dpmu.PolicyBypass,
+			})
+			// a → b → c, each an l2 switch forwarding mac 2 out of vport 2.
+			mustBatch(t, c, "op", parseOps(t,
+				"load a l2_switch", "load b l2_switch", "load c l2_switch",
+				"a table_add smac _nop 00:00:00:00:00:01 =>",
+				"a table_add dmac forward 00:00:00:00:00:02 => 2",
+				"c table_add smac _nop 00:00:00:00:00:01 =>",
+				"c table_add dmac forward 00:00:00:00:00:02 => 2",
+				"link a 2 b 1", "link b 2 c 1", "map c 2 2", "assign 1 a 1"))
+			b, err := c.D.VDev("b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Trip b with no health query yet, so the rewiring is pending.
+			c.D.SW.SetInjector(chaos.New(chaos.Spec{Seed: 1, Attr: uint64(b.PID), PanicEvery: 1}))
+			for range 2 {
+				if _, _, err := c.D.SW.Process(tcpFrame(80), 1); err == nil {
+					t.Fatal("a packet through b did not fault")
+				}
+			}
+			c.D.SW.SetInjector(nil)
+
+			c.IO = rewireIO{c: c}
+			_, err = c.WriteBatch("op", parseOps(t, "map a 3 3", "port attach 9 x:y"))
+			if CodeOf(err) != CodeInternal {
+				t.Fatalf("batch error %v, want INTERNAL", err)
+			}
+			for _, v := range c.D.Health().VDevs {
+				if v.VDev == "b" && !v.Bypassed {
+					t.Fatalf("b not bypassed: %+v", v)
+				}
+			}
+			if journaled {
+				if c.journal.failed == nil {
+					t.Fatal("journal did not fail-stop after an undo it could not make")
+				}
+				if _, err := c.WriteBatch("op", parseOps(t, "load x l2_switch")); err == nil {
+					t.Fatal("fail-stopped journal acked a batch")
+				}
+			}
+			// The chain forwards around b, straight to c.
+			outs, _, err := c.D.SW.Process(tcpFrame(80), 1)
+			if err != nil || len(outs) != 1 || outs[0].Port != 2 {
+				t.Fatalf("bypassed chain: outputs %+v, err %v; want one on port 2", outs, err)
+			}
+			// The rows and their records agree: a new row takes a fresh
+			// handle, and unloading every device leaves no route behind.
+			if err := c.D.MapVPort("op", "c", 3, 3); err != nil {
+				t.Fatal(err)
+			}
+			seen := map[int]bool{}
+			for _, e := range c.D.SW.Dump().Tables[persona.TblVirtnet].Entries {
+				if seen[e.Handle] {
+					t.Fatalf("t_virtnet handle %d is taken twice", e.Handle)
+				}
+				seen[e.Handle] = true
+			}
+			for _, name := range []string{"a", "b", "c"} {
+				if err := c.D.Unload("op", name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if es := c.D.SW.Dump().Tables[persona.TblVirtnet].Entries; len(es) != 0 {
+				t.Fatalf("%d t_virtnet rows outlive every device: %+v", len(es), es)
+			}
+		})
 	}
 }
 

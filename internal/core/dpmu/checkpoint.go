@@ -123,18 +123,11 @@ func (d *DPMU) Checkpoint() *Checkpoint {
 }
 
 // Rollback rewinds the DPMU and its persona switch to a Checkpoint. The
-// checkpoint itself is left intact. It builds new containers beside the
-// live ones, so its step in the write set puts the live ones back.
+// checkpoint itself is left intact. A rollback replaces the whole state and
+// is not undone (sim.Tx.RestoreDump): the Update that runs it must not fail
+// after it.
 func (t *Tx) Rollback(cp *Checkpoint) {
 	d := t.d
-	d.tx.OnUndo(d.resyncHealth) // recorded first, so it runs last
-	keepVal(d.tx, &d.vdevs)
-	keepVal(d.tx, &d.snapshots)
-	keepVal(d.tx, &d.linkSpecs)
-	keepVal(d.tx, &d.active)
-	for _, id := range []*int{&d.nextPID, &d.nextMatchID, &d.nextMcast, &d.nextSession} {
-		keepVal(d.tx, id)
-	}
 	d.vdevs = make(map[string]*VDev, len(cp.VDevs))
 	for _, vs := range cp.VDevs {
 		v := &VDev{

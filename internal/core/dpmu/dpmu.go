@@ -275,7 +275,7 @@ func (d *DPMU) removeRows(rows []pentry) {
 func (d *DPMU) addRow(dst *[]pentry, table, action string, params []sim.MatchParam, args []bitfield.Value, prio int) error {
 	h, err := d.tx.TableAdd(table, action, params, args, prio)
 	if errors.Is(err, sim.ErrDuplicateKey) {
-		return fmt.Errorf("dpmu: %s: %w: %w", table, err, ErrExists)
+		return fmt.Errorf("dpmu: %s: %w: %w", table, sim.ErrDuplicateKey, ErrExists)
 	}
 	if err != nil {
 		return fmt.Errorf("dpmu: %s: %w", table, err)

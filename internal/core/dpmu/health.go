@@ -227,12 +227,6 @@ func (d *DPMU) setHealth(name string, v *vdevHealth) {
 	d.health.mu.Lock()
 	old := d.health.putLocked(d.SW, name, v)
 	d.health.mu.Unlock()
-	d.keepHealth(name, old)
-}
-
-// keepHealth records the step that puts old back as the named device's
-// record. Callers do not hold health.mu.
-func (d *DPMU) keepHealth(name string, old *vdevHealth) {
 	d.tx.OnUndo(func() {
 		d.health.mu.Lock()
 		d.health.putLocked(d.SW, name, old)
@@ -459,15 +453,22 @@ func (t *Tx) ResetHealth(owner, vdev string) error {
 		return fmt.Errorf("dpmu: no health record for %q: %w", vdev, ErrNotFound)
 	}
 	wasBypassed := v.bypassed
-	// The reset record replaces v, which the write set keeps: an undone
-	// reset brings back the containment its undone rows belong to.
 	reset := *v
 	reset.bypassed = false
 	reset.Reset()
 	h.putLocked(d.SW, vdev, &reset)
 	notify := h.notify
 	h.mu.Unlock()
-	d.keepHealth(vdev, v)
+	// An undone reset puts v back, with the containment its undone rows
+	// belong to. Packets may have counted faults on the reset record in the
+	// meantime; v takes over those lifetime totals.
+	d.tx.OnUndo(func() {
+		h.mu.Lock()
+		v.faults, v.Trips = reset.faults, reset.Trips
+		v.lastKind, v.lastMsg, v.lastAt = reset.lastKind, reset.lastMsg, reset.lastAt
+		h.putLocked(d.SW, vdev, v)
+		h.mu.Unlock()
+	})
 	// Same shape as syncHealthLocked: rewire only after health.mu is
 	// released.
 	if wasBypassed {

@@ -9,6 +9,7 @@ import (
 	"hyper4/internal/breaker"
 	"hyper4/internal/chaos"
 	"hyper4/internal/pkt"
+	"hyper4/internal/sim"
 )
 
 // fakeClock drives the health tracker's time deterministically.
@@ -442,5 +443,25 @@ func TestFailedWriteUndoesHealthReset(t *testing.T) {
 	}
 	if out, _, err := d.SW.Process(tcp5201(), 1); err != nil || len(out) != 1 {
 		t.Fatalf("blocked flow after an undone reset: out=%v err=%v; want the bypass", out, err)
+	}
+
+	// A committed reset undone later: a fault packets counted on the reset
+	// record in between stays in the lifetime total.
+	var ws sim.WriteSet
+	if err := d.Update(func(tx *Tx) error {
+		ws = tx.WriteSet()
+		return tx.ResetHealth("op", "fw")
+	}); err != nil {
+		t.Fatal(err)
+	}
+	d.SW.SetInjector(chaos.New(chaos.Spec{Seed: 1, Attr: 2, PanicEvery: 1, PanicFirst: 1}))
+	if _, _, err := d.SW.Process(ping(), 1); err == nil {
+		t.Fatal("ping through the reset firewall did not fault")
+	}
+	if err := d.Undo(ws); err != nil {
+		t.Fatal(err)
+	}
+	if got := stateOf(t, d.Health(), "fw"); got.State != breaker.Quarantined || !got.Bypassed || got.Faults != before.Faults+1 {
+		t.Fatalf("fw after a committed reset is undone: %+v, want %+v with one more fault", got, before)
 	}
 }

@@ -30,7 +30,8 @@ type Tx struct{ d *DPMU }
 // backward, so a failed op, or an op that fails after others succeeded,
 // leaves the DPMU and the switch as they were. A Tx method that fails may
 // leave partial writes until its Update returns the error. A committed
-// record (WriteSet) can be replayed in a later Update (Undo). fn must not
+// record (WriteSet) can be replayed in a later Update (Undo) while no other
+// write has committed since. fn must not
 // block on packets: a port detach, which drains rings whose workers need
 // the switch's read lock, runs outside Update.
 func (d *DPMU) Update(fn func(t *Tx) error) error {
@@ -56,17 +57,14 @@ func (d *DPMU) inTx(fn func() error) error {
 	})
 }
 
-// WriteSet returns the write set the Update has recorded so far: called at
-// the end of fn, all of it.
+// WriteSet returns the Update's write set, complete once it commits.
 func (t *Tx) WriteSet() sim.WriteSet { return t.d.tx.WriteSet() }
 
-// Undo replays committed Updates' write sets backward, newest first
-// (sim.Tx.Undo).
-func (t *Tx) Undo(sets ...sim.WriteSet) {
-	for i := len(sets) - 1; i >= 0; i-- {
-		t.d.tx.Undo(sets[i])
-	}
-}
+// Undo replays committed Updates' write sets backward, newest first. It
+// refuses, with sim.ErrInterleaved, unless they are the latest writes to the
+// switch and its bookkeeping, one after another (sim.Tx.Undo): a health
+// query's bypass rewiring, say, commits writes of its own.
+func (t *Tx) Undo(sets ...sim.WriteSet) error { return t.d.tx.Undo(sets...) }
 
 // keep records, in the open write set, the step that restores m[k] to what
 // it holds now: a value, or no key.
@@ -179,8 +177,8 @@ func (d *DPMU) ActivateSnapshot(name string) error {
 }
 
 // Undo is Tx.Undo as a one-op Update.
-func (d *DPMU) Undo(sets ...sim.WriteSet) {
-	_ = d.Update(func(t *Tx) error { t.Undo(sets...); return nil })
+func (d *DPMU) Undo(sets ...sim.WriteSet) error {
+	return d.Update(func(t *Tx) error { return t.Undo(sets...) })
 }
 
 // Rollback is Tx.Rollback as a one-op Update.

@@ -153,20 +153,15 @@ func (sw *Switch) CheckDump(d *SwitchDump) error {
 // the same switch: entries (with their handles, precedence positions and hit
 // counters), handle counters, default actions, mirrors and meter thresholds
 // all return to their captured values. Traffic state (registers, counters,
-// meter window usage, lifetime stats) is left alone. The restore builds new
-// tables beside the old ones, so its undo step puts the old ones back.
+// meter window usage, lifetime stats) is left alone. A restore replaces the
+// whole control state, so it records no undo step: it is not undone, and a
+// transaction that restores must not fail after it.
 func (tx *Tx) RestoreDump(d *SwitchDump) {
 	sw := tx.sw
 	// A restore replaces table contents wholesale; any compiled fast-path
 	// plan built against the pre-restore state must stop matching.
 	tx.changed = true
 	for name, t := range sw.tables {
-		entries, ix, next := t.entries, t.ix, t.nextHandle
-		action, act, args := t.defaultAction, t.defaultAct, t.defaultArgs
-		tx.OnUndo(func() {
-			t.entries, t.ix, t.nextHandle = entries, ix, next
-			t.defaultAction, t.defaultAct, t.defaultArgs = action, act, args
-		})
 		td := d.Tables[name] // zero value restores an empty table
 		t.entries = make([]*Entry, 0, len(td.Entries))
 		for _, ed := range td.Entries {
@@ -189,8 +184,6 @@ func (tx *Tx) RestoreDump(d *SwitchDump) {
 		t.defaultAct = sw.code.byName[td.DefaultAction]
 		t.defaultArgs = td.DefaultArgs
 	}
-	mirrors := sw.mirrors
-	tx.OnUndo(func() { sw.mirrors = mirrors })
 	sw.mirrors = make(map[int]int, len(d.Mirrors))
 	for sess, port := range d.Mirrors {
 		sw.mirrors[sess] = port
@@ -200,8 +193,6 @@ func (tx *Tx) RestoreDump(d *SwitchDump) {
 		if !ok {
 			continue
 		}
-		old := m.rates()
-		tx.OnUndo(func() { m.setRates(old) })
 		m.setRates(rates)
 	}
 }

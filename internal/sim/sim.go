@@ -56,6 +56,10 @@ type Switch struct {
 	mu      sync.RWMutex
 	tables  map[string]*table
 	mirrors map[int]int // clone session ID -> egress port
+	// writes counts the committed transactions that wrote something, to the
+	// switch or to bookkeeping recorded beside it (Tx.OnUndo). Guarded by
+	// mu; Tx.Undo checks write sets against it.
+	writes uint64
 
 	// Stateful externs carry their own fine-grained locks (see stateful.go);
 	// the maps themselves are immutable after New.
@@ -182,13 +186,15 @@ func (tx *Tx) SetMirror(session, port int) {
 	old, had := mirrors[session]
 	mirrors[session] = port
 	tx.changed = true
-	tx.OnUndo(func() {
-		if had {
-			mirrors[session] = old
-		} else {
-			delete(mirrors, session)
-		}
-	})
+	if tx.record {
+		tx.OnUndo(func() {
+			if had {
+				mirrors[session] = old
+			} else {
+				delete(mirrors, session)
+			}
+		})
+	}
 }
 
 // pass describes one trip through (parser →) ingress/egress.

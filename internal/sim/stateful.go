@@ -175,11 +175,13 @@ func (tx *Tx) MeterSetRates(name string, idx int, yellowAt, redAt uint64) error 
 	oldYellow, oldRed := c.yellowAt, c.redAt
 	c.yellowAt, c.redAt = yellowAt, redAt
 	m.mu.Unlock()
-	tx.OnUndo(func() {
-		m.mu.Lock()
-		c.yellowAt, c.redAt = oldYellow, oldRed
-		m.mu.Unlock()
-	})
+	if tx.record {
+		tx.OnUndo(func() {
+			m.mu.Lock()
+			c.yellowAt, c.redAt = oldYellow, oldRed
+			m.mu.Unlock()
+		})
+	}
 	return nil
 }
 

@@ -373,12 +373,17 @@ func (tx *Tx) TableAdd(tableName, action string, params []MatchParam, args []bit
 		t.ix.Insert(mask, val, e)
 	}
 	tx.changed = true
-	tx.OnUndo(func() {
-		if i := slices.Index(t.entries, e); i >= 0 {
-			t.removeAt(i)
-		}
-		t.nextHandle = e.Handle - 1
-	})
+	if tx.record {
+		tx.OnUndo(func() {
+			if i := slices.Index(t.entries, e); i >= 0 {
+				t.removeAt(i)
+			}
+			// Hand the handle back only if no later add took the next one.
+			if t.nextHandle == e.Handle {
+				t.nextHandle--
+			}
+		})
+	}
 	return e.Handle, nil
 }
 
@@ -433,7 +438,9 @@ func (tx *Tx) TableSetDefault(tableName, action string, args []bitfield.Value) e
 	t.defaultAct = sw.code.byName[action]
 	t.defaultArgs = args
 	tx.changed = true
-	tx.OnUndo(func() { t.defaultAction, t.defaultAct, t.defaultArgs = oldAction, oldAct, oldArgs })
+	if tx.record {
+		tx.OnUndo(func() { t.defaultAction, t.defaultAct, t.defaultArgs = oldAction, oldAct, oldArgs })
+	}
 	return nil
 }
 
@@ -448,7 +455,9 @@ func (tx *Tx) TableDelete(tableName string, handle int) error {
 		if e.Handle == handle {
 			t.removeAt(i)
 			tx.changed = true
-			tx.OnUndo(func() { t.insert(e) })
+			if tx.record {
+				tx.OnUndo(func() { t.insert(e) })
+			}
 			return nil
 		}
 	}
@@ -474,7 +483,9 @@ func (tx *Tx) TableModify(tableName string, handle int, action string, args []bi
 			e.act = sw.code.byName[action]
 			e.Args = args
 			tx.changed = true
-			tx.OnUndo(func() { e.Action, e.act, e.Args = oldAction, oldAct, oldArgs })
+			if tx.record {
+				tx.OnUndo(func() { e.Action, e.act, e.Args = oldAction, oldAct, oldArgs })
+			}
 			return nil
 		}
 	}
@@ -495,7 +506,9 @@ func (tx *Tx) TableClear(tableName string) error {
 	t.entries = nil
 	t.reindex()
 	tx.changed = true
-	tx.OnUndo(func() { t.entries, t.ix = old, oldIx })
+	if tx.record {
+		tx.OnUndo(func() { t.entries, t.ix = old, oldIx })
+	}
 	return nil
 }
 

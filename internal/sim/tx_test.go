@@ -167,8 +167,7 @@ func TestUpdateUndoesWriteSet(t *testing.T) {
 		}
 		tx.SetMirror(7, 5)
 		tx.SetMirror(8, 4)
-		tx.RestoreDump(&SwitchDump{})
-		_, err := tx.TableAdd("dmac", "forward", mac(1), Args(9, 6), 0)
+		_, err := tx.TableAdd("dmac", "forward", mac(3), Args(9, 6), 0)
 		return err
 	}
 	for _, committed := range []bool{false, true} {
@@ -207,7 +206,17 @@ func TestUpdateUndoesWriteSet(t *testing.T) {
 			if reflect.DeepEqual(before, sw.Dump()) {
 				t.Fatal("the writes changed nothing")
 			}
-			_ = sw.Update(func(tx *Tx) error { tx.Undo(ws); return nil })
+			// A failed Update in between left everything as it was, so it
+			// does not stand in the way.
+			_ = sw.Update(func(tx *Tx) error {
+				if _, err := tx.TableAdd("dmac", "_nop", mac(4), nil, 0); err != nil {
+					return err
+				}
+				return errBoom
+			})
+			if err := sw.Update(func(tx *Tx) error { return tx.Undo(ws) }); err != nil {
+				t.Fatal(err)
+			}
 		} else if err := sw.Update(func(tx *Tx) error {
 			if err := writes(tx); err != nil {
 				return err
@@ -226,5 +235,30 @@ func TestUpdateUndoesWriteSet(t *testing.T) {
 		if hits := sw.Dump().Tables["dmac"].Entries[0].Hits; hits != 2 {
 			t.Fatalf("committed=%v: restored entry counts %d hits, want 2", committed, hits)
 		}
+	}
+}
+
+// Undo refuses a write set another write committed after, and changes
+// nothing: replaying it would hand back a handle the later add took.
+func TestUndoRefusesInterleavedWrite(t *testing.T) {
+	sw := newDumpSwitch(t)
+	mac := func(b uint64) []MatchParam { return []MatchParam{Exact(bitfield.FromUint(48, b))} }
+	var ws WriteSet
+	if err := sw.Update(func(tx *Tx) error {
+		_, err := tx.TableAdd("dmac", "_nop", mac(1), nil, 0)
+		ws = tx.WriteSet()
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sw.TableAdd("dmac", "_nop", mac(2), nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	before := sw.Dump()
+	if err := sw.Update(func(tx *Tx) error { return tx.Undo(ws) }); !errors.Is(err, ErrInterleaved) {
+		t.Fatalf("Undo over a later write returned %v, want ErrInterleaved", err)
+	}
+	if after := sw.Dump(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("a refused Undo changed the switch:\n%+v\nwant\n%+v", after, before)
 	}
 }
