@@ -31,9 +31,9 @@ type Tx struct{ d *DPMU }
 // leaves the DPMU and the switch as they were. A Tx method that fails may
 // leave partial writes until its Update returns the error. A committed
 // record (WriteSet) can be replayed in a later Update (Undo) while no other
-// write has committed since. fn must not
-// block on packets: a port detach, which drains rings whose workers need
-// the switch's read lock, runs outside Update.
+// write has committed since. fn must not block on packets: a port detach,
+// which drains rings whose workers need the switch's read lock, runs
+// outside Update.
 func (d *DPMU) Update(fn func(t *Tx) error) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
