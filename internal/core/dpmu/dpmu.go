@@ -54,6 +54,10 @@ type DPMU struct {
 	// its own leaf mutex because the fault hook feeding it runs on the
 	// packet path, where taking d.mu would deadlock.
 	health healthTracker
+	// resets names the devices Tx.ResetHealth reset in the open Update.
+	// Their "healthy" notifications wait for it to commit, so a reset that
+	// is rewound is never announced (Update). Guarded by mu.
+	resets []string
 
 	// tx is the switch transaction every persona-row write goes through
 	// (tx.go); non-nil only inside inTx. Guarded by mu.

@@ -439,7 +439,7 @@ func (d *DPMU) Health() HealthSnapshot {
 // ResetHealth is the explicit admin reset: the owner (or the operator of an
 // unowned device) forces the device back to healthy, undoing quarantine and
 // bypass. Trip and fault totals are kept — reset clears containment, not
-// history.
+// history. The notify hook hears "healthy" once the Update commits.
 func (t *Tx) ResetHealth(owner, vdev string) error {
 	d := t.d
 	if _, err := d.auth(owner, vdev); err != nil {
@@ -457,7 +457,6 @@ func (t *Tx) ResetHealth(owner, vdev string) error {
 	reset.bypassed = false
 	reset.Reset()
 	h.putLocked(d.SW, vdev, &reset)
-	notify := h.notify
 	h.mu.Unlock()
 	// An undone reset puts v back, with the containment its undone rows
 	// belong to. Packets may have counted faults on the reset record in the
@@ -474,8 +473,23 @@ func (t *Tx) ResetHealth(owner, vdev string) error {
 	if wasBypassed {
 		d.undoBypassLocked(vdev)
 	}
-	if notify != nil {
+	d.resets = append(d.resets, vdev)
+	return nil
+}
+
+// notifyResets announces the committed Update's health resets (called by
+// Update with d.mu held).
+func (d *DPMU) notifyResets() {
+	if len(d.resets) == 0 {
+		return
+	}
+	d.health.mu.Lock()
+	notify := d.health.notify
+	d.health.mu.Unlock()
+	if notify == nil {
+		return
+	}
+	for _, vdev := range d.resets {
 		notify(vdev, breaker.Healthy)
 	}
-	return nil
 }

@@ -3,6 +3,8 @@ package dpmu
 import (
 	"bytes"
 	"errors"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -413,12 +415,27 @@ func TestRollbackResyncsHealth(t *testing.T) {
 
 // A health reset in a write that then fails is undone with the rest of the
 // write: the firewall is quarantined and bypassed again, as its restored
-// link rows say, and the blocked flow still takes the bypass.
+// link rows say, the blocked flow still takes the bypass, and the notify
+// hook never hears of the reset. A committed reset is announced.
 func TestFailedWriteUndoesHealthReset(t *testing.T) {
 	d := newPersonaDPMU(t)
 	clock := newFakeClock()
 	d.SetHealthClock(clock.now)
 	d.SetHealthConfig(testHealthConfig(PolicyBypass))
+	var mu sync.Mutex
+	var heard []string
+	d.SetHealthNotify(func(vdev string, state breaker.State) {
+		mu.Lock()
+		heard = append(heard, vdev+":"+string(state))
+		mu.Unlock()
+	})
+	takeHeard := func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		out := heard
+		heard = nil
+		return out
+	}
 	loadComposition(t, d) // arp(1) → fw(2) → r(3)
 	d.SW.SetInjector(chaos.New(chaos.Spec{Seed: 1, Attr: 2, PanicEvery: 1, PanicFirst: 3}))
 	for i := 0; i < 3; i++ {
@@ -428,6 +445,7 @@ func TestFailedWriteUndoesHealthReset(t *testing.T) {
 	if before.State != breaker.Quarantined || !before.Bypassed {
 		t.Fatalf("fw after trip: %+v", before)
 	}
+	takeHeard() // the trip's own transitions
 	errBoom := errors.New("boom")
 	err := d.Update(func(tx *Tx) error {
 		if err := tx.ResetHealth("op", "fw"); err != nil {
@@ -437,6 +455,9 @@ func TestFailedWriteUndoesHealthReset(t *testing.T) {
 	})
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("Update returned %v, want fn's error", err)
+	}
+	if got := takeHeard(); len(got) != 0 {
+		t.Fatalf("notify hook heard %v from a failed Update, want nothing", got)
 	}
 	if got := stateOf(t, d.Health(), "fw"); got.State != breaker.Quarantined || !got.Bypassed || got.Faults != before.Faults {
 		t.Fatalf("fw after an undone reset: %+v, want %+v", got, before)
@@ -453,6 +474,9 @@ func TestFailedWriteUndoesHealthReset(t *testing.T) {
 		return tx.ResetHealth("op", "fw")
 	}); err != nil {
 		t.Fatal(err)
+	}
+	if got := takeHeard(); !slices.Equal(got, []string{"fw:healthy"}) {
+		t.Fatalf("notify hook heard %v from a committed reset, want [fw:healthy]", got)
 	}
 	d.SW.SetInjector(chaos.New(chaos.Spec{Seed: 1, Attr: 2, PanicEvery: 1, PanicFirst: 1}))
 	if _, _, err := d.SW.Process(ping(), 1); err == nil {

@@ -33,13 +33,18 @@ type Tx struct{ d *DPMU }
 // record (WriteSet) can be replayed in a later Update (Undo) while no other
 // write has committed since. fn must not block on packets: a port detach,
 // which drains rings whose workers need the switch's read lock, runs
-// outside Update.
+// outside Update. Health resets are announced to the notify hook only once
+// the Update commits.
 func (d *DPMU) Update(fn func(t *Tx) error) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	err := d.inTx(func() error { return fn(&Tx{d: d}) })
 	d.publishPorts()
 	d.requestCompileLocked()
+	if err == nil {
+		d.notifyResets()
+	}
+	d.resets = d.resets[:0]
 	return err
 }
 

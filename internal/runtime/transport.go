@@ -29,6 +29,10 @@ type Frame struct {
 type Transport interface {
 	// Recv blocks until a frame arrives, filling f with a buffer the caller
 	// owns from then on, or returns ErrClosed once the transport is closed.
+	// The buffer may be carved from a larger allocation (the UDP transport
+	// cuts frames from a 64 KiB slab it never reuses), but it shares no
+	// bytes with any other frame and its capacity ends where it does, so
+	// a frame kept long pins at most that one allocation.
 	Recv(f *Frame) error
 	// Send writes one frame out. In-process transports may block on a full
 	// link; wire transports must not.
